@@ -1,8 +1,7 @@
-// Shared serving plumbing used by both qozd roles (shard and gateway):
-// tenant credentials, per-tenant rate limiting, request-id correlation,
-// and the JSON error shape. Both roles guard their endpoints identically,
-// so a client cannot tell — and need not care — which role answered 401
-// or 429.
+// The front door of the qozd handler: tenant credentials, per-tenant rate
+// limiting, request-id correlation, and the JSON error shape. It sits
+// before the backend, so a client cannot tell — and need not care — which
+// role answered 401 or 429.
 package main
 
 import (
@@ -11,9 +10,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -157,7 +156,7 @@ type guardOptions struct {
 }
 
 // guard enforces bearer auth (mapping tokens to tenant names) and
-// per-tenant token-bucket rate limits in front of a role's mux.
+// per-tenant token-bucket rate limits in front of the mux.
 type guard struct {
 	tenants       []tenantCred // empty = auth disabled
 	metricsPublic bool
@@ -243,14 +242,8 @@ func (g *guard) admit(w http.ResponseWriter, r *http.Request) (tenant string, ok
 }
 
 // limitedByTenant snapshots the per-tenant 429 counters for /metrics.
-func (g *guard) limitedByTenant() (tenants []string, counts map[string]int64) {
+func (g *guard) limitedByTenant() map[string]int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	counts = make(map[string]int64, len(g.limited))
-	for t, n := range g.limited {
-		tenants = append(tenants, t)
-		counts[t] = n
-	}
-	sort.Strings(tenants)
-	return tenants, counts
+	return maps.Clone(g.limited)
 }

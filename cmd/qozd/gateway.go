@@ -1,24 +1,18 @@
-// The gateway role of qozd: the same public API as a mounted server, but
-// answered by fanning region reads out over a fleet of ordinary qozd
-// shards and stitching the sub-region slabs back together (qoz/cluster
-// does the planning, routing, and stitching). The gateway holds no store —
-// its only state is the catalog it learns from the shards' own manifest
-// endpoints — so gateways are stateless, horizontally scalable, and
-// restartable at will.
+// The gateway role of qozd: the same handler as a shard, over a backend
+// that answers by fanning reads out over a fleet of ordinary qozd shards
+// and stitching the sub-region slabs back together (qoz/cluster does the
+// planning, routing, and stitching). The gateway holds no store — its only
+// state is the catalog it learns from the shards' own manifest endpoints —
+// so gateways are stateless, horizontally scalable, and restartable at
+// will.
 package main
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +21,7 @@ import (
 	"qoz/store"
 )
 
-// gatewayOptions configures a gateway.
+// gatewayOptions configures a gateway: the handler over a fleet backend.
 type gatewayOptions struct {
 	Shards     []string // shard base URLs; also the placement domain
 	ShardToken string   // bearer token presented to shards
@@ -36,31 +30,23 @@ type gatewayOptions struct {
 	MaxPoints  int      // largest region served, in points (<=0 = unlimited)
 	Guard      guardOptions
 	Ins        *instrument // traces, histograms, request logs; nil builds a silent one
-	Pprof      bool        // expose /debug/pprof/* on the gateway mux
+	Pprof      bool        // expose /debug/pprof/* on the mux
 	// HTTP overrides the shard-facing client (tests inject a
 	// httptest-backed transport); nil selects a timeoutful default.
 	HTTP *http.Client
 }
 
-// gateway is the fan-out HTTP handler. The catalog pointer swaps
-// atomically on refresh, so requests racing a refresh see either the old
-// or the new catalog wholly — and the per-sub-read generation gate in
-// qoz/cluster guarantees the stitched bytes match whichever one they saw.
-type gateway struct {
-	mux     *http.ServeMux
-	opts    gatewayOptions
+// fleet is the backend of a gateway. The catalog pointer swaps atomically
+// on refresh, so requests racing a refresh see either the old or the new
+// catalog wholly — and the per-sub-read generation gate in qoz/cluster
+// guarantees the stitched bytes match whichever one they saw.
+type fleet struct {
+	shards  []string
 	client  *cluster.Client
-	guard   *guard
-	ins     *instrument
-	flight  cluster.Flight // coalesces identical concurrent fan-outs
 	catalog atomic.Pointer[map[string]*cluster.Field]
 
-	requests    atomic.Int64
-	errors      atomic.Int64
-	regionPts   atomic.Int64
-	refreshErrs atomic.Int64
-	subReads    atomic.Int64
-	retries     atomic.Int64
+	subReads atomic.Int64
+	retries  atomic.Int64
 
 	trafficMu sync.Mutex
 	traffic   map[string]*cluster.ShardTraffic // lifetime per-shard totals
@@ -69,174 +55,86 @@ type gateway struct {
 // newGateway builds the fan-out engine and learns the initial catalog
 // from the shards; with no shard reachable at startup there is nothing to
 // serve and construction fails.
-func newGateway(opts gatewayOptions) (*gateway, error) {
-	g := &gateway{opts: opts, traffic: make(map[string]*cluster.ShardTraffic)}
-	var err error
-	if g.guard, err = newGuard(opts.Guard); err != nil {
+func newGateway(opts gatewayOptions) (*handler, error) {
+	h, err := newHandler(opts.MaxPoints, opts.Guard, opts.Ins, opts.Pprof)
+	if err != nil {
 		return nil, err
-	}
-	if g.ins = opts.Ins; g.ins == nil {
-		g.ins = newInstrument(instrumentOptions{})
 	}
 	hc := opts.HTTP
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Minute}
 	}
-	g.client = &cluster.Client{
-		HTTP:     hc,
-		Token:    opts.ShardToken,
-		Attempts: opts.Attempts,
-		Workers:  opts.Workers,
+	g := &fleet{
+		shards: opts.Shards,
+		client: &cluster.Client{
+			HTTP:     hc,
+			Token:    opts.ShardToken,
+			Attempts: opts.Attempts,
+			Workers:  opts.Workers,
+		},
+		traffic: make(map[string]*cluster.ShardTraffic),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := g.refreshCatalog(ctx); err != nil {
-		return nil, fmt.Errorf("gateway: initial catalog: %w", err)
+	if errs := g.refresh(ctx); errs != nil {
+		return nil, fmt.Errorf("gateway: initial %w", errs[0]) // "... initial catalog: <cause>"
 	}
-	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("GET /v1/fields", g.handleFields)
-	g.mux.HandleFunc("GET /v1/fields/{name}", g.handleField)
-	g.mux.HandleFunc("GET /v1/fields/{name}/region", g.handleRegion)
-	g.mux.HandleFunc("GET /v1/fields/{name}/query", g.handleQuery)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("GET /healthz", handleHealthz)
-	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
-	g.mux.HandleFunc("GET /debug/traces", g.ins.handleTraces)
-	if opts.Pprof {
-		registerPprof(g.mux)
-	}
-	return g, nil
+	h.be = g
+	return h, nil
 }
 
-func (g *gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	id := ensureRequestID(w, r)
-	// The gateway's root span parents the fan-out spans qoz/cluster opens
-	// (one "subread" per sub-region, one "shard.get" per attempt); no
-	// store is mounted here, so the stage observer stays off.
-	g.ins.serve(w, r, id, false, func(w http.ResponseWriter, r *http.Request) string {
-		// Probes bypass auth and rate limits: see handleHealthz.
-		if r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
-			tenant, ok := g.guard.admit(w, r)
-			if !ok {
-				return tenant
-			}
-			g.mux.ServeHTTP(w, r)
-			return tenant
-		}
-		g.mux.ServeHTTP(w, r)
-		return ""
-	})
-}
-
-// httpError mirrors server.httpError for the gateway's counters.
-func (g *gateway) httpError(w http.ResponseWriter, r *http.Request, code int, format string, args ...any) {
-	if code != http.StatusNotFound {
-		g.errors.Add(1)
-	}
-	jsonError(w, r, code, format, args...)
-}
+func (g *fleet) close() { g.client.HTTP.CloseIdleConnections() }
 
 // fields returns the current catalog (never nil after construction).
-func (g *gateway) fields() map[string]*cluster.Field { return *g.catalog.Load() }
+func (g *fleet) fields() map[string]*cluster.Field { return *g.catalog.Load() }
 
-func (g *gateway) fieldNames() []string {
-	cat := g.fields()
-	names := make([]string, 0, len(cat))
-	for n := range cat {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// refreshCatalog re-learns the fleet's fields. A failed refresh keeps the
+// refresh re-learns the fleet's fields. A failed refresh keeps the
 // previous catalog serving — a gateway would rather serve a slightly old
 // generation (failing over stale shards per sub-read) than nothing.
-func (g *gateway) refreshCatalog(ctx context.Context) error {
-	cat, err := g.client.Catalog(ctx, g.opts.Shards)
+func (g *fleet) refresh(ctx context.Context) []error {
+	cat, err := g.client.Catalog(ctx, g.shards)
 	if err != nil {
-		g.refreshErrs.Add(1)
-		return err
+		return []error{fmt.Errorf("catalog: %w", err)}
 	}
 	g.catalog.Store(&cat)
 	return nil
 }
 
-// refreshLoop polls the shard catalog, the gateway-side analogue of the
-// server's mount refresh: mutable stores advancing on their shards become
-// visible here, moving the gateway's ETags with them.
-func (g *gateway) refreshLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for range t.C {
-		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		if err := g.refreshCatalog(ctx); err != nil {
-			log.Printf("gateway: catalog refresh: %v", err)
-		}
-		cancel()
-	}
-}
-
-// gatewayFieldInfo is the gateway's field manifest JSON: the same core
-// fields a shard reports, plus where the bricks live.
-type gatewayFieldInfo struct {
-	Name        string   `json:"name"`
-	Dims        []int    `json:"dims"`
-	Brick       []int    `json:"brick"`
-	Bricks      int      `json:"bricks"`
-	Points      int      `json:"points"`
-	ErrorBound  float64  `json:"errorBound"`
-	Codec       string   `json:"codec"`
-	DType       string   `json:"dtype"`
-	Generation  uint64   `json:"generation,omitempty"`
-	ManifestCRC uint32   `json:"manifestCRC"`
-	Shards      []string `json:"shards"`
-}
-
-func (g *gateway) info(f *cluster.Field) gatewayFieldInfo {
-	bricks, _ := store.NumBricksIn(f.Dims, f.Brick)
-	return gatewayFieldInfo{
-		Name:        f.Name,
-		Dims:        f.Dims,
-		Brick:       f.Brick,
-		Bricks:      bricks,
-		Points:      f.Points(),
-		ErrorBound:  f.ErrorBound,
-		Codec:       f.Codec,
-		DType:       f.DType,
-		Generation:  f.Generation,
-		ManifestCRC: f.ManifestCRC,
-		Shards:      f.Shards,
-	}
-}
-
-func (g *gateway) handleFields(w http.ResponseWriter, r *http.Request) {
+func (g *fleet) list() []snapshot {
 	cat := g.fields()
-	out := make([]gatewayFieldInfo, 0, len(cat))
-	for _, name := range g.fieldNames() {
-		out = append(out, g.info(cat[name]))
+	names := fieldNames(cat)
+	out := make([]snapshot, len(names))
+	for i, name := range names {
+		out[i] = fleetSnapshot(cat[name])
 	}
-	body, finish := jsonBody(w, r)
-	json.NewEncoder(body).Encode(map[string]any{"fields": out})
-	finish()
+	return out
 }
 
-func (g *gateway) handleField(w http.ResponseWriter, r *http.Request) {
-	f, ok := g.fields()[r.PathValue("name")]
+func (g *fleet) resolve(name string) (snapshot, bool) {
+	f, ok := g.fields()[name]
 	if !ok {
-		g.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
-		return
+		return snapshot{}, false
 	}
-	body, finish := jsonBody(w, r)
-	json.NewEncoder(body).Encode(g.info(f))
-	finish()
+	return fleetSnapshot(f), true
+}
+
+func fleetSnapshot(f *cluster.Field) snapshot {
+	return snapshot{name: f.Name, dims: f.Dims, dtype: f.DType, bound: f.ErrorBound,
+		crc: f.ManifestCRC, gen: f.Generation, src: f}
+}
+
+func (g *fleet) describe(s snapshot, fi *fieldInfo) {
+	f := s.src.(*cluster.Field)
+	fi.Brick = f.Brick
+	fi.Bricks, _ = store.NumBricksIn(f.Dims, f.Brick)
+	fi.Codec = f.Codec
+	fi.Shards = f.Shards
 }
 
 // account folds one fan-out's traffic stats into the gateway's process
 // counters: sub-request and retry totals, plus per-shard read/error/time
 // accounting. Region and query fan-outs account identically.
-func (g *gateway) account(stats cluster.FanoutStats) {
+func (g *fleet) account(stats cluster.FanoutStats) {
 	g.subReads.Add(int64(stats.SubReads))
 	g.retries.Add(int64(stats.Retries))
 	g.trafficMu.Lock()
@@ -253,194 +151,51 @@ func (g *gateway) account(stats cluster.FanoutStats) {
 	g.trafficMu.Unlock()
 }
 
-// handleRegion answers a region read by fan-out: plan sub-regions along
-// brick-ownership boundaries, read each from its owning shard (failing
-// over along the placement's preference order), and stitch the slabs into
-// one response byte-identical to a single qozd holding the whole store.
-func (g *gateway) handleRegion(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("lo") == "" || q.Get("hi") == "" {
-		g.httpError(w, r, http.StatusBadRequest, "region needs lo=a,b,... and hi=a,b,... query parameters")
-		return
-	}
-	lo, err := parseCorner(q.Get("lo"))
+// region answers by fan-out: plan sub-regions along brick-ownership
+// boundaries, read each from its owning shard (failing over along the
+// placement's preference order), and stitch the raw slabs into one body
+// byte-identical to a single qozd holding the whole store.
+func (g *fleet) region(ctx context.Context, s snapshot, lo, hi []int, level int) (any, error) {
+	body, stats, err := g.client.ReadRegionLevelRaw(ctx, s.src.(*cluster.Field), lo, hi, level)
+	g.account(stats)
 	if err != nil {
-		g.httpError(w, r, http.StatusBadRequest, "lo: %v", err)
-		return
+		return nil, fmt.Errorf("fan-out failed: %w", err)
 	}
-	hi, err := parseCorner(q.Get("hi"))
+	return body, nil
+}
+
+// query fans sub-queries out along the same boundaries; each owning shard
+// prunes from its own statistics index, and the partial aggregates merge
+// into the answer a single qozd holding the whole store would give.
+func (g *fleet) query(ctx context.Context, s snapshot, req store.QueryRequest) (*store.QueryResult, error) {
+	res, stats, err := g.client.Query(ctx, s.src.(*cluster.Field), req)
+	g.account(stats)
 	if err != nil {
-		g.httpError(w, r, http.StatusBadRequest, "hi: %v", err)
-		return
+		return nil, fmt.Errorf("query fan-out failed: %w", err)
 	}
-	format := q.Get("format")
-	if format == "" {
-		format = "raw"
-	}
-	if format != "raw" && format != "json" {
-		g.httpError(w, r, http.StatusBadRequest, "unknown format %q (want raw or json)", format)
-		return
-	}
-	level, ok := parseLevel(w, r, g.httpError)
-	if !ok {
-		return
-	}
-	gz := format == "json" && acceptsGzip(r)
-	variant := regionVariant(format, gz, level)
-
-	// The stale-retry loop: a fan-out can fail with ErrStale when the
-	// shards have advanced past the gateway's catalog (the generation gate
-	// refuses every candidate). One catalog refresh re-resolves the field —
-	// dims, generation, ETag and all — and the read is retried against the
-	// fleet's present, so a client racing an append sees the new data, not
-	// an error.
-	for attempt := 0; ; attempt++ {
-		f, ok := g.fields()[r.PathValue("name")]
-		if !ok {
-			g.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
-			return
-		}
-		dims := f.Dims
-		if len(lo) != len(dims) || len(hi) != len(dims) {
-			g.httpError(w, r, http.StatusBadRequest, "region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-			return
-		}
-		for i := range dims {
-			if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-				g.httpError(w, r, http.StatusBadRequest, "region [%v,%v) outside field %v", lo, hi, dims)
-				return
-			}
-		}
-		// Like the shard role, the served-points bound applies to the
-		// level's coarse grid, and an empty coarse grid is the client's
-		// mistake, answered before any shard is bothered.
-		outDims, points, ok := levelOutDims(lo, hi, level)
-		if !ok {
-			g.httpError(w, r, http.StatusBadRequest,
-				"region [%v,%v) has no points on the level-%d grid", lo, hi, level)
-			return
-		}
-		if g.opts.MaxPoints > 0 && points > g.opts.MaxPoints {
-			g.httpError(w, r, http.StatusRequestEntityTooLarge,
-				"region holds %d points, limit is %d; split the request", points, g.opts.MaxPoints)
-			return
-		}
-
-		// Same validator a single-node qozd would mint for this (crc, gen):
-		// a client can revalidate against gateway or shard interchangeably.
-		etag := regionETag(f.ManifestCRC, f.Generation, f.DType, lo, hi, variant)
-		if inmMatches(r.Header.Get("If-None-Match"), etag) {
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-
-		// Single-flight over the stitched raw bytes. The key carries the
-		// catalog's (crc, gen) and the level so herds spanning a catalog
-		// refresh never share bytes across generations (and coarse herds
-		// never share with full-resolution ones); it omits the format
-		// because raw and json responses render from the same slab.
-		key := fmt.Sprintf("%s|%08x-%d|%v|%v|l%d", f.Name, f.ManifestCRC, f.Generation, lo, hi, level)
-		v, _, err := g.flight.Do(r.Context(), key, func(ctx context.Context) (any, error) {
-			ctx = cluster.WithRequestID(ctx, r.Header.Get(requestIDHeader))
-			body, stats, err := g.client.ReadRegionLevelRaw(ctx, f, lo, hi, level)
-			g.account(stats)
-			return body, err
-		})
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client is gone; nobody to answer
-			}
-			if errors.Is(err, cluster.ErrStale) && attempt == 0 {
-				rctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-				rerr := g.refreshCatalog(rctx)
-				cancel()
-				if rerr == nil {
-					continue
-				}
-			}
-			// Failed fan-out: every candidate shard for some sub-region is
-			// down, erroring, or stale. The region is retryable the moment a
-			// shard recovers, so answer 502 + Retry-After, never a hang or a
-			// partially-stitched body.
-			w.Header().Set("Retry-After", "1")
-			g.httpError(w, r, http.StatusBadGateway, "fan-out failed: %v", err)
-			return
-		}
-		body := v.([]byte)
-
-		w.Header().Set("ETag", etag)
-		if level > 1 {
-			w.Header().Set("X-Qoz-Level", strconv.Itoa(level))
-		}
-		var werr error
-		if format == "json" {
-			// JSON renders from the shared raw slab, so a herd mixing raw and
-			// json clients still coalesces into one fan-out.
-			if f.DType == "float64" {
-				werr = writeRegion(w, outDims, f.DType, f.ErrorBound, leFloat64(body), format, gz)
-			} else {
-				werr = writeRegion(w, outDims, f.DType, f.ErrorBound, leFloat32(body), format, gz)
-			}
-		} else {
-			// Raw fast path: the stitched slab already is the response body —
-			// little-endian samples, row-major, shape hi-lo — so it streams
-			// out without a decode/re-encode round trip.
-			werr = writeRawBytes(w, outDims, f.DType, f.ErrorBound, body)
-		}
-		if werr == nil {
-			g.regionPts.Add(int64(points))
-		}
-		return
-	}
+	return res, nil
 }
 
-// writeRawBytes streams a stitched raw slab with the same headers a
-// single-node writeRegion would attach, so gateway and shard raw
-// responses are indistinguishable on the wire.
-func writeRawBytes(w http.ResponseWriter, outDims []int, dtype string, bound float64, body []byte) error {
-	dimsHeader := make([]string, len(outDims))
-	for i, d := range outDims {
-		dimsHeader[i] = strconv.Itoa(d)
-	}
-	w.Header().Set("X-Qoz-Dims", strings.Join(dimsHeader, ","))
-	w.Header().Set("X-Qoz-Dtype", dtype)
-	w.Header().Set("X-Qoz-Error-Bound", strconv.FormatFloat(bound, 'g', -1, 64))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, err := w.Write(body)
-	return err
+// failure: every candidate shard for some sub-region is down, erroring, or
+// stale. The request is retryable the moment a shard recovers, so it is a
+// 502 + Retry-After, never a hang or a partially-stitched body — unless
+// the shards merely advanced past the catalog (ErrStale), which a refresh
+// cures.
+func (g *fleet) failure(err error) (int, string, bool) {
+	return http.StatusBadGateway, "1", errors.Is(err, cluster.ErrStale)
 }
 
-// leFloat32 reinterprets a little-endian raw slab as samples.
-func leFloat32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// leFloat64 reinterprets a little-endian raw slab as samples.
-func leFloat64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// handleReadyz is the gateway's readiness probe: a non-empty catalog and
-// every configured shard answering its own liveness probe. A gateway in
-// front of an unreachable fleet stays alive (healthz) but not ready, so a
-// balancer drains it instead of feeding it requests that will all 502.
-func (g *gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+// ready: a non-empty catalog and every configured shard answering its own
+// liveness probe. A gateway in front of an unreachable fleet stays alive
+// (healthz) but not ready, so a balancer drains it instead of feeding it
+// requests that will all 502.
+func (g *fleet) ready(ctx context.Context) (bool, map[string]any) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	var mu sync.Mutex
 	var unreachable []string
 	var wg sync.WaitGroup
-	for _, shard := range g.opts.Shards {
+	for _, shard := range g.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -464,76 +219,34 @@ func (g *gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	sort.Strings(unreachable)
-	w.Header().Set("Content-Type", "application/json")
-	if len(g.fields()) == 0 || len(unreachable) > 0 {
-		// Retryable like every other 503: give the balancer a horizon.
-		w.Header().Set("Retry-After", "5")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{
-			"status": "not ready", "fields": len(g.fields()), "unreachableShards": unreachable,
-		})
-		return
+	fields := len(g.fields())
+	if fields == 0 || len(unreachable) > 0 {
+		return false, map[string]any{"status": "not ready", "fields": fields, "unreachableShards": unreachable}
 	}
-	json.NewEncoder(w).Encode(map[string]any{
-		"status": "ok", "fields": len(g.fields()), "shards": len(g.opts.Shards),
-	})
+	return true, map[string]any{"status": "ok", "fields": fields, "shards": len(g.shards)}
 }
 
-// handleMetrics exposes the gateway's counters, including per-shard
-// fan-out traffic so a hot or flapping shard shows up in one scrape.
-func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	emit := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	emit("qozd_requests_total", "HTTP requests received")
-	fmt.Fprintf(w, "qozd_requests_total %d\n", g.requests.Load())
-	emit("qozd_request_errors_total", "requests answered with an error status (unknown-field 404s excluded)")
-	fmt.Fprintf(w, "qozd_request_errors_total %d\n", g.errors.Load())
-	emit("qozd_region_points_total", "field points served by region reads")
-	fmt.Fprintf(w, "qozd_region_points_total %d\n", g.regionPts.Load())
-	emit("qozd_refresh_errors_total", "failed shard-catalog refreshes")
-	fmt.Fprintf(w, "qozd_refresh_errors_total %d\n", g.refreshErrs.Load())
-	fs := g.flight.Stats()
-	emit("qozd_flight_leads_total", "region fan-outs actually executed (single-flight leaders)")
-	fmt.Fprintf(w, "qozd_flight_leads_total %d\n", fs.Leads)
-	emit("qozd_flight_coalesced_total", "region requests served by another request's fan-out")
-	fmt.Fprintf(w, "qozd_flight_coalesced_total %d\n", fs.Coalesced)
-	emit("qozd_rate_limited_total", "requests refused with 429, by tenant")
-	limitedTenants, limitedCounts := g.guard.limitedByTenant()
-	for _, tenant := range limitedTenants {
-		fmt.Fprintf(w, "qozd_rate_limited_total{tenant=%q} %d\n", tenant, limitedCounts[tenant])
-	}
-	emit("qozd_gateway_subreads_total", "shard sub-reads planned across all fan-outs")
-	fmt.Fprintf(w, "qozd_gateway_subreads_total %d\n", g.subReads.Load())
-	emit("qozd_gateway_retries_total", "sub-read failover attempts beyond the owner shard")
-	fmt.Fprintf(w, "qozd_gateway_retries_total %d\n", g.retries.Load())
-	fmt.Fprintf(w, "# HELP qozd_gateway_fields fields in the shard catalog\n# TYPE qozd_gateway_fields gauge\n")
-	fmt.Fprintf(w, "qozd_gateway_fields %d\n", len(g.fields()))
+func (g *fleet) nouns() (work, refreshes string) { return "fan-out", "shard-catalog refreshes" }
 
+// families include per-shard fan-out traffic, so a hot or flapping shard
+// shows up in one scrape.
+func (g *fleet) families() []family {
 	g.trafficMu.Lock()
-	shards := make([]string, 0, len(g.traffic))
 	snap := make(map[string]cluster.ShardTraffic, len(g.traffic))
 	for shard, t := range g.traffic {
-		shards = append(shards, shard)
 		snap[shard] = *t
 	}
 	g.trafficMu.Unlock()
-	sort.Strings(shards)
-	emit("qozd_gateway_shard_reads_total", "successful sub-reads by shard")
-	for _, s := range shards {
-		fmt.Fprintf(w, "qozd_gateway_shard_reads_total{shard=%q} %d\n", s, snap[s].Reads)
+	shards := fieldNames(snap)
+	return []family{
+		scalar("qozd_gateway_subreads_total", "shard sub-reads planned across all fan-outs", "counter", g.subReads.Load()),
+		scalar("qozd_gateway_retries_total", "sub-read failover attempts beyond the owner shard", "counter", g.retries.Load()),
+		scalar("qozd_gateway_fields", "fields in the shard catalog", "gauge", len(g.fields())),
+		labelled("qozd_gateway_shard_reads_total", "successful sub-reads by shard", "counter", "shard", shards,
+			func(s string) any { return snap[s].Reads }),
+		labelled("qozd_gateway_shard_errors_total", "failed sub-read attempts by shard", "counter", "shard", shards,
+			func(s string) any { return snap[s].Errors }),
+		labelled("qozd_gateway_shard_seconds_total", "wall time in successful sub-reads by shard", "counter", "shard", shards,
+			func(s string) any { return snap[s].Seconds }),
 	}
-	emit("qozd_gateway_shard_errors_total", "failed sub-read attempts by shard")
-	for _, s := range shards {
-		fmt.Fprintf(w, "qozd_gateway_shard_errors_total{shard=%q} %d\n", s, snap[s].Errors)
-	}
-	fmt.Fprintf(w, "# HELP qozd_gateway_shard_seconds_total wall time in successful sub-reads by shard\n# TYPE qozd_gateway_shard_seconds_total counter\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "qozd_gateway_shard_seconds_total{shard=%q} %g\n", s, snap[s].Seconds)
-	}
-
-	// Request latency histogram by {route, status}; the gateway mounts no
-	// store, so there is no stage histogram here.
-	g.ins.reqHist.WriteProm(w)
 }

@@ -69,6 +69,19 @@
 // sub-regions back into one response — see qoz/cluster and
 // docs/CLUSTER.md.
 //
+// Both roles are one handler (this file) over a two-implementation
+// backend (backend.go): the handler owns routing, auth and rate limits,
+// request validation, -max-points, ETag/If-None-Match, single-flight,
+// response encoding, the common /metrics block and the probes, and never
+// learns which role it runs in; the backend answers only what differs —
+// resolving a field to one committed generation, producing the samples
+// or the query aggregate (from mounted stores, or by fan-out), refreshing,
+// readiness, and how a produce failure is answered. Requests are validated
+// in one order and the first fault is the one reported: unknown field
+// (404); then for /region the box (lo/hi present, well-formed, right rank,
+// inside the field), level, the level's grid and -max-points, format —
+// for /query the op, the box, the operator's parameters, maxloc.
+//
 // Either role serves HTTPS when given -tls-cert/-tls-key, and -client-ca
 // upgrades that to mutual TLS: clients must present a certificate
 // chaining to the CA or the handshake is refused. A gateway dials an
@@ -103,14 +116,14 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -167,10 +180,15 @@ func main() {
 		RateRPS:       *rate,
 		RateBurst:     *burst,
 	}
+	// fatal reports a startup failure: code 2 for a bad command line, 1 for
+	// a backend that could not be built.
+	fatal := func(code int, problem any) {
+		fmt.Fprintf(os.Stderr, "qozd: %v\n", problem)
+		os.Exit(code)
+	}
 	logger, err := buildLogger(*logFormat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qozd: %v\n", err)
-		os.Exit(2)
+		fatal(2, err)
 	}
 	ins := newInstrument(instrumentOptions{
 		Logger:        logger,
@@ -178,34 +196,24 @@ func main() {
 		TraceCapacity: *traceRing,
 	})
 
-	hs := &http.Server{
-		Addr: *listen,
-		// Stalled clients must not hold connections — or -max-inflight
-		// slots — forever: reap trickled headers quickly, idle keep-alives
-		// eventually, and bound even the largest region download.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		WriteTimeout:      10 * time.Minute,
-	}
-
+	// The role is decided here and nowhere after: each branch builds the
+	// one handler over its backend and says what it serves.
+	var h *handler
+	var polled string
 	if *gatewayMode {
 		if len(mounts) > 0 || len(fs.Args()) > 0 {
-			fmt.Fprintln(os.Stderr, "qozd: -gateway serves shards, not mounts; drop -mount and positional paths")
-			os.Exit(2)
+			fatal(2, "-gateway serves shards, not mounts; drop -mount and positional paths")
 		}
 		if len(shards) == 0 {
-			fmt.Fprintln(os.Stderr, "qozd: -gateway needs at least one -shard URL")
-			os.Exit(2)
+			fatal(2, "-gateway needs at least one -shard URL")
 		}
 		var shardHTTP *http.Client
 		if *shardCA != "" || *shardCert != "" || *shardKey != "" {
-			var err error
 			if shardHTTP, err = shardTLSClient(*shardCA, *shardCert, *shardKey); err != nil {
-				fmt.Fprintf(os.Stderr, "qozd: %v\n", err)
-				os.Exit(2)
+				fatal(2, err)
 			}
 		}
-		gw, err := newGateway(gatewayOptions{
+		h, err = newGateway(gatewayOptions{
 			Shards:     shards,
 			ShardToken: *shardToken,
 			Attempts:   *fanoutAttempts,
@@ -217,227 +225,148 @@ func main() {
 			HTTP:       shardHTTP,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qozd: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
-		if *poll > 0 {
-			go gw.refreshLoop(*poll)
-			log.Printf("polling shard catalog every %v", *poll)
-		}
+		polled = "shard catalog"
 		log.Printf("qozd gateway listening on %s (%d shards, %d fields)",
-			*listen, len(shards), len(gw.fieldNames()))
-		hs.Handler = gw
-		log.Fatal(serve(hs, *tlsCert, *tlsKey, *clientCA))
+			*listen, len(shards), len(h.be.list()))
+	} else {
+		for _, p := range fs.Args() {
+			name := strings.TrimSuffix(filepath.Base(p), ".qozb")
+			mounts = append(mounts, mount{name: name, target: p})
+		}
+		if len(mounts) == 0 {
+			fatal(2, "nothing to serve; pass -mount name=path-or-url or store paths")
+		}
+		h, err = newServer(mounts, serverOptions{
+			CacheBytes:   *cacheBytes,
+			Workers:      *workers,
+			MaxInflight:  *maxInflight,
+			MaxPoints:    *maxPoints,
+			ReadAhead:    *readAhead,
+			MountTimeout: *mountTimeout,
+			Guard:        guardOpts,
+			Ins:          ins,
+			Pprof:        *pprofFlag,
+		})
+		if err != nil {
+			fatal(1, err)
+		}
+		polled = "mounts for new generations"
+		fields := h.be.list()
+		for _, f := range fields {
+			fi := h.info(f)
+			log.Printf("mounted %s: %s (dims %v, %d bricks)", fi.Name, fi.Target, fi.Dims, fi.Bricks)
+		}
+		log.Printf("qozd listening on %s (%d fields, %d MiB shared cache)",
+			*listen, len(fields), *cacheBytes>>20)
 	}
-
-	for _, p := range fs.Args() {
-		name := strings.TrimSuffix(filepath.Base(p), ".qozb")
-		mounts = append(mounts, mount{name: name, target: p})
-	}
-	if len(mounts) == 0 {
-		fmt.Fprintln(os.Stderr, "qozd: nothing to serve; pass -mount name=path-or-url or store paths")
-		os.Exit(2)
-	}
-
-	srv, err := newServer(mounts, serverOptions{
-		CacheBytes:   *cacheBytes,
-		Workers:      *workers,
-		MaxInflight:  *maxInflight,
-		MaxPoints:    *maxPoints,
-		ReadAhead:    *readAhead,
-		MountTimeout: *mountTimeout,
-		Guard:        guardOpts,
-		Ins:          ins,
-		Pprof:        *pprofFlag,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qozd: %v\n", err)
-		os.Exit(1)
-	}
-	defer srv.Close()
 	if *poll > 0 {
-		go srv.refreshLoop(*poll)
-		log.Printf("polling mounts for new generations every %v", *poll)
+		go h.refreshLoop(*poll)
+		log.Printf("polling %s every %v", polled, *poll)
 	}
-	for _, name := range srv.fieldNames() {
-		f := srv.fields[name]
-		log.Printf("mounted %s: %s (dims %v, %d bricks)", name, f.target, f.store.Dims(), f.store.NumBricks())
-	}
-	log.Printf("qozd listening on %s (%d fields, %d MiB shared cache)",
-		*listen, len(srv.fields), *cacheBytes>>20)
-	hs.Handler = srv
-	log.Fatal(serve(hs, *tlsCert, *tlsKey, *clientCA))
+	log.Fatal(serve(&http.Server{
+		Addr:    *listen,
+		Handler: h,
+		// Stalled clients must not hold connections — or -max-inflight
+		// slots — forever: reap trickled headers quickly, idle keep-alives
+		// eventually, and bound even the largest region download.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		WriteTimeout:      10 * time.Minute,
+	}, *tlsCert, *tlsKey, *clientCA))
 }
 
-// mount is one name=target pair.
-type mount struct {
-	name   string
-	target string
-}
-
-// mountFlags collects repeated -mount flags.
-type mountFlags []mount
-
-func (m *mountFlags) String() string {
-	parts := make([]string, len(*m))
-	for i, mt := range *m {
-		parts[i] = mt.name + "=" + mt.target
-	}
-	return strings.Join(parts, ",")
-}
-
-func (m *mountFlags) Set(v string) error {
-	name, target, ok := strings.Cut(v, "=")
-	if !ok || name == "" || target == "" {
-		return fmt.Errorf("want name=path-or-url, got %q", v)
-	}
-	*m = append(*m, mount{name: name, target: target})
-	return nil
-}
-
-// serverOptions configures a server.
-type serverOptions struct {
-	CacheBytes   int64
-	Workers      int
-	MaxInflight  int
-	MaxPoints    int
-	ReadAhead    int64         // remote coalescing window; 0 keeps the store default
-	MountTimeout time.Duration // per-mount open deadline; 0 = none
-	Guard        guardOptions  // auth tenants and rate limits
-	Ins          *instrument   // traces, histograms, request logs; nil builds a silent one
-	Pprof        bool          // expose /debug/pprof/* on the role mux
-}
-
-// field is one mounted store.
-type field struct {
-	name   string
-	target string
-	store  *store.Store
-}
-
-// server is the qozd HTTP handler: the mounted stores, the shared cache
-// behind them, an admission semaphore, and request counters.
-type server struct {
-	mux      *http.ServeMux
-	fields   map[string]*field
-	cache    *store.Cache
-	opts     serverOptions
-	guard    *guard
-	ins      *instrument
-	inflight chan struct{}  // nil when unlimited
-	flight   cluster.Flight // coalesces identical concurrent region decodes
+// handler is qozd's HTTP surface in either role: everything a client can
+// observe that does not depend on where the samples come from. The backend
+// supplies the rest, and no method below asks which one it has.
+type handler struct {
+	mux       *http.ServeMux
+	be        backend
+	guard     *guard
+	ins       *instrument
+	maxPoints int            // largest response served, in points (<=0 = unlimited)
+	flight    cluster.Flight // coalesces identical concurrent produces
 
 	requests    atomic.Int64
-	rejected    atomic.Int64
 	errors      atomic.Int64
 	regionPts   atomic.Int64
 	refreshErrs atomic.Int64
-
-	// refreshBad tracks mounts whose last generation-refresh poll failed,
-	// for /readyz: a shard that cannot follow its stores should be rotated
-	// out of a gateway's traffic before it serves stale generations.
-	refreshMu  sync.Mutex
-	refreshBad map[string]string // mount name → last refresh error
 }
 
-// refreshLoop polls every mount for newly committed generations of
-// mutable (v3) stores. Region reads keep flowing during a poll: Refresh
-// swaps manifests atomically, and the shared cache keys bricks by payload
-// offset, so unchanged bricks stay hot across generations.
-func (s *server) refreshLoop(interval time.Duration) {
+// newHandler builds the guard, the instrument and the route table; the
+// role constructor (newServer, newGateway) attaches the backend.
+func newHandler(maxPoints int, guardOpts guardOptions, ins *instrument, pprof bool) (*handler, error) {
+	h := &handler{maxPoints: maxPoints, ins: ins}
+	var err error
+	if h.guard, err = newGuard(guardOpts); err != nil {
+		return nil, err
+	}
+	if h.ins == nil {
+		h.ins = newInstrument(instrumentOptions{})
+	}
+	h.mux = http.NewServeMux()
+	h.mux.HandleFunc("GET /v1/fields", h.handleFields)
+	h.mux.HandleFunc("GET /v1/fields/{name}", h.handleField)
+	h.mux.HandleFunc("GET /v1/fields/{name}/region", h.handleRegion)
+	h.mux.HandleFunc("GET /v1/fields/{name}/query", h.handleQuery)
+	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
+	h.mux.HandleFunc("GET /healthz", handleHealthz)
+	h.mux.HandleFunc("GET /readyz", h.handleReadyz)
+	h.mux.HandleFunc("GET /debug/traces", h.ins.handleTraces)
+	if pprof {
+		registerPprof(h.mux)
+	}
+	return h, nil
+}
+
+// Close releases whatever the backend holds open.
+func (h *handler) Close() { h.be.close() }
+
+func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.requests.Add(1)
+	id := ensureRequestID(w, r)
+	// The instrument opens the request's root trace span (trace id = the
+	// correlation id) and registers the store stage observer, so fan-in
+	// from here — single-flight leaders included, which run under a
+	// value-preserving detached context — records into one trace, and the
+	// spans a fan-out opens parent to the same root.
+	h.ins.serve(w, r, id, func(w http.ResponseWriter, r *http.Request) (tenant string) {
+		// Probes bypass auth and rate limits: see handleHealthz.
+		if r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
+			var ok bool
+			if tenant, ok = h.guard.admit(w, r); !ok {
+				return tenant
+			}
+		}
+		h.mux.ServeHTTP(w, r)
+		return tenant
+	})
+}
+
+// refreshLoop is the -poll loop: mounts adopting newly committed
+// generations, or a gateway re-learning its catalog so its ETags move with
+// the shards'. Requests keep flowing during a pass.
+func (h *handler) refreshLoop(interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for range t.C {
 		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		s.refreshMounts(ctx)
+		h.refresh(ctx)
 		cancel()
 	}
 }
 
-// refreshMounts runs one poll pass over every mount.
-func (s *server) refreshMounts(ctx context.Context) {
-	for _, name := range s.fieldNames() {
-		f := s.fields[name]
-		advanced, err := f.store.Refresh(ctx)
-		s.refreshMu.Lock()
-		if err != nil {
-			s.refreshBad[name] = err.Error()
-		} else {
-			delete(s.refreshBad, name)
-		}
-		s.refreshMu.Unlock()
-		if err != nil {
-			// A failed refresh leaves the previous generation serving; keep
-			// polling — ErrRemoteChanged, though, will repeat until remount.
-			s.refreshErrs.Add(1)
-			log.Printf("refresh %s: %v", name, err)
-			continue
-		}
-		if advanced {
-			log.Printf("refresh %s: generation %d, dims %v", name, f.store.Generation(), f.store.Dims())
-		}
+// refresh runs one backend refresh pass, counting and logging each
+// failure. A failed refresh leaves the previous generation serving, so the
+// loop keeps polling.
+func (h *handler) refresh(ctx context.Context) error {
+	errs := h.be.refresh(ctx)
+	for _, err := range errs {
+		h.refreshErrs.Add(1)
+		log.Printf("refresh: %v", err)
 	}
-}
-
-// newServer opens every mount (files via OpenFile, http(s) URLs via
-// OpenURL) over one shared decoded-brick cache and builds the route table.
-func newServer(mounts []mount, opts serverOptions) (*server, error) {
-	s := &server{
-		fields:     make(map[string]*field, len(mounts)),
-		cache:      store.NewCache(opts.CacheBytes),
-		opts:       opts,
-		refreshBad: make(map[string]string),
-	}
-	var err error
-	if s.guard, err = newGuard(opts.Guard); err != nil {
-		return nil, err
-	}
-	if s.ins = opts.Ins; s.ins == nil {
-		s.ins = newInstrument(instrumentOptions{})
-	}
-	if opts.MaxInflight > 0 {
-		s.inflight = make(chan struct{}, opts.MaxInflight)
-	}
-	// NewCache(<=0) is a disabled cache, so one Options literal covers the
-	// -cache-bytes 0 case too.
-	so := store.Options{Cache: s.cache, Workers: opts.Workers}
-	so.Remote.ReadAhead = opts.ReadAhead
-	for _, m := range mounts {
-		if _, dup := s.fields[m.name]; dup {
-			s.Close()
-			return nil, fmt.Errorf("duplicate mount name %q", m.name)
-		}
-		var st *store.Store
-		var err error
-		if strings.HasPrefix(m.target, "http://") || strings.HasPrefix(m.target, "https://") {
-			ctx, cancel := context.Background(), func() {}
-			if opts.MountTimeout > 0 {
-				ctx, cancel = context.WithTimeout(ctx, opts.MountTimeout)
-			}
-			st, err = store.OpenURLContext(ctx, m.target, so)
-			cancel()
-		} else {
-			st, err = store.OpenFile(m.target, so)
-		}
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("mount %s: %w", m.name, err)
-		}
-		s.fields[m.name] = &field{name: m.name, target: m.target, store: st}
-	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /v1/fields", s.handleFields)
-	s.mux.HandleFunc("GET /v1/fields/{name}", s.handleField)
-	s.mux.HandleFunc("GET /v1/fields/{name}/region", s.handleRegion)
-	s.mux.HandleFunc("GET /v1/fields/{name}/query", s.handleQuery)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /debug/traces", s.ins.handleTraces)
-	if opts.Pprof {
-		registerPprof(s.mux)
-	}
-	return s, nil
+	return errors.Join(errs...)
 }
 
 // handleHealthz is the liveness probe: the process is up and serving
@@ -448,82 +377,45 @@ func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("{\"status\":\"ok\"}\n"))
 }
 
-// handleReadyz is the readiness probe: every mount's last generation
-// refresh succeeded (a store that cannot follow its origin is still
-// serving, but should be rotated out of new traffic).
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.refreshMu.Lock()
-	bad := make(map[string]string, len(s.refreshBad))
-	for name, msg := range s.refreshBad {
-		bad[name] = msg
-	}
-	s.refreshMu.Unlock()
+// handleReadyz is the readiness probe: the backend says whether this
+// process should get new traffic (mounts refreshing cleanly, or a
+// reachable fleet) and why not.
+func (h *handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	ready, detail := h.be.ready(r.Context())
 	w.Header().Set("Content-Type", "application/json")
-	if len(bad) > 0 {
+	if !ready {
 		// Like every other retryable 503 qozd serves, the not-ready answer
 		// names a retry horizon — one poll interval is a reasonable bound
 		// for a refresh to recover.
 		w.Header().Set("Retry-After", "5")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"status": "refresh failing", "mounts": bad})
-		return
 	}
-	json.NewEncoder(w).Encode(map[string]any{"status": "ok", "fields": len(s.fields)})
-}
-
-// Close releases every mounted store.
-func (s *server) Close() {
-	for _, f := range s.fields {
-		f.store.Close()
-	}
-}
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	id := ensureRequestID(w, r)
-	// The instrument opens the request's root trace span (trace id = the
-	// correlation id) and registers the store stage observer, so fan-in
-	// from here — single-flight leaders included, which run under a
-	// value-preserving detached context — records into one trace.
-	s.ins.serve(w, r, id, true, func(w http.ResponseWriter, r *http.Request) string {
-		// Probes bypass auth and rate limits: see handleHealthz.
-		if r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
-			tenant, ok := s.guard.admit(w, r)
-			if !ok {
-				return tenant
-			}
-			s.mux.ServeHTTP(w, r)
-			return tenant
-		}
-		s.mux.ServeHTTP(w, r)
-		return ""
-	})
-}
-
-func (s *server) fieldNames() []string {
-	names := make([]string, 0, len(s.fields))
-	for n := range s.fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	json.NewEncoder(w).Encode(detail)
 }
 
 // httpError counts and writes a JSON error response (which carries the
 // request's correlation id). Unknown-field 404s are deliberately left out
 // of the error counter — they are client typos and scanner noise, not
 // server faults worth alerting on.
-func (s *server) httpError(w http.ResponseWriter, r *http.Request, code int, format string, args ...any) {
+func (h *handler) httpError(w http.ResponseWriter, r *http.Request, code int, format string, args ...any) {
 	if code != http.StatusNotFound {
-		s.errors.Add(1)
+		h.errors.Add(1)
 	}
 	jsonError(w, r, code, format, args...)
 }
 
-// fieldInfo is the JSON manifest of one mounted field.
+// fieldNames returns the sorted keys of a name-indexed map: every listing
+// and every labelled metric family is emitted in this order, which is what
+// keeps /v1/fields and /metrics byte-deterministic.
+func fieldNames[V any](m map[string]V) []string {
+	return slices.Sorted(maps.Keys(m))
+}
+
+// fieldInfo is the JSON manifest of one field. A shard's listing is also
+// what a gateway's catalog is learned from (cluster.Client.Catalog).
 type fieldInfo struct {
 	Name       string  `json:"name"`
-	Target     string  `json:"target"`
+	Target     string  `json:"target,omitempty"` // where a shard mounted it from
 	Dims       []int   `json:"dims"`
 	Brick      []int   `json:"brick"`
 	Bricks     int     `json:"bricks"`
@@ -539,32 +431,22 @@ type fieldInfo struct {
 	// with Generation it names the store content exactly (the same pair
 	// region ETags embed), letting a gateway detect a shard serving a
 	// different generation than its catalog.
-	ManifestCRC uint32      `json:"manifestCRC"`
-	Stats       store.Stats `json:"stats"`
+	ManifestCRC uint32       `json:"manifestCRC"`
+	Stats       *store.Stats `json:"stats,omitempty"`  // a shard's read counters
+	Shards      []string     `json:"shards,omitempty"` // where a gateway finds the bricks
 }
 
-func (s *server) info(f *field) fieldInfo {
-	st := f.store
-	points := 1
-	for _, d := range st.Dims() {
-		points *= d
+// info renders a field's manifest: what its snapshot says — so the keys a
+// gateway's catalog and a client's validators depend on cannot differ by
+// role — completed by the backend.
+func (h *handler) info(f snapshot) fieldInfo {
+	fi := fieldInfo{Name: f.name, Dims: f.dims, Points: 1, ErrorBound: f.bound, DType: f.dtype,
+		Mutable: f.gen > 0, Generation: f.gen, ManifestCRC: f.crc}
+	for _, d := range f.dims {
+		fi.Points *= d
 	}
-	crc, gen := st.ManifestVersion()
-	return fieldInfo{
-		Name:        f.name,
-		Target:      f.target,
-		Dims:        st.Dims(),
-		Brick:       st.BrickShape(),
-		Bricks:      st.NumBricks(),
-		Points:      points,
-		ErrorBound:  st.ErrorBound(),
-		Codec:       st.Codec().Name(),
-		DType:       st.DType(),
-		Mutable:     gen > 0,
-		Generation:  gen,
-		ManifestCRC: crc,
-		Stats:       st.Stats(),
-	}
+	h.be.describe(f, &fi)
+	return fi
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding negotiates
@@ -601,27 +483,129 @@ func jsonBody(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) 
 	return gz, gz.Close
 }
 
-// handleFields lists every mounted field.
-func (s *server) handleFields(w http.ResponseWriter, r *http.Request) {
-	out := make([]fieldInfo, 0, len(s.fields))
-	for _, name := range s.fieldNames() {
-		out = append(out, s.info(s.fields[name]))
+// handleFields lists every served field.
+func (h *handler) handleFields(w http.ResponseWriter, r *http.Request) {
+	fields := h.be.list()
+	out := make([]fieldInfo, len(fields))
+	for i, f := range fields {
+		out[i] = h.info(f)
 	}
 	body, finish := jsonBody(w, r)
 	json.NewEncoder(body).Encode(map[string]any{"fields": out})
 	finish()
 }
 
-// handleField describes one field.
-func (s *server) handleField(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.fields[r.PathValue("name")]
+// resolve pins the request's {name} field, answering the 404 itself.
+func (h *handler) resolve(w http.ResponseWriter, r *http.Request) (snapshot, bool) {
+	f, ok := h.be.resolve(r.PathValue("name"))
 	if !ok {
-		s.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
+		h.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
+	}
+	return f, ok
+}
+
+// handleField describes one field.
+func (h *handler) handleField(w http.ResponseWriter, r *http.Request) {
+	f, ok := h.resolve(w, r)
+	if !ok {
 		return
 	}
 	body, finish := jsonBody(w, r)
-	json.NewEncoder(body).Encode(s.info(f))
+	json.NewEncoder(body).Encode(h.info(f))
 	finish()
+}
+
+// answer is what one endpoint (/region, /query) contributes to a request
+// once its parameters are validated against the resolved field; the rest
+// of the request's life is serveConditional's.
+type answer struct {
+	lo, hi []int
+	// variant names the representation for the ETag: everything besides
+	// store content, box and dtype that changes the response bytes.
+	variant string
+	// work names the produce for the single-flight key: the variant minus
+	// the response encoding (format, gzip), because every encoding renders
+	// from the same produced value and so coalesces into one flight.
+	work    string
+	produce func(ctx context.Context) (any, error)
+	write   func(v any)
+}
+
+// serveConditional is the request pipeline both data endpoints share:
+// resolve the field to one committed generation, let the endpoint validate
+// its parameters against it, answer a conditional GET from the validator
+// alone, and otherwise produce through the single-flight and write.
+func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, validate func(f snapshot) (answer, bool)) {
+	// The stale-retry loop: a produce can fail because the backend's view
+	// of the field fell behind what it reads from (a gateway's catalog
+	// after the shards advanced: the generation gate refuses every
+	// candidate). One refresh re-resolves the field — dims, generation,
+	// ETag and all — and the request is re-validated and retried against
+	// the present, so a client racing an append sees the new data, not an
+	// error.
+	for attempt := 0; ; attempt++ {
+		f, ok := h.resolve(w, r)
+		if !ok {
+			return
+		}
+		a, ok := validate(f)
+		if !ok {
+			return
+		}
+
+		// Conditional GET: the response is a pure function of (store content,
+		// box, dtype, variant), so a strong ETag over exactly those lets a
+		// revalidating client skip the produce — and the transfer — entirely.
+		// The validator is derived from the (manifest CRC, generation) pair of
+		// the field's current committed generation: a mutable store that
+		// advanced (poll-refreshed append, rewrite, compaction) moves the ETag,
+		// so a client revalidating with the old one gets the full fresh
+		// response, never a 304 affirming stale data. Both backends resolve
+		// that pair, so a validator minted by a gateway revalidates against a
+		// shard and vice versa. The header is attached only to the 304 and 200
+		// paths below: a shed or failed request carries no validator, because
+		// ETag describes the selected representation and an error body is not
+		// it.
+		etag := regionETag(f.crc, f.gen, f.dtype, a.lo, a.hi, a.variant)
+		if inmMatches(r.Header.Get("If-None-Match"), etag) {
+			w.Header().Set("ETag", etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+
+		// Single-flight: concurrent identical requests — same field, box,
+		// work, and generation — share one produce. The key carries (crc,
+		// gen) so a herd spanning a refresh never mixes generations: old and
+		// new requests lead separate flights. The leader runs under a context
+		// that survives any individual client's disconnect and is cancelled
+		// only when the last waiter is gone; it carries the correlation id, so
+		// a backend that makes further hops presents the same one.
+		key := fmt.Sprintf("%s|%08x-%d|%v|%v|%s", f.name, f.crc, f.gen, a.lo, a.hi, a.work)
+		ctx := cluster.WithRequestID(r.Context(), r.Header.Get(requestIDHeader))
+		v, _, err := h.flight.Do(ctx, key, a.produce)
+		if err != nil {
+			if r.Context().Err() != nil {
+				return // client is gone; nobody to answer
+			}
+			code, retryAfter, stale := h.be.failure(err)
+			if stale && attempt == 0 {
+				rctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
+				rerr := h.refresh(rctx)
+				cancel()
+				if rerr == nil {
+					continue
+				}
+			}
+			if retryAfter != "" {
+				w.Header().Set("Retry-After", retryAfter)
+			}
+			h.httpError(w, r, code, "%v", err)
+			return
+		}
+		w.Header().Set("ETag", etag)
+		a.write(v)
+		return
+	}
 }
 
 // parseCorner parses "a,b,c" into region coordinates.
@@ -638,186 +622,94 @@ func parseCorner(v string) ([]int, error) {
 	return out, nil
 }
 
-// handleRegion decodes and returns the box [lo, hi) of one field.
-func (s *server) handleRegion(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.fields[r.PathValue("name")]
-	if !ok {
-		s.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
-		return
+// parseBox parses the lo/hi corners of a request's box (both empty selects
+// the whole field) and checks it against the field: same rank, inside, not
+// empty. what names the box in the error.
+func parseBox(what, loParam, hiParam string, dims []int) (lo, hi []int, err error) {
+	lo, hi = make([]int, len(dims)), dims
+	if loParam != "" || hiParam != "" {
+		if lo, err = parseCorner(loParam); err != nil {
+			return nil, nil, fmt.Errorf("lo: %v", err)
+		}
+		if hi, err = parseCorner(hiParam); err != nil {
+			return nil, nil, fmt.Errorf("hi: %v", err)
+		}
 	}
-	q := r.URL.Query()
-	if q.Get("lo") == "" || q.Get("hi") == "" {
-		s.httpError(w, r, http.StatusBadRequest, "region needs lo=a,b,... and hi=a,b,... query parameters")
-		return
-	}
-	lo, err := parseCorner(q.Get("lo"))
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "lo: %v", err)
-		return
-	}
-	hi, err := parseCorner(q.Get("hi"))
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "hi: %v", err)
-		return
-	}
-	dims := f.store.Dims()
 	if len(lo) != len(dims) || len(hi) != len(dims) {
-		s.httpError(w, r, http.StatusBadRequest, "region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-		return
+		return nil, nil, fmt.Errorf("%s rank %d/%d, field rank %d", what, len(lo), len(hi), len(dims))
 	}
 	for i := range dims {
 		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			s.httpError(w, r, http.StatusBadRequest, "region [%v,%v) outside field %v", lo, hi, dims)
-			return
+			return nil, nil, fmt.Errorf("%s [%v,%v) outside field %v", what, lo, hi, dims)
 		}
 	}
-	level, ok := parseLevel(w, r, s.httpError)
-	if !ok {
-		return
-	}
-	// The response grid: at level 1 the box itself, at level L the points
-	// of the box whose global coordinates are multiples of 2^(L-1). The
-	// -max-points bound applies to the points actually served, so a coarse
-	// read of a region too large to serve at full resolution still goes
-	// through — that is the point of progressive reads.
-	outDims, points, ok := levelOutDims(lo, hi, level)
-	if !ok {
-		s.httpError(w, r, http.StatusBadRequest,
-			"region [%v,%v) has no points on the level-%d grid", lo, hi, level)
-		return
-	}
-	if s.opts.MaxPoints > 0 && points > s.opts.MaxPoints {
-		s.httpError(w, r, http.StatusRequestEntityTooLarge,
-			"region holds %d points, limit is %d; split the request", points, s.opts.MaxPoints)
-		return
-	}
-	format := q.Get("format")
-	if format == "" {
-		format = "raw"
-	}
-	if format != "raw" && format != "json" {
-		s.httpError(w, r, http.StatusBadRequest, "unknown format %q (want raw or json)", format)
-		return
-	}
+	return lo, hi, nil
+}
 
-	// Conditional GET: the response is a pure function of (store content,
-	// region, dtype, encoding), so a strong ETag over exactly those lets a
-	// revalidating client skip the decode — and the transfer — entirely.
-	// The validator is derived from the (manifest CRC, generation) pair of
-	// the store's current committed generation: a mutable store that
-	// advanced (poll-refreshed append, rewrite, compaction) moves the ETag,
-	// so a client revalidating with the old one gets the full fresh
-	// response, never a 304 affirming stale data. The header is attached
-	// only to the 304 and 200 paths below: a shed or failed request
-	// carries no validator, because ETag describes the selected
-	// representation and an error body is not it. The gzip variant of the
-	// JSON encoding is its own representation and gets its own validator.
-	gz := format == "json" && acceptsGzip(r)
-	variant := regionVariant(format, gz, level)
-	crc, gen := f.store.ManifestVersion()
-	etag := regionETag(crc, gen, f.store.DType(), lo, hi, variant)
-	if inmMatches(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-
-	// Single-flight: concurrent identical requests — same field, box,
-	// level, and store generation — share one decode. The key carries
-	// (crc, gen) so a herd spanning a poll refresh never mixes
-	// generations: old and new requests lead separate flights. Admission
-	// control sits inside the flight function so a coalesced herd of N
-	// requests consumes one -max-inflight slot, not N; a shed leader sheds
-	// the whole herd (every waiter gets the same retryable 503). The
-	// leader runs under a context that survives any individual client's
-	// disconnect and is cancelled only when the last waiter is gone.
-	key := fmt.Sprintf("%s|%08x-%d|%v|%v|l%d", f.name, crc, gen, lo, hi, level)
-	v, _, err := s.flight.Do(r.Context(), key, func(ctx context.Context) (any, error) {
-		// Admission control: bound concurrent decodes rather than queue
-		// unboundedly — a shed request is retryable, an OOM is not.
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				s.rejected.Add(1)
-				return nil, errShed
+// handleRegion returns the box [lo, hi) of one field, at full resolution
+// or on a coarser level's grid.
+func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
+	h.serveConditional(w, r, func(f snapshot) (answer, bool) {
+		bad := func(code int, format string, args ...any) (answer, bool) {
+			h.httpError(w, r, code, format, args...)
+			return answer{}, false
+		}
+		q := r.URL.Query()
+		if q.Get("lo") == "" || q.Get("hi") == "" {
+			return bad(http.StatusBadRequest, "region needs lo=a,b,... and hi=a,b,... query parameters")
+		}
+		lo, hi, err := parseBox("region", q.Get("lo"), q.Get("hi"), f.dims)
+		if err != nil {
+			return bad(http.StatusBadRequest, "%v", err)
+		}
+		level := 1
+		if lv := q.Get("level"); lv != "" {
+			level, err = strconv.Atoi(lv)
+			if err != nil || level < 1 || level > store.MaxReadLevel {
+				return bad(http.StatusBadRequest, "level must be an integer in [1,%d], got %q", store.MaxReadLevel, lv)
 			}
 		}
-		if level > 1 {
-			if f.store.Float64() {
-				data, _, err := f.store.ReadRegionLevelFloat64(ctx, lo, hi, level)
-				return data, err
-			}
-			data, _, err := f.store.ReadRegionLevel(ctx, lo, hi, level)
-			return data, err
+		// The response grid: at level 1 the box itself, at level L the points
+		// of the box whose global coordinates are multiples of 2^(L-1). The
+		// -max-points bound applies to the points actually served, so a coarse
+		// read of a region too large to serve at full resolution still goes
+		// through — that is the point of progressive reads. An empty coarse
+		// grid is the client's mistake, answered before anything is produced.
+		outDims, points, ok := levelOutDims(lo, hi, level)
+		if !ok {
+			return bad(http.StatusBadRequest, "region [%v,%v) has no points on the level-%d grid", lo, hi, level)
 		}
-		if f.store.Float64() {
-			data, err := f.store.ReadRegionFloat64(ctx, lo, hi)
-			return data, err
+		if h.maxPoints > 0 && points > h.maxPoints {
+			return bad(http.StatusRequestEntityTooLarge,
+				"region holds %d points, limit is %d; split the request", points, h.maxPoints)
 		}
-		data, err := f.store.ReadRegion(ctx, lo, hi)
-		return data, err
+		format := q.Get("format")
+		if format == "" {
+			format = "raw"
+		}
+		if format != "raw" && format != "json" {
+			return bad(http.StatusBadRequest, "unknown format %q (want raw or json)", format)
+		}
+		// The gzip variant of the JSON encoding is its own representation and
+		// gets its own validator.
+		return answer{
+			lo: lo, hi: hi,
+			variant: regionVariant(format, format == "json" && acceptsGzip(r), level),
+			work:    "l" + strconv.Itoa(level),
+			produce: func(ctx context.Context) (any, error) {
+				return h.be.region(ctx, f, lo, hi, level)
+			},
+			write: func(data any) {
+				if level > 1 {
+					w.Header().Set("X-Qoz-Level", strconv.Itoa(level))
+				}
+				if writeRegion(w, r, outDims, f.dtype, f.bound, data, format) != nil {
+					return // client went away mid-body
+				}
+				h.regionPts.Add(int64(points))
+			},
+		}, true
 	})
-	if err != nil {
-		s.regionError(w, r, err)
-		return
-	}
-
-	// The response carries the field's own element type: float64 stores
-	// answer with 8-byte samples (raw) or full-precision literals (json),
-	// float32 stores exactly as before.
-	w.Header().Set("ETag", etag)
-	if level > 1 {
-		w.Header().Set("X-Qoz-Level", strconv.Itoa(level))
-	}
-	var werr error
-	switch data := v.(type) {
-	case []float64:
-		werr = writeRegion(w, outDims, f.store.DType(), f.store.ErrorBound(), data, format, gz)
-	case []float32:
-		werr = writeRegion(w, outDims, f.store.DType(), f.store.ErrorBound(), data, format, gz)
-	}
-	if werr != nil {
-		return // client went away mid-body
-	}
-	s.regionPts.Add(int64(points))
-}
-
-// errShed marks a decode refused at -max-inflight capacity; it surfaces
-// to every coalesced waiter as the same retryable 503.
-var errShed = errors.New("server at -max-inflight capacity")
-
-// regionError answers a failed region decode, staying silent for a client
-// that already disconnected.
-func (s *server) regionError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		return // client is gone; nobody to answer
-	}
-	if errors.Is(err, errShed) {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, "server at -max-inflight capacity")
-		return
-	}
-	s.httpError(w, r, http.StatusInternalServerError, "read region: %v", err)
-}
-
-// parseLevel reads the optional level query parameter (default 1 = full
-// resolution), answering the 400 itself on a bad value. Both roles parse
-// it identically so shard and gateway reject the same requests.
-func parseLevel(w http.ResponseWriter, r *http.Request,
-	httpError func(http.ResponseWriter, *http.Request, int, string, ...any)) (int, bool) {
-	lv := r.URL.Query().Get("level")
-	if lv == "" {
-		return 1, true
-	}
-	n, err := strconv.Atoi(lv)
-	if err != nil || n < 1 || n > store.MaxReadLevel {
-		httpError(w, r, http.StatusBadRequest,
-			"level must be an integer in [1,%d], got %q", store.MaxReadLevel, lv)
-		return 0, false
-	}
-	return n, true
 }
 
 // levelOutDims returns the response grid of a level-L read of [lo, hi):
@@ -854,27 +746,18 @@ func regionVariant(format string, gz bool, level int) string {
 // manifest fingerprint and generation (content identity, read as one
 // consistent pair), the box, the element type, and the encoding variant
 // (including gzip and the progressive level). Any of these changing
-// changes the bytes, and nothing else does. The gateway computes the same
-// validator from its catalog's (crc, gen), so a region served via fan-out
-// revalidates against a single-node response and vice versa.
+// changes the bytes, and nothing else does.
 func regionETag(crc uint32, gen uint64, dtype string, lo, hi []int, variant string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `"%08x-g%d-`, crc, gen)
-	for i := range lo {
-		if i > 0 {
-			b.WriteByte('x')
-		}
-		fmt.Fprintf(&b, "%d", lo[i])
+	return fmt.Sprintf(`"%08x-g%d-%s-%s-%s-%s"`, crc, gen, joinInts(lo, "x"), joinInts(hi, "x"), dtype, variant)
+}
+
+// joinInts renders coordinates or dims as "a<sep>b<sep>c".
+func joinInts(v []int, sep string) string {
+	parts := make([]string, len(v))
+	for i, n := range v {
+		parts[i] = strconv.Itoa(n)
 	}
-	b.WriteByte('-')
-	for i := range hi {
-		if i > 0 {
-			b.WriteByte('x')
-		}
-		fmt.Fprintf(&b, "%d", hi[i])
-	}
-	fmt.Fprintf(&b, "-%s-%s"+`"`, dtype, variant)
-	return b.String()
+	return strings.Join(parts, sep)
 }
 
 // inmMatches reports whether an If-None-Match header matches etag: the
@@ -899,37 +782,66 @@ func inmMatches(inm, etag string) bool {
 	return false
 }
 
-// writeRegion streams a decoded region in the requested format. Raw is
-// little-endian samples at the field's element width, never
-// content-coded — those bytes are freshly decoded output and barely
-// compress; json marshals by hand because encoding/json refuses the
-// NaN/±Inf the escape envelope deliberately preserves — non-finite points
-// become null — and is gzip-wrapped when gz is set (negotiated via
-// Accept-Encoding: decimal literals compress several-fold). Both paths
+// writeRegion writes a produced region in the requested format, in the
+// field's own element type: float64 fields answer with 8-byte samples
+// (raw) or full-precision literals (json). data is what a backend's
+// region returned: decoded samples ([]float32, []float64), or a stitched
+// slab that already is the raw body ([]byte: little-endian, row-major,
+// shape outDims) and so goes out in one Write with no decode/re-encode
+// round trip; its JSON renders from the same slab, so a herd mixing raw
+// and json clients still coalesces into one produce.
+func writeRegion(w http.ResponseWriter, r *http.Request, outDims []int, dtype string, bound float64, data any, format string) error {
+	w.Header().Set("X-Qoz-Dims", joinInts(outDims, ","))
+	w.Header().Set("X-Qoz-Dtype", dtype)
+	w.Header().Set("X-Qoz-Error-Bound", strconv.FormatFloat(bound, 'g', -1, 64))
+	switch data := data.(type) {
+	case []float32:
+		return writeSamples(w, r, outDims, dtype, data, format)
+	case []float64:
+		return writeSamples(w, r, outDims, dtype, data, format)
+	case []byte:
+		if format == "json" {
+			if dtype == "float64" {
+				return writeSamples(w, r, outDims, dtype, leSamples[float64](data, 8), format)
+			}
+			return writeSamples(w, r, outDims, dtype, leSamples[float32](data, 4), format)
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		_, err := w.Write(data)
+		return err
+	}
+	return fmt.Errorf("region data of type %T", data)
+}
+
+// leSamples reinterprets a little-endian raw slab of elem-byte samples.
+func leSamples[T qoz.Float](b []byte, elem int) []T {
+	out := make([]T, len(b)/elem)
+	for i := range out {
+		if elem == 8 {
+			out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		} else {
+			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+	}
+	return out
+}
+
+// writeSamples streams decoded samples. Raw is little-endian samples at
+// the field's element width, never content-coded — those bytes are
+// freshly decoded output and barely compress; json marshals by hand
+// because encoding/json refuses the NaN/±Inf the escape envelope
+// deliberately preserves — non-finite points become null — and is
+// gzip-wrapped when the client negotiated it (see jsonBody). Both paths
 // stream in bounded chunks instead of materializing a second copy of the
 // region as bytes.
-func writeRegion[T qoz.Float](w http.ResponseWriter, outDims []int, dtype string, bound float64, data []T, format string, gz bool) error {
+func writeSamples[T qoz.Float](w http.ResponseWriter, r *http.Request, outDims []int, dtype string, data []T, format string) error {
 	elem := 4
 	if dtype == "float64" {
 		elem = 8
 	}
-	dimsHeader := make([]string, len(outDims))
-	for i, d := range outDims {
-		dimsHeader[i] = strconv.Itoa(d)
-	}
-	w.Header().Set("X-Qoz-Dims", strings.Join(dimsHeader, ","))
-	w.Header().Set("X-Qoz-Dtype", dtype)
-	w.Header().Set("X-Qoz-Error-Bound", strconv.FormatFloat(bound, 'g', -1, 64))
 	if format == "json" {
-		w.Header().Add("Vary", "Accept-Encoding")
-		w.Header().Set("Content-Type", "application/json")
-		out := io.Writer(w)
-		var zw *gzip.Writer
-		if gz {
-			w.Header().Set("Content-Encoding", "gzip")
-			zw = gzip.NewWriter(w)
-			out = zw
-		}
+		out, finish := jsonBody(w, r)
 		body := make([]byte, 0, 64<<10)
 		body = append(body, `{"dims":[`...)
 		for i, d := range outDims {
@@ -961,10 +873,7 @@ func writeRegion[T qoz.Float](w http.ResponseWriter, outDims []int, dtype string
 		if _, err := out.Write(body); err != nil {
 			return err
 		}
-		if zw != nil {
-			return zw.Close()
-		}
-		return nil
+		return finish()
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(elem*len(data)))
@@ -986,67 +895,30 @@ func writeRegion[T qoz.Float](w http.ResponseWriter, outDims []int, dtype string
 	return nil
 }
 
-// handleMetrics exposes Prometheus-style counters: per-field store stats
-// plus process-wide request accounting.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleMetrics renders the exposition: the families every role shares,
+// then the backend's own.
+func (h *handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	emit := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	emit("qozd_requests_total", "HTTP requests received")
-	fmt.Fprintf(w, "qozd_requests_total %d\n", s.requests.Load())
-	emit("qozd_requests_rejected_total", "region requests shed at -max-inflight capacity")
-	fmt.Fprintf(w, "qozd_requests_rejected_total %d\n", s.rejected.Load())
-	emit("qozd_request_errors_total", "requests answered with an error status (unknown-field 404s excluded)")
-	fmt.Fprintf(w, "qozd_request_errors_total %d\n", s.errors.Load())
-	emit("qozd_region_points_total", "field points served by region reads")
-	fmt.Fprintf(w, "qozd_region_points_total %d\n", s.regionPts.Load())
-	emit("qozd_refresh_errors_total", "failed generation-refresh polls across all mounts")
-	fmt.Fprintf(w, "qozd_refresh_errors_total %d\n", s.refreshErrs.Load())
-	fs := s.flight.Stats()
-	emit("qozd_flight_leads_total", "region decodes actually executed (single-flight leaders)")
-	fmt.Fprintf(w, "qozd_flight_leads_total %d\n", fs.Leads)
-	emit("qozd_flight_coalesced_total", "region requests served by another request's decode")
-	fmt.Fprintf(w, "qozd_flight_coalesced_total %d\n", fs.Coalesced)
-	emit("qozd_rate_limited_total", "requests refused with 429, by tenant")
-	limitedTenants, limitedCounts := s.guard.limitedByTenant()
-	for _, tenant := range limitedTenants {
-		fmt.Fprintf(w, "qozd_rate_limited_total{tenant=%q} %d\n", tenant, limitedCounts[tenant])
-	}
-	fmt.Fprintf(w, "# HELP qozd_cache_bytes decoded bytes held by the shared brick cache\n# TYPE qozd_cache_bytes gauge\n")
-	fmt.Fprintf(w, "qozd_cache_bytes %d\n", s.cache.Bytes())
-	fmt.Fprintf(w, "# HELP qozd_store_generation committed generation served per field (0 = write-once store)\n# TYPE qozd_store_generation gauge\n")
-	for _, name := range s.fieldNames() {
-		fmt.Fprintf(w, "qozd_store_generation{field=%q} %d\n", name, s.fields[name].store.Generation())
-	}
+	writeFamilies(w, h.families())
+	writeFamilies(w, h.be.families())
+}
 
-	// One Stats snapshot per field, so the five per-field lines of a scrape
-	// reconcile with each other instead of racing active reads.
-	names := s.fieldNames()
-	snaps := make(map[string]store.Stats, len(names))
-	for _, name := range names {
-		snaps[name] = s.fields[name].store.Stats()
+// families is the table of metric families both roles render: process-wide
+// request accounting, single-flight activity, per-tenant 429s, and request
+// latency by {route, status}.
+func (h *handler) families() []family {
+	work, refreshes := h.be.nouns()
+	flights := h.flight.Stats()
+	limited := h.guard.limitedByTenant()
+	return []family{
+		scalar("qozd_requests_total", "HTTP requests received", "counter", h.requests.Load()),
+		scalar("qozd_request_errors_total", "requests answered with an error status (unknown-field 404s excluded)", "counter", h.errors.Load()),
+		scalar("qozd_region_points_total", "field points served by region reads", "counter", h.regionPts.Load()),
+		scalar("qozd_refresh_errors_total", "failed "+refreshes, "counter", h.refreshErrs.Load()),
+		scalar("qozd_flight_leads_total", "region "+work+"s actually executed (single-flight leaders)", "counter", flights.Leads),
+		scalar("qozd_flight_coalesced_total", "region requests served by another request's "+work, "counter", flights.Coalesced),
+		labelled("qozd_rate_limited_total", "requests refused with 429, by tenant", "counter", "tenant", fieldNames(limited),
+			func(tenant string) any { return limited[tenant] }),
+		{hist: h.ins.reqHist},
 	}
-	counters := []struct {
-		name, help string
-		value      func(store.Stats) int64
-	}{
-		{"qozd_store_bricks_decoded_total", "brick decompressions (cache misses)", func(st store.Stats) int64 { return st.BricksDecoded }},
-		{"qozd_store_bricks_pruned_total", "query bricks resolved from the statistics index without decoding", func(st store.Stats) int64 { return st.BricksPruned }},
-		{"qozd_store_bricks_read_total", "bricks served to region reads", func(st store.Stats) int64 { return st.BricksRead }},
-		{"qozd_store_cache_hits_total", "bricks served from the decoded-brick cache", func(st store.Stats) int64 { return st.CacheHits }},
-		{"qozd_store_remote_ranges_total", "HTTP range requests issued to remote stores", func(st store.Stats) int64 { return st.RemoteRanges }},
-		{"qozd_store_remote_bytes_total", "payload bytes fetched from remote stores", func(st store.Stats) int64 { return st.RemoteBytes }},
-	}
-	for _, m := range counters {
-		emit(m.name, m.help)
-		for _, name := range names {
-			fmt.Fprintf(w, "%s{field=%q} %d\n", m.name, name, m.value(snaps[name]))
-		}
-	}
-
-	// Latency histograms: request duration by {route, status}, and store
-	// stage timings (payload fetch, brick decode) by {stage}.
-	s.ins.reqHist.WriteProm(w)
-	s.ins.stageHist.WriteProm(w)
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,26 +22,34 @@ import (
 	"qoz/store"
 )
 
+// nyxStore encodes buildStoreFile's store once per test process. Nearly
+// every test here starts from it, and under -race the encode (tuner trial
+// compressions) takes seconds — without this, CI's -count=20 flake hunt
+// over the cluster tests would spend its whole budget re-compressing
+// identical bytes.
+var nyxStore = sync.OnceValues(func() ([]byte, error) {
+	ds := datagen.NYX(32, 32, 32)
+	var buf bytes.Buffer
+	err := store.Write(context.Background(), &buf, ds.Data, ds.Dims, store.WriteOptions{
+		Opts:  qoz.Options{RelBound: 1e-3},
+		Brick: []int{8, 8, 8},
+	})
+	return buf.Bytes(), err
+})
+
 // buildStoreFile writes a small brick store to dir and returns its path
 // and the original field.
 func buildStoreFile(t *testing.T, dir string) (string, datagen.Dataset) {
 	t.Helper()
-	ds := datagen.NYX(32, 32, 32)
-	path := filepath.Join(dir, "nyx.qozb")
-	f, err := os.Create(path)
+	encoded, err := nyxStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Write(context.Background(), f, ds.Data, ds.Dims, store.WriteOptions{
-		Opts:  qoz.Options{RelBound: 1e-3},
-		Brick: []int{8, 8, 8},
-	}); err != nil {
+	path := filepath.Join(dir, "nyx.qozb")
+	if err := os.WriteFile(path, encoded, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, ds
+	return path, datagen.NYX(32, 32, 32)
 }
 
 func get(t *testing.T, url string) (*http.Response, []byte) {
@@ -198,7 +207,7 @@ func TestServerInflightLimit(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	srv.inflight <- struct{}{} // occupy the only slot
+	localOf(srv).inflight <- struct{}{} // occupy the only slot
 	resp, _ := get(t, ts.URL+"/v1/fields/nyx/region?lo=0,0,0&hi=1,1,1")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated server answered %d, want 503", resp.StatusCode)
@@ -209,7 +218,7 @@ func TestServerInflightLimit(t *testing.T) {
 	if resp.Header.Get("ETag") != "" {
 		t.Error("503 carries an ETag; validators belong only to the selected representation")
 	}
-	<-srv.inflight
+	<-localOf(srv).inflight
 	if resp, _ := get(t, ts.URL+"/v1/fields/nyx/region?lo=0,0,0&hi=1,1,1"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("freed server answered %d, want 200", resp.StatusCode)
 	}
@@ -269,7 +278,7 @@ func TestServerRemoteMount(t *testing.T) {
 	if !strings.Contains(string(metrics), `qozd_store_remote_ranges_total{field="nyx"}`) {
 		t.Errorf("/metrics missing remote range counter:\n%s", metrics)
 	}
-	st := srv.fields["nyx"].store.Stats()
+	st := localOf(srv).fields["nyx"].store.Stats()
 	if st.RemoteRanges == 0 || st.RemoteBytes >= int64(len(content)) {
 		t.Fatalf("URL mount transferred %d bytes of a %d-byte store in %d ranges — not range reads",
 			st.RemoteBytes, len(content), st.RemoteRanges)
@@ -422,7 +431,7 @@ func TestServerConditionalGet(t *testing.T) {
 		t.Fatal("different regions share an ETag")
 	}
 
-	decodedBefore := srv.fields["nyx"].store.Stats().BricksDecoded
+	decodedBefore := localOf(srv).fields["nyx"].store.Stats().BricksDecoded
 	req, _ := http.NewRequest(http.MethodGet, url, nil)
 	req.Header.Set("If-None-Match", etag)
 	resp3, err := http.DefaultClient.Do(req)
@@ -440,7 +449,7 @@ func TestServerConditionalGet(t *testing.T) {
 	if resp3.Header.Get("ETag") != etag {
 		t.Fatalf("304 ETag %q, want %q", resp3.Header.Get("ETag"), etag)
 	}
-	if after := srv.fields["nyx"].store.Stats().BricksDecoded; after != decodedBefore {
+	if after := localOf(srv).fields["nyx"].store.Stats().BricksDecoded; after != decodedBefore {
 		t.Fatalf("revalidation decoded %d bricks; 304 must not decode", after-decodedBefore)
 	}
 
@@ -717,7 +726,7 @@ func TestServerGenerationPickup(t *testing.T) {
 	if got := resp.Header.Get("ETag"); got != oldTag {
 		t.Fatalf("ETag moved before refresh: %q -> %q", oldTag, got)
 	}
-	srv.refreshMounts(context.Background())
+	srv.refresh(context.Background())
 
 	resp, body = get(t, ts.URL+"/v1/fields/live")
 	if err := json.Unmarshal(body, &info); err != nil {

@@ -10,6 +10,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -35,8 +36,8 @@ type instrumentOptions struct {
 	TraceCapacity int
 }
 
-// instrument is the per-role observability state: the trace ring and the
-// latency histograms both roles render into their /metrics.
+// instrument is the process's observability state: the trace ring and the
+// latency histograms rendered into /metrics.
 type instrument struct {
 	rec    *obs.Recorder
 	logger *slog.Logger
@@ -45,8 +46,8 @@ type instrument struct {
 	// request, including errors and shed requests, by coarse route class.
 	reqHist *obs.HistogramVec
 	// stageHist is qozd_store_stage_seconds{stage}: per-brick fetch and
-	// decode timings reported by the store's stage observer. Gateway
-	// processes hold no store, so theirs stays empty and unrendered.
+	// decode timings reported by the store's stage observer. Only a backend
+	// that reads stores fills it, and only that backend renders it.
 	stageHist *obs.HistogramVec
 }
 
@@ -63,6 +64,44 @@ func newInstrument(opts instrumentOptions) *instrument {
 			"request latency by route class and status", []string{"route", "status"}, obs.DefBuckets),
 		stageHist: obs.NewHistogramVec("qozd_store_stage_seconds",
 			"per-brick store stage latency (payload fetch, decode)", []string{"stage"}, obs.DefBuckets),
+	}
+}
+
+// family is one row of a /metrics table: a counter or gauge family with
+// one unlabelled series or one per value of a single label, or a histogram
+// that renders itself. The handler and each backend describe their
+// families as a table of these and one function renders them all.
+type family struct {
+	name, help, typ string
+	value           func(key string) any // a series' sample: an integer or a float64
+	label           string               // label name; "" for the one unlabelled series
+	keys            []string             // label values, sorted
+	hist            *obs.HistogramVec    // set instead of everything above
+}
+
+func scalar(name, help, typ string, value any) family {
+	return family{name: name, help: help, typ: typ, value: func(string) any { return value }}
+}
+
+func labelled(name, help, typ, label string, keys []string, value func(key string) any) family {
+	return family{name: name, help: help, typ: typ, value: value, label: label, keys: keys}
+}
+
+// writeFamilies renders a table in the Prometheus text exposition format;
+// %v prints integer and float64 samples the way the format wants both.
+func writeFamilies(w io.Writer, families []family) {
+	for _, f := range families {
+		if f.hist != nil {
+			f.hist.WriteProm(w)
+			continue
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		if f.label == "" {
+			fmt.Fprintf(w, "%s %v\n", f.name, f.value(""))
+		}
+		for _, k := range f.keys {
+			fmt.Fprintf(w, "%s{%s=%q} %v\n", f.name, f.label, k, f.value(k))
+		}
 	}
 }
 
@@ -186,18 +225,16 @@ func (a *stageAcc) annotate(sp *obs.Span) {
 
 // serve wraps one request in the full observability envelope: a root
 // trace span (trace id = the request's correlation id), a stage observer
-// when the role reads stores, the latency histogram, and the request log
-// line. handle runs the role's guard and mux and returns the tenant the
-// guard resolved ("" for probes).
-func (ins *instrument) serve(w http.ResponseWriter, r *http.Request, id string, stages bool,
+// for whatever store reads happen under it (none, at a gateway: nothing
+// calls it back and nothing is annotated), the latency histogram, and the
+// request log line. handle runs the guard and mux and returns the tenant
+// the guard resolved ("" for probes).
+func (ins *instrument) serve(w http.ResponseWriter, r *http.Request, id string,
 	handle func(http.ResponseWriter, *http.Request) string) {
 	route := routeLabel(r.URL.Path)
 	ctx, root := ins.rec.StartTrace(r.Context(), id, r.Method+" "+route)
-	var acc *stageAcc
-	if stages {
-		acc = &stageAcc{hist: ins.stageHist}
-		ctx = store.WithStageObserver(ctx, acc.observe)
-	}
+	acc := &stageAcc{hist: ins.stageHist}
+	ctx = store.WithStageObserver(ctx, acc.observe)
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
 	tenant := handle(sw, r.WithContext(ctx))
@@ -209,9 +246,7 @@ func (ins *instrument) serve(w http.ResponseWriter, r *http.Request, id string, 
 	if tenant != "" {
 		root.Annotate("tenant", tenant)
 	}
-	if acc != nil {
-		acc.annotate(root)
-	}
+	acc.annotate(root)
 	root.End()
 	ins.reqHist.Observe(dur.Seconds(), route, strconv.Itoa(status))
 

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,8 +144,9 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 
 // TestMetricsExposition scrapes both roles after live traffic and lints
 // the exposition: HELP/TYPE on every family, no duplicates, sorted series,
-// well-formed histograms — and two consecutive renders are byte-identical
-// (the determinism the sorted emission paths commit to).
+// well-formed histograms — checks the rendered families against the table
+// in docs/OBSERVABILITY.md, and requires two consecutive renders to be
+// byte-identical (the determinism the sorted emission paths commit to).
 func TestMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
 	p32, _ := buildStoreFile(t, dir)
@@ -158,6 +160,7 @@ func TestMetricsExposition(t *testing.T) {
 	get(t, gts.URL+"/v1/fields/nope")
 	get(t, shards[0].URL+"/v1/fields/nyx/region?lo=0,0,0&hi=8,8,8")
 
+	rendered := map[string]map[string]string{} // role → family → type
 	for name, url := range map[string]string{
 		"shard":   shards[0].URL + "/metrics",
 		"gateway": gts.URL + "/metrics",
@@ -172,6 +175,38 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(body), "qozd_request_duration_seconds_bucket{") {
 			t.Errorf("%s /metrics has no request duration histogram", name)
 		}
+		rendered[name] = map[string]string{}
+		for _, line := range strings.Split(string(body), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				rendered[name][f[2]] = f[3]
+			}
+		}
+	}
+
+	// docs/OBSERVABILITY.md tabulates exactly what the two roles render:
+	// every family, its type, and which role carries it.
+	documented := documentedFamilies(t)
+	for role, families := range rendered {
+		other := rendered[map[string]string{"shard": "gateway", "gateway": "shard"}[role]]
+		for family, typ := range families {
+			doc, ok := documented[family]
+			if !ok {
+				t.Errorf("%s renders %s, missing from the docs/OBSERVABILITY.md family table", role, family)
+				continue
+			}
+			wantRole := role
+			if _, shared := other[family]; shared {
+				wantRole = "both"
+			}
+			if doc.role != wantRole || doc.typ != typ {
+				t.Errorf("%s: documented as a %s on %q, rendered as a %s on %q", family, doc.typ, doc.role, typ, wantRole)
+			}
+		}
+	}
+	for family := range documented {
+		if rendered["shard"][family] == "" && rendered["gateway"][family] == "" {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which neither role renders", family)
+		}
 	}
 	if body := metricsRender(srvs[0].handleMetrics); !strings.Contains(body, `qozd_store_stage_seconds_bucket{stage="decode"`) {
 		t.Error("shard /metrics has no store stage histogram after a region read")
@@ -185,6 +220,34 @@ func TestMetricsExposition(t *testing.T) {
 	if a, b := metricsRender(gw.handleMetrics), metricsRender(gw.handleMetrics); a != b {
 		t.Error("two gateway /metrics renders differ")
 	}
+}
+
+// documentedFamilies parses the "## Metric families" table of
+// docs/OBSERVABILITY.md: | `family` | type | labels | role | meaning |.
+func documentedFamilies(t *testing.T) map[string]struct{ typ, role string } {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Metric families\n")
+	if !ok {
+		t.Fatal("docs/OBSERVABILITY.md has no \"## Metric families\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	out := map[string]struct{ typ, role string }{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`qozd_") {
+			continue
+		}
+		out[strings.Trim(strings.TrimSpace(cells[1]), "`")] = struct{ typ, role string }{
+			strings.TrimSpace(cells[2]), strings.TrimSpace(cells[4])}
+	}
+	if len(out) == 0 {
+		t.Fatal("docs/OBSERVABILITY.md family table has no rows")
+	}
+	return out
 }
 
 func metricsRender(h func(http.ResponseWriter, *http.Request)) string {
@@ -357,9 +420,9 @@ func TestReadyzRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	srv.refreshMu.Lock()
-	srv.refreshBad["nyx"] = "origin gone"
-	srv.refreshMu.Unlock()
+	localOf(srv).refreshMu.Lock()
+	localOf(srv).refreshBad["nyx"] = "origin gone"
+	localOf(srv).refreshMu.Unlock()
 	rec := httptest.NewRecorder()
 	srv.handleReadyz(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {

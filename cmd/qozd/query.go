@@ -1,38 +1,32 @@
-// The query endpoint of both qozd roles: predicate pushdown served over
-// HTTP. A shard answers GET /v1/fields/{name}/query straight from its
-// store's statistics index (store.Query decodes only the bricks the index
-// cannot resolve); a gateway answers the same endpoint by fanning
-// sub-queries out along brick-ownership boundaries and merging the
-// partial aggregates (qoz/cluster), so a client gets one answer identical
-// to a single qozd holding the whole store. Both roles parse, validate,
-// version (ETag), coalesce, and guard the endpoint identically.
+// The query endpoint: predicate pushdown served over HTTP. A shard answers
+// GET /v1/fields/{name}/query straight from its store's statistics index
+// (store.Query decodes only the bricks the index cannot resolve); a
+// gateway answers by fanning sub-queries out along brick-ownership
+// boundaries and merging the partial aggregates (qoz/cluster), so a client
+// gets one answer identical to a single qozd holding the whole store. The
+// endpoint itself is written once, on the shared pipeline.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
-	"qoz/cluster"
 	"qoz/store"
 )
 
 // parseQueryRequest reads and validates the query parameters of one
 // /query request against the field's dims, answering the 400 itself on a
-// bad value. Both roles parse identically, so shard and gateway reject
-// the same requests with the same messages. The returned request always
-// carries a concrete box: lo/hi default to the whole field.
-func parseQueryRequest(w http.ResponseWriter, r *http.Request, dims []int,
-	httpError func(http.ResponseWriter, *http.Request, int, string, ...any)) (store.QueryRequest, bool) {
+// bad value. The returned request always carries a concrete box: lo/hi
+// default to the whole field.
+func (h *handler) parseQueryRequest(w http.ResponseWriter, r *http.Request, dims []int) (store.QueryRequest, bool) {
 	q := r.URL.Query()
 	var req store.QueryRequest
 	bad := func(format string, args ...any) (store.QueryRequest, bool) {
-		httpError(w, r, http.StatusBadRequest, format, args...)
+		h.httpError(w, r, http.StatusBadRequest, format, args...)
 		return store.QueryRequest{}, false
 	}
 
@@ -50,25 +44,9 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request, dims []int,
 	if (q.Get("lo") == "") != (q.Get("hi") == "") {
 		return bad("query box needs both lo=a,b,... and hi=a,b,... (or neither, for the whole field)")
 	}
-	if q.Get("lo") != "" {
-		var err error
-		if req.Lo, err = parseCorner(q.Get("lo")); err != nil {
-			return bad("lo: %v", err)
-		}
-		if req.Hi, err = parseCorner(q.Get("hi")); err != nil {
-			return bad("hi: %v", err)
-		}
-	} else {
-		req.Lo = make([]int, len(dims))
-		req.Hi = dims
-	}
-	if len(req.Lo) != len(dims) || len(req.Hi) != len(dims) {
-		return bad("query box rank %d/%d, field rank %d", len(req.Lo), len(req.Hi), len(dims))
-	}
-	for i := range dims {
-		if req.Lo[i] < 0 || req.Hi[i] > dims[i] || req.Lo[i] >= req.Hi[i] {
-			return bad("query box [%v,%v) outside field %v", req.Lo, req.Hi, dims)
-		}
+	var err error
+	if req.Lo, req.Hi, err = parseBox("query box", q.Get("lo"), q.Get("hi"), dims); err != nil {
+		return bad("%v", err)
 	}
 
 	finite := func(name string) (float64, error) {
@@ -82,7 +60,6 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request, dims []int,
 		}
 		return v, nil
 	}
-	var err error
 	switch req.Op {
 	case store.QueryGT, store.QueryLT:
 		if req.Value, err = finite("value"); err != nil {
@@ -142,145 +119,39 @@ func queryVariant(req store.QueryRequest, gz bool) string {
 	return v
 }
 
-// handleQuery answers a pushdown query over one mounted field. The flow
-// mirrors handleRegion — validate, strong ETag over (store content, box,
-// dtype, variant), If-None-Match, single-flight with -max-inflight
-// admission inside — but the response is a small JSON aggregate
-// (store.QueryResult) instead of a point slab, and the store prunes
-// every brick its statistics index can resolve.
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.fields[r.PathValue("name")]
-	if !ok {
-		s.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
-		return
-	}
-	req, ok := parseQueryRequest(w, r, f.store.Dims(), s.httpError)
-	if !ok {
-		return
-	}
-	// The served-points bound applies to what crosses the wire: a query
-	// response is a fixed-size aggregate plus maxloc coordinates, so only
-	// the location cap is limited — a whole-field count over a region too
-	// large to download is exactly what pushdown is for.
-	if s.opts.MaxPoints > 0 && req.MaxLocations > s.opts.MaxPoints {
-		s.httpError(w, r, http.StatusRequestEntityTooLarge,
-			"maxloc %d over the %d-point response limit", req.MaxLocations, s.opts.MaxPoints)
-		return
-	}
-
-	// Same validator discipline as regions: the answer is a pure function
-	// of (store content, box, dtype, query variant), and the gateway's
-	// generation gate reads the same "crc-gN" prefix off this ETag.
-	gz := acceptsGzip(r)
-	crc, gen := f.store.ManifestVersion()
-	etag := regionETag(crc, gen, f.store.DType(), req.Lo, req.Hi, queryVariant(req, gz))
-	if inmMatches(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-
-	// Single-flight over the result object; the key carries (crc, gen) and
-	// every answer-changing parameter, and omits gzip — both encodings
-	// render from the same result.
-	key := fmt.Sprintf("%s|%08x-%d|%v|%v|%s", f.name, crc, gen, req.Lo, req.Hi, queryVariant(req, false))
-	v, _, err := s.flight.Do(r.Context(), key, func(ctx context.Context) (any, error) {
-		// Queries decode bricks too (the unpruned ones), so they take the
-		// same -max-inflight slot a region decode would.
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				s.rejected.Add(1)
-				return nil, errShed
-			}
+// handleQuery answers a pushdown query over one field. It rides the same
+// pipeline as handleRegion — validate, strong ETag over (store content,
+// box, dtype, variant), If-None-Match, single-flight — but the response is
+// a small JSON aggregate (store.QueryResult) instead of a point slab.
+func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
+	h.serveConditional(w, r, func(f snapshot) (answer, bool) {
+		req, ok := h.parseQueryRequest(w, r, f.dims)
+		if !ok {
+			return answer{}, false
 		}
-		return f.store.Query(ctx, req)
+		// The served-points bound applies to what crosses the wire: a query
+		// response is a fixed-size aggregate plus maxloc coordinates, so only
+		// the location cap is limited — a whole-field count over a region too
+		// large to download is exactly what pushdown is for.
+		if h.maxPoints > 0 && req.MaxLocations > h.maxPoints {
+			h.httpError(w, r, http.StatusRequestEntityTooLarge,
+				"maxloc %d over the %d-point response limit", req.MaxLocations, h.maxPoints)
+			return answer{}, false
+		}
+		return answer{
+			lo: req.Lo, hi: req.Hi,
+			// A gateway's generation gate reads the same "crc-gN" prefix off
+			// this ETag as off a region's.
+			variant: queryVariant(req, acceptsGzip(r)),
+			work:    queryVariant(req, false),
+			produce: func(ctx context.Context) (any, error) {
+				return h.be.query(ctx, f, req)
+			},
+			write: func(res any) {
+				body, finish := jsonBody(w, r)
+				json.NewEncoder(body).Encode(res)
+				finish()
+			},
+		}, true
 	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client is gone; nobody to answer
-		}
-		if errors.Is(err, errShed) {
-			w.Header().Set("Retry-After", "1")
-			s.httpError(w, r, http.StatusServiceUnavailable, "server at -max-inflight capacity")
-			return
-		}
-		s.httpError(w, r, http.StatusInternalServerError, "query: %v", err)
-		return
-	}
-
-	w.Header().Set("ETag", etag)
-	body, finish := jsonBody(w, r)
-	json.NewEncoder(body).Encode(v.(*store.QueryResult))
-	finish()
-}
-
-// handleQuery answers a pushdown query by fan-out: sub-queries along
-// brick-ownership boundaries, answered by the owning shards (each pruning
-// from its own statistics index), merged into one aggregate identical to
-// a single qozd holding the whole store. Stale-retry, single-flight, and
-// the ETag discipline mirror the gateway's region path.
-func (g *gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	for attempt := 0; ; attempt++ {
-		f, ok := g.fields()[r.PathValue("name")]
-		if !ok {
-			g.httpError(w, r, http.StatusNotFound, "unknown field %q", r.PathValue("name"))
-			return
-		}
-		req, ok := parseQueryRequest(w, r, f.Dims, g.httpError)
-		if !ok {
-			return
-		}
-		if g.opts.MaxPoints > 0 && req.MaxLocations > g.opts.MaxPoints {
-			g.httpError(w, r, http.StatusRequestEntityTooLarge,
-				"maxloc %d over the %d-point response limit", req.MaxLocations, g.opts.MaxPoints)
-			return
-		}
-
-		// Same validator a single-node qozd would mint for this (crc, gen):
-		// a client can revalidate against gateway or shard interchangeably.
-		gz := acceptsGzip(r)
-		etag := regionETag(f.ManifestCRC, f.Generation, f.DType, req.Lo, req.Hi, queryVariant(req, gz))
-		if inmMatches(r.Header.Get("If-None-Match"), etag) {
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-
-		key := fmt.Sprintf("%s|%08x-%d|%v|%v|%s", f.Name, f.ManifestCRC, f.Generation,
-			req.Lo, req.Hi, queryVariant(req, false))
-		v, _, err := g.flight.Do(r.Context(), key, func(ctx context.Context) (any, error) {
-			ctx = cluster.WithRequestID(ctx, r.Header.Get(requestIDHeader))
-			res, stats, err := g.client.Query(ctx, f, req)
-			g.account(stats)
-			return res, err
-		})
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client is gone; nobody to answer
-			}
-			if errors.Is(err, cluster.ErrStale) && attempt == 0 {
-				// The shards advanced past the gateway's catalog: one refresh
-				// re-resolves the field and the fan-out retries against the
-				// fleet's present, exactly like a stale region read.
-				rctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-				rerr := g.refreshCatalog(rctx)
-				cancel()
-				if rerr == nil {
-					continue
-				}
-			}
-			w.Header().Set("Retry-After", "1")
-			g.httpError(w, r, http.StatusBadGateway, "query fan-out failed: %v", err)
-			return
-		}
-
-		w.Header().Set("ETag", etag)
-		body, finish := jsonBody(w, r)
-		json.NewEncoder(body).Encode(v.(*store.QueryResult))
-		finish()
-		return
-	}
 }

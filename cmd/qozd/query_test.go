@@ -99,7 +99,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	}
 
 	// The selective threshold pruned on the serving store too.
-	if pruned := srv.fields["nyx"].store.Stats().BricksPruned; pruned == 0 {
+	if pruned := localOf(srv).fields["nyx"].store.Stats().BricksPruned; pruned == 0 {
 		t.Error("serving store pruned no bricks across the selective queries")
 	}
 
@@ -117,7 +117,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	if respOther, _ := queryGet(t, qurl+"&maxloc=3"); respOther.Header.Get("ETag") == etag {
 		t.Fatal("different query parameters share an ETag")
 	}
-	decodedBefore := srv.fields["nyx"].store.Stats().BricksDecoded
+	decodedBefore := localOf(srv).fields["nyx"].store.Stats().BricksDecoded
 	req, _ := http.NewRequest(http.MethodGet, qurl, nil)
 	req.Header.Set("If-None-Match", etag)
 	resp3, err := http.DefaultClient.Do(req)
@@ -129,7 +129,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	if resp3.StatusCode != http.StatusNotModified {
 		t.Fatalf("If-None-Match revalidation answered %d, want 304", resp3.StatusCode)
 	}
-	if after := srv.fields["nyx"].store.Stats().BricksDecoded; after != decodedBefore {
+	if after := localOf(srv).fields["nyx"].store.Stats().BricksDecoded; after != decodedBefore {
 		t.Fatalf("revalidation decoded %d bricks; 304 must not decode", after-decodedBefore)
 	}
 
@@ -230,14 +230,14 @@ func TestClusterGatewayQuery(t *testing.T) {
 	}
 
 	// The queries fanned out: both shards answered sub-queries.
-	gw.trafficMu.Lock()
+	fleetOf(gw).trafficMu.Lock()
 	served := 0
-	for _, tr := range gw.traffic {
+	for _, tr := range fleetOf(gw).traffic {
 		if tr.Reads > 0 {
 			served++
 		}
 	}
-	gw.trafficMu.Unlock()
+	fleetOf(gw).trafficMu.Unlock()
 	if served != 2 {
 		t.Errorf("%d shards answered sub-queries, want 2", served)
 	}

@@ -182,14 +182,14 @@ func TestClusterMTLS(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("gateway body over mTLS differs from direct shard read")
 	}
-	gw.trafficMu.Lock()
+	fleetOf(gw).trafficMu.Lock()
 	served := 0
-	for _, tr := range gw.traffic {
+	for _, tr := range fleetOf(gw).traffic {
 		if tr.Reads > 0 {
 			served++
 		}
 	}
-	gw.trafficMu.Unlock()
+	fleetOf(gw).trafficMu.Unlock()
 	if served != 2 {
 		t.Errorf("%d shards served over mTLS, want 2", served)
 	}
