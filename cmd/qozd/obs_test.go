@@ -69,7 +69,14 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 
 	// Gateway side: the trace exists, its root is the region route, and the
 	// fan-out recorded one subread child span per planned sub-read.
-	gtr := findTrace(getTraces(t, gts.URL+"/debug/traces?n=100").Traces, traceID)
+	// The handler ends its root span after the response is written, so the
+	// client can be back here before the trace is in the ring: wait for it.
+	var gtr *obs.Trace
+	for deadline := time.Now().Add(5 * time.Second); gtr == nil && time.Now().Before(deadline); {
+		if gtr = findTrace(getTraces(t, gts.URL+"/debug/traces?n=100").Traces, traceID); gtr == nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	if gtr == nil {
 		t.Fatal("gateway /debug/traces has no trace for the request id")
 	}

@@ -1,0 +1,240 @@
+package qoz_test
+
+// Encoder-bytes golden table. Every row is the CRC-32 and length of what
+// one encode entry point emits for one deterministic field under one
+// option set; the committed table (testdata/encoder_golden.txt) was
+// generated before the encode hot path was rebuilt, so it is the check
+// that an encoder change claiming "byte-identical streams" really is.
+// A row that changes means emitted bytes changed: that is a format or
+// tuning change and must be argued as one, never fixed by regenerating.
+// The table is pinned on amd64, where neither datagen nor the codec's
+// float arithmetic is subject to FMA contraction.
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"qoz"
+	"qoz/datagen"
+	"qoz/internal/core"
+	"qoz/store"
+)
+
+var updateEncoderGolden = flag.Bool("update-encoder-golden", false,
+	"rewrite testdata/encoder_golden.txt from the current encoder (format changes only)")
+
+const encoderGoldenPath = "testdata/encoder_golden.txt"
+
+type goldenField struct {
+	name  string
+	data  []float32
+	dims  []int
+	brick []int
+	opts  qoz.Options // carries the bound; the config fills in the rest
+	big   bool        // 96^3: entry points beyond qoz.Encode run on a config subset
+}
+
+type goldenConfig struct {
+	name  string
+	apply func(*qoz.Options)
+	core  bool // also exercised through every other entry point on big fields
+}
+
+// lcg is a tiny deterministic generator so the synthetic fields do not
+// depend on math/rand's stream.
+type lcg uint64
+
+func (g *lcg) next() float64 {
+	*g = *g*6364136223846793005 + 1442695040888963407
+	return float64(uint64(*g)>>11) / (1 << 53)
+}
+
+func synthField(dims []int, seed uint64, noise float64) []float32 {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	g := lcg(seed)
+	out := make([]float32, n)
+	coord := make([]int, len(dims))
+	for i := range out {
+		v := 0.0
+		for d, c := range coord {
+			x := float64(c) / float64(dims[d])
+			v += math.Sin(float64(2*d+3)*x*math.Pi) * math.Cos(float64(d+1)*x*5)
+		}
+		out[i] = float32(v + noise*(g.next()-0.5))
+		for d := len(dims) - 1; d >= 0; d-- {
+			coord[d]++
+			if coord[d] < dims[d] {
+				break
+			}
+			coord[d] = 0
+		}
+	}
+	return out
+}
+
+func goldenFields() []goldenField {
+	rel := qoz.Options{RelBound: 1e-3}
+	mir := datagen.Miranda(96, 96, 96)
+	nyx := datagen.NYX(96, 96, 96)
+	hur := datagen.Hurricane(96, 96, 96)
+	b32 := []int{32, 32, 32}
+
+	outl := synthField([]int{40, 40, 40}, 7, 0.05)
+	g := lcg(99)
+	for k := 0; k < 60; k++ {
+		i := int(g.next() * float64(len(outl)))
+		switch k % 4 {
+		case 0:
+			outl[i] = float32(math.NaN())
+		case 1:
+			outl[i] = float32(math.Inf(1))
+		case 2:
+			outl[i] = float32(math.Inf(-1))
+		default:
+			outl[i] = 1e30
+		}
+	}
+
+	return []goldenField{
+		{name: "miranda96", data: mir.Data, dims: mir.Dims, brick: b32, opts: rel, big: true},
+		{name: "nyx96", data: nyx.Data, dims: nyx.Dims, brick: b32, opts: rel, big: true},
+		{name: "hurricane96", data: hur.Data, dims: hur.Dims, brick: b32, opts: rel, big: true},
+		{name: "odd70x33x50", data: synthField([]int{70, 33, 50}, 1, 0.02), dims: []int{70, 33, 50}, brick: b32, opts: rel},
+		{name: "line5000", data: synthField([]int{5000}, 2, 0.01), dims: []int{5000}, brick: []int{1024}, opts: rel},
+		{name: "plane150x130", data: synthField([]int{150, 130}, 3, 0.01), dims: []int{150, 130}, brick: []int{64, 64}, opts: rel},
+		{name: "hyper9x14x11x13", data: synthField([]int{9, 14, 11, 13}, 4, 0.02), dims: []int{9, 14, 11, 13}, brick: []int{8, 8, 8, 8}, opts: rel},
+		// An infinite value range makes a relative bound meaningless.
+		{name: "outliers40", data: outl, dims: []int{40, 40, 40}, brick: b32, opts: qoz.Options{ErrorBound: 1e-2}},
+	}
+}
+
+func goldenConfigs() []goldenConfig {
+	return []goldenConfig{
+		{"cr", func(o *qoz.Options) { o.Metric = qoz.TuneCR }, true},
+		{"psnr", func(o *qoz.Options) { o.Metric = qoz.TunePSNR }, true},
+		{"ssim", func(o *qoz.Options) { o.Metric = qoz.TuneSSIM }, false},
+		{"ac", func(o *qoz.Options) { o.Metric = qoz.TuneAC }, false},
+		{"fixed1.5-3", func(o *qoz.Options) { o.Metric, o.Alpha, o.Beta = qoz.TuneFixed, 1.5, 3 }, true},
+		{"noanchors", func(o *qoz.Options) { o.DisableAnchors = true }, true},
+		{"nosampling", func(o *qoz.Options) { o.DisableSampling = true }, false},
+		{"nolevelselect", func(o *qoz.Options) { o.DisableLevelSelect = true }, false},
+		{"noparamtuning", func(o *qoz.Options) { o.DisableParamTuning = true }, false},
+	}
+}
+
+// widen makes a float64 field that is not exactly representable in
+// float32, so the double-precision envelope has real work to do.
+func widen(data []float32) []float64 {
+	out := make([]float64, len(data))
+	for i, v := range data {
+		out[i] = float64(v) * (1 + 1e-9*float64(i%7))
+	}
+	return out
+}
+
+// encoderGoldenRows runs every entry point over one field's share of the
+// field × config matrix and returns its rows in a fixed order.
+func encoderGoldenRows(t *testing.T, f goldenField) []string {
+	ctx := context.Background()
+	var rows []string
+	add := func(name string, b []byte, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rows = append(rows, fmt.Sprintf("%s %08x %d", name, crc32.ChecksumIEEE(b), len(b)))
+	}
+	wide := widen(f.data)
+	for _, c := range goldenConfigs() {
+		o := f.opts
+		c.apply(&o)
+		tag := f.name + "/" + c.name
+
+		b, err := qoz.Encode(ctx, nil, f.data, f.dims, o)
+		add(tag+"/encode-f32", b, err)
+		if f.big && !c.core {
+			continue
+		}
+		b, err = qoz.Encode(ctx, nil, wide, f.dims, o)
+		add(tag+"/encode-f64", b, err)
+
+		abs, err := o.ResolveAbs(f.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err = core.Compress(f.data, f.dims, core.Options{
+			ErrorBound:         abs.ErrorBound,
+			Mode:               core.Mode(o.Metric),
+			Alpha:              o.Alpha,
+			Beta:               o.Beta,
+			DisableAnchors:     o.DisableAnchors,
+			DisableSampling:    o.DisableSampling,
+			DisableLevelSelect: o.DisableLevelSelect,
+			DisableParamTuning: o.DisableParamTuning,
+		})
+		add(tag+"/core", b, err)
+
+		var s32, s64 bytes.Buffer
+		err = store.WriteT(ctx, &s32, f.data, f.dims, store.WriteOptions{Opts: o, Brick: f.brick, Workers: 1})
+		add(tag+"/store-f32", s32.Bytes(), err)
+		err = store.WriteT(ctx, &s64, wide, f.dims, store.WriteOptions{Opts: o, Brick: f.brick, Workers: 1})
+		add(tag+"/store-f64", s64.Bytes(), err)
+	}
+	// The interpolation baselines share the sweep and the entropy stage
+	// with QoZ; one row each keeps them pinned too.
+	for _, codec := range []string{"sz3", "mgard"} {
+		b, err := qoz.Encode(ctx, qoz.MustLookup(codec), f.data, f.dims, f.opts)
+		add(f.name+"/"+codec+"/encode-f32", b, err)
+	}
+	return rows
+}
+
+func TestEncoderBytesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("encoder golden table is pinned on amd64")
+	}
+	if *updateEncoderGolden {
+		var rows []string
+		for _, f := range goldenFields() {
+			rows = append(rows, encoderGoldenRows(t, f)...)
+		}
+		if err := os.WriteFile(encoderGoldenPath, []byte(strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d rows to %s", len(rows), encoderGoldenPath)
+		return
+	}
+	raw, err := os.ReadFile(encoderGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for _, f := range goldenFields() {
+		// Each field's rows are the table's next len(rows) lines.
+		t.Run(f.name, func(t *testing.T) {
+			rows := encoderGoldenRows(t, f)
+			if len(rows) > len(want) {
+				t.Fatalf("encoder produced %d rows, the table has %d left", len(rows), len(want))
+			}
+			for i, row := range rows {
+				if row != want[i] {
+					t.Errorf("encoded bytes changed:\n  got  %s\n  want %s", row, want[i])
+				}
+			}
+			want = want[len(rows):]
+		})
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d rows of the golden table were not produced, starting at %q", len(want), want[0])
+	}
+}

@@ -1,6 +1,8 @@
 // Package bitio implements MSB-first bit-level readers and writers used by
 // the entropy-coding stages (Huffman coding of quantization bins, embedded
-// bit-plane coding in the ZFP-like baseline).
+// bit-plane coding in the ZFP-like baseline). The one Writer and the
+// FastReader move a 64-bit word at a time; Reader is the bit-by-bit form
+// the ZFP decoder uses and the fast paths are tested against.
 package bitio
 
 import (
@@ -11,16 +13,18 @@ import (
 // ErrUnexpectedEOF is returned when a read runs past the end of the stream.
 var ErrUnexpectedEOF = errors.New("bitio: unexpected end of stream")
 
-// ErrBitCount is returned by ReadBits when asked for more than 64 bits,
-// which cannot be represented in the result.
+// ErrBitCount reports a bit count above 64, which a uint64 cannot carry:
+// ReadBits returns it, WriteBits panics with it.
 var ErrBitCount = errors.New("bitio: bit count exceeds 64")
 
-// Writer accumulates bits MSB-first into an in-memory buffer.
+// Writer accumulates bits MSB-first into an in-memory buffer. Bits gather
+// in a 64-bit accumulator that is flushed as eight big-endian bytes when
+// it fills, so a write costs a shift and an or, not a loop over its bits.
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  byte
-	nCur uint // bits currently held in cur (0..7)
+	acc  uint64 // pending bits in the low nAcc positions, oldest highest
+	nAcc uint   // bits pending in acc (0..63)
 }
 
 // NewWriter returns a Writer with capacity for sizeHint bytes.
@@ -29,32 +33,47 @@ func NewWriter(sizeHint int) *Writer {
 }
 
 // WriteBit appends a single bit (the low bit of b).
-func (w *Writer) WriteBit(b uint) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
-	}
-}
+func (w *Writer) WriteBit(b uint) { w.WriteBits(uint64(b), 1) }
 
-// WriteBits appends the n low bits of v, most significant first. n may be 0.
+// WriteBits appends the n low bits of v, most significant first; bits of
+// v above bit n are ignored. n may be 0 and must be at most 64: a larger
+// count is a caller bug and panics with ErrBitCount, mirroring the
+// Reader, which rejects the same counts.
 func (w *Writer) WriteBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v >> uint(i)))
+	if n > 64 {
+		panic(ErrBitCount)
 	}
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	free := 64 - w.nAcc // 1..64; acc is zero when free is 64
+	if n < free {
+		w.acc = w.acc<<n | v
+		w.nAcc += n
+		return
+	}
+	// The leading bits of v complete the pending word, which is flushed;
+	// the rest start the next one.
+	rest := n - free // 0..63
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<free|v>>rest)
+	w.acc = v & (1<<rest - 1)
+	w.nAcc = rest
 }
 
 // BitLen returns the number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
+func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 
 // Bytes flushes any partial byte (zero-padded) and returns the buffer.
 // The Writer must not be used after calling Bytes.
 func (w *Writer) Bytes() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
 	}
+	if w.nAcc > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.nAcc)))
+	}
+	w.acc, w.nAcc = 0, 0
 	return w.buf
 }
 

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -191,5 +192,104 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bitByBitWriter is the writer this package shipped before the Writer
+// became word-at-a-time: one bit per step, taking the n low bits of v.
+// The Writer must emit exactly its bytes.
+type bitByBitWriter struct {
+	buf  []byte
+	cur  byte
+	nCur uint
+}
+
+func (w *bitByBitWriter) writeBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		w.cur = w.cur<<1 | byte(v>>uint(i)&1)
+		if w.nCur++; w.nCur == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.nCur = 0, 0
+		}
+	}
+}
+
+func (w *bitByBitWriter) bitLen() int { return len(w.buf)*8 + int(w.nCur) }
+
+func (w *bitByBitWriter) bytes() []byte {
+	if w.nCur > 0 {
+		return append(w.buf, w.cur<<(8-w.nCur))
+	}
+	return w.buf
+}
+
+// TestWriterMatchesBitByBit drives the Writer and the bit-by-bit reference
+// with the same random (v, n) runs — widths from 0 to 64 with the edge
+// widths over-represented, v carrying garbage above bit n — and compares
+// BitLen after every write and the bytes at the end.
+func TestWriterMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	edges := []uint{0, 1, 7, 8, 9, 31, 32, 33, 63, 64}
+	for run := 0; run < 2000; run++ {
+		w, ref := NewWriter(rng.Intn(4)), &bitByBitWriter{}
+		for k := rng.Intn(200); k > 0; k-- {
+			n := uint(rng.Intn(65))
+			if rng.Intn(3) == 0 {
+				n = edges[rng.Intn(len(edges))]
+			}
+			v := rng.Uint64() // bits above n are garbage and must be ignored
+			if n == 1 && rng.Intn(2) == 0 {
+				w.WriteBit(uint(v))
+			} else {
+				w.WriteBits(v, n)
+			}
+			ref.writeBits(v, n)
+			if w.BitLen() != ref.bitLen() {
+				t.Fatalf("run %d: BitLen = %d after a %d-bit write, want %d", run, w.BitLen(), n, ref.bitLen())
+			}
+		}
+		if got, want := w.Bytes(), ref.bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: bytes differ\n got  %x\n want %x", run, got, want)
+		}
+	}
+}
+
+// A count above 64 used to write n-64 zero bits ahead of v; the Reader
+// has long refused such counts, and now the Writer does too.
+func TestWriteBitsRejectsHugeCount(t *testing.T) {
+	w := NewWriter(0)
+	w.WriteBits(0x5, 3)
+	defer func() {
+		if r := recover(); r != ErrBitCount {
+			t.Fatalf("WriteBits(_, 65) recovered %v, want a panic with ErrBitCount", r)
+		}
+		// The refused call must not have written anything.
+		if w.BitLen() != 3 {
+			t.Fatalf("BitLen after the refused write = %d, want 3", w.BitLen())
+		}
+	}()
+	w.WriteBits(1, 65)
+}
+
+func BenchmarkWriteBits(b *testing.B) {
+	// Code lengths as a peaked Huffman stream has them: mostly 1-4 bits.
+	rng := rand.New(rand.NewSource(1))
+	widths := make([]uint8, 1<<16)
+	bits := 0
+	for i := range widths {
+		widths[i] = uint8(1 + min(int(rng.ExpFloat64()*2), 20))
+		bits += int(widths[i])
+	}
+	b.SetBytes(int64(bits / 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := NewWriter(bits/8 + 8)
+		for j, n := range widths {
+			w.WriteBits(uint64(j), uint(n))
+		}
+		if len(w.Bytes()) == 0 {
+			b.Fatal("nothing written")
+		}
 	}
 }

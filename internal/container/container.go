@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Codec identifiers embedded in the stream header.
@@ -110,6 +111,8 @@ func Encode(s *Stream) ([]byte, error) {
 	if _, err := CheckDims(s.Dims); err != nil {
 		return nil, err
 	}
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
 	var out bytes.Buffer
 	out.WriteString(magic)
 	out.WriteByte(version)
@@ -123,7 +126,7 @@ func Encode(s *Stream) ([]byte, error) {
 	binary.Write(&out, binary.LittleEndian, s.ErrorBound)
 	out.WriteByte(uint8(len(s.Sections)))
 	for _, sec := range s.Sections {
-		enc := deflate(sec.Data)
+		enc := d.deflate(sec.Data)
 		stored := enc
 		if len(enc) >= len(sec.Data) {
 			stored = sec.Data
@@ -316,20 +319,57 @@ func ScanSections(buf []byte) ([]SectionSpan, error) {
 	return spans, nil
 }
 
-// deflate compresses buf with DEFLATE at the default level.
-func deflate(buf []byte) []byte {
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.DefaultCompression)
+// deflater is a reusable DEFLATE stage at the default level: building a
+// flate.Writer costs about a megabyte of tables, resetting one costs
+// nothing, and a reset writer emits exactly what a new one would.
+type deflater struct {
+	w   *flate.Writer
+	out bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	w, err := flate.NewWriter(nil, flate.DefaultCompression)
 	if err != nil {
-		panic(err) // only fails on invalid level
+		panic(err) // only fails on an invalid level
 	}
-	if _, err := w.Write(buf); err != nil {
-		panic(err) // bytes.Buffer writes cannot fail
-	}
-	if err := w.Close(); err != nil {
+	return &deflater{w: w}
+}}
+
+// run compresses buf into dst. Writes to the in-memory sinks used here
+// cannot fail, so an error is a bug in this package.
+func (d *deflater) run(dst io.Writer, buf []byte) {
+	d.w.Reset(dst)
+	if _, err := d.w.Write(buf); err != nil {
 		panic(err)
 	}
-	return out.Bytes()
+	if err := d.w.Close(); err != nil {
+		panic(err)
+	}
+}
+
+// deflate compresses buf; the result is valid until d's next use.
+func (d *deflater) deflate(buf []byte) []byte {
+	d.out.Reset()
+	d.run(&d.out, buf)
+	return d.out.Bytes()
+}
+
+// byteCounter is a sink that only measures.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// DeflatedLen returns the size buf takes once DEFLATE-compressed the way
+// Encode compresses a section. The tuner prices trial streams with it.
+func DeflatedLen(buf []byte) int {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	var n byteCounter
+	d.run(&n, buf)
+	return int(n)
 }
 
 func inflate(buf []byte, sizeHint int) ([]byte, error) {

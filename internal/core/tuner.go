@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"compress/flate"
 	"math"
 
+	"qoz/internal/container"
 	"qoz/internal/huffman"
 	"qoz/internal/interp"
 	"qoz/internal/quant"
@@ -15,14 +14,24 @@ import (
 // tuner holds the sampled blocks and runs the two online optimizations:
 // level-adapted interpolator selection (paper Algorithm 1) and
 // quality-metric-oriented (α, β) auto-tuning (paper §VI-C, Table I).
+//
+// Every trial compression starts from the same per-block seed and needs
+// the same scratch, so both are set up once in newTuner and reused by all
+// (interpolator, α, β) candidates: seeds holds each block's seeded
+// reconstruction, trial the buffer a trial pass runs in, bins the symbol
+// buffer of whichever trial quantizer is live.
 type tuner struct {
 	dims   []int
 	o      Options
 	blocks []sampling.Block
+	seeds  [][]float32
+	trial  [][]float32
 	// recons holds the evolving per-block reconstruction state during
 	// level-by-level interpolator selection.
 	recons      [][]float32
+	bins        []uint32
 	blockAnchor int // anchor stride inside a sample block (0 = global)
+	nAnchors    int // anchor points over all blocks
 	vrange      float64
 	totalPts    int
 }
@@ -54,7 +63,45 @@ func newTuner(data []float32, dims []int, o Options) *tuner {
 			t.blockAnchor = 2
 		}
 	}
+
+	// Seeds: anchors copied losslessly, or the origin committed with zero
+	// prediction in the anchor-free ablation; zero everywhere else.
+	t.seeds = t.perBlock()
+	for i, b := range t.blocks {
+		if t.blockAnchor > 0 {
+			idxs := interp.AnchorIndices(b.Dims, t.blockAnchor)
+			t.nAnchors += len(idxs)
+			for _, idx := range idxs {
+				t.seeds[i][idx] = b.Data[idx]
+			}
+		} else {
+			r, _ := quant.EstimateOnly(b.Data[0], 0, t.o.ErrorBound, quant.DefaultRadius)
+			t.seeds[i][0] = r
+		}
+	}
+	t.trial = t.perBlock()
+	t.bins = make([]uint32, 0, t.totalPts)
 	return t
+}
+
+// perBlock returns one zeroed buffer per block, carved from a single
+// allocation.
+func (t *tuner) perBlock() [][]float32 {
+	backing := make([]float32, t.totalPts)
+	out := make([][]float32, len(t.blocks))
+	for i, b := range t.blocks {
+		out[i] = backing[:len(b.Data):len(b.Data)]
+		backing = backing[len(b.Data):]
+	}
+	return out
+}
+
+// quantizer returns a trial quantizer writing its symbols into the
+// tuner's shared buffer; only one is live at a time.
+func (t *tuner) quantizer(eb float64) *quant.Quantizer {
+	q := quant.New(eb, 0)
+	q.Bins = t.bins[:0]
+	return q
 }
 
 // blockMaxLevel returns the top interpolation level for one sample block
@@ -66,20 +113,17 @@ func (t *tuner) blockMaxLevel(b sampling.Block) int {
 	return interp.MaxLevelGlobal(b.Dims)
 }
 
-// seedBlock initializes a fresh reconstruction buffer for a block: anchors
-// are copied losslessly (or the origin is committed with zero prediction in
-// the anchor-free ablation).
-func (t *tuner) seedBlock(b sampling.Block) []float32 {
-	recon := make([]float32, len(b.Data))
-	if t.blockAnchor > 0 {
-		for _, idx := range interp.AnchorIndices(b.Dims, t.blockAnchor) {
-			recon[idx] = b.Data[idx]
+// trialEncode compresses every sample block from its seed into t.trial
+// under one configuration, appending to q's streams.
+func (t *tuner) trialEncode(q *quant.Quantizer, alpha, beta, eb float64, methods []interp.Method) {
+	for i, b := range t.blocks {
+		recon := t.trial[i]
+		copy(recon, t.seeds[i])
+		for level := t.blockMaxLevel(b); level >= 1; level-- {
+			q.SetBound(levelBound(eb, alpha, beta, level))
+			interp.LevelPassEncode(recon, b.Data, b.Dims, level, methodFor(methods, level), q)
 		}
-	} else {
-		r, _ := quant.EstimateOnly(b.Data[0], 0, t.o.ErrorBound, quant.DefaultRadius)
-		recon[0] = r
 	}
-	return recon
 }
 
 // selectMethods implements Algorithm 1: per-level best-fit interpolator
@@ -108,10 +152,10 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 	global := t.selectGlobalMethod(cands)
 
 	// Initialize per-block reconstruction state.
-	t.recons = make([][]float32, len(t.blocks))
+	t.recons = t.perBlock()
 	L := 0
 	for i, b := range t.blocks {
-		t.recons[i] = t.seedBlock(b)
+		copy(t.recons[i], t.seeds[i])
 		if l := t.blockMaxLevel(b); l > L {
 			L = l
 		}
@@ -127,19 +171,15 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 		bestCost := math.Inf(1)
 		globalCost := math.Inf(1)
 		for _, m := range cands {
-			q := quant.New(eb, 0)
-			count := 0
+			q := t.quantizer(eb)
 			for i, b := range t.blocks {
 				if level > t.blockMaxLevel(b) {
 					continue
 				}
-				scratch := append([]float32(nil), t.recons[i]...)
-				interp.LevelPass(scratch, b.Dims, level, m, func(idx int, pred float64) float32 {
-					count++
-					return q.Quantize(b.Data[idx], pred)
-				})
+				copy(t.trial[i], t.recons[i])
+				interp.LevelPassEncode(t.trial[i], b.Data, b.Dims, level, m, q)
 			}
-			if count == 0 {
+			if len(q.Bins) == 0 {
 				continue
 			}
 			// Cost is the level's entropy-coded size estimate: unlike the
@@ -162,15 +202,14 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 		}
 		methods[level-1] = best
 		// Commit the winning pass into the per-block state so the next
-		// (lower) level predicts from realistic reconstructions.
+		// (lower) level predicts from realistic reconstructions; only the
+		// reconstruction is kept, the symbols are scratch.
+		q := t.quantizer(eb)
 		for i, b := range t.blocks {
 			if level > t.blockMaxLevel(b) {
 				continue
 			}
-			interp.LevelPass(t.recons[i], b.Dims, level, best, func(idx int, pred float64) float32 {
-				r, _ := quant.EstimateOnly(b.Data[idx], pred, eb, quant.DefaultRadius)
-				return r
-			})
+			interp.LevelPassEncode(t.recons[i], b.Data, b.Dims, level, best, q)
 		}
 	}
 	// Levels above the sampled top reuse its interpolator (Algorithm 1's
@@ -186,31 +225,37 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 	best := cands[0]
 	bestCost := math.Inf(1)
+	eb := t.o.ErrorBound
 	for _, m := range cands {
-		q := quant.New(t.o.ErrorBound, 0)
-		count := 0
-		var l1 float64
-		for _, b := range t.blocks {
-			recon := t.seedBlock(b)
-			for level := t.blockMaxLevel(b); level >= 1; level-- {
-				interp.LevelPass(recon, b.Dims, level, m, func(idx int, pred float64) float32 {
-					count++
-					l1 += math.Abs(pred - float64(b.Data[idx]))
-					return q.Quantize(b.Data[idx], pred)
-				})
-			}
-		}
-		if count == 0 {
-			continue
-		}
+		q := t.quantizer(eb)
 		var cost float64
 		if t.o.DisableSampling {
 			// The "+S" ablation component bundles the improved uniform
 			// sampling *and* the bit-cost criterion; with sampling
 			// disabled we reproduce SZ3's selection: mean L1 prediction
 			// error on a single centered block.
+			count := 0
+			var l1 float64
+			for i, b := range t.blocks {
+				recon := t.trial[i]
+				copy(recon, t.seeds[i])
+				for level := t.blockMaxLevel(b); level >= 1; level-- {
+					interp.LevelPass(recon, b.Dims, level, m, func(idx int, pred float64) float32 {
+						count++
+						l1 += math.Abs(pred - float64(b.Data[idx]))
+						return q.Quantize(b.Data[idx], pred)
+					})
+				}
+			}
+			if count == 0 {
+				continue
+			}
 			cost = l1 / float64(count)
 		} else {
+			t.trialEncode(q, 1, 1, eb, []interp.Method{m})
+			if len(q.Bins) == 0 {
+				continue
+			}
 			cost = float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
 		}
 		if cost < bestCost {
@@ -316,28 +361,13 @@ func (t *tuner) secondBeatsFirst(resI, resII evalResult, ii struct{ a, b float64
 // evaluate runs a sampled trial compression with the given parameters and
 // returns the estimated bit-rate and quality score.
 func (t *tuner) evaluate(alpha, beta, eb float64, methods []interp.Method) evalResult {
-	q := quant.New(eb, 0)
-	var nAnchors int
-	// Per-block reconstructions for metric evaluation.
-	recons := make([][]float32, len(t.blocks))
-	for i, b := range t.blocks {
-		recon := t.seedBlock(b)
-		if t.blockAnchor > 0 {
-			nAnchors += len(interp.AnchorIndices(b.Dims, t.blockAnchor))
-		}
-		for level := t.blockMaxLevel(b); level >= 1; level-- {
-			q.SetBound(levelBound(eb, alpha, beta, level))
-			m := methodFor(methods, level)
-			interp.LevelPass(recon, b.Dims, level, m, func(idx int, pred float64) float32 {
-				return q.Quantize(b.Data[idx], pred)
-			})
-		}
-		recons[i] = recon
+	q := t.quantizer(eb)
+	t.trialEncode(q, alpha, beta, eb, methods)
+	bits := encodedBits(q.Bins) + 32*(len(q.Literals)+t.nAnchors)
+	return evalResult{
+		bitrate: float64(bits) / float64(t.totalPts),
+		score:   t.score(t.trial),
 	}
-	bits := encodedBits(q.Bins) + 32*(len(q.Literals)+nAnchors)
-	res := evalResult{bitrate: float64(bits) / float64(t.totalPts)}
-	res.score = t.score(recons)
-	return res
 }
 
 // score computes the tuning metric over the sampled blocks (higher is
@@ -436,21 +466,7 @@ func centerBlock(data []float32, dims []int, edge int) sampling.Block {
 // where the dictionary stage does much of the work.
 func encodedBits(bins []uint32) int {
 	enc := huffman.Encode(bins)
-	var z bytes.Buffer
-	w, err := flate.NewWriter(&z, flate.DefaultCompression)
-	if err != nil {
-		return 8 * len(enc)
-	}
-	if _, err := w.Write(enc); err != nil {
-		return 8 * len(enc)
-	}
-	if err := w.Close(); err != nil {
-		return 8 * len(enc)
-	}
-	if z.Len() < len(enc) {
-		return 8 * z.Len()
-	}
-	return 8 * len(enc)
+	return 8 * min(len(enc), container.DeflatedLen(enc))
 }
 
 func minInt(a, b int) int {

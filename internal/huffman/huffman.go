@@ -5,13 +5,22 @@
 // self-describing: a compact header stores the code-length table for the
 // symbols that actually occur, followed by the MSB-first bitstream. The
 // decoder rebuilds the canonical code from the lengths alone.
+//
+// Neither direction touches a map per symbol. The encode side (code.go)
+// histograms by flat counting over the observed symbol window, keeps code
+// lengths and canonical codes in slices parallel to the sorted symbols,
+// and emits through a dense code[symbol-base] table into the
+// word-at-a-time bit writer; alphabets wider than the window take sorted
+// sparse forms. The decode side (fast.go) reads through a flat look-up
+// table fed by the word-at-a-time bit reader. The map-based encoder and
+// the bit-by-bit decoder these replaced live on as test oracles.
 package huffman
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"qoz/internal/bitio"
 	"qoz/internal/pool"
@@ -31,63 +40,42 @@ const maxTrivialRun = 1 << 40
 // Encode compresses the symbol stream. The output is independent of any
 // out-of-band state; Decode(Encode(s)) == s.
 func Encode(symbols []uint32) []byte {
-	freq := make(map[uint32]uint64, 256)
-	for _, s := range symbols {
-		freq[s]++
-	}
-	header := make([]byte, 0, 64)
+	h := countSymbols(symbols)
+	header := make([]byte, 0, 16+3*len(h.syms))
 	header = binary.AppendUvarint(header, uint64(len(symbols)))
-	header = binary.AppendUvarint(header, uint64(len(freq)))
-	if len(freq) == 0 {
+	header = binary.AppendUvarint(header, uint64(len(h.syms)))
+	if len(h.syms) == 0 {
 		return header
 	}
-	if len(freq) == 1 {
+	if len(h.syms) == 1 {
 		// Single distinct symbol: no bitstream is needed.
-		for s := range freq {
-			header = binary.AppendUvarint(header, uint64(s))
-		}
-		return header
+		return binary.AppendUvarint(header, uint64(h.syms[0]))
 	}
+	c := buildCode(h)
+	header = appendCodeEntries(header, c.syms, c.lens)
 
-	lengths := codeLengths(freq)
-	syms := make([]uint32, 0, len(lengths))
-	for s := range lengths {
-		syms = append(syms, s)
-	}
-	// Canonical order: by (length, symbol).
-	sort.Slice(syms, func(i, j int) bool {
-		li, lj := lengths[syms[i]], lengths[syms[j]]
-		if li != lj {
-			return li < lj
-		}
-		return syms[i] < syms[j]
-	})
-	codes := assignCodes(syms, lengths)
+	w := bitio.NewWriter(len(header) + (c.bits+7)/8)
+	writeBytes(w, header)
+	c.enc.emit(w, symbols)
+	return w.Bytes()
+}
 
-	// Header: per distinct symbol, delta-coded symbol id and its length.
+// appendCodeEntries serializes a canonical code's (symbol, length) pairs:
+// per symbol a delta-coded id and its length. Symbols within a length
+// class are increasing, but across classes they may go backwards, so
+// deltas after the first are zig-zag coded.
+func appendCodeEntries(dst []byte, syms []uint32, lens []uint8) []byte {
 	prev := uint32(0)
 	for i, s := range syms {
 		delta := uint64(s)
 		if i > 0 {
-			// Symbols within a length class are increasing, but across
-			// classes they may go backwards; encode zig-zag deltas.
 			delta = zigzag(int64(s) - int64(prev))
 		}
-		header = binary.AppendUvarint(header, delta)
-		header = append(header, byte(lengths[s]))
+		dst = binary.AppendUvarint(dst, delta)
+		dst = append(dst, lens[i])
 		prev = s
 	}
-
-	w := bitio.NewWriter(len(symbols) / 2)
-	for _, s := range symbols {
-		c := codes[s]
-		w.WriteBits(c.code, uint(c.len))
-	}
-	payload := w.Bytes()
-	out := make([]byte, 0, len(header)+len(payload))
-	out = append(out, header...)
-	out = append(out, payload...)
-	return out
+	return dst
 }
 
 // Decode reverses Encode. Symbols decode through a flat lookup table fed
@@ -210,132 +198,6 @@ func readHeaderCounts(buf []byte) (n, k uint64, rest []byte, err error) {
 	return n, k, buf[m:], nil
 }
 
-type codeEntry struct {
-	code uint64
-	len  uint8
-}
-
-// assignCodes produces canonical codes for symbols already sorted by
-// (length, symbol).
-func assignCodes(syms []uint32, lengths map[uint32]uint8) map[uint32]codeEntry {
-	codes := make(map[uint32]codeEntry, len(syms))
-	code := uint64(0)
-	prevLen := uint8(0)
-	for _, s := range syms {
-		l := lengths[s]
-		code <<= (l - prevLen)
-		codes[s] = codeEntry{code: code, len: l}
-		code++
-		prevLen = l
-	}
-	return codes
-}
-
-// codeLengths runs the classic two-queue Huffman construction over the
-// frequency table and returns the depth of each leaf, flattened to
-// maxCodeLen if necessary (flattening preserves prefix-freeness by
-// re-running with damped frequencies).
-func codeLengths(freq map[uint32]uint64) map[uint32]uint8 {
-	for damp := 0; ; damp++ {
-		lengths, ok := tryCodeLengths(freq, damp)
-		if ok {
-			return lengths
-		}
-	}
-}
-
-type hnode struct {
-	weight      uint64
-	left, right int32 // indices into the node arena, -1 for leaves
-	sym         uint32
-}
-
-func tryCodeLengths(freq map[uint32]uint64, damp int) (map[uint32]uint8, bool) {
-	leaves := make([]hnode, 0, len(freq))
-	for s, f := range freq {
-		w := f >> uint(damp*4)
-		if w == 0 {
-			w = 1
-		}
-		leaves = append(leaves, hnode{weight: w, left: -1, right: -1, sym: s})
-	}
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].weight != leaves[j].weight {
-			return leaves[i].weight < leaves[j].weight
-		}
-		return leaves[i].sym < leaves[j].sym
-	})
-
-	arena := make([]hnode, len(leaves), 2*len(leaves))
-	copy(arena, leaves)
-	// Two sorted queues: remaining leaves, and internal nodes (built in
-	// non-decreasing weight order).
-	leafQ := make([]int32, len(leaves))
-	for i := range leafQ {
-		leafQ[i] = int32(i)
-	}
-	var internQ []int32
-	pop := func() int32 {
-		switch {
-		case len(leafQ) == 0:
-			n := internQ[0]
-			internQ = internQ[1:]
-			return n
-		case len(internQ) == 0:
-			n := leafQ[0]
-			leafQ = leafQ[1:]
-			return n
-		case arena[leafQ[0]].weight <= arena[internQ[0]].weight:
-			n := leafQ[0]
-			leafQ = leafQ[1:]
-			return n
-		default:
-			n := internQ[0]
-			internQ = internQ[1:]
-			return n
-		}
-	}
-	for len(leafQ)+len(internQ) > 1 {
-		a := pop()
-		b := pop()
-		arena = append(arena, hnode{
-			weight: arena[a].weight + arena[b].weight,
-			left:   a,
-			right:  b,
-		})
-		internQ = append(internQ, int32(len(arena)-1))
-	}
-	root := pop()
-
-	lengths := make(map[uint32]uint8, len(freq))
-	type frame struct {
-		node  int32
-		depth uint8
-	}
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := arena[f.node]
-		if n.left < 0 {
-			if f.depth > maxCodeLen {
-				return nil, false
-			}
-			d := f.depth
-			if d == 0 {
-				d = 1 // degenerate single-node tree; callers avoid this case
-			}
-			lengths[n.sym] = d
-			continue
-		}
-		if f.depth >= maxCodeLen {
-			return nil, false
-		}
-		stack = append(stack, frame{n.left, f.depth + 1}, frame{n.right, f.depth + 1})
-	}
-	return lengths, true
-}
-
 func zigzag(v int64) uint64 {
 	return uint64((v << 1) ^ (v >> 63))
 }
@@ -348,43 +210,18 @@ func unzigzag(u uint64) int64 {
 // would produce for the stream, excluding the header. It is used by the
 // online tuner for cheap bit-rate estimation.
 func EstimateBits(symbols []uint32) int {
-	if len(symbols) == 0 {
+	h := countSymbols(symbols)
+	if len(h.syms) < 2 {
 		return 0
 	}
-	freq := make(map[uint32]uint64, 256)
-	for _, s := range symbols {
-		freq[s]++
-	}
-	if len(freq) == 1 {
-		return 0
-	}
-	lengths := codeLengths(freq)
-	bits := 0
-	for s, f := range freq {
-		bits += int(f) * int(lengths[s])
-	}
-	return bits
+	return payloadBits(h.freq, codeLengths(h.freq))
 }
 
-// String diagnostics for tests.
+// DumpLengths describes a stream's code for test diagnostics.
 func DumpLengths(symbols []uint32) string {
-	freq := make(map[uint32]uint64)
-	for _, s := range symbols {
-		freq[s]++
-	}
-	if len(freq) < 2 {
+	h := countSymbols(symbols)
+	if len(h.syms) < 2 {
 		return "trivial"
 	}
-	lengths := codeLengths(freq)
-	return fmt.Sprintf("%d distinct, max len %d", len(lengths), maxLen(lengths))
-}
-
-func maxLen(lengths map[uint32]uint8) uint8 {
-	var m uint8
-	for _, l := range lengths {
-		if l > m {
-			m = l
-		}
-	}
-	return m
+	return fmt.Sprintf("%d distinct, max len %d", len(h.syms), slices.Max(codeLengths(h.freq)))
 }

@@ -2,7 +2,6 @@ package huffman
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"qoz/internal/bitio"
 	"qoz/internal/pool"
@@ -20,7 +19,11 @@ type Table struct {
 	syms []uint32 // canonical (length, symbol) order
 	lens []uint8  // lens[i] is the code length of syms[i]
 
-	codes map[uint32]codeEntry // encode side
+	// Encode side, present on tables made by BuildTable: the emit lookup,
+	// and the mean code length over the build set, which sizes segment
+	// buffers.
+	enc      encoder
+	meanBits float64
 
 	// Canonical decode tables, mirroring Decode's inline construction.
 	count     [maxCodeLen + 1]int
@@ -33,39 +36,23 @@ type Table struct {
 }
 
 // BuildTable constructs the canonical code over all symbols that will be
-// segment-encoded against it. Symbols absent from the build set cannot be
-// encoded later.
-func BuildTable(symbols []uint32) *Table {
-	freq := make(map[uint32]uint64, 256)
-	for _, s := range symbols {
-		freq[s]++
-	}
-	return buildTableFromFreq(freq)
-}
-
-func buildTableFromFreq(freq map[uint32]uint64) *Table {
+// segment-encoded against it, given as one run or as the segments
+// themselves. Symbols absent from the build set cannot be encoded later.
+func BuildTable(segments ...[]uint32) *Table {
+	h := countSymbols(segments...)
 	t := &Table{}
-	if len(freq) == 0 {
+	if len(h.syms) == 0 {
 		return t
 	}
-	if len(freq) == 1 {
-		for s := range freq {
-			t.syms = []uint32{s}
-			t.lens = []uint8{0} // no bits per symbol
-		}
+	if len(h.syms) == 1 {
+		t.syms = h.syms
+		t.lens = []uint8{0} // no bits per symbol
 		return t
 	}
-	lengths := codeLengths(freq)
-	t.syms = make([]uint32, 0, len(lengths))
-	for s := range lengths {
-		t.syms = append(t.syms, s)
-	}
-	sortCanonical(t.syms, lengths)
-	t.codes = assignCodes(t.syms, lengths)
-	t.lens = make([]uint8, len(t.syms))
-	for i, s := range t.syms {
-		t.lens[i] = lengths[s]
-	}
+	c := buildCode(h)
+	t.syms, t.lens = c.syms, c.lens
+	t.enc = c.enc
+	t.meanBits = float64(c.bits) / float64(h.total)
 	t.buildDecode()
 	return t
 }
@@ -101,17 +88,7 @@ func (t *Table) AppendHeader(dst []byte) []byte {
 	if len(t.syms) == 1 {
 		return binary.AppendUvarint(dst, uint64(t.syms[0]))
 	}
-	prev := uint32(0)
-	for i, s := range t.syms {
-		delta := uint64(s)
-		if i > 0 {
-			delta = zigzag(int64(s) - int64(prev))
-		}
-		dst = binary.AppendUvarint(dst, delta)
-		dst = append(dst, t.lens[i])
-		prev = s
-	}
-	return dst
+	return appendCodeEntries(dst, t.syms, t.lens)
 }
 
 // ParseTable reverses AppendHeader, returning the table and the bytes that
@@ -166,18 +143,28 @@ func ParseTable(buf []byte) (*Table, []byte, error) {
 // EncodeSegment encodes one symbol run against the table as an
 // independently decodable, byte-aligned segment: uvarint count, then the
 // MSB-first bitstream (empty for tables of fewer than two symbols). Every
-// symbol must have occurred in the table's build set.
+// symbol must have occurred in the table's build set; one that did not
+// cannot be represented, and EncodeSegment panics naming it rather than
+// return a segment that silently decodes to different symbols.
 func (t *Table) EncodeSegment(symbols []uint32) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(symbols)))
-	if len(t.syms) < 2 || len(symbols) == 0 {
-		return out
+	var count [binary.MaxVarintLen64]byte
+	head := count[:binary.PutUvarint(count[:], uint64(len(symbols)))]
+	if len(t.syms) < 2 {
+		for _, s := range symbols {
+			if len(t.syms) == 0 || s != t.syms[0] {
+				panic(foreignSymbol(s))
+			}
+		}
+		return append([]byte(nil), head...)
 	}
-	w := bitio.NewWriter(len(symbols) / 2)
-	for _, s := range symbols {
-		c := t.codes[s]
-		w.WriteBits(c.code, uint(c.len))
-	}
-	return append(out, w.Bytes()...)
+	// Levels differ in entropy, so the build set's mean code length only
+	// estimates this segment's size; an eighth of slack keeps most
+	// segments to a single allocation.
+	est := int(float64(len(symbols)) * t.meanBits / 8)
+	w := bitio.NewWriter(len(head) + est + est/8 + 16)
+	writeBytes(w, head)
+	t.enc.emit(w, symbols)
+	return w.Bytes()
 }
 
 // DecodeSegment reverses EncodeSegment, ignoring the final byte's padding
@@ -246,16 +233,4 @@ func (t *Table) parseSegment(buf []byte) (n uint64, m int, payload []byte, out [
 		return 0, 0, nil, nil, errCorrupt
 	}
 	return n, m, buf[m:], nil, nil
-}
-
-// sortCanonical orders symbols by (code length, symbol id), the canonical
-// order shared by the encoder and the header.
-func sortCanonical(syms []uint32, lengths map[uint32]uint8) {
-	sort.Slice(syms, func(i, j int) bool {
-		li, lj := lengths[syms[i]], lengths[syms[j]]
-		if li != lj {
-			return li < lj
-		}
-		return syms[i] < syms[j]
-	})
 }

@@ -16,6 +16,14 @@
 //   - global (SZ3): only the origin is known initially (committed with a
 //     zero prediction) and the top level spans the whole array, reproducing
 //     SZ3's long-range interpolation behaviour.
+//
+// One level can be swept three ways. LevelPass is the reference: an
+// odometer walk that hands every point's prediction to a commit closure.
+// LevelPassDecode (decode.go) and LevelPassEncode (encode.go) are the hot
+// paths of decompression and compression: the same points in the same
+// order, walked line by line with one stencil variant chosen per line and
+// the dequantizer or quantizer fused into the loops. Differential tests
+// pin both bit-identical to LevelPass.
 package interp
 
 import (

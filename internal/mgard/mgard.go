@@ -47,12 +47,11 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 		recon[idx] = data[idx]
 	}
 	q := quant.New(eb, 0)
+	q.Bins = make([]uint32, 0, len(data)-len(idxs))
 	m := interp.Method{Kind: interp.Linear, Order: interp.Increasing}
 	for level := maxLevel; level >= 1; level-- {
 		q.SetBound(levelBound(eb, level))
-		interp.LevelPass(recon, dims, level, m, func(idx int, pred float64) float32 {
-			return q.Quantize(data[idx], pred)
-		})
+		interp.LevelPassEncode(recon, data, dims, level, m, q)
 	}
 	payload := &szstream.Payload{
 		Bins:     q.Bins,

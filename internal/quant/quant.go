@@ -74,6 +74,15 @@ func (q *Quantizer) Quantize(v float32, p float64) float32 {
 	return recon
 }
 
+// EncodeState exposes the constants a fused encode loop needs, so flattened
+// sweeps (internal/interp) can inline quantization instead of paying a
+// call per point; it mirrors Dequantizer.DecodeState. The loop must apply
+// exactly Quantize's expression sequence and append its symbols and
+// escaped values to Bins and Literals, which stay the streams of record.
+func (q *Quantizer) EncodeState() (radius int32, eb float64) {
+	return q.radius, q.eb
+}
+
 // EstimateOnly quantizes without retaining streams; it returns the
 // reconstruction and whether the value had to be escaped. Used by sampling
 // trials where only prediction errors matter.

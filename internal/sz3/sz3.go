@@ -31,12 +31,11 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 	}
 	method := selectMethod(data, dims, eb)
 	q := quant.New(eb, 0)
+	q.Bins = make([]uint32, 0, len(data))
 	recon := make([]float32, len(data))
 	recon[0] = q.Quantize(data[0], 0)
 	for level := interp.MaxLevelGlobal(dims); level >= 1; level-- {
-		interp.LevelPass(recon, dims, level, method, func(idx int, pred float64) float32 {
-			return q.Quantize(data[idx], pred)
-		})
+		interp.LevelPassEncode(recon, data, dims, level, method, q)
 	}
 	payload := &szstream.Payload{
 		Bins:     q.Bins,

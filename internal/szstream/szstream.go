@@ -142,11 +142,11 @@ func (p *LevelPayload) Segment(level int) *LevelSegment {
 // config, anchors, table, then segments from the seed stage down to level
 // 1 — exactly the order a progressive decoder consumes them.
 func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload) ([]byte, error) {
-	var all []uint32
-	for _, seg := range p.Segments {
-		all = append(all, seg.Bins...)
+	runs := make([][]uint32, len(p.Segments))
+	for i, seg := range p.Segments {
+		runs[i] = seg.Bins
 	}
-	tbl := huffman.BuildTable(all)
+	tbl := huffman.BuildTable(runs...)
 	s := &container.Stream{
 		Codec:      codec,
 		Dims:       dims,
