@@ -280,8 +280,8 @@ func storeRecords(ds datagen.Dataset) ([]benchRecord, error) {
 	}
 	if err := measure("float64", 8,
 		func(w *bytes.Buffer) error { return store.WriteT(ctx, w, wide, ds.Dims, wo) },
-		func(s *store.Store) error { _, err := s.ReadFieldFloat64(ctx); return err },
-		func(s *store.Store) error { _, err := s.ReadRegionFloat64(ctx, roiLo, roiHi); return err },
+		func(s *store.Store) error { _, err := store.ReadFieldT[float64](ctx, s); return err },
+		func(s *store.Store) error { _, err := store.ReadRegionT[float64](ctx, s, roiLo, roiHi); return err },
 	); err != nil {
 		return nil, err
 	}

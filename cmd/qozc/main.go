@@ -140,11 +140,11 @@ func compareCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	a, err := readFloats(*orig, dims)
+	a, err := readRaw[float32](*orig, dims)
 	if err != nil {
 		return err
 	}
-	b, err := readFloats(*recon, dims)
+	b, err := readRaw[float32](*recon, dims)
 	if err != nil {
 		return err
 	}
@@ -192,43 +192,38 @@ func compressCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := qoz.Options{ErrorBound: *abs, RelBound: *rel, Metric: metric}
+	so := qoz.StreamOptions{
+		Codec:   codec,
+		Opts:    qoz.Options{ErrorBound: *abs, RelBound: *rel, Metric: metric},
+		Workers: *workers,
+	}
 	dst := *out
 	if dst == "" {
 		dst = *in + ".qoz"
 	}
-
-	// Read and validate the input before touching dst, then stream into a
-	// temp file renamed over dst only on success, so a failed run never
-	// clobbers an existing archive.
-	ctx := context.Background()
-	var origBytes int
-	var encode func(enc *qoz.Encoder) error
 	switch *prec {
 	case 32:
-		data, err := readFloats(*in, dims)
-		if err != nil {
-			return err
-		}
-		origBytes = len(data) * 4
-		encode = func(enc *qoz.Encoder) error { return enc.Encode(ctx, data, dims) }
+		return compressRaw[float32](*in, dst, dims, so)
 	case 64:
-		data, err := readFloats64(*in, dims)
-		if err != nil {
-			return err
-		}
-		origBytes = len(data) * 8
-		encode = func(enc *qoz.Encoder) error { return enc.EncodeFloat64(ctx, data, dims) }
-	default:
-		return fmt.Errorf("unsupported precision %d (want 32 or 64)", *prec)
+		return compressRaw[float64](*in, dst, dims, so)
 	}
+	return fmt.Errorf("unsupported precision %d (want 32 or 64)", *prec)
+}
 
+// compressRaw reads and validates the raw input before touching dst, then
+// streams into a temp file renamed over dst only on success, so a failed
+// run never clobbers an existing archive.
+func compressRaw[T qoz.Float](in, dst string, dims []int, so qoz.StreamOptions) error {
+	data, err := readRaw[T](in, dims)
+	if err != nil {
+		return err
+	}
 	if err := writeAtomic(dst, func(f *os.File) error {
-		enc, err := qoz.NewEncoder(f, qoz.StreamOptions{Codec: codec, Opts: opts, Workers: *workers})
+		enc, err := qoz.NewEncoder(f, so)
 		if err != nil {
 			return err
 		}
-		return encode(enc)
+		return qoz.EncodeT(context.Background(), enc, data, dims)
 	}); err != nil {
 		return err
 	}
@@ -236,8 +231,9 @@ func compressCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	origBytes := len(data) * sampleBytes[T]()
 	fmt.Printf("%s: %d -> %d bytes (CR %.1f), codec=%s\n",
-		dst, origBytes, st.Size(), float64(origBytes)/float64(st.Size()), codec.Name())
+		dst, origBytes, st.Size(), float64(origBytes)/float64(st.Size()), so.Codec.Name())
 	return nil
 }
 
@@ -266,38 +262,24 @@ func decompressCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	if isFloat64Payload(buf) {
-		data, dims, err := qoz.Decode[float64](ctx, buf)
-		if err != nil {
-			return err
-		}
-		dst := *out
-		if dst == "" {
-			dst = *in + ".f64"
-		}
-		raw := make([]byte, 8*len(data))
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-		}
-		if err := os.WriteFile(dst, raw, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("%s: dims %v, %d points (float64)\n", dst, dims, len(data))
-		return nil
+		return decompressTo[float64](buf, *in, *out)
 	}
-	data, dims, err := qoz.Decode[float32](ctx, buf)
+	return decompressTo[float32](buf, *in, *out)
+}
+
+func decompressTo[T qoz.Float](buf []byte, in, dst string) error {
+	data, dims, err := qoz.Decode[T](context.Background(), buf)
 	if err != nil {
 		return err
 	}
-	dst := *out
 	if dst == "" {
-		dst = *in + ".f32"
+		dst = in + rawExt[T]()
 	}
-	if err := writeRawFloats(dst, data); err != nil {
+	if err := writeRaw(dst, data); err != nil {
 		return err
 	}
-	fmt.Printf("%s: dims %v, %d points\n", dst, dims, len(data))
+	fmt.Printf("%s: dims %v, %d points%s\n", dst, dims, len(data), float64Note(sampleBytes[T]() == 8))
 	return nil
 }
 
@@ -397,45 +379,16 @@ func putCmd(args []string) error {
 			return err
 		}
 		wo.Opts = qoz.Options{ErrorBound: *abs, RelBound: *rel}
-		switch {
-		case *prec != 32 && *prec != 64:
-			return fmt.Errorf("unsupported precision %d (want 32 or 64)", *prec)
-		case *mutable && *prec == 32:
-			data, err := readFloats(*in, dims)
-			if err != nil {
-				return err
-			}
-			err = putMutableRaw(ctx, dst, data, dims, wo)
-			if err != nil {
-				return err
-			}
-		case *mutable:
-			data, err := readFloats64(*in, dims)
-			if err != nil {
-				return err
-			}
-			wo.Float64 = true
-			if err := putMutableRaw(ctx, dst, data, dims, wo); err != nil {
-				return err
-			}
+		switch *prec {
+		case 32:
+			err = putRaw[float32](ctx, *in, dst, dims, wo, *mutable)
+		case 64:
+			err = putRaw[float64](ctx, *in, dst, dims, wo, *mutable)
 		default:
-			var build func(f *os.File) error
-			if *prec == 32 {
-				data, err := readFloats(*in, dims)
-				if err != nil {
-					return err
-				}
-				build = func(f *os.File) error { return store.Write(ctx, f, data, dims, wo) }
-			} else {
-				data, err := readFloats64(*in, dims)
-				if err != nil {
-					return err
-				}
-				build = func(f *os.File) error { return store.WriteT(ctx, f, data, dims, wo) }
-			}
-			if err := writeAtomic(dst, build); err != nil {
-				return err
-			}
+			err = fmt.Errorf("unsupported precision %d (want 32 or 64)", *prec)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	s, err := store.OpenFile(dst, store.Options{})
@@ -451,21 +404,27 @@ func putCmd(args []string) error {
 	for _, d := range s.Dims() {
 		points *= d
 	}
-	elem := 4
-	if s.Float64() {
-		elem = 8
-	}
+	elem := storeSampleBytes(s)
 	fmt.Printf("%s: dims %v, brick %v, %d bricks, dtype=%s, %d -> %d bytes (CR %.1f), codec=%s\n",
 		dst, s.Dims(), s.BrickShape(), s.NumBricks(), s.DType(), points*elem, st.Size(),
 		float64(points*elem)/float64(st.Size()), s.Codec().Name())
 	return nil
 }
 
-// putMutableRaw builds a mutable (v3) store at dst from an in-memory
-// field: created empty along the slowest dimension, then grown to dims[0]
-// steps in one appended generation. dst must not exist (mutable stores
-// are grown in place, so there is no atomic-rename temp path).
-func putMutableRaw[T qoz.Float](ctx context.Context, dst string, data []T, dims []int, wo store.WriteOptions) error {
+// putRaw builds a store at dst from a raw file of T samples: write-once
+// via an atomically renamed temp file, or — mutable — created empty along
+// the slowest dimension and grown to dims[0] steps in one appended
+// generation. A mutable dst must not exist (mutable stores are grown in
+// place, so there is no atomic-rename temp path).
+func putRaw[T qoz.Float](ctx context.Context, in, dst string, dims []int, wo store.WriteOptions, mutable bool) error {
+	data, err := readRaw[T](in, dims)
+	if err != nil {
+		return err
+	}
+	if !mutable {
+		return writeAtomic(dst, func(f *os.File) error { return store.WriteT(ctx, f, data, dims, wo) })
+	}
+	wo.Float64 = sampleBytes[T]() == 8
 	opts, err := qoz.ResolveAbsT(wo.Opts, data)
 	if err != nil {
 		return err
@@ -510,34 +469,32 @@ func putMutableFromStream(ctx context.Context, dst string, dec *qoz.Decoder, wo 
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
+	appendAll := appendSlabs[float32]
+	if hdr.Float64 {
+		appendAll = appendSlabs[float64]
+	}
+	if err := appendAll(ctx, m, dec); err != nil {
 		m.Close()
 		os.Remove(dst)
 		return err
 	}
+	return m.Close()
+}
+
+// appendSlabs drains dec into m one slab — whole steps — at a time.
+func appendSlabs[T qoz.Float](ctx context.Context, m *store.Mutable, dec *qoz.Decoder) error {
 	for {
-		var aerr error
-		if hdr.Float64 {
-			var slab []float64
-			slab, _, aerr = dec.NextSlabFloat64(ctx)
-			if aerr == nil {
-				aerr = m.AppendStepsFloat64(ctx, slab)
-			}
-		} else {
-			var slab []float32
-			slab, _, aerr = dec.NextSlab(ctx)
-			if aerr == nil {
-				aerr = m.AppendSteps(ctx, slab)
-			}
+		slab, _, err := qoz.NextSlabT[T](ctx, dec)
+		if err == io.EOF {
+			return nil
 		}
-		if aerr == io.EOF {
-			break
+		if err == nil {
+			err = store.AppendStepsT(ctx, m, slab)
 		}
-		if aerr != nil {
-			return fail(aerr)
+		if err != nil {
+			return err
 		}
 	}
-	return m.Close()
 }
 
 // appendCmd appends time steps from a raw float file to a mutable store,
@@ -561,41 +518,34 @@ func appendCmd(args []string) error {
 	for _, d := range dims[1:] {
 		rowPoints *= d
 	}
-	elem := 4
-	if m.Float64() {
-		elem = 8
-	}
 	fi, err := os.Stat(*in)
 	if err != nil {
 		return err
 	}
-	stepBytes := int64(rowPoints) * int64(elem)
+	stepBytes := int64(rowPoints) * int64(storeSampleBytes(m.Store))
 	if fi.Size() == 0 || fi.Size()%stepBytes != 0 {
 		return fmt.Errorf("%s holds %d bytes; one %s step of %v is %d bytes",
 			*in, fi.Size(), m.DType(), dims[1:], stepBytes)
 	}
 	steps := int(fi.Size() / stepBytes)
 	stepDims := append([]int{steps}, dims[1:]...)
-	ctx := context.Background()
+	appendFile := appendRaw[float32]
 	if m.Float64() {
-		data, err := readFloats64(*in, stepDims)
-		if err != nil {
-			return err
-		}
-		if err := m.AppendStepsFloat64(ctx, data); err != nil {
-			return err
-		}
-	} else {
-		data, err := readFloats(*in, stepDims)
-		if err != nil {
-			return err
-		}
-		if err := m.AppendSteps(ctx, data); err != nil {
-			return err
-		}
+		appendFile = appendRaw[float64]
+	}
+	if err := appendFile(m, *in, stepDims); err != nil {
+		return err
 	}
 	fmt.Printf("%s: +%d steps -> dims %v, generation %d\n", *st, steps, m.Dims(), m.Generation())
 	return nil
+}
+
+func appendRaw[T qoz.Float](m *store.Mutable, in string, stepDims []int) error {
+	data, err := readRaw[T](in, stepDims)
+	if err != nil {
+		return err
+	}
+	return store.AppendStepsT(context.Background(), m, data)
 }
 
 // compactCmd rewrites a mutable store down to its single latest
@@ -643,34 +593,35 @@ func getCmd(args []string) error {
 		return err
 	}
 	defer s.Close()
-	if s.Float64() {
-		data, err := s.ReadFieldFloat64(context.Background())
-		if err != nil {
-			return err
-		}
-		dst := *out
-		if dst == "" {
-			dst = *in + ".f64"
-		}
-		if err := writeRawFloats64(dst, data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: dims %v, %d points (float64)\n", dst, s.Dims(), len(data))
-		return nil
-	}
-	data, err := s.ReadField(context.Background())
+	dims := s.Dims()
+	dst, points, err := extractRaw(s, make([]int, len(dims)), dims, *out, *in)
 	if err != nil {
 		return err
 	}
-	dst := *out
-	if dst == "" {
-		dst = *in + ".f32"
-	}
-	if err := writeRawFloats(dst, data); err != nil {
-		return err
-	}
-	fmt.Printf("%s: dims %v, %d points\n", dst, s.Dims(), len(data))
+	fmt.Printf("%s: dims %v, %d points%s\n", dst, dims, points, float64Note(s.Float64()))
 	return nil
+}
+
+// extractRaw decodes the box [lo, hi) of s in the store's own sample kind
+// and writes it raw to dst (default: base plus the kind's extension),
+// returning the path written and the point count.
+func extractRaw(s *store.Store, lo, hi []int, dst, base string) (string, int, error) {
+	extract := extractRawT[float32]
+	if s.Float64() {
+		extract = extractRawT[float64]
+	}
+	return extract(s, lo, hi, dst, base)
+}
+
+func extractRawT[T qoz.Float](s *store.Store, lo, hi []int, dst, base string) (string, int, error) {
+	data, err := store.ReadRegionT[T](context.Background(), s, lo, hi)
+	if err != nil {
+		return "", 0, err
+	}
+	if dst == "" {
+		dst = base + rawExt[T]()
+	}
+	return dst, len(data), writeRaw(dst, data)
 }
 
 // extractCmd decodes one region of interest out of a brick store in the
@@ -694,32 +645,9 @@ func extractCmd(args []string) error {
 		return err
 	}
 	defer s.Close()
-	var points int
-	dst := *out
-	if s.Float64() {
-		data, err := s.ReadRegionFloat64(context.Background(), lo, hi)
-		if err != nil {
-			return err
-		}
-		if dst == "" {
-			dst = *in + ".roi.f64"
-		}
-		if err := writeRawFloats64(dst, data); err != nil {
-			return err
-		}
-		points = len(data)
-	} else {
-		data, err := s.ReadRegion(context.Background(), lo, hi)
-		if err != nil {
-			return err
-		}
-		if dst == "" {
-			dst = *in + ".roi.f32"
-		}
-		if err := writeRawFloats(dst, data); err != nil {
-			return err
-		}
-		points = len(data)
+	dst, points, err := extractRaw(s, lo, hi, *out, *in+".roi")
+	if err != nil {
+		return err
 	}
 	size := make([]int, len(lo))
 	for i := range lo {
@@ -836,22 +764,6 @@ func parseBox(s string) (lo, hi []int, err error) {
 	return lo, hi, nil
 }
 
-func writeRawFloats(path string, data []float32) error {
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
-}
-
-func writeRawFloats64(path string, data []float64) error {
-	raw := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
-}
-
 // storeInfo prints a brick store's manifest without decoding any brick.
 func storeInfo(path string) error {
 	s, err := store.OpenFile(path, store.Options{})
@@ -867,10 +779,7 @@ func storeInfo(path string) error {
 	for _, d := range s.Dims() {
 		points *= d
 	}
-	elem := 4
-	if s.Float64() {
-		elem = 8
-	}
+	elem := storeSampleBytes(s)
 	fmt.Printf("format: brick store\ncodec: %s\ndtype: %s\ndims: %v\nbrick: %v\nbricks: %d\nerror bound: %.6g\ncompressed: %d bytes\nCR: %.1f\n",
 		s.Codec().Name(), s.DType(), s.Dims(), s.BrickShape(), s.NumBricks(), s.ErrorBound(),
 		st.Size(), float64(points*elem)/float64(st.Size()))
@@ -1260,7 +1169,31 @@ func parseMode(s string) (qoz.Tuning, error) {
 	}
 }
 
-func readFloats64(path string, dims []int) ([]float64, error) {
+// sampleBytes returns the byte width of sample type T.
+func sampleBytes[T qoz.Float]() int { return binary.Size(T(0)) }
+
+// storeSampleBytes returns the byte width of s's samples.
+func storeSampleBytes(s *store.Store) int {
+	if s.Float64() {
+		return 8
+	}
+	return 4
+}
+
+// rawExt returns the conventional raw-file extension of T: ".f32" or ".f64".
+func rawExt[T qoz.Float]() string { return fmt.Sprintf(".f%d", 8*sampleBytes[T]()) }
+
+// float64Note returns the suffix reports append for double-precision output.
+func float64Note(float64s bool) string {
+	if float64s {
+		return " (float64)"
+	}
+	return ""
+}
+
+// readRaw reads a raw little-endian file of exactly the samples dims
+// describe.
+func readRaw[T qoz.Float](path string, dims []int) ([]T, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -1269,31 +1202,21 @@ func readFloats64(path string, dims []int) ([]float64, error) {
 	for _, d := range dims {
 		n *= d
 	}
-	if len(raw) != 8*n {
-		return nil, fmt.Errorf("%s holds %d bytes; dims %v need %d", path, len(raw), dims, 8*n)
+	if want := n * sampleBytes[T](); len(raw) != want {
+		return nil, fmt.Errorf("%s holds %d bytes; dims %v need %d", path, len(raw), dims, want)
 	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	data := make([]T, n)
+	if _, err := binary.Decode(raw, binary.LittleEndian, data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }
 
-func readFloats(path string, dims []int) ([]float32, error) {
-	raw, err := os.ReadFile(path)
+// writeRaw writes data to path as raw little-endian samples.
+func writeRaw[T qoz.Float](path string, data []T) error {
+	raw, err := binary.Append(nil, binary.LittleEndian, data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	if len(raw) != 4*n {
-		return nil, fmt.Errorf("%s holds %d bytes; dims %v need %d", path, len(raw), dims, 4*n)
-	}
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return data, nil
+	return os.WriteFile(path, raw, 0o644)
 }

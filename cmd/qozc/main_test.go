@@ -38,7 +38,7 @@ func TestCompressDecompressCycle(t *testing.T) {
 	if err := decompressCmd([]string{"-in", qozFile, "-out", outFile}); err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
-	recon, err := readFloats(outFile, ds.Dims)
+	recon, err := readRaw[float32](outFile, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFloat64Cycle(t *testing.T) {
 	if err := decompressCmd([]string{"-in", qozFile, "-out", outFile}); err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
-	recon, err := readFloats64(outFile, []int{n})
+	recon, err := readRaw[float64](outFile, []int{n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPutGetExtractCycle(t *testing.T) {
 	if err := getCmd([]string{"-in", sf, "-out", full}); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	recon, err := readFloats(full, ds.Dims)
+	recon, err := readRaw[float32](full, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPutGetExtractCycle(t *testing.T) {
 	if err := extractCmd([]string{"-in", sf, "-box", "4:12,16:32,0:8", "-out", roi}); err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	got, err := readFloats(roi, []int{8, 16, 8})
+	got, err := readRaw[float32](roi, []int{8, 16, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPutFromStream(t *testing.T) {
 	if err := getCmd([]string{"-in", sf, "-out", full}); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	recon, err := readFloats(full, ds.Dims)
+	recon, err := readRaw[float32](full, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestPutGetExtractFloat64Cycle(t *testing.T) {
 	if err := getCmd([]string{"-in", sf, "-out", full}); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	recon, err := readFloats64(full, dims)
+	recon, err := readRaw[float64](full, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestPutGetExtractFloat64Cycle(t *testing.T) {
 	if err := extractCmd([]string{"-in", sf, "-box", "2:10,4:12,0:8", "-out", roi}); err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	got, err := readFloats64(roi, []int{8, 8, 8})
+	got, err := readRaw[float64](roi, []int{8, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestPutFromFloat64Stream(t *testing.T) {
 	if err := getCmd([]string{"-in", sf, "-out", full}); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	recon, err := readFloats64(full, []int{24, 24})
+	recon, err := readRaw[float64](full, []int{24, 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestMutableStoreCycle(t *testing.T) {
 		if err := getCmd([]string{"-in", storeFile, "-out", outFile}); err != nil {
 			t.Fatalf("%s get: %v", label, err)
 		}
-		recon, err := readFloats(outFile, []int{6, 16, 16})
+		recon, err := readRaw[float32](outFile, []int{6, 16, 16})
 		if err != nil {
 			t.Fatal(err)
 		}

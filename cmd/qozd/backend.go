@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qoz"
 	"qoz/obs"
 	"qoz/store"
 )
@@ -243,21 +244,25 @@ func (l *local) region(ctx context.Context, f snapshot, lo, hi []int, level int)
 	}
 	defer release()
 	st := f.src.(*field).store
-	var data any
-	switch {
-	case level > 1 && st.Float64():
-		data, _, err = st.ReadRegionLevelFloat64(ctx, lo, hi, level)
-	case level > 1:
-		data, _, err = st.ReadRegionLevel(ctx, lo, hi, level)
-	case st.Float64():
-		data, err = st.ReadRegionFloat64(ctx, lo, hi)
-	default:
-		data, err = st.ReadRegion(ctx, lo, hi)
+	read := readRegion[float32]
+	if st.Float64() {
+		read = readRegion[float64]
 	}
+	data, err := read(ctx, st, lo, hi, level)
 	if err != nil {
 		return nil, fmt.Errorf("read region: %w", err)
 	}
 	return data, nil
+}
+
+// readRegion reads the box at full resolution (level 1, through the
+// zero-copy cached path) or as a level's coarse grid, in sample type T.
+func readRegion[T qoz.Float](ctx context.Context, st *store.Store, lo, hi []int, level int) (any, error) {
+	if level > 1 {
+		data, _, err := store.ReadRegionLevelT[T](ctx, st, lo, hi, level)
+		return data, err
+	}
+	return store.ReadRegionT[T](ctx, st, lo, hi)
 }
 
 // query decodes bricks too (the ones the statistics index cannot

@@ -342,7 +342,7 @@ func TestServerFloat64Field(t *testing.T) {
 	}
 	defer local.Close()
 	lo, hi := []int{0, 0, 0}, []int{8, 12, 8}
-	want, err := local.ReadRegionFloat64(context.Background(), lo, hi)
+	want, err := store.ReadRegionT[float64](context.Background(), local, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestServerFloat64Field(t *testing.T) {
 	if jr.DType != "float64" {
 		t.Fatalf("json region dtype %q", jr.DType)
 	}
-	wantJSON, _ := local.ReadRegionFloat64(context.Background(), []int{0, 0, 0}, []int{2, 2, 8})
+	wantJSON, _ := store.ReadRegionT[float64](context.Background(), local, []int{0, 0, 0}, []int{2, 2, 8})
 	if len(jr.Data) != len(wantJSON) {
 		t.Fatalf("json region %d points, want %d", len(jr.Data), len(wantJSON))
 	}

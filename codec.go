@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"qoz/internal/container"
 	"qoz/internal/core"
@@ -32,8 +31,8 @@ type Float interface{ ~float32 | ~float64 }
 // Codec is the unified contract implemented by QoZ and every baseline
 // compressor. Compress and Decompress operate on the pipeline's native
 // float32 payload; double-precision fields go through the generic
-// Encode/Decode or the streaming Encoder/Decoder, which wrap the codec in
-// the escape envelope. Implementations must be safe for concurrent use.
+// Encode/Decode, EncodePayload/DecodePayload or the streaming
+// Encoder/Decoder, which wrap the codec in the escape envelope. Implementations must be safe for concurrent use.
 // Compression is monolithic per call, so cancellation is observed at call
 // boundaries; slab-level cancellation is provided by the streaming layer.
 type Codec interface {
@@ -155,7 +154,7 @@ func (qozCodec) Compress(ctx context.Context, data []float32, dims []int, opts O
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	co, _, err := opts.resolve(data)
+	co, err := opts.resolve(data)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +184,7 @@ func (c ebCodec) Compress(ctx context.Context, data []float32, dims []int, opts 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eb, err := opts.absBound(data)
+	eb, err := absBound(opts, data)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +202,7 @@ func (c ebCodec) Decompress(ctx context.Context, buf []byte) ([]float32, []int, 
 // selects the registry default), producing the self-describing slab stream
 // that Decode, the streaming Decoder, and cmd/qozc all accept. Callers
 // needing control over slab granularity or worker count should use an
-// Encoder directly; Encode is exactly NewEncoder + Encode into memory, so
+// Encoder directly; Encode is exactly NewEncoder + EncodeT into memory, so
 // the two paths produce identical bytes for identical options.
 func Encode[T Float](ctx context.Context, c Codec, data []T, dims []int, opts Options) ([]byte, error) {
 	var buf bytes.Buffer
@@ -211,55 +210,23 @@ func Encode[T Float](ctx context.Context, c Codec, data []T, dims []int, opts Op
 	if err != nil {
 		return nil, err
 	}
-	if err := encodeAny(ctx, enc, data, dims); err != nil {
+	if err := EncodeT(ctx, enc, data, dims); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // Decode reconstructs a field compressed by any registered codec,
-// accepting every format this module produces: the slab stream written by
-// Encode and the Encoder, the bare container written by the legacy
-// Compress free functions and the baselines, and the legacy float64
-// envelope written by CompressFloat64. Decoding a double-precision stream
-// into []float32 is refused, since the narrowing could break the error
-// bound; float32 streams widen losslessly into []float64.
+// accepting every format this module produces or has produced: the slab
+// stream written by Encode and the Encoder, and the bare payloads of
+// EncodePayload and the codecs' own Compress — a container, or the float64
+// envelope wrapping one. Decoding double-precision data into []float32 is
+// refused with ErrNarrowing; float32 data widens exactly into []float64.
 func Decode[T Float](ctx context.Context, buf []byte) ([]T, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if IsStream(buf) {
+		return DecodeT[T](ctx, NewDecoder(bytes.NewReader(buf)))
 	}
-	switch {
-	case IsStream(buf):
-		d := NewDecoder(bytes.NewReader(buf))
-		hdr, err := d.Header()
-		if err != nil {
-			return nil, nil, err
-		}
-		if hdr.Float64 {
-			v, dims, err := d.DecodeFloat64(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			return float64sTo[T](v, dims)
-		}
-		v, dims, err := d.Decode(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return float32sTo[T](v), dims, nil
-	case IsFloat64Stream(buf):
-		v, dims, err := decodeFloat64Envelope(ctx, buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		return float64sTo[T](v, dims)
-	default:
-		v, dims, err := decodeContainer(ctx, buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		return float32sTo[T](v), dims, nil
-	}
+	return DecodePayload[T](ctx, buf)
 }
 
 // decodeContainer routes a bare container stream to the registered codec
@@ -274,58 +241,4 @@ func decodeContainer(ctx context.Context, buf []byte) ([]float32, []int, error) 
 		return nil, nil, err
 	}
 	return c.Decompress(ctx, buf)
-}
-
-// encodeAny dispatches a generic sample slice to the encoder's typed entry
-// points, copying only when T is a defined type rather than float32 or
-// float64 itself.
-func encodeAny[T Float](ctx context.Context, enc *Encoder, data []T, dims []int) error {
-	switch d := any(data).(type) {
-	case []float32:
-		return enc.Encode(ctx, d, dims)
-	case []float64:
-		return enc.EncodeFloat64(ctx, d, dims)
-	}
-	if elemSize[T]() == 4 {
-		tmp := make([]float32, len(data))
-		for i, v := range data {
-			tmp[i] = float32(v)
-		}
-		return enc.Encode(ctx, tmp, dims)
-	}
-	tmp := make([]float64, len(data))
-	for i, v := range data {
-		tmp[i] = float64(v)
-	}
-	return enc.EncodeFloat64(ctx, tmp, dims)
-}
-
-func elemSize[T Float]() uintptr {
-	var z T
-	return unsafe.Sizeof(z)
-}
-
-func float32sTo[T Float](v []float32) []T {
-	if out, ok := any(v).([]T); ok {
-		return out
-	}
-	out := make([]T, len(v))
-	for i, x := range v {
-		out[i] = T(x)
-	}
-	return out
-}
-
-func float64sTo[T Float](v []float64, dims []int) ([]T, []int, error) {
-	if elemSize[T]() == 4 {
-		return nil, nil, errors.New("qoz: float64 stream cannot be narrowed to float32 without breaking the error bound; decode into []float64")
-	}
-	if out, ok := any(v).([]T); ok {
-		return out, dims, nil
-	}
-	out := make([]T, len(v))
-	for i, x := range v {
-		out[i] = T(x)
-	}
-	return out, dims, nil
 }

@@ -123,7 +123,7 @@ func TestDecodeLegacyFormats(t *testing.T) {
 	ctx := context.Background()
 
 	// Legacy QoZ container from the deprecated free function.
-	legacy, err := qoz.Compress(ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
+	legacy, err := qoz.MustLookup(qoz.DefaultCodec).Compress(context.Background(), ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDecodeLegacyFormats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode of legacy container: %v", err)
 	}
-	b, _, err := qoz.Decompress(legacy)
+	b, _, err := qoz.MustLookup(qoz.DefaultCodec).Decompress(context.Background(), legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDecodeLegacyFormats(t *testing.T) {
 	for i, v := range ds.Data {
 		d64[i] = float64(v)
 	}
-	env, err := qoz.CompressFloat64(d64, ds.Dims, qoz.Options{ErrorBound: eb})
+	env, err := qoz.EncodePayload(context.Background(), nil, d64, ds.Dims, qoz.Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}

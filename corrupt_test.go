@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qoz"
@@ -31,10 +32,10 @@ func corpus(t *testing.T) map[string][]byte {
 
 	out := map[string][]byte{}
 	var err error
-	if out["legacy-f32"], err = qoz.Compress(ds.Data, ds.Dims, qoz.Options{ErrorBound: eb}); err != nil {
+	if out["legacy-f32"], err = qoz.MustLookup(qoz.DefaultCodec).Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb}); err != nil {
 		t.Fatal(err)
 	}
-	if out["legacy-f64"], err = qoz.CompressFloat64(d64, ds.Dims, qoz.Options{ErrorBound: eb}); err != nil {
+	if out["legacy-f64"], err = qoz.EncodePayload(ctx, nil, d64, ds.Dims, qoz.Options{ErrorBound: eb}); err != nil {
 		t.Fatal(err)
 	}
 	mk := func(f64 bool) []byte {
@@ -47,7 +48,7 @@ func corpus(t *testing.T) map[string][]byte {
 			t.Fatal(err)
 		}
 		if f64 {
-			err = enc.EncodeFloat64(ctx, d64, ds.Dims)
+			err = qoz.EncodeT(ctx, enc, d64, ds.Dims)
 		} else {
 			err = enc.Encode(ctx, ds.Data, ds.Dims)
 		}
@@ -64,12 +65,12 @@ func corpus(t *testing.T) map[string][]byte {
 // decodeAll exercises every decoder on buf, caring only that none panics.
 func decodeAll(buf []byte) {
 	ctx := context.Background()
-	qoz.Decompress(buf)                                     //nolint:errcheck
-	qoz.DecompressFloat64(buf)                              //nolint:errcheck
-	qoz.Decode[float32](ctx, buf)                           //nolint:errcheck
-	qoz.Decode[float64](ctx, buf)                           //nolint:errcheck
-	qoz.NewDecoder(bytes.NewReader(buf)).Decode(ctx)        //nolint:errcheck
-	qoz.NewDecoder(bytes.NewReader(buf)).DecodeFloat64(ctx) //nolint:errcheck
+	qoz.MustLookup(qoz.DefaultCodec).Decompress(ctx, buf)           //nolint:errcheck
+	qoz.DecodePayload[float64](ctx, buf)                            //nolint:errcheck
+	qoz.Decode[float32](ctx, buf)                                   //nolint:errcheck
+	qoz.Decode[float64](ctx, buf)                                   //nolint:errcheck
+	qoz.NewDecoder(bytes.NewReader(buf)).Decode(ctx)                //nolint:errcheck
+	qoz.DecodeT[float64](ctx, qoz.NewDecoder(bytes.NewReader(buf))) //nolint:errcheck
 	if h, err := qoz.NewDecoder(bytes.NewReader(buf)).Header(); err == nil {
 		_ = h.Points()
 	}
@@ -151,7 +152,7 @@ func TestHugeEscapeCountRejected(t *testing.T) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1e-3))
 	buf = binary.AppendUvarint(buf, 1<<60) // escapes that cannot exist
 	buf = append(buf, 0xFF, 0xFF)          // a few stray bytes
-	if _, _, err := qoz.DecompressFloat64(buf); err == nil {
+	if _, _, err := qoz.DecodePayload[float64](context.Background(), buf); err == nil {
 		t.Fatal("absurd escape count accepted")
 	}
 	if _, _, err := qoz.Decode[float64](context.Background(), buf); err == nil {
@@ -159,14 +160,85 @@ func TestHugeEscapeCountRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedEnvelopesFailAlike hand-builds every malformed float64
+// envelope prefix around a valid inner container. The envelope has one
+// parser, so the header peek, the full decode, the level decode and the
+// level-boundary scan must all report the same error — and none may panic.
+func TestMalformedEnvelopesFailAlike(t *testing.T) {
+	ctx := context.Background()
+	inner, err := qoz.MustLookup(qoz.DefaultCodec).Compress(ctx, make([]float32, 64), []int{4, 4, 4}, qoz.Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// envelope assembles magic | eb | count | index deltas | values | inner,
+	// each part exactly as given.
+	envelope := func(magic string, count []byte, deltas []uint64, values int, tail []byte) []byte {
+		buf := binary.LittleEndian.AppendUint64([]byte(magic), math.Float64bits(1e-3))
+		buf = append(buf, count...)
+		for _, d := range deltas {
+			buf = binary.AppendUvarint(buf, d)
+		}
+		for i := 0; i < values; i++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(i)))
+		}
+		return append(buf, tail...)
+	}
+	n := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cases := []struct {
+		name string
+		buf  []byte
+		want string // "" = any error, as long as all entry points agree
+	}{
+		{"bad magic", envelope("QZD2", n(1), []uint64{3}, 1, inner), ""},
+		{"cut inside the bound", []byte("QZD1\x00\x01\x02"), "not a float64 stream"},
+		{"truncated count varint", envelope("QZD1", []byte{0x80}, nil, 0, nil), "corrupt float64 envelope"},
+		{"count exceeds payload/9", envelope("QZD1", n(1<<40), []uint64{1, 2}, 2, inner), "exceeds payload size"},
+		{"truncated index varint", envelope("QZD1", n(1), nil, 0, bytes.Repeat([]byte{0x80}, 16)), "corrupt escape index"},
+		{"zero delta after the first", envelope("QZD1", n(2), []uint64{5, 0}, 2, inner), "non-increasing escape index"},
+		{"index overflow", envelope("QZD1", n(2), []uint64{math.MaxUint64, 1}, 2, inner), "escape index overflow"},
+		{"truncated values", envelope("QZD1", n(2), []uint64{1 << 56, 1 << 56}, 1, nil), "truncated escape values"},
+		{"index at points", envelope("QZD1", n(2), []uint64{3, 61}, 2, inner), "escape index 64 out of range"},
+		{"inner container cut", envelope("QZD1", n(1), []uint64{3}, 1, inner[:3]), ""},
+	}
+	for _, tc := range cases {
+		errs := map[string]error{}
+		mustNotPanic(t, tc.name, func() {
+			_, _, _, errs["peek"] = qoz.PeekPayload(tc.buf)
+			_, _, errs["decode"] = qoz.DecodePayload[float64](ctx, tc.buf)
+			_, _, errs["Decode"] = qoz.Decode[float64](ctx, tc.buf)
+			_, _, _, errs["level"] = qoz.DecodePayloadLevel[float64](tc.buf, 1)
+			if qoz.IsFloat64Stream(tc.buf) {
+				_, errs["offsets"] = qoz.LevelOffsets(tc.buf)
+			}
+		})
+		for op, err := range errs {
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s accepted it", tc.name, op)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: %s reports %q, want %q", tc.name, op, err, tc.want)
+			case qoz.IsFloat64Stream(tc.buf) && err.Error() != errs["peek"].Error():
+				t.Errorf("%s: %s reports %q but the peek %q", tc.name, op, err, errs["peek"])
+			}
+		}
+	}
+
+	// The well-formed neighbour of those cases decodes, escapes applied.
+	ok := envelope("QZD1", n(2), []uint64{3, 60}, 2, inner)
+	v, _, err := qoz.DecodePayload[float64](ctx, ok)
+	if err != nil || v[3] != 0 || v[63] != 1 {
+		t.Fatalf("valid envelope: %v (v[3]=%v v[63]=%v)", err, v[3], v[63])
+	}
+}
+
 // levelDecode runs the progressive decoder matching the corpus entry's
 // element type and discards the output.
 func levelDecode(name string, p []byte, level int) error {
 	if name == "legacy-f64" {
-		_, _, _, err := qoz.DecodeLevel64(p, level)
+		_, _, _, err := qoz.DecodePayloadLevel[float64](p, level)
 		return err
 	}
-	_, _, _, err := qoz.DecodeLevel32(p, level)
+	_, _, _, err := qoz.DecodePayloadLevel[float32](p, level)
 	return err
 }
 
@@ -190,12 +262,12 @@ func TestTruncatedLevelPrefixes(t *testing.T) {
 			t.Fatalf("%s: container stream reports no level boundaries", name)
 		}
 		for _, off := range offs {
-			full32, _, _, err := qoz.DecodeLevel32(buf, off.Level)
+			full32, _, _, err := qoz.DecodePayloadLevel[float32](buf, off.Level)
 			if name == "legacy-f32" {
 				if err != nil {
 					t.Fatalf("%s: full decode at level %d: %v", name, off.Level, err)
 				}
-				pre32, _, _, err := qoz.DecodeLevel32(buf[:off.Bytes], off.Level)
+				pre32, _, _, err := qoz.DecodePayloadLevel[float32](buf[:off.Bytes], off.Level)
 				if err != nil {
 					t.Fatalf("%s: prefix decode at level %d: %v", name, off.Level, err)
 				}
@@ -208,11 +280,11 @@ func TestTruncatedLevelPrefixes(t *testing.T) {
 					}
 				}
 			} else {
-				full64, _, _, err := qoz.DecodeLevel64(buf, off.Level)
+				full64, _, _, err := qoz.DecodePayloadLevel[float64](buf, off.Level)
 				if err != nil {
 					t.Fatalf("%s: full decode at level %d: %v", name, off.Level, err)
 				}
-				pre64, _, _, err := qoz.DecodeLevel64(buf[:off.Bytes], off.Level)
+				pre64, _, _, err := qoz.DecodePayloadLevel[float64](buf[:off.Bytes], off.Level)
 				if err != nil {
 					t.Fatalf("%s: prefix decode at level %d: %v", name, off.Level, err)
 				}

@@ -24,12 +24,12 @@
 //	recon, dims, err := qoz.Decode[float32](ctx, buf)
 //
 // [Encode] and [Decode] are generic over float32 and float64 fields.
-// Double precision rides the escape envelope ([CompressEnvelope]): each
+// Double precision rides the escape envelope ([EncodePayload]): each
 // value's float32 head is compressed under a tightened bound and the
 // rare points whose conversion error alone threatens the bound — plus
-// every NaN/±Inf — are stored exactly. The legacy free functions
-// (Compress, Decompress, CompressFloat64, ...) remain as thin deprecated
-// wrappers.
+// every NaN/±Inf — are stored exactly. The sample kind is always a type
+// parameter: float32 data widens exactly into float64 samples, and
+// float64 data is never narrowed ([ErrNarrowing]).
 //
 // # Streaming
 //
@@ -38,8 +38,8 @@
 // slabs concurrently on a bounded worker pool, and frame them over any
 // io.Writer/io.Reader. The absolute bound is resolved once over the
 // whole field before slabbing, so chunking never weakens the guarantee;
-// [Decoder.NextSlab] and [Decoder.NextSlabFloat64] hand slabs to the
-// caller one at a time without materializing the field.
+// [NextSlabT] (and its float32 method [Decoder.NextSlab]) hands slabs to
+// the caller one at a time without materializing the field.
 //
 // # Random access and serving
 //

@@ -1,6 +1,7 @@
 package qoz_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -9,8 +10,8 @@ import (
 	"qoz/metrics"
 )
 
-// ExampleCompress shows the basic error-bounded round trip.
-func ExampleCompress() {
+// ExampleEncode shows the basic error-bounded round trip.
+func ExampleEncode() {
 	// A small smooth 2D field.
 	ny, nx := 32, 48
 	data := make([]float32, ny*nx)
@@ -19,11 +20,12 @@ func ExampleCompress() {
 			data[y*nx+x] = float32(math.Sin(float64(y)/5) * math.Cos(float64(x)/7))
 		}
 	}
-	buf, err := qoz.Compress(data, []int{ny, nx}, qoz.Options{ErrorBound: 1e-3})
+	ctx := context.Background()
+	buf, err := qoz.Encode(ctx, nil, data, []int{ny, nx}, qoz.Options{ErrorBound: 1e-3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	recon, dims, err := qoz.Decompress(buf)
+	recon, dims, err := qoz.Decode[float32](ctx, buf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -28,14 +29,14 @@ func main() {
 	}
 	fmt.Printf("%-28s %8s %9s %8s %8s\n", "mode", "CR", "PSNR(dB)", "SSIM", "AC(lag1)")
 	for _, m := range modes {
-		buf, err := qoz.Compress(ds.Data, ds.Dims, qoz.Options{
+		buf, err := qoz.Encode(context.Background(), nil, ds.Data, ds.Dims, qoz.Options{
 			RelBound: 1e-3,
 			Metric:   m.metric,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		recon, _, err := qoz.Decompress(buf)
+		recon, _, err := qoz.Decode[float32](context.Background(), buf)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,14 +19,14 @@ func main() {
 	fmt.Printf("dataset: %s — PSNR-preferred vs AC-preferred tuning\n\n", ds)
 	fmt.Printf("%-16s %10s %10s %12s\n", "mode", "CR", "PSNR(dB)", "|AC(lag1)|")
 	for _, m := range []qoz.Tuning{qoz.TunePSNR, qoz.TuneAC} {
-		buf, err := qoz.Compress(ds.Data, ds.Dims, qoz.Options{
+		buf, err := qoz.Encode(context.Background(), nil, ds.Data, ds.Dims, qoz.Options{
 			RelBound: 1e-3,
 			Metric:   m,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		recon, _, err := qoz.Decompress(buf)
+		recon, _, err := qoz.Decode[float32](context.Background(), buf)
 		if err != nil {
 			log.Fatal(err)
 		}

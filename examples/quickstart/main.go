@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		stats.Alpha, stats.Beta, stats.Levels)
 
 	// Decompress and verify.
-	recon, dims, err := qoz.Decompress(buf)
+	recon, dims, err := qoz.Decode[float32](context.Background(), buf)
 	if err != nil {
 		log.Fatal(err)
 	}

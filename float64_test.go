@@ -1,6 +1,7 @@
 package qoz
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,12 +17,12 @@ func TestFloat64RoundTripRespectsBound(t *testing.T) {
 	for i, v := range ds.Data {
 		data[i] = float64(v) * 1.000000001 // genuinely double-precision
 	}
-	eb := 1e-3 * valueRange64(data)
-	buf, err := CompressFloat64(data, ds.Dims, Options{ErrorBound: eb})
+	eb := 1e-3 * finiteRange(data)
+	buf, err := EncodePayload(context.Background(), nil, data, ds.Dims, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, dims, err := DecompressFloat64(buf)
+	recon, dims, err := DecodePayload[float64](context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +47,20 @@ func TestFloat64InnerStreamMatchesReference(t *testing.T) {
 	for i, v := range ds.Data {
 		data[i] = float64(v) * 1.000000001
 	}
-	eb := 1e-3 * valueRange64(data)
+	eb := 1e-3 * finiteRange(data)
 	for _, opts := range []Options{
 		{ErrorBound: eb},
 		{ErrorBound: eb, DisableAnchors: true},
 	} {
-		buf, err := CompressFloat64(data, ds.Dims, opts)
+		buf, err := EncodePayload(context.Background(), nil, data, ds.Dims, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner, err := envelopeInner(buf)
+		env, err := parseEnvelope(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inner := env.inner
 		fast, _, err := core.Decompress(inner)
 		if err != nil {
 			t.Fatalf("fast inner decode: %v", err)
@@ -73,7 +75,7 @@ func TestFloat64InnerStreamMatchesReference(t *testing.T) {
 					!opts.DisableAnchors, i, math.Float32bits(fast[i]), math.Float32bits(ref[i]))
 			}
 		}
-		if _, _, err := DecompressFloat64(buf); err != nil {
+		if _, _, err := DecodePayload[float64](context.Background(), buf); err != nil {
 			t.Fatalf("envelope decode: %v", err)
 		}
 	}
@@ -88,11 +90,11 @@ func TestFloat64EscapesHighPrecisionPoints(t *testing.T) {
 		data[i] = 1e12 + float64(i)*1e-3
 	}
 	eb := 1e-4
-	buf, err := CompressFloat64(data, []int{n}, Options{ErrorBound: eb})
+	buf, err := EncodePayload(context.Background(), nil, data, []int{n}, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := DecompressFloat64(buf)
+	recon, _, err := DecodePayload[float64](context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +112,15 @@ func TestFloat64RelBound(t *testing.T) {
 	for i := range data {
 		data[i] = math.Sin(float64(i)/30) + rng.NormFloat64()*0.001
 	}
-	buf, err := CompressFloat64(data, []int{n}, Options{RelBound: 1e-3})
+	buf, err := EncodePayload(context.Background(), nil, data, []int{n}, Options{RelBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := DecompressFloat64(buf)
+	recon, _, err := DecodePayload[float64](context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb := 1e-3 * valueRange64(data)
+	eb := 1e-3 * finiteRange(data)
 	for i := range data {
 		if math.Abs(data[i]-recon[i]) > eb {
 			t.Fatalf("bound violated at %d", i)
@@ -131,23 +133,27 @@ func TestFloat64RelBound(t *testing.T) {
 }
 
 func TestFloat64Validation(t *testing.T) {
-	if _, err := CompressFloat64(make([]float64, 4), []int{4}, Options{}); err == nil {
+	if _, err := EncodePayload(context.Background(), nil, make([]float64, 4), []int{4}, Options{}); err == nil {
 		t.Error("missing bound accepted")
 	}
-	if _, err := CompressFloat64(make([]float64, 4), []int{4},
+	if _, err := EncodePayload(context.Background(), nil, make([]float64, 4), []int{4},
 		Options{ErrorBound: 1, RelBound: 1}); err == nil {
 		t.Error("both bounds accepted")
 	}
-	if _, _, err := DecompressFloat64([]byte("xx")); err == nil {
+	if _, _, err := DecodePayload[float64](context.Background(), []byte("xx")); err == nil {
 		t.Error("garbage accepted")
 	}
-	// A float32 stream must be rejected by the float64 decoder.
-	buf, err := Compress(make([]float32, 16), []int{16}, Options{ErrorBound: 0.1})
+	// A float32 payload must be rejected by the envelope parser; the one
+	// payload decoder recognizes it for what it is and widens it.
+	buf, err := MustLookup(DefaultCodec).Compress(context.Background(), make([]float32, 16), []int{16}, Options{ErrorBound: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressFloat64(buf); err == nil {
+	if _, err := parseEnvelope(buf); err == nil {
 		t.Error("float32 stream accepted as float64")
+	}
+	if v, _, err := DecodePayload[float64](context.Background(), buf); err != nil || len(v) != 16 {
+		t.Errorf("float32 payload did not widen: %d samples, %v", len(v), err)
 	}
 }
 
@@ -160,15 +166,15 @@ func TestFloat64BoundProperty(t *testing.T) {
 		for i := range data {
 			data[i] = rng.NormFloat64() * scale
 		}
-		eb := math.Pow(10, -1-5*rng.Float64()) * valueRange64(data)
+		eb := math.Pow(10, -1-5*rng.Float64()) * finiteRange(data)
 		if eb <= 0 {
 			return true
 		}
-		buf, err := CompressFloat64(data, []int{n}, Options{ErrorBound: eb})
+		buf, err := EncodePayload(context.Background(), nil, data, []int{n}, Options{ErrorBound: eb})
 		if err != nil {
 			return false
 		}
-		recon, _, err := DecompressFloat64(buf)
+		recon, _, err := DecodePayload[float64](context.Background(), buf)
 		if err != nil {
 			return false
 		}

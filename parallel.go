@@ -77,23 +77,6 @@ func DecodeFields(ctx context.Context, names []string, bufs [][]byte, workers in
 	return results
 }
 
-// CompressFields compresses many fields concurrently with the QoZ codec.
-//
-// Deprecated: use EncodeFields, which takes a context and any registered
-// codec. CompressFields is EncodeFields with the default codec and no
-// cancellation.
-func CompressFields(fields []Field, opts Options, workers int) []FieldResult {
-	return EncodeFields(context.Background(), nil, fields, opts, workers)
-}
-
-// DecompressFields decompresses many streams concurrently.
-//
-// Deprecated: use DecodeFields, which takes a context. DecompressFields is
-// DecodeFields without cancellation.
-func DecompressFields(names []string, bufs [][]byte, workers int) []FieldResult {
-	return DecodeFields(context.Background(), names, bufs, workers)
-}
-
 // runPool runs do(0..n-1) on a bounded worker pool, collecting nothing;
 // per-item outcomes are the callback's business.
 func runPool(n, workers int, do func(i int)) {

@@ -1,6 +1,7 @@
 package qoz
 
 import (
+	"context"
 	"testing"
 
 	"qoz/datagen"
@@ -14,12 +15,12 @@ func TestCompressFieldsMatchesSequential(t *testing.T) {
 		fields[i] = Field{Name: ds.Name, Data: ds.Data, Dims: ds.Dims}
 	}
 	opts := Options{RelBound: 1e-3}
-	par := CompressFields(fields, opts, 4)
+	par := EncodeFields(context.Background(), nil, fields, opts, 4)
 	for i, ds := range sets {
 		if par[i].Err != nil {
 			t.Fatalf("%s: %v", ds.Name, par[i].Err)
 		}
-		seq, err := Compress(ds.Data, ds.Dims, opts)
+		seq, err := MustLookup(DefaultCodec).Compress(context.Background(), ds.Data, ds.Dims, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,14 +31,14 @@ func TestCompressFieldsMatchesSequential(t *testing.T) {
 			t.Fatalf("result order broken: %q at %d", par[i].Name, i)
 		}
 	}
-	// Round-trip through DecompressFields.
+	// Round-trip through DecodeFields.
 	bufs := make([][]byte, len(par))
 	names := make([]string, len(par))
 	for i, r := range par {
 		bufs[i] = r.Bytes
 		names[i] = r.Name
 	}
-	back := DecompressFields(names, bufs, 0)
+	back := DecodeFields(context.Background(), names, bufs, 0)
 	for i, ds := range sets {
 		if back[i].Err != nil {
 			t.Fatalf("%s: decompress: %v", ds.Name, back[i].Err)
@@ -56,7 +57,7 @@ func TestCompressFieldsErrorIsolation(t *testing.T) {
 		{Name: "bad", Data: make([]float32, 16), Dims: []int{7}}, // dims mismatch
 		{Name: "nil", Data: nil, Dims: []int{4}},
 	}
-	res := CompressFields(fields, Options{ErrorBound: 0.1}, 2)
+	res := EncodeFields(context.Background(), nil, fields, Options{ErrorBound: 0.1}, 2)
 	if res[0].Err != nil {
 		t.Fatalf("good field failed: %v", res[0].Err)
 	}
@@ -68,11 +69,11 @@ func TestCompressFieldsErrorIsolation(t *testing.T) {
 func TestCompressTargetPSNR(t *testing.T) {
 	ds := datagen.CESMATM(128, 256)
 	target := 60.0
-	buf, st, err := CompressTargetPSNR(ds.Data, ds.Dims, target, Options{})
+	buf, st, err := CompressTargetPSNRContext(context.Background(), ds.Data, ds.Dims, target, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(buf)
+	recon, _, err := MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCompressTargetPSNR(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A much higher target must yield a tighter bound (larger stream).
-	buf2, _, err := CompressTargetPSNR(ds.Data, ds.Dims, 90, Options{})
+	buf2, _, err := CompressTargetPSNRContext(context.Background(), ds.Data, ds.Dims, 90, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCompressTargetPSNR(t *testing.T) {
 }
 
 func TestCompressTargetPSNRValidation(t *testing.T) {
-	if _, _, err := CompressTargetPSNR(make([]float32, 8), []int{8}, -5, Options{}); err == nil {
+	if _, _, err := CompressTargetPSNRContext(context.Background(), make([]float32, 8), []int{8}, -5, Options{}); err == nil {
 		t.Fatal("negative target accepted")
 	}
 }
@@ -105,11 +106,11 @@ func TestCompressTargetPSNRConstantField(t *testing.T) {
 	for i := range data {
 		data[i] = 3
 	}
-	buf, _, err := CompressTargetPSNR(data, []int{32}, 80, Options{})
+	buf, _, err := CompressTargetPSNRContext(context.Background(), data, []int{32}, 80, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(buf)
+	recon, _, err := MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,14 @@ package qoz
 // therefore materialize the coarse grid of that level: the points whose
 // coordinates are all multiples of the level's stride, bit-identical to
 // the same points of a full decode. LevelOffsets reports where those
-// boundaries lie; DecodeLevel32/DecodeLevel64 decode a prefix (or a whole
-// stream) down to a requested level.
+// boundaries lie; DecodePayloadLevel decodes a prefix (or a whole payload)
+// down to a requested level.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"qoz/internal/container"
-	"qoz/internal/core"
 	"qoz/internal/interp"
 	"qoz/internal/szstream"
 )
@@ -42,12 +39,12 @@ func CoarseDims(dims []int, stride int) []int { return interp.CoarseDims(dims, s
 // segmentation), which simply cannot be decoded progressively.
 func LevelOffsets(buf []byte) ([]LevelOffset, error) {
 	if IsFloat64Stream(buf) {
-		inner, err := envelopeInner(buf)
+		env, err := parseEnvelope(buf)
 		if err != nil {
 			return nil, err
 		}
-		base := len(buf) - len(inner)
-		offs, err := LevelOffsets(inner)
+		base := len(buf) - len(env.inner)
+		offs, err := LevelOffsets(env.inner)
 		if err != nil || offs == nil {
 			return offs, err
 		}
@@ -94,110 +91,4 @@ func LevelOffsets(buf []byte) ([]LevelOffset, error) {
 		offs = append(offs, LevelOffset{Level: l, Bytes: e})
 	}
 	return offs, nil
-}
-
-// DecodeLevel32 decodes a QoZ container — or a byte-exact prefix ending
-// at a level boundary, as range-fetched via LevelOffsets — down to the
-// requested level. It returns the compacted coarse grid (row-major over
-// CoarseDims(dims, stride)), the full field dims, and the stride of the
-// materialized grid. level is clamped to the stream's own range; the
-// values returned are bit-identical to the same grid points of a full
-// decode.
-func DecodeLevel32(buf []byte, level int) (coarse []float32, dims []int, stride int, err error) {
-	return core.DecompressLevel(buf, level)
-}
-
-// DecodeLevel64 is DecodeLevel32 for the float64 escape envelope: the
-// inner container's coarse heads are widened and every escaped value that
-// lands on the coarse grid is restored exactly, so the result matches the
-// same grid points of a full envelope decode bit-for-bit.
-func DecodeLevel64(buf []byte, level int) (coarse []float64, dims []int, stride int, err error) {
-	if len(buf) < len(f64Magic)+8 || string(buf[:len(f64Magic)]) != f64Magic {
-		return nil, nil, 0, errors.New("qoz: not a float64 stream")
-	}
-	rest := buf[len(f64Magic)+8:]
-	nEsc, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, nil, 0, errors.New("qoz: corrupt float64 envelope")
-	}
-	rest = rest[n:]
-	if nEsc > uint64(len(rest))/9 {
-		return nil, nil, 0, fmt.Errorf("qoz: escape count %d exceeds payload size %d", nEsc, len(rest))
-	}
-	escIdx := make([]uint64, nEsc)
-	prev := uint64(0)
-	for i := range escIdx {
-		d, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, nil, 0, errors.New("qoz: corrupt escape index")
-		}
-		if i > 0 && d == 0 {
-			return nil, nil, 0, errors.New("qoz: non-increasing escape index")
-		}
-		if prev+d < prev {
-			return nil, nil, 0, errors.New("qoz: escape index overflow")
-		}
-		rest = rest[n:]
-		prev += d
-		escIdx[i] = prev
-	}
-	if uint64(len(rest)) < 8*nEsc {
-		return nil, nil, 0, errors.New("qoz: truncated escape values")
-	}
-	escVal := make([]float64, nEsc)
-	for i := range escVal {
-		escVal[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-	}
-	rest = rest[8*nEsc:]
-
-	heads, dims, stride, err := core.DecompressLevel(rest, level)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	out := make([]float64, len(heads))
-	for i, h := range heads {
-		out[i] = float64(h)
-	}
-
-	// Overlay the escapes that land on the coarse grid. Escape indices are
-	// flat full-grid indices; points off the grid were not materialized.
-	nd := len(dims)
-	full := make([]int, nd)
-	s := 1
-	for i := nd - 1; i >= 0; i-- {
-		full[i] = s
-		s *= dims[i]
-	}
-	cd := interp.CoarseDims(dims, stride)
-	cs := make([]int, nd)
-	s = 1
-	for i := nd - 1; i >= 0; i-- {
-		cs[i] = s
-		s *= cd[i]
-	}
-	npts := 1
-	for _, d := range dims {
-		npts *= d
-	}
-	for i, idx := range escIdx {
-		if idx >= uint64(npts) {
-			return nil, nil, 0, fmt.Errorf("qoz: escape index %d out of range", idx)
-		}
-		ci := 0
-		on := true
-		rem := int(idx)
-		for d := 0; d < nd; d++ {
-			c := rem / full[d]
-			rem %= full[d]
-			if c%stride != 0 {
-				on = false
-				break
-			}
-			ci += c / stride * cs[d]
-		}
-		if on {
-			out[ci] = escVal[i]
-		}
-	}
-	return out, dims, stride, nil
 }

@@ -1,6 +1,7 @@
 package qoz
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -70,11 +71,11 @@ func TestDecodeLevelMatchesFullDecode(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := synthField(tc.dims)
-			buf, err := Compress(data, tc.dims, tc.opts)
+			buf, err := MustLookup(DefaultCodec).Compress(context.Background(), data, tc.dims, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, _, err := Decompress(buf)
+			full, _, err := MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestDecodeLevelMatchesFullDecode(t *testing.T) {
 					t.Fatalf("offset %+v out of range", off)
 				}
 				for _, src := range [][]byte{buf, buf[:off.Bytes]} {
-					coarse, dims, stride, err := DecodeLevel32(src, off.Level)
+					coarse, dims, stride, err := DecodePayloadLevel[float32](src, off.Level)
 					if err != nil {
 						t.Fatalf("level %d (prefix=%v): %v", off.Level, len(src) != len(buf), err)
 					}
@@ -114,12 +115,12 @@ func TestDecodeLevelMatchesFullDecode(t *testing.T) {
 			// Prefix shorter than the requested level must fail loudly, not
 			// return a grid that was never refined.
 			if len(offs) >= 2 {
-				if _, _, _, err := DecodeLevel32(buf[:offs[0].Bytes], 1); err == nil {
+				if _, _, _, err := DecodePayloadLevel[float32](buf[:offs[0].Bytes], 1); err == nil {
 					t.Fatal("decoding level 1 from a seed-stage prefix succeeded")
 				}
 			}
 			// A coarser request than the stream's own top level clamps.
-			_, _, stride, err := DecodeLevel32(buf, offs[0].Level+5)
+			_, _, stride, err := DecodePayloadLevel[float32](buf, offs[0].Level+5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +144,11 @@ func TestDecodeLevel64MatchesFullDecode(t *testing.T) {
 	// every coarse grid) and one at an odd index (level >= 2 drops it).
 	data[0] = math.NaN()
 	data[1] = math.Inf(1)
-	buf, err := CompressFloat64(data, dims, Options{ErrorBound: 1e-7})
+	buf, err := EncodePayload(context.Background(), nil, data, dims, Options{ErrorBound: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := DecompressFloat64(buf)
+	full, _, err := DecodePayload[float64](context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestDecodeLevel64MatchesFullDecode(t *testing.T) {
 	}
 	for _, off := range offs {
 		for _, src := range [][]byte{buf, buf[:off.Bytes]} {
-			coarse, gotDims, stride, err := DecodeLevel64(src, off.Level)
+			coarse, gotDims, stride, err := DecodePayloadLevel[float64](src, off.Level)
 			if err != nil {
 				t.Fatalf("level %d: %v", off.Level, err)
 			}
@@ -181,7 +182,7 @@ func TestDecodeLevel64MatchesFullDecode(t *testing.T) {
 }
 
 // TestLevelOffsetsLegacyStream verifies pre-segmentation streams and
-// other codecs report no offsets (and DecodeLevel32 refuses them) rather
+// other codecs report no offsets (and DecodePayloadLevel[float32] refuses them) rather
 // than decoding garbage.
 func TestLevelOffsetsOtherCodec(t *testing.T) {
 	dims := []int{32, 32}
@@ -201,7 +202,7 @@ func TestLevelOffsetsOtherCodec(t *testing.T) {
 	if offs != nil {
 		t.Fatalf("sz3 stream reported level offsets: %v", offs)
 	}
-	if _, _, _, err := DecodeLevel32(buf, 2); err == nil {
-		t.Fatal("DecodeLevel32 accepted an sz3 stream")
+	if _, _, _, err := DecodePayloadLevel[float32](buf, 2); err == nil {
+		t.Fatal("DecodePayloadLevel[float32] accepted an sz3 stream")
 	}
 }

@@ -1,11 +1,9 @@
 package qoz
 
 import (
-	"context"
 	"errors"
 
 	"qoz/internal/core"
-	"qoz/metrics"
 )
 
 // Tuning selects the quality metric QoZ optimizes during compression.
@@ -27,7 +25,7 @@ const (
 // String returns the tuning mode's name.
 func (t Tuning) String() string { return core.Mode(t).String() }
 
-// Options configures Compress. Exactly one of ErrorBound (absolute) or
+// Options configures compression. Exactly one of ErrorBound (absolute) or
 // RelBound (relative to the data's value range, the "ε" of the paper's
 // tables) must be positive.
 type Options struct {
@@ -63,18 +61,24 @@ type Stats struct {
 	Levels   int
 }
 
-// absBound resolves the absolute error bound from ErrorBound/RelBound
-// against the field's value range.
-func (o Options) absBound(data []float32) (float64, error) {
+// absBound resolves the absolute error bound of o over a field of either
+// sample kind: ErrorBound as given, or RelBound scaled by the range of the
+// field's finite samples.
+func absBound[T Float](o Options, data []T) (float64, error) {
 	eb := o.ErrorBound
 	if o.RelBound > 0 {
 		if eb > 0 {
 			return 0, errors.New("qoz: set either ErrorBound or RelBound, not both")
 		}
-		eb = o.RelBound * metrics.ValueRange(data)
+		eb = o.RelBound * finiteRange(data)
 		if eb == 0 {
-			// Constant field: any positive bound preserves it exactly.
+			// Constant (or wholly non-finite) field: any positive bound
+			// preserves it exactly. The bound is recorded in stream and
+			// store headers, so each kind keeps the value it always wrote.
 			eb = 1e-12
+			if elemSize[T]() == 8 {
+				eb = 1e-300
+			}
 		}
 	}
 	if eb <= 0 {
@@ -83,12 +87,16 @@ func (o Options) absBound(data []float32) (float64, error) {
 	return eb, nil
 }
 
-// ResolveAbs returns a copy of o whose error bound is resolved to an
-// absolute ErrorBound over data, with RelBound folded in and cleared. This
-// is the form required by writers that never see the whole field at once,
-// such as the brick store's incremental Writer.
-func (o Options) ResolveAbs(data []float32) (Options, error) {
-	eb, err := o.absBound(data)
+// ResolveAbs is ResolveAbsT for a float32 field.
+func (o Options) ResolveAbs(data []float32) (Options, error) { return ResolveAbsT(o, data) }
+
+// ResolveAbsT returns a copy of o whose error bound is resolved to an
+// absolute ErrorBound over data — a float32 or float64 field, or any type
+// defined on them — with RelBound folded in and cleared. This is the form
+// required by writers that never see the whole field at once, such as the
+// brick store's incremental Writer.
+func ResolveAbsT[T Float](o Options, data []T) (Options, error) {
+	eb, err := absBound(o, data)
 	if err != nil {
 		return Options{}, err
 	}
@@ -96,42 +104,10 @@ func (o Options) ResolveAbs(data []float32) (Options, error) {
 	return o, nil
 }
 
-// ResolveAbsT is Options.ResolveAbs generalized over the sample types of
-// the typed API: it resolves the error bound to an absolute one over a
-// float32 or float64 field (or any type defined on them), with RelBound
-// folded in and cleared.
-func ResolveAbsT[T Float](o Options, data []T) (Options, error) {
-	switch d := any(data).(type) {
-	case []float32:
-		return o.ResolveAbs(d)
-	case []float64:
-		eb, err := absBound64(d, o)
-		if err != nil {
-			return Options{}, err
-		}
-		o.ErrorBound, o.RelBound = eb, 0
-		return o, nil
-	}
-	// T is a type defined on float32 or float64: convert and resolve
-	// through the matching branch above.
-	if elemSize[T]() == 4 {
-		tmp := make([]float32, len(data))
-		for i, v := range data {
-			tmp[i] = float32(v)
-		}
-		return ResolveAbsT(o, tmp)
-	}
-	tmp := make([]float64, len(data))
-	for i, v := range data {
-		tmp[i] = float64(v)
-	}
-	return ResolveAbsT(o, tmp)
-}
-
-func (o Options) resolve(data []float32) (core.Options, float64, error) {
-	eb, err := o.absBound(data)
+func (o Options) resolve(data []float32) (core.Options, error) {
+	eb, err := absBound(o, data)
 	if err != nil {
-		return core.Options{}, 0, err
+		return core.Options{}, err
 	}
 	return core.Options{
 		ErrorBound:         eb,
@@ -145,23 +121,14 @@ func (o Options) resolve(data []float32) (core.Options, float64, error) {
 		DisableSampling:    o.DisableSampling,
 		DisableLevelSelect: o.DisableLevelSelect,
 		DisableParamTuning: o.DisableParamTuning,
-	}, eb, nil
+	}, nil
 }
 
-// Compress compresses a row-major field of the given dimensions with the
-// QoZ codec.
-//
-// Deprecated: Compress writes the legacy single-container format; new code
-// should use the registry-backed generic Encode (or a streaming Encoder),
-// which works for every codec and both precisions. Compress is a thin
-// wrapper over MustLookup(DefaultCodec) and remains supported.
-func Compress(data []float32, dims []int, opts Options) ([]byte, error) {
-	return MustLookup(DefaultCodec).Compress(context.Background(), data, dims, opts)
-}
-
-// CompressStats is Compress plus the tuning decisions that were made.
+// CompressStats compresses a float32 field with the QoZ codec into its
+// bare container — exactly MustLookup(DefaultCodec).Compress — and also
+// returns the tuning decisions that were made.
 func CompressStats(data []float32, dims []int, opts Options) ([]byte, Stats, error) {
-	co, eb, err := opts.resolve(data)
+	co, err := opts.resolve(data)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -170,20 +137,9 @@ func CompressStats(data []float32, dims []int, opts Options) ([]byte, Stats, err
 		return nil, Stats{}, err
 	}
 	return res.Bytes, Stats{
-		AbsBound: eb,
+		AbsBound: co.ErrorBound,
 		Alpha:    res.Alpha,
 		Beta:     res.Beta,
 		Levels:   len(res.Methods),
 	}, nil
-}
-
-// Decompress reconstructs a field compressed by Compress, returning the
-// data and its dimensions.
-//
-// Deprecated: Decompress only accepts QoZ's legacy container; new code
-// should use the generic Decode, which routes any stream — slab, legacy
-// container of any registered codec, or float64 envelope — through the
-// registry.
-func Decompress(buf []byte) ([]float32, []int, error) {
-	return MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 }

@@ -1,6 +1,7 @@
 package qoz
 
 import (
+	"context"
 	"testing"
 
 	"qoz/datagen"
@@ -9,11 +10,11 @@ import (
 
 func TestPublicAPIRoundTrip(t *testing.T) {
 	ds := datagen.NYX(32, 32, 32)
-	buf, err := Compress(ds.Data, ds.Dims, Options{RelBound: 1e-3})
+	buf, err := MustLookup(DefaultCodec).Compress(context.Background(), ds.Data, ds.Dims, Options{RelBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, dims, err := Decompress(buf)
+	recon, dims, err := MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	data := make([]float32, 16)
-	if _, err := Compress(data, []int{16}, Options{}); err == nil {
+	if _, err := MustLookup(DefaultCodec).Compress(context.Background(), data, []int{16}, Options{}); err == nil {
 		t.Error("missing bound accepted")
 	}
-	if _, err := Compress(data, []int{16}, Options{ErrorBound: 0.1, RelBound: 0.1}); err == nil {
+	if _, err := MustLookup(DefaultCodec).Compress(context.Background(), data, []int{16}, Options{ErrorBound: 0.1, RelBound: 0.1}); err == nil {
 		t.Error("both bounds accepted")
 	}
 }
@@ -42,11 +43,11 @@ func TestRelBoundOnConstantField(t *testing.T) {
 	for i := range data {
 		data[i] = 2.5
 	}
-	buf, err := Compress(data, []int{64}, Options{RelBound: 1e-3})
+	buf, err := MustLookup(DefaultCodec).Compress(context.Background(), data, []int{64}, Options{RelBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(buf)
+	recon, _, err := MustLookup(DefaultCodec).Decompress(context.Background(), buf)
 	if err != nil {
 		t.Fatal(err)
 	}

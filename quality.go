@@ -9,14 +9,6 @@ import (
 	"qoz/metrics"
 )
 
-// CompressTargetPSNR compresses data so that the reconstruction is
-// estimated to reach (at least approximately) the given PSNR in dB.
-//
-// Deprecated: use CompressTargetPSNRContext, which supports cancellation.
-func CompressTargetPSNR(data []float32, dims []int, targetDB float64, opts Options) ([]byte, Stats, error) {
-	return CompressTargetPSNRContext(context.Background(), data, dims, targetDB, opts)
-}
-
 // CompressTargetPSNRContext compresses data so that the reconstruction is
 // estimated to reach (at least approximately) the given PSNR in dB,
 // searching the error bound by bisection over sampled trial compressions
@@ -53,7 +45,7 @@ func CompressTargetPSNRContext(ctx context.Context, data []float32, dims []int, 
 		eb := math.Pow(10, mid) * vr
 		probe := opts
 		probe.ErrorBound, probe.RelBound = eb, 0
-		co, _, err := probe.resolve(data)
+		co, err := probe.resolve(data)
 		if err != nil {
 			return nil, Stats{}, err
 		}

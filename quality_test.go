@@ -25,7 +25,7 @@ func TestCompressTargetPSNRWithinBand(t *testing.T) {
 		if stats.AbsBound <= 0 {
 			t.Fatalf("target %v dB: no bound reported", target)
 		}
-		recon, _, err := qoz.Decompress(buf)
+		recon, _, err := qoz.MustLookup(qoz.DefaultCodec).Decompress(context.Background(), buf)
 		if err != nil {
 			t.Fatal(err)
 		}

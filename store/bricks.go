@@ -63,13 +63,8 @@ func IntersectingBricksIn(dims, brick, lo, hi []int) ([]int, error) {
 	if _, err := Grid(dims, brick); err != nil {
 		return nil, err
 	}
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return nil, fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
-		}
+	if err := checkBox(dims, lo, hi); err != nil {
+		return nil, err
 	}
 	m := manifest{hdr: &header{dims: dims, brick: brick}}
 	return m.intersectingBricks(lo, hi), nil

@@ -16,8 +16,8 @@
 // envelope so non-finite points round-trip exactly.
 //
 // [Open], [OpenFile], and [OpenURL] return a read handle. Region reads —
-// [Store.ReadRegion], [Store.ReadRegionFloat64], the generic
-// [ReadRegionT] — decode only the bricks the requested box intersects,
+// the generic [ReadRegionT] and its float32 method [Store.ReadRegion] —
+// decode only the bricks the requested box intersects,
 // concurrently, through a byte-budgeted LRU cache of decoded bricks that
 // can be shared across stores ([Cache], Options.Cache). OpenURL serves
 // the same reads over HTTP range requests, fetching only the header, the

@@ -11,7 +11,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"qoz"
@@ -22,85 +21,34 @@ import (
 // higher ranks (which no current writer produces) use the general path.
 const maxFastDims = 8
 
-// ReadRegionInto is ReadRegion writing into a caller-provided buffer:
-// dst must hold exactly boxPoints(lo, hi) elements and receives the box
-// row-major with shape hi-lo. When every intersecting brick is cached the
-// read allocates nothing, so a hot serving loop can reuse one buffer
-// across requests.
+// ReadRegionInto is ReadRegionIntoT for a float32 destination.
 func (s *Store) ReadRegionInto(ctx context.Context, dst []float32, lo, hi []int) error {
-	m := s.man.Load()
-	if m.hdr.kind == kindFloat64 {
-		return errors.New("store: float64 store cannot be narrowed to float32 without breaking the error bound; use ReadRegionIntoFloat64")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := validateRegionDst(m, len(dst), lo, hi); err != nil {
-		return err
-	}
-	// The brick fetcher is bound only on the slow path: binding it up
-	// front would allocate a method value on every call, including the
-	// allocation-free cached ones.
-	if serveRegionCached(ctx, s, m, dst, lo, hi) {
-		return nil
-	}
-	return readRegionSlow(ctx, s, m, dst, lo, hi, s.brick32)
+	return ReadRegionIntoT(ctx, s, dst, lo, hi)
 }
 
-// ReadRegionIntoFloat64 is ReadRegionFloat64 writing into a caller-provided
-// buffer of exactly boxPoints(lo, hi) elements. On a float64 store the
-// cached path allocates nothing; a float32 store is widened through a
-// temporary float32 read.
-func (s *Store) ReadRegionIntoFloat64(ctx context.Context, dst []float64, lo, hi []int) error {
+// ReadRegionIntoT is ReadRegionT writing into a caller-provided buffer:
+// dst must hold exactly boxPoints(lo, hi) elements and receives the box
+// row-major with shape hi-lo. The box, the destination size and the
+// sample kind are all checked before any brick is fetched. When T is the
+// store's own sample type and every intersecting brick is cached the read
+// allocates nothing, so a hot serving loop can reuse one buffer across
+// requests; a float32 store read into float64 samples is widened through
+// a temporary float32 read.
+func ReadRegionIntoT[T qoz.Float](ctx context.Context, s *Store, dst []T, lo, hi []int) error {
 	m := s.man.Load()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if m.hdr.kind == kindFloat64 {
-		if err := validateRegionDst(m, len(dst), lo, hi); err != nil {
-			return err
-		}
-		if serveRegionCached(ctx, s, m, dst, lo, hi) {
-			return nil
-		}
-		return readRegionSlow(ctx, s, m, dst, lo, hi, s.brick64)
-	}
-	v, err := readRegionTyped(ctx, s, m, lo, hi, s.brick32)
-	if err != nil {
+	if err := checkRead[T](m, lo, hi); err != nil {
 		return err
 	}
-	if len(dst) != len(v) {
-		return fmt.Errorf("store: destination holds %d points, region has %d", len(dst), len(v))
+	if len(dst) != boxPoints(lo, hi) {
+		return fmt.Errorf("store: destination holds %d points, region has %d", len(dst), boxPoints(lo, hi))
 	}
-	for i, x := range v {
-		dst[i] = float64(x)
-	}
-	return nil
-}
-
-// validateRegionDst checks the box against the field extents and the
-// destination length against the box volume, allocating only on error.
-func validateRegionDst(m *manifest, dstLen int, lo, hi []int) error {
-	dims := m.hdr.dims
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
-		}
-	}
-	if dstLen != boxPoints(lo, hi) {
-		return fmt.Errorf("store: destination holds %d points, region has %d", dstLen, boxPoints(lo, hi))
-	}
-	return nil
+	return fillRegion(ctx, s, m, dst, lo, hi)
 }
 
 // readRegionSlow is the general path: intersecting bricks decoded (or
 // cache-fetched) concurrently on the bounded worker pool, each copied
 // into its slot of dst.
-func readRegionSlow[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int,
-	brick func(context.Context, *manifest, int) ([]T, error)) error {
+func readRegionSlow[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, lo, hi []int) error {
 	dims := m.hdr.dims
 	outDims := make([]int, len(dims))
 	for i := range dims {
@@ -110,7 +58,7 @@ func readRegionSlow[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst
 	return pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
 		bi := bricks[k]
 		blo, bhi := m.hdr.brickBox(bi)
-		data, err := brick(ctx, m, bi)
+		data, err := brick[N](ctx, s, m, bi)
 		if err != nil {
 			return err
 		}
@@ -139,7 +87,7 @@ func readRegionSlow[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst
 // false — possibly after partially writing dst — when any intersecting
 // brick is absent (or evicted mid-pass); the caller then runs the general
 // path, which rewrites every element.
-func serveRegionCached[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int) bool {
+func serveRegionCached[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, lo, hi []int) bool {
 	h := m.hdr
 	nd := len(h.dims)
 	if nd > maxFastDims || s.cache == nil {
@@ -206,7 +154,7 @@ func serveRegionCached[T qoz.Float](ctx context.Context, s *Store, m *manifest, 
 			// Evicted between the passes; redo everything on the slow path.
 			return false
 		}
-		data := v.([]T)
+		data := v.([]N)
 		var bdims, size, srcLo, dstLo, srcStride [maxFastDims]int
 		for i := 0; i < nd; i++ {
 			blo := coord[i] * h.brick[i]

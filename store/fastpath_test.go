@@ -87,13 +87,13 @@ func TestReadRegionIntoFloat64(t *testing.T) {
 	s64, _ := buildStore64(t, data, dims,
 		WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3}, Brick: []int{8, 8, 8}})
 	lo, hi := []int{2, 3, 4}, []int{13, 11, 17}
-	want, err := s64.ReadRegionFloat64(ctx, lo, hi)
+	want, err := ReadRegionT[float64](ctx, s64, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
 		dst := make([]float64, boxPoints(lo, hi))
-		if err := s64.ReadRegionIntoFloat64(ctx, dst, lo, hi); err != nil {
+		if err := ReadRegionIntoT(ctx, s64, dst, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -107,7 +107,7 @@ func TestReadRegionIntoFloat64(t *testing.T) {
 		t.Fatal("narrowing a float64 store must be refused")
 	}
 
-	// A float32 store widens through ReadRegionIntoFloat64.
+	// A float32 store widens through ReadRegionIntoT.
 	ds := datagen.NYX(16, 16, 16)
 	s32, _ := buildStore(t, ds.Data, ds.Dims,
 		WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}, Options{})
@@ -116,7 +116,7 @@ func TestReadRegionIntoFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 9*9*9)
-	if err := s32.ReadRegionIntoFloat64(ctx, dst, []int{0, 0, 0}, []int{9, 9, 9}); err != nil {
+	if err := ReadRegionIntoT(ctx, s32, dst, []int{0, 0, 0}, []int{9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range w32 {

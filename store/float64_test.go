@@ -47,8 +47,8 @@ func sliceBox64(field []float64, dims, lo, hi []int) []float64 {
 
 // TestFloat64StoreRoundTrip pins the double-precision brick path end to
 // end: WriteT builds a v2 store whose bricks carry the escape envelope,
-// ReadFieldFloat64 honors the bound for every finite point and restores
-// non-finite points exactly, and random ReadRegionFloat64 boxes are
+// ReadFieldT[float64] honors the bound for every finite point and restores
+// non-finite points exactly, and random ReadRegionT[float64] boxes are
 // bit-identical to the corresponding slice of the full read.
 func TestFloat64StoreRoundTrip(t *testing.T) {
 	ctx := context.Background()
@@ -71,9 +71,9 @@ func TestFloat64StoreRoundTrip(t *testing.T) {
 		t.Fatalf("store dtype = %q, Float64 = %v; want float64", s.DType(), s.Float64())
 	}
 
-	full, err := s.ReadFieldFloat64(ctx)
+	full, err := ReadFieldT[float64](ctx, s)
 	if err != nil {
-		t.Fatalf("ReadFieldFloat64: %v", err)
+		t.Fatalf("ReadFieldT[float64]: %v", err)
 	}
 	for i := range data {
 		switch {
@@ -103,9 +103,9 @@ func TestFloat64StoreRoundTrip(t *testing.T) {
 			lo[i] = rng.Intn(d)
 			hi[i] = lo[i] + 1 + rng.Intn(d-lo[i])
 		}
-		got, err := s.ReadRegionFloat64(ctx, lo, hi)
+		got, err := ReadRegionT[float64](ctx, s, lo, hi)
 		if err != nil {
-			t.Fatalf("ReadRegionFloat64(%v,%v): %v", lo, hi, err)
+			t.Fatalf("ReadRegionT[float64](%v,%v): %v", lo, hi, err)
 		}
 		want := sliceBox64(full, dims, lo, hi)
 		for i := range want {
@@ -162,7 +162,7 @@ func TestFloat64IncrementalWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadFieldFloat64(ctx)
+	got, err := ReadFieldT[float64](ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFloat64IncrementalWriter(t *testing.T) {
 }
 
 // TestReadRegionFloat64WidensF32 verifies the widening contract on a
-// float32 store: ReadRegionFloat64 returns exactly the float32 values
+// float32 store: ReadRegionT[float64] returns exactly the float32 values
 // widened, sharing the same cached bricks.
 func TestReadRegionFloat64WidensF32(t *testing.T) {
 	ctx := context.Background()
@@ -189,7 +189,7 @@ func TestReadRegionFloat64WidensF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := s.ReadRegionFloat64(ctx, lo, hi)
+	wide, err := ReadRegionT[float64](ctx, s, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestWriteFromFloat64Stream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeFloat64(ctx, data, dims); err != nil {
+	if err := qoz.EncodeT(ctx, enc, data, dims); err != nil {
 		t.Fatal(err)
 	}
 	streamRecon, _, err := qoz.Decode[float64](ctx, stream.Bytes())
@@ -303,7 +303,7 @@ func TestWriteFromFloat64Stream(t *testing.T) {
 	if !s.Float64() {
 		t.Fatal("re-bricked float64 stream produced a float32 store")
 	}
-	got, err := s.ReadFieldFloat64(ctx)
+	got, err := ReadFieldT[float64](ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +382,8 @@ func TestSharedCacheMixedTypes(t *testing.T) {
 						return
 					}
 				} else {
-					if _, err := s64.ReadRegionFloat64(ctx, lo, hi); err != nil {
-						t.Errorf("f64 ReadRegionFloat64: %v", err)
+					if _, err := ReadRegionT[float64](ctx, s64, lo, hi); err != nil {
+						t.Errorf("f64 ReadRegionT[float64]: %v", err)
 						return
 					}
 				}
@@ -397,7 +397,7 @@ func TestSharedCacheMixedTypes(t *testing.T) {
 	if _, err := s32.ReadField(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s64.ReadFieldFloat64(ctx); err != nil {
+	if _, err := ReadFieldT[float64](ctx, s64); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(16*16*16)*4 + int64(16*16*16)*8
@@ -448,11 +448,11 @@ func TestOpenURLFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := []int{2, 2, 2}, []int{10, 12, 6}
-	got, err := remote.ReadRegionFloat64(ctx, lo, hi)
+	got, err := ReadRegionT[float64](ctx, remote, lo, hi)
 	if err != nil {
-		t.Fatalf("remote ReadRegionFloat64: %v", err)
+		t.Fatalf("remote ReadRegionT[float64]: %v", err)
 	}
-	want, err := local.ReadRegionFloat64(ctx, lo, hi)
+	want, err := ReadRegionT[float64](ctx, local, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestSmallROIBeatsFullDecodeFloat64(t *testing.T) {
 	lo, hi := []int{0, 0, 0}, []int{32, 64, 64} // 4 bricks of 216
 
 	t0 := time.Now()
-	if _, err := s.ReadFieldFloat64(ctx); err != nil {
+	if _, err := ReadFieldT[float64](ctx, s); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(t0)
@@ -504,7 +504,7 @@ func TestSmallROIBeatsFullDecodeFloat64(t *testing.T) {
 	roi := time.Duration(1 << 62)
 	for i := 0; i < 3; i++ { // best of 3 to shrug off scheduler noise
 		t0 = time.Now()
-		if _, err := s.ReadRegionFloat64(ctx, lo, hi); err != nil {
+		if _, err := ReadRegionT[float64](ctx, s, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		if d := time.Since(t0); d < roi {

@@ -581,7 +581,7 @@ func TestFormatSpecV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got, err := s.ReadFieldFloat64(context.Background())
+	got, err := ReadFieldT[float64](context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +809,7 @@ func TestFormatSpecV5Float64(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got, err := s.ReadFieldFloat64(context.Background())
+	got, err := ReadFieldT[float64](context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

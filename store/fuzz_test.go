@@ -156,12 +156,12 @@ func FuzzOpen(f *testing.F) {
 		}
 		var vals []float64
 		if s.Float64() {
-			got, err := s.ReadFieldFloat64(context.Background())
+			got, err := ReadFieldT[float64](context.Background(), s)
 			if err != nil {
 				return
 			}
 			if len(got) != n {
-				t.Fatalf("ReadFieldFloat64 returned %d points for dims %v", len(got), s.Dims())
+				t.Fatalf("ReadFieldT[float64] returned %d points for dims %v", len(got), s.Dims())
 			}
 			vals = got
 		} else {

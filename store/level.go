@@ -11,7 +11,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -50,73 +49,41 @@ func (s *Store) BrickLevels(i int) []LevelEntry {
 	return out
 }
 
-// ReadRegionLevel decodes the level-L coarse grid of the half-open box
-// [lo, hi): every point of the box whose global coordinates are all
-// multiples of 2^(L-1), row-major over the returned coarse dims. Level 1
-// is a full-resolution ReadRegion. The values are bit-identical to the
-// same points of a full read; on a v4 store with a progressive codec only
-// the level-prefix bytes of each brick are fetched and decoded.
+// ReadRegionLevel is ReadRegionLevelT for a float32 store.
 func (s *Store) ReadRegionLevel(ctx context.Context, lo, hi []int, level int) ([]float32, []int, error) {
-	m := s.man.Load()
-	if m.hdr.kind == kindFloat64 {
-		return nil, nil, errors.New("store: float64 store cannot be narrowed to float32 without breaking the error bound; use ReadRegionLevelFloat64")
-	}
-	return readRegionLevelTyped(ctx, s, m, lo, hi, level, s.brickCoarse32)
+	return ReadRegionLevelT[float32](ctx, s, lo, hi, level)
 }
 
-// ReadRegionLevelFloat64 is ReadRegionLevel for double precision; it
-// restores escaped double-precision points that land on the coarse grid
-// exactly, and widens float32 stores losslessly.
-func (s *Store) ReadRegionLevelFloat64(ctx context.Context, lo, hi []int, level int) ([]float64, []int, error) {
-	m := s.man.Load()
-	if m.hdr.kind == kindFloat64 {
-		return readRegionLevelTyped(ctx, s, m, lo, hi, level, s.brickCoarse64)
-	}
-	v, dims, err := readRegionLevelTyped(ctx, s, m, lo, hi, level, s.brickCoarse32)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out, dims, nil
-}
-
-// ReadRegionLevelT is the generic entry point over the two typed
-// progressive reads, mirroring ReadRegionT.
+// ReadRegionLevelT decodes the level-L coarse grid of the half-open box
+// [lo, hi) as samples of type T: every point of the box whose global
+// coordinates are all multiples of 2^(L-1), row-major over the returned
+// coarse dims. Level 1 is a full-resolution ReadRegionT. The values —
+// escaped double-precision points that land on the coarse grid included —
+// are bit-identical to the same points of a full read; on a v4 store with
+// a progressive codec only the level-prefix bytes of each brick are
+// fetched and decoded.
 func ReadRegionLevelT[T qoz.Float](ctx context.Context, s *Store, lo, hi []int, level int) ([]T, []int, error) {
-	if elemBytes[T]() == 8 {
-		v, dims, err := s.ReadRegionLevelFloat64(ctx, lo, hi, level)
-		if err != nil {
-			return nil, nil, err
-		}
-		return convertSamples[float64, T](v), dims, nil
-	}
-	v, dims, err := s.ReadRegionLevel(ctx, lo, hi, level)
-	if err != nil {
+	m := s.man.Load()
+	if err := checkRead[T](m, lo, hi); err != nil {
 		return nil, nil, err
 	}
-	return convertSamples[float32, T](v), dims, nil
+	// The one place a progressive read dispatches on the store's sample
+	// kind; the coarse result is widened whole when T is not that kind.
+	if m.hdr.kind == kindFloat64 {
+		v, dims, err := readRegionLevel[float64](ctx, s, m, lo, hi, level)
+		return convertSamples[float64, T](v), dims, err
+	}
+	v, dims, err := readRegionLevel[float32](ctx, s, m, lo, hi, level)
+	return convertSamples[float32, T](v), dims, err
 }
 
-// readRegionLevelTyped stitches the level-L coarse grids of every brick
-// the box intersects into one dense coarse array, the shared
-// implementation behind both typed progressive reads.
-func readRegionLevelTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi []int, level int,
-	coarse func(context.Context, *manifest, int, int) ([]T, []int, error)) ([]T, []int, error) {
+// readRegionLevel stitches the level-L coarse grids of every brick the
+// validated box intersects into one dense coarse array of native kind N.
+func readRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi []int, level int) ([]N, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	dims := m.hdr.dims
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return nil, nil, fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return nil, nil, fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
-		}
-	}
 	if level < 1 || level > MaxReadLevel {
 		return nil, nil, fmt.Errorf("store: level %d outside 1..%d", level, MaxReadLevel)
 	}
@@ -136,7 +103,7 @@ func readRegionLevelTyped[T qoz.Float](ctx context.Context, s *Store, m *manifes
 		}
 		n *= outDims[d]
 	}
-	out := make([]T, n)
+	out := make([]N, n)
 
 	bricks := m.intersectingBricks(lo, hi)
 	err := pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
@@ -155,7 +122,7 @@ func readRegionLevelTyped[T qoz.Float](ctx context.Context, s *Store, m *manifes
 				return nil
 			}
 		}
-		data, bcd, err := coarse(ctx, m, bi, level)
+		data, bcd, err := brickCoarse[N](ctx, s, m, bi, level)
 		if err != nil {
 			return err
 		}
@@ -174,17 +141,7 @@ func readRegionLevelTyped[T qoz.Float](ctx context.Context, s *Store, m *manifes
 	return out, outDims, nil
 }
 
-// brickCoarse32 returns brick i's level-L coarse grid for a float32
-// store; brickCoarse64 the same with the escape envelope unwrapped.
-func (s *Store) brickCoarse32(ctx context.Context, m *manifest, i, level int) ([]float32, []int, error) {
-	return brickCoarseTyped(ctx, s, m, i, level, qoz.DecodeLevel32, s.brick32)
-}
-
-func (s *Store) brickCoarse64(ctx context.Context, m *manifest, i, level int) ([]float64, []int, error) {
-	return brickCoarseTyped(ctx, s, m, i, level, qoz.DecodeLevel64, s.brick64)
-}
-
-// brickCoarseTyped returns brick i's stride-aligned points — the points
+// brickCoarse returns brick i's stride-aligned points — the points
 // of the brick box whose GLOBAL coordinates are all multiples of
 // stride 2^(level-1) — as a dense array with its dims. Three cases:
 //
@@ -197,9 +154,7 @@ func (s *Store) brickCoarse64(ctx context.Context, m *manifest, i, level int) ([
 //
 // Both paths produce bit-identical values, so mixed-alignment grids
 // stitch seamlessly.
-func brickCoarseTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int,
-	decodeLevel func([]byte, int) ([]T, []int, int, error),
-	brickFull func(context.Context, *manifest, int) ([]T, error)) ([]T, []int, error) {
+func brickCoarse[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int) ([]N, []int, error) {
 	stride := 1 << (level - 1)
 	blo, bhi := m.hdr.brickBox(i)
 	nd := len(blo)
@@ -217,7 +172,7 @@ func brickCoarseTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i
 	}
 	if level > 1 && aligned && len(table) > 0 {
 		eff := min(level, len(table))
-		data, err := brickCoarsePrefix(ctx, s, m, i, eff, bdims, decodeLevel)
+		data, err := brickCoarsePrefix[N](ctx, s, m, i, eff, bdims)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -230,7 +185,7 @@ func brickCoarseTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i
 		}
 		return data, qoz.CoarseDims(bdims, stride), nil
 	}
-	full, err := brickFull(ctx, m, i)
+	full, err := brick[N](ctx, s, m, i)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,8 +204,7 @@ func brickCoarseTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i
 // brickCoarsePrefix fetches and decodes the payload prefix of brick i up
 // to its level-eff boundary, via the cache when enabled. eff must not
 // exceed the brick's level-table length.
-func brickCoarsePrefix[T qoz.Float](ctx context.Context, s *Store, m *manifest, i, eff int, bdims []int,
-	decodeLevel func([]byte, int) ([]T, []int, int, error)) ([]T, error) {
+func brickCoarsePrefix[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, eff int, bdims []int) ([]N, error) {
 	s.read.Add(1)
 	table := m.levels[i]
 	sp := table[len(table)-eff] // entry j holds level len(table)-j
@@ -258,7 +212,7 @@ func brickCoarsePrefix[T qoz.Float](ctx context.Context, s *Store, m *manifest, 
 	obsv := stageObserverFrom(ctx)
 	if data, ok := s.cache.get(key); ok {
 		s.hits.Add(1)
-		d := data.([]T)
+		d := data.([]N)
 		if obsv != nil {
 			obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
 		}
@@ -288,15 +242,14 @@ func brickCoarsePrefix[T qoz.Float](ctx context.Context, s *Store, m *manifest, 
 	if crc32.ChecksumIEEE(payload) != sp.crc {
 		return nil, fmt.Errorf("store: brick %d: level-%d prefix checksum mismatch: %w", i, eff, ErrCorrupt)
 	}
-	id, pdims, err := peekBrick(m.hdr.kind, payload)
-	if err != nil || id != m.hdr.codecID || !equalInts(pdims, bdims) {
-		return nil, fmt.Errorf("store: brick %d: payload shape mismatch: %w", i, ErrCorrupt)
+	if err := checkPayload[N](m, i, payload, bdims); err != nil {
+		return nil, err
 	}
 	var decodeStart time.Time
 	if obsv != nil {
 		decodeStart = time.Now()
 	}
-	data, dims, strideDec, err := decodeLevel(payload, eff)
+	data, dims, strideDec, err := qoz.DecodePayloadLevel[N](payload, eff)
 	if obsv != nil {
 		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
 	}

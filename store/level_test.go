@@ -143,14 +143,14 @@ func TestReadRegionLevelFloat64(t *testing.T) {
 	}
 	defer s.Close()
 	lo := []int{0, 0, 0}
-	full, err := s.ReadRegionFloat64(ctx, lo, dims)
+	full, err := ReadRegionT[float64](ctx, s, lo, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for level := 1; level <= 5; level++ {
 		stride := 1 << (level - 1)
 		want, wantDims := sampleRegionStride(full, lo, dims, stride)
-		got, gotDims, err := s.ReadRegionLevelFloat64(ctx, lo, dims, level)
+		got, gotDims, err := ReadRegionLevelT[float64](ctx, s, lo, dims, level)
 		if err != nil {
 			t.Fatalf("level %d: %v", level, err)
 		}

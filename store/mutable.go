@@ -219,39 +219,38 @@ func newMutable(f *os.File, path string, opts Options, copts qoz.Options) (*Muta
 	}, nil
 }
 
-// AppendSteps appends whole steps — slices along the slowest dimension —
-// to a float32 mutable store and commits them as one new generation.
-// len(rows) must be a whole number of steps. Appending is brick-granular:
-// when the committed step count is not a multiple of the time brick
-// extent, the bricks of the final partial band are rewritten (their
-// reconstruction is re-compressed together with the new rows under the
-// same bound, so those points can drift up to twice the bound from the
-// original field — append in multiples of BrickShape()[0] steps to avoid
-// any recompression). Use AppendStepsFloat64 on float64 stores.
+// AppendSteps is AppendStepsT for float32 rows.
 func (m *Mutable) AppendSteps(ctx context.Context, rows []float32) error {
-	return appendStepsImpl(ctx, m, kindFloat32, rows, m.readRegion32)
+	return AppendStepsT(ctx, m, rows)
 }
 
-// AppendStepsFloat64 is AppendSteps for float64 stores.
-func (m *Mutable) AppendStepsFloat64(ctx context.Context, rows []float64) error {
-	return appendStepsImpl(ctx, m, kindFloat64, rows, m.readRegion64)
-}
-
-// AppendStepsT is the generic entry point over the two typed appends,
-// mirroring ReadRegionT: AppendStepsT[float32] is AppendSteps,
-// AppendStepsT[float64] is AppendStepsFloat64.
+// AppendStepsT appends whole steps — slices along the slowest dimension —
+// to a mutable store and commits them as one new generation. len(rows)
+// must be a whole number of steps; float32 rows widen exactly into a
+// float64 store, float64 rows into a float32 store are refused. Appending
+// is brick-granular: when the committed step count is not a multiple of
+// the time brick extent, the bricks of the final partial band are
+// rewritten (their reconstruction is re-compressed together with the new
+// rows under the same bound, so those points can drift up to twice the
+// bound from the original field — append in multiples of BrickShape()[0]
+// steps to avoid any recompression).
 func AppendStepsT[T qoz.Float](ctx context.Context, m *Mutable, rows []T) error {
-	if elemBytes[T]() == 8 {
-		return m.AppendStepsFloat64(ctx, convertSamples[T, float64](rows))
+	// The sample kind is fixed for the store's life, so it is read (and the
+	// append dispatched on it, here only) outside the mutation lock.
+	kind := m.man.Load().hdr.kind
+	if err := checkWiden(elemBytes[T](), kindSize(kind)); err != nil {
+		return err
 	}
-	return m.AppendSteps(ctx, convertSamples[T, float32](rows))
+	if kind == kindFloat64 {
+		return appendSteps(ctx, m, convertSamples[T, float64](rows))
+	}
+	return appendSteps(ctx, m, convertSamples[T, float32](rows))
 }
 
-// appendStepsImpl is the shared append path: cut the appended rows (plus
-// the re-read rows of a trailing partial band) into bands, compress, and
-// commit one new generation.
-func appendStepsImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8, rows []T,
-	read func(context.Context, *manifest, []int, []int) ([]T, error)) error {
+// appendSteps is the append path over the store's native kind N: cut the
+// appended rows (plus the re-read rows of a trailing partial band) into
+// bands, compress, and commit one new generation.
+func appendSteps[N qoz.Float](ctx context.Context, m *Mutable, rows []N) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -259,9 +258,6 @@ func appendStepsImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8, r
 	defer m.mu.Unlock()
 	man := m.man.Load()
 	hdr := man.hdr
-	if hdr.kind != kind {
-		return fmt.Errorf("store: cannot append %s steps to a %s store", kindName(kind), kindName(hdr.kind))
-	}
 	rowPoints := 1
 	for _, d := range hdr.dims[1:] {
 		rowPoints *= d
@@ -289,13 +285,11 @@ func appendStepsImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8, r
 		lo := make([]int, len(hdr.dims))
 		lo[0] = bandStart * b0
 		hi := append([]int{oldT}, hdr.dims[1:]...)
-		old, err := read(ctx, man, lo, hi)
+		old, err := readRegion[N](ctx, m.Store, man, lo, hi)
 		if err != nil {
 			return fmt.Errorf("store: re-reading partial band for append: %w", err)
 		}
-		combined = make([]T, 0, len(old)+len(rows))
-		combined = append(combined, old...)
-		combined = append(combined, rows...)
+		combined = append(old, rows...)
 	}
 
 	newHdr := *hdr
@@ -352,36 +346,35 @@ func appendStepsImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8, r
 	return m.commit(&newHdr, offs, lens, crcs, stats, cur)
 }
 
-// RewriteBricks replaces the data inside the brick-aligned box [lo, hi)
-// of a float32 mutable store and commits the change as one new
-// generation. The box must be brick-aligned — every lo a multiple of the
-// brick extent, every hi a multiple or the field edge — so the rewrite is
-// exactly a set of whole bricks and no surrounding data is re-encoded.
-// data is row-major with shape hi-lo. Readers holding the previous
-// generation (or any earlier one, via Options.Generation) still see the
-// old bricks; Compact reclaims them. Use RewriteBricksFloat64 on float64
-// stores.
+// RewriteBricks is RewriteBricksT for float32 data.
 func (m *Mutable) RewriteBricks(ctx context.Context, lo, hi []int, data []float32) error {
-	return rewriteBricksImpl(ctx, m, kindFloat32, lo, hi, data)
+	return RewriteBricksT(ctx, m, lo, hi, data)
 }
 
-// RewriteBricksFloat64 is RewriteBricks for float64 stores.
-func (m *Mutable) RewriteBricksFloat64(ctx context.Context, lo, hi []int, data []float64) error {
-	return rewriteBricksImpl(ctx, m, kindFloat64, lo, hi, data)
-}
-
-// RewriteBricksT is the generic entry point over the two typed rewrites.
+// RewriteBricksT replaces the data inside the brick-aligned box [lo, hi)
+// of a mutable store and commits the change as one new generation. The
+// box must be brick-aligned — every lo a multiple of the brick extent,
+// every hi a multiple or the field edge — so the rewrite is exactly a set
+// of whole bricks and no surrounding data is re-encoded. data is
+// row-major with shape hi-lo, under AppendStepsT's sample-kind rule.
+// Readers holding the previous generation (or any earlier one, via
+// Options.Generation) still see the old bricks; Compact reclaims them.
 func RewriteBricksT[T qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, data []T) error {
-	if elemBytes[T]() == 8 {
-		return m.RewriteBricksFloat64(ctx, lo, hi, convertSamples[T, float64](data))
+	// Dispatched on the (immutable) sample kind here only; see AppendStepsT.
+	kind := m.man.Load().hdr.kind
+	if err := checkWiden(elemBytes[T](), kindSize(kind)); err != nil {
+		return err
 	}
-	return m.RewriteBricks(ctx, lo, hi, convertSamples[T, float32](data))
+	if kind == kindFloat64 {
+		return rewriteBricks(ctx, m, lo, hi, convertSamples[T, float64](data))
+	}
+	return rewriteBricks(ctx, m, lo, hi, convertSamples[T, float32](data))
 }
 
-// rewriteBricksImpl validates the brick-aligned box, compresses its
-// bricks, and commits a generation whose manifest points the rewritten
-// bricks at the appended payloads.
-func rewriteBricksImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8, lo, hi []int, data []T) error {
+// rewriteBricks validates the brick-aligned box, compresses its bricks
+// from data of the store's native kind N, and commits a generation whose
+// manifest points the rewritten bricks at the appended payloads.
+func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, data []N) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -389,17 +382,11 @@ func rewriteBricksImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8,
 	defer m.mu.Unlock()
 	man := m.man.Load()
 	hdr := man.hdr
-	if hdr.kind != kind {
-		return fmt.Errorf("store: cannot rewrite %s bricks of a %s store", kindName(kind), kindName(hdr.kind))
-	}
 	dims := hdr.dims
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
+	if err := checkBox(dims, lo, hi); err != nil {
+		return err
 	}
 	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
-		}
 		if lo[i]%hdr.brick[i] != 0 || (hi[i]%hdr.brick[i] != 0 && hi[i] != dims[i]) {
 			return fmt.Errorf("store: rewrite box [%v,%v) is not aligned to bricks %v", lo, hi, hdr.brick)
 		}
@@ -423,9 +410,9 @@ func rewriteBricksImpl[T qoz.Float](ctx context.Context, m *Mutable, kind uint8,
 			size[i] = bhi[i] - blo[i]
 			srcLo[i] = blo[i] - lo[i]
 		}
-		buf := make([]T, boxPoints(blo, bhi))
+		buf := make([]N, boxPoints(blo, bhi))
 		copyBox(buf, size, make([]int, len(size)), data, boxDims, srcLo, size)
-		p, err := compressBrick(ctx, m.codec, buf, size, m.opts)
+		p, err := qoz.EncodePayload(ctx, m.codec, buf, size, m.opts)
 		if err != nil {
 			return fmt.Errorf("store: brick %d: %w", bi, err)
 		}

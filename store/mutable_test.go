@@ -341,18 +341,24 @@ func TestMutableFloat64(t *testing.T) {
 	if !m.Float64() || m.DType() != "float64" {
 		t.Fatalf("Float64 mutable store reports dtype %q", m.DType())
 	}
-	// Type mismatches are refused outright.
-	if err := m.AppendSteps(ctx, stepPlane(0, ny, nx)); err == nil {
-		t.Fatal("float32 append accepted by a float64 store")
+	// Samples only ever widen: float32 steps are taken by a float64 store
+	// exactly (the narrowing direction is refused; see TestKindMatrix).
+	// One whole band of steps, so the next append recompresses nothing.
+	band := append(stepPlane(0, ny, nx), stepPlane(1, ny, nx)...)
+	if err := m.AppendSteps(ctx, band); err != nil {
+		t.Fatalf("float32 append into a float64 store: %v", err)
 	}
-	want := make([]float64, 2*ny*nx)
+	want := make([]float64, 4*ny*nx)
 	for i := range want {
 		want[i] = 1e-7 * float64(i) * math.Pi
+		if i < len(band) {
+			want[i] = float64(band[i])
+		}
 	}
-	if err := m.AppendStepsFloat64(ctx, want); err != nil {
+	if err := AppendStepsT(ctx, m, want[len(band):]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadFieldFloat64(ctx)
+	got, err := ReadFieldT[float64](ctx, m.Store)
 	if err != nil {
 		t.Fatal(err)
 	}

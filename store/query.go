@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"sync"
 
+	"qoz"
 	"qoz/internal/pool"
 )
 
@@ -163,20 +164,12 @@ func (r *QueryResult) UnmarshalJSON(b []byte) error {
 // Query answers a pushdown query over the current generation, decoding
 // only the bricks the statistics index cannot resolve. Thresholds and
 // results are float64 regardless of the store's element type (float32
-// samples widen losslessly), so Query serves both dtypes; QueryFloat64
-// is an alias kept for symmetry with ReadRegion/ReadRegionFloat64.
-// Results are exact: identical to evaluating the predicate over a full
+// samples widen losslessly), so Query serves both sample kinds. Results
+// are exact: identical to evaluating the predicate over a full
 // decode of the box. A store without statistics (v1–v4, or a corrupt
 // statistics block) is handled by decoding every intersecting brick.
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
 	return queryManifest(ctx, s, s.man.Load(), req)
-}
-
-// QueryFloat64 is Query: query predicates and results are always
-// float64, which is exact for float32 stores, so the two entry points
-// coincide.
-func (s *Store) QueryFloat64(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	return s.Query(ctx, req)
 }
 
 // queryManifest validates the request against one manifest snapshot and
@@ -584,25 +577,21 @@ func boxIntersect(lo, hi []int, m *manifest, bi int) (ilo, ihi []int) {
 // scanBrick decodes brick bi (through the cache) and calls point for
 // every sample of the box [ilo, ihi) ⊂ the brick's box, in ascending
 // global row-major order, with the sample's global row-major linear
-// index. float32 samples widen losslessly.
+// index. This is the one place a query dispatches on the store's sample
+// kind; float32 samples widen losslessly.
 func scanBrick(ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []int, point func(g int, v float64)) error {
-	blo, bhi := m.hdr.brickBox(bi)
 	if m.hdr.kind == kindFloat64 {
-		data, err := s.brick64(ctx, m, bi)
-		if err != nil {
-			return err
-		}
-		forEachRun(m.hdr.dims, blo, bhi, ilo, ihi, func(bOff, gOff, run int) {
-			for j := 0; j < run; j++ {
-				point(gOff+j, data[bOff+j])
-			}
-		})
-		return nil
+		return scanBrickOf[float64](ctx, s, m, bi, ilo, ihi, point)
 	}
-	data, err := s.brick32(ctx, m, bi)
+	return scanBrickOf[float32](ctx, s, m, bi, ilo, ihi, point)
+}
+
+func scanBrickOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []int, point func(g int, v float64)) error {
+	data, err := brick[N](ctx, s, m, bi)
 	if err != nil {
 		return err
 	}
+	blo, bhi := m.hdr.brickBox(bi)
 	forEachRun(m.hdr.dims, blo, bhi, ilo, ihi, func(bOff, gOff, run int) {
 		for j := 0; j < run; j++ {
 			point(gOff+j, float64(data[bOff+j]))

@@ -268,7 +268,7 @@ func qRandRequests(rng *rand.Rand, s *Store, vals []float64, dims []int, eb floa
 func qRunDiff(t *testing.T, label string, s *Store, rng *rand.Rand, nreq int) int {
 	t.Helper()
 	ctx := context.Background()
-	vals, err := s.ReadFieldFloat64(ctx)
+	vals, err := ReadFieldT[float64](ctx, s)
 	if err != nil {
 		t.Fatalf("%s: full decode: %v", label, err)
 	}

@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"qoz"
-	"qoz/internal/container"
 	"qoz/internal/pool"
 )
 
@@ -604,107 +603,121 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// ReadField decodes the whole field (every brick). The store must hold
-// float32 samples; use ReadFieldFloat64 for double precision (it also
-// widens float32 stores).
-func (s *Store) ReadField(ctx context.Context) ([]float32, error) {
-	m := s.man.Load()
-	lo := make([]int, len(m.hdr.dims))
-	return s.readRegion32(ctx, m, lo, m.hdr.dims)
+// Sample kinds. A store holds samples of one kind, and its decoded-brick
+// cache always holds slices of that native kind. Every operation accepts
+// any sample type through its generic ...T form and converts whole slices
+// at the boundary under one rule: float32 samples widen exactly to float64
+// (the result of a read, the input of a write), and float64 samples are
+// never narrowed to float32, because the narrowing could break the error
+// bound. The float32 methods beside the ...T functions are one-line
+// conveniences.
+
+// checkWiden refuses, with qoz.ErrNarrowing and before any work is done, a
+// conversion from samples fromBytes wide to samples toBytes wide that
+// would narrow.
+func checkWiden(fromBytes, toBytes int) error {
+	if toBytes < fromBytes {
+		return qoz.ErrNarrowing
+	}
+	return nil
 }
 
-// ReadFieldFloat64 decodes the whole field as float64.
-func (s *Store) ReadFieldFloat64(ctx context.Context) ([]float64, error) {
-	m := s.man.Load()
-	lo := make([]int, len(m.hdr.dims))
-	return s.readRegion64(ctx, m, lo, m.hdr.dims)
-}
-
-// ReadRegion decodes the half-open box [lo, hi) of the field, touching
-// only the bricks the box intersects. Bricks are decoded concurrently on
-// a bounded worker pool, observe ctx, and pass through the decoded-brick
-// LRU cache; the result is row-major with shape hi-lo. A float64 store is
-// refused, since narrowing could break the error bound; use
-// ReadRegionFloat64. The read serves one committed generation wholly: a
-// commit landing mid-read is picked up by the next call, never mixed in.
-func (s *Store) ReadRegion(ctx context.Context, lo, hi []int) ([]float32, error) {
-	return s.readRegion32(ctx, s.man.Load(), lo, hi)
-}
-
-func (s *Store) readRegion32(ctx context.Context, m *manifest, lo, hi []int) ([]float32, error) {
-	if m.hdr.kind == kindFloat64 {
-		return nil, errors.New("store: float64 store cannot be narrowed to float32 without breaking the error bound; use ReadRegionFloat64")
-	}
-	return readRegionTyped(ctx, s, m, lo, hi, s.brick32)
-}
-
-// ReadRegionFloat64 is ReadRegion for double precision: it decodes the box
-// [lo, hi) of a float64 store, restoring escaped double-precision points
-// exactly, and widens float32 stores losslessly.
-func (s *Store) ReadRegionFloat64(ctx context.Context, lo, hi []int) ([]float64, error) {
-	return s.readRegion64(ctx, s.man.Load(), lo, hi)
-}
-
-func (s *Store) readRegion64(ctx context.Context, m *manifest, lo, hi []int) ([]float64, error) {
-	if m.hdr.kind == kindFloat64 {
-		return readRegionTyped(ctx, s, m, lo, hi, s.brick64)
-	}
-	v, err := readRegionTyped(ctx, s, m, lo, hi, s.brick32)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out, nil
-}
-
-// ReadRegionT is the generic entry point over the two typed region reads:
-// ReadRegionT[float32] is ReadRegion, ReadRegionT[float64] is
-// ReadRegionFloat64. (Go methods cannot be generic, hence the free
-// function.)
-func ReadRegionT[T qoz.Float](ctx context.Context, s *Store, lo, hi []int) ([]T, error) {
-	if elemBytes[T]() == 8 {
-		v, err := s.ReadRegionFloat64(ctx, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return convertSamples[float64, T](v), nil
-	}
-	v, err := s.ReadRegion(ctx, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return convertSamples[float32, T](v), nil
-}
-
-// readRegionTyped decodes the box [lo, hi) from bricks of element type T
-// fetched by brick — the shared implementation behind both typed reads.
-// Every access goes through the manifest snapshot m, so the whole read is
-// served from one committed generation.
-func readRegionTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi []int,
-	brick func(context.Context, *manifest, int) ([]T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dims := m.hdr.dims
+// checkBox validates the half-open box [lo, hi) against the field extents.
+func checkBox(dims, lo, hi []int) error {
 	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return nil, fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
+		return fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
 	}
 	for i := range dims {
 		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
+			return fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
 		}
 	}
-	out := make([]T, boxPoints(lo, hi))
-	if serveRegionCached(ctx, s, m, out, lo, hi) {
-		return out, nil
+	return nil
+}
+
+// checkRead validates a read of the box [lo, hi) into samples of type T.
+func checkRead[T qoz.Float](m *manifest, lo, hi []int) error {
+	if err := checkWiden(kindSize(m.hdr.kind), elemBytes[T]()); err != nil {
+		return err
 	}
-	if err := readRegionSlow(ctx, s, m, out, lo, hi, brick); err != nil {
+	return checkBox(m.hdr.dims, lo, hi)
+}
+
+// ReadField decodes the whole field (every brick) of a float32 store;
+// ReadFieldT generalizes it over the sample type.
+func (s *Store) ReadField(ctx context.Context) ([]float32, error) {
+	return ReadFieldT[float32](ctx, s)
+}
+
+// ReadFieldT decodes the whole field as samples of type T.
+func ReadFieldT[T qoz.Float](ctx context.Context, s *Store) ([]T, error) {
+	m := s.man.Load()
+	return readRegion[T](ctx, s, m, make([]int, len(m.hdr.dims)), m.hdr.dims)
+}
+
+// ReadRegion decodes the box [lo, hi) of a float32 store; ReadRegionT
+// generalizes it over the sample type.
+func (s *Store) ReadRegion(ctx context.Context, lo, hi []int) ([]float32, error) {
+	return ReadRegionT[float32](ctx, s, lo, hi)
+}
+
+// ReadRegionT decodes the half-open box [lo, hi) of the field as samples
+// of type T, touching only the bricks the box intersects. Bricks are
+// decoded concurrently on a bounded worker pool, observe ctx, and pass
+// through the decoded-brick LRU cache; the result is row-major with shape
+// hi-lo. Escaped double-precision points are restored exactly. The read
+// serves one committed generation wholly: a commit landing mid-read is
+// picked up by the next call, never mixed in. (Go methods cannot be
+// generic, hence the free function.)
+func ReadRegionT[T qoz.Float](ctx context.Context, s *Store, lo, hi []int) ([]T, error) {
+	return readRegion[T](ctx, s, s.man.Load(), lo, hi)
+}
+
+// readRegion is ReadRegionT against one manifest snapshot.
+func readRegion[T qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi []int) ([]T, error) {
+	if err := checkRead[T](m, lo, hi); err != nil {
+		return nil, err
+	}
+	out := make([]T, boxPoints(lo, hi))
+	if err := fillRegion(ctx, s, m, out, lo, hi); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// fillRegion decodes the validated box [lo, hi) into dst — the one place a
+// region read dispatches on the store's sample kind.
+func fillRegion[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if m.hdr.kind == kindFloat64 {
+		return fillRegionFrom[float64](ctx, s, m, dst, lo, hi)
+	}
+	return fillRegionFrom[float32](ctx, s, m, dst, lo, hi)
+}
+
+// fillRegionFrom decodes the box from bricks of native kind N: straight
+// into dst when T is N (allocation-free when every brick is cached),
+// otherwise into a native buffer that is then widened whole. Every access
+// goes through the manifest snapshot m, so the whole read is served from
+// one committed generation.
+func fillRegionFrom[N, T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int) error {
+	native, same := any(dst).([]N)
+	if !same {
+		native = make([]N, len(dst))
+	}
+	if !serveRegionCached(ctx, s, m, native, lo, hi) {
+		if err := readRegionSlow(ctx, s, m, native, lo, hi); err != nil {
+			return err
+		}
+	}
+	if !same {
+		for i, x := range native {
+			dst[i] = T(x)
+		}
+	}
+	return nil
 }
 
 // intersectingBricks returns the indices of the bricks the box [lo, hi)
@@ -741,22 +754,9 @@ func (m *manifest) intersectingBricks(lo, hi []int) []int {
 	}
 }
 
-// brick32 returns brick i of a float32 store decoded, via the cache when
-// enabled.
-func (s *Store) brick32(ctx context.Context, m *manifest, i int) ([]float32, error) {
-	return brickTyped[float32](ctx, s, m, i, s.codec.Decompress)
-}
-
-// brick64 returns brick i of a float64 store decoded (the escape envelope
-// unwrapped), via the cache when enabled.
-func (s *Store) brick64(ctx context.Context, m *manifest, i int) ([]float64, error) {
-	return brickTyped[float64](ctx, s, m, i, qoz.DecompressEnvelope)
-}
-
-// brickTyped returns brick i decoded to element type T, via the cache when
-// enabled. decode reverses the brick payload format of the store's kind.
-func brickTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i int,
-	decode func(context.Context, []byte) ([]T, []int, error)) ([]T, error) {
+// brick returns brick i decoded to the store's native kind N, via the
+// cache when enabled.
+func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N, error) {
 	s.read.Add(1)
 	// The key carries the payload offset, so a brick rewritten by a later
 	// generation can never be served from the old generation's cached
@@ -769,7 +769,7 @@ func brickTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i int,
 	obsv := stageObserverFrom(ctx)
 	if data, ok := s.cache.get(key); ok {
 		s.hits.Add(1)
-		d := data.([]T)
+		d := data.([]N)
 		if obsv != nil {
 			obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
 		}
@@ -812,18 +812,14 @@ func brickTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i int,
 	for k := range blo {
 		want[k] = bhi[k] - blo[k]
 	}
-	// Validate the payload's declared shape against the manifest before the
-	// codec allocates anything from it: the container header directly for a
-	// float32 brick, the envelope's inner container for a float64 one.
-	id, pdims, err := peekBrick(m.hdr.kind, payload)
-	if err != nil || id != m.hdr.codecID || !equalInts(pdims, want) {
-		return nil, fmt.Errorf("store: brick %d: payload shape mismatch: %w", i, ErrCorrupt)
+	if err := checkPayload[N](m, i, payload, want); err != nil {
+		return nil, err
 	}
 	var decodeStart time.Time
 	if obsv != nil {
 		decodeStart = time.Now()
 	}
-	data, dims, err := decode(ctx, payload)
+	data, dims, err := qoz.DecodePayload[N](ctx, payload)
 	if obsv != nil {
 		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
 	}
@@ -838,13 +834,15 @@ func brickTyped[T qoz.Float](ctx context.Context, s *Store, m *manifest, i int,
 	return data, nil
 }
 
-// peekBrick validates a brick payload's framing for the given element kind
-// and returns the declared codec id and dimensions without decoding.
-func peekBrick(kind uint8, payload []byte) (uint8, []int, error) {
-	if kind == kindFloat64 {
-		return qoz.PeekEnvelope(payload)
+// checkPayload validates brick i's payload framing against the manifest
+// before the codec allocates anything from it: sample kind N, the store's
+// codec, and the declared shape.
+func checkPayload[N qoz.Float](m *manifest, i int, payload []byte, want []int) error {
+	f64, id, dims, err := qoz.PeekPayload(payload)
+	if err != nil || f64 != (elemBytes[N]() == 8) || id != m.hdr.codecID || !equalInts(dims, want) {
+		return fmt.Errorf("store: brick %d: payload shape mismatch: %w", i, ErrCorrupt)
 	}
-	return container.PeekHeader(payload)
+	return nil
 }
 
 // elemBytes returns the byte width of a sample type.

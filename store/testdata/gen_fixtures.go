@@ -77,7 +77,7 @@ func main() {
 	check(f.Close())
 	s, err = store.OpenFile("store/testdata/v5_f64.qozb", store.Options{})
 	check(err)
-	recon64, err := s.ReadFieldFloat64(ctx)
+	recon64, err := store.ReadFieldT[float64](ctx, s)
 	check(err)
 	s.Close()
 	raw = make([]byte, 8*len(recon64))

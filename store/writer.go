@@ -74,9 +74,8 @@ func DefaultBrick(dims []int) []int {
 // which the store is final — for a store that keeps growing after it is
 // first opened (new time steps committed while readers serve), build a
 // mutable store with CreateMutable instead. The type parameter is the
-// element type of the field being written: float32 bricks hold the
-// codec's own container, float64 bricks the escape envelope wrapping
-// one.
+// element type of the field being written; each brick is one
+// qoz.EncodePayload payload of that kind.
 type Writer[T qoz.Float] struct {
 	w       io.Writer
 	hdr     *header
@@ -353,7 +352,7 @@ func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec
 		}
 		buf := make([]T, boxPoints(make([]int, len(size)), size))
 		copyBox(buf, size, make([]int, len(size)), band, bandDims, srcLo, size)
-		p, err := compressBrick(ctx, codec, buf, size, opts)
+		p, err := qoz.EncodePayload(ctx, codec, buf, size, opts)
 		if err != nil {
 			return fmt.Errorf("store: brick %d: %w", brickBase+k, err)
 		}
@@ -406,23 +405,6 @@ func (bw *Writer[T]) Close() error {
 	foot = append(foot, trailerMagicV5...)
 	_, err := bw.w.Write(foot)
 	return err
-}
-
-// compressBrick compresses one brick of element type T: the codec's own
-// container for float32 samples, the float64 escape envelope wrapping one
-// for double precision.
-func compressBrick[T qoz.Float](ctx context.Context, c qoz.Codec, data []T, dims []int, opts qoz.Options) ([]byte, error) {
-	switch d := any(data).(type) {
-	case []float32:
-		return c.Compress(ctx, d, dims, opts)
-	case []float64:
-		return qoz.CompressEnvelope(ctx, c, d, dims, opts)
-	}
-	// T is a type defined on float32 or float64: convert.
-	if elemBytes[T]() == 4 {
-		return c.Compress(ctx, convertSamples[T, float32](data), dims, opts)
-	}
-	return qoz.CompressEnvelope(ctx, c, convertSamples[T, float64](data), dims, opts)
 }
 
 // Write builds a float32 brick store from an in-memory field in one call,
@@ -484,24 +466,19 @@ func WriteFrom(ctx context.Context, w io.Writer, dec *qoz.Decoder, wo WriteOptio
 		wo.Codec = c
 	}
 	if hdr.Float64 {
-		return writeFromSlabs(ctx, w, hdr.Dims, wo, func(ctx context.Context) ([]float64, []int, error) {
-			return dec.NextSlabFloat64(ctx)
-		})
+		return writeFromSlabs[float64](ctx, w, dec, hdr.Dims, wo)
 	}
-	return writeFromSlabs(ctx, w, hdr.Dims, wo, func(ctx context.Context) ([]float32, []int, error) {
-		return dec.NextSlab(ctx)
-	})
+	return writeFromSlabs[float32](ctx, w, dec, hdr.Dims, wo)
 }
 
-// writeFromSlabs drains next into a Writer of matching element type.
-func writeFromSlabs[T qoz.Float](ctx context.Context, w io.Writer, dims []int, wo WriteOptions,
-	next func(context.Context) ([]T, []int, error)) error {
+// writeFromSlabs drains dec into a Writer of the stream's sample kind.
+func writeFromSlabs[T qoz.Float](ctx context.Context, w io.Writer, dec *qoz.Decoder, dims []int, wo WriteOptions) error {
 	bw, err := NewWriterT[T](w, dims, wo)
 	if err != nil {
 		return err
 	}
 	for {
-		data, _, err := next(ctx)
+		data, _, err := qoz.NextSlabT[T](ctx, dec)
 		if err == io.EOF {
 			break
 		}

@@ -10,8 +10,8 @@ package qoz
 //	ndims u8 | dims... | absBound f64 LE | slabRows | nslabs |
 //	nslabs × (payloadLen | payload)
 //
-// Each payload is the codec's own container stream for its slab (kind 0)
-// or the float64 escape envelope wrapping one (kind 1). The absolute
+// Each payload is the slab's EncodePayload form: the codec's own container
+// stream (kind 0) or the float64 escape envelope wrapping one (kind 1). The absolute
 // bound is resolved once over the whole field before slabbing, so the
 // error guarantee is unaffected by the chunking, and identical options
 // produce bit-identical streams through the in-memory Encode and a
@@ -102,51 +102,33 @@ func NewEncoder(w io.Writer, so StreamOptions) (*Encoder, error) {
 	return &Encoder{w: w, so: so}, nil
 }
 
-// Encode writes one float32 field to the underlying writer.
+// Encode writes one float32 field to the underlying writer; EncodeT
+// generalizes it over the sample type.
 func (e *Encoder) Encode(ctx context.Context, data []float32, dims []int) error {
-	eb, err := e.so.Opts.absBound(data)
-	if err != nil {
-		return err
-	}
-	opts := e.so.Opts
-	opts.ErrorBound, opts.RelBound = eb, 0
-	return e.encode(ctx, dims, kindFloat32, eb, len(data),
-		func(ctx context.Context, lo, hi int, sdims []int) ([]byte, error) {
-			return e.so.Codec.Compress(ctx, data[lo:hi], sdims, opts)
-		})
+	return EncodeT(ctx, e, data, dims)
 }
 
-// EncodeFloat64 writes one float64 field, escaping the points whose
-// float32 conversion alone would threaten the bound as well as every
-// non-finite point (see CompressFloat64).
-func (e *Encoder) EncodeFloat64(ctx context.Context, data []float64, dims []int) error {
-	eb, err := absBound64(data, e.so.Opts)
-	if err != nil {
-		return err
-	}
-	opts := e.so.Opts
-	opts.ErrorBound, opts.RelBound = eb, 0
-	return e.encode(ctx, dims, kindFloat64, eb, len(data),
-		func(ctx context.Context, lo, hi int, sdims []int) ([]byte, error) {
-			return compressFloat64With(ctx, e.so.Codec, data[lo:hi], sdims, opts)
-		})
-}
-
-func (e *Encoder) encode(ctx context.Context, dims []int, kind uint8, eb float64, n int,
-	compressSlab func(ctx context.Context, lo, hi int, sdims []int) ([]byte, error)) error {
+// EncodeT writes one field of sample type T through e. A relative bound is
+// resolved over the whole field, and each slab becomes one payload of T's
+// kind (see EncodePayload).
+func EncodeT[T Float](ctx context.Context, e *Encoder, data []T, dims []int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := checkDims(dims, n); err != nil {
+	opts, err := ResolveAbsT(e.so.Opts, data)
+	if err != nil {
+		return err
+	}
+	if err := checkDims(dims, len(data)); err != nil {
 		return err
 	}
 	rows, nslabs, rowPoints := planSlabs(dims, e.so.SlabPoints)
 	payloads := make([][]byte, nslabs)
-	err := runPoolErr(ctx, nslabs, e.so.Workers, func(i int) error {
+	err = runPoolErr(ctx, nslabs, e.so.Workers, func(i int) error {
 		r0 := i * rows
 		r1 := min(r0+rows, dims[0])
 		sdims := append([]int{r1 - r0}, dims[1:]...)
-		p, err := compressSlab(ctx, r0*rowPoints, r1*rowPoints, sdims)
+		p, err := EncodePayload(ctx, e.so.Codec, data[r0*rowPoints:r1*rowPoints], sdims, opts)
 		if err != nil {
 			return fmt.Errorf("qoz: slab %d/%d: %w", i, nslabs, err)
 		}
@@ -156,13 +138,17 @@ func (e *Encoder) encode(ctx context.Context, dims []int, kind uint8, eb float64
 	if err != nil {
 		return err
 	}
+	kind := uint8(kindFloat32)
+	if elemSize[T]() == 8 {
+		kind = kindFloat64
+	}
 	hdr := make([]byte, 0, 64)
 	hdr = append(hdr, streamMagic...)
 	hdr = append(hdr, streamVersion, e.so.Codec.ID(), kind, uint8(len(dims)))
 	for _, d := range dims {
 		hdr = binary.AppendUvarint(hdr, uint64(d))
 	}
-	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(eb))
+	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opts.ErrorBound))
 	hdr = binary.AppendUvarint(hdr, uint64(rows))
 	hdr = binary.AppendUvarint(hdr, uint64(nslabs))
 	if _, err := e.w.Write(hdr); err != nil {
@@ -312,215 +298,21 @@ func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 	return h, nil
 }
 
-// Decode reads and reconstructs the stream's field. The stream must carry
-// float32 samples; use DecodeFloat64 for double precision (it also widens
-// float32 streams).
+// Decode reads and reconstructs a float32 stream's field; DecodeT
+// generalizes it over the sample type.
 func (d *Decoder) Decode(ctx context.Context) ([]float32, []int, error) {
+	return DecodeT[float32](ctx, d)
+}
+
+// DecodeT reads and reconstructs the stream's field as samples of type T,
+// restoring escaped double-precision points exactly. A float32 stream
+// widens exactly into float64 samples; a float64 stream into float32
+// samples is refused with ErrNarrowing before anything is read.
+func DecodeT[T Float](ctx context.Context, d *Decoder) ([]T, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hdr, err := d.Header()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hdr.Float64 {
-		return nil, nil, errors.New("qoz: float64 stream; use DecodeFloat64")
-	}
-	c, err := LookupID(hdr.CodecID)
-	if err != nil {
-		return nil, nil, err
-	}
-	hdr, payloads, err := d.readAll(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Decode every slab before sizing the output: the field size the
-	// header declares is only trusted once the payloads actually decode
-	// to it, so a hostile header cannot force a giant allocation.
-	slabs := make([][]float32, hdr.NumSlabs)
-	err = runPoolErr(ctx, hdr.NumSlabs, d.Workers, func(i int) error {
-		lo, hi, sdims := slabRange(hdr, i)
-		data, dims, err := c.Decompress(ctx, payloads[i])
-		if err != nil {
-			return fmt.Errorf("qoz: slab %d: %w", i, err)
-		}
-		if !equalDims(dims, sdims) || len(data) != hi-lo {
-			return ErrCorruptStream
-		}
-		payloads[i] = nil
-		slabs[i] = data
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float32, 0, hdr.Points())
-	for _, s := range slabs {
-		out = append(out, s...)
-	}
-	return out, hdr.Dims, nil
-}
-
-// DecodeFloat64 reads and reconstructs the stream's field as float64,
-// restoring escaped double-precision points exactly. A float32 stream is
-// widened losslessly.
-func (d *Decoder) DecodeFloat64(ctx context.Context) ([]float64, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	hdr, err := d.Header()
-	if err != nil {
-		return nil, nil, err
-	}
-	if !hdr.Float64 {
-		v, dims, err := d.Decode(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]float64, len(v))
-		for i, x := range v {
-			out[i] = float64(x)
-		}
-		return out, dims, nil
-	}
-	hdr, payloads, err := d.readAll(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	// As in Decode: size the output from decoded slabs, not the header.
-	slabs := make([][]float64, hdr.NumSlabs)
-	err = runPoolErr(ctx, hdr.NumSlabs, d.Workers, func(i int) error {
-		lo, hi, sdims := slabRange(hdr, i)
-		data, dims, err := decodeFloat64Envelope(ctx, payloads[i])
-		if err != nil {
-			return fmt.Errorf("qoz: slab %d: %w", i, err)
-		}
-		if !equalDims(dims, sdims) || len(data) != hi-lo {
-			return ErrCorruptStream
-		}
-		payloads[i] = nil
-		slabs[i] = data
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float64, 0, hdr.Points())
-	for _, s := range slabs {
-		out = append(out, s...)
-	}
-	return out, hdr.Dims, nil
-}
-
-// NextSlab decodes and returns the next slab of a float32 stream in slab
-// order, along with the slab's dimensions; its rows start at row
-// index*SlabRows of the whole field. It returns io.EOF after the last
-// slab. NextSlab lets consumers such as the brick store re-partition a
-// huge stream without ever materializing the whole field; it cannot be
-// mixed with Decode/DecodeFloat64 on the same Decoder. As with Decode,
-// a float64 stream is refused (narrowing could break the error bound);
-// use NextSlabFloat64, which also widens float32 streams.
-func (d *Decoder) NextSlab(ctx context.Context) ([]float32, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	hdr, err := d.Header()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hdr.Float64 {
-		return nil, nil, errors.New("qoz: float64 stream; use NextSlabFloat64")
-	}
-	c, err := LookupID(hdr.CodecID)
-	if err != nil {
-		return nil, nil, err
-	}
-	i, p, err := d.nextSlabPayload(ctx, hdr)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi, sdims := slabRange(hdr, i)
-	data, dims, err := c.Decompress(ctx, p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
-	}
-	if !equalDims(dims, sdims) || len(data) != hi-lo {
-		return nil, nil, ErrCorruptStream
-	}
-	d.next++
-	return data, sdims, nil
-}
-
-// NextSlabFloat64 is NextSlab for double precision: it decodes the next
-// slab of a float64 stream (restoring escaped points exactly), or widens
-// the next slab of a float32 stream losslessly. It is how the brick store
-// re-bricks a double-precision stream without materializing the field.
-func (d *Decoder) NextSlabFloat64(ctx context.Context) ([]float64, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	hdr, err := d.Header()
-	if err != nil {
-		return nil, nil, err
-	}
-	if !hdr.Float64 {
-		v, sdims, err := d.NextSlab(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]float64, len(v))
-		for i, x := range v {
-			out[i] = float64(x)
-		}
-		return out, sdims, nil
-	}
-	if _, err := LookupID(hdr.CodecID); err != nil {
-		return nil, nil, err
-	}
-	i, p, err := d.nextSlabPayload(ctx, hdr)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi, sdims := slabRange(hdr, i)
-	data, dims, err := decodeFloat64Envelope(ctx, p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
-	}
-	if !equalDims(dims, sdims) || len(data) != hi-lo {
-		return nil, nil, ErrCorruptStream
-	}
-	d.next++
-	return data, sdims, nil
-}
-
-// nextSlabPayload reads the next slab's framed payload bytes, shared by
-// the two typed NextSlab entry points; it returns the slab's index and
-// does not advance d.next (the caller commits only after a clean decode).
-func (d *Decoder) nextSlabPayload(ctx context.Context, hdr *StreamHeader) (int, []byte, error) {
-	if d.used && d.next == 0 {
-		return 0, nil, errors.New("qoz: stream already decoded")
-	}
-	d.used = true
-	if d.next >= hdr.NumSlabs {
-		return 0, nil, io.EOF
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	n, err := binary.ReadUvarint(d.br)
-	if err != nil || n > slabPayloadCap {
-		return 0, nil, ErrCorruptStream
-	}
-	p, err := readN(d.br, int(n))
-	if err != nil {
-		return 0, nil, ErrCorruptStream
-	}
-	return d.next, p, nil
-}
-
-// readAll consumes the header and every slab payload from the reader.
-func (d *Decoder) readAll(ctx context.Context) (*StreamHeader, [][]byte, error) {
-	hdr, err := d.Header()
+	hdr, err := headerFor[T](d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -530,20 +322,123 @@ func (d *Decoder) readAll(ctx context.Context) (*StreamHeader, [][]byte, error) 
 	d.used = true
 	payloads := make([][]byte, hdr.NumSlabs)
 	for i := range payloads {
-		if err := ctx.Err(); err != nil {
+		if payloads[i], err = d.readPayload(ctx); err != nil {
 			return nil, nil, err
 		}
-		n, err := binary.ReadUvarint(d.br)
-		if err != nil || n > slabPayloadCap {
-			return nil, nil, ErrCorruptStream
-		}
-		p, err := readN(d.br, int(n))
-		if err != nil {
-			return nil, nil, ErrCorruptStream
-		}
-		payloads[i] = p
 	}
-	return hdr, payloads, nil
+	// Decode every slab before sizing the output: the field size the
+	// header declares is only trusted once the payloads actually decode
+	// to it, so a hostile header cannot force a giant allocation.
+	slabs := make([][]T, hdr.NumSlabs)
+	err = runPoolErr(ctx, hdr.NumSlabs, d.Workers, func(i int) error {
+		var err error
+		slabs[i], _, err = decodeSlab[T](ctx, hdr, i, payloads[i])
+		payloads[i] = nil
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]T, 0, hdr.Points())
+	for _, s := range slabs {
+		out = append(out, s...)
+	}
+	return out, hdr.Dims, nil
+}
+
+// NextSlab decodes and returns the next slab of a float32 stream; NextSlabT
+// generalizes it over the sample type.
+func (d *Decoder) NextSlab(ctx context.Context) ([]float32, []int, error) {
+	return NextSlabT[float32](ctx, d)
+}
+
+// NextSlabT decodes and returns the next slab of the stream in slab order
+// as samples of type T (under DecodeT's widening rule), along with the
+// slab's dimensions; its rows start at row index*SlabRows of the whole
+// field. It returns io.EOF after the last slab. NextSlabT lets consumers
+// such as the brick store re-partition a huge stream without ever
+// materializing the whole field; it cannot be mixed with DecodeT on the
+// same Decoder.
+func NextSlabT[T Float](ctx context.Context, d *Decoder) ([]T, []int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	hdr, err := headerFor[T](d)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d.used && d.next == 0 {
+		return nil, nil, errors.New("qoz: stream already decoded")
+	}
+	d.used = true
+	if d.next >= hdr.NumSlabs {
+		return nil, nil, io.EOF
+	}
+	p, err := d.readPayload(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, sdims, err := decodeSlab[T](ctx, hdr, d.next, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.next++ // committed only after a clean decode
+	return data, sdims, nil
+}
+
+// headerFor returns the stream header once it is known that the stream can
+// be decoded into samples of type T: its kind does not need narrowing and
+// its codec is registered.
+func headerFor[T Float](d *Decoder) (*StreamHeader, error) {
+	hdr, err := d.Header()
+	if err != nil {
+		return nil, err
+	}
+	if hdr.Float64 && elemSize[T]() == 4 {
+		return nil, ErrNarrowing
+	}
+	if _, err := LookupID(hdr.CodecID); err != nil {
+		return nil, err
+	}
+	return hdr, nil
+}
+
+// readPayload reads the next slab's framed payload bytes.
+func (d *Decoder) readPayload(ctx context.Context) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n, err := binary.ReadUvarint(d.br)
+	if err != nil || n > slabPayloadCap {
+		return nil, ErrCorruptStream
+	}
+	p, err := readN(d.br, int(n))
+	if err != nil {
+		return nil, ErrCorruptStream
+	}
+	return p, nil
+}
+
+// decodeSlab decodes slab i's payload, holding it to what the stream
+// header declared — sample kind, codec and slab shape — before the codec
+// allocates anything from it.
+func decodeSlab[T Float](ctx context.Context, hdr *StreamHeader, i int, p []byte) ([]T, []int, error) {
+	lo, hi, sdims := slabRange(hdr, i)
+	f64, id, pdims, err := PeekPayload(p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
+	}
+	if f64 != hdr.Float64 || id != hdr.CodecID || !equalDims(pdims, sdims) {
+		return nil, nil, ErrCorruptStream
+	}
+	data, dims, err := DecodePayload[T](ctx, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
+	}
+	if !equalDims(dims, sdims) || len(data) != hi-lo {
+		return nil, nil, ErrCorruptStream
+	}
+	return data, sdims, nil
 }
 
 // readN reads exactly n bytes, growing the buffer chunk by chunk so a

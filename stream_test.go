@@ -148,7 +148,7 @@ func TestStreamFloat64MultiSlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.EncodeFloat64(ctx, data, []int{n}); err != nil {
+		if err := qoz.EncodeT(ctx, enc, data, []int{n}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 
@@ -160,7 +160,7 @@ func TestStreamFloat64MultiSlab(t *testing.T) {
 		if !hdr.Float64 || hdr.NumSlabs != 4 {
 			t.Fatalf("%s: header %+v", name, hdr)
 		}
-		recon, dims, err := dec.DecodeFloat64(ctx)
+		recon, dims, err := qoz.DecodeT[float64](ctx, dec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -184,7 +184,7 @@ func TestStreamFloat64MultiSlab(t *testing.T) {
 
 		// The generic Decode sees the same bytes; the float32 view of a
 		// float64 stream is refused without draining the stream, so the
-		// same Decoder can still be pointed at DecodeFloat64.
+		// same Decoder can still be pointed at DecodeT[float64].
 		if _, _, err := qoz.Decode[float64](ctx, buf.Bytes()); err != nil {
 			t.Fatalf("%s: generic Decode: %v", name, err)
 		}
@@ -192,8 +192,8 @@ func TestStreamFloat64MultiSlab(t *testing.T) {
 		if _, _, err := d2.Decode(ctx); err == nil {
 			t.Fatalf("%s: float64 stream decoded as float32", name)
 		}
-		if _, _, err := d2.DecodeFloat64(ctx); err != nil {
-			t.Fatalf("%s: DecodeFloat64 after refused Decode: %v", name, err)
+		if _, _, err := qoz.DecodeT[float64](ctx, d2); err != nil {
+			t.Fatalf("%s: DecodeT[float64] after refused Decode: %v", name, err)
 		}
 	}
 }
@@ -212,7 +212,7 @@ func TestDecodeFloat64Widens(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := qoz.NewDecoder(bytes.NewReader(buf))
-	f64, _, err := dec.DecodeFloat64(ctx)
+	f64, _, err := qoz.DecodeT[float64](ctx, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestNextSlabRejectsFloat64(t *testing.T) {
 	}
 	var b bytes.Buffer
 	enc, _ := qoz.NewEncoder(&b, qoz.StreamOptions{Opts: qoz.Options{ErrorBound: 1e-3}})
-	if err := enc.EncodeFloat64(ctx, d64, []int{64}); err != nil {
+	if err := qoz.EncodeT(ctx, enc, d64, []int{64}); err != nil {
 		t.Fatal(err)
 	}
 	dec := qoz.NewDecoder(bytes.NewReader(b.Bytes()))
