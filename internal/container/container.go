@@ -372,16 +372,39 @@ func DeflatedLen(buf []byte) int {
 	return int(n)
 }
 
+// inflater is the reusable INFLATE stage: a flate reader carries a 32 KiB
+// window and its decode tables, and a stream holds one section per level
+// per brick. Reset makes a used reader, failed or not, read as a new one.
+type inflater struct {
+	r   io.Reader // a flate reader; also a flate.Resetter
+	src bytes.Reader
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := &inflater{}
+	in.r = flate.NewReader(&in.src)
+	return in
+}}
+
 func inflate(buf []byte, sizeHint int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(buf))
-	defer r.Close()
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	return in.inflate(buf, sizeHint)
+}
+
+func (in *inflater) inflate(buf []byte, sizeHint int) ([]byte, error) {
+	in.src.Reset(buf)
+	defer in.src.Reset(nil) // a pooled reader must not keep the stream alive
+	if err := in.r.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
+	}
 	// The hint comes from the stream, so cap the up-front allocation and
 	// let append grow with the bytes that actually decompress; refuse
 	// output past the declared size instead of buffering it.
 	out := make([]byte, 0, min(sizeHint, 1<<20))
 	var block [8192]byte
 	for {
-		n, err := r.Read(block[:])
+		n, err := in.r.Read(block[:])
 		out = append(out, block[:n]...)
 		if len(out) > sizeHint {
 			return nil, errors.New("container: section inflates past its declared size")

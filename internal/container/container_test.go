@@ -258,3 +258,50 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestInflaterReuse drives one pooled reader through every way a section
+// can leave it — a clean end, a corrupt stream, a truncated one, output
+// past the declared size — and requires a good section to decode exactly
+// after each.
+func TestInflaterReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	good := make([]byte, 100000)
+	for i := range good {
+		good[i] = byte(rng.Intn(7))
+	}
+	d := deflaters.Get().(*deflater)
+	enc := append([]byte(nil), d.deflate(good)...)
+	other := append([]byte(nil), d.deflate(bytes.Repeat([]byte("level"), 9000))...)
+	deflaters.Put(d)
+
+	corrupt := append([]byte(nil), enc...)
+	for i := len(corrupt) / 3; i < len(corrupt)/3+64; i++ {
+		corrupt[i] ^= 0x5A
+	}
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	check := func(after string) {
+		t.Helper()
+		out, err := in.inflate(enc, len(good))
+		if err != nil || !bytes.Equal(out, good) {
+			t.Fatalf("good section after %s: err %v, %d bytes", after, err, len(out))
+		}
+	}
+	check("nothing")
+	if out, err := in.inflate(corrupt, len(good)); err == nil && bytes.Equal(out, good) {
+		t.Fatal("corrupt section inflated to the original")
+	}
+	check("a corrupt section")
+	if _, err := in.inflate(enc[:len(enc)/2], len(good)); err == nil {
+		t.Fatal("truncated section inflated without error")
+	}
+	check("a truncated section")
+	if _, err := in.inflate(enc, len(good)-1); err == nil {
+		t.Fatal("section inflated past its declared size")
+	}
+	check("an oversized section")
+	if out, err := in.inflate(other, 45000); err != nil || len(out) != 45000 {
+		t.Fatalf("second stream: err %v, %d bytes", err, len(out))
+	}
+	check("another stream")
+}

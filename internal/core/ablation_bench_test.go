@@ -79,3 +79,25 @@ func BenchmarkAblationModeFixed(b *testing.B) {
 func BenchmarkAblationNoLevelSelect(b *testing.B) {
 	benchOptions(b, datagen.NYX(64, 64, 64), Options{DisableLevelSelect: true, DisableParamTuning: true})
 }
+
+// BenchmarkCompressQoZBrick64 is what the brick store pays per brick: a
+// 64^3 cut of a larger field, tuned for compression ratio on its own. It
+// reports the tuner's work in its exact units next to time and memory.
+func BenchmarkCompressQoZBrick64(b *testing.B) {
+	ds := datagen.Miranda(96, 96, 96)
+	brick := centerBlock(ds.Data, ds.Dims, 64)
+	opts := Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data), Mode: ModeCR}
+	b.SetBytes(int64(len(brick.Data) * 4))
+	b.ReportAllocs()
+	var stats TunerStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := CompressDetailed(brick.Data, brick.Dims, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats = res.Tuner
+	}
+	b.ReportMetric(float64(stats.Trials), "trials/op")
+	b.ReportMetric(float64(stats.Level1Sweeps), "level1-sweeps/op")
+}

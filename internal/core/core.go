@@ -132,6 +132,16 @@ func (o Options) withDefaults(nd int) Options {
 	return o
 }
 
+// maxLevel returns the top interpolation level of a field of shape dims
+// under defaulted options: set by the anchor grid, or by the longest
+// dimension when there are no anchors.
+func (o Options) maxLevel(dims []int) int {
+	if o.DisableAnchors {
+		return interp.MaxLevelGlobal(dims)
+	}
+	return interp.MaxLevelAnchored(o.AnchorStride)
+}
+
 // Result carries the tuning decisions made during compression, for
 // observability and the ablation/tuning experiments.
 type Result struct {
@@ -139,6 +149,7 @@ type Result struct {
 	Alpha   float64
 	Beta    float64
 	Methods []interp.Method // index l-1 = method for level l
+	Tuner   TunerStats      // what choosing them cost
 }
 
 // Compress compresses data (row-major, shape dims) under opts and returns
@@ -159,16 +170,13 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 	o := opts.withDefaults(len(dims))
 	eb := o.ErrorBound
 
-	maxLevel := interp.MaxLevelAnchored(o.AnchorStride)
-	if o.DisableAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
+	maxLevel := o.maxLevel(dims)
 
 	tn := newTuner(data, dims, o)
 	methods := tn.selectMethods(maxLevel)
 	alpha, beta := o.Alpha, o.Beta
 	if o.Mode != ModeFixed {
-		alpha, beta = tn.tuneParams(methods)
+		alpha, beta = tn.tuneParams()
 	}
 
 	// Full compression pass with the chosen configuration. The symbol
@@ -227,7 +235,7 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Bytes: buf, Alpha: alpha, Beta: beta, Methods: methods}, nil
+	return &Result{Bytes: buf, Alpha: alpha, Beta: beta, Methods: methods, Tuner: tn.stats}, nil
 }
 
 // Decompress reverses Compress. Both stream layouts decode: the

@@ -1,7 +1,5 @@
 package core
 
-import "qoz/internal/interp"
-
 // EstimateQuality runs a sampled trial compression (the same machinery the
 // online tuner uses) and returns the estimated bits per point and PSNR for
 // compressing data under opts, without compressing the full array. It
@@ -17,14 +15,10 @@ func EstimateQuality(data []float32, dims []int, opts Options) (bitsPerPoint, ps
 	scoring.Mode = ModePSNR // score trials in PSNR regardless of tuning mode
 	t := newTuner(data, dims, scoring)
 
-	maxLevel := interp.MaxLevelAnchored(o.AnchorStride)
-	if o.DisableAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
-	methods := t.selectMethods(maxLevel)
+	t.selectMethods(o.maxLevel(dims))
 	alpha, beta := o.Alpha, o.Beta
 	if opts.Mode != ModeFixed && !opts.DisableParamTuning {
-		alpha, beta = t.tuneParams(methods)
+		alpha, beta = t.tuneParams()
 	}
 	if alpha < 1 {
 		alpha = 1
@@ -32,6 +26,6 @@ func EstimateQuality(data []float32, dims []int, opts Options) (bitsPerPoint, ps
 	if beta < 1 {
 		beta = 1
 	}
-	res := t.evaluate(alpha, beta, o.ErrorBound, methods)
+	res := t.evaluate(alpha, beta, o.ErrorBound)
 	return res.bitrate, res.score, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"qoz/internal/container"
 	"qoz/internal/huffman"
@@ -26,18 +27,37 @@ type tuner struct {
 	blocks []sampling.Block
 	seeds  [][]float32
 	trial  [][]float32
-	// recons holds the evolving per-block reconstruction state during
-	// level-by-level interpolator selection.
-	recons      [][]float32
-	bins        []uint32
-	blockAnchor int // anchor stride inside a sample block (0 = global)
-	nAnchors    int // anchor points over all blocks
-	vrange      float64
+	bins   []uint32
+	// methods is selectMethods' answer, the interpolators every (α, β)
+	// trial runs with; memo holds the trials run with them so far.
+	methods     []interp.Method
+	memo        []memoEntry
+	blockAnchor int     // anchor stride inside a sample block (0 = global)
+	topLevel    int     // highest blockMaxLevel over the blocks
+	nAnchors    int     // anchor points over all blocks
+	vrange      float64 // of the whole input; only ModePSNR's score reads it
 	totalPts    int
+	stats       TunerStats
+}
+
+// TunerStats counts the tuner's work in units that repeat exactly from run
+// to run, so a test can pin them.
+type TunerStats struct {
+	// Trials is the number of sampled trial compressions the (α, β) search
+	// ran: one per distinct sequence of level bounds, however many
+	// candidates share it.
+	Trials int
+	// Level1Sweeps is the number of times the finest level was swept over
+	// the sample blocks, by any stage — the tuner's dominant cost, since
+	// level 1 holds 7/8 of a 3-D block's points.
+	Level1Sweeps int
 }
 
 func newTuner(data []float32, dims []int, o Options) *tuner {
-	t := &tuner{dims: dims, o: o, vrange: metrics.ValueRange(data)}
+	t := &tuner{dims: dims, o: o}
+	if o.Mode == ModePSNR {
+		t.vrange = metrics.ValueRange(data)
+	}
 	// Blocks span SampleBlock+1 points so that they carry the anchor
 	// points on *both* ends of each anchor cell; a block holding only its
 	// origin anchor would make high interpolation levels look far worse
@@ -62,6 +82,9 @@ func newTuner(data []float32, dims []int, o Options) *tuner {
 		if t.blockAnchor < 2 {
 			t.blockAnchor = 2
 		}
+	}
+	for _, b := range t.blocks {
+		t.topLevel = max(t.topLevel, t.blockMaxLevel(b))
 	}
 
 	// Seeds: anchors copied losslessly, or the origin committed with zero
@@ -113,14 +136,26 @@ func (t *tuner) blockMaxLevel(b sampling.Block) int {
 	return interp.MaxLevelGlobal(b.Dims)
 }
 
+// levelBounds returns the error bound of every level a trial sweeps under
+// (α, β): index l-1 holds e_l for l = 1 … topLevel.
+func (t *tuner) levelBounds(alpha, beta, eb float64) []float64 {
+	bounds := make([]float64, t.topLevel)
+	for i := range bounds {
+		bounds[i] = levelBound(eb, alpha, beta, i+1)
+	}
+	return bounds
+}
+
 // trialEncode compresses every sample block from its seed into t.trial
-// under one configuration, appending to q's streams.
-func (t *tuner) trialEncode(q *quant.Quantizer, alpha, beta, eb float64, methods []interp.Method) {
+// under one configuration, appending to q's streams. bounds comes from
+// levelBounds.
+func (t *tuner) trialEncode(q *quant.Quantizer, bounds []float64, methods []interp.Method) {
+	t.stats.Level1Sweeps++
 	for i, b := range t.blocks {
 		recon := t.trial[i]
 		copy(recon, t.seeds[i])
 		for level := t.blockMaxLevel(b); level >= 1; level-- {
-			q.SetBound(levelBound(eb, alpha, beta, level))
+			q.SetBound(bounds[level-1])
 			interp.LevelPassEncode(recon, b.Data, b.Dims, level, methodFor(methods, level), q)
 		}
 	}
@@ -129,8 +164,15 @@ func (t *tuner) trialEncode(q *quant.Quantizer, alpha, beta, eb float64, methods
 // selectMethods implements Algorithm 1: per-level best-fit interpolator
 // selection by trial compression over the sampled blocks, comparing mean
 // absolute (L1) prediction errors. It returns one method per level
-// 1..maxLevel (levels above the sampled top level reuse its choice).
+// 1..maxLevel (levels above the sampled top level reuse its choice), and
+// keeps them as the methods evaluate runs with.
 func (t *tuner) selectMethods(maxLevel int) []interp.Method {
+	t.methods = t.chooseMethods(maxLevel)
+	t.memo = t.memo[:0]
+	return t.methods
+}
+
+func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 	cands := interp.Candidates(len(t.dims))
 	if t.o.DisableSampling {
 		// SZ3-style configuration: restrict to the paper's candidate set.
@@ -151,33 +193,40 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 	// hysteresis keeps selection stable on near-isotropic data).
 	global := t.selectGlobalMethod(cands)
 
-	// Initialize per-block reconstruction state.
-	t.recons = t.perBlock()
-	L := 0
-	for i, b := range t.blocks {
-		copy(t.recons[i], t.seeds[i])
-		if l := t.blockMaxLevel(b); l > L {
-			L = l
-		}
+	// recons is the per-block reconstruction state the levels build up.
+	// A candidate's pass runs in t.trial, and kept holds the pass that
+	// would be chosen if the level ended there, exchanged for t.trial
+	// whenever that changes — so the chosen pass becomes the next level's
+	// state without being run again. The default goes first for that:
+	// a challenger replaces it only by beating it decisively, and one
+	// that does leaves no way back to the default.
+	recons, kept := t.perBlock(), t.perBlock()
+	for i := range t.blocks {
+		copy(recons[i], t.seeds[i])
 	}
-	if L > maxLevel {
-		L = maxLevel
-	}
+	order := append([]interp.Method{global}, cands...)
+	L := min(t.topLevel, maxLevel)
 	methods := make([]interp.Method, maxLevel)
 	eb := t.o.ErrorBound
 	const switchMargin = 0.98 // challenger must beat the default by >2%
 	for level := L; level >= 1; level-- {
 		best := global
-		bestCost := math.Inf(1)
+		bestCost := math.Inf(1) // of the cheapest decisive challenger
 		globalCost := math.Inf(1)
-		for _, m := range cands {
+		for n, m := range order {
+			if n > 0 && m == global {
+				continue
+			}
 			q := t.quantizer(eb)
 			for i, b := range t.blocks {
 				if level > t.blockMaxLevel(b) {
 					continue
 				}
-				copy(t.trial[i], t.recons[i])
+				copy(t.trial[i], recons[i])
 				interp.LevelPassEncode(t.trial[i], b.Data, b.Dims, level, m, q)
+			}
+			if level == 1 {
+				t.stats.Level1Sweeps++
 			}
 			if len(q.Bins) == 0 {
 				continue
@@ -189,27 +238,28 @@ func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 			// sample streams are small and DEFLATE measurements on tiny
 			// streams are dominated by framing noise.
 			cost := float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
-			if m == global {
+			switch {
+			case n == 0:
 				globalCost = cost
-			}
-			if cost < bestCost {
-				bestCost = cost
-				best = m
-			}
-		}
-		if best != global && !(bestCost < switchMargin*globalCost) {
-			best = global
-		}
-		methods[level-1] = best
-		// Commit the winning pass into the per-block state so the next
-		// (lower) level predicts from realistic reconstructions; only the
-		// reconstruction is kept, the symbols are scratch.
-		q := t.quantizer(eb)
-		for i, b := range t.blocks {
-			if level > t.blockMaxLevel(b) {
+			case cost < bestCost && cost < switchMargin*globalCost:
+				best, bestCost = m, cost
+			default:
 				continue
 			}
-			interp.LevelPassEncode(t.recons[i], b.Data, b.Dims, level, best, q)
+			t.trial, kept = kept, t.trial
+		}
+		methods[level-1] = best
+		if level == 1 || math.IsInf(globalCost, 1) {
+			// Nothing predicts from the finest level, and a level with no
+			// points to code kept no pass: the state stands.
+			continue
+		}
+		// The chosen pass becomes the per-block state, so the next (lower)
+		// level predicts from realistic reconstructions.
+		for i, b := range t.blocks {
+			if level <= t.blockMaxLevel(b) {
+				recons[i], kept[i] = kept[i], recons[i]
+			}
 		}
 	}
 	// Levels above the sampled top reuse its interpolator (Algorithm 1's
@@ -226,6 +276,7 @@ func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 	best := cands[0]
 	bestCost := math.Inf(1)
 	eb := t.o.ErrorBound
+	uniform := t.levelBounds(1, 1, eb)
 	for _, m := range cands {
 		q := t.quantizer(eb)
 		var cost float64
@@ -236,6 +287,7 @@ func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 			// error on a single centered block.
 			count := 0
 			var l1 float64
+			t.stats.Level1Sweeps++
 			for i, b := range t.blocks {
 				recon := t.trial[i]
 				copy(recon, t.seeds[i])
@@ -252,7 +304,7 @@ func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 			}
 			cost = l1 / float64(count)
 		} else {
-			t.trialEncode(q, 1, 1, eb, []interp.Method{m})
+			t.trialEncode(q, uniform, []interp.Method{m})
 			if len(q.Bins) == 0 {
 				continue
 			}
@@ -280,8 +332,9 @@ var (
 	betaCandidates  = []float64{1.5, 2, 3, 4}
 )
 
-// tuneParams selects (α, β) online for the configured quality metric.
-func (t *tuner) tuneParams(methods []interp.Method) (alpha, beta float64) {
+// tuneParams selects (α, β) online for the configured quality metric,
+// with the interpolators selectMethods chose.
+func (t *tuner) tuneParams() (alpha, beta float64) {
 	type cand struct{ a, b float64 }
 	var cands []cand
 	for _, a := range alphaCandidates {
@@ -306,11 +359,15 @@ func (t *tuner) tuneParams(methods []interp.Method) (alpha, beta float64) {
 		crMargin    = 0.97
 		crMarginAbs = 512 // sampled bits a challenger must save at least
 	)
+	// Candidates whose level bounds coincide share one trial (evaluate's
+	// memo), but each is still compared, in this order: Table I's
+	// comparison is not transitive, so a candidate equal to one that lost
+	// to an earlier incumbent may still beat the current one.
 	bestCand := cands[0]
-	bestRes := t.evaluate(bestCand.a, bestCand.b, eb, methods)
+	bestRes := t.evaluate(bestCand.a, bestCand.b, eb)
 	baseBits := bestRes.bitrate * float64(t.totalPts)
 	for _, c := range cands[1:] {
-		res := t.evaluate(c.a, c.b, eb, methods)
+		res := t.evaluate(c.a, c.b, eb)
 		if t.o.Mode == ModeCR {
 			candBits := res.bitrate * float64(t.totalPts)
 			if res.bitrate < bestRes.bitrate &&
@@ -319,7 +376,7 @@ func (t *tuner) tuneParams(methods []interp.Method) (alpha, beta float64) {
 			}
 			continue
 		}
-		if t.secondBeatsFirst(bestRes, res, c, eb, methods) {
+		if t.secondBeatsFirst(bestRes, res, c.a, c.b, eb) {
 			bestCand, bestRes = c, res
 		}
 	}
@@ -329,7 +386,7 @@ func (t *tuner) tuneParams(methods []interp.Method) (alpha, beta float64) {
 // secondBeatsFirst implements the comparison of paper Table I between the
 // incumbent solution I and challenger II (the challenger's (α, β) is needed
 // to run its extra trial compression in the sophisticated cases).
-func (t *tuner) secondBeatsFirst(resI, resII evalResult, ii struct{ a, b float64 }, eb float64, methods []interp.Method) bool {
+func (t *tuner) secondBeatsFirst(resI, resII evalResult, alphaII, betaII, eb float64) bool {
 	const tol = 1e-12
 	bI, sI := resI.bitrate, resI.score
 	bII, sII := resII.bitrate, resII.score
@@ -347,7 +404,7 @@ func (t *tuner) secondBeatsFirst(resI, resII evalResult, ii struct{ a, b float64
 	} else { // case 4
 		ebPrime = 1.2 * eb
 	}
-	resII2 := t.evaluate(ii.a, ii.b, ebPrime, methods)
+	resII2 := t.evaluate(alphaII, betaII, ebPrime)
 	if math.Abs(resII2.bitrate-bII) < tol {
 		// Degenerate line; fall back to preferring the lower bit-rate.
 		return bII < bI
@@ -358,11 +415,35 @@ func (t *tuner) secondBeatsFirst(resI, resII evalResult, ii struct{ a, b float64
 	return sI < lineAtI
 }
 
-// evaluate runs a sampled trial compression with the given parameters and
-// returns the estimated bit-rate and quality score.
-func (t *tuner) evaluate(alpha, beta, eb float64, methods []interp.Method) evalResult {
-	q := t.quantizer(eb)
-	t.trialEncode(q, alpha, beta, eb, methods)
+// memoEntry is one trial evaluate has run: the level bounds it swept with
+// and what it measured.
+type memoEntry struct {
+	bounds []float64
+	res    evalResult
+}
+
+// evaluate returns the estimated bit-rate and quality score of a sampled
+// trial compression with the given parameters. The level bounds are all of
+// (α, β, eb) a trial sees, so it runs once per distinct sequence of them:
+// β caps most of the candidate grid to the same few sequences, and Table
+// I's second points and EstimateQuality's closing call repeat earlier ones.
+func (t *tuner) evaluate(alpha, beta, eb float64) evalResult {
+	bounds := t.levelBounds(alpha, beta, eb)
+	for _, e := range t.memo {
+		if slices.Equal(e.bounds, bounds) {
+			return e.res
+		}
+	}
+	res := t.runTrial(bounds, t.methods)
+	t.memo = append(t.memo, memoEntry{bounds, res})
+	return res
+}
+
+// runTrial is one sampled trial compression, measured.
+func (t *tuner) runTrial(bounds []float64, methods []interp.Method) evalResult {
+	t.stats.Trials++
+	q := t.quantizer(bounds[0])
+	t.trialEncode(q, bounds, methods)
 	bits := encodedBits(q.Bins) + 32*(len(q.Literals)+t.nAnchors)
 	return evalResult{
 		bitrate: float64(bits) / float64(t.totalPts),

@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"qoz/internal/bitio"
-	"qoz/internal/pool"
 )
 
 // maxFlatWindow is the widest [min, max] symbol window counted and looked
@@ -30,6 +30,12 @@ type histogram struct {
 	total int
 }
 
+// laneBufs recycles countSymbols' counters. A buffer grows to exactly the
+// four windows asked of it: an escape symbol a radius below the bins makes
+// that half a megabyte, which internal/pool's power-of-two buckets would
+// round up to a whole one, held per P and zeroed again on every refill.
+var laneBufs = sync.Pool{New: func() any { return new([]uint32) }}
+
 // countSymbols histograms the concatenation of runs.
 func countSymbols(runs ...[]uint32) histogram {
 	lo, hi := uint32(math.MaxUint32), uint32(0)
@@ -45,27 +51,40 @@ func countSymbols(runs ...[]uint32) histogram {
 		return histogram{}
 	}
 	if window := uint64(hi-lo) + 1; window <= maxFlatWindow && total <= math.MaxUint32 {
-		counts := pool.Uint32s(int(window))
-		clear(counts)
+		// Quantization bins pile onto one symbol, and a single counter per
+		// symbol would chain every increment of that bin behind the store
+		// of the one before. Four counters per symbol, taking the input in
+		// turn and summed at the end, keep the chains apart; they sit side
+		// by side so the sum is one pass.
+		buf := laneBufs.Get().(*[]uint32)
+		if cap(*buf) < 4*int(window) {
+			*buf = make([]uint32, 4*int(window))
+		}
+		lanes := (*buf)[:4*int(window)]
+		clear(lanes)
 		for _, run := range runs {
+			for ; len(run) >= 4; run = run[4:] {
+				lanes[4*(run[0]-lo)]++
+				lanes[4*(run[1]-lo)+1]++
+				lanes[4*(run[2]-lo)+2]++
+				lanes[4*(run[3]-lo)+3]++
+			}
 			for _, s := range run {
-				counts[s-lo]++
+				lanes[4*(s-lo)]++
 			}
 		}
-		k := 0
-		for _, c := range counts {
-			if c != 0 {
-				k++
-			}
-		}
+		// A narrow window is mostly occupied; a wide one (escapes far below
+		// the bins) is mostly gaps, and its few symbols grow the slices.
+		k := min(int(window), 64)
 		h := histogram{syms: make([]uint32, 0, k), freq: make([]uint64, 0, k), total: total}
-		for i, c := range counts {
-			if c != 0 {
-				h.syms = append(h.syms, lo+uint32(i))
+		for i := 0; i < len(lanes); i += 4 {
+			l := lanes[i : i+4 : i+4]
+			if c := l[0] + l[1] + l[2] + l[3]; c != 0 {
+				h.syms = append(h.syms, lo+uint32(i/4))
 				h.freq = append(h.freq, uint64(c))
 			}
 		}
-		pool.PutUint32s(counts)
+		laneBufs.Put(buf)
 		return h
 	}
 	sorted := make([]uint32, 0, total)

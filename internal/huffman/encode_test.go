@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,50 @@ func TestEncodeMatchesReference(t *testing.T) {
 		}
 		checkEncodeAgainstReference(t, in, 3000)
 	})
+}
+
+// histogramShapes returns the inputs that reach every way countSymbols
+// walks its runs: each is a list of runs counted as one histogram.
+func histogramShapes() map[string][][]uint32 {
+	rng := rand.New(rand.NewSource(5))
+	gen := func(n int, sym func() uint32) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = sym()
+		}
+		return out
+	}
+	bin := func() uint32 { return uint32(32768 + int(rng.NormFloat64()*2)) }
+	escaped := func() uint32 { // window of about 33 k: bins, and escapes at 0
+		if rng.Intn(40) == 0 {
+			return 0
+		}
+		return bin()
+	}
+	return map[string][][]uint32{
+		"peaked":     {gen(39304, bin)},
+		"constant":   {gen(1001, func() uint32 { return 32768 })},
+		"uniform":    {gen(10007, func() uint32 { return 500 + rng.Uint32()%300 })},
+		"escapes":    {gen(20001, escaped)},
+		"short-runs": {gen(1, bin), gen(2, bin), gen(3, bin), {}, gen(1, escaped)},
+		"odd-runs":   {gen(4913, bin), gen(5, escaped), gen(4098, bin), gen(7, bin), gen(1023, escaped)},
+		"sparse":     {wideStream()[:1234], wideStream()[1234:]},
+	}
+}
+
+// TestCountSymbolsMatchesScalar holds the histogram to the one-table
+// count it replaced, entry for entry.
+func TestCountSymbolsMatchesScalar(t *testing.T) {
+	for name, runs := range histogramShapes() {
+		got, want := countSymbols(runs...), refCountSymbols(runs...)
+		if got.total != want.total || !equalU32(got.syms, want.syms) || !slices.Equal(got.freq, want.freq) {
+			t.Errorf("%s: histogram of %d symbols (%d distinct) differs from the scalar count (%d, %d distinct)",
+				name, got.total, len(got.syms), want.total, len(want.syms))
+		}
+	}
+	if h := countSymbols(histogramShapes()["sparse"]...); h.syms[len(h.syms)-1]-h.syms[0] < maxFlatWindow {
+		t.Fatal("the sparse shape is not wider than the flat window")
+	}
 }
 
 // TestCodeLengthsMatchReference compares the slice-based Huffman build
@@ -196,6 +241,14 @@ func FuzzEncodeFastVsReference(f *testing.F) {
 	f.Add(wide(streams(f)["wide"][:200]))
 	f.Add(wide(wideStream()[:200])) // wider than the flat window
 	f.Add(wide([]uint32{0, 1<<32 - 1}))
+	// The histogram's shapes; the first byte also places the cuts, so one
+	// seed is several runs of lengths that are no multiple of four.
+	for _, runs := range histogramShapes() {
+		all := slices.Concat(runs...)
+		all = all[:min(len(all), 255)]
+		f.Add(wide(all))
+		f.Add(append([]byte{1 | 37<<1}, wide(all)[1:]...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -220,6 +273,30 @@ func FuzzEncodeFastVsReference(f *testing.F) {
 		cut := int(mode>>1) * (len(in) + 1) / 128
 		checkEncodeAgainstReference(t, in, cut, cut+int(mode>>4))
 	})
+}
+
+// BenchmarkCountSymbolsPeaked histograms bin streams of the two sizes the
+// encoder counts: a 128^3 field's, and the 8 x 17^3 sample points of one
+// tuner trial.
+func BenchmarkCountSymbolsPeaked(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"field", 1 << 21}, {"trial", 39304}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			in := make([]uint32, c.n)
+			for i := range in {
+				in[i] = uint32(32768 + int(rng.NormFloat64()*1.5))
+			}
+			b.SetBytes(int64(len(in) * 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				countSymbols(in)
+			}
+		})
+	}
 }
 
 func BenchmarkEncodeSegmentPeaked(b *testing.B) {

@@ -283,3 +283,52 @@ func refSortCanonical(syms []uint32, lengths map[uint32]uint8) {
 		return syms[i] < syms[j]
 	})
 }
+
+// refCountSymbols is the histogram as countSymbols took it before it
+// spread the counting over four tables: one flat table over the symbol
+// window, or a sort when the window is too wide.
+func refCountSymbols(runs ...[]uint32) histogram {
+	lo, hi := uint32(1<<32-1), uint32(0)
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+		for _, s := range run {
+			lo = min(lo, s)
+			hi = max(hi, s)
+		}
+	}
+	if total == 0 {
+		return histogram{}
+	}
+	h := histogram{total: total}
+	if window := uint64(hi-lo) + 1; window <= maxFlatWindow {
+		counts := make([]uint32, window)
+		for _, run := range runs {
+			for _, s := range run {
+				counts[s-lo]++
+			}
+		}
+		for i, c := range counts {
+			if c != 0 {
+				h.syms = append(h.syms, lo+uint32(i))
+				h.freq = append(h.freq, uint64(c))
+			}
+		}
+		return h
+	}
+	var sorted []uint32
+	for _, run := range runs {
+		sorted = append(sorted, run...)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		h.syms = append(h.syms, sorted[i])
+		h.freq = append(h.freq, uint64(j-i))
+		i = j
+	}
+	return h
+}

@@ -40,7 +40,7 @@ const minBlocks = 8
 // too small for that simply sample what they can.
 func PlanForDims(block int, dims []int, rate float64) Plan {
 	p := NewPlan(block, len(dims), rate)
-	for p.Stride > p.Block && len(p.Origins(dims)) < minBlocks {
+	for p.Stride > p.Block && p.count(dims) < minBlocks {
 		next := p.Stride * 3 / 4
 		if next < p.Block {
 			next = p.Block
@@ -55,6 +55,25 @@ func (p Plan) Rate(nd int) float64 {
 	return math.Pow(float64(p.Block)/float64(p.Stride), float64(nd))
 }
 
+// along returns how many sample blocks the plan places along a dimension
+// of n points. A dimension shorter than one block still gets one (clipped)
+// block, so that tiny inputs produce a sample.
+func (p Plan) along(n int) int {
+	if n < p.Block {
+		return 1
+	}
+	return (n-p.Block)/p.Stride + 1
+}
+
+// count is len(p.Origins(dims)) without the origins.
+func (p Plan) count(dims []int) int {
+	total := 1
+	for _, n := range dims {
+		total *= p.along(n)
+	}
+	return total
+}
+
 // Origins lists the origins of all fully-contained sample blocks, in
 // row-major order. If the grid is smaller than one block along any
 // dimension, a single block at the origin (clipped by the caller) is
@@ -62,19 +81,10 @@ func (p Plan) Rate(nd int) float64 {
 func (p Plan) Origins(dims []int) [][]int {
 	nd := len(dims)
 	counts := make([]int, nd)
-	total := 1
-	for d := 0; d < nd; d++ {
-		c := 0
-		if dims[d] >= p.Block {
-			c = (dims[d]-p.Block)/p.Stride + 1
-		}
-		if c == 0 {
-			c = 1 // degenerate: one clipped block
-		}
-		counts[d] = c
-		total *= c
+	for d, n := range dims {
+		counts[d] = p.along(n)
 	}
-	out := make([][]int, 0, total)
+	out := make([][]int, 0, p.count(dims))
 	coord := make([]int, nd)
 	for {
 		origin := make([]int, nd)

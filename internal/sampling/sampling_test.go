@@ -135,3 +135,13 @@ func TestExtract3D(t *testing.T) {
 		t.Fatalf("blocks cover %d points, want 512", total)
 	}
 }
+
+func TestCountMatchesOrigins(t *testing.T) {
+	for _, dims := range [][]int{{5000}, {3}, {150, 130}, {64, 64, 64}, {70, 33, 50}, {9, 14, 11, 13}, {17, 17, 200}} {
+		for _, p := range []Plan{{Block: 17, Stride: 17}, {Block: 17, Stride: 40}, {Block: 65, Stride: 300}, {Block: 4, Stride: 5}} {
+			if got, want := p.count(dims), len(p.Origins(dims)); got != want {
+				t.Errorf("plan %+v on %v: count %d, %d origins", p, dims, got, want)
+			}
+		}
+	}
+}
