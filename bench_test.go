@@ -1,12 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact, backed by internal/harness), plus per-codec
-// throughput micro-benchmarks. Run everything with:
+// Per-codec throughput micro-benchmarks and the streaming worker-scaling
+// curves, for profiling one code path in isolation:
 //
 //	go test -bench=. -benchmem
 //
-// The benchmarks use the reduced (Quick) dataset sizes so the whole suite
-// runs in minutes; `go run ./cmd/benchsuite` runs the experiments at the
-// full default sizes and prints the paper-style tables.
+// They are not the repository's performance meter — that is bench/run.sh
+// (docs/PERFORMANCE.md). The paper's tables and figures are printed by
+// `go run ./cmd/benchsuite` and exercised by internal/harness's tests.
 package qoz_test
 
 import (
@@ -21,100 +20,8 @@ import (
 	"qoz"
 	"qoz/baselines"
 	"qoz/datagen"
-	"qoz/internal/harness"
 	"qoz/metrics"
 )
-
-// ---- experiment benchmarks: one per paper table/figure ----
-
-func BenchmarkFig7ErrorDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig7(io.Discard, harness.Quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3CompressionRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Table3(io.Discard, harness.Quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8RatePSNR(b *testing.B) {
-	cfg := harness.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig8(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9RateSSIM(b *testing.B) {
-	cfg := harness.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig9(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10RateAC(b *testing.B) {
-	cfg := harness.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig10(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11VisualQuality(b *testing.B) {
-	cfg := harness.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig11(io.Discard, cfg, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12Ablation(b *testing.B) {
-	cfg := harness.Quick()
-	cfg.Sweep = []float64{1e-2, 1e-3}
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig12(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13ParamTuning(b *testing.B) {
-	cfg := harness.Quick()
-	cfg.Sweep = []float64{1e-2, 1e-3}
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig13(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4Speed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Table4(io.Discard, harness.Quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14ParallelIO(b *testing.B) {
-	cfg := harness.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig14(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ---- per-codec throughput micro-benchmarks ----
 

@@ -4,620 +4,122 @@
 //
 // Usage:
 //
-//	benchsuite [-exp all|none|fig7|table3|fig8|fig9|fig10|fig11|fig12|fig13|table4|fig14]
-//	           [-size default|small] [-render DIR] [-cr N] [-json FILE]
+//	benchsuite [-exp all|fig4|fig7|table3|fig8|fig9|fig10|fig11|fig12|fig13|table4|fig14]
+//	           [-size default|small] [-render DIR] [-cr N] [-list]
 //
 // -render DIR additionally writes PGM images for the Fig. 11 visual
 // comparison (original plus every codec's reconstruction at matched CR).
 //
-// -json FILE runs a full codec x dataset sweep and writes machine-readable
-// records (codec, dataset, bound, CR, PSNR, SSIM, compress/decompress
-// MB/s), plus brick-store put/get/extract measurements for both element
-// types (float32 and float64), so performance trajectories can be
-// recorded across revisions, e.g. as BENCH_<rev>.json. Combine with
-// "-exp none" to emit only the sweep.
+// It prints the paper's evaluation and nothing else: performance numbers
+// come from bench/run.sh (see docs/PERFORMANCE.md).
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
-	"net/http/httptest"
+	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
-	"testing"
-	"time"
 
 	"qoz"
-	"qoz/baselines"
-	"qoz/cluster"
-	"qoz/datagen"
 	"qoz/internal/harness"
-	"qoz/store"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (all, none, fig4, fig7, table3, fig8, fig9, fig10, fig11, fig12, fig13, table4, fig14)")
-	size := flag.String("size", "default", "dataset sizes: default or small")
-	render := flag.String("render", "", "directory for Fig. 11 PGM renderings (optional)")
-	targetCR := flag.Float64("cr", 65, "Fig. 11 target compression ratio")
-	jsonOut := flag.String("json", "", "write a machine-readable codec x dataset sweep to FILE")
-	list := flag.Bool("list", false, "list the registered codecs the suite sweeps and exit")
-	flag.Parse()
+// params is what the flags hand every experiment.
+type params struct {
+	cfg      harness.Config
+	render   string
+	targetCR float64
+}
 
-	if *list {
-		for _, name := range qoz.Codecs() {
-			c, err := qoz.Lookup(name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-8s stream id %d\n", name, c.ID())
-		}
-		return
-	}
-
-	cfg := harness.Default()
-	if *size == "small" {
-		cfg = harness.Quick()
-	}
-	w := os.Stdout
-
-	run := func(id string, fn func() error) {
-		if *exp != "all" && *exp != id {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-	}
-
-	run("fig4", func() error { _, err := harness.Fig4(w, cfg, *render); return err })
-	run("fig7", func() error { _, err := harness.Fig7(w, cfg); return err })
-	run("table3", func() error { _, err := harness.Table3(w, cfg); return err })
-	run("fig8", func() error { _, err := harness.Fig8(w, cfg); return err })
-	run("fig9", func() error { _, err := harness.Fig9(w, cfg); return err })
-	run("fig10", func() error { _, err := harness.Fig10(w, cfg); return err })
-	run("fig11", func() error {
-		if _, err := harness.Fig11(w, cfg, *targetCR); err != nil {
+// experiments lists the paper artifacts in the order "-exp all" prints them.
+var experiments = []struct {
+	id  string
+	run func(w io.Writer, p params) error
+}{
+	{"fig4", func(w io.Writer, p params) error { _, err := harness.Fig4(w, p.cfg, p.render); return err }},
+	{"fig7", func(w io.Writer, p params) error { _, err := harness.Fig7(w, p.cfg); return err }},
+	{"table3", func(w io.Writer, p params) error { _, err := harness.Table3(w, p.cfg); return err }},
+	{"fig8", func(w io.Writer, p params) error { _, err := harness.Fig8(w, p.cfg); return err }},
+	{"fig9", func(w io.Writer, p params) error { _, err := harness.Fig9(w, p.cfg); return err }},
+	{"fig10", func(w io.Writer, p params) error { _, err := harness.Fig10(w, p.cfg); return err }},
+	{"fig11", func(w io.Writer, p params) error {
+		if _, err := harness.Fig11(w, p.cfg, p.targetCR); err != nil {
 			return err
 		}
-		if *render != "" {
-			files, err := harness.Fig11Render(*render, cfg, *targetCR)
+		if p.render != "" {
+			files, err := harness.Fig11Render(p.render, p.cfg, p.targetCR)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "rendered: %s\n", strings.Join(files, ", "))
 		}
 		return nil
-	})
-	run("fig12", func() error { _, err := harness.Fig12(w, cfg); return err })
-	run("fig13", func() error { _, err := harness.Fig13(w, cfg); return err })
-	run("table4", func() error { _, err := harness.Table4(w, cfg); return err })
-	run("fig14", func() error { _, err := harness.Fig14(w, cfg); return err })
-
-	if *jsonOut != "" {
-		if err := writeJSONSweep(*jsonOut, cfg, *size); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: json sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "wrote sweep: %s\n", *jsonOut)
-	}
+	}},
+	{"fig12", func(w io.Writer, p params) error { _, err := harness.Fig12(w, p.cfg); return err }},
+	{"fig13", func(w io.Writer, p params) error { _, err := harness.Fig13(w, p.cfg); return err }},
+	{"table4", func(w io.Writer, p params) error { _, err := harness.Table4(w, p.cfg); return err }},
+	{"fig14", func(w io.Writer, p params) error { _, err := harness.Fig14(w, p.cfg); return err }},
 }
 
-// benchRecord is one (codec, dataset, bound) measurement of the sweep.
-// Records with Op set measure the brick store (put/get/extract) rather
-// than the streaming codec path, and Dtype names the element type so both
-// float32 and float64 trajectories are tracked.
-type benchRecord struct {
-	Codec      string  `json:"codec"`
-	Dataset    string  `json:"dataset"`
-	Op         string  `json:"op,omitempty"`
-	Dtype      string  `json:"dtype,omitempty"`
-	RelBound   float64 `json:"rel_bound"`
-	AbsBound   float64 `json:"abs_bound"`
-	Bytes      int     `json:"bytes"`
-	CR         float64 `json:"cr"`
-	BitRate    float64 `json:"bit_rate"`
-	PSNR       float64 `json:"psnr"`
-	SSIM       float64 `json:"ssim"`
-	MaxErr     float64 `json:"max_err"`
-	CompMBps   float64 `json:"comp_mbps"`
-	DecompMBps float64 `json:"decomp_mbps"`
-	// AllocsPerOp is set only by ops that pin an allocation budget (the
-	// cached serving path targets zero). A pointer so records without the
-	// measurement omit the field instead of claiming 0.
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// benchReport is the file layout of -json output.
-type benchReport struct {
-	Size       string        `json:"size"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Records    []benchRecord `json:"records"`
-}
-
-// writeJSONSweep measures every registered codec on every dataset analog
-// at ε ∈ {1e-3, 1e-4} and writes the records as JSON.
-func writeJSONSweep(path string, cfg harness.Config, size string) error {
-	report := benchReport{Size: size, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, ds := range cfg.Datasets() {
-		for _, c := range baselines.All(qoz.TuneCR) {
-			for _, rel := range []float64{1e-3, 1e-4} {
-				r, err := harness.RunCodec(c, ds, rel)
-				if err != nil {
-					return err
-				}
-				mb := float64(ds.Len()*4) / 1e6
-				report.Records = append(report.Records, benchRecord{
-					Codec:      r.Codec,
-					Dataset:    r.Dataset,
-					RelBound:   r.RelBound,
-					AbsBound:   jsonSafe(r.AbsBound),
-					Bytes:      r.Bytes,
-					CR:         jsonSafe(r.CR),
-					BitRate:    jsonSafe(r.BitRate),
-					PSNR:       jsonSafe(r.PSNR),
-					SSIM:       jsonSafe(r.SSIM),
-					MaxErr:     jsonSafe(r.MaxErr),
-					CompMBps:   jsonSafe(mb / r.CompSecs),
-					DecompMBps: jsonSafe(mb / r.DecompSecs),
-				})
-			}
-		}
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	for _, ds := range cfg.Datasets() {
-		recs, err := storeRecords(ds)
-		if err != nil {
-			return err
-		}
-		report.Records = append(report.Records, recs...)
-	}
-	buf, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is main without the process: it parses args and prints the selected
+// experiments to w.
+func run(args []string, w io.Writer) error {
+	ids := []string{"all"}
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	valid := strings.Join(ids, ", ")
+
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment id ("+valid+")")
+	size := fs.String("size", "default", "dataset sizes: default or small")
+	render := fs.String("render", "", "directory for Fig. 11 PGM renderings (optional)")
+	targetCR := fs.Float64("cr", 65, "Fig. 11 target compression ratio")
+	list := fs.Bool("list", false, "list the registered codecs the suite sweeps and exit")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
 
-// storeRecords measures the brick store's put/get/extract path on one
-// dataset for both element types, so BENCH_<rev>.json tracks float32 and
-// float64 store performance side by side. The float64 variant widens the
-// synthetic float32 field; its bricks carry the escape envelope, which is
-// exactly the production double-precision path.
-func storeRecords(ds datagen.Dataset) ([]benchRecord, error) {
-	const rel = 1e-3
-	ctx := context.Background()
-	var out []benchRecord
-
-	// The extract ROI: the leading quarter of each extent (at least one
-	// point), a small box that touches only a corner of the brick grid.
-	roiLo := make([]int, len(ds.Dims))
-	roiHi := make([]int, len(ds.Dims))
-	roiPts := 1
-	for i, d := range ds.Dims {
-		roiHi[i] = max(1, d/4)
-		roiPts *= roiHi[i]
-	}
-
-	measure := func(dtype string, elem int,
-		put func(w *bytes.Buffer) error,
-		get func(s *store.Store) error,
-		extract func(s *store.Store) error) error {
-		rawMB := float64(ds.Len()*elem) / 1e6
-		var buf bytes.Buffer
-		t0 := time.Now()
-		if err := put(&buf); err != nil {
-			return err
-		}
-		putSecs := time.Since(t0).Seconds()
-		s, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{CacheBytes: -1})
-		if err != nil {
-			return err
-		}
-		// Reads are deterministic and sub-millisecond on the small
-		// profile; the best of three timings is the one least polluted by
-		// scheduler jitter, and it is what the CI perf gate diffs.
-		bestOf3 := func(fn func(s *store.Store) error) (float64, error) {
-			best := math.Inf(1)
-			for i := 0; i < 3; i++ {
-				t0 := time.Now()
-				if err := fn(s); err != nil {
-					return 0, err
-				}
-				if d := time.Since(t0).Seconds(); d < best {
-					best = d
-				}
+	if *list {
+		for _, name := range qoz.Codecs() {
+			c, err := qoz.Lookup(name)
+			if err != nil {
+				return err
 			}
-			return best, nil
+			fmt.Fprintf(w, "%-8s stream id %d\n", name, c.ID())
 		}
-		getSecs, err := bestOf3(get)
-		if err != nil {
-			return err
-		}
-		extractSecs, err := bestOf3(extract)
-		if err != nil {
-			return err
-		}
-		cr := float64(ds.Len()*elem) / float64(buf.Len())
-		base := benchRecord{
-			Codec:    qoz.DefaultCodec,
-			Dataset:  ds.Name,
-			Dtype:    dtype,
-			RelBound: rel,
-			Bytes:    buf.Len(),
-			CR:       jsonSafe(cr),
-		}
-		putRec, getRec, extractRec := base, base, base
-		putRec.Op, putRec.CompMBps = "put", jsonSafe(rawMB/putSecs)
-		getRec.Op, getRec.DecompMBps = "get", jsonSafe(rawMB/getSecs)
-		extractRec.Op, extractRec.DecompMBps = "extract", jsonSafe(float64(roiPts*elem)/1e6/extractSecs)
-		out = append(out, putRec, getRec, extractRec)
 		return nil
 	}
 
-	wo := store.WriteOptions{Opts: qoz.Options{RelBound: rel}}
-	if err := measure("float32", 4,
-		func(w *bytes.Buffer) error { return store.Write(ctx, w, ds.Data, ds.Dims, wo) },
-		func(s *store.Store) error { _, err := s.ReadField(ctx); return err },
-		func(s *store.Store) error { _, err := s.ReadRegion(ctx, roiLo, roiHi); return err },
-	); err != nil {
-		return nil, err
+	p := params{cfg: harness.Default(), render: *render, targetCR: *targetCR}
+	if *size == "small" {
+		p.cfg = harness.Quick()
 	}
-
-	wide := make([]float64, len(ds.Data))
-	for i, v := range ds.Data {
-		wide[i] = float64(v)
-	}
-	if err := measure("float64", 8,
-		func(w *bytes.Buffer) error { return store.WriteT(ctx, w, wide, ds.Dims, wo) },
-		func(s *store.Store) error { _, err := store.ReadFieldT[float64](ctx, s); return err },
-		func(s *store.Store) error { _, err := store.ReadRegionT[float64](ctx, s, roiLo, roiHi); return err },
-	); err != nil {
-		return nil, err
-	}
-	appendRec, err := mutableAppendRecord(ctx, ds)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, appendRec)
-	fanoutRec, err := gatewayFanoutRecord(ctx, ds)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, fanoutRec)
-	serveRec, err := serveCachedRecord(ctx, ds, roiLo, roiHi, roiPts)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, serveRec)
-	queryRecs, err := queryRecords(ctx, ds)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, queryRecs...)
-	return out, nil
-}
-
-// queryRecords measures predicate pushdown at both ends of its range:
-// "query_pruned" is a selective threshold count that the statistics index
-// resolves almost entirely without decoding, and "query_scan" is a
-// histogram too fine-grained to prune, so every brick decodes — the
-// pushdown ceiling and floor, tracked side by side. DecompMBps is the
-// effective field throughput: raw field bytes the query covered per
-// second, however few of them were actually decoded.
-func queryRecords(ctx context.Context, ds datagen.Dataset) ([]benchRecord, error) {
-	const rel = 1e-3
-	var buf bytes.Buffer
-	wo := store.WriteOptions{Opts: qoz.Options{RelBound: rel}}
-	if err := store.Write(ctx, &buf, ds.Data, ds.Dims, wo); err != nil {
-		return nil, err
-	}
-	s, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{CacheBytes: -1})
-	if err != nil {
-		return nil, err
-	}
-	// The selective threshold: just under the largest per-brick maximum,
-	// read from the index itself — at most a handful of bricks can match.
-	threshold := math.Inf(-1)
-	for i := 0; i < s.NumBricks(); i++ {
-		st, ok := s.BrickStats(i)
-		if !ok {
-			return nil, fmt.Errorf("%s: fresh store carries no statistics index", ds.Name)
-		}
-		threshold = math.Max(threshold, st.Max)
-	}
-	lo, hi := valueBounds(ds.Data)
-	rawMB := float64(ds.Len()*4) / 1e6
-	bestOf3 := func(req store.QueryRequest) (float64, error) {
-		best := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			if _, err := s.Query(ctx, req); err != nil {
-				return 0, err
-			}
-			if d := time.Since(t0).Seconds(); d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	prunedSecs, err := bestOf3(store.QueryRequest{Op: store.QueryGT, Value: threshold - 1e-9})
-	if err != nil {
-		return nil, err
-	}
-	scanSecs, err := bestOf3(store.QueryRequest{Op: store.QueryHist, Low: lo, High: hi, Bins: 1 << 14})
-	if err != nil {
-		return nil, err
-	}
-	base := benchRecord{
-		Codec:    qoz.DefaultCodec,
-		Dataset:  ds.Name,
-		Dtype:    "float32",
-		RelBound: rel,
-		Bytes:    buf.Len(),
-		CR:       jsonSafe(float64(ds.Len()*4) / float64(buf.Len())),
-	}
-	pruned, scan := base, base
-	pruned.Op, pruned.DecompMBps = "query_pruned", jsonSafe(rawMB/prunedSecs)
-	scan.Op, scan.DecompMBps = "query_scan", jsonSafe(rawMB/scanSecs)
-	return []benchRecord{pruned, scan}, nil
-}
-
-// valueBounds returns the finite min and max of the data, a non-empty
-// histogram domain even for degenerate fields.
-func valueBounds(data []float32) (float64, float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.id {
 			continue
 		}
-		lo, hi = math.Min(lo, f), math.Max(hi, f)
-	}
-	if hi <= lo {
-		return 0, 1
-	}
-	return lo, hi
-}
-
-// serveCachedRecord measures the steady-state serving shape: every brick
-// under the ROI already in the decoded-brick cache, a reused destination
-// buffer, ReadRegionInto on the calling goroutine. Besides throughput it
-// records allocs/op — the fast path's contract is zero, and committing the
-// number into the trajectory lets benchdiff fail any PR that regresses
-// from it.
-func serveCachedRecord(ctx context.Context, ds datagen.Dataset, roiLo, roiHi []int, roiPts int) (benchRecord, error) {
-	const rel = 1e-3
-	var buf bytes.Buffer
-	wo := store.WriteOptions{Opts: qoz.Options{RelBound: rel}}
-	if err := store.Write(ctx, &buf, ds.Data, ds.Dims, wo); err != nil {
-		return benchRecord{}, err
-	}
-	s, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	dst := make([]float32, roiPts)
-	if err := s.ReadRegionInto(ctx, dst, roiLo, roiHi); err != nil { // warm the cache
-		return benchRecord{}, err
-	}
-	var serveErr error
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.ReadRegionInto(ctx, dst, roiLo, roiHi); err != nil {
-			serveErr = err
-		}
-	})
-	if serveErr != nil {
-		return benchRecord{}, serveErr
-	}
-	const iters = 64
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := s.ReadRegionInto(ctx, dst, roiLo, roiHi); err != nil {
-			return benchRecord{}, err
+		ran = true
+		if err := e.run(w, p); err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
 		}
 	}
-	secs := time.Since(t0).Seconds()
-	return benchRecord{
-		Codec:       qoz.DefaultCodec,
-		Dataset:     ds.Name,
-		Op:          "serve_cached",
-		Dtype:       "float32",
-		RelBound:    rel,
-		Bytes:       buf.Len(),
-		DecompMBps:  jsonSafe(float64(roiPts*4) * iters / 1e6 / secs),
-		AllocsPerOp: &allocs,
-	}, nil
-}
-
-// gatewayFanoutRecord measures the cluster serving path: a full-field
-// region read split across two in-process HTTP shards by the rendezvous
-// placement, fetched concurrently, generation-gated, and stitched back —
-// the qoz/cluster fan-out engine end to end over real HTTP, minus only
-// the network. Tracked as op "gateway_get" against plain "get" so the
-// fan-out tax (round trips, stitch, verification) stays visible across
-// revisions.
-func gatewayFanoutRecord(ctx context.Context, ds datagen.Dataset) (benchRecord, error) {
-	const rel = 1e-3
-	var buf bytes.Buffer
-	if err := store.Write(ctx, &buf, ds.Data, ds.Dims, store.WriteOptions{Opts: qoz.Options{RelBound: rel}}); err != nil {
-		return benchRecord{}, err
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, valid)
 	}
-	// Two shards over the same bytes; each serves the minimal slice of the
-	// qozd region API the fan-out client consumes (raw LE body plus the
-	// ETag generation gate).
-	shards := make([]*httptest.Server, 2)
-	for i := range shards {
-		st, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{CacheBytes: -1})
-		if err != nil {
-			return benchRecord{}, err
-		}
-		crc, gen := st.ManifestVersion()
-		shards[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			lo, hi, err := parseBox(r.URL.Query().Get("lo"), r.URL.Query().Get("hi"))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			data, err := st.ReadRegion(r.Context(), lo, hi)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("ETag", fmt.Sprintf(`"%08x-g%d-bench"`, crc, gen))
-			w.Header().Set("X-Qoz-Dtype", "float32")
-			le := make([]byte, 4*len(data))
-			for j, v := range data {
-				binary.LittleEndian.PutUint32(le[4*j:], math.Float32bits(v))
-			}
-			w.Write(le)
-		}))
-		defer shards[i].Close()
-	}
-	st, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{CacheBytes: -1})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	crc, gen := st.ManifestVersion()
-	f := &cluster.Field{
-		Name: ds.Name, Dims: st.Dims(), Brick: st.BrickShape(), DType: "float32",
-		ManifestCRC: crc, Generation: gen,
-		Shards: []string{shards[0].URL, shards[1].URL},
-	}
-	lo := make([]int, len(ds.Dims))
-	client := &cluster.Client{}
-	t0 := time.Now()
-	body, _, err := client.ReadRegionRaw(ctx, f, lo, ds.Dims)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	secs := time.Since(t0).Seconds()
-	if len(body) != ds.Len()*4 {
-		return benchRecord{}, fmt.Errorf("gateway fan-out returned %d bytes, want %d", len(body), ds.Len()*4)
-	}
-	return benchRecord{
-		Codec:      qoz.DefaultCodec,
-		Dataset:    ds.Name,
-		Op:         "gateway_get",
-		Dtype:      "float32",
-		RelBound:   rel,
-		Bytes:      buf.Len(),
-		CR:         jsonSafe(float64(ds.Len()*4) / float64(buf.Len())),
-		DecompMBps: jsonSafe(float64(ds.Len()*4) / 1e6 / secs),
-	}, nil
-}
-
-// parseBox parses the region query corners of the shard API.
-func parseBox(lo, hi string) ([]int, []int, error) {
-	parse := func(v string) ([]int, error) {
-		parts := strings.Split(v, ",")
-		out := make([]int, len(parts))
-		for i, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("bad coordinate %q", p)
-			}
-			out[i] = n
-		}
-		return out, nil
-	}
-	l, err := parse(lo)
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := parse(hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, h, nil
-}
-
-// mutableAppendRecord measures the in-situ ingest path: a mutable (v3)
-// store grown by brick-aligned step appends, each a committed generation
-// with its fsync barriers — the journal overhead relative to the
-// write-once put is exactly what this record tracks across revisions.
-func mutableAppendRecord(ctx context.Context, ds datagen.Dataset) (benchRecord, error) {
-	const rel = 1e-3
-	eb := rel * valueRange(ds.Data)
-	dir, err := os.MkdirTemp("", "benchsuite-append")
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "append.qozb")
-	mdims := append([]int{0}, ds.Dims[1:]...)
-	m, err := store.CreateMutable(path, mdims, store.WriteOptions{Opts: qoz.Options{ErrorBound: eb}})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer m.Close()
-	rowPoints := 1
-	for _, d := range ds.Dims[1:] {
-		rowPoints *= d
-	}
-	band := m.BrickShape()[0]
-	t0 := time.Now()
-	for row := 0; row < ds.Dims[0]; row += band {
-		hi := min(ds.Dims[0], row+band)
-		if err := m.AppendSteps(ctx, ds.Data[row*rowPoints:hi*rowPoints]); err != nil {
-			return benchRecord{}, err
-		}
-	}
-	secs := time.Since(t0).Seconds()
-	st, err := os.Stat(path)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	raw := ds.Len() * 4
-	return benchRecord{
-		Codec:    qoz.DefaultCodec,
-		Dataset:  ds.Name,
-		Op:       "append",
-		Dtype:    "float32",
-		RelBound: rel,
-		Bytes:    int(st.Size()),
-		CR:       jsonSafe(float64(raw) / float64(st.Size())),
-		CompMBps: jsonSafe(float64(raw) / 1e6 / secs),
-	}, nil
-}
-
-// valueRange returns max-min over finite values, mirroring how RelBound
-// resolves.
-func valueRange(data []float32) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			continue
-		}
-		lo, hi = math.Min(lo, f), math.Max(hi, f)
-	}
-	if hi <= lo {
-		return 1
-	}
-	return hi - lo
-}
-
-// jsonSafe clamps the non-finite values JSON cannot carry (e.g. the
-// infinite PSNR of an exact reconstruction) into representable ones.
-func jsonSafe(v float64) float64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case math.IsInf(v, 1):
-		return math.MaxFloat64
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	}
-	return v
+	return nil
 }

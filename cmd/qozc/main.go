@@ -66,6 +66,7 @@ import (
 
 	"qoz"
 	"qoz/internal/container"
+	"qoz/internal/fsutil"
 	"qoz/internal/interp"
 	"qoz/metrics"
 	"qoz/store"
@@ -283,28 +284,30 @@ func decompressTo[T qoz.Float](buf []byte, in, dst string) error {
 	return nil
 }
 
-// writeAtomic streams the result of fill into dst via a temp file renamed
-// over dst only on success, so a failed run never clobbers an archive.
+// writeAtomic streams the result of fill into dst via a temp file that is
+// synced and then renamed over dst only on success, so a failed run never
+// clobbers an archive and a crash leaves either the old one or the new.
 func writeAtomic(dst string, fill func(f *os.File) error) error {
 	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if err := fill(f); err != nil {
-		f.Close()
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return fsutil.SyncDir(dst)
 }
 
 // putCmd builds a brick store from a raw float32 file or an existing slab

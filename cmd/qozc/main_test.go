@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -616,4 +617,49 @@ func TestMutableStoreCycle(t *testing.T) {
 	if err := appendCmd([]string{"-store", v2, "-in", stepFile}); err == nil {
 		t.Fatal("append to a v2 store did not fail")
 	}
+}
+
+// TestWriteAtomicReplacesOrLeavesAlone: writeAtomic replaces an existing
+// archive only with a complete new one, keeps the old one when the fill
+// fails, and leaves no temp file behind either way.
+func TestWriteAtomicReplacesOrLeavesAlone(t *testing.T) {
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "field.qozb")
+	if err := os.WriteFile(dst, []byte("old archive"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step, want string) {
+		t.Helper()
+		got, err := os.ReadFile(dst)
+		if err != nil || string(got) != want {
+			t.Fatalf("%s: destination holds %q (%v), want %q", step, got, err, want)
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil || len(names) != 1 {
+			t.Fatalf("%s: directory holds %v (%v), want only the destination", step, names, err)
+		}
+	}
+
+	boom := errors.New("fill failed")
+	err := writeAtomic(dst, func(f *os.File) error {
+		f.WriteString("half of a new arch")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed fill returned %v", err)
+	}
+	check("after a failed fill", "old archive")
+
+	err = writeAtomic(dst, func(f *os.File) error {
+		// The old archive stays in place until the new one is complete.
+		if got, _ := os.ReadFile(dst); string(got) != "old archive" {
+			t.Errorf("during the fill the destination holds %q", got)
+		}
+		_, err := f.WriteString("new archive")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after a successful fill", "new archive")
 }

@@ -3,8 +3,8 @@
 // Miranda, CESM-ATM, SCALE-LETKF, NYX, Hurricane-Isabel). Real datasets are
 // hundreds of gigabytes and not redistributable here; each generator
 // reproduces the qualitative property of its dataset that drives the
-// paper's compression results — see DESIGN.md §3/§4 for the substitution
-// rationale. All generators are fully deterministic for a given seed.
+// paper's compression results, named in each generator's comment. All
+// generators are fully deterministic for a given seed.
 package datagen
 
 import (
@@ -30,8 +30,10 @@ func (d Dataset) Len() int { return len(d.Data) }
 func (d Dataset) String() string { return fmt.Sprintf("%s%v", d.Name, d.Dims) }
 
 // Default dimensions keep the full experiment suite laptop-friendly; the
-// paper's originals are listed in DESIGN.md. Pass explicit dims to any
-// generator for other sizes.
+// paper's originals (its Table II) are RTM 449×449×235, Miranda
+// 256×384×384, CESM-ATM 1800×3600, SCALE-LETKF 98×1200×1200, NYX 512³ and
+// Hurricane 100×500×500. Pass explicit dims to any generator for other
+// sizes.
 var (
 	DefaultRTMDims     = []int{96, 96, 64}
 	DefaultMirandaDims = []int{64, 96, 96}

@@ -1,7 +1,7 @@
 // Package container defines the on-disk / in-memory compressed stream format
 // shared by every codec in this repository, plus the DEFLATE helpers that
 // play the role of the dictionary-coder stage (the paper uses Zstandard;
-// DEFLATE is the stdlib equivalent — see DESIGN.md §3).
+// DEFLATE is the stdlib equivalent, this module taking no dependencies).
 //
 // Layout:
 //

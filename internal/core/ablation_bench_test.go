@@ -1,7 +1,7 @@
 package core
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: anchor
-// stride, sampling rate, and the cost of each tuning mode. Each benchmark
+// Ablation benchmarks for the paper's design choices: anchor stride,
+// sampling rate, and the cost of each tuning mode. Each benchmark
 // reports the achieved compression ratio alongside throughput, so the
 // trade-off each knob buys is visible in one run:
 //

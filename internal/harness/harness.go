@@ -4,12 +4,11 @@
 // (rate–PSNR/SSIM/AC), Fig. 11 (visual quality at matched CR), Fig. 12
 // (ablation), Fig. 13 (parameter tuning), Table IV (speeds), and Fig. 14
 // (parallel I/O). Each experiment prints a paper-style table and returns
-// its data for programmatic checks. See DESIGN.md §5 for the experiment
-// index and EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+// its data for programmatic checks; cmd/benchsuite is the printer, and
+// testdata/rate_distortion_golden.txt pins Table III and Fig. 8.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -23,8 +22,8 @@ import (
 
 // Config controls dataset sizes and sweep points.
 type Config struct {
-	// Small selects reduced dataset sizes (used by unit tests and the
-	// quick benchmark variants).
+	// Small selects reduced dataset sizes (used by unit tests and
+	// benchsuite -size small).
 	Small bool
 	// RelBounds are the value-range-relative error bounds of Table III.
 	RelBounds []float64
@@ -79,30 +78,17 @@ type Run struct {
 // RunCodec compresses and decompresses ds with c at the given relative
 // bound and gathers all quality metrics.
 func RunCodec(c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
-	return RunCodecContext(context.Background(), c, ds, rel)
-}
-
-// RunCodecContext is RunCodec with cancellation between the compress and
-// decompress phases (each phase itself is one monolithic codec call).
-func RunCodecContext(ctx context.Context, c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
 	eb := rel * metrics.ValueRange(ds.Data)
-	if err := ctx.Err(); err != nil {
-		return Run{}, err
-	}
 	start := time.Now()
 	buf, err := c.Compress(ds.Data, ds.Dims, eb)
 	if err != nil {
 		return Run{}, fmt.Errorf("%s on %s: %w", c.Name(), ds.Name, err)
 	}
 	compSecs := time.Since(start).Seconds()
-	if err := ctx.Err(); err != nil {
-		return Run{}, err
-	}
 	// Decompression is deterministic and — on the small profile — often
 	// sub-millisecond, where a single timing is mostly scheduler jitter.
 	// Take the best of three runs: the minimum of a deterministic
-	// computation is the measurement least polluted by interference, and
-	// it is the number the CI perf gate diffs across revisions.
+	// computation is the measurement least polluted by interference.
 	var recon []float32
 	decompSecs := math.Inf(1)
 	for i := 0; i < 3; i++ {

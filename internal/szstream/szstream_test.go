@@ -62,7 +62,8 @@ func TestXorDeltaRoundTrip(t *testing.T) {
 
 func TestXorDeltaCompressesSmoothAnchors(t *testing.T) {
 	// Smooth anchor sequences must DEFLATE much better after the delta
-	// transform — the reason it exists (DESIGN.md, high-CR regime).
+	// transform — the reason it exists: at high compression ratios the
+	// anchors are a large share of the stream.
 	n := 4096
 	smooth := make([]float32, n)
 	for i := range smooth {

@@ -14,8 +14,8 @@ const (
 )
 
 // ssimWindow2D / ssimWindow3D are the window edge lengths for tiled SSIM.
-// Non-overlapping tiles keep the metric cheap enough for online tuning
-// (DESIGN.md §8 notes this deviation from dense sliding windows).
+// Non-overlapping tiles keep the metric cheap enough for online tuning;
+// this deviates from the dense sliding windows of Wang et al.
 const (
 	ssimWindow2D = 8
 	ssimWindow3D = 6

@@ -3,8 +3,8 @@
 // compressors on a supercomputer with a shared parallel filesystem.
 //
 // The original experiment ran the Hurricane-Isabel workload on 1K–8K Bebop
-// cores (1.3 GB/core). That hardware is substituted by an analytic model
-// (DESIGN.md §3): per-core compression runs perfectly in parallel, while
+// cores (1.3 GB/core). That hardware is substituted by an analytic
+// model: per-core compression runs perfectly in parallel, while
 // filesystem bandwidth aggregates only until it saturates at the machine's
 // peak — which is exactly the regime where higher compression ratios win.
 // Codec speed and ratio profiles are measured on real (scaled) data via

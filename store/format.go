@@ -296,10 +296,13 @@ func plausibleStat(st *brickStat, hdr *header, i int) bool {
 // format version).
 func IsStore(buf []byte) bool {
 	return len(buf) >= len(magic)+2 && string(buf[:len(magic)]) == magic &&
-		(buf[len(magic)] == formatVersion || buf[len(magic)] == formatVersionV1 ||
-			buf[len(magic)] == formatVersionV2 || buf[len(magic)] == formatVersionV3 ||
-			buf[len(magic)] == formatVersionV4) &&
-		buf[len(magic)+1] == container.CodecBrick
+		supportedVersion(buf[len(magic)]) && buf[len(magic)+1] == container.CodecBrick
+}
+
+// supportedVersion reports whether this package reads format version v:
+// every version from v1 to the one the Writer emits.
+func supportedVersion(v uint8) bool {
+	return v >= formatVersionV1 && v <= formatVersion
 }
 
 // header is the decoded store header.
@@ -353,9 +356,7 @@ func parseHeader(buf []byte) (*header, int, error) {
 		return nil, 0, ErrCorrupt
 	}
 	version := buf[len(magic)]
-	if version != formatVersion && version != formatVersionV1 &&
-		version != formatVersionV2 && version != formatVersionV3 &&
-		version != formatVersionV4 {
+	if !supportedVersion(version) {
 		return nil, 0, fmt.Errorf("store: unsupported version %d", version)
 	}
 	if buf[len(magic)+1] != container.CodecBrick {

@@ -11,6 +11,8 @@ import (
 	"sync"
 
 	"qoz"
+	"qoz/internal/fsutil"
+	"qoz/internal/pool"
 )
 
 // Mutable is a read-write handle on a v3 (generation-based) brick store.
@@ -402,22 +404,20 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 	bricks := man.intersectingBricks(lo, hi)
 	payloads := make([][]byte, len(bricks))
 	rewriteStats := make([]brickStat, len(bricks))
-	for k, bi := range bricks {
-		blo, bhi := hdr.brickBox(bi)
+	err := pool.RunErr(ctx, len(bricks), m.workers, func(k int) error {
+		blo, bhi := hdr.brickBox(bricks[k])
 		size := make([]int, len(dims))
 		srcLo := make([]int, len(dims))
 		for i := range dims {
 			size[i] = bhi[i] - blo[i]
 			srcLo[i] = blo[i] - lo[i]
 		}
-		buf := make([]N, boxPoints(blo, bhi))
-		copyBox(buf, size, make([]int, len(size)), data, boxDims, srcLo, size)
-		p, err := qoz.EncodePayload(ctx, m.codec, buf, size, m.opts)
-		if err != nil {
-			return fmt.Errorf("store: brick %d: %w", bi, err)
-		}
-		payloads[k] = p
-		rewriteStats[k] = computeBrickStat(buf)
+		var err error
+		payloads[k], rewriteStats[k], err = compressBrick(ctx, m.codec, m.opts, data, boxDims, srcLo, size, bricks[k])
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	offs := append([]int64(nil), man.offsets...)
@@ -573,6 +573,10 @@ func (m *Mutable) Compact(ctx context.Context) error {
 	if err := os.Rename(tmp.Name(), m.path); err != nil {
 		return fail(err)
 	}
+	// The rename is durable only once its directory is. m.path already
+	// names the new file, so the swap below happens either way and a
+	// failed directory sync is reported after it.
+	syncErr := fsutil.SyncDir(m.path)
 
 	// The old file handle stays open (readers may be mid-region on the old
 	// generation) and is retired for Close to release; the snapshot swap
@@ -602,5 +606,5 @@ func (m *Mutable) Compact(ctx context.Context) error {
 	})
 	m.end = ft.manifestOff + ft.manifestLen + int64(genFooterSize)
 	m.cache.evictOwner(m.Store)
-	return nil
+	return syncErr
 }

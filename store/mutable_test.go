@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -187,6 +188,75 @@ func TestMutableRewriteBricks(t *testing.T) {
 	mustNear(t, oldRegion, wantOld, 2*testBound+1e-6, "previous generation")
 }
 
+// TestRewriteBricksWorkersByteIdentical: the rewrite compresses its bricks
+// on Workers goroutines like every other brick loop, commits the same
+// bytes whatever their number, and stops on a cancelled context without
+// committing anything.
+func TestRewriteBricksWorkersByteIdentical(t *testing.T) {
+	const ny, nx = 16, 24 // 2×3 bricks per band of 4 steps
+	ctx := context.Background()
+	var field, patch []float32
+	for s := 0; s < 8; s++ {
+		field = append(field, stepPlane(s, ny, nx)...)
+		patch = append(patch, stepPlane(100+s, ny, nx)...)
+	}
+	lo, hi := []int{0, 0, 0}, []int{8, ny, nx} // 12 bricks
+	build := func(workers int) (*Mutable, string) {
+		path := filepath.Join(t.TempDir(), "field.qozb")
+		m, err := CreateMutable(path, []int{0, ny, nx}, WriteOptions{
+			Opts:    qoz.Options{ErrorBound: testBound},
+			Brick:   []int{4, 8, 8},
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		if err := m.AppendSteps(ctx, field); err != nil {
+			t.Fatal(err)
+		}
+		return m, path
+	}
+	var files [][]byte
+	for _, workers := range []int{1, 4} {
+		m, path := build(workers)
+		if err := RewriteBricksT(ctx, m, lo, hi, patch); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got, err := m.ReadRegion(ctx, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustNear(t, got, patch, testBound+1e-6, "rewritten region")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, raw)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("Workers 1 and 4 committed different files (%d and %d bytes)", len(files[0]), len(files[1]))
+	}
+
+	m, path := build(4)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := m.Generation()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := RewriteBricksT(cancelled, m, lo, hi, patch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled rewrite returned %v", err)
+	}
+	if m.Generation() != gen {
+		t.Fatalf("cancelled rewrite committed generation %d", m.Generation())
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("cancelled rewrite changed the store file (%v)", err)
+	}
+}
+
 func TestMutableCompact(t *testing.T) {
 	const ny, nx = 16, 16
 	ctx := context.Background()
@@ -210,9 +280,29 @@ func TestMutableCompact(t *testing.T) {
 	}
 	genBefore := m.Generation()
 
+	// Cancelled or successful, a compaction leaves only the store in its
+	// directory: the *.compact* temp file is renamed over it or removed.
+	onlyTheStore := func(step string) {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))
+		if err != nil || len(names) != 1 || names[0] != path {
+			t.Fatalf("%s: directory holds %v (%v), want only %s", step, names, err, path)
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := m.Compact(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Compact returned %v", err)
+	}
+	onlyTheStore("after a cancelled Compact")
+	if st, err := os.Stat(path); err != nil || st.Size() != before.Size() || m.Generation() != genBefore {
+		t.Fatalf("a cancelled Compact changed the store (%v)", err)
+	}
+
 	if err := m.Compact(ctx); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
+	onlyTheStore("after Compact")
 	if m.Generation() != genBefore+1 {
 		t.Fatalf("compacted generation %d, want %d", m.Generation(), genBefore+1)
 	}

@@ -322,9 +322,7 @@ func brickLevelTable(p []byte) []levelSpan {
 // cross-product of the grid over dims[1:] — the global brick order visits
 // all of band k before band k+1, so emitting per band preserves it.
 // brickBase numbers error messages in global brick indices. Shared by the
-// write-once Writer and the mutable append path; statistics are computed
-// here because this is the one place both paths hold a brick's original
-// (pre-compression) samples.
+// write-once Writer and the mutable append path.
 func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec, opts qoz.Options,
 	workers int, band []T, rows, brickBase int) ([][]byte, []brickStat, error) {
 	bandDims := append([]int{rows}, hdr.dims[1:]...)
@@ -350,20 +348,30 @@ func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec
 			srcLo[i] = coord[i] * hdr.brick[i]
 			size[i] = min(hdr.brick[i], hdr.dims[i]-srcLo[i])
 		}
-		buf := make([]T, boxPoints(make([]int, len(size)), size))
-		copyBox(buf, size, make([]int, len(size)), band, bandDims, srcLo, size)
-		p, err := qoz.EncodePayload(ctx, codec, buf, size, opts)
-		if err != nil {
-			return fmt.Errorf("store: brick %d: %w", brickBase+k, err)
-		}
-		payloads[k] = p
-		stats[k] = computeBrickStat(buf)
-		return nil
+		var err error
+		payloads[k], stats[k], err = compressBrick(ctx, codec, opts, band, bandDims, srcLo, size, brickBase+k)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return payloads, stats, nil
+}
+
+// compressBrick cuts the box of shape size at srcLo out of src (a field
+// of shape srcDims) and returns its compressed payload and statistics.
+// It is the one place a brick is made, for the write-once Writer, the
+// mutable append and the mutable rewrite alike; brick numbers the error.
+func compressBrick[T qoz.Float](ctx context.Context, codec qoz.Codec, opts qoz.Options,
+	src []T, srcDims, srcLo, size []int, brick int) ([]byte, brickStat, error) {
+	origin := make([]int, len(size))
+	buf := make([]T, boxPoints(origin, size))
+	copyBox(buf, size, origin, src, srcDims, srcLo, size)
+	p, err := qoz.EncodePayload(ctx, codec, buf, size, opts)
+	if err != nil {
+		return nil, brickStat{}, fmt.Errorf("store: brick %d: %w", brick, err)
+	}
+	return p, computeBrickStat(buf), nil
 }
 
 // Close verifies the field is complete and writes the index and footer.
