@@ -299,6 +299,12 @@ func mergeable(s subRegion, clo, chi []int, last int) bool {
 // it is stitched — a response can never mix store generations. A
 // correlation id attached with WithRequestID is propagated to every shard
 // as X-Qoz-Request-Id.
+//
+// The returned body is a response slab (pool.Slab): a caller that is
+// through with it may hand it to pool.PutSlab, after which it must not
+// touch it again — qozd's gateway does, once the last client of a
+// single-flight has been written. A caller that does not keeps an
+// ordinary slice that the collector frees.
 func (c *Client) ReadRegionRaw(ctx context.Context, f *Field, lo, hi []int) ([]byte, FanoutStats, error) {
 	return c.readRegionRaw(ctx, f, lo, hi, 1)
 }
@@ -341,12 +347,15 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 	if err != nil {
 		return nil, stats, err
 	}
+	elem := f.ElemSize()
+	size := boxBytes(outDims, elem)
 	// Keep only sub-regions whose box holds at least one coarse point —
 	// the rest would be answered with "no points" by their shards, and the
 	// stitch owes them nothing. At level 1 every sub-region survives.
 	subs := make([]subRegion, 0, len(planned))
 	clos := make([][]int, 0, len(planned))
 	cdims := make([][]int, 0, len(planned))
+	covered := 0
 	for _, sub := range planned {
 		cl, cd, ok := coarseBox(sub.lo, sub.hi, stride)
 		if !ok {
@@ -355,22 +364,30 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 		subs = append(subs, sub)
 		clos = append(clos, cl)
 		cdims = append(cdims, cd)
+		covered += boxBytes(cd, elem)
+	}
+	// The output slab arrives holding some earlier response, so "every byte
+	// is written" is no longer a nicety: disjoint sub-regions (the plan's
+	// construction) whose sizes add up to the slab's leave no byte of it
+	// unwritten.
+	if covered != size {
+		return nil, stats, fmt.Errorf("cluster: fan-out plan covers %d of the region's %d bytes", covered, size)
 	}
 	stats.SubReads = len(subs)
 	fanSpan.Annotate("subreads", strconv.Itoa(len(subs)))
-	elem := f.ElemSize()
-	points := 1
-	for i := range outDims {
-		points *= outDims[i]
-	}
-	out := make([]byte, points*elem)
+	gate := generationPrefix(f)
+	out := pool.Slab[byte](size)
 	var mu sync.Mutex // guards stats during the fan-out
 	err = pool.RunErr(ctx, len(subs), c.Workers, func(k int) error {
 		sub := subs[k]
 		sctx, span := obs.StartSpan(ctx, "subread")
 		span.Annotate("lo", corner(sub.lo))
 		span.Annotate("hi", corner(sub.hi))
-		body, shard, retries, secs, err := c.readSub(sctx, f, sub, level, &mu, &stats)
+		want := boxBytes(cdims[k], elem)
+		v, shard, retries, secs, err := c.trySub(sctx, f, sub, &mu, &stats,
+			func(ctx context.Context, shard string) (any, error) {
+				return c.fetchSub(ctx, shard, f, sub, level, gate, want)
+			})
 		if retries > 0 {
 			span.Annotate("retries", strconv.Itoa(retries))
 		}
@@ -382,50 +399,69 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 		span.End()
 		mu.Lock()
 		stats.Retries += retries
+		if err == nil {
+			t := stats.ByShard[shard]
+			if t == nil {
+				t = &ShardTraffic{}
+				stats.ByShard[shard] = t
+			}
+			t.Reads++
+			t.Seconds += secs
+		}
 		mu.Unlock()
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		t := stats.ByShard[shard]
-		if t == nil {
-			t = &ShardTraffic{}
-			stats.ByShard[shard] = t
-		}
-		t.Reads++
-		t.Seconds += secs
-		mu.Unlock()
 		// Scatter the sub-slab into the output on the coarse grid.
 		// Sub-regions partition the box, and a global coarse point lies in
 		// exactly one of them, so writers touch disjoint bytes — no
 		// synchronization. At level 1 this is the plain full-resolution
 		// scatter.
-		dstLo := make([]int, len(lo))
+		var fixed [maxFixedRank]int
+		dstLo := rankInts(&fixed, len(lo))
 		for i := range lo {
 			dstLo[i] = clos[k][i] - outLo[i]
 		}
+		body := v.([]byte)
 		stitchBytes(out, outDims, dstLo, body, cdims[k], elem)
+		pool.PutSlab(body)
 		return nil
 	})
 	if err != nil {
+		// RunErr has waited for every sub-read, so nothing writes to out now.
+		pool.PutSlab(out)
 		return nil, stats, err
 	}
 	return out, stats, nil
 }
 
-// readSub fetches one sub-region, failing over along the preference order
-// on shard faults. It returns the raw body, the shard that served it, the
-// failover attempts spent, and the successful attempt's wall time.
-func (c *Client) readSub(ctx context.Context, f *Field, sub subRegion, level int,
-	mu *sync.Mutex, stats *FanoutStats) (body []byte, shard string, retries int, secs float64, err error) {
-	v, shard, retries, secs, err := c.trySub(ctx, f, sub, mu, stats,
-		func(ctx context.Context, shard string) (any, error) {
-			return c.fetchSub(ctx, shard, f, sub, level)
-		})
-	if err != nil {
-		return nil, "", retries, 0, err
+// maxFixedRank is the rank up to which the fan-out's per-sub-read
+// coordinate scratch lives in stack arrays, as store's cached read path
+// does; higher ranks (which no writer produces) allocate.
+const maxFixedRank = 8
+
+// rankInts returns n zeroed ints: a prefix of *fixed when it is long
+// enough, a fresh slice otherwise.
+func rankInts(fixed *[maxFixedRank]int, n int) []int {
+	if n <= maxFixedRank {
+		return fixed[:n]
 	}
-	return v.([]byte), shard, retries, secs, nil
+	return make([]int, n)
+}
+
+// boxBytes is the size of a row-major box of elem-byte points.
+func boxBytes(dims []int, elem int) int {
+	for _, d := range dims {
+		elem *= d
+	}
+	return elem
+}
+
+// generationPrefix is what a shard's ETag begins with when it answers from
+// the store content the catalog entry describes: the (manifest CRC,
+// generation) pair. Rendered once per fan-out, compared once per attempt.
+func generationPrefix(f *Field) string {
+	return fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
 }
 
 // trySub runs one sub-request against the sub-region's preference order,
@@ -477,16 +513,25 @@ func (c *Client) trySub(ctx context.Context, f *Field, sub subRegion,
 }
 
 // fetchSub issues one region sub-read against one shard and validates the
-// answer: status, element type, exact body length (on the level's coarse
-// grid), and the catalog's (manifest CRC, generation) pair via the
-// shard's strong ETag prefix.
-func (c *Client) fetchSub(ctx context.Context, shard string, f *Field, sub subRegion, level int) ([]byte, error) {
-	u := fmt.Sprintf("%s/v1/fields/%s/region?lo=%s&hi=%s",
-		shard, url.PathEscape(f.Name), corner(sub.lo), corner(sub.hi))
+// answer: status, element type, exact body length (want bytes: the
+// sub-box on the level's coarse grid), and the catalog's (manifest CRC,
+// generation) pair via the shard's strong ETag prefix (gate). The body it
+// returns is a response slab the caller owns; on every failure the slab it
+// took is already back in the pool.
+func (c *Client) fetchSub(ctx context.Context, shard string, f *Field, sub subRegion, level int, gate string, want int) ([]byte, error) {
+	var ubuf [192]byte
+	u := append(ubuf[:0], shard...)
+	u = append(u, "/v1/fields/"...)
+	u = append(u, url.PathEscape(f.Name)...)
+	u = append(u, "/region?lo="...)
+	u = appendCorner(u, sub.lo)
+	u = append(u, "&hi="...)
+	u = appendCorner(u, sub.hi)
 	if level > 1 {
-		u += fmt.Sprintf("&level=%d", level)
+		u = append(u, "&level="...)
+		u = strconv.AppendInt(u, int64(level), 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
 	if err != nil {
 		return nil, &ShardError{Shard: shard, Err: err}
 	}
@@ -513,27 +558,22 @@ func (c *Client) fetchSub(ctx context.Context, shard string, f *Field, sub subRe
 	// (manifest CRC, generation) pair. A shard mid-refresh (or serving a
 	// different copy) fails here and the sub-read fails over, so a stitched
 	// response is always one generation wholly.
-	wantPrefix := fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
-	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, wantPrefix) {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, wantPrefix)}
+	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, gate) {
+		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
 	}
 	if dt := resp.Header.Get("X-Qoz-Dtype"); dt != "" && dt != f.DType {
 		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-read dtype %q, want %q", dt, f.DType)}
 	}
-	_, cd, ok := coarseBox(sub.lo, sub.hi, 1<<(level-1))
-	if !ok {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-read box holds no level-%d point", level)}
-	}
-	want := f.ElemSize()
-	for i := range cd {
-		want *= cd[i]
-	}
-	body := make([]byte, want)
+	// Buffer, then stitch: one ReadFull into a recycled body costs less than
+	// per-row reads through net/http's body wrappers.
+	body := pool.Slab[byte](want)
 	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		pool.PutSlab(body)
 		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("short sub-read body: %w", err)}
 	}
 	var extra [1]byte
 	if n, _ := resp.Body.Read(extra[:]); n != 0 {
+		pool.PutSlab(body)
 		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-read body longer than its region")}
 	}
 	return body, nil
@@ -559,11 +599,19 @@ func coarseBox(lo, hi []int, stride int) (clo, cdims []int, ok bool) {
 
 // corner formats region coordinates as qozd's "a,b,c" query syntax.
 func corner(v []int) string {
-	parts := make([]string, len(v))
+	var buf [64]byte
+	return string(appendCorner(buf[:0], v))
+}
+
+// appendCorner appends corner(v) to b.
+func appendCorner(b []byte, v []int) []byte {
 	for i, x := range v {
-		parts[i] = strconv.Itoa(x)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // stitchBytes copies a row-major sub-slab (shape srcDims, elem bytes per
@@ -577,8 +625,8 @@ func stitchBytes(dst []byte, dstDims, dstLo []int, src []byte, srcDims []int, el
 		return
 	}
 	// Byte strides of each axis in dst and src.
-	ds := make([]int, n)
-	ss := make([]int, n)
+	var fixed [3][maxFixedRank]int
+	ds, ss, idx := rankInts(&fixed[0], n), rankInts(&fixed[1], n), rankInts(&fixed[2], n)
 	acc := elem
 	for i := n - 1; i >= 0; i-- {
 		ds[i] = acc
@@ -598,7 +646,6 @@ func stitchBytes(dst []byte, dstDims, dstLo []int, src []byte, srcDims []int, el
 		return
 	}
 	so := 0
-	idx := make([]int, n-1)
 	for {
 		copy(dst[do:do+run], src[so:so+run])
 		k := n - 2

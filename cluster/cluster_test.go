@@ -129,7 +129,7 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := f.Do(context.Background(), "hot", func(context.Context) (any, error) {
+			v, _, _, err := f.Do(context.Background(), "hot", func(context.Context) (any, error) {
 				execs.Add(1)
 				<-release
 				return "slab", nil
@@ -158,7 +158,7 @@ func TestFlightCoalesces(t *testing.T) {
 	}
 
 	// The key was forgotten: a later call executes afresh.
-	if _, shared, _ := f.Do(context.Background(), "hot", func(context.Context) (any, error) {
+	if _, shared, _, _ := f.Do(context.Background(), "hot", func(context.Context) (any, error) {
 		execs.Add(1)
 		return "slab2", nil
 	}); shared {
@@ -188,12 +188,12 @@ func TestFlightCancellation(t *testing.T) {
 	defer cancel2()
 	errs := make(chan error, 2)
 	go func() {
-		_, _, err := f.Do(ctx1, "k", fn)
+		_, _, _, err := f.Do(ctx1, "k", fn)
 		errs <- err
 	}()
 	<-started
 	go func() {
-		_, _, err := f.Do(ctx2, "k", fn)
+		_, _, _, err := f.Do(ctx2, "k", fn)
 		errs <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -232,7 +232,7 @@ func TestFlightConcurrentKeys(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i%4)
-			v, _, err := f.Do(context.Background(), key, func(context.Context) (any, error) {
+			v, _, _, err := f.Do(context.Background(), key, func(context.Context) (any, error) {
 				time.Sleep(time.Millisecond)
 				return key, nil
 			})

@@ -18,7 +18,8 @@
 //   - Flight: request-layer single-flight. A thundering herd of identical
 //     region requests decodes (or fans out) once; followers share the
 //     leader's result. The leader's work is cancelled only when every
-//     coalesced caller has gone away.
+//     coalesced caller has gone away, and a result that owns pooled memory
+//     is released after the last caller is done with it.
 //   - Limiter: per-tenant token buckets for 429 + Retry-After rate
 //     limiting layered on bearer-token auth.
 //

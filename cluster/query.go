@@ -59,6 +59,7 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 	stats.SubReads = len(subs)
 	fanSpan.Annotate("subqueries", strconv.Itoa(len(subs)))
 	partials := make([]*store.QueryResult, len(subs))
+	gate := generationPrefix(f)
 	var mu sync.Mutex // guards stats during the fan-out
 	err = pool.RunErr(ctx, len(subs), c.Workers, func(k int) error {
 		sub := subs[k]
@@ -67,7 +68,7 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 		span.Annotate("hi", corner(sub.hi))
 		v, shard, retries, secs, err := c.trySub(sctx, f, sub, &mu, &stats,
 			func(ctx context.Context, shard string) (any, error) {
-				return c.fetchQuery(ctx, shard, f, sub, req)
+				return c.fetchQuery(ctx, shard, f, sub, req, gate)
 			})
 		if retries > 0 {
 			span.Annotate("retries", strconv.Itoa(retries))
@@ -104,9 +105,9 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 
 // fetchQuery issues one sub-query against one shard and validates the
 // answer: status, and the catalog's (manifest CRC, generation) pair via
-// the shard's strong ETag prefix — the same generation gate region
+// the shard's strong ETag prefix (gate) — the same generation gate region
 // sub-reads pass through, so a merged query never mixes generations.
-func (c *Client) fetchQuery(ctx context.Context, shard string, f *Field, sub subRegion, req store.QueryRequest) (*store.QueryResult, error) {
+func (c *Client) fetchQuery(ctx context.Context, shard string, f *Field, sub subRegion, req store.QueryRequest, gate string) (*store.QueryResult, error) {
 	g := func(v float64) string {
 		return url.QueryEscape(strconv.FormatFloat(v, 'g', -1, 64))
 	}
@@ -146,9 +147,8 @@ func (c *Client) fetchQuery(ctx context.Context, shard string, f *Field, sub sub
 		return nil, &ShardError{Shard: shard, Status: resp.StatusCode,
 			Err: fmt.Errorf("sub-query failed: %s", strings.TrimSpace(string(msg)))}
 	}
-	wantPrefix := fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
-	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, wantPrefix) {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, wantPrefix)}
+	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, gate) {
+		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
 	}
 	var res store.QueryResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {

@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qoz"
+	"qoz/internal/pool"
 	"qoz/obs"
 	"qoz/store"
 )
@@ -46,9 +46,9 @@ type backend interface {
 	// describe completes the field's manifest with what a snapshot does not
 	// carry: the brick grid, the codec, and where the data lives.
 	describe(f snapshot, fi *fieldInfo)
-	// region produces the samples of [lo, hi) on the level's grid, row-major:
-	// decoded []float32 or []float64, or the same samples as one raw
-	// little-endian []byte slab (see writeRegion).
+	// region produces the samples of [lo, hi) on the level's grid, row-major,
+	// as a slab: decoded float32 or float64 samples, or the same samples as
+	// the raw little-endian bytes of the body (see writeRegion).
 	region(ctx context.Context, f snapshot, lo, hi []int, level int) (any, error)
 	// query answers a pushdown query over the field.
 	query(ctx context.Context, f snapshot, req store.QueryRequest) (*store.QueryResult, error)
@@ -255,14 +255,39 @@ func (l *local) region(ctx context.Context, f snapshot, lo, hi []int, level int)
 	return data, nil
 }
 
-// readRegion reads the box at full resolution (level 1, through the
-// zero-copy cached path) or as a level's coarse grid, in sample type T.
-func readRegion[T qoz.Float](ctx context.Context, st *store.Store, lo, hi []int, level int) (any, error) {
+// slab is a produced region: its samples, in memory that goes back to
+// internal/pool when the single-flight that produced it has served its
+// last waiter (cluster.Flight calls Release; see docs/PERFORMANCE.md, "Who
+// owns a slab"). Both backends produce one — a shard decoded samples, a
+// gateway the stitched raw body — so ownership is one mechanism, not one
+// per role.
+type slab[T byte | float32 | float64] struct{ data []T }
+
+func (s *slab[T]) Release() { pool.PutSlab(s.data) }
+
+// readRegion reads the box in sample type T: at full resolution (level 1)
+// into a recycled buffer through the store's cached path, which allocates
+// nothing when every brick is cached, or as a level's coarse grid.
+func readRegion[T float32 | float64](ctx context.Context, st *store.Store, lo, hi []int, level int) (any, error) {
 	if level > 1 {
 		data, _, err := store.ReadRegionLevelT[T](ctx, st, lo, hi, level)
-		return data, err
+		if err != nil {
+			return nil, err
+		}
+		return &slab[T]{data}, nil
 	}
-	return store.ReadRegionT[T](ctx, st, lo, hi)
+	points := 1
+	for i := range lo {
+		points *= hi[i] - lo[i]
+	}
+	// ReadRegionIntoT checks the box against the generation it reads before
+	// it writes, and on success has written every sample of the buffer.
+	data := pool.Slab[T](points)
+	if err := store.ReadRegionIntoT(ctx, st, data, lo, hi); err != nil {
+		pool.PutSlab(data)
+		return nil, err
+	}
+	return &slab[T]{data}, nil
 }
 
 // query decodes bricks too (the ones the statistics index cannot

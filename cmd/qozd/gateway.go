@@ -161,7 +161,7 @@ func (g *fleet) region(ctx context.Context, s snapshot, lo, hi []int, level int)
 	if err != nil {
 		return nil, fmt.Errorf("fan-out failed: %w", err)
 	}
-	return body, nil
+	return &slab[byte]{body}, nil
 }
 
 // query fans sub-queries out along the same boundaries; each owning shard

@@ -121,6 +121,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"strings"
@@ -129,6 +130,7 @@ import (
 
 	"qoz"
 	"qoz/cluster"
+	"qoz/internal/pool"
 	"qoz/store"
 )
 
@@ -582,7 +584,10 @@ func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, valid
 		// a backend that makes further hops presents the same one.
 		key := fmt.Sprintf("%s|%08x-%d|%v|%v|%s", f.name, f.crc, f.gen, a.lo, a.hi, a.work)
 		ctx := cluster.WithRequestID(r.Context(), r.Header.Get(requestIDHeader))
-		v, _, err := h.flight.Do(ctx, key, a.produce)
+		// The produced value is shared with every coalesced request and may
+		// own pooled memory: done says this request will not touch it again,
+		// and the flight releases it after the last one has.
+		v, _, done, err := h.flight.Do(ctx, key, a.produce)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return // client is gone; nobody to answer
@@ -604,6 +609,7 @@ func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, valid
 		}
 		w.Header().Set("ETag", etag)
 		a.write(v)
+		done()
 		return
 	}
 }
@@ -784,31 +790,31 @@ func inmMatches(inm, etag string) bool {
 
 // writeRegion writes a produced region in the requested format, in the
 // field's own element type: float64 fields answer with 8-byte samples
-// (raw) or full-precision literals (json). data is what a backend's
-// region returned: decoded samples ([]float32, []float64), or a stitched
-// slab that already is the raw body ([]byte: little-endian, row-major,
-// shape outDims) and so goes out in one Write with no decode/re-encode
-// round trip; its JSON renders from the same slab, so a herd mixing raw
-// and json clients still coalesces into one produce.
+// (raw) or full-precision literals (json). data is the slab a backend's
+// region returned: decoded samples, or a stitched slab that already is the
+// raw body (little-endian, row-major, shape outDims) and so goes out in
+// one Write with no decode/re-encode round trip; its JSON renders from the
+// same slab, so a herd mixing raw and json clients still coalesces into
+// one produce. The slab is only read: other requests are writing it too.
 func writeRegion(w http.ResponseWriter, r *http.Request, outDims []int, dtype string, bound float64, data any, format string) error {
 	w.Header().Set("X-Qoz-Dims", joinInts(outDims, ","))
 	w.Header().Set("X-Qoz-Dtype", dtype)
 	w.Header().Set("X-Qoz-Error-Bound", strconv.FormatFloat(bound, 'g', -1, 64))
 	switch data := data.(type) {
-	case []float32:
-		return writeSamples(w, r, outDims, dtype, data, format)
-	case []float64:
-		return writeSamples(w, r, outDims, dtype, data, format)
-	case []byte:
+	case *slab[float32]:
+		return writeSamples(w, r, outDims, dtype, data.data, format)
+	case *slab[float64]:
+		return writeSamples(w, r, outDims, dtype, data.data, format)
+	case *slab[byte]:
 		if format == "json" {
 			if dtype == "float64" {
-				return writeSamples(w, r, outDims, dtype, leSamples[float64](data, 8), format)
+				return writeSamples(w, r, outDims, dtype, leSamples[float64](data.data, 8), format)
 			}
-			return writeSamples(w, r, outDims, dtype, leSamples[float32](data, 4), format)
+			return writeSamples(w, r, outDims, dtype, leSamples[float32](data.data, 4), format)
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, err := w.Write(data)
+		w.Header().Set("Content-Length", strconv.Itoa(len(data.data)))
+		_, err := w.Write(data.data)
 		return err
 	}
 	return fmt.Errorf("region data of type %T", data)
@@ -834,7 +840,8 @@ func leSamples[T qoz.Float](b []byte, elem int) []T {
 // deliberately preserves — non-finite points become null — and is
 // gzip-wrapped when the client negotiated it (see jsonBody). Both paths
 // stream in bounded chunks instead of materializing a second copy of the
-// region as bytes.
+// region as bytes; the raw path's chunk is recycled and no larger than the
+// body, which for a sub-read is most of the time one Write.
 func writeSamples[T qoz.Float](w http.ResponseWriter, r *http.Request, outDims []int, dtype string, data []T, format string) error {
 	elem := 4
 	if dtype == "float64" {
@@ -877,7 +884,8 @@ func writeSamples[T qoz.Float](w http.ResponseWriter, r *http.Request, outDims [
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(elem*len(data)))
-	var chunk [64 << 10]byte
+	chunk := pool.Slab[byte](min(64<<10, elem*len(data)))
+	defer pool.PutSlab(chunk)
 	for off := 0; off < len(data); {
 		n := min(len(chunk)/elem, len(data)-off)
 		for i := 0; i < n; i++ {
@@ -904,12 +912,19 @@ func (h *handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // families is the table of metric families both roles render: process-wide
-// request accounting, single-flight activity, per-tenant 429s, and request
-// latency by {route, status}.
+// request accounting, single-flight activity, per-tenant 429s, what the
+// process asked of the allocator and the collector, and request latency by
+// {route, status}.
 func (h *handler) families() []family {
 	work, refreshes := h.be.nouns()
 	flights := h.flight.Stats()
 	limited := h.guard.limitedByTenant()
+	// runtime/metrics, not runtime.ReadMemStats: a scrape must not stop the
+	// world. Their deltas over a /metrics interval, divided by the bytes
+	// served in it, are allocation per served byte and collections per
+	// request, on either role.
+	runtimeSamples := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(runtimeSamples)
 	return []family{
 		scalar("qozd_requests_total", "HTTP requests received", "counter", h.requests.Load()),
 		scalar("qozd_request_errors_total", "requests answered with an error status (unknown-field 404s excluded)", "counter", h.errors.Load()),
@@ -919,6 +934,8 @@ func (h *handler) families() []family {
 		scalar("qozd_flight_coalesced_total", "region requests served by another request's "+work, "counter", flights.Coalesced),
 		labelled("qozd_rate_limited_total", "requests refused with 429, by tenant", "counter", "tenant", fieldNames(limited),
 			func(tenant string) any { return limited[tenant] }),
+		scalar("qozd_go_heap_alloc_bytes_total", "heap bytes allocated by this process since it started", "counter", runtimeSamples[0].Value.Uint64()),
+		scalar("qozd_go_gc_cycles_total", "garbage collection cycles completed since the process started", "counter", runtimeSamples[1].Value.Uint64()),
 		{hist: h.ins.reqHist},
 	}
 }

@@ -260,7 +260,15 @@ func documentedFamilies(t *testing.T) map[string]struct{ typ, role string } {
 func metricsRender(h func(http.ResponseWriter, *http.Request)) string {
 	rec := httptest.NewRecorder()
 	h(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	return rec.Body.String()
+	// The runtime's own counters move with every render (rendering
+	// allocates): their sample lines are not part of "the same state".
+	var fixed []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, "qozd_go_") {
+			fixed = append(fixed, line)
+		}
+	}
+	return strings.Join(fixed, "\n")
 }
 
 // TestTracesEndpoint pins /debug/traces behavior: parameters, validation,

@@ -1,0 +1,394 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"qoz"
+	"qoz/cluster"
+	"qoz/datagen"
+	"qoz/internal/pool"
+	"qoz/store"
+)
+
+// referenceRaw is the raw little-endian body of the box [lo, hi) computed
+// from the store file alone: the library read, encoded here — no qozd, no
+// pool, no single-flight on the way.
+func referenceRaw(t *testing.T, path string, lo, hi []int) []byte {
+	t.Helper()
+	st, err := store.OpenFile(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Float64() {
+		data, err := store.ReadRegionT[float64](context.Background(), st, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]byte, 8*len(data))
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+		return out
+	}
+	data, err := store.ReadRegionT[float32](context.Background(), st, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 4*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	}
+	return out
+}
+
+// TestClusterNoUseAfterRelease runs gateway + 2 shards with every released
+// slab overwritten at the moment of its release (sample buffers and
+// conversion chunks on the shards; sub-read bodies and stitched slabs on
+// the gateway). A response written from a slab after its release — by a
+// coalesced waiter slower than the rest, by a failover that kept the failed
+// attempt's buffer — carries the pattern and differs from the reference.
+func TestClusterNoUseAfterRelease(t *testing.T) {
+	pool.PoisonSlabs(true)
+	t.Cleanup(func() { pool.PoisonSlabs(false) })
+
+	dir := t.TempDir()
+	p32, _ := buildStoreFile(t, dir)
+	p64, _, _ := buildStoreFile64(t, dir)
+	paths := map[string]string{"nyx": p32, "wave": p64}
+	mounts := []mount{{name: "nyx", target: p32}, {name: "wave", target: p64}}
+
+	// Shard region requests wait at the gate while one is set (so a herd
+	// coalesces behind its leader for certain), and shard 1 cuts region
+	// bodies short while tearing is on.
+	var gate atomic.Pointer[chan struct{}]
+	var tearing atomic.Bool
+	shards, _ := startShards(t, mounts, 2, serverOptions{CacheBytes: 32 << 20},
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if filepath.Base(r.URL.Path) == "region" {
+					if g := gate.Load(); g != nil {
+						<-*g
+					}
+					if i == 1 && tearing.Load() {
+						w = &tornWriter{ResponseWriter: w}
+					}
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	gw, gts := startGateway(t, gatewayOptions{Shards: shardURLs(shards)})
+
+	type read struct {
+		field  string
+		lo, hi []int
+		want   []byte
+	}
+	mk := func(field string, lo, hi []int) read {
+		return read{field, lo, hi, referenceRaw(t, paths[field], lo, hi)}
+	}
+	check := func(base string, rd read) {
+		url := fmt.Sprintf("%s/v1/fields/%s/region?lo=%s&hi=%s", base, rd.field, joinInts(rd.lo, ","), joinInts(rd.hi, ","))
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Errorf("GET %s: %v", url, err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, read error %v", url, resp.StatusCode, err)
+			return
+		}
+		if !bytes.Equal(body, rd.want) {
+			t.Errorf("GET %s: body differs from the reference (%d bytes, %d poisoned)", url, len(body), bytes.Count(body, []byte{0xA5}))
+		}
+	}
+
+	// Boxes of one size (16³ float32 over 8³ bricks: 27 bricks each, every
+	// sub-read body and every slab from the same pool buckets), so whatever
+	// one request releases the next one draws.
+	hot := mk("nyx", []int{4, 4, 4}, []int{20, 20, 20})
+	var others []read
+	for k := 0; k < 8; k++ {
+		lo := []int{k, 2 * k, 16 - k}
+		others = append(others, mk("nyx", lo, []int{lo[0] + 16, lo[1] + 16, lo[2] + 16}))
+	}
+	wave := mk("wave", []int{0, 1, 2}, []int{15, 16, 14})
+
+	// (b) Sequential reads, float32 and float64, through the gateway and
+	// straight from a shard; twice, so the second draws what the first
+	// released.
+	for pass := 0; pass < 2; pass++ {
+		for _, base := range []string{gts.URL, shards[0].URL} {
+			check(base, hot)
+			check(base, wave)
+		}
+	}
+
+	// (a) Herds. Gated rounds first: 16 identical requests pile up behind
+	// one fan-out while other boxes fan out beside them, then everything is
+	// written — and released — at once.
+	const herd = 16
+	for round := 0; round < 3; round++ {
+		g := make(chan struct{})
+		gate.Store(&g)
+		before := gw.flight.Stats()
+		var wg sync.WaitGroup
+		for i := 0; i < herd+len(others); i++ {
+			rd := hot
+			if i >= herd {
+				rd = others[i-herd]
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check(gts.URL, rd)
+			}()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := gw.flight.Stats()
+			if st.Coalesced-before.Coalesced == herd-1 && st.Leads-before.Leads == int64(1+len(others)) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: herd never coalesced: %+v after %+v", round, st, before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		gate.Store(nil)
+		close(g)
+		wg.Wait()
+	}
+	// Then free-running: clients that mostly ask for the hot box, at the
+	// gateway and at a shard, coalescing and recycling however they fall.
+	var wg sync.WaitGroup
+	for c := 0; c < herd; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base := gts.URL
+			if c%4 == 3 {
+				base = shards[c%2].URL
+			}
+			for i := 0; i < 12; i++ {
+				switch {
+				case (i+c)%3 == 0:
+					check(base, others[(i+c)%len(others)])
+				case (i+c)%7 == 0:
+					check(base, wave)
+				default:
+					check(base, hot)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// (c) Shard 1 drops the connection mid-body: every sub-read it owns
+	// fails over to shard 0, and the torn attempt's buffer — released, so
+	// poisoned — must not be what gets stitched.
+	tearing.Store(true)
+	retriesBefore := fleetOf(gw).retries.Load()
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				check(gts.URL, others[(2*i+c)%len(others)])
+				check(gts.URL, wave)
+			}
+		}()
+	}
+	wg.Wait()
+	if fleetOf(gw).retries.Load() == retriesBefore {
+		t.Error("no sub-read failed over while shard 1 was tearing its bodies")
+	}
+}
+
+// tornWriter sends the first half of the first body Write and then aborts
+// the response: the client has the headers (status, ETag, Content-Length)
+// and part of the body when the connection goes away.
+type tornWriter struct {
+	http.ResponseWriter
+}
+
+func (w *tornWriter) Write(b []byte) (int, error) {
+	w.ResponseWriter.Write(b[:len(b)/2])
+	w.ResponseWriter.(http.Flusher).Flush()
+	panic(http.ErrAbortHandler)
+}
+
+// hotStore encodes a 64³ field in 32³ bricks once per test process: the
+// shape of the benchmark's gateway_hot traffic, where a 32³ box at offset
+// 16 straddles all eight bricks and its 128 KiB answer is what the
+// allocation gates measure against.
+var hotStore = sync.OnceValues(func() ([]byte, error) {
+	ds := datagen.NYX(64, 64, 64)
+	var buf bytes.Buffer
+	err := store.Write(context.Background(), &buf, ds.Data, ds.Dims, store.WriteOptions{
+		Opts:  qoz.Options{RelBound: 1e-3},
+		Brick: []int{32, 32, 32},
+	})
+	return buf.Bytes(), err
+})
+
+func buildHotStoreFile(t *testing.T, dir string) string {
+	t.Helper()
+	encoded, err := hotStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "hot.qozb")
+	if err := os.WriteFile(path, encoded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// allocBytesPerOp is the heap bytes op allocates per call, process-wide
+// (server goroutines included), over n calls with the collector off — so
+// that what the pools hold is not taken from them in the middle of the
+// measurement and the number repeats.
+func allocBytesPerOp(n int, op func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestClusterFanoutAllocBytes is the allocation gate of the hot hop: one
+// 32³ float32 box straddling 8 bricks, read 200 times through
+// cluster.Client.ReadRegionRaw against two in-process shards and released
+// the way the gateway releases it, allocates less than the response is
+// long — everything counted: the fan-out, net/http on both sides of the
+// shard hop, and the shards' own region reads. At the parent commit the
+// same loop measured 866 KB per 128 KiB read: the stitched slab, the
+// sub-read bodies and the shards' sample buffers (128 KiB each), plus a
+// 64 KiB conversion chunk per sub-read that escaped to the heap.
+func TestClusterFanoutAllocBytes(t *testing.T) {
+	path := buildHotStoreFile(t, t.TempDir())
+	shards, _ := startShards(t, []mount{{name: "hot", target: path}}, 2, serverOptions{CacheBytes: 64 << 20}, nil)
+	// The placement hashes shard URLs, and httptest's carry ephemeral ports:
+	// the plan for one box would be 4 sub-reads in one run and 8 in the
+	// next. Fixed names dialled to wherever the shards listen make the plan,
+	// and so the measurement, repeat.
+	addrs := map[string]string{}
+	var names []string
+	for i, s := range shards {
+		host := fmt.Sprintf("qozd-%d.test", i)
+		addrs[host+":80"] = s.Listener.Addr().String()
+		names = append(names, "http://"+host)
+	}
+	tr := &http.Transport{
+		MaxIdleConnsPerHost: 8,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			return new(net.Dialer).DialContext(ctx, network, addrs[addr])
+		},
+	}
+	defer tr.CloseIdleConnections()
+	cl := &cluster.Client{HTTP: &http.Client{Transport: tr}}
+	ctx := context.Background()
+	cat, err := cl.Catalog(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := []int{16, 16, 16}, []int{48, 48, 48}
+	want := referenceRaw(t, path, lo, hi)
+	read := func() {
+		body, stats, err := cl.ReadRegionRaw(ctx, cat["hot"], lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.SubReads != 6 || !bytes.Equal(body, want) {
+			t.Fatalf("fan-out of %d sub-reads (the fixed placement gives 6), body equal to the reference: %v", stats.SubReads, bytes.Equal(body, want))
+		}
+		(&slab[byte]{body}).Release()
+	}
+	for i := 0; i < 20; i++ { // warm the shard caches, the connections and the pools
+		read()
+	}
+	perOp := allocBytesPerOp(200, read)
+	t.Logf("%.0f heap bytes allocated per %d-byte read", perOp, len(want))
+	if raceEnabled {
+		return // the detector's own allocations and its pool sabotage are in the number
+	}
+	// Measured 78 KB (77.8–78.7 over five runs): 13 KB for each of the six
+	// sub-reads — net/http's request, response and header objects and the
+	// trace spans, on both sides of the hop — and nothing that grows with
+	// the box. The bound is the response size, 1.68× the measurement; one
+	// size-proportional buffer coming back (128 KiB) breaks it.
+	if perOp >= float64(len(want)) {
+		t.Errorf("%.0f heap bytes per read of a %d-byte region; a hot read must allocate less than it returns", perOp, len(want))
+	}
+}
+
+// TestShardRegionNoSampleAlloc is the shard half, beside
+// store.TestReadRegionIntoCachedZeroAlloc: with the bricks cached, a
+// region produce and its release allocate the slab's 24-byte header and
+// the pool's, not a sample buffer per produce.
+func TestShardRegionNoSampleAlloc(t *testing.T) {
+	dir := t.TempDir()
+	p64, _, _ := buildStoreFile64(t, dir)
+	srv, err := newServer([]mount{{name: "hot", target: buildHotStoreFile(t, dir)}, {name: "wave", target: p64}},
+		serverOptions{CacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		field  string
+		lo, hi []int
+		size   int
+	}{
+		{"hot", []int{16, 16, 16}, []int{48, 48, 48}, 32 * 32 * 32 * 4},
+		{"wave", []int{1, 1, 1}, []int{15, 15, 15}, 14 * 14 * 14 * 8},
+	} {
+		f, ok := srv.be.resolve(tc.field)
+		if !ok {
+			t.Fatalf("no field %s", tc.field)
+		}
+		cycle := func() {
+			v, err := srv.be.region(context.Background(), f, tc.lo, tc.hi, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.(interface{ Release() }).Release()
+		}
+		cycle() // decode the bricks into the cache, fill the pool
+		perOp := allocBytesPerOp(200, cycle)
+		t.Logf("%s: %.0f heap bytes allocated per %d-byte region", tc.field, perOp, tc.size)
+		if raceEnabled {
+			continue
+		}
+		// Measured 48 bytes (two 24-byte headers). sync.Pool may miss
+		// without a collection — a goroutine that changes Ps between a put
+		// and the next get cannot reach the other P's private slot — and
+		// each miss is one fresh buffer, size/200 per op here; the bound of
+		// an eighth of the region allows 25 of those and no steady
+		// per-produce buffer, which would be the whole region per op.
+		if perOp > float64(tc.size)/8 {
+			t.Errorf("%s: %.0f heap bytes per cached region produce + release; want no sample buffer (%d bytes)", tc.field, perOp, tc.size)
+		}
+	}
+}

@@ -86,3 +86,40 @@ func TestSlicePoolRoundTrip(t *testing.T) {
 		t.Fatal("zero-length get should be nil")
 	}
 }
+
+// TestSlabBound pins what the slab pools recycle: nothing above
+// maxSlabBytes, whatever its element type, and not a slab whose capacity
+// merely rounds down to a bucket under the bound.
+func TestSlabBound(t *testing.T) {
+	for _, n := range []int{1, 1000, maxSlabBytes / 8, maxSlabBytes/8 + 1, maxSlabBytes + 1} {
+		if s := Slab[float64](n); len(s) != n {
+			t.Fatalf("Slab[float64](%d): len %d", n, len(s))
+		}
+	}
+	// Dropped slabs never come back; held ones may (sync.Pool promises
+	// nothing), so only the negative is asserted.
+	samePlace := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+	big := Slab[byte](maxSlabBytes + 1)
+	if cap(big) != maxSlabBytes+1 {
+		t.Errorf("a slab above the bound has cap %d, want exactly its length: it is not headed for a bucket", cap(big))
+	}
+	PutSlab(big)
+	odd := make([]byte, maxSlabBytes+maxSlabBytes/2) // would file under the 256 KiB bucket
+	PutSlab(odd)
+	for i := 0; i < 8; i++ {
+		if s := Slab[byte](maxSlabBytes); samePlace(s, big) || samePlace(s, odd) {
+			t.Fatal("a slab above the bound was recycled")
+		}
+	}
+	PutSlab([]float32(nil))
+
+	PoisonSlabs(true)
+	defer PoisonSlabs(false)
+	f := Slab[float32](10)
+	b := Slab[byte](10)
+	PutSlab(f)
+	PutSlab(b)
+	if f[9] != slabPoison || b[9] != slabPoison {
+		t.Errorf("released slabs hold %v and %#x, want the poison pattern", f[9], b[9])
+	}
+}

@@ -12,6 +12,7 @@ package pool
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // maxBucket caps pooled capacities at 1<<maxBucket elements; anything
@@ -19,6 +20,10 @@ import (
 const maxBucket = 26
 
 type slicePool[T any] struct {
+	// limit, when positive, is the largest length and capacity (in
+	// elements) the pool recycles; longer requests are plain allocations
+	// and larger slices are dropped on put, like those past maxBucket.
+	limit   int
 	buckets [maxBucket + 1]sync.Pool
 }
 
@@ -28,7 +33,7 @@ func (p *slicePool[T]) get(n int) []T {
 		return nil
 	}
 	b := bits.Len(uint(n - 1)) // smallest b with 1<<b >= n
-	if b > maxBucket {
+	if b > maxBucket || (p.limit > 0 && n > p.limit) {
 		return make([]T, n)
 	}
 	if v := p.buckets[b].Get(); v != nil {
@@ -47,7 +52,7 @@ func (p *slicePool[T]) put(s []T) {
 	// File under the largest bucket the capacity fully serves, so every
 	// get from that bucket fits within cap.
 	b := bits.Len(uint(c)) - 1
-	if b > maxBucket {
+	if b > maxBucket || (p.limit > 0 && c > p.limit) {
 		return
 	}
 	s = s[:0]
@@ -78,3 +83,62 @@ func Float32s(n int) []float32 { return float32Pool.get(n) }
 
 // PutFloat32s recycles a slice obtained from Float32s.
 func PutFloat32s(s []float32) { float32Pool.put(s) }
+
+// Response slabs: the memory a served region lives in between its produce
+// and its last write (qozd's sample buffers and stitched bodies, the
+// fan-out's sub-read bodies). They have pools of their own, bounded at
+// maxSlabBytes per slab by a constant rather than a setting: a pooled slab
+// stays reachable for two collections after its last use, so recycling the
+// occasional full-field read (8 MiB and its sub-read bodies) would double
+// the collector's heap target to save one allocation, while the hot reads
+// — a brick or a few, tens to hundreds of KiB — are what arrive hundreds
+// of times a second.
+const maxSlabBytes = 256 << 10
+
+var (
+	byteSlabs    = slicePool[byte]{limit: maxSlabBytes}
+	float32Slabs = slicePool[float32]{limit: maxSlabBytes / 4}
+	float64Slabs = slicePool[float64]{limit: maxSlabBytes / 8}
+)
+
+func slabPool[T byte | float32 | float64]() *slicePool[T] {
+	var p any
+	switch any(T(0)).(type) {
+	case byte:
+		p = &byteSlabs
+	case float32:
+		p = &float32Slabs
+	default:
+		p = &float64Slabs
+	}
+	return p.(*slicePool[T])
+}
+
+// Slab returns a response slab of n elements with undefined contents:
+// recycled memory up to maxSlabBytes, a plain allocation above.
+func Slab[T byte | float32 | float64](n int) []T { return slabPool[T]().get(n) }
+
+// PutSlab ends the caller's ownership of s, whether it came from Slab or
+// from make: s must not be referenced afterwards. Slabs above
+// maxSlabBytes are left to the collector.
+func PutSlab[T byte | float32 | float64](s []T) {
+	if poisonSlabs.Load() {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = slabPoison
+		}
+	}
+	slabPool[T]().put(s)
+}
+
+// slabPoison is 0xA5 as a byte and 165 as a sample: neither is a value
+// the test fields hold.
+const slabPoison = 0xA5
+
+var poisonSlabs atomic.Bool
+
+// PoisonSlabs is a hook for tests of the release protocol: while on,
+// PutSlab overwrites every slab it is given, recycled or not, so a reader
+// that kept a reference past the release serves the pattern instead of
+// plausible samples.
+func PoisonSlabs(on bool) { poisonSlabs.Store(on) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,10 +249,10 @@ func TestCoarseReadBeatsFullDecode(t *testing.T) {
 	timeRead := func(decoded *int64, read func(context.Context) error) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
-			var dec int64
+			var dec atomic.Int64 // the observer runs on the read's worker goroutines
 			octx := WithStageObserver(ctx, func(st Stage, d time.Duration, b int64) {
 				if st == StageDecode {
-					dec += b
+					dec.Add(b)
 				}
 			})
 			start := time.Now()
@@ -261,7 +262,7 @@ func TestCoarseReadBeatsFullDecode(t *testing.T) {
 			if el := time.Since(start); el < best {
 				best = el
 			}
-			*decoded = dec
+			*decoded = dec.Load()
 		}
 		return best
 	}
