@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"qoz"
 	"qoz/datagen"
+	"qoz/internal/container"
 	"qoz/metrics"
 )
 
@@ -60,5 +62,52 @@ func TestNames(t *testing.T) {
 	}
 	if QoZ(qoz.TuneAC).Name() != "QoZ(ac)" {
 		t.Fatal("QoZ ac name wrong")
+	}
+}
+
+// TestLiteralCountMismatchRejected: the prediction codecs keep escaped
+// values in a literals section (id 2 in all three framings) beside a bin
+// stream that says where they go, and the container has no checksum. A
+// stream with one literal dropped or one added used to decode — to wrong
+// samples, or with the surplus ignored — and must be refused.
+func TestLiteralCountMismatchRejected(t *testing.T) {
+	const secLiterals = 2
+	ds := datagen.NYX(24, 24, 24)
+	data := append([]float32(nil), ds.Data...)
+	for i := 5; i < len(data); i += 97 {
+		data[i] = 1e30 // far outside the quantizer's radius: escapes
+	}
+	eb := 1e-3 * metrics.ValueRange(ds.Data)
+	for _, c := range []Codec{SZ2(), SZ3(), MGARD()} {
+		buf, err := c.Compress(data, ds.Dims, eb)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		for name, mutate := range map[string]func([]byte) []byte{
+			"dropped": func(lits []byte) []byte { return lits[:len(lits)-4] },
+			"added":   func(lits []byte) []byte { return append(lits, 0, 0, 128, 63) },
+		} {
+			s, err := container.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for i := range s.Sections {
+				if s.Sections[i].ID == secLiterals && len(s.Sections[i].Data) >= 4 {
+					s.Sections[i].Data = mutate(s.Sections[i].Data)
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%s: stream holds no literals; the case lost its footing", c.Name())
+			}
+			bad, err := container.Encode(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Decompress(bad); err == nil || !strings.Contains(err.Error(), "literal") {
+				t.Fatalf("%s, one literal %s: decoded with error %v", c.Name(), name, err)
+			}
+		}
 	}
 }

@@ -243,6 +243,17 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 // single-segment layout of older streams, bit-identically to the original
 // decoder.
 func Decompress(buf []byte) ([]float32, []int, error) {
+	return decompress(buf, interp.LevelPassDecode)
+}
+
+// levelSweep reconstructs one level of buf from deq's symbols. Production
+// passes interp.LevelPassDecode; the differential oracle (reference.go)
+// passes the closure-driven interp.LevelPass, so both decode through the
+// same validation and differ in nothing but the sweep.
+type levelSweep func(buf []float32, dims []int, level int, m interp.Method, deq *quant.Dequantizer)
+
+// decompress decodes a whole stream of either layout with the given sweep.
+func decompress(buf []byte, sweep levelSweep) ([]float32, []int, error) {
 	s, err := container.Decode(buf)
 	if err != nil {
 		return nil, nil, err
@@ -251,10 +262,10 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 		return nil, nil, container.ErrCodecMismatch
 	}
 	if szstream.IsLevelStream(s) {
-		recon, dims, _, err := decompressStream(s, 1)
+		recon, dims, _, err := decompressStream(s, 1, sweep)
 		return recon, dims, err
 	}
-	return decompressLegacy(s)
+	return decompressLegacy(s, sweep)
 }
 
 // DecompressLevel decodes a level-segmented stream — or any byte-exact
@@ -276,7 +287,7 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 	if !szstream.IsLevelStream(s) {
 		return nil, nil, 0, errors.New("qoz: stream predates level segmentation")
 	}
-	recon, dims, stride, err := decompressStream(s, level)
+	recon, dims, stride, err := decompressStream(s, level, interp.LevelPassDecode)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -290,7 +301,10 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 // requested level (clamped to [1, maxLevel+1]) and returns the full-size
 // reconstruction buffer — only positions on the returned stride's grid
 // are meaningful when stride > 1 — plus the dims and completed stride.
-func decompressStream(s *container.Stream, level int) ([]float32, []int, int, error) {
+// Each level it sweeps must consume its segment's literals exactly; levels
+// below the requested one are not looked at, so a prefix decodes as far as
+// it is sound.
+func decompressStream(s *container.Stream, level int, sweep levelSweep) ([]float32, []int, int, error) {
 	payload, err := szstream.DecodeLevelsStream(s)
 	if err != nil {
 		return nil, nil, 0, err
@@ -332,6 +346,9 @@ func decompressStream(s *container.Stream, level int) ([]float32, []int, int, er
 		}
 		deq := quant.NewDequantizer(eb, 0, seed.Bins, seed.Literals)
 		recon[0] = deq.Next(0)
+		if err := deq.CheckLiterals(); err != nil {
+			return nil, nil, 0, fmt.Errorf("qoz: seed stage: %w", err)
+		}
 	} else {
 		idxs := interp.AnchorIndices(dims, cfg.anchorStride)
 		if len(payload.Anchors) != len(idxs) {
@@ -353,8 +370,10 @@ func decompressStream(s *container.Stream, level int) ([]float32, []int, int, er
 			return nil, nil, 0, errors.New("qoz: bin count does not match dims")
 		}
 		deq := quant.NewDequantizer(levelBound(eb, cfg.alpha, cfg.beta, l), 0, seg.Bins, seg.Literals)
-		m := methodFor(cfg.methods, l)
-		interp.LevelPassDecode(recon, dims, l, m, deq)
+		sweep(recon, dims, l, methodFor(cfg.methods, l), deq)
+		if err := deq.CheckLiterals(); err != nil {
+			return nil, nil, 0, fmt.Errorf("qoz: level %d: %w", l, err)
+		}
 	}
 	// The per-level symbol buffers are dead once the sweeps finish; recycle
 	// them so steady-state brick serving reuses the same scratch.
@@ -403,7 +422,7 @@ func compactCoarse(recon []float32, dims []int, stride int) []float32 {
 
 // decompressLegacy decodes the pre-segmentation single-segment layout,
 // byte-for-byte as the original decoder did.
-func decompressLegacy(s *container.Stream) ([]float32, []int, error) {
+func decompressLegacy(s *container.Stream, sweep levelSweep) ([]float32, []int, error) {
 	payload, err := szstream.PayloadFrom(s)
 	if err != nil {
 		return nil, nil, err
@@ -448,11 +467,13 @@ func decompressLegacy(s *container.Stream) ([]float32, []int, error) {
 	}
 	for level := maxLevel; level >= 1; level-- {
 		deq.SetBound(levelBound(eb, cfg.alpha, cfg.beta, level))
-		m := methodFor(cfg.methods, level)
-		interp.LevelPassDecode(recon, dims, level, m, deq)
+		sweep(recon, dims, level, methodFor(cfg.methods, level), deq)
 	}
 	if deq.Remaining() != 0 {
 		return nil, nil, errors.New("qoz: trailing quantization symbols")
+	}
+	if err := deq.CheckLiterals(); err != nil {
+		return nil, nil, fmt.Errorf("qoz: %w", err)
 	}
 	pool.PutUint32s(payload.Bins)
 	return recon, dims, nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"qoz/datagen"
@@ -83,8 +85,8 @@ func TestDecompressMatchesReference(t *testing.T) {
 		}
 		maxLevel := streamMaxLevel(t, s)
 		for level := 1; level <= maxLevel+1; level++ {
-			fastL, _, fstride, ferr := decompressStream(s, level)
-			refL, _, rstride, rerr := decompressStreamReference(s, level)
+			fastL, _, fstride, ferr := decompressStream(s, level, interp.LevelPassDecode)
+			refL, _, rstride, rerr := decompressStream(s, level, closureSweep)
 			if (ferr == nil) != (rerr == nil) {
 				t.Fatalf("%s level %d: error mismatch %v vs %v", tc.name, level, ferr, rerr)
 			}
@@ -192,5 +194,68 @@ func TestLegacyDecompressMatchesReference(t *testing.T) {
 			t.Fatalf("%s: Decompress: %v", tc.name, err)
 		}
 		sameBits(t, tc.name+"-legacy-vs-stream", fast, streamFast)
+	}
+}
+
+// TestLiteralMismatchRejected damages the one thing the container cannot
+// vouch for: it has no checksum, so a level whose escape symbols and
+// literals disagree in number still parses. Decoding it used to succeed —
+// a missing literal read as 0, a surplus one was ignored — and return
+// wrong samples. Both layouts must now refuse it, through either sweep
+// with the same error, while a progressive read that stops above the
+// damaged level still succeeds: a level is checked when it is swept.
+func TestLiteralMismatchRejected(t *testing.T) {
+	nyx := datagen.NYX(24, 24, 24)
+	data := append([]float32(nil), nyx.Data...)
+	for i := 5; i < len(data); i += 97 {
+		data[i] = 1e30 // far outside the quantizer's radius: escapes on every level
+	}
+	eb := 1e-3 * metrics.ValueRange(nyx.Data)
+	for _, noAnchors := range []bool{false, true} {
+		enc, err := Compress(data, nyx.Dims, Options{ErrorBound: eb, DisableAnchors: noAnchors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			level int
+			delta int
+		}{{"dropped", 1, -1}, {"added", 2, +1}} {
+			s, err := container.Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := szstream.DecodeLevelsStream(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := payload.Segment(tc.level)
+			if seg == nil || len(seg.Literals) == 0 {
+				t.Fatalf("level %d holds no literals; the case lost its footing", tc.level)
+			}
+			if tc.delta < 0 {
+				seg.Literals = seg.Literals[:len(seg.Literals)-1]
+			} else {
+				seg.Literals = append(seg.Literals, 1)
+			}
+			bad, err := szstream.EncodeLevels(codecID, s.Dims, s.ErrorBound, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for layout, stream := range map[string][]byte{"levels": bad, "legacy": legacyEncode(t, bad)} {
+				label := fmt.Sprintf("noAnchors=%v %s literal, %s layout", noAnchors, tc.name, layout)
+				_, _, err := Decompress(stream)
+				_, _, errRef := DecompressReference(stream)
+				if err == nil || errRef == nil {
+					t.Fatalf("%s: decoded with errors %v / %v, want both non-nil", label, err, errRef)
+				}
+				if err.Error() != errRef.Error() || !strings.Contains(err.Error(), "literal") {
+					t.Fatalf("%s: Decompress says %q, DecompressReference %q", label, err, errRef)
+				}
+			}
+			if _, _, _, err := DecompressLevel(bad, tc.level+1); err != nil {
+				t.Fatalf("noAnchors=%v %s literal: read above the damaged level %d: %v", noAnchors, tc.name, tc.level, err)
+			}
+		}
 	}
 }

@@ -1,169 +1,28 @@
 package core
 
-// This file keeps the original scalar decode paths — interp.LevelPass
-// driven by a per-point dequantizer closure — as the differential-test
-// oracle for the fused hot path (interp.LevelPassDecode). The reference
-// bodies mirror decompressStream/decompressLegacy exactly except for the
-// final sweep call; the tests in differential_test.go and the top-level
-// float64 envelope tests pin both pipelines bit-identical on every layout
-// and level.
+// This file keeps the original scalar decode — interp.LevelPass driven by
+// a per-point dequantizer closure — as the differential-test oracle for
+// the fused hot path (interp.LevelPassDecode). Only the sweep differs: the
+// oracle runs through the same decompressStream / decompressLegacy as
+// production, and the tests in differential_test.go and the top-level
+// float64 envelope tests pin both bit-identical on every layout and level.
 
 import (
-	"errors"
-	"fmt"
-
-	"qoz/internal/container"
 	"qoz/internal/interp"
 	"qoz/internal/quant"
-	"qoz/internal/szstream"
 )
 
-// DecompressReference decodes buf through the original closure-based
-// scalar pipeline. It accepts the same streams as Decompress and must
-// produce bit-identical output; it exists solely as the oracle for
+// closureSweep is the reference levelSweep: one closure call per point.
+func closureSweep(buf []float32, dims []int, level int, m interp.Method, deq *quant.Dequantizer) {
+	interp.LevelPass(buf, dims, level, m, func(idx int, pred float64) float32 {
+		return deq.Next(pred)
+	})
+}
+
+// DecompressReference decodes buf through the closure-based scalar sweep.
+// It accepts the same streams as Decompress and must produce bit-identical
+// output and the same errors; it exists solely as the oracle for
 // differential tests and is not optimized.
 func DecompressReference(buf []byte) ([]float32, []int, error) {
-	s, err := container.Decode(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Codec != codecID {
-		return nil, nil, container.ErrCodecMismatch
-	}
-	if szstream.IsLevelStream(s) {
-		recon, dims, _, err := decompressStreamReference(s, 1)
-		return recon, dims, err
-	}
-	return decompressLegacyReference(s)
-}
-
-// decompressStreamReference mirrors decompressStream with the closure
-// sweep in place of the fused one.
-func decompressStreamReference(s *container.Stream, level int) ([]float32, []int, int, error) {
-	payload, err := szstream.DecodeLevelsStream(s)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cfg, err := decodeConfig(payload.Config)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	dims := s.Dims
-	eb := s.ErrorBound
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-
-	maxLevel := interp.MaxLevelAnchored(cfg.anchorStride)
-	if cfg.noAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
-	if len(cfg.methods) < maxLevel {
-		return nil, nil, 0, errors.New("qoz: config misses per-level methods")
-	}
-	effL := level
-	if effL < 1 {
-		effL = 1
-	}
-	if effL > maxLevel+1 {
-		effL = maxLevel + 1
-	}
-
-	recon := make([]float32, n)
-	seed := payload.Segment(maxLevel + 1)
-	if seed == nil {
-		return nil, nil, 0, errors.New("qoz: missing seed segment")
-	}
-	if cfg.noAnchors {
-		if len(seed.Bins) != 1 {
-			return nil, nil, 0, errors.New("qoz: bin count does not match dims")
-		}
-		deq := quant.NewDequantizer(eb, 0, seed.Bins, seed.Literals)
-		recon[0] = deq.Next(0)
-	} else {
-		idxs := interp.AnchorIndices(dims, cfg.anchorStride)
-		if len(payload.Anchors) != len(idxs) {
-			return nil, nil, 0, errors.New("qoz: anchor count mismatch")
-		}
-		if len(seed.Bins) != 0 {
-			return nil, nil, 0, errors.New("qoz: unexpected seed-stage bins")
-		}
-		for i, idx := range idxs {
-			recon[idx] = payload.Anchors[i]
-		}
-	}
-	for l := maxLevel; l >= effL; l-- {
-		seg := payload.Segment(l)
-		if seg == nil {
-			return nil, nil, 0, fmt.Errorf("qoz: stream prefix ends above level %d", l)
-		}
-		if len(seg.Bins) != interp.CountLevelPoints(dims, l) {
-			return nil, nil, 0, errors.New("qoz: bin count does not match dims")
-		}
-		deq := quant.NewDequantizer(levelBound(eb, cfg.alpha, cfg.beta, l), 0, seg.Bins, seg.Literals)
-		m := methodFor(cfg.methods, l)
-		interp.LevelPass(recon, dims, l, m, func(idx int, pred float64) float32 {
-			return deq.Next(pred)
-		})
-	}
-	return recon, dims, 1 << (effL - 1), nil
-}
-
-// decompressLegacyReference mirrors decompressLegacy with the closure
-// sweep in place of the fused one.
-func decompressLegacyReference(s *container.Stream) ([]float32, []int, error) {
-	payload, err := szstream.PayloadFrom(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg, err := decodeConfig(payload.Config)
-	if err != nil {
-		return nil, nil, err
-	}
-	dims := s.Dims
-	eb := s.ErrorBound
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-
-	maxLevel := interp.MaxLevelAnchored(cfg.anchorStride)
-	if cfg.noAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
-	if len(cfg.methods) < maxLevel {
-		return nil, nil, errors.New("qoz: config misses per-level methods")
-	}
-
-	recon := make([]float32, n)
-	deq := quant.NewDequantizer(eb, 0, payload.Bins, payload.Literals)
-	if cfg.noAnchors {
-		if len(payload.Bins) != n {
-			return nil, nil, errors.New("qoz: bin count does not match dims")
-		}
-		recon[0] = deq.Next(0)
-	} else {
-		idxs := interp.AnchorIndices(dims, cfg.anchorStride)
-		if len(payload.Anchors) != len(idxs) {
-			return nil, nil, errors.New("qoz: anchor count mismatch")
-		}
-		if len(payload.Bins) != n-len(idxs) {
-			return nil, nil, errors.New("qoz: bin count does not match dims")
-		}
-		for i, idx := range idxs {
-			recon[idx] = payload.Anchors[i]
-		}
-	}
-	for level := maxLevel; level >= 1; level-- {
-		deq.SetBound(levelBound(eb, cfg.alpha, cfg.beta, level))
-		m := methodFor(cfg.methods, level)
-		interp.LevelPass(recon, dims, level, m, func(idx int, pred float64) float32 {
-			return deq.Next(pred)
-		})
-	}
-	if deq.Remaining() != 0 {
-		return nil, nil, errors.New("qoz: trailing quantization symbols")
-	}
-	return recon, dims, nil
+	return decompress(buf, closureSweep)
 }

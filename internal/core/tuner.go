@@ -285,20 +285,16 @@ func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 			// sampling *and* the bit-cost criterion; with sampling
 			// disabled we reproduce SZ3's selection: mean L1 prediction
 			// error on a single centered block.
-			count := 0
 			var l1 float64
 			t.stats.Level1Sweeps++
 			for i, b := range t.blocks {
 				recon := t.trial[i]
 				copy(recon, t.seeds[i])
 				for level := t.blockMaxLevel(b); level >= 1; level-- {
-					interp.LevelPass(recon, b.Dims, level, m, func(idx int, pred float64) float32 {
-						count++
-						l1 += math.Abs(pred - float64(b.Data[idx]))
-						return q.Quantize(b.Data[idx], pred)
-					})
+					l1 = interp.LevelPassEncodeL1(recon, b.Data, b.Dims, level, m, q, l1)
 				}
 			}
+			count := len(q.Bins)
 			if count == 0 {
 				continue
 			}

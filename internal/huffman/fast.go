@@ -68,7 +68,8 @@ func newLUT(syms []uint32, count *[maxCodeLen + 1]int, firstCode *[maxCodeLen + 
 // decodeInto decodes n symbols from payload into out[:n] using the flat
 // LUT for short codes and the exact reference scan for longer ones, and
 // returns the number of payload bits consumed. It is bit-identical to
-// decodeIntoReference: on success outputs and bit positions match, and on
+// decodeIntoReference, the bit-by-bit decoder kept in reference_test.go
+// as its oracle: on success outputs and bit positions match, and on
 // any corrupt or truncated input both return errCorrupt.
 //
 // EOF handling differs mechanically but not observably: the word reader
@@ -122,31 +123,4 @@ func (t *Table) decodeInto(payload []byte, n uint64, out []uint32) (int, error) 
 		return 0, errCorrupt // a padded-zero match ran past the stream
 	}
 	return fr.BitPos(), nil
-}
-
-// decodeIntoReference is the original bit-by-bit decoder, retained as the
-// differential-test oracle for decodeInto. It must not be changed without
-// changing the fast path to match.
-func (t *Table) decodeIntoReference(payload []byte, n uint64, out []uint32) (int, error) {
-	r := bitio.NewReader(payload)
-	for i := uint64(0); i < n; i++ {
-		var c uint64
-		l := 0
-		for {
-			b, err := r.ReadBit()
-			if err != nil {
-				return 0, errCorrupt
-			}
-			c = c<<1 | uint64(b)
-			l++
-			if l > maxCodeLen {
-				return 0, errCorrupt
-			}
-			if t.count[l] > 0 && c-t.firstCode[l] < uint64(t.count[l]) {
-				out[i] = t.syms[t.firstSym[l]+int(c-t.firstCode[l])]
-				break
-			}
-		}
-	}
-	return len(payload)*8 - r.BitsRemaining(), nil
 }

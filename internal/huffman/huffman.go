@@ -79,8 +79,9 @@ func appendCodeEntries(dst []byte, syms []uint32, lens []uint8) []byte {
 }
 
 // Decode reverses Encode. Symbols decode through a flat lookup table fed
-// by a word-at-a-time bit reader; decodeReference is the retained
-// bit-by-bit oracle the differential tests and fuzzer pin it against.
+// by a word-at-a-time bit reader; the bit-by-bit decoder it replaced lives
+// on in reference_test.go as the oracle the differential tests and fuzzer
+// pin it against.
 func Decode(buf []byte) ([]uint32, error) {
 	t, n, payload, out, err := parseStream(buf)
 	if err != nil || t == nil {
@@ -88,21 +89,6 @@ func Decode(buf []byte) ([]uint32, error) {
 	}
 	out = pool.Uint32s(int(n))
 	if _, err := t.decodeInto(payload, n, out); err != nil {
-		pool.PutUint32s(out)
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeReference is the original scalar decode path, kept as the
-// differential-test oracle for Decode's LUT fast path.
-func decodeReference(buf []byte) ([]uint32, error) {
-	t, n, payload, out, err := parseStream(buf)
-	if err != nil || t == nil {
-		return out, err
-	}
-	out = pool.Uint32s(int(n))
-	if _, err := t.decodeIntoReference(payload, n, out); err != nil {
 		pool.PutUint32s(out)
 		return nil, err
 	}

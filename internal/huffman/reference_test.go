@@ -4,12 +4,17 @@ package huffman
 // to slices, kept verbatim (names prefixed ref) as the oracle the
 // differential tests and FuzzEncodeFastVsReference hold the production
 // encoder to: same bytes, same bit counts. It must not be "improved".
+//
+// Below it, the bit-by-bit decoder the LUT fast path replaced, moved here
+// unchanged as the oracle of the decode differentials and
+// FuzzDecodeFastVsReference: the shipped package holds one decoder.
 
 import (
 	"encoding/binary"
 	"sort"
 
 	"qoz/internal/bitio"
+	"qoz/internal/pool"
 )
 
 // Encode compresses the symbol stream. The output is independent of any
@@ -331,4 +336,62 @@ func refCountSymbols(runs ...[]uint32) histogram {
 		i = j
 	}
 	return h
+}
+
+// decodeReference is the original scalar decode path, kept as the
+// differential-test oracle for Decode's LUT fast path.
+func decodeReference(buf []byte) ([]uint32, error) {
+	t, n, payload, out, err := parseStream(buf)
+	if err != nil || t == nil {
+		return out, err
+	}
+	out = pool.Uint32s(int(n))
+	if _, err := t.decodeIntoReference(payload, n, out); err != nil {
+		pool.PutUint32s(out)
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeSegmentReference is the original scalar segment decoder, kept as
+// the differential-test oracle for DecodeSegment's fast path.
+func (t *Table) decodeSegmentReference(buf []byte) ([]uint32, int, error) {
+	n, m, payload, out, err := t.parseSegment(buf)
+	if err != nil || out != nil {
+		return out, m, err
+	}
+	out = pool.Uint32s(int(n))
+	bits, err := t.decodeIntoReference(payload, n, out)
+	if err != nil {
+		pool.PutUint32s(out)
+		return nil, 0, err
+	}
+	return out, m + (bits+7)/8, nil
+}
+
+// decodeIntoReference is the original bit-by-bit decoder, retained as the
+// differential-test oracle for decodeInto. It must not be changed without
+// changing the fast path to match.
+func (t *Table) decodeIntoReference(payload []byte, n uint64, out []uint32) (int, error) {
+	r := bitio.NewReader(payload)
+	for i := uint64(0); i < n; i++ {
+		var c uint64
+		l := 0
+		for {
+			b, err := r.ReadBit()
+			if err != nil {
+				return 0, errCorrupt
+			}
+			c = c<<1 | uint64(b)
+			l++
+			if l > maxCodeLen {
+				return 0, errCorrupt
+			}
+			if t.count[l] > 0 && c-t.firstCode[l] < uint64(t.count[l]) {
+				out[i] = t.syms[t.firstSym[l]+int(c-t.firstCode[l])]
+				break
+			}
+		}
+	}
+	return len(payload)*8 - r.BitsRemaining(), nil
 }

@@ -170,8 +170,8 @@ func (t *Table) EncodeSegment(symbols []uint32) []byte {
 // DecodeSegment reverses EncodeSegment, ignoring the final byte's padding
 // bits. It returns the decoded symbols and the number of segment bytes
 // consumed, so callers can verify segment framing. Symbols decode through
-// the LUT fast path; decodeSegmentReference is the retained bit-by-bit
-// oracle. Not safe for concurrent use on one Table.
+// the LUT fast path (its bit-by-bit oracle is in reference_test.go). Not
+// safe for concurrent use on one Table.
 func (t *Table) DecodeSegment(buf []byte) ([]uint32, int, error) {
 	n, m, payload, out, err := t.parseSegment(buf)
 	if err != nil || out != nil {
@@ -179,22 +179,6 @@ func (t *Table) DecodeSegment(buf []byte) ([]uint32, int, error) {
 	}
 	out = pool.Uint32s(int(n))
 	bits, err := t.decodeInto(payload, n, out)
-	if err != nil {
-		pool.PutUint32s(out)
-		return nil, 0, err
-	}
-	return out, m + (bits+7)/8, nil
-}
-
-// decodeSegmentReference is the original scalar segment decoder, kept as
-// the differential-test oracle for DecodeSegment's fast path.
-func (t *Table) decodeSegmentReference(buf []byte) ([]uint32, int, error) {
-	n, m, payload, out, err := t.parseSegment(buf)
-	if err != nil || out != nil {
-		return out, m, err
-	}
-	out = pool.Uint32s(int(n))
-	bits, err := t.decodeIntoReference(payload, n, out)
 	if err != nil {
 		pool.PutUint32s(out)
 		return nil, 0, err

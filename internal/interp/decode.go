@@ -1,26 +1,17 @@
 package interp
 
-// This file holds the flattened decode sweep, the hot-path counterpart of
-// LevelPass. LevelPass pays a closure call per reconstructed point and
-// recomputes the flat index from scratch at every odometer step; during
-// decompression that closure is always "dequantize the next symbol", so
-// the whole sweep can be specialized. LevelPassDecode fuses dequantization
-// into per-line loops: along the innermost dimension the boundary
-// structure of a line is fixed (head point, full-stencil run, at most two
-// tail points), and along outer dimensions the boundary flags are constant
-// for an entire inner line, so one stencil variant is selected per line
-// and the inner loop is tight. LevelPass remains the reference path; the
-// differential tests in this package pin LevelPassDecode bit-identical
-// to it.
+// This file holds the decode kernel of the sweep walker (sweep.go). During
+// decompression LevelPass's commit closure is always "dequantize the next
+// symbol", so the kernel fuses that into one loop per stencil form: a run
+// is predicted and reconstructed point by point with no call in between.
+// (Predicting a run into a buffer first, the encode kernel's shape, was
+// measured 15–60 % slower here: decode has no quantizer loop to feed.)
+// LevelPass remains the reference path; the differential tests and
+// FuzzSweepVsLevelPass pin LevelPassDecode bit-identical to it.
 
 import (
 	"qoz/internal/quant"
 )
-
-// maxFlatDims bounds the dimensionality the flattened sweep handles with
-// stack-allocated coordinate state; higher-dimensional sweeps (which no
-// current codec produces) fall back to the closure path.
-const maxFlatDims = 8
 
 // LevelPassDecode runs the prediction sweep for one level, reconstructing
 // every predicted point by dequantizing the next symbol of deq. It visits
@@ -32,54 +23,15 @@ const maxFlatDims = 8
 //
 // while consuming the same number of bin symbols and literals.
 func LevelPassDecode(buf []float32, dims []int, level int, m Method, deq *quant.Dequantizer) {
-	nd := len(dims)
-	if nd > maxFlatDims {
-		LevelPass(buf, dims, level, m, func(idx int, pred float64) float32 {
-			return deq.Next(pred)
-		})
-		return
-	}
-	var strides [maxFlatDims]int
-	sv := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = sv
-		sv *= dims[i]
-	}
-	s := 1 << (level - 1)
-
-	var dimSeq, starts, steps [maxFlatDims]int
-	for i := 0; i < nd; i++ {
-		if m.Order == Increasing {
-			dimSeq[i] = i
-		} else {
-			dimSeq[i] = nd - 1 - i
-		}
-	}
-
 	bins, lits, radius, twoEB := deq.DecodeState()
 	st := dqState{bins: bins, lits: lits, radius: radius, twoEB: twoEB}
-	for p := 0; p < nd; p++ {
-		d := dimSeq[p]
-		if dims[d] <= s {
-			continue // no points to predict along this dimension
-		}
-		for qi := 0; qi < nd; qi++ {
-			q := dimSeq[qi]
-			starts[q] = 0
-			if qi < p {
-				steps[q] = s
-			} else {
-				steps[q] = 2 * s
-			}
-		}
-		starts[d] = s
-		steps[d] = 2 * s
-		passDecode(buf, dims, strides[:nd], starts[:nd], steps[:nd], d, s, m.Kind, &st)
-	}
+	sweep(dims, level, m, func(lo, hi, step, off1, form int) {
+		st.lineAcross(buf, lo, hi, step, off1, form)
+	})
 	deq.Advance(st.bp, st.lp)
 }
 
-// dqState is the fused dequantizer cursor threaded through the flattened
+// dqState is the fused dequantizer cursor threaded through the kernel's
 // loops: the remaining bin/literal streams plus the constants of
 // quant.Dequantizer.Next, with positions tracked locally so the inner
 // loops touch no heap state.
@@ -91,212 +43,25 @@ type dqState struct {
 	twoEB  float64
 }
 
-// next mirrors quant.Dequantizer.Next exactly, including the exhausted-
-// literal zero fallback and the arithmetic pred + (2*eb)*bin.
+// next mirrors quant.Dequantizer.Next exactly, including the counted zero
+// of an escape symbol with no literal left and the arithmetic
+// pred + (2*eb)*bin.
 func (st *dqState) next(pred float64) float32 {
 	sym := st.bins[st.bp]
 	st.bp++
 	if sym == quant.LiteralSymbol {
-		if st.lp >= len(st.lits) {
+		st.lp++
+		if st.lp > len(st.lits) {
 			return 0
 		}
-		v := st.lits[st.lp]
-		st.lp++
-		return v
+		return st.lits[st.lp-1]
 	}
 	return float32(pred + st.twoEB*float64(int32(sym)-st.radius))
 }
 
-// passDecode is the flattened counterpart of iteratePass: it walks the
-// same odometer, but line by line, maintaining the flat base index
-// incrementally and dispatching each line to a specialized loop.
-func passDecode(buf []float32, dims, strides, starts, steps []int, d, s int, kind Kind, st *dqState) {
-	nd := len(dims)
-	for q := 0; q < nd; q++ {
-		if starts[q] >= dims[q] {
-			return
-		}
-	}
-	inner := nd - 1
-	var coord [maxFlatDims]int
-	base := 0
-	for q := 0; q < inner; q++ {
-		coord[q] = starts[q]
-		base += starts[q] * strides[q]
-	}
-	for {
-		if d == inner {
-			n := dims[d]
-			line := buf[base : base+n]
-			switch kind {
-			case Linear:
-				st.lineLinear(line, n, s)
-			case Quadratic:
-				st.lineQuadratic(line, n, s)
-			default:
-				st.lineCubic(line, n, s)
-			}
-		} else {
-			form := stencilForm(coord[d], dims[d], s, kind)
-			st.lineAcross(buf, base+starts[inner], base+dims[inner], steps[inner], s*strides[d], form)
-		}
-		q := inner - 1
-		for q >= 0 {
-			coord[q] += steps[q]
-			base += steps[q] * strides[q]
-			if coord[q] < dims[q] {
-				break
-			}
-			base -= (coord[q] - starts[q]) * strides[q]
-			coord[q] = starts[q]
-			q--
-		}
-		if q < 0 {
-			return
-		}
-	}
-}
-
-// lineLinear predicts the points c = s, 3s, ... of one line along the
-// contiguous dimension with the linear stencil, replicating predict1D's
-// boundary fallbacks: the head point has no left-outer neighbour, and the
-// single possible tail point (c+s out of range) extrapolates leftward.
-func (st *dqState) lineLinear(line []float32, n, s int) {
-	c := s
-	fm1 := float64(line[0])
-	if c+s < n {
-		line[c] = st.next(0.5 * (fm1 + float64(line[c+s])))
-	} else {
-		line[c] = st.next(fm1)
-	}
-	c += 2 * s
-	for ; c+s < n; c += 2 * s {
-		line[c] = st.next(0.5 * (float64(line[c-s]) + float64(line[c+s])))
-	}
-	if c < n {
-		line[c] = st.next(1.5*float64(line[c-s]) - 0.5*float64(line[c-3*s]))
-	}
-}
-
-// lineQuadratic is lineLinear's quadratic-basis counterpart. For every
-// interior point c >= 3s the left-biased parabola applies (predict1D
-// prefers the −3s neighbour whenever it exists), so the middle run needs
-// no right-boundary test beyond c+s.
-func (st *dqState) lineQuadratic(line []float32, n, s int) {
-	c := s
-	fm1 := float64(line[0])
-	if c+s < n {
-		fp1 := float64(line[c+s])
-		if c+3*s < n {
-			fp3 := float64(line[c+3*s])
-			line[c] = st.next((3*fm1 + 6*fp1 - fp3) / 8)
-		} else {
-			line[c] = st.next(0.5 * (fm1 + fp1))
-		}
-	} else {
-		line[c] = st.next(fm1)
-	}
-	c += 2 * s
-	for ; c+s < n; c += 2 * s {
-		fm3 := float64(line[c-3*s])
-		fm1 := float64(line[c-s])
-		fp1 := float64(line[c+s])
-		line[c] = st.next((-fm3 + 6*fm1 + 3*fp1) / 8)
-	}
-	if c < n {
-		line[c] = st.next(1.5*float64(line[c-s]) - 0.5*float64(line[c-3*s]))
-	}
-}
-
-// lineCubic runs the full not-a-knot stencil over the interior and peels
-// the boundary points: head (no −3s), at most one point with the −3s-only
-// stencil (c+3s out of range but c+s in), and at most one extrapolated
-// tail point.
-func (st *dqState) lineCubic(line []float32, n, s int) {
-	c := s
-	fm1 := float64(line[0])
-	if c+s < n {
-		fp1 := float64(line[c+s])
-		if c+3*s < n {
-			fp3 := float64(line[c+3*s])
-			line[c] = st.next((3*fm1 + 6*fp1 - fp3) / 8)
-		} else {
-			line[c] = st.next(0.5 * (fm1 + fp1))
-		}
-	} else {
-		line[c] = st.next(fm1)
-	}
-	c += 2 * s
-	for ; c+3*s < n; c += 2 * s {
-		fm3 := float64(line[c-3*s])
-		fm1 := float64(line[c-s])
-		fp1 := float64(line[c+s])
-		fp3 := float64(line[c+3*s])
-		line[c] = st.next((-fm3 + 9*fm1 + 9*fp1 - fp3) / 16)
-	}
-	if c+s < n {
-		fm3 := float64(line[c-3*s])
-		fm1 := float64(line[c-s])
-		fp1 := float64(line[c+s])
-		line[c] = st.next((-fm3 + 6*fm1 + 3*fp1) / 8)
-		c += 2 * s
-	}
-	if c < n {
-		line[c] = st.next(1.5*float64(line[c-s]) - 0.5*float64(line[c-3*s]))
-	}
-}
-
-// Stencil variants for lines whose active dimension is not the innermost:
-// there the boundary flags depend only on the (constant) active-dimension
-// coordinate, so the variant is chosen once per line.
-const (
-	formCopy   = iota // no neighbours beyond −s: copy fm1
-	formExtrap        // right neighbour missing: 1.5*fm1 − 0.5*fm3
-	formAvg           // linear average of ±s
-	formQM3           // left-biased parabola (−3s, −s, +s)
-	formQP3           // right-biased parabola (−s, +s, +3s)
-	formFull          // full cubic stencil (±s, ±3s)
-)
-
-// stencilForm reproduces predict1D's branch structure for a point at
-// coordinate c of an extent-n dimension.
-func stencilForm(c, n, s int, kind Kind) int {
-	hasP1 := c+s < n
-	if !hasP1 {
-		if c >= 3*s {
-			return formExtrap
-		}
-		return formCopy
-	}
-	hasM3 := c >= 3*s
-	hasP3 := c+3*s < n
-	switch kind {
-	case Linear:
-		return formAvg
-	case Quadratic:
-		if hasM3 {
-			return formQM3
-		}
-		if hasP3 {
-			return formQP3
-		}
-		return formAvg
-	default: // Cubic
-		switch {
-		case hasM3 && hasP3:
-			return formFull
-		case hasM3:
-			return formQM3
-		case hasP3:
-			return formQP3
-		default:
-			return formAvg
-		}
-	}
-}
-
-// lineAcross reconstructs one inner line [lo, hi) stepped by step, with
-// the active-dimension neighbours at fixed flat offsets ±off1/±3·off1.
+// lineAcross reconstructs one run: the points lo, lo+step, … < hi, each
+// predicted with the stencil form from its neighbours at flat offsets
+// ±off1/±3·off1 and dequantized in the same loop.
 func (st *dqState) lineAcross(buf []float32, lo, hi, step, off1 int, form int) {
 	switch form {
 	case formCopy:

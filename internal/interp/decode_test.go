@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qoz/internal/quant"
@@ -11,7 +13,8 @@ import (
 // synthStream builds a synthetic quantization stream for one level sweep:
 // peaked bins around the radius with occasional literal escapes. When
 // starve is set the literal stream is cut short, exercising Next's
-// exhausted-literal zero fallback identically on both paths.
+// exhausted-literal zero fallback — and the starvation CheckLiterals
+// reports afterwards — identically on both paths.
 func synthStream(rng *rand.Rand, count int, starve bool) ([]uint32, []float32) {
 	bins := make([]uint32, count)
 	var lits []float32
@@ -29,16 +32,20 @@ func synthStream(rng *rand.Rand, count int, starve bool) ([]uint32, []float32) {
 	return bins, lits
 }
 
+// decodeShapes is the decode differential's shape table (and, with
+// encodeShapes, the seed corpus of FuzzSweepVsLevelPass).
+var decodeShapes = [][]int{
+	{2}, {16}, {65}, {1000},
+	{2, 2}, {13, 17}, {33, 129}, {64, 1},
+	{32, 32, 32}, {7, 9, 11}, {64, 1, 17}, {1, 1, 5},
+	{5, 6, 7, 8}, {3, 3, 3, 3},
+}
+
 // TestLevelPassDecodeMatchesLevelPass pins the flattened fused sweep
 // bit-identical to the closure reference across shapes, levels, bases,
 // and dimension orders, including boundary-heavy odd extents.
 func TestLevelPassDecodeMatchesLevelPass(t *testing.T) {
-	shapes := [][]int{
-		{2}, {16}, {65}, {1000},
-		{2, 2}, {13, 17}, {33, 129}, {64, 1},
-		{32, 32, 32}, {7, 9, 11}, {64, 1, 17}, {1, 1, 5},
-		{5, 6, 7, 8}, {3, 3, 3, 3},
-	}
+	shapes := slices.Concat(decodeShapes, highDimShapes)
 	rng := rand.New(rand.NewSource(42))
 	eb := 1e-3
 	for _, dims := range shapes {
@@ -77,11 +84,20 @@ func TestLevelPassDecodeMatchesLevelPass(t *testing.T) {
 						t.Fatalf("dims=%v level=%d m=%v: bin positions diverge: %d vs %d",
 							dims, level, m, deqRef.Remaining(), deqFast.Remaining())
 					}
-					_, litsRef, _, _ := deqRef.DecodeState()
-					_, litsFast, _, _ := deqFast.DecodeState()
-					if len(litsRef) != len(litsFast) {
-						t.Fatalf("dims=%v level=%d m=%v: literal positions diverge: %d vs %d",
-							dims, level, m, len(litsRef), len(litsFast))
+					errRef, errFast := deqRef.CheckLiterals(), deqFast.CheckLiterals()
+					if fmt.Sprint(errRef) != fmt.Sprint(errFast) {
+						t.Fatalf("dims=%v level=%d m=%v: literal accounts diverge: %v vs %v",
+							dims, level, m, errRef, errFast)
+					}
+					escapes := 0
+					for _, sym := range bins {
+						if sym == quant.LiteralSymbol {
+							escapes++
+						}
+					}
+					if (errRef != nil) != (escapes != len(lits)) {
+						t.Fatalf("dims=%v level=%d m=%v: %d escapes, %d literals, CheckLiterals says %v",
+							dims, level, m, escapes, len(lits), errRef)
 					}
 				}
 			}
@@ -126,12 +142,14 @@ func TestLevelPassDecodeCascade(t *testing.T) {
 	}
 }
 
-func benchSweep(b *testing.B, fused bool) {
-	dims := []int{64, 64, 64}
-	n := 64 * 64 * 64
+// benchSweep times one level's decode sweep over an edge^3 field: level 2
+// of a 64^3 brick is the long-standing figure; level 1 (seven eighths of
+// the points) at 32^3 and 128^3 shows what the walker's per-run call costs
+// on short and long lines.
+func benchSweep(b *testing.B, edge, level int, m Method, fused bool) {
+	dims := []int{edge, edge, edge}
+	n := edge * edge * edge
 	rng := rand.New(rand.NewSource(1))
-	level := 2
-	m := Method{Cubic, Decreasing}
 	count := CountLevelPoints(dims, level)
 	bins, lits := synthStream(rng, count, false)
 	buf := make([]float32, n)
@@ -153,5 +171,15 @@ func benchSweep(b *testing.B, fused bool) {
 	}
 }
 
-func BenchmarkLevelPassClosure(b *testing.B) { benchSweep(b, false) }
-func BenchmarkLevelPassDecode(b *testing.B)  { benchSweep(b, true) }
+func BenchmarkLevelPassClosure(b *testing.B) { benchSweep(b, 64, 2, Method{Cubic, Decreasing}, false) }
+func BenchmarkLevelPassDecode(b *testing.B)  { benchSweep(b, 64, 2, Method{Cubic, Decreasing}, true) }
+
+func BenchmarkLevelPassDecodeLevel1(b *testing.B) {
+	for _, edge := range []int{32, 128} {
+		for _, kind := range []Kind{Linear, Cubic} {
+			b.Run(fmt.Sprintf("%d/%s", edge, kind), func(b *testing.B) {
+				benchSweep(b, edge, 1, Method{kind, Decreasing}, true)
+			})
+		}
+	}
+}

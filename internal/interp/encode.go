@@ -1,16 +1,18 @@
 package interp
 
-// This file holds the flattened encode sweep, the twin of decode.go's
-// LevelPassDecode. During compression LevelPass's commit closure is always
-// "quantize the original value against the prediction", so the sweep is
-// specialized the same way: the same line walker, the same per-line
-// stencil selection, with quant.Quantizer.Quantize's arithmetic fused
-// into the inner loops and its symbols stored into a pre-sized window of
-// the quantizer's own bin stream. LevelPass + Quantize remains the
-// reference path; the differential tests in this package pin
-// LevelPassEncode bit-identical to it.
+// This file holds the encode kernels of the sweep walker (sweep.go).
+// During compression LevelPass's commit closure is always "quantize the
+// original value against the prediction", so the kernel does that a run
+// at a time: predict fills a chunk of predictions under the run's stencil
+// form, quantRun applies quant.Quantizer.Quantize's arithmetic to the
+// chunk and stores its symbols into a pre-sized window of the quantizer's
+// own bin stream. The L1 trial is the same kernel with Σ|pred − data|
+// accumulated between the two steps. LevelPass + Quantize remains the
+// reference path; the differential tests and FuzzSweepVsLevelPass pin the
+// kernels bit-identical to it.
 
 import (
+	"math"
 	"slices"
 
 	"qoz/internal/quant"
@@ -28,30 +30,20 @@ import (
 // Every point it reads from recon was written by the seed stage or an
 // earlier pass, so recon may start out holding garbage elsewhere.
 func LevelPassEncode(recon, data []float32, dims []int, level int, m Method, q *quant.Quantizer) {
-	nd := len(dims)
-	if nd > maxFlatDims {
-		LevelPass(recon, dims, level, m, func(idx int, pred float64) float32 {
-			return q.Quantize(data[idx], pred)
-		})
-		return
-	}
-	var strides [maxFlatDims]int
-	sv := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = sv
-		sv *= dims[i]
-	}
-	s := 1 << (level - 1)
+	levelPassEncode(recon, data, dims, level, m, q, false, 0)
+}
 
-	var dimSeq, starts, steps [maxFlatDims]int
-	for i := 0; i < nd; i++ {
-		if m.Order == Increasing {
-			dimSeq[i] = i
-		} else {
-			dimSeq[i] = nd - 1 - i
-		}
-	}
+// LevelPassEncodeL1 is LevelPassEncode for trials that rank interpolators
+// by prediction error: it also returns l1 plus |pred − data| of every
+// point of the level, added one by one in sweep order — bit-identical to
+// the closure above running l1 += math.Abs(pred - float64(data[idx]))
+// before it quantizes. Passing each level's result into the next keeps a
+// multi-level sum a single left-to-right chain of additions.
+func LevelPassEncodeL1(recon, data []float32, dims []int, level int, m Method, q *quant.Quantizer, l1 float64) float64 {
+	return levelPassEncode(recon, data, dims, level, m, q, true, l1)
+}
 
+func levelPassEncode(recon, data []float32, dims []int, level int, m Method, q *quant.Quantizer, sumL1 bool, l1 float64) float64 {
 	// The level's symbol count is known up front, so the bin stream grows
 	// once and the loops store by index instead of appending.
 	count := CountLevelPoints(dims, level)
@@ -67,44 +59,41 @@ func LevelPassEncode(recon, data []float32, dims []int, level int, m Method, q *
 		eb:     eb,
 		twoEB:  2 * eb,
 	}
-	for p := 0; p < nd; p++ {
-		d := dimSeq[p]
-		if dims[d] <= s {
-			continue // no points to predict along this dimension
-		}
-		for qi := 0; qi < nd; qi++ {
-			dq := dimSeq[qi]
-			starts[dq] = 0
-			if qi < p {
-				steps[dq] = s
-			} else {
-				steps[dq] = 2 * s
+	sweep(dims, level, m, func(lo, hi, step, off1, form int) {
+		for lo < hi {
+			n := 1 // a line's head and tail points are runs of one: no divide
+			if hi-lo > step {
+				n = min((hi-lo+step-1)/step, predChunk)
 			}
+			preds := st.preds[:n]
+			predict(recon, lo, step, off1, form, preds)
+			if sumL1 {
+				for k, pred := range preds {
+					l1 += math.Abs(pred - float64(data[lo+k*step]))
+				}
+			}
+			st.quantRun(recon, lo, step, preds)
+			lo += n * step
 		}
-		starts[d] = s
-		steps[d] = 2 * s
-		passEncode(recon, dims, strides[:nd], starts[:nd], steps[:nd], d, s, m.Kind, &st)
-	}
+	})
 	if st.bp != count {
 		panic("interp: sweep visited a different number of points than CountLevelPoints")
 	}
 	q.Literals = st.lits
+	return l1
 }
 
-// predChunk is how many predictions a line loop computes before handing
-// them to the quantizer. Within one pass every stencil reads only points
-// whose active-dimension coordinate is an even multiple of the stride,
-// and the pass writes only odd multiples, so no prediction depends on a
-// point committed in the same pass: predicting a run and then quantizing
-// it visits the same values in the same order as interleaving the two.
-// Splitting the work this way keeps the quantizer a single loop with no
-// call per point.
+// predChunk is how many predictions the kernel computes before handing
+// them to the quantizer. No prediction of a run depends on a point
+// committed in the same pass (see sweep), so predicting a chunk and then
+// quantizing it visits the same values in the same order as interleaving
+// the two, and keeps the quantizer a single loop with no call per point.
 const predChunk = 256
 
-// eqState is the fused quantizer threaded through the flattened loops:
-// the original values, this level's window of the bin stream with its
-// write cursor, the literal stream, the constants of
-// quant.Quantizer.Quantize, and the prediction scratch.
+// eqState is the fused quantizer threaded through the kernel: the original
+// values, this level's window of the bin stream with its write cursor, the
+// literal stream, the constants of quant.Quantizer.Quantize, and the
+// prediction scratch.
 type eqState struct {
 	data   []float32
 	bins   []uint32
@@ -159,151 +148,10 @@ func (st *eqState) quantRun(buf []float32, lo, step int, preds []float64) {
 	st.bp = bp
 }
 
-// put quantizes the single point buf[i]; the boundary points of a line
-// come through here, its interior through whole runs.
-func (st *eqState) put(buf []float32, i int, pred float64) {
-	st.preds[0] = pred
-	st.quantRun(buf, i, 1, st.preds[:1])
-}
-
-// passEncode is passDecode's walker over the same odometer.
-func passEncode(buf []float32, dims, strides, starts, steps []int, d, s int, kind Kind, st *eqState) {
-	nd := len(dims)
-	for q := 0; q < nd; q++ {
-		if starts[q] >= dims[q] {
-			return
-		}
-	}
-	inner := nd - 1
-	var coord [maxFlatDims]int
-	base := 0
-	for q := 0; q < inner; q++ {
-		coord[q] = starts[q]
-		base += starts[q] * strides[q]
-	}
-	for {
-		if d == inner {
-			n := dims[d]
-			switch kind {
-			case Linear:
-				st.lineLinear(buf, base, n, s)
-			case Quadratic:
-				st.lineQuadratic(buf, base, n, s)
-			default:
-				st.lineCubic(buf, base, n, s)
-			}
-		} else {
-			form := stencilForm(coord[d], dims[d], s, kind)
-			st.lineAcross(buf, base+starts[inner], base+dims[inner], steps[inner], s*strides[d], form)
-		}
-		q := inner - 1
-		for q >= 0 {
-			coord[q] += steps[q]
-			base += steps[q] * strides[q]
-			if coord[q] < dims[q] {
-				break
-			}
-			base -= (coord[q] - starts[q]) * strides[q]
-			coord[q] = starts[q]
-			q--
-		}
-		if q < 0 {
-			return
-		}
-	}
-}
-
-// The line loops below apply decode.go's stencils, boundary case for
-// boundary case. Lines along the contiguous dimension start at flat
-// index b; their head and tail points go through put, the full-stencil
-// interior through interior.
-
-// interior predicts the points b+c, b+c+2s, ... while c+reach < n with
-// the stencil of form (reach is how far right it reads: s or 3s) and
-// quantizes them chunk by chunk, returning the first c left over.
-func (st *eqState) interior(buf []float32, b, c, n, s, reach, form int) int {
-	for c+reach < n {
-		m := min((n-reach-c+2*s-1)/(2*s), predChunk)
-		preds := st.preds[:m]
-		st.predict(buf, b+c, 2*s, s, form, preds)
-		st.quantRun(buf, b+c, 2*s, preds)
-		c += m * 2 * s
-	}
-	return c
-}
-
-func (st *eqState) lineLinear(buf []float32, b, n, s int) {
-	c := s
-	fm1 := float64(buf[b])
-	if c+s < n {
-		st.put(buf, b+c, 0.5*(fm1+float64(buf[b+c+s])))
-	} else {
-		st.put(buf, b+c, fm1)
-	}
-	c = st.interior(buf, b, c+2*s, n, s, s, formAvg)
-	if c < n {
-		st.put(buf, b+c, 1.5*float64(buf[b+c-s])-0.5*float64(buf[b+c-3*s]))
-	}
-}
-
-// headLeftless quantizes a line's first point for the bases that reach
-// past ±s: it has no −3s neighbour, so the right-biased parabola, the
-// average or a plain copy applies.
-func (st *eqState) headLeftless(buf []float32, b, n, s int) {
-	c := s
-	fm1 := float64(buf[b])
-	if c+s < n {
-		fp1 := float64(buf[b+c+s])
-		if c+3*s < n {
-			fp3 := float64(buf[b+c+3*s])
-			st.put(buf, b+c, (3*fm1+6*fp1-fp3)/8)
-		} else {
-			st.put(buf, b+c, 0.5*(fm1+fp1))
-		}
-	} else {
-		st.put(buf, b+c, fm1)
-	}
-}
-
-func (st *eqState) lineQuadratic(buf []float32, b, n, s int) {
-	st.headLeftless(buf, b, n, s)
-	c := st.interior(buf, b, 3*s, n, s, s, formQM3)
-	if c < n {
-		st.put(buf, b+c, 1.5*float64(buf[b+c-s])-0.5*float64(buf[b+c-3*s]))
-	}
-}
-
-func (st *eqState) lineCubic(buf []float32, b, n, s int) {
-	st.headLeftless(buf, b, n, s)
-	c := st.interior(buf, b, 3*s, n, s, 3*s, formFull)
-	if c+s < n {
-		fm3 := float64(buf[b+c-3*s])
-		fm1 := float64(buf[b+c-s])
-		fp1 := float64(buf[b+c+s])
-		st.put(buf, b+c, (-fm3+6*fm1+3*fp1)/8)
-		c += 2 * s
-	}
-	if c < n {
-		st.put(buf, b+c, 1.5*float64(buf[b+c-s])-0.5*float64(buf[b+c-3*s]))
-	}
-}
-
-// lineAcross encodes one inner line [lo, hi) stepped by step, with the
-// active-dimension neighbours at fixed flat offsets ±off1/±3·off1.
-func (st *eqState) lineAcross(buf []float32, lo, hi, step, off1 int, form int) {
-	for lo < hi {
-		m := min((hi-lo+step-1)/step, predChunk)
-		preds := st.preds[:m]
-		st.predict(buf, lo, step, off1, form, preds)
-		st.quantRun(buf, lo, step, preds)
-		lo += m * step
-	}
-}
-
 // predict fills preds with the predictions of the points buf[lo],
 // buf[lo+step], ... under one stencil form whose neighbours sit at flat
 // offsets ±off1/±3·off1.
-func (st *eqState) predict(buf []float32, lo, step, off1, form int, preds []float64) {
+func predict(buf []float32, lo, step, off1, form int, preds []float64) {
 	off3 := 3 * off1
 	switch form {
 	case formCopy:

@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qoz/internal/quant"
@@ -43,72 +44,119 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
+// encodeShapes is the encode differential's shape table: extents that hit
+// each boundary stencil (n = s+1, 2s, 3s, 3s+1, 4s+1 for s = 1, 2, 4).
+var encodeShapes = [][]int{
+	{2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {12}, {13}, {17}, {65}, {1000},
+	{2, 2}, {3, 5}, {13, 17}, {33, 129}, {64, 1}, {9, 12},
+	{32, 32, 32}, {7, 9, 11}, {64, 1, 17}, {1, 1, 5}, {17, 13, 12},
+	{5, 6, 7, 8}, {3, 3, 3, 3}, {9, 2, 5, 4},
+}
+
+// highDimShapes extends the shape tables past the four dimensions any
+// codec produces, up to the walker's maxFlatDims: extents of 1, 2 and 3
+// keep the point counts small while every dimension still takes a turn as
+// the active one.
+var highDimShapes = [][]int{
+	{3, 2, 3, 2, 5}, {2, 3, 1, 3, 2, 3}, {2, 2, 3, 2, 1, 2, 3}, {2, 1, 2, 3, 2, 2, 1, 3},
+}
+
 // TestLevelPassEncodeMatchesLevelPass pins the fused encode sweep to the
 // reference (LevelPass + Quantizer.Quantize): bins, literals and the
 // reconstruction bit-identical after every level of a full cascade,
-// anchored and anchor-free, for every method, over extents that hit each
-// boundary stencil (n = s+1, 2s, 3s, 3s+1, 4s+1 for s = 1, 2, 4). The
+// anchored and anchor-free, for every method, over encodeShapes. The
 // fused path's buffer starts out as NaN wherever the seed stage does not
 // write, which also proves it reads nothing it has not produced — the
 // property that lets callers hand it dirty pooled buffers.
+//
+// The L1 kernel rides the same cascade: LevelPassEncodeL1's running sum
+// must equal the closure's sum += |pred − data| bit for bit after every
+// level, with the streams of LevelPassEncode and the reconstruction of
+// quant.EstimateOnly. A non-finite sample turns the sum into NaN for the
+// rest of the cascade, so each field runs a second time with its outliers
+// flattened, where every sum is finite.
 func TestLevelPassEncodeMatchesLevelPass(t *testing.T) {
-	shapes := [][]int{
-		{2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {12}, {13}, {17}, {65}, {1000},
-		{2, 2}, {3, 5}, {13, 17}, {33, 129}, {64, 1}, {9, 12},
-		{32, 32, 32}, {7, 9, 11}, {64, 1, 17}, {1, 1, 5}, {17, 13, 12},
-		{5, 6, 7, 8}, {3, 3, 3, 3}, {9, 2, 5, 4},
-	}
+	shapes := slices.Concat(encodeShapes, highDimShapes)
 	rng := rand.New(rand.NewSource(7))
 	for _, dims := range shapes {
-		data := encodeField(rng, dims)
-		for _, anchor := range []int{0, 4, 8} {
-			for _, m := range Candidates(len(dims)) {
-				ref := make([]float32, len(data))
-				fast := make([]float32, len(data))
-				for i := range fast {
-					fast[i] = float32(math.NaN())
-				}
-				qRef, qFast := quant.New(1e-3, 0), quant.New(1e-3, 0)
-				maxL := MaxLevelGlobal(dims)
-				if anchor > 0 {
-					maxL = MaxLevelAnchored(anchor)
-					for _, idx := range AnchorIndices(dims, anchor) {
-						ref[idx], fast[idx] = data[idx], data[idx]
+		outliers := encodeField(rng, dims)
+		finite := append([]float32(nil), outliers...)
+		for i, v := range finite {
+			if math.IsNaN(float64(v)) || math.Abs(float64(v)) > 1e6 {
+				finite[i] = 0
+			}
+		}
+		for pass, data := range [][]float32{outliers, finite} {
+			for _, anchor := range []int{0, 4, 8} {
+				for _, m := range Candidates(len(dims)) {
+					ref := make([]float32, len(data))
+					fast := make([]float32, len(data))
+					for i := range fast {
+						fast[i] = float32(math.NaN())
 					}
-				} else {
-					ref[0] = qRef.Quantize(data[0], 0)
-					fast[0] = qFast.Quantize(data[0], 0)
-				}
-				for level := maxL; level >= 1; level-- {
-					// Level-wise bounds, as the tuner sets them.
-					eb := 1e-3 / float64(level)
-					qRef.SetBound(eb)
-					qFast.SetBound(eb)
-					LevelPass(ref, dims, level, m, func(idx int, pred float64) float32 {
-						return qRef.Quantize(data[idx], pred)
-					})
-					LevelPassEncode(fast, data, dims, level, m, qFast)
-					if len(qRef.Bins) != len(qFast.Bins) {
-						t.Fatalf("dims=%v anchor=%d m=%v level=%d: %d bins, want %d",
-							dims, anchor, m, level, len(qFast.Bins), len(qRef.Bins))
+					fastL1 := append([]float32(nil), fast...)
+					qRef, qFast, qL1 := quant.New(1e-3, 0), quant.New(1e-3, 0), quant.New(1e-3, 0)
+					var sumRef, sumL1 float64
+					maxL := MaxLevelGlobal(dims)
+					if anchor > 0 {
+						maxL = MaxLevelAnchored(anchor)
+						for _, idx := range AnchorIndices(dims, anchor) {
+							ref[idx], fast[idx], fastL1[idx] = data[idx], data[idx], data[idx]
+						}
+					} else {
+						ref[0] = qRef.Quantize(data[0], 0)
+						fast[0] = qFast.Quantize(data[0], 0)
+						fastL1[0] = qL1.Quantize(data[0], 0)
 					}
-					for i := range qRef.Bins {
-						if qRef.Bins[i] != qFast.Bins[i] {
-							t.Fatalf("dims=%v anchor=%d m=%v level=%d: bin[%d] = %d, want %d",
-								dims, anchor, m, level, i, qFast.Bins[i], qRef.Bins[i])
+					for level := maxL; level >= 1; level-- {
+						// Level-wise bounds, as the tuner sets them.
+						eb := 1e-3 / float64(level)
+						qRef.SetBound(eb)
+						qFast.SetBound(eb)
+						qL1.SetBound(eb)
+						LevelPass(ref, dims, level, m, func(idx int, pred float64) float32 {
+							sumRef += math.Abs(pred - float64(data[idx]))
+							r := qRef.Quantize(data[idx], pred)
+							if est, _ := quant.EstimateOnly(data[idx], pred, eb, quant.DefaultRadius); math.Float32bits(est) != math.Float32bits(r) {
+								t.Fatalf("dims=%v level=%d: EstimateOnly and Quantize disagree at %d", dims, level, idx)
+							}
+							return r
+						})
+						LevelPassEncode(fast, data, dims, level, m, qFast)
+						sumL1 = LevelPassEncodeL1(fastL1, data, dims, level, m, qL1, sumL1)
+						if math.Float64bits(sumL1) != math.Float64bits(sumRef) {
+							t.Fatalf("dims=%v anchor=%d m=%v level=%d: L1 sum %v (%x), want %v (%x)", dims, anchor, m, level,
+								sumL1, math.Float64bits(sumL1), sumRef, math.Float64bits(sumRef))
+						}
+						for name, q := range map[string]*quant.Quantizer{"encode": qFast, "L1": qL1} {
+							if len(qRef.Bins) != len(q.Bins) {
+								t.Fatalf("dims=%v anchor=%d m=%v level=%d %s: %d bins, want %d",
+									dims, anchor, m, level, name, len(q.Bins), len(qRef.Bins))
+							}
+							for i := range qRef.Bins {
+								if qRef.Bins[i] != q.Bins[i] {
+									t.Fatalf("dims=%v anchor=%d m=%v level=%d %s: bin[%d] = %d, want %d",
+										dims, anchor, m, level, name, i, q.Bins[i], qRef.Bins[i])
+								}
+							}
+							if i := sameBits(qRef.Literals, q.Literals); i >= 0 {
+								t.Fatalf("dims=%v anchor=%d m=%v level=%d %s: literals diverge at %d (%d vs %d)",
+									dims, anchor, m, level, name, i, len(q.Literals), len(qRef.Literals))
+							}
 						}
 					}
-					if i := sameBits(qRef.Literals, qFast.Literals); i >= 0 {
-						t.Fatalf("dims=%v anchor=%d m=%v level=%d: literals diverge at %d (%d vs %d)",
-							dims, anchor, m, level, i, len(qFast.Literals), len(qRef.Literals))
+					for name, got := range map[string][]float32{"encode": fast, "L1": fastL1} {
+						if i := sameBits(ref, got); i >= 0 {
+							t.Fatalf("dims=%v anchor=%d m=%v %s: recon[%d] = %x, want %x", dims, anchor, m, name, i,
+								math.Float32bits(got[i]), math.Float32bits(ref[i]))
+						}
 					}
-				}
-				if i := sameBits(ref, fast); i >= 0 {
-					t.Fatalf("dims=%v anchor=%d m=%v: recon[%d] = %x, want %x", dims, anchor, m, i,
-						math.Float32bits(fast[i]), math.Float32bits(ref[i]))
-				}
-				if len(qRef.Literals) == 0 {
-					t.Fatalf("dims=%v: field produced no escapes; the test lost its escape coverage", dims)
+					if pass == 1 && math.IsNaN(sumRef) {
+						t.Fatalf("dims=%v: L1 sum over the flattened field is NaN; the test lost its finite-sum coverage", dims)
+					}
+					if pass == 0 && len(qRef.Literals) == 0 {
+						t.Fatalf("dims=%v: field produced no escapes; the test lost its escape coverage", dims)
+					}
 				}
 			}
 		}

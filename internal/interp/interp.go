@@ -17,13 +17,18 @@
 //     zero prediction) and the top level spans the whole array, reproducing
 //     SZ3's long-range interpolation behaviour.
 //
-// One level can be swept three ways. LevelPass is the reference: an
-// odometer walk that hands every point's prediction to a commit closure.
-// LevelPassDecode (decode.go) and LevelPassEncode (encode.go) are the hot
-// paths of decompression and compression: the same points in the same
-// order, walked line by line with one stencil variant chosen per line and
-// the dequantizer or quantizer fused into the loops. Differential tests
-// pin both bit-identical to LevelPass.
+// The level walk exists twice, once to be right and once to be fast.
+// LevelPass is the reference: an odometer that hands every point's
+// prediction to a commit closure. sweep (sweep.go) is the production
+// walker: the same points in the same order, handed to a kernel as runs
+// that share one stencil form. Three kernels ride it — LevelPassDecode
+// (decode.go) dequantizes a run, LevelPassEncode (encode.go) quantizes
+// it, LevelPassEncodeL1 also sums the prediction errors that rank
+// interpolators — and every codec's compression, decompression and
+// trial runs through them. Differential tests and FuzzSweepVsLevelPass
+// pin all three bit-identical to LevelPass, which nothing calls but
+// they, the reference decoder (internal/core/reference.go) and the
+// benchmark's layer timings.
 package interp
 
 import (

@@ -14,6 +14,7 @@ package mgard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"qoz/internal/interp"
@@ -87,12 +88,13 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	m := interp.Method{Kind: interp.Linear, Order: interp.Increasing}
 	for level := interp.MaxLevelAnchored(anchorStride); level >= 1; level-- {
 		deq.SetBound(levelBound(stream.ErrorBound, level))
-		interp.LevelPass(recon, dims, level, m, func(idx int, pred float64) float32 {
-			return deq.Next(pred)
-		})
+		interp.LevelPassDecode(recon, dims, level, m, deq)
 	}
 	if deq.Remaining() != 0 {
 		return nil, nil, errors.New("mgard: trailing quantization symbols")
+	}
+	if err := deq.CheckLiterals(); err != nil {
+		return nil, nil, fmt.Errorf("mgard: %w", err)
 	}
 	return recon, dims, nil
 }

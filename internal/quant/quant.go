@@ -9,7 +9,10 @@
 // literals stored exactly, exactly as in SZ (Tao et al., IPDPS'17).
 package quant
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultRadius matches SZ's default quantization capacity of 65536 bins.
 const DefaultRadius = 32768
@@ -108,7 +111,7 @@ type Dequantizer struct {
 	bins     []uint32
 	literals []float32
 	binPos   int
-	litPos   int
+	litPos   int // escape symbols consumed; past len(literals) once starved
 }
 
 // NewDequantizer wraps the bin and literal streams recorded by a Quantizer
@@ -124,19 +127,18 @@ func NewDequantizer(eb float64, radius int32, bins []uint32, literals []float32)
 // mirroring Quantizer.SetBound.
 func (d *Dequantizer) SetBound(eb float64) { d.eb = eb }
 
-// Next reconstructs the next value given its prediction p.
+// Next reconstructs the next value given its prediction p. An escape
+// symbol that finds the literal stream exhausted yields 0 and is counted:
+// CheckLiterals reports it.
 func (d *Dequantizer) Next(p float64) float32 {
 	sym := d.bins[d.binPos]
 	d.binPos++
 	if sym == LiteralSymbol {
-		if d.litPos >= len(d.literals) {
-			// Corrupt stream: literal stream exhausted. Return 0 rather
-			// than panicking; callers surface stream errors separately.
+		d.litPos++
+		if d.litPos > len(d.literals) {
 			return 0
 		}
-		v := d.literals[d.litPos]
-		d.litPos++
-		return v
+		return d.literals[d.litPos-1]
 	}
 	bin := int32(sym) - d.radius
 	return float32(p + 2*d.eb*float64(bin))
@@ -144,6 +146,20 @@ func (d *Dequantizer) Next(p float64) float32 {
 
 // Remaining reports how many symbols are left, for stream-consistency checks.
 func (d *Dequantizer) Remaining() int { return len(d.bins) - d.binPos }
+
+// CheckLiterals returns an error unless the symbols consumed so far escaped
+// exactly as often as the literal stream has values. The container carries
+// no checksum, so this count is what tells a damaged stream from a sound
+// one: call it once the dequantizer's last symbol has been consumed.
+func (d *Dequantizer) CheckLiterals() error {
+	switch n := len(d.literals) - d.litPos; {
+	case n > 0:
+		return fmt.Errorf("quant: %d literals left over after the last escape symbol", n)
+	case n < 0:
+		return fmt.Errorf("quant: %d escape symbols beyond the last literal", -n)
+	}
+	return nil
+}
 
 // DecodeState exposes the unconsumed remainder of the bin and literal
 // streams plus the constants a fused decode loop needs, so flattened
@@ -153,11 +169,12 @@ func (d *Dequantizer) Remaining() int { return len(d.bins) - d.binPos }
 // caller must report the symbols it consumed via Advance before any
 // further Next/DecodeState calls.
 func (d *Dequantizer) DecodeState() (bins []uint32, literals []float32, radius int32, twoEB float64) {
-	return d.bins[d.binPos:], d.literals[d.litPos:], d.radius, 2 * d.eb
+	return d.bins[d.binPos:], d.literals[min(d.litPos, len(d.literals)):], d.radius, 2 * d.eb
 }
 
 // Advance consumes nBins bin symbols and nLits literals on behalf of a
-// fused decode loop operating on DecodeState slices.
+// fused decode loop operating on DecodeState slices. Like Next, the loop
+// counts an escape symbol whether or not a literal was left for it.
 func (d *Dequantizer) Advance(nBins, nLits int) {
 	d.binPos += nBins
 	d.litPos += nLits

@@ -7,6 +7,7 @@ package sz2
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"qoz/internal/container"
@@ -162,6 +163,9 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	}
 	if deq.Remaining() != 0 {
 		return nil, nil, errors.New("sz2: trailing quantization symbols")
+	}
+	if err := deq.CheckLiterals(); err != nil {
+		return nil, nil, fmt.Errorf("sz2: %w", err)
 	}
 	return recon, dims, nil
 }

@@ -12,6 +12,7 @@ package sz3
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"qoz/internal/interp"
@@ -70,12 +71,13 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	recon := make([]float32, n)
 	recon[0] = deq.Next(0)
 	for level := interp.MaxLevelGlobal(stream.Dims); level >= 1; level-- {
-		interp.LevelPass(recon, stream.Dims, level, method, func(idx int, pred float64) float32 {
-			return deq.Next(pred)
-		})
+		interp.LevelPassDecode(recon, stream.Dims, level, method, deq)
 	}
 	if deq.Remaining() != 0 {
 		return nil, nil, errors.New("sz3: trailing quantization symbols")
+	}
+	if err := deq.CheckLiterals(); err != nil {
+		return nil, nil, fmt.Errorf("sz3: %w", err)
 	}
 	return recon, stream.Dims, nil
 }
@@ -120,18 +122,14 @@ func selectMethod(data []float32, dims []int, eb float64) interp.Method {
 // error. Exported for reuse by the ablation harness.
 func TrialError(data []float32, dims []int, eb float64, m interp.Method) float64 {
 	recon := make([]float32, len(data))
-	r0, _ := quant.EstimateOnly(data[0], 0, eb, quant.DefaultRadius)
-	recon[0] = r0
+	q := quant.New(eb, 0)
+	q.Bins = make([]uint32, 0, len(data))
+	recon[0] = q.Quantize(data[0], 0)
 	var sum float64
-	var count int
 	for level := interp.MaxLevelGlobal(dims); level >= 1; level-- {
-		interp.LevelPass(recon, dims, level, m, func(idx int, pred float64) float32 {
-			sum += math.Abs(pred - float64(data[idx]))
-			count++
-			r, _ := quant.EstimateOnly(data[idx], pred, eb, quant.DefaultRadius)
-			return r
-		})
+		sum = interp.LevelPassEncodeL1(recon, data, dims, level, m, q, sum)
 	}
+	count := len(q.Bins) - 1 // the origin is seeded, not predicted
 	if count == 0 {
 		return 0
 	}
