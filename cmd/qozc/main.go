@@ -10,8 +10,8 @@
 //	qozc decompress -in data.qoz [-out data.f32]
 //	qozc put        -in data.f32 -dims 100,500,500 -rel 1e-3 [-abs E]
 //	                [-codec C] [-brick 64,64,64] [-workers N] [-prec 32|64]
-//	                [-mutable] [-out data.qozb]
-//	qozc put        -in data.qoz [-brick ...] [-mutable] [-out data.qozb]
+//	                [-out data.qozb]
+//	qozc put        -in data.qoz [-brick ...] [-out data.qozb]
 //	qozc append     -store data.qozb -in steps.f32 [-workers N]
 //	qozc compact    -store data.qozb
 //	qozc get        -in data.qozb [-out data.f32|data.f64]
@@ -32,11 +32,12 @@
 // materializing the field — is partitioned into fixed-shape bricks
 // compressed independently, so get/extract can decode any region of
 // interest by touching only the bricks it intersects. A float64 input
-// yields a float64 store (format v2, element kind in the header); get and
-// extract then emit raw float64 back.
+// yields a float64 store (element kind in the header); get and extract
+// then emit raw float64 back.
 //
-// put -mutable builds a format v3 (generation-based) store instead:
-// append then grows it by whole time steps — each append commits a new
+// Every store put writes is a generation journal (format v3) at
+// generation 1, written to a temp file and renamed into place: append
+// then grows it by whole time steps — each append commits a new
 // generation journal-style, so readers and qozd pick the steps up without
 // the file ever being rewritten — and compact reclaims the space of
 // superseded generations. See docs/FORMAT.md for the on-disk format.
@@ -44,10 +45,10 @@
 // query answers a predicate over a store without materializing the
 // field: count the points beyond a threshold or inside a range (gt, lt,
 // range; -maxloc also lists the first matches), locate the extremum
-// (min, max), or histogram a box (hist). Stores written at format v5
-// carry a per-brick statistics index, and the query decodes only the
-// bricks the index cannot resolve — the report says how many bricks were
-// pruned versus decoded. info shows the index's field-wide aggregate.
+// (min, max), or histogram a box (hist). The store's manifest carries a
+// per-brick statistics index, and the query decodes only the bricks the
+// index cannot resolve — the report says how many bricks were pruned
+// versus decoded. info shows the index's field-wide aggregate.
 package main
 
 import (
@@ -60,7 +61,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -287,8 +287,9 @@ func decompressTo[T qoz.Float](buf []byte, in, dst string) error {
 // writeAtomic streams the result of fill into dst via a temp file that is
 // synced and then renamed over dst only on success, so a failed run never
 // clobbers an archive and a crash leaves either the old one or the new.
+// The result keeps the mode of the file it replaces, 0644 when new.
 func writeAtomic(dst string, fill func(f *os.File) error) error {
-	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp*")
+	f, err := fsutil.CreateReplacement(dst, ".tmp*")
 	if err != nil {
 		return err
 	}
@@ -323,7 +324,6 @@ func putCmd(args []string) error {
 	brickArg := fs.String("brick", "", "brick shape, e.g. 64,64,64 (default: ~1 MiB bricks)")
 	workers := fs.Int("workers", 0, "concurrent brick compressions (0 = all cores)")
 	prec := fs.Int("prec", 32, "raw input precision in bits: 32 or 64 (stream input carries its own)")
-	mutable := fs.Bool("mutable", false, "build a mutable (format v3) store that qozc append can grow")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("put requires -in")
@@ -364,11 +364,7 @@ func putCmd(args []string) error {
 	if qoz.IsStream(head[:n]) {
 		// Re-brick the stream slab by slab, straight off the file; bound
 		// and codec carry over.
-		if *mutable {
-			if err := putMutableFromStream(ctx, dst, qoz.NewDecoder(inF), wo); err != nil {
-				return err
-			}
-		} else if err := writeAtomic(dst, func(f *os.File) error {
+		if err := writeAtomic(dst, func(f *os.File) error {
 			return store.WriteFrom(ctx, f, qoz.NewDecoder(inF), wo)
 		}); err != nil {
 			return err
@@ -384,9 +380,9 @@ func putCmd(args []string) error {
 		wo.Opts = qoz.Options{ErrorBound: *abs, RelBound: *rel}
 		switch *prec {
 		case 32:
-			err = putRaw[float32](ctx, *in, dst, dims, wo, *mutable)
+			err = putRaw[float32](ctx, *in, dst, dims, wo)
 		case 64:
-			err = putRaw[float64](ctx, *in, dst, dims, wo, *mutable)
+			err = putRaw[float64](ctx, *in, dst, dims, wo)
 		default:
 			err = fmt.Errorf("unsupported precision %d (want 32 or 64)", *prec)
 		}
@@ -414,97 +410,21 @@ func putCmd(args []string) error {
 	return nil
 }
 
-// putRaw builds a store at dst from a raw file of T samples: write-once
-// via an atomically renamed temp file, or — mutable — created empty along
-// the slowest dimension and grown to dims[0] steps in one appended
-// generation. A mutable dst must not exist (mutable stores are grown in
-// place, so there is no atomic-rename temp path).
-func putRaw[T qoz.Float](ctx context.Context, in, dst string, dims []int, wo store.WriteOptions, mutable bool) error {
+// putRaw builds a store at dst from a raw file of T samples, via an
+// atomically renamed temp file.
+func putRaw[T qoz.Float](ctx context.Context, in, dst string, dims []int, wo store.WriteOptions) error {
 	data, err := readRaw[T](in, dims)
 	if err != nil {
 		return err
 	}
-	if !mutable {
-		return writeAtomic(dst, func(f *os.File) error { return store.WriteT(ctx, f, data, dims, wo) })
-	}
-	wo.Float64 = sampleBytes[T]() == 8
-	opts, err := qoz.ResolveAbsT(wo.Opts, data)
-	if err != nil {
-		return err
-	}
-	wo.Opts = opts
-	mdims := append([]int{0}, dims[1:]...)
-	m, err := store.CreateMutable(dst, mdims, wo)
-	if err != nil {
-		return err
-	}
-	if err := store.AppendStepsT(ctx, m, data); err != nil {
-		m.Close()
-		os.Remove(dst)
-		return err
-	}
-	return m.Close()
+	return writeAtomic(dst, func(f *os.File) error { return store.WriteT(ctx, f, data, dims, wo) })
 }
 
-// putMutableFromStream builds a mutable (v3) store at dst from a slab
-// stream, slab by slab — each slab is whole rows of the slowest
-// dimension, which is exactly what AppendSteps takes. Bound and codec
-// carry over like store.WriteFrom.
-func putMutableFromStream(ctx context.Context, dst string, dec *qoz.Decoder, wo store.WriteOptions) error {
-	hdr, err := dec.Header()
-	if err != nil {
-		return err
-	}
-	wo.Opts.ErrorBound, wo.Opts.RelBound = hdr.ErrorBound, 0
-	if wo.Codec == nil {
-		if hdr.CodecName == "" {
-			return fmt.Errorf("stream codec id %d is not registered; pass -codec explicitly", hdr.CodecID)
-		}
-		c, err := qoz.LookupID(hdr.CodecID)
-		if err != nil {
-			return err
-		}
-		wo.Codec = c
-	}
-	wo.Float64 = hdr.Float64
-	mdims := append([]int{0}, hdr.Dims[1:]...)
-	m, err := store.CreateMutable(dst, mdims, wo)
-	if err != nil {
-		return err
-	}
-	appendAll := appendSlabs[float32]
-	if hdr.Float64 {
-		appendAll = appendSlabs[float64]
-	}
-	if err := appendAll(ctx, m, dec); err != nil {
-		m.Close()
-		os.Remove(dst)
-		return err
-	}
-	return m.Close()
-}
-
-// appendSlabs drains dec into m one slab — whole steps — at a time.
-func appendSlabs[T qoz.Float](ctx context.Context, m *store.Mutable, dec *qoz.Decoder) error {
-	for {
-		slab, _, err := qoz.NextSlabT[T](ctx, dec)
-		if err == io.EOF {
-			return nil
-		}
-		if err == nil {
-			err = store.AppendStepsT(ctx, m, slab)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// appendCmd appends time steps from a raw float file to a mutable store,
-// committing them as one new generation.
+// appendCmd appends time steps from a raw float file to a store — any
+// store put wrote — committing them as one new generation.
 func appendCmd(args []string) error {
 	fs := flag.NewFlagSet("append", flag.ExitOnError)
-	st := fs.String("store", "", "mutable .qozb store to append to (required)")
+	st := fs.String("store", "", ".qozb store to append to (required)")
 	in := fs.String("in", "", "raw float file holding whole steps in the store's dtype (required)")
 	workers := fs.Int("workers", 0, "concurrent brick compressions (0 = all cores)")
 	fs.Parse(args)
@@ -551,11 +471,11 @@ func appendRaw[T qoz.Float](m *store.Mutable, in string, stepDims []int) error {
 	return store.AppendStepsT(context.Background(), m, data)
 }
 
-// compactCmd rewrites a mutable store down to its single latest
-// generation, reclaiming superseded brick payloads and old manifests.
+// compactCmd rewrites a store down to its single latest generation,
+// reclaiming superseded brick payloads and old manifests.
 func compactCmd(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	st := fs.String("store", "", "mutable .qozb store to compact (required)")
+	st := fs.String("store", "", ".qozb store to compact (required)")
 	fs.Parse(args)
 	if *st == "" {
 		return fmt.Errorf("compact requires -store")
@@ -796,7 +716,7 @@ func storeInfo(path string) error {
 	return nil
 }
 
-// statsReport is the field-wide aggregate of a v5 store's per-brick
+// statsReport is the field-wide aggregate of a store's per-brick
 // statistics index: the value range and sample tallies of the original
 // data, read from the manifest without decoding a brick.
 type statsReport struct {
@@ -814,8 +734,9 @@ type statsReport struct {
 }
 
 // storeStats aggregates the per-brick statistics index into one
-// field-wide summary, nil when the store carries no index (pre-v5) or no
-// brick holds a finite sample. Min and Max are over finite original
+// field-wide summary, nil when the store carries no index (a v1/v2/v4
+// store, a journal from before the extension) or no brick holds a finite
+// sample. Min and Max are over finite original
 // samples, so the JSON encoding never meets a non-finite number.
 func storeStats(s *store.Store) *statsReport {
 	if !s.HasBrickStats() {
@@ -931,18 +852,21 @@ type infoReport struct {
 	SlabRows        int     `json:"slabRows,omitempty"`
 	ErrorBound      float64 `json:"errorBound,omitempty"`
 	CompressedBytes int64   `json:"compressedBytes"`
-	// Mutable and Generation describe v3 stores: Generation is the latest
-	// committed generation this manifest reflects.
+	// Mutable and Generation describe generation journals — every store
+	// written since PR 22, generation 1 until something is appended:
+	// Generation is the latest committed generation this manifest
+	// reflects. Both are absent for a legacy index store (v1/v2/v4/v5).
 	Mutable    bool   `json:"mutable,omitempty"`
 	Generation uint64 `json:"generation,omitempty"`
-	// FormatVersion is the store's on-disk format version; Levels and
-	// BrickLevels appear only for v4 stores carrying progressive
-	// level-offset tables (docs/FORMAT.md §1.5).
+	// FormatVersion is the store's on-disk format version (3 for every
+	// store qozc writes); Levels and BrickLevels appear when the manifest
+	// carries progressive level tables (docs/FORMAT.md §1.4, and §1.5 for
+	// legacy v4/v5 files).
 	FormatVersion int                  `json:"formatVersion,omitempty"`
 	Levels        []levelReport        `json:"levels,omitempty"`
 	BrickLevels   [][]store.LevelEntry `json:"brickLevels,omitempty"`
 	// Stats is the field-wide aggregate of the per-brick statistics index
-	// v5 stores record (docs/FORMAT.md §1.6); absent for older stores.
+	// (docs/FORMAT.md §1.6); absent for stores that record none.
 	Stats *statsReport `json:"stats,omitempty"`
 }
 
@@ -964,7 +888,7 @@ type levelReport struct {
 }
 
 // storeLevels assembles the per-level summary and per-brick offset tables
-// of a v4 store. Both are nil when no brick records a table.
+// of a store. Both are nil when no brick records a table.
 func storeLevels(s *store.Store) ([]levelReport, [][]store.LevelEntry) {
 	tables := make([][]store.LevelEntry, s.NumBricks())
 	maxLevels := 0

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"qoz/datagen"
@@ -290,14 +291,14 @@ func TestInfoJSON(t *testing.T) {
 		t.Fatalf("store report incomplete: %+v", rep)
 	}
 
-	// A fresh QoZ store is format v5 and reports its progressive levels:
-	// deepest first, ending at level 1 (the full field), with the fetch
-	// cost growing as the level drops.
-	if rep.FormatVersion != 5 {
-		t.Fatalf("fresh store reports format v%d, want v5", rep.FormatVersion)
+	// A fresh QoZ store is a journal (format v3) at generation 1 and
+	// reports its progressive levels: deepest first, ending at level 1 (the
+	// full field), with the fetch cost growing as the level drops.
+	if rep.FormatVersion != 3 || rep.Generation != 1 || !rep.Mutable {
+		t.Fatalf("fresh store reports format v%d, generation %d, mutable %v; want v3, 1, true", rep.FormatVersion, rep.Generation, rep.Mutable)
 	}
 	if len(rep.Levels) == 0 {
-		t.Fatal("v5 store report carries no levels")
+		t.Fatal("fresh store report carries no levels")
 	}
 	last := rep.Levels[len(rep.Levels)-1]
 	if last.Level != 1 || last.Stride != 1 || last.GridPoints != rep.Points {
@@ -549,8 +550,9 @@ func TestQueryCmdAndInfoStats(t *testing.T) {
 	}
 }
 
-// TestMutableStoreCycle: put -mutable, append steps, read them back with
-// get, compact, and confirm the data and manifest survive every stage.
+// TestMutableStoreCycle: put, append steps to what put wrote, read them
+// back with get, compact, and confirm the data, the manifest and the level
+// tables survive every stage.
 func TestMutableStoreCycle(t *testing.T) {
 	dir := t.TempDir()
 	ds := datagen.NYX(4, 16, 16)
@@ -558,32 +560,44 @@ func TestMutableStoreCycle(t *testing.T) {
 	writeF32(t, in, ds.Data)
 	storeFile := filepath.Join(dir, "data.qozb")
 	if err := putCmd([]string{"-in", in, "-dims", "4,16,16", "-abs", "1e-3",
-		"-brick", "2,8,8", "-mutable", "-out", storeFile}); err != nil {
-		t.Fatalf("put -mutable: %v", err)
+		"-brick", "2,8,8", "-out", storeFile}); err != nil {
+		t.Fatalf("put: %v", err)
 	}
 
 	// Append two more steps (reuse the first two planes of the dataset).
 	stepFile := filepath.Join(dir, "steps.f32")
 	writeF32(t, stepFile, ds.Data[:2*16*16])
 	if err := appendCmd([]string{"-store", storeFile, "-in", stepFile}); err != nil {
-		t.Fatalf("append: %v", err)
+		t.Fatalf("append to a store made by plain put: %v", err)
 	}
 
-	// info -json must describe the grown mutable store.
-	var rep infoReport
-	var buf bytes.Buffer
-	if err := infoJSON(storeFile, &buf); err != nil {
-		t.Fatalf("info -json: %v", err)
+	// info -json must describe the grown store, level tables included.
+	describe := func(label string, wantGen uint64) {
+		t.Helper()
+		var rep infoReport
+		var buf bytes.Buffer
+		if err := infoJSON(storeFile, &buf); err != nil {
+			t.Fatalf("%s info -json: %v", label, err)
+		}
+		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Mutable || rep.Generation != wantGen || rep.FormatVersion != 3 {
+			t.Fatalf("%s: info -json reports mutable %v, generation %d, format v%d; want true, %d, v3", label, rep.Mutable, rep.Generation, rep.FormatVersion, wantGen)
+		}
+		if len(rep.Dims) != 3 || rep.Dims[0] != 6 {
+			t.Fatalf("%s: info -json dims %v, want [6 16 16]", label, rep.Dims)
+		}
+		if len(rep.BrickLevels) != rep.Bricks || len(rep.Levels) == 0 {
+			t.Fatalf("%s: %d level tables for %d bricks, %d levels", label, len(rep.BrickLevels), rep.Bricks, len(rep.Levels))
+		}
+		for i, tab := range rep.BrickLevels {
+			if len(tab) == 0 {
+				t.Fatalf("%s: brick %d lost its level table", label, i)
+			}
+		}
 	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Mutable || rep.Generation == 0 {
-		t.Fatalf("info -json does not mark the store mutable: %+v", rep)
-	}
-	if len(rep.Dims) != 3 || rep.Dims[0] != 6 {
-		t.Fatalf("info -json dims %v, want [6 16 16]", rep.Dims)
-	}
+	describe("grown", 2)
 
 	check := func(label string) {
 		t.Helper()
@@ -608,14 +622,53 @@ func TestMutableStoreCycle(t *testing.T) {
 		t.Fatalf("compact: %v", err)
 	}
 	check("compacted")
+	describe("compacted", 3)
 
-	// Appending to a write-once v2 store must fail with guidance.
-	v2 := filepath.Join(dir, "v2.qozb")
-	if err := putCmd([]string{"-in", in, "-dims", "4,16,16", "-abs", "1e-3", "-out", v2}); err != nil {
+	// Appending to a legacy write-once index store must fail with guidance.
+	legacy, err := os.ReadFile("../../store/testdata/v5_f32.qozb")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := appendCmd([]string{"-store", v2, "-in", stepFile}); err == nil {
-		t.Fatal("append to a v2 store did not fail")
+	v5 := filepath.Join(dir, "v5.qozb")
+	if err := os.WriteFile(v5, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v5Step := filepath.Join(dir, "v5step.f32")
+	writeF32(t, v5Step, make([]float32, 12*12))
+	if err := appendCmd([]string{"-store", v5, "-in", v5Step}); err == nil || !strings.Contains(err.Error(), "qozc put") {
+		t.Fatalf("append to a v5 index store: %v, want a refusal naming qozc put", err)
+	}
+}
+
+// TestPutFileMode: a new store is readable by other users (0644 — a qozd
+// under another uid must be able to mount what put wrote, which
+// CreateTemp's 0600 prevented), and a replacement keeps the mode of the
+// file it replaces.
+func TestPutFileMode(t *testing.T) {
+	dir := t.TempDir()
+	ds := datagen.NYX(4, 8, 8)
+	in := filepath.Join(dir, "data.f32")
+	writeF32(t, in, ds.Data)
+	storeFile := filepath.Join(dir, "data.qozb")
+	put := func() os.FileMode {
+		t.Helper()
+		if err := putCmd([]string{"-in", in, "-dims", "4,8,8", "-abs", "1e-3", "-out", storeFile}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		st, err := os.Stat(storeFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Mode().Perm()
+	}
+	if mode := put(); mode != 0o644 {
+		t.Fatalf("put over nothing made a %04o store, want 0644", mode)
+	}
+	if err := os.Chmod(storeFile, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if mode := put(); mode != 0o600 {
+		t.Fatalf("put over a 0600 store left it %04o", mode)
 	}
 }
 

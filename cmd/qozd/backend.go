@@ -312,8 +312,9 @@ func (l *local) failure(err error) (int, string, bool) {
 	return http.StatusInternalServerError, "", false
 }
 
-// refresh polls every mount for newly committed generations of mutable
-// (v3) stores. Region reads keep flowing during a poll: Refresh swaps
+// refresh polls every mount for newly committed generations (every store
+// written since PR 22 is a journal that may grow; legacy index files never
+// advance). Region reads keep flowing during a poll: Refresh swaps
 // manifests atomically, and the shared cache keys bricks by payload
 // offset, so unchanged bricks stay hot across generations. A mount that
 // fails keeps serving its previous generation — ErrRemoteChanged, though,
@@ -380,7 +381,7 @@ func (l *local) families() []family {
 	out := []family{
 		scalar("qozd_requests_rejected_total", "region requests shed at -max-inflight capacity", "counter", l.rejected.Load()),
 		scalar("qozd_cache_bytes", "decoded bytes held by the shared brick cache", "gauge", l.cache.Bytes()),
-		labelled("qozd_store_generation", "committed generation served per field (0 = write-once store)", "gauge", "field", names,
+		labelled("qozd_store_generation", "committed generation served per field (0 = legacy index store)", "gauge", "field", names,
 			func(name string) any { return l.fields[name].store.Generation() }),
 	}
 	for _, m := range storeCounters {

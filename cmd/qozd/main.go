@@ -16,16 +16,17 @@
 // small JSON aggregate instead of a point slab: op=gt/lt/range&value= (or
 // low=/high=) count the matching points (maxloc=K also returns the first
 // K row-major coordinates), op=min/max locate the extremum, and
-// op=hist&low=&high=&bins= build a histogram. Stores written at format v5
-// carry a per-brick statistics index, and the query decodes only the
+// op=hist&low=&high=&bins= build a histogram. A store's manifest carries
+// a per-brick statistics index, and the query decodes only the
 // bricks whose error-bound-widened [min, max] straddles the predicate —
 // everything else resolves from the index alone (the stat_prune stage and
 // qozd_store_bricks_pruned_total count those).
 //
 // level=L (default 1) asks for the progressive coarse grid: the points of
 // the box whose global coordinates are all multiples of 2^(L-1), decoded
-// from level-prefix bytes where the store's format (v4) records them and
-// bit-identical to subsampling the full-resolution answer. The coarse
+// from level-prefix bytes where the store's manifest records level tables
+// (every store written since PR 22, growing ones included, and legacy
+// v4/v5 files) and bit-identical to subsampling the full-resolution answer. The coarse
 // shape comes back in X-Qoz-Dims and the level is echoed in X-Qoz-Level;
 // each level is its own representation with its own strong ETag.
 //
@@ -44,7 +45,8 @@
 // disconnect through the request context, and -max-inflight bounds
 // concurrent region decodes (excess requests get 503).
 //
-// Mutable (format v3) stores are served live: -poll N polls every mount
+// Stores are served live: every store written since PR 22 is a generation
+// journal that qozc append can grow, and -poll N polls every mount
 // for newly committed generations — steps appended by a simulation, brick
 // rewrites, compactions — and adopts them atomically, so a growing
 // dataset serves without remounts. A client revalidating with a
@@ -152,7 +154,7 @@ func main() {
 	rate := fs.Float64("rate", 0, "per-tenant sustained request rate on /v1/* in requests/second (0 disables rate limiting)")
 	burst := fs.Float64("burst", 0, "per-tenant burst size for -rate (0 selects max(1, rate))")
 	metricsPublic := fs.Bool("metrics-public", false, "serve /metrics without auth even when a token is set")
-	poll := fs.Duration("poll", 0, "interval for polling mounts for new committed generations of mutable (v3) stores (0 disables; in -gateway mode, polls the shard catalog)")
+	poll := fs.Duration("poll", 0, "interval for polling mounts for new committed generations (0 disables; in -gateway mode, polls the shard catalog)")
 	logFormat := fs.String("log-format", "text", "structured request-log format on stderr: text or json")
 	slowRequest := fs.Duration("slow-request", 0, "log a warning with the full span breakdown for requests at least this slow (0 disables)")
 	traceRing := fs.Int("trace-ring", 256, "completed request traces retained for GET /debug/traces")
@@ -425,8 +427,10 @@ type fieldInfo struct {
 	ErrorBound float64 `json:"errorBound"`
 	Codec      string  `json:"codec"`
 	DType      string  `json:"dtype"`
-	// Mutable marks a v3 store; Generation is the committed generation
-	// currently served (it advances when -poll picks up new commits).
+	// Mutable marks a generation journal — every store written since
+	// PR 22; absent only for a legacy index file (v1/v2/v4/v5). Generation
+	// is the committed generation currently served: 1 for a store that was
+	// put and never appended to, advancing when -poll picks up new commits.
 	Mutable    bool   `json:"mutable,omitempty"`
 	Generation uint64 `json:"generation,omitempty"`
 	// ManifestCRC is the manifest fingerprint of the served generation —

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -576,6 +577,92 @@ func buildMutableStoreFile(t *testing.T, dir string, steps, ny, nx int) (string,
 		t.Fatal(err)
 	}
 	return path, field
+}
+
+// TestServerLevelReadOnMutableMount: ?level= prefix reads reach mutable
+// stores. A growing store (built by CreateMutable + appends, one of them
+// leaving a partial last band) is mounted over range reads with the cache
+// off, so the bytes each request fetches are auditable: a level-2 request
+// must fetch strictly fewer payload bytes than the level-1 request for the
+// same box, and return exactly its stride-2 sample.
+func TestServerLevelReadOnMutableMount(t *testing.T) {
+	const steps, ny, nx = 5, 32, 32
+	path := filepath.Join(t.TempDir(), "live.qozb")
+	m, err := store.CreateMutable(path, []int{0, ny, nx}, store.WriteOptions{
+		Opts:  qoz.Options{ErrorBound: 1e-3},
+		Brick: []int{4, 16, 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		plane := make([]float32, ny*nx)
+		for i := range plane {
+			plane[i] = float32(s) + float32(math.Sin(float64(i)/9)+math.Cos(float64(i%nx)/5))
+		}
+		if err := m.AppendSteps(context.Background(), plane); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	content, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("ETag", `"v1"`)
+		http.ServeContent(w, req, "live.qozb", time.Unix(1700000000, 0), bytes.NewReader(content))
+	}))
+	defer origin.Close()
+	srv, err := newServer([]mount{{name: "live", target: origin.URL}}, serverOptions{CacheBytes: -1, ReadAhead: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, body := get(t, ts.URL+"/v1/fields/live")
+	var info fieldInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if !info.Mutable || info.Generation != steps+1 {
+		t.Fatalf("mounted manifest: %+v, want a mutable store at generation %d", info, steps+1)
+	}
+
+	st := localOf(srv).fields["live"].store
+	fetch := func(level int) ([]byte, int64) {
+		t.Helper()
+		before := st.Stats().RemoteBytes
+		resp, body := get(t, fmt.Sprintf("%s/v1/fields/live/region?lo=0,0,0&hi=%d,%d,%d&level=%d", ts.URL, steps, ny, nx, level))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("level %d: %s: %s", level, resp.Status, body)
+		}
+		return body, st.Stats().RemoteBytes - before
+	}
+	full, fullBytes := fetch(1)
+	coarse, coarseBytes := fetch(2)
+	if coarseBytes <= 0 || coarseBytes >= fullBytes {
+		t.Fatalf("level-2 request fetched %d payload bytes, level-1 %d — the prefix read saved nothing", coarseBytes, fullBytes)
+	}
+	k := 0
+	for z := 0; z < steps; z += 2 {
+		for y := 0; y < ny; y += 2 {
+			for x := 0; x < nx; x += 2 {
+				i := (z*ny+y)*nx + x
+				if !bytes.Equal(coarse[4*k:4*k+4], full[4*i:4*i+4]) {
+					t.Fatalf("level-2 point (%d,%d,%d) differs from the level-1 response", z, y, x)
+				}
+				k++
+			}
+		}
+	}
+	if 4*k != len(coarse) {
+		t.Fatalf("level-2 body holds %d bytes, the stride-2 sample %d", len(coarse), 4*k)
+	}
 }
 
 // TestServerGzip: JSON responses negotiate gzip via Accept-Encoding; raw

@@ -23,17 +23,25 @@
 // the same reads over HTTP range requests, fetching only the header, the
 // manifest, and intersecting bricks.
 //
-// # Mutable stores
+// # One format: the generation journal
 //
-// Stores written by Write/Writer are write-once (format v2). For in-situ
-// workflows where a simulation emits time steps continuously, format v3
-// adds generation-based mutability: [CreateMutable] starts a store with
-// zero committed steps, [Mutable.AppendSteps] grows it along the slowest
-// dimension, [Mutable.RewriteBricks] replaces brick-aligned regions, and
-// every mutation commits journal-style — new payloads, a fresh manifest,
-// and a generation footer are appended; nothing already written is
-// touched. A torn commit (crash mid-append) costs at most the
-// uncommitted generation: the store re-opens at the previous one.
+// Every store this package writes is a generation journal (format v3):
+// header, brick payloads, a manifest — one entry per brick, followed by
+// the optional statistics and level-table blocks — and a generation
+// footer, the commit point. What Write/Writer produce is a journal of
+// exactly one generation, streamed to a plain io.Writer. For in-situ
+// workflows where a simulation emits time steps continuously,
+// [CreateMutable] starts a store with zero committed steps and
+// [OpenMutable] reopens any journal, a Writer-made one included;
+// [Mutable.AppendSteps] grows it along the slowest dimension,
+// [Mutable.RewriteBricks] replaces brick-aligned regions, and every
+// mutation commits journal-style — new payloads, a fresh manifest, and a
+// generation footer are appended; nothing already written is touched. A
+// torn commit (crash mid-append) costs at most the uncommitted generation:
+// the store re-opens at the previous one. Level tables and statistics are
+// recorded by every one of these paths, so coarse (level) reads fetch
+// only payload prefixes and queries prune bricks on growing stores exactly
+// as on finished ones.
 //
 // Old generations remain readable (Options.Generation) until
 // [Mutable.Compact] rewrites the store down to its latest generation and
@@ -42,6 +50,8 @@
 // locally or over HTTP, where the origin's validator guards against the
 // object being swapped for a different store (ErrRemoteChanged).
 //
-// The byte-level layout of every version is specified normatively in
+// The index layouts earlier versions of this package wrote (v1, v2, v4,
+// v5) stay readable through one loading shim; nothing writes them. The
+// byte-level layout of every version is specified normatively in
 // docs/FORMAT.md and pinned by the golden fixtures under testdata/.
 package store

@@ -58,7 +58,7 @@ func readRegionSlow[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst
 	return pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
 		bi := bricks[k]
 		blo, bhi := m.hdr.brickBox(bi)
-		data, err := brick[N](ctx, s, m, bi)
+		data, err := brick[N](ctx, s, m, bi, 0)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func serveRegionCached[N qoz.Float](ctx context.Context, s *Store, m *manifest, 
 		for i := 0; i < nd; i++ {
 			idx += coord[i] * gStride[i]
 		}
-		if _, ok := s.cache.get(cacheKey{owner: s, epoch: m.epoch, brick: idx, off: m.offsets[idx]}); !ok {
+		if _, ok := s.cache.get(cacheKey{owner: s, epoch: m.epoch, brick: idx, off: m.bricks[idx].off}); !ok {
 			return false
 		}
 		k := nd - 1
@@ -149,7 +149,7 @@ func serveRegionCached[N qoz.Float](ctx context.Context, s *Store, m *manifest, 
 		for i := 0; i < nd; i++ {
 			idx += coord[i] * gStride[i]
 		}
-		v, ok := s.cache.get(cacheKey{owner: s, epoch: m.epoch, brick: idx, off: m.offsets[idx]})
+		v, ok := s.cache.get(cacheKey{owner: s, epoch: m.epoch, brick: idx, off: m.bricks[idx].off})
 		if !ok {
 			// Evicted between the passes; redo everything on the slow path.
 			return false

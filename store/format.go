@@ -1,5 +1,7 @@
-// On-disk format primitives: headers, the v1/v2 index, and the v3
-// generation manifest/footer. The normative byte-level specification of
+// On-disk format primitives: the header, the generation manifest with its
+// two optional extension blocks, and the generation footer — the one
+// format this package writes — plus the constants of the legacy index
+// layouts it still reads. The normative byte-level specification of
 // everything in this file is docs/FORMAT.md; store/format_spec_test.go
 // pins the two against each other through the golden fixtures in
 // testdata/.
@@ -17,44 +19,37 @@ import (
 )
 
 const (
-	magic        = "QOZB"
-	trailerMagic = "QOZBIDX1"
+	magic = "QOZB"
 
-	// trailerMagicV4 terminates a v4 write-once store. v4 extends every
-	// index entry with the brick's progressive level table (docs/FORMAT.md
-	// §1.5); the distinct magic keeps a v1/v2 reader from walking a v4
-	// index it cannot parse.
+	// The trailer magics of the write-once index layouts (docs/FORMAT.md
+	// §1.3, §1.5, §1.6): v1/v2, v4 (level tables) and v5 (level tables and
+	// statistics). Nothing writes them any more; loadIndexManifest is their
+	// only reader.
+	trailerMagic   = "QOZBIDX1"
 	trailerMagicV4 = "QOZBIDX4"
-
-	// trailerMagicV5 terminates a v5 write-once store: the v4 index entry
-	// layout followed by a per-brick statistics block (docs/FORMAT.md
-	// §1.6) between the last entry and the footer.
 	trailerMagicV5 = "QOZBIDX5"
 
-	// genTrailerMagic terminates every v3 generation footer. It is distinct
-	// from trailerMagic so a v3 tail can never be misparsed as a v1/v2
-	// index footer (and vice versa), and so the torn-commit backward scan
-	// has an unambiguous needle.
+	// genTrailerMagic terminates every generation footer. It is distinct
+	// from the index trailers so a journal tail can never be misparsed as a
+	// legacy index footer (and vice versa), and so the torn-commit backward
+	// scan has an unambiguous needle.
 	genTrailerMagic = "QOZBGEN3"
 
-	// manifestMagic prefixes every v3 generation manifest, purely as a
+	// manifestMagic prefixes every generation manifest, purely as a
 	// debugging landmark; integrity comes from the footer's manifest CRC.
 	manifestMagic = "QZM3"
 
-	// formatVersion is what the write-once Writer emits: v5, which keeps
-	// v4's per-brick progressive level tables and appends a per-brick
-	// statistics block (min/max/mean/count/finite-count, recorded at write
-	// time) that Query uses for predicate pushdown. formatVersionV1 files
-	// (kind always float32), formatVersionV2 files (no level tables), and
-	// formatVersionV4 files (level tables, no statistics) still open and
-	// read unchanged; formatVersionV3 files are the generation-based
-	// mutable stores created by CreateMutable, whose manifests may carry
-	// the same statistics as an optional trailing extension.
-	formatVersion   = 5
+	// formatVersion is the one version this package writes: the generation
+	// journal, whose manifests carry per-brick level tables and statistics
+	// as optional trailing extension blocks. A write-once file is a journal
+	// of one generation. The other versions — v1 (kind always float32), v2,
+	// v4 (level tables) and v5 (level tables and statistics), all
+	// index-behind-a-footer layouts — still open and read unchanged.
+	formatVersion   = 3
 	formatVersionV1 = 1
 	formatVersionV2 = 2
-	formatVersionV3 = 3
 	formatVersionV4 = 4
+	formatVersionV5 = 5
 
 	// maxLevelEntries bounds one brick's level table: the codec caps
 	// segment levels at szstream.MaxSegLevel (63), plus the seed stage.
@@ -65,7 +60,7 @@ const (
 
 	footerSize = 8 + len(trailerMagic)
 
-	// genFooterSize is the fixed size of a v3 generation footer:
+	// genFooterSize is the fixed size of a generation footer:
 	// manifestOff u64 | manifestLen u64 | gen u64 | prevFooterOff u64 |
 	// manifestCRC u32 | footerCRC u32 | genTrailerMagic (8 bytes).
 	genFooterSize = 8 + 8 + 8 + 8 + 4 + 4 + len(genTrailerMagic)
@@ -110,9 +105,9 @@ func kindName(kind uint8) string {
 // ErrCorrupt reports a malformed store file.
 var ErrCorrupt = errors.New("store: corrupt brick store")
 
-// levelSpan is one entry of a brick's progressive level table (v4): the
-// byte length of the brick payload's prefix up to one level boundary, and
-// the CRC32 of exactly those prefix bytes. A table holds entries from the
+// levelSpan is one entry of a brick's progressive level table: the byte
+// length of the brick payload's prefix up to one level boundary, and the
+// CRC32 of exactly those prefix bytes. A table holds entries from the
 // stream's seed stage down to level 1 (whose span covers the whole
 // payload), so the level of entry j in a table of n entries is n-j.
 type levelSpan struct {
@@ -120,11 +115,33 @@ type levelSpan struct {
 	crc   uint32
 }
 
+// brickEntry is everything a manifest records about one brick: where its
+// payload lives, the payload's checksum, and the two optional extensions.
+// Every format version loads into a slice of these, in brick order.
+type brickEntry struct {
+	off, len int64
+	crc      uint32
+	// levels is the brick's progressive level table, seed stage first and
+	// the whole payload — always {len, crc} — last. nil when none is
+	// recorded (a v1/v2 store, a journal written before PR 22, another
+	// codec, a dropped level block): coarse reads then decode the full
+	// brick and stride-sample it.
+	levels []levelSpan
+	// stat is the brick's recorded data summary; invalid (the zero value)
+	// when none is recorded or its block failed validation — Query then
+	// decodes the brick, never guesses.
+	stat brickStat
+}
+
 const (
-	// statsMagic prefixes a per-brick statistics block: the v5 index
-	// carries one between its last entry and the footer, and a v3
-	// generation manifest may carry one as a trailing extension.
+	// statsMagic prefixes a per-brick statistics block: a generation
+	// manifest may carry one as a trailing extension, and the legacy v5
+	// index carries one between its last entry and the footer.
 	statsMagic = "QZST"
+
+	// levelsMagic prefixes a per-brick level-table block, the generation
+	// manifest's second trailing extension (docs/FORMAT.md §1.4).
+	levelsMagic = "QZLV"
 
 	// statRecordSize is the fixed encoded size of one brick's statistics
 	// record: flags u8 | min f64 | max f64 | mean f64 | count u64 |
@@ -160,9 +177,7 @@ type brickStat struct {
 	BrickStat
 }
 
-// computeBrickStat summarizes one brick's original samples. Shared by the
-// write-once Writer and every mutable mutation path, so the recorded
-// semantics cannot drift between them.
+// computeBrickStat summarizes one brick's original samples.
 func computeBrickStat[T qoz.Float](data []T) brickStat {
 	st := brickStat{valid: true}
 	st.Count = uint64(len(data))
@@ -205,10 +220,11 @@ func statsBlockSize(nb int) int {
 // appendStatsBlock serializes the per-brick statistics block. Records are
 // fixed-size so a spec parser (and the hostile-size bounds in
 // loadIndexManifest) can locate every field by offset alone.
-func appendStatsBlock(dst []byte, stats []brickStat) []byte {
+func appendStatsBlock(dst []byte, bricks []brickEntry) []byte {
 	start := len(dst)
 	dst = append(dst, statsMagic...)
-	for _, st := range stats {
+	for i := range bricks {
+		st := &bricks[i].stat
 		var flags uint8
 		if st.valid {
 			flags |= statFlagValid
@@ -232,26 +248,24 @@ func appendStatsBlock(dst []byte, stats []brickStat) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// parseStatsBlock decodes a statistics block against the grid hdr implies.
-// It returns nil — never an error — on ANY mismatch: wrong size, wrong
-// magic, or failed CRC. A nil result degrades every query to the
-// decode-everything path, because a wrong answer from a bad index would be
-// a correctness bug while a slow answer is merely slow. Individual records
-// whose contents are structurally impossible (unknown flags, a non-finite
-// or inverted min/max, counts that contradict the brick's geometry) are
-// dropped to invalid the same way.
-func parseStatsBlock(buf []byte, hdr *header) []brickStat {
-	nb := hdr.numBricks()
-	if len(buf) != statsBlockSize(nb) || string(buf[:len(statsMagic)]) != statsMagic {
-		return nil
+// parseStatsBlock decodes a statistics block against the grid hdr implies
+// into bricks[i].stat. It records nothing — never an error — on ANY
+// mismatch: wrong size, wrong magic, or failed CRC. Bricks without a record
+// degrade every query to the decode-everything path, because a wrong
+// answer from a bad index would be a correctness bug while a slow answer
+// is merely slow. Individual records whose contents are structurally
+// impossible (unknown flags, a non-finite or inverted min/max, counts that
+// contradict the brick's geometry) are dropped to invalid the same way.
+func parseStatsBlock(buf []byte, hdr *header, bricks []brickEntry) {
+	if len(buf) != statsBlockSize(len(bricks)) || string(buf[:len(statsMagic)]) != statsMagic {
+		return
 	}
 	body := buf[: len(buf)-4 : len(buf)-4]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
-		return nil
+		return
 	}
-	out := make([]brickStat, nb)
 	rec := body[len(statsMagic):]
-	for i := range out {
+	for i := range bricks {
 		flags := rec[0]
 		st := brickStat{
 			valid: flags&statFlagValid != 0,
@@ -267,12 +281,83 @@ func parseStatsBlock(buf []byte, hdr *header) []brickStat {
 			},
 		}
 		rec = rec[statRecordSize:]
-		if flags&^uint8(statFlagsKnown) != 0 || (st.valid && !plausibleStat(&st, hdr, i)) {
-			st = brickStat{}
+		if flags&^uint8(statFlagsKnown) == 0 && st.valid && plausibleStat(&st, hdr, i) {
+			bricks[i].stat = st
 		}
-		out[i] = st
 	}
-	return out
+}
+
+// appendLevelsBlock serializes the per-brick level-table block: every
+// brick's table minus its final span, which would only repeat the entry's
+// own length and crc32 (loading rebuilds it from the entry). The body
+// length makes the block self-delimiting; the CRC covers everything before
+// it.
+func appendLevelsBlock(dst []byte, bricks []brickEntry) []byte {
+	var body []byte
+	for i := range bricks {
+		t := bricks[i].levels
+		body = binary.AppendUvarint(body, uint64(len(t)))
+		for _, sp := range t[:max(len(t)-1, 0)] {
+			body = binary.AppendUvarint(body, uint64(sp.bytes))
+			body = binary.LittleEndian.AppendUint32(body, sp.crc)
+		}
+	}
+	start := len(dst)
+	dst = append(dst, levelsMagic...)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// parseLevelsBlock decodes a level-table block into bricks[i].levels. Like
+// statistics, level tables are an accelerator: on ANY mismatch — magic,
+// length, CRC, a table that is too long, spans that do not increase
+// strictly or do not stay below the payload length — the whole block is
+// dropped and every coarse read decodes full bricks, never an error. The
+// tables are assigned only once all of them have parsed.
+func parseLevelsBlock(buf []byte, bricks []brickEntry) {
+	if len(buf) < len(levelsMagic)+1+4 || string(buf[:len(levelsMagic)]) != levelsMagic {
+		return
+	}
+	body := buf[len(levelsMagic) : len(buf)-4]
+	if crc32.ChecksumIEEE(buf[:len(buf)-4]) != binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
+		return
+	}
+	bodyLen, n := binary.Uvarint(body)
+	if n <= 0 || bodyLen != uint64(len(body)-n) {
+		return
+	}
+	body = body[n:]
+	tables := make([][]levelSpan, len(bricks))
+	for i := range bricks {
+		nlv, n := binary.Uvarint(body)
+		if n <= 0 || nlv > maxLevelEntries {
+			return
+		}
+		body = body[n:]
+		if nlv == 0 {
+			continue
+		}
+		spans := make([]levelSpan, nlv)
+		prev := int64(0)
+		for j := range spans[:nlv-1] {
+			b, n := binary.Uvarint(body)
+			if n <= 0 || len(body) < n+4 || int64(b) <= prev || int64(b) >= bricks[i].len {
+				return
+			}
+			spans[j] = levelSpan{bytes: int64(b), crc: binary.LittleEndian.Uint32(body[n:])}
+			body = body[n+4:]
+			prev = int64(b)
+		}
+		spans[nlv-1] = levelSpan{bytes: bricks[i].len, crc: bricks[i].crc}
+		tables[i] = spans
+	}
+	if len(body) != 0 {
+		return
+	}
+	for i := range bricks {
+		bricks[i].levels = tables[i]
+	}
 }
 
 // plausibleStat cross-checks one valid record against the brick geometry
@@ -299,15 +384,14 @@ func IsStore(buf []byte) bool {
 		supportedVersion(buf[len(magic)]) && buf[len(magic)+1] == container.CodecBrick
 }
 
-// supportedVersion reports whether this package reads format version v:
-// every version from v1 to the one the Writer emits.
+// supportedVersion reports whether this package reads format version v.
 func supportedVersion(v uint8) bool {
-	return v >= formatVersionV1 && v <= formatVersion
+	return v >= formatVersionV1 && v <= formatVersionV5
 }
 
 // header is the decoded store header.
 type header struct {
-	version uint8 // formatVersionV1, V2, V3, V4, or formatVersion (v5)
+	version uint8 // formatVersion (the journal) or a legacy formatVersionV1, V2, V4, V5
 	codecID uint8
 	kind    uint8 // kindFloat32 or kindFloat64
 	dims    []int
@@ -398,7 +482,7 @@ func parseHeader(buf []byte) (*header, int, error) {
 		return out, nil
 	}
 	var err error
-	if h.dims, err = readDims(version == formatVersionV3); err != nil {
+	if h.dims, err = readDims(version == formatVersion); err != nil {
 		return nil, 0, err
 	}
 	if h.brick, err = readDims(false); err != nil {
@@ -409,7 +493,7 @@ func parseHeader(buf []byte) (*header, int, error) {
 	// zero committed steps), so its time extent is taken as at least one
 	// full brick. v1/v2 extents are final and checked exactly as written.
 	capDims := h.dims
-	if h.version == formatVersionV3 && h.dims[0] < h.brick[0] {
+	if h.version == formatVersion && h.dims[0] < h.brick[0] {
 		capDims = append([]int{h.brick[0]}, h.dims[1:]...)
 	}
 	if p := clippedBrickPoints(capDims, h.brick); p > maxBrickBytes/kindSize(h.kind) {
@@ -477,30 +561,80 @@ func parseGenFooter(buf []byte) (*genFooter, error) {
 	return ft, nil
 }
 
-// appendManifest serializes one v3 generation manifest: the generation
+// appendManifest serializes one generation manifest: the generation
 // number, the field extents as of this generation, and an explicit
 // (offset, length, crc32) entry per brick — explicit offsets, unlike the
-// cumulative v1/v2 index, because a rewritten brick's payload lives at the
-// file tail, not in grid order. A non-nil stats slice appends the
-// per-brick statistics block as a trailing extension; manifests written
-// before the extension existed simply end after the entries.
-func appendManifest(dst []byte, gen uint64, dims []int, offs, lens []int64, crcs []uint32, stats []brickStat) []byte {
+// cumulative legacy index, because a rewritten brick's payload lives at the
+// file tail, not in grid order. The statistics block and then the
+// level-table block follow as trailing extensions, each only when at least
+// one brick has something to record in it; a manifest of a store with
+// neither simply ends after the entries, as every manifest did before the
+// extensions existed.
+func appendManifest(dst []byte, gen uint64, dims []int, bricks []brickEntry) []byte {
 	dst = append(dst, manifestMagic...)
 	dst = binary.AppendUvarint(dst, gen)
 	dst = append(dst, uint8(len(dims)))
 	for _, d := range dims {
 		dst = binary.AppendUvarint(dst, uint64(d))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(offs)))
-	for i := range offs {
-		dst = binary.AppendUvarint(dst, uint64(offs[i]))
-		dst = binary.AppendUvarint(dst, uint64(lens[i]))
-		dst = binary.LittleEndian.AppendUint32(dst, crcs[i])
+	dst = binary.AppendUvarint(dst, uint64(len(bricks)))
+	var stats, levels bool
+	for i := range bricks {
+		e := &bricks[i]
+		dst = binary.AppendUvarint(dst, uint64(e.off))
+		dst = binary.AppendUvarint(dst, uint64(e.len))
+		dst = binary.LittleEndian.AppendUint32(dst, e.crc)
+		stats = stats || e.stat.valid
+		levels = levels || e.levels != nil
 	}
-	if stats != nil {
-		dst = appendStatsBlock(dst, stats)
+	if stats {
+		dst = appendStatsBlock(dst, bricks)
+	}
+	if levels {
+		dst = appendLevelsBlock(dst, bricks)
 	}
 	return dst
+}
+
+// sealGeneration is the one commit assembly: it turns the bricks of
+// generation gen, whose payloads all lie below manifestOff, into the
+// manifest bytes that go at manifestOff, the footer bytes that go right
+// after them, and the in-memory snapshot of the generation they commit
+// (the caller binds its reader and cache epoch). hdr carries the committed
+// extents.
+func sealGeneration(hdr *header, gen uint64, prevFootOff int64, bricks []brickEntry, manifestOff int64) (man, foot []byte, m *manifest) {
+	man = appendManifest(nil, gen, hdr.dims, bricks)
+	ft := &genFooter{
+		manifestOff: manifestOff,
+		manifestLen: int64(len(man)),
+		gen:         gen,
+		prevOff:     prevFootOff,
+		manifestCRC: crc32.ChecksumIEEE(man),
+	}
+	return man, appendGenFooter(nil, ft), newGenManifest(hdr, ft, manifestOff+int64(len(man)), bricks, man)
+}
+
+// newGenManifest builds the snapshot of the generation that the footer ft
+// at footOff commits, for a freshly sealed commit and a loaded one alike.
+func newGenManifest(hdr *header, ft *genFooter, footOff int64, bricks []brickEntry, raw []byte) *manifest {
+	return &manifest{
+		hdr:     hdr,
+		gen:     ft.gen,
+		footOff: footOff,
+		prevOff: ft.prevOff,
+		bricks:  bricks,
+		fp:      manifestFingerprint(hdr, raw),
+	}
+}
+
+// manifestFingerprint derives a manifest's content fingerprint: the
+// header's logical content under the committed extents, plus the raw
+// manifest (or legacy index) bytes. Two stores with identical fields,
+// bricking, bound, and brick payloads share it; it moves on every commit
+// (offsets alone distinguish generations), which is exactly what
+// serving-layer validators (ETags) need.
+func manifestFingerprint(hdr *header, raw []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(appendHeader(nil, hdr)), crc32.IEEETable, raw)
 }
 
 // parseManifest decodes a generation manifest against the store's header:
@@ -508,13 +642,14 @@ func appendManifest(dst []byte, gen uint64, dims []int, offs, lens []int64, crcs
 // the first (only time grows), the brick count must match the grid those
 // extents imply, and every entry must lie inside [minOff, maxOff) — the
 // span between the header and the manifest itself. Trailing bytes after
-// the entries are the optional statistics extension: a valid block yields
-// per-brick stats, anything else degrades to nil stats (decode-everything
-// queries) rather than an error, because the footer's manifest CRC already
-// vouches for the bytes and a missing index must never cost availability.
-func parseManifest(buf []byte, hdr *header, minOff, maxOff int64) (gen uint64, dims []int, offs, lens []int64, crcs []uint32, stats []brickStat, err error) {
-	fail := func() (uint64, []int, []int64, []int64, []uint32, []brickStat, error) {
-		return 0, nil, nil, nil, nil, nil, ErrCorrupt
+// the entries are the optional extensions, statistics block first: a block
+// that does not validate is dropped (decode-everything queries, full-brick
+// coarse reads) together with whatever follows it, rather than failing the
+// open, because the footer's manifest CRC already vouches for the bytes
+// and a missing accelerator must never cost availability.
+func parseManifest(buf []byte, hdr *header, minOff, maxOff int64) (gen uint64, dims []int, bricks []brickEntry, err error) {
+	fail := func() (uint64, []int, []brickEntry, error) {
+		return 0, nil, nil, ErrCorrupt
 	}
 	if len(buf) < len(manifestMagic)+3 || string(buf[:len(manifestMagic)]) != manifestMagic {
 		return fail()
@@ -564,14 +699,12 @@ func parseManifest(buf []byte, hdr *header, minOff, maxOff int64) (gen uint64, d
 	}
 	// Each entry is at least 6 bytes (two 1-byte varints + crc32): a
 	// manifest shorter than that bound cannot hold the declared count, so
-	// the check rejects hostile counts before the per-brick allocations.
+	// the check rejects hostile counts before the per-brick allocation.
 	if int64(len(buf)) < int64(nb)*6 {
 		return fail()
 	}
-	offs = make([]int64, nb)
-	lens = make([]int64, nb)
-	crcs = make([]uint32, nb)
-	for i := range offs {
+	bricks = make([]brickEntry, nb)
+	for i := range bricks {
 		o, n := binary.Uvarint(buf)
 		if n <= 0 {
 			return fail()
@@ -585,20 +718,23 @@ func parseManifest(buf []byte, hdr *header, minOff, maxOff int64) (gen uint64, d
 		if len(buf) < 4 {
 			return fail()
 		}
-		offs[i] = int64(o)
-		lens[i] = int64(l)
-		crcs[i] = binary.LittleEndian.Uint32(buf)
+		e := &bricks[i]
+		e.off, e.len, e.crc = int64(o), int64(l), binary.LittleEndian.Uint32(buf)
 		buf = buf[4:]
 		// Subtract rather than add: a hostile offset near MaxInt64 would
-		// wrap offs[i]+lens[i] negative and slip past an additive check.
-		if offs[i] < minOff || offs[i] > maxOff-lens[i] {
+		// wrap off+len negative and slip past an additive check.
+		if e.off < minOff || e.off > maxOff-e.len {
 			return fail()
 		}
 	}
-	if len(buf) != 0 {
-		stats = parseStatsBlock(buf, &genHdr)
+	if n := statsBlockSize(len(bricks)); len(buf) >= n && string(buf[:len(statsMagic)]) == statsMagic {
+		parseStatsBlock(buf[:n], &genHdr, bricks)
+		buf = buf[n:]
 	}
-	return gen, dims, offs, lens, crcs, stats, nil
+	if len(buf) != 0 {
+		parseLevelsBlock(buf, bricks)
+	}
+	return gen, dims, bricks, nil
 }
 
 // grid returns the brick-grid extent per dimension: ceil(dims/brick).

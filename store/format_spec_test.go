@@ -456,8 +456,8 @@ func specParseGenFooter(t *testing.T, buf []byte, end int64) specFooter {
 
 // specParseManifest decodes a §1.4 generation manifest, returning any
 // bytes past the last entry verbatim: a pre-statistics manifest has
-// none, a current one carries the §1.6 statistics block as an optional
-// extension.
+// none, a current one carries the optional extension blocks
+// (specSplitExtensions).
 func specParseManifest(t *testing.T, man []byte, h specHeader) (gen uint64, dims []int, entries []specEntry, rest []byte) {
 	t.Helper()
 	if string(man[:4]) != "QZM3" {
@@ -874,10 +874,11 @@ func TestFormatSpecV3Stats(t *testing.T) {
 		t.Fatal("manifestCRC mismatch on the latest generation")
 	}
 	_, dims, entries, rest := specParseManifest(t, man, h)
-	if len(rest) == 0 {
-		t.Fatal("current mutable writer must append the statistics extension to every manifest")
+	statsBlk, _ := specSplitExtensions(t, rest, len(entries))
+	if statsBlk == nil {
+		t.Fatal("the writer must append the statistics extension to every manifest with bricks")
 	}
-	stats := specParseStatsBlock(t, rest, len(entries))
+	stats := specParseStatsBlock(t, statsBlk, len(entries))
 	specCheckPayloads(t, buf, h, entries, ft.manifestOff)
 
 	s, err := OpenFile(path, Options{})
@@ -906,4 +907,200 @@ func repeatPlane(plane []float32, n int) []float32 {
 		out = append(out, plane...)
 	}
 	return out
+}
+
+// specSplitExtensions carves the bytes past a §1.4 manifest's last entry
+// into its optional extension blocks, in their documented order: the
+// fixed-size §1.6 statistics block when the bytes begin with "QZST", then
+// the level-table block when what remains begins with "QZLV". A block that
+// is absent comes back nil.
+func specSplitExtensions(t *testing.T, rest []byte, nb int) (stats, levels []byte) {
+	t.Helper()
+	if len(rest) >= 4 && string(rest[:4]) == "QZST" {
+		n := 4 + nb*41 + 4
+		if len(rest) < n {
+			t.Fatalf("statistics block needs %d bytes, manifest has %d left", n, len(rest))
+		}
+		stats, rest = rest[:n], rest[n:]
+	}
+	if len(rest) >= 4 && string(rest[:4]) == "QZLV" {
+		levels, rest = rest, nil
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d manifest bytes belong to no documented extension block", len(rest))
+	}
+	return stats, levels
+}
+
+// specParseLevelsBlock decodes a §1.4 level-table block byte by byte:
+// "QZLV", the body length, one table per brick — nlevels, then nlevels−1
+// (prefixBytes, prefixCRC) pairs, the final span being implied by the
+// brick's own entry — and a trailing CRC-32 over everything before it.
+func specParseLevelsBlock(t *testing.T, blk []byte, entries []specEntry) [][]specLevelSpan {
+	t.Helper()
+	if string(blk[:4]) != "QZLV" {
+		t.Fatalf("level block magic %q, spec says \"QZLV\"", blk[:4])
+	}
+	if crc32.ChecksumIEEE(blk[:len(blk)-4]) != binary.LittleEndian.Uint32(blk[len(blk)-4:]) {
+		t.Fatal("level block CRC mismatch")
+	}
+	bodyLen, n := binary.Uvarint(blk[4:])
+	body := blk[4+n : len(blk)-4]
+	if n <= 0 || int(bodyLen) != len(body) {
+		t.Fatalf("level block declares a %d-byte body, holds %d", bodyLen, len(body))
+	}
+	tables := make([][]specLevelSpan, len(entries))
+	for i, e := range entries {
+		nlv, n := binary.Uvarint(body)
+		if n <= 0 || nlv > 64 {
+			t.Fatalf("brick %d: bad level-table count", i)
+		}
+		body = body[n:]
+		if nlv == 0 {
+			continue
+		}
+		spans := make([]specLevelSpan, nlv)
+		prev := int64(0)
+		for j := 0; j < int(nlv)-1; j++ {
+			b, n := binary.Uvarint(body)
+			if n <= 0 {
+				t.Fatalf("brick %d level entry %d: bad uvarint", i, j)
+			}
+			spans[j] = specLevelSpan{bytes: int64(b), prefix: binary.LittleEndian.Uint32(body[n:])}
+			body = body[n+4:]
+			if spans[j].bytes <= prev || spans[j].bytes >= e.length {
+				t.Fatalf("brick %d: level span %d bytes %d not strictly increasing below the payload length %d", i, j, spans[j].bytes, e.length)
+			}
+			prev = spans[j].bytes
+		}
+		spans[nlv-1] = specLevelSpan{bytes: e.length, prefix: e.crc}
+		tables[i] = spans
+	}
+	if len(body) != 0 {
+		t.Fatalf("%d trailing bytes after the last level table", len(body))
+	}
+	return tables
+}
+
+// TestFormatSpecV3Levels decodes the current writer's golden fixture from
+// the document alone: a journal whose generation 1 was written once by
+// Write (generation 1, prevFooterOff 0, header extents final) and whose
+// generation 2 was appended through OpenMutable. Both manifests must carry
+// the statistics block and then the level-table block; every recorded
+// prefix CRC must cover exactly the payload prefix it declares; and the
+// real reader must agree with the documented tables, reproduce the golden
+// reconstruction, and serve a level-2 read equal to its stride-2
+// subsample.
+func TestFormatSpecV3Levels(t *testing.T) {
+	buf, exp := readFixture(t, "v3_levels.qozb", "v3_levels.expected.f32")
+	h := specParseHeader(t, buf)
+	if h.version != 3 || h.kind != 0 {
+		t.Fatalf("fixture: version %d kind %d", h.version, h.kind)
+	}
+	if h.dims[0] != 12 {
+		t.Fatalf("header extent 0 = %d; a written-once file declares its final extents (12 here)", h.dims[0])
+	}
+
+	ft := specParseGenFooter(t, buf, int64(len(buf)))
+	if ft.gen != 2 {
+		t.Fatalf("latest generation %d, fixture committed 2", ft.gen)
+	}
+	var latest [][]specLevelSpan
+	for gen := uint64(2); ; gen-- {
+		man := buf[ft.manifestOff : ft.manifestOff+ft.manifestLen]
+		if crc32.ChecksumIEEE(man) != ft.manifestCRC {
+			t.Fatalf("generation %d: manifestCRC mismatch", gen)
+		}
+		g, dims, entries, rest := specParseManifest(t, man, h)
+		if g != gen || ft.gen != gen {
+			t.Fatalf("chain visits generation %d/%d, want %d", g, ft.gen, gen)
+		}
+		if want := map[uint64]int{1: 12, 2: 16}[gen]; dims[0] != want {
+			t.Fatalf("generation %d commits %d rows, want %d", gen, dims[0], want)
+		}
+		specCheckPayloads(t, buf, h, entries, ft.manifestOff)
+		statsBlk, levelsBlk := specSplitExtensions(t, rest, len(entries))
+		if statsBlk == nil || levelsBlk == nil {
+			t.Fatalf("generation %d: manifest must carry both extension blocks (stats %v, levels %v)", gen, statsBlk != nil, levelsBlk != nil)
+		}
+		specParseStatsBlock(t, statsBlk, len(entries))
+		tables := specParseLevelsBlock(t, levelsBlk, entries)
+		for i, spans := range tables {
+			if len(spans) == 0 {
+				t.Fatalf("generation %d brick %d: the qoz codec always records a level table", gen, i)
+			}
+			p := buf[entries[i].off : entries[i].off+entries[i].length]
+			for j, sp := range spans {
+				if crc32.ChecksumIEEE(p[:sp.bytes]) != sp.prefix {
+					t.Fatalf("generation %d brick %d: level span %d prefix CRC does not cover its %d-byte prefix", gen, i, j, sp.bytes)
+				}
+			}
+		}
+		if gen == 2 {
+			latest = tables
+		}
+		if gen == 1 {
+			// §1.4: a written-once file is header, payloads in brick order,
+			// one manifest, one footer.
+			if ft.prevOff != 0 || entries[0].off != int64(h.end) {
+				t.Fatalf("generation 1: prevFooterOff %d, first payload at %d (header ends at %d)", ft.prevOff, entries[0].off, h.end)
+			}
+			for i := 1; i < len(entries); i++ {
+				if entries[i].off != entries[i-1].off+entries[i-1].length {
+					t.Fatalf("generation 1: brick %d is not laid out right after brick %d", i, i-1)
+				}
+			}
+			if last := entries[len(entries)-1]; last.off+last.length != ft.manifestOff {
+				t.Fatal("generation 1: the manifest does not follow the last payload")
+			}
+			break
+		}
+		ft = specParseGenFooter(t, buf, ft.prevOff+48)
+	}
+
+	s, err := Open(bytes.NewReader(buf), int64(len(buf)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Generation() != 2 || s.FormatVersion() != 3 {
+		t.Fatalf("reader opened generation %d of a version-%d store", s.Generation(), s.FormatVersion())
+	}
+	for i, spans := range latest {
+		got := s.BrickLevels(i)
+		if len(got) != len(spans) {
+			t.Fatalf("brick %d: reader reports %d levels, the document's parser %d", i, len(got), len(spans))
+		}
+		for j, sp := range spans {
+			if got[j].Bytes != sp.bytes || got[j].Level != len(spans)-j {
+				t.Fatalf("brick %d span %d: reader %+v, document (%d bytes, level %d)", i, j, got[j], sp.bytes, len(spans)-j)
+			}
+		}
+	}
+	got, err := s.ReadField(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got)*4 != len(exp) {
+		t.Fatalf("reconstruction holds %d points, expectation %d", len(got), len(exp)/4)
+	}
+	for i, v := range got {
+		if math.Float32bits(v) != binary.LittleEndian.Uint32(exp[4*i:]) {
+			t.Fatalf("point %d differs from the golden reconstruction", i)
+		}
+	}
+	lo, dims := []int{0, 0, 0}, s.Dims()
+	coarse, cd, err := s.ReadRegionLevel(context.Background(), lo, dims, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantDims := sampleRegionStride(got, lo, dims, 2)
+	if !equalInts(cd, wantDims) {
+		t.Fatalf("level-2 dims %v, want %v", cd, wantDims)
+	}
+	for i := range want {
+		if math.Float32bits(coarse[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("level-2 point %d differs from the subsampled golden reconstruction", i)
+		}
+	}
 }

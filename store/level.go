@@ -3,17 +3,15 @@ package store
 // Progressive (multi-resolution) region reads. A level-L read returns the
 // points of the requested box whose global coordinates are all multiples
 // of stride 2^(L-1), bit-identical to the same points of a full-resolution
-// read. On a v4 store whose bricks carry level tables, each brick fetches
-// and decodes only the payload prefix up to the level boundary — strictly
+// read. Each brick whose manifest entry carries a level table fetches and
+// decodes only the payload prefix up to the level boundary — strictly
 // fewer bytes than a full read; bricks without a table (other codecs,
-// older formats) fall back to a full decode followed by stride sampling,
-// so the result is the same either way.
+// stores written before tables were recorded) fall back to a full decode
+// followed by stride sampling, so the result is the same either way.
 
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
-	"time"
 
 	"qoz"
 	"qoz/internal/pool"
@@ -30,7 +28,9 @@ type LevelEntry struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// FormatVersion returns the store's on-disk format version (1 through 5).
+// FormatVersion returns the store's on-disk format version: 3, the
+// generation journal, for every store this package writes; 1, 2, 4 or 5
+// for a legacy index store written before PR 22.
 func (s *Store) FormatVersion() int { return int(s.man.Load().hdr.version) }
 
 // BrickLevels returns brick i's progressive level table — seed stage
@@ -38,10 +38,10 @@ func (s *Store) FormatVersion() int { return int(s.man.Load().hdr.version) }
 // brick's codec does not record one.
 func (s *Store) BrickLevels(i int) []LevelEntry {
 	m := s.man.Load()
-	if m.levels == nil || i < 0 || i >= len(m.levels) || len(m.levels[i]) == 0 {
+	if i < 0 || i >= len(m.bricks) || len(m.bricks[i].levels) == 0 {
 		return nil
 	}
-	spans := m.levels[i]
+	spans := m.bricks[i].levels
 	out := make([]LevelEntry, len(spans))
 	for j, sp := range spans {
 		out[j] = LevelEntry{Level: len(spans) - j, Bytes: sp.bytes}
@@ -59,9 +59,9 @@ func (s *Store) ReadRegionLevel(ctx context.Context, lo, hi []int, level int) ([
 // coordinates are all multiples of 2^(L-1), row-major over the returned
 // coarse dims. Level 1 is a full-resolution ReadRegionT. The values —
 // escaped double-precision points that land on the coarse grid included —
-// are bit-identical to the same points of a full read; on a v4 store with
-// a progressive codec only the level-prefix bytes of each brick are
-// fetched and decoded.
+// are bit-identical to the same points of a full read; where the manifest
+// records level tables (a progressive codec) only the level-prefix bytes of
+// each brick are fetched and decoded.
 func ReadRegionLevelT[T qoz.Float](ctx context.Context, s *Store, lo, hi []int, level int) ([]T, []int, error) {
 	m := s.man.Load()
 	if err := checkRead[T](m, lo, hi); err != nil {
@@ -143,9 +143,9 @@ func readRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, lo
 
 // brickCoarse returns brick i's stride-aligned points — the points
 // of the brick box whose GLOBAL coordinates are all multiples of
-// stride 2^(level-1) — as a dense array with its dims. Three cases:
+// stride 2^(level-1) — as a dense array with its dims. Two cases:
 //
-//   - the brick origin is stride-aligned and the manifest carries a level
+//   - the brick origin is stride-aligned and its entry carries a level
 //     table: fetch and decode only the level-prefix bytes (clamped to the
 //     brick's own top level, then subsampled down to the requested
 //     stride when the brick has fewer levels than asked for);
@@ -166,13 +166,10 @@ func brickCoarse[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, lev
 			aligned = false
 		}
 	}
-	var table []levelSpan
-	if m.levels != nil {
-		table = m.levels[i]
-	}
-	if level > 1 && aligned && len(table) > 0 {
+	// A one-entry table's only prefix is the whole payload: nothing to save.
+	if table := m.bricks[i].levels; level > 1 && aligned && len(table) > 1 {
 		eff := min(level, len(table))
-		data, err := brickCoarsePrefix[N](ctx, s, m, i, eff, bdims)
+		data, err := brick[N](ctx, s, m, i, eff)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,7 +182,7 @@ func brickCoarse[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, lev
 		}
 		return data, qoz.CoarseDims(bdims, stride), nil
 	}
-	full, err := brick[N](ctx, s, m, i)
+	full, err := brick[N](ctx, s, m, i, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -199,70 +196,6 @@ func brickCoarse[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, lev
 		start[d] = (stride - blo[d]%stride) % stride
 	}
 	return gatherStrided(full, bdims, start, stride)
-}
-
-// brickCoarsePrefix fetches and decodes the payload prefix of brick i up
-// to its level-eff boundary, via the cache when enabled. eff must not
-// exceed the brick's level-table length.
-func brickCoarsePrefix[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, eff int, bdims []int) ([]N, error) {
-	s.read.Add(1)
-	table := m.levels[i]
-	sp := table[len(table)-eff] // entry j holds level len(table)-j
-	key := cacheKey{owner: s, epoch: m.epoch, brick: i, off: m.offsets[i], level: eff}
-	obsv := stageObserverFrom(ctx)
-	if data, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		d := data.([]N)
-		if obsv != nil {
-			obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
-		}
-		return d, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	payload := pool.Bytes(int(sp.bytes))
-	defer pool.PutBytes(payload)
-	var err error
-	var fetchStart time.Time
-	if obsv != nil {
-		fetchStart = time.Now()
-	}
-	if s.remote != nil {
-		_, err = s.remote.readAtCtx(ctx, payload, m.offsets[i])
-	} else {
-		_, err = m.ra.ReadAt(payload, m.offsets[i])
-	}
-	if obsv != nil {
-		obsv(StageFetch, time.Since(fetchStart), int64(len(payload)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: brick %d: %w", i, err)
-	}
-	if crc32.ChecksumIEEE(payload) != sp.crc {
-		return nil, fmt.Errorf("store: brick %d: level-%d prefix checksum mismatch: %w", i, eff, ErrCorrupt)
-	}
-	if err := checkPayload[N](m, i, payload, bdims); err != nil {
-		return nil, err
-	}
-	var decodeStart time.Time
-	if obsv != nil {
-		decodeStart = time.Now()
-	}
-	data, dims, strideDec, err := qoz.DecodePayloadLevel[N](payload, eff)
-	if obsv != nil {
-		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: brick %d: %w", i, err)
-	}
-	want := qoz.CoarseDims(bdims, strideDec)
-	if strideDec != 1<<(eff-1) || !equalInts(dims, bdims) || len(data) != boxPoints(make([]int, len(want)), want) {
-		return nil, fmt.Errorf("store: brick %d: decoded coarse shape mismatch: %w", i, ErrCorrupt)
-	}
-	s.decoded.Add(1)
-	s.cache.put(key, data, int64(len(data))*int64(kindSize(m.hdr.kind)))
-	return data, nil
 }
 
 // gatherStrided extracts the points of src (row-major over dims) at

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,6 +56,64 @@ func sampleRegionStride[T qoz.Float](full []T, lo, hi []int, stride int) ([]T, [
 	return out, cd
 }
 
+// levelStore is one store the progressive-read tests run over.
+type levelStore struct {
+	name    string
+	content []byte
+	dims    []int
+}
+
+// mutableLevelStores grows one mutable store through every kind of commit
+// and snapshots the file after each: an append that ends on a band
+// boundary, an append that leaves a partial last band, a brick rewrite,
+// and a compaction. Level tables must ride along through all four — the
+// feature that reached the journal at PR 22.
+func mutableLevelStores(t *testing.T) []levelStore {
+	t.Helper()
+	ctx := context.Background()
+	ds := datagen.NYX(40, 32, 32)
+	const plane = 32 * 32
+	path := filepath.Join(t.TempDir(), "levels.qozb")
+	m, err := CreateMutable(path, []int{0, 32, 32}, WriteOptions{
+		Opts:  qoz.Options{ErrorBound: 1e-3 * 8},
+		Brick: []int{16, 16, 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var out []levelStore
+	snap := func(name string) {
+		t.Helper()
+		content, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, levelStore{name, content, m.Dims()})
+	}
+	if err := m.AppendSteps(ctx, ds.Data[:32*plane]); err != nil {
+		t.Fatal(err)
+	}
+	snap("aligned-append")
+	if err := m.AppendSteps(ctx, ds.Data[32*plane:]); err != nil {
+		t.Fatal(err)
+	}
+	snap("partial-append")
+	patch := make([]float32, 16*plane)
+	for i := range patch {
+		patch[i] = ds.Data[i] * 0.5
+	}
+	if err := m.RewriteBricks(ctx, []int{0, 0, 0}, []int{16, 32, 32}, patch); err != nil {
+		t.Fatal(err)
+	}
+	snap("rewrite")
+	if err := m.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap("compact")
+	return out
+}
+
 // TestReadRegionLevelMatchesStride pins the store-level progressive
 // contract on both brick alignments: a level-L region read returns
 // exactly the stride-aligned points of the ordinary read, bit-identical,
@@ -62,6 +122,16 @@ func sampleRegionStride[T qoz.Float](full []T, lo, hi []int, stride int) ([]T, [
 func TestReadRegionLevelMatchesStride(t *testing.T) {
 	ctx := context.Background()
 	ds := datagen.NYX(33, 29, 17)
+	// The whole field, an interior box aligned to nothing, and a box that
+	// straddles bricks and ends at the field edge.
+	boxes := func(d []int) [][2][]int {
+		return [][2][]int{
+			{{0, 0, 0}, d},
+			{{3, 5, 2}, {d[0] - 4, d[1] - 2, d[2] - 1}},
+			{{8, 0, 8}, {24, 16, d[2]}},
+		}
+	}
+	var stores []levelStore
 	for _, tc := range []struct {
 		name  string
 		brick []int
@@ -69,25 +139,20 @@ func TestReadRegionLevelMatchesStride(t *testing.T) {
 		{"aligned-bricks", []int{16, 16, 16}},
 		{"misaligned-bricks", []int{12, 10, 9}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := Write(ctx, &buf, ds.Data, ds.Dims,
-				WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: tc.brick}); err != nil {
-				t.Fatal(err)
+		stores = append(stores, levelStore{tc.name, writeBytes(t, ds.Data, ds.Dims,
+			WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: tc.brick}), ds.Dims})
+	}
+	for _, st := range mutableLevelStores(t) {
+		st.name = "mutable-" + st.name
+		stores = append(stores, st)
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			s := openBytes(t, st.content)
+			if s.FormatVersion() != 3 {
+				t.Fatalf("writer emitted version %d, want 3", s.FormatVersion())
 			}
-			s, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if s.FormatVersion() != 5 {
-				t.Fatalf("writer emitted version %d, want 5", s.FormatVersion())
-			}
-			for _, box := range [][2][]int{
-				{{0, 0, 0}, {33, 29, 17}},
-				{{3, 5, 2}, {29, 27, 16}},
-				{{8, 0, 8}, {24, 16, 17}},
-			} {
+			for _, box := range boxes(st.dims) {
 				lo, hi := box[0], box[1]
 				full, err := s.ReadRegion(ctx, lo, hi)
 				if err != nil {
@@ -170,10 +235,18 @@ func TestReadRegionLevelFloat64(t *testing.T) {
 // directly: over the remote backend (coalescing disabled so transfers are
 // auditable), a coarse read range-fetches strictly fewer payload bytes
 // than a full-resolution read of the same region, and still matches it
-// bit-for-bit on the coarse grid.
+// bit-for-bit on the coarse grid — on a written-once store at level 3, and
+// at level 2 on a mutable store after each kind of commit.
 func TestLevelReadFetchesFewerBytes(t *testing.T) {
-	ctx := context.Background()
 	content, dims := remoteTestStore(t)
+	t.Run("written-once", func(t *testing.T) { levelReadFetchesFewerBytes(t, content, dims, 3) })
+	for _, st := range mutableLevelStores(t) {
+		t.Run("mutable-"+st.name, func(t *testing.T) { levelReadFetchesFewerBytes(t, st.content, st.dims, 2) })
+	}
+}
+
+func levelReadFetchesFewerBytes(t *testing.T, content []byte, dims []int, level int) {
+	ctx := context.Background()
 	srv := serveRanges(t, &servedObject{content: content, etag: `"v1"`}, nil)
 
 	open := func() *Store {
@@ -190,14 +263,13 @@ func TestLevelReadFetchesFewerBytes(t *testing.T) {
 	lo := make([]int, len(dims))
 
 	sFull := open()
-	full, err := sFull.ReadRegion(ctx, lo, dims)
+	full, _, err := sFull.ReadRegionLevel(ctx, lo, dims, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	manifestBytes := open().Stats().RemoteBytes // open-time transfer alone
 	fullBytes := sFull.Stats().RemoteBytes - manifestBytes
 
-	const level = 3
 	sCoarse := open()
 	coarse, cd, err := sCoarse.ReadRegionLevel(ctx, lo, dims, level)
 	if err != nil {
@@ -209,7 +281,7 @@ func TestLevelReadFetchesFewerBytes(t *testing.T) {
 		t.Fatalf("implausible transfer accounting: full %d, coarse %d", fullBytes, coarseBytes)
 	}
 	if coarseBytes >= fullBytes {
-		t.Fatalf("level-%d read fetched %d bytes, full read %d — progressive read saved nothing", level, coarseBytes, fullBytes)
+		t.Fatalf("level-%d read fetched %d bytes, level-1 read %d — progressive read saved nothing", level, coarseBytes, fullBytes)
 	}
 	want, wantDims := sampleRegionStride(full, lo, dims, 1<<(level-1))
 	if !equalInts(cd, wantDims) {
@@ -284,33 +356,42 @@ func TestCoarseReadBeatsFullDecode(t *testing.T) {
 }
 
 // TestBrickLevelsReporting sanity-checks the introspection API used by
-// qozc info: v4 progressive bricks report tables ending at level 1 with
-// the full payload length; sz3 bricks report none.
+// qozc info: progressive bricks report tables ending at level 1 with the
+// full payload length, on a written-once store and on a mutable store
+// after every kind of commit; sz3 bricks report none.
 func TestBrickLevelsReporting(t *testing.T) {
-	ctx := context.Background()
 	ds := datagen.NYX(16, 16, 16)
-	var buf bytes.Buffer
-	if err := Write(ctx, &buf, ds.Data, ds.Dims,
-		WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}); err != nil {
-		t.Fatal(err)
+	stores := append(mutableLevelStores(t), levelStore{"written-once", writeBytes(t, ds.Data, ds.Dims,
+		WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}), ds.Dims})
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			s := openBytes(t, st.content)
+			m := s.man.Load()
+			for i := 0; i < s.NumBricks(); i++ {
+				tbl := s.BrickLevels(i)
+				if len(tbl) == 0 {
+					t.Fatalf("brick %d: no level table on a qoz store", i)
+				}
+				if last := tbl[len(tbl)-1]; last.Level != 1 || last.Bytes != m.bricks[i].len {
+					t.Fatalf("brick %d: table ends at level %d, %d bytes (payload %d)", i, last.Level, last.Bytes, m.bricks[i].len)
+				}
+				for j := 1; j < len(tbl); j++ {
+					if tbl[j].Bytes <= tbl[j-1].Bytes || tbl[j].Level != tbl[j-1].Level-1 {
+						t.Fatalf("brick %d: malformed table %v", i, tbl)
+					}
+				}
+			}
+		})
 	}
-	s, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})
+	sz3, err := qoz.Lookup("sz3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	s := openBytes(t, writeBytes(t, ds.Data, ds.Dims,
+		WriteOptions{Codec: sz3, Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}))
 	for i := 0; i < s.NumBricks(); i++ {
-		tbl := s.BrickLevels(i)
-		if len(tbl) == 0 {
-			t.Fatalf("brick %d: no level table on a v4 qoz store", i)
-		}
-		if last := tbl[len(tbl)-1]; last.Level != 1 {
-			t.Fatalf("brick %d: table ends at level %d", i, last.Level)
-		}
-		for j := 1; j < len(tbl); j++ {
-			if tbl[j].Bytes <= tbl[j-1].Bytes || tbl[j].Level != tbl[j-1].Level-1 {
-				t.Fatalf("brick %d: malformed table %v", i, tbl)
-			}
+		if tbl := s.BrickLevels(i); tbl != nil {
+			t.Fatalf("sz3 brick %d reports a level table %v", i, tbl)
 		}
 	}
 }

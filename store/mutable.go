@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"qoz"
@@ -15,7 +13,7 @@ import (
 	"qoz/internal/pool"
 )
 
-// Mutable is a read-write handle on a v3 (generation-based) brick store.
+// Mutable is a read-write handle on a brick store (a generation journal).
 // It embeds a *Store, so every read — ReadRegion, Stats, Dims — works
 // exactly as on a read-only handle and always serves the latest committed
 // generation, while AppendSteps, RewriteBricks, and Compact mutate the
@@ -55,59 +53,10 @@ func CreateMutable(path string, dims []int, wo WriteOptions) (*Mutable, error) {
 	if err := checkDimsV3(dims); err != nil {
 		return nil, err
 	}
-	if wo.Opts.RelBound > 0 {
-		return nil, errors.New("store: CreateMutable needs an absolute ErrorBound; a relative bound cannot be resolved before any data exists")
+	hdr, _, err := newHeader(dims, wo, wo.Float64)
+	if err != nil {
+		return nil, err
 	}
-	if eb := wo.Opts.ErrorBound; eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return nil, errors.New("store: a positive, finite ErrorBound is required")
-	}
-	codec := wo.Codec
-	if codec == nil {
-		c, err := qoz.Lookup(qoz.DefaultCodec)
-		if err != nil {
-			return nil, err
-		}
-		codec = c
-	}
-	brick := append([]int(nil), wo.Brick...)
-	if wo.Brick == nil {
-		// Pick the default brick as if the time extent were unbounded, so
-		// the time brick extent is the full default edge rather than the
-		// current (zero) step count.
-		surrogate := append([]int{math.MaxInt32}, dims[1:]...)
-		brick = DefaultBrick(surrogate)
-	}
-	if len(brick) != len(dims) {
-		return nil, fmt.Errorf("store: brick rank %d, field rank %d", len(brick), len(dims))
-	}
-	for i, b := range brick {
-		if b <= 0 {
-			return nil, fmt.Errorf("store: invalid brick extent %d", b)
-		}
-		// Clip the fixed dimensions to the field; the time extent is
-		// unbounded and keeps its brick as given.
-		if i > 0 && b > dims[i] {
-			brick[i] = dims[i]
-		}
-	}
-	capDims := append([]int{brick[0]}, dims[1:]...)
-	kind := uint8(kindFloat32)
-	if wo.Float64 {
-		kind = kindFloat64
-	}
-	if p := clippedBrickPoints(capDims, brick); p > maxBrickBytes/kindSize(kind) {
-		return nil, fmt.Errorf("store: brick shape %v holds %d %s points (max %d)",
-			brick, p, kindName(kind), maxBrickBytes/kindSize(kind))
-	}
-	hdr := &header{
-		version: formatVersionV3,
-		codecID: codec.ID(),
-		kind:    kind,
-		dims:    append([]int(nil), dims...),
-		brick:   brick,
-		bound:   wo.Opts.ErrorBound,
-	}
-
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
@@ -120,16 +69,8 @@ func CreateMutable(path string, dims []int, wo WriteOptions) (*Mutable, error) {
 	// Header, then generation 1: an empty manifest and its footer. The
 	// file is a complete, openable store from its first commit on.
 	hb := appendHeader(nil, hdr)
-	manBytes := appendManifest(nil, 1, hdr.dims, nil, nil, nil, []brickStat{})
-	ft := &genFooter{
-		manifestOff: int64(len(hb)),
-		manifestLen: int64(len(manBytes)),
-		gen:         1,
-		prevOff:     0,
-		manifestCRC: crc32.ChecksumIEEE(manBytes),
-	}
-	blob := append(append(hb, manBytes...), appendGenFooter(nil, ft)...)
-	if _, err := f.Write(blob); err != nil {
+	man, foot, _ := sealGeneration(hdr, 1, 0, nil, int64(len(hb)))
+	if _, err := f.Write(append(append(hb, man...), foot...)); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -142,11 +83,13 @@ func CreateMutable(path string, dims []int, wo WriteOptions) (*Mutable, error) {
 	return m, nil
 }
 
-// OpenMutable opens an existing v3 brick store at path for reading and
-// mutation. A torn final commit (crash mid-append) is reclaimed here: the
-// file is truncated back to its last committed generation. v1/v2 stores
-// are refused — they predate the generation journal; rebuild them as
-// mutable stores with CreateMutable + AppendSteps (or qozc put -mutable).
+// OpenMutable opens an existing brick store at path for reading and
+// mutation — any journal, whether CreateMutable started it empty or a
+// Writer (Write, WriteFrom, qozc put) wrote it whole. A torn final commit
+// (crash mid-append) is reclaimed here: the file is truncated back to its
+// last committed generation. Legacy index stores (v1/v2/v4/v5) are refused
+// — they predate the journal; rebuild them by reading the field and
+// writing it again.
 //
 // Only the error bound persists in the file, so mutations through a
 // reopened handle compress with the stored bound and default tuning;
@@ -189,8 +132,8 @@ func newMutable(f *os.File, path string, opts Options, copts qoz.Options) (*Muta
 	if err != nil {
 		return nil, err
 	}
-	if hdr.version != formatVersionV3 {
-		return nil, fmt.Errorf("store: version %d store is write-once; only v3 stores are mutable (create one with CreateMutable or qozc put -mutable)", hdr.version)
+	if hdr.version != formatVersion {
+		return nil, fmt.Errorf("store: version %d store is a legacy write-once index; only v3 journals are mutable (rewrite it with Write or qozc put)", hdr.version)
 	}
 	footOff, err := findLatestFooter(f, size, headerLen)
 	if err != nil {
@@ -301,51 +244,45 @@ func appendSteps[N qoz.Float](ctx context.Context, m *Mutable, rows []N) error {
 	for _, g := range newHdr.grid()[1:] {
 		nbPerBand *= g
 	}
-	keep := bandStart * nbPerBand
-	nb := newGrid0 * nbPerBand
-	offs := make([]int64, nb)
-	lens := make([]int64, nb)
-	crcs := make([]uint32, nb)
-	stats := make([]brickStat, nb)
-	copy(offs, man.offsets[:keep])
-	copy(lens, man.lengths[:keep])
-	copy(crcs, man.crcs[:keep])
-	if man.stats != nil {
-		// Kept bricks keep their recorded statistics; bricks of a store
-		// whose previous generation predates the statistics extension stay
-		// invalid (zero brickStat) and are simply never pruned.
-		copy(stats, man.stats[:keep])
-	}
+	// Bricks below the (possibly partial, hence rewritten) last band keep
+	// their entries — location, level table, statistics — as committed.
+	bricks := make([]brickEntry, bandStart*nbPerBand, newGrid0*nbPerBand)
+	copy(bricks, man.bricks)
 
 	// Compress and append band by band, so peak memory holds one band's
 	// payloads. Nothing is committed until the footer below: a failure
 	// here leaves a garbage tail that the next commit overwrites.
+	// Recompressed bricks (a rewritten partial band) get statistics over
+	// the combined data actually compressed, so the "decoded within the
+	// bound of [Min, Max]" guarantee holds per brick.
 	cur := m.end
-	next := keep
 	for b := bandStart; b < newGrid0; b++ {
 		bandRows := min(b0, newDims[0]-b*b0)
 		start := (b - bandStart) * b0 * rowPoints
 		band := combined[start : start+bandRows*rowPoints]
-		payloads, bandStats, err := compressBand(ctx, &newHdr, m.codec, m.opts, m.workers, band, bandRows, b*nbPerBand)
+		payloads, entries, err := compressBand(ctx, &newHdr, m.codec, m.opts, m.workers, band, bandRows, b*nbPerBand)
 		if err != nil {
 			return err
 		}
-		for k, p := range payloads {
-			if _, err := m.f.WriteAt(p, cur); err != nil {
-				return err
-			}
-			offs[next] = cur
-			lens[next] = int64(len(p))
-			crcs[next] = crc32.ChecksumIEEE(p)
-			// Recompressed bricks (a rewritten partial band) get statistics
-			// over the combined data actually compressed, so the "decoded
-			// within the bound of [Min, Max]" guarantee holds per brick.
-			stats[next] = bandStats[k]
-			next++
-			cur += int64(len(p))
+		if cur, err = m.place(payloads, entries, cur); err != nil {
+			return err
 		}
+		bricks = append(bricks, entries...)
 	}
-	return m.commit(&newHdr, offs, lens, crcs, stats, cur)
+	return m.commit(&newHdr, bricks, cur)
+}
+
+// place writes payloads back to back from offset cur, records where each
+// landed in its entry, and returns the next free offset.
+func (m *Mutable) place(payloads [][]byte, entries []brickEntry, cur int64) (int64, error) {
+	for k, p := range payloads {
+		if _, err := m.f.WriteAt(p, cur); err != nil {
+			return 0, err
+		}
+		entries[k].off = cur
+		cur += int64(len(p))
+	}
+	return cur, nil
 }
 
 // RewriteBricks is RewriteBricksT for float32 data.
@@ -401,11 +338,11 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 	for i := range dims {
 		boxDims[i] = hi[i] - lo[i]
 	}
-	bricks := man.intersectingBricks(lo, hi)
-	payloads := make([][]byte, len(bricks))
-	rewriteStats := make([]brickStat, len(bricks))
-	err := pool.RunErr(ctx, len(bricks), m.workers, func(k int) error {
-		blo, bhi := hdr.brickBox(bricks[k])
+	rewritten := man.intersectingBricks(lo, hi)
+	payloads := make([][]byte, len(rewritten))
+	entries := make([]brickEntry, len(rewritten))
+	err := pool.RunErr(ctx, len(rewritten), m.workers, func(k int) error {
+		blo, bhi := hdr.brickBox(rewritten[k])
 		size := make([]int, len(dims))
 		srcLo := make([]int, len(dims))
 		for i := range dims {
@@ -413,34 +350,22 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 			srcLo[i] = blo[i] - lo[i]
 		}
 		var err error
-		payloads[k], rewriteStats[k], err = compressBrick(ctx, m.codec, m.opts, data, boxDims, srcLo, size, bricks[k])
+		payloads[k], entries[k], err = compressBrick(ctx, m.codec, m.opts, data, boxDims, srcLo, size, rewritten[k])
 		return err
 	})
 	if err != nil {
 		return err
 	}
-
-	offs := append([]int64(nil), man.offsets...)
-	lens := append([]int64(nil), man.lengths...)
-	crcs := append([]uint32(nil), man.crcs...)
-	stats := make([]brickStat, len(offs))
-	if man.stats != nil {
-		copy(stats, man.stats)
+	end, err := m.place(payloads, entries, m.end)
+	if err != nil {
+		return err
 	}
-	cur := m.end
-	for k, bi := range bricks {
-		p := payloads[k]
-		if _, err := m.f.WriteAt(p, cur); err != nil {
-			return err
-		}
-		offs[bi] = cur
-		lens[bi] = int64(len(p))
-		crcs[bi] = crc32.ChecksumIEEE(p)
-		stats[bi] = rewriteStats[k]
-		cur += int64(len(p))
+	bricks := append([]brickEntry(nil), man.bricks...)
+	for k, bi := range rewritten {
+		bricks[bi] = entries[k]
 	}
 	newHdr := *hdr
-	return m.commit(&newHdr, offs, lens, crcs, stats, cur)
+	return m.commit(&newHdr, bricks, end)
 }
 
 // commit finishes a mutation: the generation manifest is appended at end
@@ -448,11 +373,10 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 // then is the footer — the commit point — written and synced. The
 // in-memory snapshot swaps last, so concurrent readers move atomically
 // from the old generation to the new.
-func (m *Mutable) commit(newHdr *header, offs, lens []int64, crcs []uint32, stats []brickStat, end int64) error {
-	man := m.man.Load()
-	gen := man.gen + 1
-	manBytes := appendManifest(nil, gen, newHdr.dims, offs, lens, crcs, stats)
-	if _, err := m.f.WriteAt(manBytes, end); err != nil {
+func (m *Mutable) commit(newHdr *header, bricks []brickEntry, end int64) error {
+	old := m.man.Load()
+	man, foot, next := sealGeneration(newHdr, old.gen+1, old.footOff, bricks, end)
+	if _, err := m.f.WriteAt(man, end); err != nil {
 		return err
 	}
 	// First barrier: payloads and manifest must be durable before the
@@ -461,34 +385,15 @@ func (m *Mutable) commit(newHdr *header, offs, lens []int64, crcs []uint32, stat
 	if err := m.f.Sync(); err != nil {
 		return err
 	}
-	footOff := end + int64(len(manBytes))
-	ft := &genFooter{
-		manifestOff: end,
-		manifestLen: int64(len(manBytes)),
-		gen:         gen,
-		prevOff:     man.footOff,
-		manifestCRC: crc32.ChecksumIEEE(manBytes),
-	}
-	if _, err := m.f.WriteAt(appendGenFooter(nil, ft), footOff); err != nil {
+	if _, err := m.f.WriteAt(foot, next.footOff); err != nil {
 		return err
 	}
 	if err := m.f.Sync(); err != nil {
 		return err
 	}
-	m.man.Store(&manifest{
-		hdr:     newHdr,
-		ra:      m.f,
-		gen:     gen,
-		epoch:   man.epoch,
-		footOff: footOff,
-		prevOff: man.footOff,
-		offsets: offs,
-		lengths: lens,
-		crcs:    crcs,
-		stats:   stats,
-		fp:      manifestFingerprint(newHdr, manBytes),
-	})
-	m.end = footOff + int64(genFooterSize)
+	next.ra, next.epoch = m.f, old.epoch
+	m.man.Store(next)
+	m.end = next.footOff + int64(genFooterSize)
 	return nil
 }
 
@@ -512,7 +417,10 @@ func (m *Mutable) Compact(ctx context.Context) error {
 
 	newHdr := *man.hdr // the compacted header carries the current extents
 	hb := appendHeader(nil, &newHdr)
-	tmp, err := os.CreateTemp(filepath.Dir(m.path), filepath.Base(m.path)+".compact*")
+	// The temp file is about to replace a store that other processes (a
+	// serving qozd, other readers) open by path: it takes over that
+	// store's permissions.
+	tmp, err := fsutil.CreateReplacement(m.path, ".compact*")
 	if err != nil {
 		return err
 	}
@@ -521,50 +429,33 @@ func (m *Mutable) Compact(ctx context.Context) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	// CreateTemp creates 0600; the file is about to replace a store that
-	// other processes (a serving qozd, other readers) may open by path, so
-	// restore the permissions CreateMutable established.
-	if err := tmp.Chmod(0o644); err != nil {
-		return fail(err)
-	}
 	if _, err := tmp.Write(hb); err != nil {
 		return fail(err)
 	}
-	nb := len(man.offsets)
-	offs := make([]int64, nb)
-	lens := make([]int64, nb)
+	// Payloads are copied verbatim, so everything recorded about them —
+	// checksum, level table, statistics — is too; only the offsets change.
+	bricks := append([]brickEntry(nil), man.bricks...)
 	cur := int64(len(hb))
-	for i := 0; i < nb; i++ {
+	for i := range bricks {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		p := make([]byte, man.lengths[i])
-		if _, err := man.ra.ReadAt(p, man.offsets[i]); err != nil {
+		e := &bricks[i]
+		p := make([]byte, e.len)
+		if _, err := man.ra.ReadAt(p, e.off); err != nil {
 			return fail(fmt.Errorf("store: brick %d: %w", i, err))
 		}
-		if crc32.ChecksumIEEE(p) != man.crcs[i] {
+		if crc32.ChecksumIEEE(p) != e.crc {
 			return fail(fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt))
 		}
 		if _, err := tmp.Write(p); err != nil {
 			return fail(err)
 		}
-		offs[i] = cur
-		lens[i] = man.lengths[i]
-		cur += man.lengths[i]
+		e.off = cur
+		cur += e.len
 	}
-	gen := man.gen + 1
-	// Payloads are copied verbatim, so their statistics are too; a store
-	// without statistics compacts to a store without statistics.
-	manBytes := appendManifest(nil, gen, newHdr.dims, offs, lens, man.crcs, man.stats)
-	ft := &genFooter{
-		manifestOff: cur,
-		manifestLen: int64(len(manBytes)),
-		gen:         gen,
-		prevOff:     0,
-		manifestCRC: crc32.ChecksumIEEE(manBytes),
-	}
-	blob := append(manBytes, appendGenFooter(nil, ft)...)
-	if _, err := tmp.Write(blob); err != nil {
+	manBytes, foot, next := sealGeneration(&newHdr, man.gen+1, 0, bricks, cur)
+	if _, err := tmp.Write(append(manBytes, foot...)); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -590,21 +481,9 @@ func (m *Mutable) Compact(ctx context.Context) error {
 	m.closer = tmp
 	m.file = tmp
 	m.refreshMu.Unlock()
-	crcs := append([]uint32(nil), man.crcs...)
-	m.man.Store(&manifest{
-		hdr:     &newHdr,
-		ra:      tmp,
-		gen:     gen,
-		epoch:   man.epoch + 1,
-		footOff: ft.manifestOff + ft.manifestLen,
-		prevOff: 0,
-		offsets: offs,
-		lengths: lens,
-		crcs:    crcs,
-		stats:   man.stats,
-		fp:      manifestFingerprint(&newHdr, manBytes),
-	})
-	m.end = ft.manifestOff + ft.manifestLen + int64(genFooterSize)
+	next.ra, next.epoch = tmp, man.epoch+1
+	m.man.Store(next)
+	m.end = next.footOff + int64(genFooterSize)
 	m.cache.evictOwner(m.Store)
 	return syncErr
 }

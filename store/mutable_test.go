@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -513,21 +514,178 @@ func TestMutableConcurrentAppendRead(t *testing.T) {
 	}
 }
 
-// TestOpenMutableRefusesV2 pins the version gate with its guidance.
+// TestOpenMutableRefusesV2 pins the version gate with its guidance: every
+// legacy index layout is refused, and refused before anything is touched.
 func TestOpenMutableRefusesV2(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v2.qozb")
+	for _, fx := range legacyFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			path := fixtureCopy(t, fx.name)
+			_, err := OpenMutable(path, Options{})
+			if err == nil {
+				t.Fatalf("OpenMutable accepted a v%d index store", fx.version)
+			}
+			if !strings.Contains(err.Error(), "qozc put") {
+				t.Fatalf("refusal does not say how to get a mutable store: %v", err)
+			}
+			after, rerr := os.ReadFile(path)
+			if rerr != nil || !bytes.Equal(after, fixtureBytes(t, fx.name)) {
+				t.Fatalf("refused store was modified (read err %v)", rerr)
+			}
+		})
+	}
+}
+
+// TestOpenMutableGrowsWrittenStore: one format. A store Write produced is
+// generation 1 of a journal, so OpenMutable appends to it, rewrites it and
+// compacts it like one CreateMutable started — and generation 1 stays
+// readable until the compaction.
+func TestOpenMutableGrowsWrittenStore(t *testing.T) {
+	ctx := context.Background()
+	const ny, nx = 16, 24
+	var field []float32
+	for s := 0; s < 4; s++ {
+		field = append(field, stepPlane(s, ny, nx)...)
+	}
+	path := filepath.Join(t.TempDir(), "written.qozb")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := stepPlane(0, 16, 16)
-	if err := Write(context.Background(), f, data, []int{16, 16}, WriteOptions{
-		Opts: qoz.Options{ErrorBound: testBound}}); err != nil {
+	if err := Write(ctx, f, field, []int{4, ny, nx}, WriteOptions{
+		Opts: qoz.Options{ErrorBound: testBound}, Brick: []int{4, 8, 8}}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := OpenMutable(path, Options{}); err == nil {
-		t.Fatal("OpenMutable accepted a v2 write-once store")
+
+	m, err := OpenMutable(path, Options{})
+	if err != nil {
+		t.Fatalf("OpenMutable on a Write-made store: %v", err)
+	}
+	defer m.Close()
+	if m.Generation() != 1 || m.FormatVersion() != 3 {
+		t.Fatalf("Write-made store opened at generation %d, version %d", m.Generation(), m.FormatVersion())
+	}
+	if err := m.AppendSteps(ctx, stepPlane(4, ny, nx)); err != nil {
+		t.Fatalf("AppendSteps: %v", err)
+	}
+	if m.Generation() != 2 || m.Dims()[0] != 5 {
+		t.Fatalf("after append: generation %d, %d steps", m.Generation(), m.Dims()[0])
+	}
+	got, err := m.ReadField(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNear(t, got, append(append([]float32(nil), field...), stepPlane(4, ny, nx)...), testBound, "grown field")
+
+	old, err := OpenFile(path, Options{Generation: 1})
+	if err != nil {
+		t.Fatalf("generation 1 after the append: %v", err)
+	}
+	gen1, err := old.ReadField(ctx)
+	old.Close()
+	if err != nil || len(gen1) != len(field) {
+		t.Fatalf("generation 1 read %d points (err %v), want %d", len(gen1), err, len(field))
+	}
+	mustNear(t, gen1, field, testBound, "generation 1")
+
+	if err := m.Compact(ctx); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if m.Generation() != 3 {
+		t.Fatalf("after compact: generation %d", m.Generation())
+	}
+	if _, err := OpenFile(path, Options{Generation: 1}); err == nil {
+		t.Fatal("generation 1 still reachable after compaction")
+	}
+}
+
+// TestCompactKeepsFileMode: a replacement keeps the mode of the file it
+// replaces. Compacting a store its owner tightened to 0600 must not widen
+// it (and one left at the default 0644 must not be tightened to
+// CreateTemp's 0600, or a server under another uid loses the mount).
+func TestCompactKeepsFileMode(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []os.FileMode{0o600, 0o644} {
+		m, path := newTestMutable(t, 2, 8, 8)
+		if err := m.AppendSteps(ctx, stepPlane(0, 8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(path, mode); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Mode().Perm(); got != mode {
+			t.Fatalf("compacting a %04o store left it %04o", mode, got)
+		}
+	}
+}
+
+// TestV3Gen4FixtureAcceptsAppend: a journal written before either
+// extension block existed (bare manifests) is still a journal. A copy of
+// the committed fixture must accept an append through OpenMutable, and the
+// four generations it already held must stay readable, bit for bit.
+func TestV3Gen4FixtureAcceptsAppend(t *testing.T) {
+	ctx := context.Background()
+	raw := fixtureBytes(t, "v3_gen4")
+	pristine := openBytes(t, raw)
+	var want [5][]float32
+	for gen := uint64(1); gen <= 4; gen++ {
+		s, err := Open(bytes.NewReader(raw), int64(len(raw)), Options{Generation: gen})
+		if err != nil {
+			t.Fatalf("generation %d of the pristine fixture: %v", gen, err)
+		}
+		if s.Dims()[0] > 0 {
+			if want[gen], err = s.ReadField(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+
+	path := fixtureCopy(t, "v3_gen4")
+	m, err := OpenMutable(path, Options{})
+	if err != nil {
+		t.Fatalf("OpenMutable: %v", err)
+	}
+	dims := m.Dims()
+	step := make([]float32, dims[1]*dims[2])
+	for i := range step {
+		step[i] = float32(i%11) * 0.25
+	}
+	if err := m.AppendSteps(ctx, step); err != nil {
+		t.Fatalf("AppendSteps: %v", err)
+	}
+	if m.Generation() != 5 || m.Dims()[0] != pristine.Dims()[0]+1 {
+		t.Fatalf("after append: generation %d, dims %v", m.Generation(), m.Dims())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for gen := uint64(1); gen <= 4; gen++ {
+		s, err := OpenFile(path, Options{Generation: gen})
+		if err != nil {
+			t.Fatalf("generation %d after the append: %v", gen, err)
+		}
+		if s.Dims()[0] > 0 {
+			got, err := s.ReadField(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want[gen]) {
+				t.Fatalf("generation %d: %d points, had %d", gen, len(got), len(want[gen]))
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[gen][i]) {
+					t.Fatalf("generation %d point %d changed under the append", gen, i)
+				}
+			}
+		}
+		s.Close()
 	}
 }

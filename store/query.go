@@ -1,11 +1,11 @@
 package store
 
 // Predicate pushdown over the per-brick statistics index. A query scans
-// the manifest's recorded min/max (format v5, or a v3 manifest's
-// statistics extension) and decodes only the bricks whose value range
-// straddles the predicate. Pruning is error-bound aware: decoded values
-// lie within the store's absolute bound eb of the originals the
-// statistics summarize, so a brick is conclusively out of "v > X" only
+// the manifest's recorded min/max (a journal manifest's statistics
+// extension, or a legacy v5 index's) and decodes only the bricks whose
+// value range straddles the predicate. Pruning is error-bound aware:
+// decoded values lie within the store's absolute bound eb of the originals
+// the statistics summarize, so a brick is conclusively out of "v > X" only
 // when Max+eb <= X, conclusively all-in only when Min-eb > X — anything
 // in between is decoded. Bricks holding any non-finite sample, and bricks
 // without a (valid) statistics record, are always decoded, so a query's
@@ -166,8 +166,9 @@ func (r *QueryResult) UnmarshalJSON(b []byte) error {
 // results are float64 regardless of the store's element type (float32
 // samples widen losslessly), so Query serves both sample kinds. Results
 // are exact: identical to evaluating the predicate over a full
-// decode of the box. A store without statistics (v1–v4, or a corrupt
-// statistics block) is handled by decoding every intersecting brick.
+// decode of the box. A store without statistics (a legacy v1/v2/v4 file,
+// a journal from before the extension, a corrupt statistics block) is
+// handled by decoding every intersecting brick.
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
 	return queryManifest(ctx, s, s.man.Load(), req)
 }
@@ -228,15 +229,6 @@ func checkQueryRange(low, high float64) error {
 	return nil
 }
 
-// statAt returns brick i's statistics record, or an invalid record when
-// the manifest carries none — the caller then decodes unconditionally.
-func statAt(m *manifest, i int) brickStat {
-	if m.stats == nil {
-		return brickStat{}
-	}
-	return m.stats[i]
-}
-
 // prunable reports whether a record can support any pruning decision at
 // all: it must be valid and the brick all-finite. Bricks holding NaN or
 // ±Inf are always decoded — the flags record presence, not count or
@@ -252,7 +244,7 @@ func notePrune(s *Store, m *manifest, res *QueryResult, obsv StageObserver, bi i
 	res.BricksPruned++
 	s.pruned.Add(1)
 	if obsv != nil {
-		obsv(StageStatPrune, 0, m.lengths[bi])
+		obsv(StageStatPrune, 0, m.bricks[bi].len)
 	}
 }
 
@@ -322,7 +314,7 @@ func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest
 	var locs []int // global row-major linear indices of collected matches
 	var scan []int
 	for _, bi := range bricks {
-		st := statAt(m, bi)
+		st := m.bricks[bi].stat
 		cls := pruneScan
 		if prunable(st) {
 			// Decoded values lie in [Min-eb, Max+eb]: the brick is decided
@@ -410,7 +402,7 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 	}
 	cands := make([]cand, len(bricks))
 	for i, bi := range bricks {
-		st := statAt(m, bi)
+		st := m.bricks[bi].stat
 		b := math.Inf(1) // unknown: must decode
 		if prunable(st) {
 			if sgn > 0 {
@@ -498,7 +490,7 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 	obsv := stageObserverFrom(ctx)
 	var scan []int
 	for _, bi := range bricks {
-		st := statAt(m, bi)
+		st := m.bricks[bi].stat
 		if prunable(st) {
 			cLo, cHi := classify(st.Min-eb), classify(st.Max+eb)
 			if cLo == cHi {
@@ -587,7 +579,7 @@ func scanBrick(ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []in
 }
 
 func scanBrickOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []int, point func(g int, v float64)) error {
-	data, err := brick[N](ctx, s, m, bi)
+	data, err := brick[N](ctx, s, m, bi, 0)
 	if err != nil {
 		return err
 	}

@@ -8,19 +8,23 @@ import (
 
 // Refresh re-checks the store's backing object for newer committed
 // generations and atomically adopts the latest one found, reporting
-// whether the manifest advanced. It is how a serving process tracks a v3
+// whether the manifest advanced. It is how a serving process tracks a
 // store another process is appending to: in-flight region reads keep
 // their generation; reads started after a successful Refresh see the new
-// one.
+// one. Every store this package writes is examined — a written-once file
+// is a journal at generation 1 that may grow later.
 //
-//   - A v1/v2 store (or a store opened over a plain io.ReaderAt, which
-//     has no authority to re-measure) never advances: Refresh returns
-//     (false, nil). Neither does a store pinned to a historical
-//     generation with Options.Generation — the pin is the point.
+//   - A legacy index store (v1/v2/v4/v5), or a store opened over a plain
+//     io.ReaderAt, which has no authority to re-measure, never advances:
+//     Refresh returns (false, nil). Neither does a store pinned to a
+//     historical generation with Options.Generation — the pin is the
+//     point.
 //   - A file-backed store picks up appended generations in place, and
 //     follows a compaction (the path now names a different file) by
 //     re-opening it; the superseded handle stays open for in-flight reads
-//     until Close.
+//     until Close. A path re-written from scratch (a second qozc put) is
+//     not a later generation of the same store: Refresh reports
+//     ErrRemoteChanged and the mount must be re-opened.
 //   - A URL-backed store re-probes the origin's validator. A changed
 //     object is adopted only if it is the same store advanced to a later
 //     generation — same codec, kind, bricking, bound, and fixed extents —
@@ -189,7 +193,7 @@ func (s *Store) refreshRemote(ctx context.Context, man *manifest) (bool, error) 
 // match. (A compacted file re-declares current extents in its front
 // header, so dims[0] is allowed to differ.)
 func sameStoreIdentity(a, b *header) bool {
-	if a.version != formatVersionV3 || b.version != formatVersionV3 ||
+	if a.version != formatVersion || b.version != formatVersion ||
 		a.codecID != b.codecID || a.kind != b.kind || a.bound != b.bound ||
 		len(a.dims) != len(b.dims) || !equalInts(a.brick, b.brick) {
 		return false

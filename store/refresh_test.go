@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -212,28 +213,27 @@ func TestRefreshPinnedGeneration(t *testing.T) {
 	}
 }
 
-// TestRefreshNoopOnImmutable: v1/v2 stores and mutable handles never
-// advance through Refresh.
+// TestRefreshNoopOnImmutable: legacy index stores (one sub-case per
+// version) and mutable handles never advance through Refresh.
 func TestRefreshNoopOnImmutable(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v2.qozb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(ctx, f, stepPlane(0, 16, 16), []int{16, 16}, WriteOptions{
-		Opts: qoz.Options{ErrorBound: testBound}}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	s, err := OpenFile(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if adv, err := s.Refresh(ctx); err != nil || adv {
-		t.Fatalf("v2 Refresh: advanced=%v err=%v", adv, err)
+	for _, fx := range legacyFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			s, err := OpenFile(fixtureCopy(t, fx.name), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.Generation() != 0 || s.FormatVersion() != fx.version {
+				t.Fatalf("fixture opened as version %d at generation %d", s.FormatVersion(), s.Generation())
+			}
+			if adv, err := s.Refresh(ctx); err != nil || adv {
+				t.Fatalf("v%d Refresh: advanced=%v err=%v", fx.version, adv, err)
+			}
+			if _, err := OpenFile(fixtureCopy(t, fx.name), Options{Generation: 1}); err == nil {
+				t.Fatalf("Options.Generation accepted on a v%d index store", fx.version)
+			}
+		})
 	}
 
 	m, _ := newTestMutable(t, 2, 8, 8)
@@ -242,5 +242,63 @@ func TestRefreshNoopOnImmutable(t *testing.T) {
 	}
 	if adv, err := m.Refresh(ctx); err != nil || adv {
 		t.Fatalf("mutable-handle Refresh: advanced=%v err=%v", adv, err)
+	}
+}
+
+// TestRefreshWrittenOnceStore: a Write-made file is generation 1 of a
+// journal, so Refresh examines it like any other: quiet while nothing
+// changes, adopting a generation another handle appends, and — the
+// behaviour that moved at PR 22 — reporting ErrRemoteChanged when the path
+// is replaced by a store written from scratch (a second qozc put), instead
+// of serving the unlinked file for ever.
+func TestRefreshWrittenOnceStore(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "put.qozb")
+	put := func(step int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := Write(ctx, &buf, stepPlane(step, 16, 16), []int{1, 16, 16}, WriteOptions{
+			Opts: qoz.Options{ErrorBound: testBound}, Brick: []int{1, 8, 8}}); err != nil {
+			t.Fatal(err)
+		}
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0)
+	s, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Generation() != 1 {
+		t.Fatalf("written-once store opened at generation %d, want 1", s.Generation())
+	}
+	if adv, err := s.Refresh(ctx); err != nil || adv {
+		t.Fatalf("idle Refresh: advanced=%v err=%v", adv, err)
+	}
+
+	m, err := OpenMutable(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendSteps(ctx, stepPlane(1, 16, 16)); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if adv, err := s.Refresh(ctx); err != nil || !adv || s.Generation() != 2 || s.Dims()[0] != 2 {
+		t.Fatalf("Refresh after an append: advanced=%v err=%v generation %d dims %v", adv, err, s.Generation(), s.Dims())
+	}
+
+	put(2)
+	if _, err := s.Refresh(ctx); !errors.Is(err, ErrRemoteChanged) {
+		t.Fatalf("Refresh after the path was re-put: %v, want ErrRemoteChanged", err)
+	}
+	if s.Generation() != 2 {
+		t.Fatalf("a refused replacement moved the served generation to %d", s.Generation())
 	}
 }

@@ -155,7 +155,7 @@ func TestOpenURLRoundTrip(t *testing.T) {
 	size := int64(len(content))
 	nb := local.NumBricks()
 	lman := local.man.Load()
-	idxOff := lman.offsets[nb-1] + lman.lengths[nb-1]
+	idxOff := lman.bricks[nb-1].off + lman.bricks[nb-1].len
 	allowed := make([]bool, size)
 	mark := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
@@ -163,14 +163,14 @@ func TestOpenURLRoundTrip(t *testing.T) {
 		}
 	}
 	mark(0, min(size, int64(maxHeaderLen))) // header probe
-	mark(idxOff, size)                      // index + footer
+	mark(idxOff, size)                      // manifest + footer
 	hit := local.man.Load().intersectingBricks(lo, hi)
 	if len(hit) != 8 {
 		t.Fatalf("expected the region to intersect 8 bricks, got %d", len(hit))
 	}
 	for _, b := range hit {
-		man := local.man.Load()
-		mark(man.offsets[b], man.offsets[b]+man.lengths[b])
+		e := lman.bricks[b]
+		mark(e.off, e.off+e.len)
 	}
 	fetched := make([]bool, size)
 	for _, rg := range log.snapshot() {
@@ -182,8 +182,8 @@ func TestOpenURLRoundTrip(t *testing.T) {
 		}
 	}
 	for _, b := range hit {
-		man := local.man.Load()
-		for i := man.offsets[b]; i < man.offsets[b]+man.lengths[b]; i++ {
+		e := lman.bricks[b]
+		for i := e.off; i < e.off+e.len; i++ {
 			if !fetched[i] {
 				t.Fatalf("byte %d of intersecting brick %d was never fetched", i, b)
 			}
@@ -360,7 +360,7 @@ func TestRemoteCorruptRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), content...)
-	bad[local.man.Load().offsets[0]+2] ^= 0x40
+	bad[local.man.Load().bricks[0].off+2] ^= 0x40
 	srv := serveRanges(t, &servedObject{content: bad, etag: `"v1"`}, nil)
 
 	s, err := OpenURL(srv.URL, Options{Remote: RemoteOptions{ReadAhead: -1}})

@@ -36,11 +36,12 @@ type Options struct {
 	// Remote configures the HTTP range-read backend used by OpenURL; it is
 	// ignored by Open/OpenFile.
 	Remote RemoteOptions
-	// Generation pins a v3 store to one committed generation instead of
-	// the latest: old generations remain readable until Compact reclaims
-	// them. 0 selects the latest generation; a non-zero value errors on
-	// v1/v2 stores (which have no generations) and on generations the
-	// footer chain no longer reaches.
+	// Generation pins a store to one committed generation instead of the
+	// latest: old generations remain readable until Compact reclaims them.
+	// 0 selects the latest generation; a non-zero value errors on legacy
+	// index stores (v1/v2/v4/v5, which have no generations) and on
+	// generations the footer chain no longer reaches. A store that was
+	// written once and never mutated has exactly generation 1.
 	Generation uint64
 }
 
@@ -66,35 +67,20 @@ type Stats struct {
 }
 
 // manifest is one immutable snapshot of a store's committed state: the
-// extents, the per-brick payload locations, and the reader those offsets
-// are valid against. Reads capture one snapshot up front, so a region read
-// racing a commit sees either generation wholly — never a mix. v1/v2
-// stores hold a single snapshot forever (gen 0); v3 stores swap in a new
-// one per committed generation.
+// extents, the per-brick entries, and the reader their offsets are valid
+// against. Reads capture one snapshot up front, so a region read racing a
+// commit sees either generation wholly — never a mix. Legacy index stores
+// hold a single snapshot forever (gen 0); journals swap in a new one per
+// committed generation.
 type manifest struct {
 	hdr     *header // dims as of this generation; brick/kind/codec/bound fixed
 	ra      io.ReaderAt
-	gen     uint64 // 0 for v1/v2 (non-generational) stores
+	gen     uint64 // 0 for legacy index (non-generational) stores
 	epoch   uint64 // cache epoch: bumped when prior payload offsets stop being authoritative
-	footOff int64  // offset of this generation's footer; -1 for v1/v2
+	footOff int64  // offset of this generation's footer; -1 for legacy index stores
 	prevOff int64  // previous generation's footer offset; 0 = none
-	offsets []int64
-	lengths []int64
-	crcs    []uint32
-	// levels holds one progressive level table per brick (v4/v5 stores):
-	// the payload-prefix byte lengths and prefix CRCs of each level
-	// boundary, seed stage first. nil for v1/v2/v3 stores; an individual
-	// brick's table is empty when its payload carries no level segments
-	// (another codec), in which case coarse reads fall back to full
-	// decodes.
-	levels [][]levelSpan
-	// stats holds one recorded data summary per brick (v5 stores and v3
-	// manifests carrying the statistics extension): the basis for Query's
-	// predicate pushdown. nil when the store predates statistics or its
-	// statistics block failed validation — queries then decode every
-	// intersecting brick and stay correct, just slower.
-	stats []brickStat
-	fp    uint32 // manifest fingerprint (header content + manifest bytes)
+	bricks  []brickEntry
+	fp      uint32 // manifest fingerprint (header content + manifest bytes)
 }
 
 // Store is a read handle on a brick store. All methods are safe for
@@ -123,7 +109,7 @@ type Store struct {
 
 // Open parses the manifest of a brick store held in ra (size bytes long)
 // and returns a random-access handle. Only the header and manifest are
-// read; bricks are fetched lazily by region reads. A v3 store opens at its
+// read; bricks are fetched lazily by region reads. A journal opens at its
 // latest committed generation (or Options.Generation): a torn final
 // commit — truncated manifest, half-written footer — falls back to the
 // previous generation rather than failing.
@@ -140,7 +126,7 @@ func Open(ra io.ReaderAt, size int64, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var man *manifest
-	if hdr.version == formatVersionV3 {
+	if hdr.version == formatVersion {
 		man, err = loadGenManifest(ra, size, hdr, headerLen, opts.Generation)
 	} else {
 		if opts.Generation != 0 {
@@ -170,18 +156,20 @@ func Open(ra io.ReaderAt, size int64, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// loadIndexManifest reads the write-once manifest: the cumulative-length
-// index behind the fixed footer — v1/v2's bare (length, crc) entries,
-// v4's entries extended with a per-brick progressive level table, or
-// v5's v4 entries followed by the per-brick statistics block. Every
-// declared quantity is validated against what the header implies before
-// anything is allocated from it.
+// loadIndexManifest is the legacy read shim: it loads the manifest of the
+// write-once index layouts nothing writes any more — the cumulative-length
+// index behind a fixed footer, with v1/v2's bare (length, crc) entries,
+// v4's entries extended with a per-brick progressive level table, or v5's
+// v4 entries followed by the per-brick statistics block — into the same
+// brick entries a journal manifest yields. Every declared quantity is
+// validated against what the header implies before anything is allocated
+// from it.
 func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (*manifest, error) {
 	var foot [footerSize]byte
 	if _, err := ra.ReadAt(foot[:], size-int64(footerSize)); err != nil {
 		return nil, manifestReadErr(err)
 	}
-	v5 := hdr.version == formatVersion
+	v5 := hdr.version == formatVersionV5
 	v4 := v5 || hdr.version == formatVersionV4
 	wantTrailer := trailerMagic
 	switch {
@@ -207,7 +195,7 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 	// stops a tiny hostile file whose header declares billions of bricks
 	// from forcing the allocations — the file itself must already be as
 	// large as its index. The v5 lower bound stays at the bare entries so
-	// a truncated statistics block degrades (stats nil) instead of
+	// a truncated statistics block degrades (no stats) instead of
 	// rejecting the store.
 	minEntry, maxEntry := int64(5), int64(binary.MaxVarintLen64+4)
 	if v4 {
@@ -225,30 +213,15 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 	if _, err := ra.ReadAt(idx, int64(idxOff)); err != nil {
 		return nil, manifestReadErr(err)
 	}
-	// Manifest fingerprint: the header's logical content plus the raw index
-	// bytes. Two stores with identical fields, bricking, bound, and brick
-	// payloads share it; any content change moves it — the basis for strong
-	// ETags on responses derived from this store.
-	fp := crc32.Update(crc32.ChecksumIEEE(appendHeader(nil, hdr)), crc32.IEEETable, idx)
+	fp := manifestFingerprint(hdr, idx)
 	declared, n := binary.Uvarint(idx)
 	if n <= 0 || declared != uint64(nb) {
 		return nil, ErrCorrupt
 	}
 	idx = idx[n:]
-	m := &manifest{
-		hdr:     hdr,
-		ra:      ra,
-		footOff: -1,
-		offsets: make([]int64, nb),
-		lengths: make([]int64, nb),
-		crcs:    make([]uint32, nb),
-		fp:      fp,
-	}
-	if v4 {
-		m.levels = make([][]levelSpan, nb)
-	}
+	m := &manifest{hdr: hdr, ra: ra, footOff: -1, bricks: make([]brickEntry, nb), fp: fp}
 	off := int64(headerLen)
-	for i := 0; i < nb; i++ {
+	for i := range m.bricks {
 		l, n := binary.Uvarint(idx)
 		if n <= 0 || l > maxBrickPayload {
 			return nil, ErrCorrupt
@@ -257,9 +230,8 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 		if len(idx) < 4 {
 			return nil, ErrCorrupt
 		}
-		m.offsets[i] = off
-		m.lengths[i] = int64(l)
-		m.crcs[i] = binary.LittleEndian.Uint32(idx)
+		e := &m.bricks[i]
+		e.off, e.len, e.crc = off, int64(l), binary.LittleEndian.Uint32(idx)
 		idx = idx[4:]
 		off += int64(l)
 		if !v4 {
@@ -291,20 +263,20 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 			idx = idx[4:]
 			prev = int64(b)
 		}
-		if spans[nlv-1].bytes != int64(l) || spans[nlv-1].crc != m.crcs[i] {
+		if spans[nlv-1].bytes != e.len || spans[nlv-1].crc != e.crc {
 			return nil, ErrCorrupt
 		}
-		m.levels[i] = spans
+		e.levels = spans
 	}
 	if v5 {
 		// Whatever follows the entries is the statistics block. It is
 		// validated by size, magic, and its own CRC; any mismatch —
-		// truncation, mutation, a hostile rewrite — degrades to nil stats
+		// truncation, mutation, a hostile rewrite — degrades to no stats
 		// (every query decodes every brick) rather than an open error:
 		// statistics are an accelerator, and a wrong answer from a bad
 		// index would be a correctness bug while a missing one is only
 		// slow. The entries themselves remain strictly validated above.
-		m.stats = parseStatsBlock(idx, hdr)
+		parseStatsBlock(idx, hdr, m.bricks)
 		idx = nil
 	}
 	if len(idx) != 0 || off != int64(idxOff) {
@@ -313,7 +285,7 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 	return m, nil
 }
 
-// loadGenManifest locates the newest committed generation of a v3 store
+// loadGenManifest locates the newest committed generation of a journal
 // (or, when generation is non-zero, that specific generation via the
 // footer chain) and loads its manifest.
 func loadGenManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int, generation uint64) (*manifest, error) {
@@ -424,7 +396,7 @@ func loadManifestAt(ra io.ReaderAt, size int64, hdr *header, headerLen int, foot
 	if crc32.ChecksumIEEE(raw) != ft.manifestCRC {
 		return nil, ErrCorrupt
 	}
-	gen, dims, offs, lens, crcs, stats, err := parseManifest(raw, hdr, int64(headerLen), ft.manifestOff)
+	gen, dims, bricks, err := parseManifest(raw, hdr, int64(headerLen), ft.manifestOff)
 	if err != nil {
 		return nil, err
 	}
@@ -433,26 +405,9 @@ func loadManifestAt(ra io.ReaderAt, size int64, hdr *header, headerLen int, foot
 	}
 	genHdr := *hdr
 	genHdr.dims = dims
-	return &manifest{
-		hdr:     &genHdr,
-		ra:      ra,
-		gen:     gen,
-		footOff: footOff,
-		prevOff: ft.prevOff,
-		offsets: offs,
-		lengths: lens,
-		crcs:    crcs,
-		stats:   stats,
-		fp:      manifestFingerprint(&genHdr, raw),
-	}, nil
-}
-
-// manifestFingerprint derives a generation's content fingerprint: the
-// header's logical content under the generation's extents, plus the raw
-// manifest bytes. It moves on every commit (offsets alone distinguish
-// generations), which is exactly what serving-layer validators need.
-func manifestFingerprint(genHdr *header, manifestBytes []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(appendHeader(nil, genHdr)), crc32.IEEETable, manifestBytes)
+	m := newGenManifest(&genHdr, ft, footOff, bricks, raw)
+	m.ra = ra
+	return m, nil
 }
 
 // OpenFile opens a brick store file; Close releases the file handle.
@@ -554,10 +509,11 @@ func (s *Store) DType() string { return kindName(s.man.Load().hdr.kind) }
 // it, and every committed generation moves it.
 func (s *Store) ManifestCRC() uint32 { return s.man.Load().fp }
 
-// Generation returns the store's committed generation number: 0 for a
-// write-once v1/v2 store, and the 1-based generation a v3 store is
-// currently serving (which advances as commits land, via a Mutable in
-// this process or Refresh picking them up from the backing object).
+// Generation returns the store's committed generation number: the 1-based
+// generation currently served (1 for a store that was written once and
+// never mutated; it advances as commits land, via a Mutable in this
+// process or Refresh picking them up from the backing object), and 0 only
+// for a legacy index store (v1/v2/v4/v5), which has no generations.
 func (s *Store) Generation() uint64 { return s.man.Load().gen }
 
 // ManifestVersion returns the manifest fingerprint and generation as one
@@ -570,20 +526,26 @@ func (s *Store) ManifestVersion() (crc uint32, gen uint64) {
 }
 
 // HasBrickStats reports whether the store's current manifest carries a
-// valid per-brick statistics index (a v5 store, or a v3 generation whose
-// manifest has the statistics extension). Without one, Query still works
-// by decoding every intersecting brick.
-func (s *Store) HasBrickStats() bool { return s.man.Load().stats != nil }
+// valid statistics record for at least one brick. Without any, Query still
+// works by decoding every intersecting brick.
+func (s *Store) HasBrickStats() bool {
+	for _, e := range s.man.Load().bricks {
+		if e.stat.valid {
+			return true
+		}
+	}
+	return false
+}
 
 // BrickStats returns the recorded data summary of brick i in the current
 // generation. ok is false when the store carries no statistics index, the
 // brick's record failed validation, or i is out of range.
 func (s *Store) BrickStats(i int) (BrickStat, bool) {
 	m := s.man.Load()
-	if m.stats == nil || i < 0 || i >= len(m.stats) || !m.stats[i].valid {
+	if i < 0 || i >= len(m.bricks) || !m.bricks[i].stat.valid {
 		return BrickStat{}, false
 	}
-	return m.stats[i].BrickStat, true
+	return m.bricks[i].stat.BrickStat, true
 }
 
 // Stats returns decode and cache counters accumulated since Open.
@@ -755,9 +717,17 @@ func (m *manifest) intersectingBricks(lo, hi []int) []int {
 }
 
 // brick returns brick i decoded to the store's native kind N, via the
-// cache when enabled.
-func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N, error) {
+// cache when enabled — the one fetch → verify → decode body. level 0 is
+// the whole brick; level L > 1 fetches only the payload prefix up to the
+// brick's level-L boundary and decodes it to that level's compacted coarse
+// grid, and must not exceed the brick's level-table length.
+func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int) ([]N, error) {
 	s.read.Add(1)
+	e := &m.bricks[i]
+	span := levelSpan{bytes: e.len, crc: e.crc}
+	if level > 0 {
+		span = e.levels[len(e.levels)-level] // entry j holds level len-j
+	}
 	// The key carries the payload offset, so a brick rewritten by a later
 	// generation can never be served from the old generation's cached
 	// decode: the new manifest's offset differs (commits only append),
@@ -765,7 +735,7 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N,
 	// The epoch covers the complement: when a compaction or refresh makes
 	// old offsets non-authoritative, it bumps the epoch and every earlier
 	// entry goes dead at once.
-	key := cacheKey{owner: s, epoch: m.epoch, brick: i, off: m.offsets[i]}
+	key := cacheKey{owner: s, epoch: m.epoch, brick: i, off: e.off, level: level}
 	obsv := stageObserverFrom(ctx)
 	if data, ok := s.cache.get(key); ok {
 		s.hits.Add(1)
@@ -781,7 +751,7 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N,
 	// The payload buffer is scratch: every decoder behind this path parses
 	// the container by copying section bytes out, so the buffer is dead
 	// once decode returns and recycles through the pool.
-	payload := pool.Bytes(int(m.lengths[i]))
+	payload := pool.Bytes(int(span.bytes))
 	defer pool.PutBytes(payload)
 	var err error
 	var fetchStart time.Time
@@ -794,9 +764,9 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N,
 		// decode that would have followed it. The element kind never touches
 		// this path: remote reads move payload bytes as-is, and the kind only
 		// matters once those bytes reach the decoder below.
-		_, err = s.remote.readAtCtx(ctx, payload, m.offsets[i])
+		_, err = s.remote.readAtCtx(ctx, payload, e.off)
 	} else {
-		_, err = m.ra.ReadAt(payload, m.offsets[i])
+		_, err = m.ra.ReadAt(payload, e.off)
 	}
 	if obsv != nil {
 		obsv(StageFetch, time.Since(fetchStart), int64(len(payload)))
@@ -804,7 +774,7 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N,
 	if err != nil {
 		return nil, fmt.Errorf("store: brick %d: %w", i, err)
 	}
-	if crc32.ChecksumIEEE(payload) != m.crcs[i] {
+	if crc32.ChecksumIEEE(payload) != span.crc {
 		return nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
 	}
 	blo, bhi := m.hdr.brickBox(i)
@@ -819,14 +789,25 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i int) ([]N,
 	if obsv != nil {
 		decodeStart = time.Now()
 	}
-	data, dims, err := qoz.DecodePayload[N](ctx, payload)
+	var data []N
+	var dims []int
+	stride := 1
+	if level > 0 {
+		data, dims, stride, err = qoz.DecodePayloadLevel[N](payload, level)
+	} else {
+		data, dims, err = qoz.DecodePayload[N](ctx, payload)
+	}
 	if obsv != nil {
 		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: brick %d: %w", i, err)
 	}
-	if !equalInts(dims, want) || len(data) != boxPoints(blo, bhi) {
+	points := 1 // of the stride-aligned grid over the brick
+	for _, d := range want {
+		points *= (d-1)/stride + 1
+	}
+	if stride != 1<<max(level-1, 0) || !equalInts(dims, want) || len(data) != points {
 		return nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
 	}
 	s.decoded.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -411,29 +412,52 @@ func TestCorruptStore(t *testing.T) {
 		}
 	}
 
-	// A footer pointing outside the file must fail cleanly.
+	// A footer pointing outside the file must fail cleanly: the journal's
+	// generation footer (its self-CRC no longer matches, and there is no
+	// earlier generation to fall back to) and a legacy index footer.
 	mut = append([]byte(nil), raw...)
 	for i := 0; i < 8; i++ {
-		mut[len(mut)-len(trailerMagic)-8+i] = 0xff
+		mut[len(mut)-genFooterSize+i] = 0xff
 	}
 	if _, err := open(mut); err == nil {
-		t.Fatal("footer with absurd index offset accepted")
+		t.Fatal("generation footer with absurd manifest offset accepted")
+	}
+	legacy := fixtureBytes(t, "v5_f32")
+	mut = append([]byte(nil), legacy...)
+	for i := 0; i < 8; i++ {
+		mut[len(mut)-footerSize+i] = 0xff
+	}
+	if _, err := open(mut); err == nil {
+		t.Fatal("index footer with absurd index offset accepted")
 	}
 
 	// A tiny file whose header declares an astronomical brick count must be
-	// rejected before the per-brick index slices are allocated (a 45-byte
-	// hostile file must not OOM the process).
-	h := appendHeader(nil, &header{codecID: 1, dims: []int{65536, 65536, 4}, brick: []int{1, 1, 1}, bound: 1e-3})
+	// rejected before the per-brick entries are allocated (a 45-byte hostile
+	// file must not OOM the process) — as a legacy index and as a journal
+	// whose manifest declares the count the header implies.
+	hdr := &header{version: formatVersionV5, codecID: 1, dims: []int{65536, 65536, 4}, brick: []int{1, 1, 1}, bound: 1e-3}
+	h := appendHeader(nil, hdr)
 	tiny := append(h, 0x00) // one stray "index" byte
 	foot := binary.LittleEndian.AppendUint64(nil, uint64(len(h)))
-	foot = append(foot, trailerMagic...)
+	foot = append(foot, trailerMagicV5...)
 	tiny = append(tiny, foot...)
 	if _, err := open(tiny); err == nil {
-		t.Fatal("tiny file declaring 2^34 bricks accepted")
+		t.Fatal("tiny index file declaring 2^34 bricks accepted")
+	}
+	hdr.version = formatVersion
+	h = appendHeader(nil, hdr)
+	man := append([]byte(manifestMagic), 1, 3)
+	for _, d := range hdr.dims {
+		man = binary.AppendUvarint(man, uint64(d))
+	}
+	man = binary.AppendUvarint(man, uint64(hdr.numBricks()))
+	ft := &genFooter{manifestOff: int64(len(h)), manifestLen: int64(len(man)), gen: 1, manifestCRC: crc32.ChecksumIEEE(man)}
+	if _, err := open(appendGenFooter(append(h, man...), ft)); err == nil {
+		t.Fatal("tiny journal declaring 2^34 bricks accepted")
 	}
 
-	// Overwriting the index's brick count must fail cleanly.
-	mutIdx := append([]byte(nil), raw...)
+	// Overwriting the legacy index's brick count must fail cleanly.
+	mutIdx := append([]byte(nil), legacy...)
 	footStart := len(mutIdx) - footerSize
 	off := int(binary.LittleEndian.Uint64(mutIdx[footStart : footStart+8]))
 	mutIdx[off] = 0x01

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -66,16 +65,17 @@ func DefaultBrick(dims []int) []int {
 	return out
 }
 
-// Writer builds a write-once (format v5) brick store incrementally:
-// whole rows of the slowest dimension are appended in order, and each
-// time a full band of brick[0] rows accumulates it is cut into bricks,
-// compressed concurrently, and flushed, so peak memory is one band
-// regardless of field size. Close writes the index and footer, after
-// which the store is final — for a store that keeps growing after it is
-// first opened (new time steps committed while readers serve), build a
-// mutable store with CreateMutable instead. The type parameter is the
-// element type of the field being written; each brick is one
-// qoz.EncodePayload payload of that kind.
+// Writer builds a brick store into a plain io.Writer incrementally: whole
+// rows of the slowest dimension are appended in order, and each time a
+// full band of brick[0] rows accumulates it is cut into bricks, compressed
+// concurrently, and flushed, so peak memory is one band regardless of
+// field size. Close writes the manifest and the generation footer: the
+// result is a journal of exactly one generation — the same format
+// CreateMutable starts and Mutable grows — so OpenMutable can later append
+// to, rewrite, or compact a file a Writer produced. The Writer itself is
+// only a sink (it never seeks or syncs; durability is the caller's). The
+// type parameter is the element type of the field being written; each
+// brick is one qoz.EncodePayload payload of that kind.
 type Writer[T qoz.Float] struct {
 	w       io.Writer
 	hdr     *header
@@ -86,14 +86,12 @@ type Writer[T qoz.Float] struct {
 	rowPoints int
 	rowsSeen  int
 	pending   []T
-	lengths   []int64
-	crcs      []uint32
-	levels    [][]levelSpan
-	stats     []brickStat
+	bricks    []brickEntry
+	off       int64 // bytes written so far = where the next payload lands
 	closed    bool
 	// writeErr poisons the writer once bytes may have reached w from a
 	// failed band write: after a partial write the underlying stream is
-	// misaligned with the index, so a retried Append would build a store
+	// misaligned with the manifest, so a retried Append would build a store
 	// whose later bricks fail their checksums only when read.
 	writeErr error
 }
@@ -117,55 +115,12 @@ func NewWriterT[T qoz.Float](w io.Writer, dims []int, wo WriteOptions) (*Writer[
 	if _, err := container.CheckDims(dims); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if wo.Opts.RelBound > 0 {
-		return nil, errors.New("store: Writer needs an absolute ErrorBound; resolve RelBound with Options.ResolveAbs")
+	hdr, codec, err := newHeader(dims, wo, elemBytes[T]() == 8)
+	if err != nil {
+		return nil, err
 	}
-	// Mirror parseHeader's bound validation: a non-finite bound would write
-	// a file every subsequent Open rejects as corrupt.
-	if eb := wo.Opts.ErrorBound; eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return nil, errors.New("store: a positive, finite ErrorBound is required")
-	}
-	codec := wo.Codec
-	if codec == nil {
-		c, err := qoz.Lookup(qoz.DefaultCodec)
-		if err != nil {
-			return nil, err
-		}
-		codec = c
-	}
-	brick := append([]int(nil), wo.Brick...) // clipping below must not mutate the caller's slice
-	if wo.Brick == nil {
-		brick = DefaultBrick(dims)
-	}
-	if len(brick) != len(dims) {
-		return nil, fmt.Errorf("store: brick rank %d, field rank %d", len(brick), len(dims))
-	}
-	for i, b := range brick {
-		if b <= 0 {
-			return nil, fmt.Errorf("store: invalid brick extent %d", b)
-		}
-		// Clip to the field so the header never declares excess extents.
-		if b > dims[i] {
-			brick[i] = dims[i]
-		}
-	}
-	kind := uint8(kindFloat32)
-	if elemBytes[T]() == 8 {
-		kind = kindFloat64
-	}
-	if p := clippedBrickPoints(dims, brick); p > maxBrickBytes/kindSize(kind) {
-		return nil, fmt.Errorf("store: brick shape %v holds %d %s points (max %d)",
-			brick, p, kindName(kind), maxBrickBytes/kindSize(kind))
-	}
-	hdr := &header{
-		version: formatVersion,
-		codecID: codec.ID(),
-		kind:    kind,
-		dims:    append([]int(nil), dims...),
-		brick:   append([]int(nil), brick...),
-		bound:   wo.Opts.ErrorBound,
-	}
-	if _, err := w.Write(appendHeader(nil, hdr)); err != nil {
+	hb := appendHeader(nil, hdr)
+	if _, err := w.Write(hb); err != nil {
 		return nil, err
 	}
 	rowPoints := 1
@@ -179,11 +134,67 @@ func NewWriterT[T qoz.Float](w io.Writer, dims []int, wo WriteOptions) (*Writer[
 		opts:      wo.Opts,
 		workers:   wo.Workers,
 		rowPoints: rowPoints,
-		lengths:   make([]int64, 0, hdr.numBricks()),
-		crcs:      make([]uint32, 0, hdr.numBricks()),
-		levels:    make([][]levelSpan, 0, hdr.numBricks()),
-		stats:     make([]brickStat, 0, hdr.numBricks()),
+		bricks:    make([]brickEntry, 0, hdr.numBricks()),
+		off:       int64(len(hb)),
 	}, nil
+}
+
+// newHeader validates a store's construction options against its extents
+// and builds the header both constructors write, resolving the codec on
+// the way. dims[0] == 0 marks CreateMutable's empty store, whose slowest
+// extent is unbounded: its brick shape is then chosen, clipped and
+// size-checked as if that extent were as large as extents get.
+func newHeader(dims []int, wo WriteOptions, float64s bool) (*header, qoz.Codec, error) {
+	if wo.Opts.RelBound > 0 {
+		return nil, nil, errors.New("store: an absolute ErrorBound is required; resolve RelBound with Options.ResolveAbs once there is data to resolve it against")
+	}
+	// Mirror parseHeader's bound validation: a non-finite bound would write
+	// a file every subsequent Open rejects as corrupt.
+	if eb := wo.Opts.ErrorBound; eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
+		return nil, nil, errors.New("store: a positive, finite ErrorBound is required")
+	}
+	codec := wo.Codec
+	if codec == nil {
+		c, err := qoz.Lookup(qoz.DefaultCodec)
+		if err != nil {
+			return nil, nil, err
+		}
+		codec = c
+	}
+	extents := dims
+	if dims[0] == 0 {
+		extents = append([]int{math.MaxInt32}, dims[1:]...)
+	}
+	brick := append([]int(nil), wo.Brick...) // clipping below must not mutate the caller's slice
+	if wo.Brick == nil {
+		brick = DefaultBrick(extents)
+	}
+	if len(brick) != len(dims) {
+		return nil, nil, fmt.Errorf("store: brick rank %d, field rank %d", len(brick), len(dims))
+	}
+	for i, b := range brick {
+		if b <= 0 {
+			return nil, nil, fmt.Errorf("store: invalid brick extent %d", b)
+		}
+		// Clip to the field so the header never declares excess extents.
+		brick[i] = min(b, extents[i])
+	}
+	kind := uint8(kindFloat32)
+	if float64s {
+		kind = kindFloat64
+	}
+	if p := clippedBrickPoints(extents, brick); p > maxBrickBytes/kindSize(kind) {
+		return nil, nil, fmt.Errorf("store: brick shape %v holds %d %s points (max %d)",
+			brick, p, kindName(kind), maxBrickBytes/kindSize(kind))
+	}
+	return &header{
+		version: formatVersion,
+		codecID: codec.ID(),
+		kind:    kind,
+		dims:    append([]int(nil), dims...),
+		brick:   brick,
+		bound:   wo.Opts.ErrorBound,
+	}, codec, nil
 }
 
 // Append adds whole rows (slices along the slowest dimension) to the
@@ -270,7 +281,7 @@ func (bw *Writer[T]) RowsAppended() int { return bw.rowsSeen }
 
 // flushBand compresses and writes one band of `rows` rows held in band.
 func (bw *Writer[T]) flushBand(ctx context.Context, band []T, rows int) error {
-	payloads, stats, err := compressBand(ctx, bw.hdr, bw.codec, bw.opts, bw.workers, band, rows, len(bw.lengths))
+	payloads, entries, err := compressBand(ctx, bw.hdr, bw.codec, bw.opts, bw.workers, band, rows, len(bw.bricks))
 	if err != nil {
 		return err
 	}
@@ -279,10 +290,9 @@ func (bw *Writer[T]) flushBand(ctx context.Context, band []T, rows int) error {
 			bw.writeErr = err
 			return err
 		}
-		bw.lengths = append(bw.lengths, int64(len(p)))
-		bw.crcs = append(bw.crcs, crc32.ChecksumIEEE(p))
-		bw.levels = append(bw.levels, brickLevelTable(p))
-		bw.stats = append(bw.stats, stats[k])
+		entries[k].off = bw.off
+		bw.off += int64(len(p))
+		bw.bricks = append(bw.bricks, entries[k])
 	}
 	return nil
 }
@@ -290,7 +300,7 @@ func (bw *Writer[T]) flushBand(ctx context.Context, band []T, rows int) error {
 // brickLevelTable derives one brick's progressive level table from its
 // payload: the codec's level boundaries with a CRC over each prefix. A
 // payload without level segments (another codec, or a stream layout
-// predating segmentation) gets an empty table — readers then fall back to
+// predating segmentation) gets no table — readers then fall back to
 // full-brick decodes, never an error.
 func brickLevelTable(p []byte) []levelSpan {
 	offs, err := qoz.LevelOffsets(p)
@@ -318,13 +328,12 @@ func brickLevelTable(p []byte) []levelSpan {
 }
 
 // compressBand compresses one band of `rows` rows into its per-brick
-// payloads and statistics, in brick order. The band is the full
-// cross-product of the grid over dims[1:] — the global brick order visits
-// all of band k before band k+1, so emitting per band preserves it.
-// brickBase numbers error messages in global brick indices. Shared by the
-// write-once Writer and the mutable append path.
+// payloads and manifest entries (offsets still unset), in brick order. The
+// band is the full cross-product of the grid over dims[1:] — the global
+// brick order visits all of band k before band k+1, so emitting per band
+// preserves it. brickBase numbers error messages in global brick indices.
 func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec, opts qoz.Options,
-	workers int, band []T, rows, brickBase int) ([][]byte, []brickStat, error) {
+	workers int, band []T, rows, brickBase int) ([][]byte, []brickEntry, error) {
 	bandDims := append([]int{rows}, hdr.dims[1:]...)
 	g := hdr.grid()
 	nb := 1
@@ -332,7 +341,7 @@ func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec
 		nb *= x
 	}
 	payloads := make([][]byte, nb)
-	stats := make([]brickStat, nb)
+	entries := make([]brickEntry, nb)
 	err := pool.RunErr(ctx, nb, workers, func(k int) error {
 		// Decompose k over g[1:] into the brick's box within the band.
 		coord := make([]int, len(g))
@@ -349,32 +358,41 @@ func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec
 			size[i] = min(hdr.brick[i], hdr.dims[i]-srcLo[i])
 		}
 		var err error
-		payloads[k], stats[k], err = compressBrick(ctx, codec, opts, band, bandDims, srcLo, size, brickBase+k)
+		payloads[k], entries[k], err = compressBrick(ctx, codec, opts, band, bandDims, srcLo, size, brickBase+k)
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return payloads, stats, nil
+	return payloads, entries, nil
 }
 
 // compressBrick cuts the box of shape size at srcLo out of src (a field
-// of shape srcDims) and returns its compressed payload and statistics.
-// It is the one place a brick is made, for the write-once Writer, the
-// mutable append and the mutable rewrite alike; brick numbers the error.
+// of shape srcDims) and returns its compressed payload with the manifest
+// entry describing it — length, checksum, level table, statistics; only
+// the offset is the caller's to fill in once the payload is placed. It is
+// the one place a brick is made, for the Writer, the mutable append and
+// the mutable rewrite alike, and runs on their worker pools; brick numbers
+// the error.
 func compressBrick[T qoz.Float](ctx context.Context, codec qoz.Codec, opts qoz.Options,
-	src []T, srcDims, srcLo, size []int, brick int) ([]byte, brickStat, error) {
+	src []T, srcDims, srcLo, size []int, brick int) ([]byte, brickEntry, error) {
 	origin := make([]int, len(size))
 	buf := make([]T, boxPoints(origin, size))
 	copyBox(buf, size, origin, src, srcDims, srcLo, size)
 	p, err := qoz.EncodePayload(ctx, codec, buf, size, opts)
 	if err != nil {
-		return nil, brickStat{}, fmt.Errorf("store: brick %d: %w", brick, err)
+		return nil, brickEntry{}, fmt.Errorf("store: brick %d: %w", brick, err)
 	}
-	return p, computeBrickStat(buf), nil
+	return p, brickEntry{
+		len:    int64(len(p)),
+		crc:    crc32.ChecksumIEEE(p),
+		levels: brickLevelTable(p),
+		stat:   computeBrickStat(buf),
+	}, nil
 }
 
-// Close verifies the field is complete and writes the index and footer.
+// Close verifies the field is complete and commits it as generation 1:
+// the manifest, then the footer.
 func (bw *Writer[T]) Close() error {
 	if bw.closed {
 		return errors.New("store: writer closed")
@@ -386,32 +404,11 @@ func (bw *Writer[T]) Close() error {
 	if bw.rowsSeen != bw.hdr.dims[0] || len(bw.pending) != 0 {
 		return fmt.Errorf("store: field incomplete: %d of %d rows appended", bw.rowsSeen, bw.hdr.dims[0])
 	}
-	if len(bw.lengths) != bw.hdr.numBricks() {
-		return fmt.Errorf("store: wrote %d bricks, expected %d", len(bw.lengths), bw.hdr.numBricks())
+	if len(bw.bricks) != bw.hdr.numBricks() {
+		return fmt.Errorf("store: wrote %d bricks, expected %d", len(bw.bricks), bw.hdr.numBricks())
 	}
-	idx := binary.AppendUvarint(nil, uint64(len(bw.lengths)))
-	var off int64
-	for i, l := range bw.lengths {
-		idx = binary.AppendUvarint(idx, uint64(l))
-		idx = binary.LittleEndian.AppendUint32(idx, bw.crcs[i])
-		idx = binary.AppendUvarint(idx, uint64(len(bw.levels[i])))
-		for _, sp := range bw.levels[i] {
-			idx = binary.AppendUvarint(idx, uint64(sp.bytes))
-			idx = binary.LittleEndian.AppendUint32(idx, sp.crc)
-		}
-		off += l
-	}
-	// The statistics block sits between the last index entry and the
-	// footer, inside the idx span the footer's offset delimits — so the
-	// manifest fingerprint (computed over the raw idx bytes) moves whenever
-	// statistics change, and serving-layer ETags move with it.
-	idx = appendStatsBlock(idx, bw.stats)
-	if _, err := bw.w.Write(idx); err != nil {
-		return err
-	}
-	foot := binary.LittleEndian.AppendUint64(nil, uint64(int64(len(appendHeader(nil, bw.hdr)))+off))
-	foot = append(foot, trailerMagicV5...)
-	_, err := bw.w.Write(foot)
+	man, foot, _ := sealGeneration(bw.hdr, 1, 0, bw.bricks, bw.off)
+	_, err := bw.w.Write(append(man, foot...))
 	return err
 }
 
