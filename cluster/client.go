@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,6 +37,17 @@ type Field struct {
 	// placement spans exactly these, so fields mounted on a subset of the
 	// fleet still route correctly.
 	Shards []string
+	// place is the placement over Shards, built once by Catalog; a Field
+	// assembled by hand has none and plans build one per call.
+	place *Placement
+}
+
+// placement returns the rendezvous placement over f.Shards.
+func (f *Field) placement() (*Placement, error) {
+	if f.place != nil {
+		return f.place, nil
+	}
+	return NewPlacement(f.Shards)
 }
 
 // ElemSize returns the field's element width in bytes.
@@ -81,17 +93,22 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// ShardTraffic is the per-shard slice of a fan-out's accounting.
+// ShardTraffic is the per-shard slice of a fan-out's accounting, counted
+// in HTTP exchanges: a region round trip (however many boxes it carries)
+// or a sub-query.
 type ShardTraffic struct {
-	Reads   int64   // sub-reads answered successfully
-	Errors  int64   // sub-read attempts that failed
-	Seconds float64 // wall time spent in successful sub-reads
+	Reads   int64   // exchanges answered successfully
+	Errors  int64   // exchanges that failed
+	Seconds float64 // wall time spent in successful exchanges
 }
 
-// FanoutStats accounts one ReadRegionRaw call.
+// FanoutStats accounts one fan-out in HTTP exchanges. A region read sends
+// each owning shard one round trip for all of its sub-regions (more only
+// past roundTripBytes / roundTripBoxes); a query sends one sub-query per
+// sub-region.
 type FanoutStats struct {
-	SubReads int // sub-regions the request was split into
-	Retries  int // failover attempts beyond each sub-region's first
+	SubReads int // exchanges of the first round: every sub-region on its owner
+	Retries  int // exchanges of later rounds: failover to next-ranked shards
 	ByShard  map[string]*ShardTraffic
 }
 
@@ -108,8 +125,8 @@ type Client struct {
 	// Attempts bounds how many distinct shards one sub-region is tried on
 	// (1 = no failover); <= 0 selects 2.
 	Attempts int
-	// Workers bounds concurrent sub-reads per region request; <= 0 lets
-	// every sub-read fly at once.
+	// Workers bounds concurrent shard round trips per request; <= 0
+	// selects one per core (GOMAXPROCS).
 	Workers int
 }
 
@@ -182,6 +199,10 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 	if reachable == 0 {
 		return nil, fmt.Errorf("cluster: no shard reachable: %w", errors.Join(errs...))
 	}
+	for _, f := range catalog {
+		// On a shard list no placement accepts, plans report the error.
+		f.place, _ = NewPlacement(f.Shards)
+	}
 	return catalog, nil
 }
 
@@ -238,12 +259,12 @@ type subRegion struct {
 // planSubRegions splits the box [lo, hi) along brick-ownership
 // boundaries. Each intersecting brick is routed to its placement owner;
 // consecutive bricks along the innermost axis with the same owner merge
-// into one sub-region, so a request over a row of co-owned bricks costs
-// one round trip, not one per brick. The plan is a partition: sub-regions
+// into one sub-region, so a row of co-owned bricks is one box on the wire
+// (and one sub-query), not one per brick. The plan is a partition: sub-regions
 // are disjoint and cover [lo, hi) exactly, which is what makes the
 // stitch a pure scatter with no overlap to reconcile.
 func planSubRegions(f *Field, lo, hi []int) ([]subRegion, error) {
-	place, err := NewPlacement(f.Shards)
+	place, err := f.placement()
 	if err != nil {
 		return nil, err
 	}
@@ -293,12 +314,13 @@ func mergeable(s subRegion, clo, chi []int, last int) bool {
 // their owning shards and stitching the answers, returning raw
 // little-endian samples (f.ElemSize() bytes per point, row-major, shape
 // hi-lo) — byte-identical to what a single qozd holding the whole store
-// would serve. Sub-reads run concurrently, observe ctx, fail over along
-// each brick's preference order, and every sub-response is verified
-// against the catalog's (manifest CRC, generation) pair before a byte of
-// it is stitched — a response can never mix store generations. A
-// correlation id attached with WithRequestID is propagated to every shard
-// as X-Qoz-Request-Id.
+// would serve. Each owning shard gets all of its sub-regions in one
+// multi-box /region round trip (see roundTripBytes); round trips run
+// concurrently, observe ctx, fail over along each brick's preference
+// order, and every response is verified against the catalog's (manifest
+// CRC, generation) pair before a byte of it is stitched — a response can
+// never mix store generations. A correlation id attached with
+// WithRequestID is propagated to every shard as X-Qoz-Request-Id.
 //
 // The returned body is a response slab (pool.Slab): a caller that is
 // through with it may hand it to pool.PutSlab, after which it must not
@@ -315,8 +337,8 @@ func (c *Client) ReadRegionRaw(ctx context.Context, f *Field, lo, hi []int) ([]b
 // qozd answering ?level=L for the same box. Sub-regions are planned on
 // the full-resolution brick grid exactly like ReadRegionRaw, so ownership
 // routing and failover behave identically; each shard answers only its
-// sub-box's coarse points, and sub-boxes holding no coarse point are
-// skipped without a round trip. level 1 is the full-resolution read.
+// sub-boxes' coarse points, and sub-boxes holding no coarse point are
+// left out of the round trip. level 1 is the full-resolution read.
 func (c *Client) ReadRegionLevelRaw(ctx context.Context, f *Field, lo, hi []int, level int) ([]byte, FanoutStats, error) {
 	if level < 1 || level > 30 {
 		return nil, FanoutStats{ByShard: map[string]*ShardTraffic{}},
@@ -325,12 +347,26 @@ func (c *Client) ReadRegionLevelRaw(ctx context.Context, f *Field, lo, hi []int,
 	return c.readRegionRaw(ctx, f, lo, hi, level)
 }
 
+// A round trip carries at most roundTripBytes of body and roundTripBoxes
+// boxes; a shard's share of a read above either goes in several round
+// trips, and a single larger box travels alone. Constants, not settings,
+// and measured: the byte bound is the slab pools' recycling bound, so both
+// the body here and the sample buffer the shard fills for it come out of a
+// pool (uncapped, reading an 8 MiB field whole made each shard produce one
+// 4 MiB unpooled buffer and gateway_hot's peak RSS rose 12.9 %); the box
+// bound keeps the URL short when a thin region crosses many bricks.
+const (
+	roundTripBytes = pool.MaxSlabBytes
+	roundTripBoxes = 64
+)
+
 func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, level int) ([]byte, FanoutStats, error) {
 	// When the caller's context carries a trace (obs.Recorder.StartTrace at
 	// the serving layer), the whole fan-out records under a "fanout" span
-	// with one "subread" child per sub-region and one "shard.get"
-	// grandchild per attempt (so failovers stay visible). Without a trace
-	// every span call is a nil-receiver no-op.
+	// with one "subread" child per shard round trip and a "shard.get"
+	// grandchild for its attempt (the boxes of a failed round trip show up
+	// again under the next round's subreads). Without a trace every span
+	// call is a nil-receiver no-op.
 	ctx, fanSpan := obs.StartSpan(ctx, "fanout")
 	defer fanSpan.End()
 	fanSpan.Annotate("field", f.Name)
@@ -355,6 +391,7 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 	subs := make([]subRegion, 0, len(planned))
 	clos := make([][]int, 0, len(planned))
 	cdims := make([][]int, 0, len(planned))
+	want := make([]int, 0, len(planned)) // body bytes per sub-region
 	covered := 0
 	for _, sub := range planned {
 		cl, cd, ok := coarseBox(sub.lo, sub.hi, stride)
@@ -364,7 +401,8 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 		subs = append(subs, sub)
 		clos = append(clos, cl)
 		cdims = append(cdims, cd)
-		covered += boxBytes(cd, elem)
+		want = append(want, boxBytes(cd, elem))
+		covered += want[len(want)-1]
 	}
 	// The output slab arrives holding some earlier response, so "every byte
 	// is written" is no longer a nicety: disjoint sub-regions (the plan's
@@ -373,66 +411,128 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 	if covered != size {
 		return nil, stats, fmt.Errorf("cluster: fan-out plan covers %d of the region's %d bytes", covered, size)
 	}
-	stats.SubReads = len(subs)
-	fanSpan.Annotate("subreads", strconv.Itoa(len(subs)))
 	gate := generationPrefix(f)
 	out := pool.Slab[byte](size)
-	var mu sync.Mutex // guards stats during the fan-out
-	err = pool.RunErr(ctx, len(subs), c.Workers, func(k int) error {
-		sub := subs[k]
-		sctx, span := obs.StartSpan(ctx, "subread")
-		span.Annotate("lo", corner(sub.lo))
-		span.Annotate("hi", corner(sub.hi))
-		want := boxBytes(cdims[k], elem)
-		v, shard, retries, secs, err := c.trySub(sctx, f, sub, &mu, &stats,
-			func(ctx context.Context, shard string) (any, error) {
-				return c.fetchSub(ctx, shard, f, sub, level, gate, want)
-			})
-		if retries > 0 {
-			span.Annotate("retries", strconv.Itoa(retries))
+	// Rounds: in round a every pending sub-region goes to its a-th ranked
+	// shard, all those bound for one shard in one round trip. The
+	// sub-regions of a failed round trip are pending again and regroup by
+	// their own next choice — with more than two shards one dead shard's
+	// boxes fan out to different successors.
+	pending := make([]int, len(subs))
+	for k := range pending {
+		pending[k] = k
+	}
+	attempts := min(c.attempts(), len(f.Shards))
+	var lastErr error
+	var mu sync.Mutex // guards stats during a round
+	for a := 0; len(pending) > 0; a++ {
+		if a == attempts {
+			err = fmt.Errorf("%w: %w", ErrNoShards, lastErr)
+			break
 		}
-		if err != nil {
-			span.Annotate("error", err.Error())
+		trips := groupTrips(subs, want, pending, a)
+		if a == 0 {
+			stats.SubReads = len(trips)
+			fanSpan.Annotate("subreads", strconv.Itoa(len(trips)))
 		} else {
-			span.Annotate("shard", shard)
+			stats.Retries += len(trips)
 		}
-		span.End()
-		mu.Lock()
-		stats.Retries += retries
-		if err == nil {
-			t := stats.ByShard[shard]
-			if t == nil {
-				t = &ShardTraffic{}
-				stats.ByShard[shard] = t
+		failed := make([]error, len(trips))
+		err = pool.RunErr(ctx, len(trips), c.Workers, func(t int) error {
+			trip := trips[t]
+			shard := f.Shards[subs[trip[0]].rank[a]]
+			total := 0
+			for _, k := range trip {
+				total += want[k]
 			}
-			t.Reads++
-			t.Seconds += secs
-		}
-		mu.Unlock()
+			sctx, span := obs.StartSpan(ctx, "subread")
+			defer span.End()
+			if span != nil {
+				span.Annotate("shard", shard)
+				span.Annotate("boxes", strconv.Itoa(len(trip)))
+				span.Annotate("bytes", strconv.Itoa(total))
+				if len(trip) == 1 {
+					span.Annotate("lo", corner(subs[trip[0]].lo))
+					span.Annotate("hi", corner(subs[trip[0]].hi))
+				}
+				if a > 0 {
+					span.Annotate("round", strconv.Itoa(a+1))
+				}
+			}
+			body, secs, err := attempt(sctx, shard, &mu, &stats, func(ctx context.Context) ([]byte, error) {
+				return c.fetchBoxes(ctx, shard, f, subs, trip, level, gate, total)
+			})
+			if err != nil {
+				span.Annotate("error", err.Error())
+				failed[t] = err
+				if clientFault(err) {
+					return fmt.Errorf("%w: %w", ErrNoShards, err)
+				}
+				return nil
+			}
+			mu.Lock()
+			tr := stats.shard(shard)
+			tr.Reads++
+			tr.Seconds += secs
+			mu.Unlock()
+			// Scatter each box of the body into the output on the coarse grid.
+			// Sub-regions partition the box, and a global coarse point lies in
+			// exactly one of them, so writers touch disjoint bytes — no
+			// synchronization. At level 1 this is the plain full-resolution
+			// scatter.
+			var fixed [maxFixedRank]int
+			dstLo := rankInts(&fixed, len(lo))
+			off := 0
+			for _, k := range trip {
+				for i := range lo {
+					dstLo[i] = clos[k][i] - outLo[i]
+				}
+				stitchBytes(out, outDims, dstLo, body[off:off+want[k]], cdims[k], elem)
+				off += want[k]
+			}
+			pool.PutSlab(body)
+			return nil
+		})
 		if err != nil {
-			return err
+			break
 		}
-		// Scatter the sub-slab into the output on the coarse grid.
-		// Sub-regions partition the box, and a global coarse point lies in
-		// exactly one of them, so writers touch disjoint bytes — no
-		// synchronization. At level 1 this is the plain full-resolution
-		// scatter.
-		var fixed [maxFixedRank]int
-		dstLo := rankInts(&fixed, len(lo))
-		for i := range lo {
-			dstLo[i] = clos[k][i] - outLo[i]
+		pending = nil
+		for t, ferr := range failed {
+			if ferr != nil {
+				pending = append(pending, trips[t]...)
+				lastErr = ferr
+			}
 		}
-		body := v.([]byte)
-		stitchBytes(out, outDims, dstLo, body, cdims[k], elem)
-		pool.PutSlab(body)
-		return nil
-	})
+	}
 	if err != nil {
-		// RunErr has waited for every sub-read, so nothing writes to out now.
+		// RunErr has waited for every round trip, so nothing writes to out now.
 		pool.PutSlab(out)
 		return nil, stats, err
 	}
+	if stats.Retries > 0 {
+		fanSpan.Annotate("retries", strconv.Itoa(stats.Retries))
+	}
 	return out, stats, nil
+}
+
+// groupTrips cuts round a of a read into round trips: the pending
+// sub-regions (indices into subs, reordered in place) grouped by the shard
+// each goes to in this round, a shard's group split wherever the next box
+// would take it past roundTripBytes of body (want is each sub-region's) or
+// roundTripBoxes boxes.
+func groupTrips(subs []subRegion, want, pending []int, a int) [][]int {
+	slices.SortStableFunc(pending, func(x, y int) int { return subs[x].rank[a] - subs[y].rank[a] })
+	var trips [][]int
+	start, bytes := 0, 0
+	for i, k := range pending {
+		if i > start && (subs[k].rank[a] != subs[pending[start]].rank[a] ||
+			bytes+want[k] > roundTripBytes || i-start == roundTripBoxes) {
+			trips = append(trips, pending[start:i:i])
+			start, bytes = i, 0
+		}
+		bytes += want[k]
+	}
+	return append(trips, pending[start:])
 }
 
 // maxFixedRank is the rank up to which the fan-out's per-sub-read
@@ -464,69 +564,67 @@ func generationPrefix(f *Field) string {
 	return fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
 }
 
-// trySub runs one sub-request against the sub-region's preference order,
-// failing over on shard faults: the shared attempt loop under every
-// fan-out (region sub-reads and query sub-queries alike). It returns
-// fetch's answer, the shard that served it, the failover attempts spent,
-// and the successful attempt's wall time.
-func (c *Client) trySub(ctx context.Context, f *Field, sub subRegion,
-	mu *sync.Mutex, stats *FanoutStats,
-	fetch func(ctx context.Context, shard string) (any, error)) (v any, shard string, retries int, secs float64, err error) {
-	attempts := min(c.attempts(), len(sub.rank))
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			return nil, "", retries, 0, err
-		}
-		shard = f.Shards[sub.rank[a]]
-		if a > 0 {
-			retries++
-		}
-		actx, att := obs.StartSpan(ctx, "shard.get")
-		att.Annotate("shard", shard)
-		t0 := time.Now()
-		v, err := fetch(actx, shard)
-		if err == nil {
-			att.End()
-			return v, shard, retries, time.Since(t0).Seconds(), nil
-		}
-		att.Annotate("error", err.Error())
-		att.End()
-		mu.Lock()
-		t := stats.ByShard[shard]
-		if t == nil {
-			t = &ShardTraffic{}
-			stats.ByShard[shard] = t
-		}
-		t.Errors++
-		mu.Unlock()
-		lastErr = err
-		// Client-level mistakes (4xx) will repeat identically on every
-		// shard; only shard faults and stale generations are worth retrying
-		// elsewhere.
-		var se *ShardError
-		if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests {
-			break
-		}
+// shard returns the named shard's slice of the accounting, adding it on
+// first use.
+func (s *FanoutStats) shard(name string) *ShardTraffic {
+	t := s.ByShard[name]
+	if t == nil {
+		t = &ShardTraffic{}
+		s.ByShard[name] = t
 	}
-	return nil, "", retries, 0, fmt.Errorf("%w: %w", ErrNoShards, lastErr)
+	return t
 }
 
-// fetchSub issues one region sub-read against one shard and validates the
-// answer: status, element type, exact body length (want bytes: the
-// sub-box on the level's coarse grid), and the catalog's (manifest CRC,
-// generation) pair via the shard's strong ETag prefix (gate). The body it
-// returns is a response slab the caller owns; on every failure the slab it
-// took is already back in the pool.
-func (c *Client) fetchSub(ctx context.Context, shard string, f *Field, sub subRegion, level int, gate string, want int) ([]byte, error) {
+// clientFault reports a shard's 4xx answer other than 429: a client-level
+// mistake that would repeat identically on every shard, so it ends the
+// fan-out — only shard faults, rate limits and stale generations are worth
+// retrying elsewhere.
+func clientFault(err error) bool {
+	var se *ShardError
+	return errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests
+}
+
+// attempt runs one exchange with one shard under a "shard.get" span: it
+// returns fetch's answer and the exchange's wall time, and charges a
+// failure to the shard in stats (which mu guards). It is the step under
+// every fan-out, region round trips and sub-queries alike.
+func attempt[V any](ctx context.Context, shard string, mu *sync.Mutex, stats *FanoutStats,
+	fetch func(ctx context.Context) (V, error)) (v V, secs float64, err error) {
+	actx, att := obs.StartSpan(ctx, "shard.get")
+	att.Annotate("shard", shard)
+	t0 := time.Now()
+	v, err = fetch(actx)
+	secs = time.Since(t0).Seconds()
+	if err != nil {
+		att.Annotate("error", err.Error())
+		mu.Lock()
+		stats.shard(shard).Errors++
+		mu.Unlock()
+	}
+	att.End()
+	return v, secs, err
+}
+
+// fetchBoxes issues one region round trip against one shard — the boxes
+// subs[k] for k in trip, one /region request naming them in that order —
+// and validates the answer: status, element type, exact body length (want
+// bytes: the boxes' grids on the level, concatenated), and the catalog's
+// (manifest CRC, generation) pair via the shard's strong ETag prefix
+// (gate). The body it returns is a response slab the caller owns; on every
+// failure the slab it took is already back in the pool.
+func (c *Client) fetchBoxes(ctx context.Context, shard string, f *Field, subs []subRegion, trip []int, level int, gate string, want int) ([]byte, error) {
 	var ubuf [192]byte
 	u := append(ubuf[:0], shard...)
 	u = append(u, "/v1/fields/"...)
 	u = append(u, url.PathEscape(f.Name)...)
-	u = append(u, "/region?lo="...)
-	u = appendCorner(u, sub.lo)
-	u = append(u, "&hi="...)
-	u = appendCorner(u, sub.hi)
+	u = append(u, "/region"...)
+	for i, k := range trip {
+		u = append(u, "?&"[min(i, 1)])
+		u = append(u, "lo="...)
+		u = appendCorner(u, subs[k].lo)
+		u = append(u, "&hi="...)
+		u = appendCorner(u, subs[k].hi)
+	}
 	if level > 1 {
 		u = append(u, "&level="...)
 		u = strconv.AppendInt(u, int64(level), 10)
@@ -556,8 +654,8 @@ func (c *Client) fetchSub(ctx context.Context, shard string, f *Field, sub subRe
 	}
 	// The generation gate: the shard's region ETag begins with its store's
 	// (manifest CRC, generation) pair. A shard mid-refresh (or serving a
-	// different copy) fails here and the sub-read fails over, so a stitched
-	// response is always one generation wholly.
+	// different copy) fails here and the round trip fails over, so a
+	// stitched response is always one generation wholly.
 	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, gate) {
 		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
 	}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -447,4 +449,123 @@ func gatherBytes(src []byte, dims, srcLo, boxDims []int, elem int) []byte {
 		}
 	}
 	return out
+}
+
+// TestWeightIsFNV1a pins the hand-rolled hash to hash/fnv's, which it
+// replaced: a different weight would re-place every brick of every fleet.
+func TestWeightIsFNV1a(t *testing.T) {
+	for _, shard := range []string{"http://a:8080", "http://127.0.0.1:47611", "s"} {
+		for _, field := range []string{"temp", "", "nyx-0"} {
+			for _, brick := range []int{0, 1, 255, 256, 1 << 20, 1<<40 + 3} {
+				h := fnv.New64a()
+				h.Write([]byte(shard))
+				h.Write([]byte{0})
+				h.Write([]byte(field))
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], uint64(brick))
+				h.Write(b[:])
+				if got := weight(shard, field, brick); got != h.Sum64() {
+					t.Fatalf("weight(%q, %q, %d) = %x, FNV-1a gives %x", shard, field, brick, got, h.Sum64())
+				}
+			}
+		}
+	}
+}
+
+// TestRankTwoShards: the allocation-free two-shard order is the order the
+// general sort gives, and really allocates nothing.
+func TestRankTwoShards(t *testing.T) {
+	names := []string{"http://127.0.0.1:47611", "http://127.0.0.1:47612"}
+	p, err := NewPlacement(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := NewPlacement(append(names, "http://127.0.0.1:47613"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firsts := map[int]int{}
+	for brick := 0; brick < 512; brick++ {
+		var want []int // the three-shard order with the third shard dropped
+		for _, i := range three.Rank("f", brick) {
+			if i < 2 {
+				want = append(want, i)
+			}
+		}
+		got := p.Rank("f", brick)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("brick %d: two-shard rank %v, sorted rank %v", brick, got, want)
+		}
+		if got[0] != p.Owner("f", brick) {
+			t.Fatalf("brick %d: rank %v, owner %d", brick, got, p.Owner("f", brick))
+		}
+		firsts[got[0]]++
+	}
+	if len(firsts) != 2 {
+		t.Fatalf("512 bricks all ranked alike: %v", firsts)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Rank("f", 7) }); n != 0 {
+		t.Errorf("two-shard Rank allocates %.0f times per call", n)
+	}
+}
+
+// TestGroupTrips pins how a round is cut into round trips: one per target
+// shard while a shard's boxes stay under both caps, more above either, a
+// box larger than the byte cap alone, every pending box in exactly one
+// trip, and boxes bound for different shards never together.
+func TestGroupTrips(t *testing.T) {
+	mk := func(n int, shardOf func(k int) int, bytesOf func(k int) int) ([]subRegion, []int, []int) {
+		subs := make([]subRegion, n)
+		want := make([]int, n)
+		pending := make([]int, n)
+		for k := range subs {
+			sh := shardOf(k)
+			subs[k] = subRegion{rank: []int{sh, (sh + 1) % 3, (sh + 2) % 3}}
+			want[k] = bytesOf(k)
+			pending[k] = k
+		}
+		return subs, want, pending
+	}
+	for _, tc := range []struct {
+		name    string
+		n       int
+		shardOf func(k int) int
+		bytesOf func(k int) int
+		round   int
+		trips   int
+	}{
+		{"two owners under both caps", 8, func(k int) int { return k % 2 }, func(int) int { return 16 << 10 }, 0, 2},
+		{"exactly the byte cap", 4, func(int) int { return 0 }, func(int) int { return roundTripBytes / 4 }, 0, 1},
+		{"one byte over", 4, func(int) int { return 0 }, func(k int) int { return roundTripBytes/4 + k/3 }, 0, 2},
+		{"a list of 1 MiB", 8, func(k int) int { return k % 2 }, func(int) int { return 128 << 10 }, 0, 4},
+		{"a box above the cap travels alone", 3, func(int) int { return 1 }, func(k int) int { return []int{8, 4 << 20, 8}[k] }, 0, 3},
+		{"exactly the box cap", roundTripBoxes, func(int) int { return 2 }, func(int) int { return 4 }, 0, 1},
+		{"a thin line: 150 boxes on one shard", 150, func(int) int { return 0 }, func(int) int { return 4 }, 0, 3},
+		{"next round regroups by the next choice", 8, func(k int) int { return k % 2 }, func(int) int { return 1 << 10 }, 1, 2},
+	} {
+		subs, want, pending := mk(tc.n, tc.shardOf, tc.bytesOf)
+		trips := groupTrips(subs, want, pending, tc.round)
+		if len(trips) != tc.trips {
+			t.Errorf("%s: %d round trips, want %d", tc.name, len(trips), tc.trips)
+		}
+		seen := make([]int, tc.n)
+		for _, trip := range trips {
+			bytes := 0
+			for _, k := range trip {
+				seen[k]++
+				bytes += want[k]
+				if subs[k].rank[tc.round] != subs[trip[0]].rank[tc.round] {
+					t.Errorf("%s: a trip mixes shards", tc.name)
+				}
+			}
+			if len(trip) > roundTripBoxes || (len(trip) > 1 && bytes > roundTripBytes) {
+				t.Errorf("%s: a trip of %d boxes and %d bytes is over a cap", tc.name, len(trip), bytes)
+			}
+		}
+		for k, c := range seen {
+			if c != 1 {
+				t.Errorf("%s: box %d is in %d trips", tc.name, k, c)
+			}
+		}
+	}
 }

@@ -9,12 +9,14 @@
 //     brick-geometry helpers) and the shard list, so a gateway and its
 //     shards agree on who owns which bricks with no coordination service.
 //   - Client: the fan-out engine. It discovers the fields a shard fleet
-//     serves, splits one region read into per-shard sub-regions along
-//     brick-ownership boundaries, fans the sub-reads out over HTTP with
-//     per-request context propagation and failover, verifies every
-//     sub-response against the catalog's (manifest CRC, generation) pair
-//     so a stitched response can never mix store generations, and
-//     stitches the sub-slabs back into one row-major byte buffer.
+//     serves, splits one region read into sub-regions along
+//     brick-ownership boundaries, sends each owning shard its sub-regions
+//     in one multi-box round trip with per-request context propagation,
+//     fails a round trip's sub-regions over to their next-ranked shards,
+//     verifies every response against the catalog's (manifest CRC,
+//     generation) pair so a stitched response can never mix store
+//     generations, and scatters the boxes of each body into one row-major
+//     byte buffer.
 //   - Flight: request-layer single-flight. A thundering herd of identical
 //     region requests decodes (or fans out) once; followers share the
 //     leader's result. The leader's work is cancelled only when every
@@ -24,7 +26,9 @@
 //     limiting layered on bearer-token auth.
 //
 // The protocol between gateway and shards is qozd's ordinary public API —
-// GET /v1/fields for discovery and GET /v1/fields/{name}/region for
-// sub-reads — so any mix of gateways, plain clients, and shards
-// interoperates, and a shard is just a normal qozd process.
+// GET /v1/fields for discovery, GET /v1/fields/{name}/region for region
+// round trips (its multi-box form: repeated lo=/hi= pairs, the boxes' raw
+// bodies concatenated in request order) and .../query for sub-queries — so
+// any mix of gateways, plain clients, and shards interoperates, and a shard
+// is just a normal qozd process.
 package cluster

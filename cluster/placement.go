@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -48,20 +46,32 @@ func NewPlacement(shards []string) (*Placement, error) {
 // order.
 func (p *Placement) Shards() []string { return append([]string(nil), p.shards...) }
 
+// The two orders of a two-shard placement.
+var rank01, rank10 = []int{0, 1}, []int{1, 0}
+
 // weight is the rendezvous score of (shard, field, brick): a 64-bit
 // FNV-1a over the three, so it depends on nothing but the names and the
 // index. The field name participates so two fields with identical grids
 // still spread differently — one hot field cannot pin the same shard
 // order as every other field.
+//
+// The hash is spelled out rather than built on hash/fnv: a fan-out plan
+// weighs every shard for every brick, and the hash.Hash64 behind an
+// interface is a heap object per weight.
 func weight(shard, field string, brick int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(shard))
-	h.Write([]byte{0})
-	h.Write([]byte(field))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(brick))
-	h.Write(b[:])
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(shard); i++ {
+		h = (h ^ uint64(shard[i])) * prime64
+	}
+	h *= prime64 // the 0 byte separating shard from field
+	for i := 0; i < len(field); i++ {
+		h = (h ^ uint64(field[i])) * prime64
+	}
+	for i, b := 0, uint64(brick); i < 8; i, b = i+1, b>>8 { // little-endian
+		h = (h ^ (b & 0xff)) * prime64
+	}
+	return h
 }
 
 // Owner returns the index (into Shards) of the shard that owns brick
@@ -79,8 +89,17 @@ func (p *Placement) Owner(field string, brick int) int {
 // Rank returns every shard index ordered by preference for the given
 // brick: Rank(...)[0] is the owner, and each later entry is the next
 // shard a gateway should fail over to. Ties break on the shard name so
-// the order is total and identical everywhere.
+// the order is total and identical everywhere. The result is read-only: a
+// two-shard placement (one comparison, no sort) hands every caller one of
+// the same two slices.
 func (p *Placement) Rank(field string, brick int) []int {
+	if len(p.shards) == 2 {
+		w0, w1 := weight(p.shards[0], field, brick), weight(p.shards[1], field, brick)
+		if w0 > w1 || (w0 == w1 && p.shards[0] < p.shards[1]) {
+			return rank01
+		}
+		return rank10
+	}
 	type sw struct {
 		i int
 		w uint64

@@ -64,38 +64,45 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 	err = pool.RunErr(ctx, len(subs), c.Workers, func(k int) error {
 		sub := subs[k]
 		sctx, span := obs.StartSpan(ctx, "subquery")
+		defer span.End()
 		span.Annotate("lo", corner(sub.lo))
 		span.Annotate("hi", corner(sub.hi))
-		v, shard, retries, secs, err := c.trySub(sctx, f, sub, &mu, &stats,
-			func(ctx context.Context, shard string) (any, error) {
+		// One sub-query per sub-region, failing over along its preference
+		// order on shard faults.
+		var lastErr error
+		for a := 0; a < min(c.attempts(), len(sub.rank)); a++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			shard := f.Shards[sub.rank[a]]
+			res, secs, err := attempt(sctx, shard, &mu, &stats, func(ctx context.Context) (*store.QueryResult, error) {
 				return c.fetchQuery(ctx, shard, f, sub, req, gate)
 			})
-		if retries > 0 {
-			span.Annotate("retries", strconv.Itoa(retries))
+			mu.Lock()
+			if a > 0 {
+				stats.Retries++
+			}
+			if err == nil {
+				t := stats.shard(shard)
+				t.Reads++
+				t.Seconds += secs
+			}
+			mu.Unlock()
+			if err == nil {
+				if a > 0 {
+					span.Annotate("retries", strconv.Itoa(a))
+				}
+				span.Annotate("shard", shard)
+				partials[k] = res
+				return nil
+			}
+			lastErr = err
+			if clientFault(err) {
+				break
+			}
 		}
-		if err != nil {
-			span.Annotate("error", err.Error())
-		} else {
-			span.Annotate("shard", shard)
-		}
-		span.End()
-		mu.Lock()
-		stats.Retries += retries
-		mu.Unlock()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		t := stats.ByShard[shard]
-		if t == nil {
-			t = &ShardTraffic{}
-			stats.ByShard[shard] = t
-		}
-		t.Reads++
-		t.Seconds += secs
-		mu.Unlock()
-		partials[k] = v.(*store.QueryResult)
-		return nil
+		span.Annotate("error", lastErr.Error())
+		return fmt.Errorf("%w: %w", ErrNoShards, lastErr)
 	})
 	if err != nil {
 		return nil, stats, err

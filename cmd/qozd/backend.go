@@ -46,10 +46,11 @@ type backend interface {
 	// describe completes the field's manifest with what a snapshot does not
 	// carry: the brick grid, the codec, and where the data lives.
 	describe(f snapshot, fi *fieldInfo)
-	// region produces the samples of [lo, hi) on the level's grid, row-major,
-	// as a slab: decoded float32 or float64 samples, or the same samples as
-	// the raw little-endian bytes of the body (see writeRegion).
-	region(ctx context.Context, f snapshot, lo, hi []int, level int) (any, error)
+	// region produces the samples of the boxes on the level's grid, each
+	// row-major and one after the other in list order, as a slab: decoded
+	// float32 or float64 samples, or the same samples as the raw
+	// little-endian bytes of the body (see writeRegion).
+	region(ctx context.Context, f snapshot, boxes []store.Box, level int) (any, error)
 	// query answers a pushdown query over the field.
 	query(ctx context.Context, f snapshot, req store.QueryRequest) (*store.QueryResult, error)
 	// failure says how a region or query error is answered (its text is the
@@ -237,18 +238,17 @@ func (l *local) admit() (release func(), err error) {
 	}
 }
 
-func (l *local) region(ctx context.Context, f snapshot, lo, hi []int, level int) (any, error) {
+func (l *local) region(ctx context.Context, f snapshot, boxes []store.Box, level int) (any, error) {
 	release, err := l.admit()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	st := f.src.(*field).store
-	read := readRegion[float32]
-	if st.Float64() {
-		read = readRegion[float64]
+	read := readBoxes[float32]
+	if f.dtype == "float64" {
+		read = readBoxes[float64]
 	}
-	data, err := read(ctx, st, lo, hi, level)
+	data, err := read(ctx, f, boxes, level)
 	if err != nil {
 		return nil, fmt.Errorf("read region: %w", err)
 	}
@@ -265,25 +265,25 @@ type slab[T byte | float32 | float64] struct{ data []T }
 
 func (s *slab[T]) Release() { pool.PutSlab(s.data) }
 
-// readRegion reads the box in sample type T: at full resolution (level 1)
-// into a recycled buffer through the store's cached path, which allocates
-// nothing when every brick is cached, or as a level's coarse grid.
-func readRegion[T float32 | float64](ctx context.Context, st *store.Store, lo, hi []int, level int) (any, error) {
-	if level > 1 {
-		data, _, err := store.ReadRegionLevelT[T](ctx, st, lo, hi, level)
-		if err != nil {
-			return nil, err
-		}
-		return &slab[T]{data}, nil
-	}
-	points := 1
-	for i := range lo {
-		points *= hi[i] - lo[i]
-	}
-	// ReadRegionIntoT checks the box against the generation it reads before
+// errStaleSnapshot marks a read that the store served from a later
+// generation than the request resolved — a -poll refresh landed between
+// the two. Its samples would go out under the resolved generation's ETag,
+// so they are dropped and the request resolves again.
+var errStaleSnapshot = errors.New("store advanced past the resolved generation")
+
+// readBoxes reads the boxes' level grids in sample type T into one recycled
+// buffer, through the store's multi-box read: a single generation for the
+// whole list, and no allocation for a full-resolution box whose bricks are
+// all cached.
+func readBoxes[T float32 | float64](ctx context.Context, f snapshot, boxes []store.Box, level int) (any, error) {
+	// ReadBoxesIntoT checks the boxes against the generation it reads before
 	// it writes, and on success has written every sample of the buffer.
-	data := pool.Slab[T](points)
-	if err := store.ReadRegionIntoT(ctx, st, data, lo, hi); err != nil {
+	data := pool.Slab[T](boxesPoints(boxes, level))
+	crc, gen, err := store.ReadBoxesIntoT(ctx, f.src.(*field).store, data, boxes, level)
+	if err == nil && (crc != f.crc || gen != f.gen) {
+		err = errStaleSnapshot
+	}
+	if err != nil {
 		pool.PutSlab(data)
 		return nil, err
 	}
@@ -308,6 +308,9 @@ func (l *local) query(ctx context.Context, f snapshot, req store.QueryRequest) (
 func (l *local) failure(err error) (int, string, bool) {
 	if errors.Is(err, errShed) {
 		return http.StatusServiceUnavailable, "1", false
+	}
+	if errors.Is(err, errStaleSnapshot) {
+		return http.StatusServiceUnavailable, "1", true
 	}
 	return http.StatusInternalServerError, "", false
 }

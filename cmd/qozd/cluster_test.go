@@ -799,6 +799,7 @@ func TestClusterRoleParity(t *testing.T) {
 	_, gts := startGateway(t, gatewayOptions{Shards: shardURLs(shards), MaxPoints: maxPoints})
 
 	const box = "lo=1,2,3&hi=17,18,19"
+	const multi = "lo=16,8,0&hi=32,24,9&lo=0,0,0&hi=8,8,8&lo=4,6,2&hi=20,19,23"
 	const query = "op=gt&value=0.5&lo=1,2,3&hi=31,30,29"
 	for _, tc := range []struct {
 		path string // under /v1/fields/
@@ -838,6 +839,26 @@ func TestClusterRoleParity(t *testing.T) {
 		{path: "wave/region?lo=0,1,2&hi=15,16,14"},
 		{path: "wave/region?lo=0,1,2&hi=15,16,14&format=json&level=2"},
 		{path: "live/region?lo=0,0,0&hi=4,16,16"},
+		// Several boxes in one request: the form a gateway sends its shards,
+		// answered alike by both roles — out of order, overlapping, on a
+		// level, float64 — and its own faults, in the one validation order.
+		{path: "nyx/region?" + multi},
+		{path: "nyx/region?" + multi + "&level=2"},
+		{path: "wave/region?lo=8,0,0&hi=16,16,5&lo=0,1,2&hi=15,16,14&lo=8,0,0&hi=16,16,5"},
+		{path: "live/region?lo=2,0,0&hi=4,16,16&lo=0,0,0&hi=2,16,16"},
+		{path: "nyx/region?" + multi + "&lo=0,0,0"},
+		{path: "nyx/region?hi=1,1,1&" + multi},
+		{path: "nyx/region?" + multi + "&lo=&hi="},
+		{path: "nyx/region?" + multi + "&lo=0,0,0&hi=33,1,1"},
+		{path: "nyx/region?" + multi + "&lo=1,1,1&hi=2,2,2&level=2"},
+		{path: "nyx/region?lo=0,0,0&hi=16,32,32&lo=16,0,0&hi=32,32,32"},
+		{path: "nyx/region?lo=0,0,0&hi=16,32,32&lo=16,0,0&hi=32,32,32&level=2"},
+		{path: "nyx/region?" + multi + "&format=json"},
+		{path: "nyx/region?" + multi + "&format=xml"},
+		{path: "nyx/region?" + multi + "&level=99&format=json"},
+		{path: "nyx/region?" + multi, inm: "match"},
+		{path: "nyx/region?" + multi + "&level=2", inm: "weak"},
+		{path: "nyx/region?" + multi, inm: `"00000000-g0-n3-0000000000000000-float32-raw"`},
 		// Conditional GETs.
 		{path: "nyx/region?" + box, inm: `"00000000-g0-stale"`},
 		{path: "nyx/region?" + box, inm: "match"},

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"qoz/cluster"
+	"qoz/internal/pool"
 	"qoz/store"
 )
 
@@ -26,7 +27,7 @@ type gatewayOptions struct {
 	Shards     []string // shard base URLs; also the placement domain
 	ShardToken string   // bearer token presented to shards
 	Attempts   int      // distinct shards tried per sub-region (1 = no failover)
-	Workers    int      // concurrent sub-reads per region request (<=0 = all)
+	Workers    int      // concurrent shard round trips per request (<=0 = one per core)
 	MaxPoints  int      // largest region served, in points (<=0 = unlimited)
 	Guard      guardOptions
 	Ins        *instrument // traces, histograms, request logs; nil builds a silent one
@@ -152,16 +153,40 @@ func (g *fleet) account(stats cluster.FanoutStats) {
 }
 
 // region answers by fan-out: plan sub-regions along brick-ownership
-// boundaries, read each from its owning shard (failing over along the
-// placement's preference order), and stitch the raw slabs into one body
-// byte-identical to a single qozd holding the whole store.
-func (g *fleet) region(ctx context.Context, s snapshot, lo, hi []int, level int) (any, error) {
-	body, stats, err := g.client.ReadRegionLevelRaw(ctx, s.src.(*cluster.Field), lo, hi, level)
-	g.account(stats)
-	if err != nil {
-		return nil, fmt.Errorf("fan-out failed: %w", err)
+// boundaries, read each owning shard's share in one round trip (failing
+// over along the placement's preference order), and stitch the raw slabs
+// into one body byte-identical to a single qozd holding the whole store.
+// A list of several boxes — the form the gateway itself sends shards, which
+// no client sends a gateway on a hot path — is one fan-out per box, the
+// bodies copied one after the other into one slab.
+func (g *fleet) region(ctx context.Context, s snapshot, boxes []store.Box, level int) (any, error) {
+	f := s.src.(*cluster.Field)
+	read := func(b store.Box) ([]byte, error) {
+		body, stats, err := g.client.ReadRegionLevelRaw(ctx, f, b.Lo, b.Hi, level)
+		g.account(stats)
+		if err != nil {
+			return nil, fmt.Errorf("fan-out failed: %w", err)
+		}
+		return body, nil
 	}
-	return &slab[byte]{body}, nil
+	if len(boxes) == 1 {
+		body, err := read(boxes[0])
+		if err != nil {
+			return nil, err
+		}
+		return &slab[byte]{body}, nil
+	}
+	out := pool.Slab[byte](boxesPoints(boxes, level) * f.ElemSize())[:0]
+	for _, b := range boxes {
+		body, err := read(b)
+		if err != nil {
+			pool.PutSlab(out)
+			return nil, err
+		}
+		out = append(out, body...)
+		pool.PutSlab(body)
+	}
+	return &slab[byte]{out}, nil
 }
 
 // query fans sub-queries out along the same boundaries; each owning shard
@@ -239,14 +264,14 @@ func (g *fleet) families() []family {
 	g.trafficMu.Unlock()
 	shards := fieldNames(snap)
 	return []family{
-		scalar("qozd_gateway_subreads_total", "shard sub-reads planned across all fan-outs", "counter", g.subReads.Load()),
-		scalar("qozd_gateway_retries_total", "sub-read failover attempts beyond the owner shard", "counter", g.retries.Load()),
+		scalar("qozd_gateway_subreads_total", "shard round trips planned across all fan-outs (one per owning shard of a region read, one per sub-region of a query)", "counter", g.subReads.Load()),
+		scalar("qozd_gateway_retries_total", "failover round trips to shards other than the owner", "counter", g.retries.Load()),
 		scalar("qozd_gateway_fields", "fields in the shard catalog", "gauge", len(g.fields())),
-		labelled("qozd_gateway_shard_reads_total", "successful sub-reads by shard", "counter", "shard", shards,
+		labelled("qozd_gateway_shard_reads_total", "successful round trips by shard", "counter", "shard", shards,
 			func(s string) any { return snap[s].Reads }),
-		labelled("qozd_gateway_shard_errors_total", "failed sub-read attempts by shard", "counter", "shard", shards,
+		labelled("qozd_gateway_shard_errors_total", "failed round trips by shard", "counter", "shard", shards,
 			func(s string) any { return snap[s].Errors }),
-		labelled("qozd_gateway_shard_seconds_total", "wall time in successful sub-reads by shard", "counter", "shard", shards,
+		labelled("qozd_gateway_shard_seconds_total", "wall time in successful round trips by shard", "counter", "shard", shards,
 			func(s string) any { return snap[s].Seconds }),
 	}
 }

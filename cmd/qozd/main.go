@@ -8,6 +8,8 @@
 //	GET /v1/fields/{name}                   manifest: dims, brick, bound, codec, dtype, stats
 //	GET /v1/fields/{name}/region?lo=a,b,c&hi=d,e,f[&level=L][&format=raw|json]
 //	                                        decode the half-open box [lo, hi)
+//	GET /v1/fields/{name}/region?lo=..&hi=..&lo=..&hi=..[&level=L]
+//	                                        several boxes, raw bodies concatenated
 //	GET /v1/fields/{name}/query?op=gt|lt|range|min|max|hist[&lo=..&hi=..]
 //	                                        predicate pushdown: aggregate without download
 //	GET /metrics                            Prometheus-style counters
@@ -30,6 +32,14 @@
 // shape comes back in X-Qoz-Dims and the level is echoed in X-Qoz-Level;
 // each level is its own representation with its own strong ETag.
 //
+// A region request may name several boxes by repeating the lo=/hi= pair
+// (the i-th lo pairs with the i-th hi; boxes may overlap or repeat): the
+// body is the boxes' raw bodies one after the other in request order,
+// X-Qoz-Dims lists each box's shape separated by ";", level applies to
+// every box and -max-points to their sum, and format=json is refused. It is
+// the form a gateway reads a shard's share of a region with, one round trip
+// per shard, and is open to any client with scattered boxes to fetch.
+//
 // Region responses default to raw little-endian samples in the field's
 // element type — float32 or float64, named by the manifest's dtype and
 // echoed in X-Qoz-Dtype — row-major, shape hi-lo, dims echoed in
@@ -37,13 +47,14 @@
 // points as null), gzip-compressed when the client sends Accept-Encoding:
 // gzip (raw responses are never content-coded: freshly decoded brick
 // bytes barely compress). Responses carry a strong ETag derived from the
-// store's (manifest CRC, generation) pair, the region, dtype, and
-// encoding; If-None-Match answers 304 without decoding a brick. All
-// mounted stores share one decoded-brick LRU cache, so the process's
-// decoded memory is bounded by -cache-bytes no matter how many fields are
-// mounted or how requests interleave. Each request observes its client's
-// disconnect through the request context, and -max-inflight bounds
-// concurrent region decodes (excess requests get 503).
+// store's (manifest CRC, generation) pair, the region (several boxes: their
+// count and a hash of the list), dtype, and encoding; If-None-Match
+// answers 304 without decoding a brick. All mounted stores share one
+// decoded-brick LRU cache, so the process's decoded memory is bounded by
+// -cache-bytes no matter how many fields are mounted or how requests
+// interleave. Each request observes its client's disconnect through the
+// request context, and -max-inflight bounds concurrent region decodes
+// (excess requests get 503).
 //
 // Stores are served live: every store written since PR 22 is a generation
 // journal that qozc append can grow, and -poll N polls every mount
@@ -80,8 +91,9 @@
 // or the query aggregate (from mounted stores, or by fan-out), refreshing,
 // readiness, and how a produce failure is answered. Requests are validated
 // in one order and the first fault is the one reported: unknown field
-// (404); then for /region the box (lo/hi present, well-formed, right rank,
-// inside the field), level, the level's grid and -max-points, format —
+// (404); then for /region the boxes (lo/hi present and paired, each
+// well-formed, right rank, inside the field), level, the level's grid and
+// -max-points, format (and raw for several boxes) —
 // for /query the op, the box, the operator's parameters, maxloc.
 //
 // Either role serves HTTPS when given -tls-cert/-tls-key, and -client-ca
@@ -116,6 +128,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log"
 	"maps"
@@ -169,7 +182,7 @@ func main() {
 	shardCert := fs.String("shard-cert", "", "PEM client certificate the gateway presents to mTLS shards (with -shard-key)")
 	shardKey := fs.String("shard-key", "", "private key for -shard-cert")
 	fanoutAttempts := fs.Int("fanout-attempts", 2, "distinct shards tried per sub-region before the gateway gives up (1 disables failover)")
-	fanoutWorkers := fs.Int("fanout-workers", 0, "concurrent shard sub-reads per region request (0 = one per sub-region)")
+	fanoutWorkers := fs.Int("fanout-workers", 0, "concurrent shard round trips per request (0 = one per core)")
 	fs.Parse(os.Args[1:])
 	if *authToken == "" {
 		*authToken = os.Getenv("QOZD_TOKEN")
@@ -525,7 +538,8 @@ func (h *handler) handleField(w http.ResponseWriter, r *http.Request) {
 // once its parameters are validated against the resolved field; the rest
 // of the request's life is serveConditional's.
 type answer struct {
-	lo, hi []int
+	// boxes is what the request reads: a query's one box, a region's list.
+	boxes []store.Box
 	// variant names the representation for the ETag: everything besides
 	// store content, box and dtype that changes the response bytes.
 	variant string
@@ -572,7 +586,7 @@ func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, valid
 		// paths below: a shed or failed request carries no validator, because
 		// ETag describes the selected representation and an error body is not
 		// it.
-		etag := regionETag(f.crc, f.gen, f.dtype, a.lo, a.hi, a.variant)
+		etag := regionETag(f.crc, f.gen, f.dtype, a.boxes, a.variant)
 		if inmMatches(r.Header.Get("If-None-Match"), etag) {
 			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
@@ -586,7 +600,11 @@ func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, valid
 		// that survives any individual client's disconnect and is cancelled
 		// only when the last waiter is gone; it carries the correlation id, so
 		// a backend that makes further hops presents the same one.
-		key := fmt.Sprintf("%s|%08x-%d|%v|%v|%s", f.name, f.crc, f.gen, a.lo, a.hi, a.work)
+		boxKey := fmt.Sprintf("%v|%v", a.boxes[0].Lo, a.boxes[0].Hi)
+		if len(a.boxes) > 1 {
+			boxKey = boxListID(a.boxes)
+		}
+		key := fmt.Sprintf("%s|%08x-%d|%s|%s", f.name, f.crc, f.gen, boxKey, a.work)
 		ctx := cluster.WithRequestID(r.Context(), r.Header.Get(requestIDHeader))
 		// The produced value is shared with every coalesced request and may
 		// own pooled memory: done says this request will not touch it again,
@@ -656,8 +674,12 @@ func parseBox(what, loParam, hiParam string, dims []int) (lo, hi []int, err erro
 	return lo, hi, nil
 }
 
-// handleRegion returns the box [lo, hi) of one field, at full resolution
-// or on a coarser level's grid.
+// handleRegion returns boxes of one field, at full resolution or on a
+// coarser level's grid: the i-th lo= pairs with the i-th hi=, and the body
+// is the boxes' bodies one after the other in that order. One box is the
+// ordinary case; several let a caller that needs scattered boxes of one
+// field — a gateway reading a shard's share of a region — pay one round
+// trip for them.
 func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
 	h.serveConditional(w, r, func(f snapshot) (answer, bool) {
 		bad := func(code int, format string, args ...any) (answer, bool) {
@@ -665,29 +687,48 @@ func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
 			return answer{}, false
 		}
 		q := r.URL.Query()
-		if q.Get("lo") == "" || q.Get("hi") == "" {
+		los, his := q["lo"], q["hi"]
+		if len(los) == 0 || len(his) == 0 {
 			return bad(http.StatusBadRequest, "region needs lo=a,b,... and hi=a,b,... query parameters")
 		}
-		lo, hi, err := parseBox("region", q.Get("lo"), q.Get("hi"), f.dims)
-		if err != nil {
-			return bad(http.StatusBadRequest, "%v", err)
+		if len(los) != len(his) {
+			return bad(http.StatusBadRequest, "region has %d lo= and %d hi= parameters; the i-th lo pairs with the i-th hi", len(los), len(his))
+		}
+		boxes := make([]store.Box, len(los))
+		for i := range los {
+			if los[i] == "" || his[i] == "" {
+				return bad(http.StatusBadRequest, "region needs lo=a,b,... and hi=a,b,... query parameters")
+			}
+			lo, hi, err := parseBox("region", los[i], his[i], f.dims)
+			if err != nil {
+				return bad(http.StatusBadRequest, "%v", err)
+			}
+			boxes[i] = store.Box{Lo: lo, Hi: hi}
 		}
 		level := 1
 		if lv := q.Get("level"); lv != "" {
+			var err error
 			level, err = strconv.Atoi(lv)
 			if err != nil || level < 1 || level > store.MaxReadLevel {
 				return bad(http.StatusBadRequest, "level must be an integer in [1,%d], got %q", store.MaxReadLevel, lv)
 			}
 		}
-		// The response grid: at level 1 the box itself, at level L the points
+		// The response grid: at level 1 each box itself, at level L the points
 		// of the box whose global coordinates are multiples of 2^(L-1). The
-		// -max-points bound applies to the points actually served, so a coarse
-		// read of a region too large to serve at full resolution still goes
-		// through — that is the point of progressive reads. An empty coarse
-		// grid is the client's mistake, answered before anything is produced.
-		outDims, points, ok := levelOutDims(lo, hi, level)
-		if !ok {
-			return bad(http.StatusBadRequest, "region [%v,%v) has no points on the level-%d grid", lo, hi, level)
+		// -max-points bound applies to the points actually served, summed
+		// over the boxes, so a coarse read of a region too large to serve at
+		// full resolution still goes through — that is the point of
+		// progressive reads. An empty coarse grid is the client's mistake,
+		// answered before anything is produced.
+		outDims := make([][]int, len(boxes))
+		points := 0
+		for i, b := range boxes {
+			dims, n, ok := levelOutDims(b.Lo, b.Hi, level)
+			if !ok {
+				return bad(http.StatusBadRequest, "region [%v,%v) has no points on the level-%d grid", b.Lo, b.Hi, level)
+			}
+			outDims[i] = dims
+			points += n
 		}
 		if h.maxPoints > 0 && points > h.maxPoints {
 			return bad(http.StatusRequestEntityTooLarge,
@@ -700,14 +741,17 @@ func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
 		if format != "raw" && format != "json" {
 			return bad(http.StatusBadRequest, "unknown format %q (want raw or json)", format)
 		}
+		if format != "raw" && len(boxes) > 1 {
+			return bad(http.StatusBadRequest, "a region of %d boxes is served raw only; send one box for format=%s", len(boxes), format)
+		}
 		// The gzip variant of the JSON encoding is its own representation and
 		// gets its own validator.
 		return answer{
-			lo: lo, hi: hi,
+			boxes:   boxes,
 			variant: regionVariant(format, format == "json" && acceptsGzip(r), level),
 			work:    "l" + strconv.Itoa(level),
 			produce: func(ctx context.Context) (any, error) {
-				return h.be.region(ctx, f, lo, hi, level)
+				return h.be.region(ctx, f, boxes, level)
 			},
 			write: func(data any) {
 				if level > 1 {
@@ -739,6 +783,17 @@ func levelOutDims(lo, hi []int, level int) (outDims []int, points int, ok bool) 
 	return outDims, points, true
 }
 
+// boxesPoints sums the points of the boxes' level grids, for boxes the
+// handler validated (each holds a point on the level).
+func boxesPoints(boxes []store.Box, level int) int {
+	points := 0
+	for _, b := range boxes {
+		_, n, _ := levelOutDims(b.Lo, b.Hi, level)
+		points += n
+	}
+	return points
+}
+
 // regionVariant names the encoding variant an ETag embeds: the format,
 // the gzip content coding, and — for progressive reads — the level, each
 // of which selects a different representation of the same region.
@@ -754,11 +809,27 @@ func regionVariant(format string, gz bool, level int) string {
 
 // regionETag derives the strong validator of a region response: the store
 // manifest fingerprint and generation (content identity, read as one
-// consistent pair), the box, the element type, and the encoding variant
+// consistent pair), the boxes, the element type, and the encoding variant
 // (including gzip and the progressive level). Any of these changing
 // changes the bytes, and nothing else does.
-func regionETag(crc uint32, gen uint64, dtype string, lo, hi []int, variant string) string {
-	return fmt.Sprintf(`"%08x-g%d-%s-%s-%s-%s"`, crc, gen, joinInts(lo, "x"), joinInts(hi, "x"), dtype, variant)
+func regionETag(crc uint32, gen uint64, dtype string, boxes []store.Box, variant string) string {
+	id := joinInts(boxes[0].Lo, "x") + "-" + joinInts(boxes[0].Hi, "x")
+	if len(boxes) > 1 {
+		id = boxListID(boxes)
+	}
+	return fmt.Sprintf(`"%08x-g%d-%s-%s-%s"`, crc, gen, id, dtype, variant)
+}
+
+// boxListID names a list of several boxes inside a validator or a flight
+// key: their count and a 64-bit FNV-1a hash of the ordered list, so the
+// name stays bounded however many boxes a request carries. The order is
+// part of it because it is part of the body.
+func boxListID(boxes []store.Box) string {
+	h := fnv.New64a()
+	for _, b := range boxes {
+		fmt.Fprintf(h, "%v%v", b.Lo, b.Hi)
+	}
+	return fmt.Sprintf("n%d-%016x", len(boxes), h.Sum64())
 }
 
 // joinInts renders coordinates or dims as "a<sep>b<sep>c".
@@ -796,12 +867,19 @@ func inmMatches(inm, etag string) bool {
 // field's own element type: float64 fields answer with 8-byte samples
 // (raw) or full-precision literals (json). data is the slab a backend's
 // region returned: decoded samples, or a stitched slab that already is the
-// raw body (little-endian, row-major, shape outDims) and so goes out in
-// one Write with no decode/re-encode round trip; its JSON renders from the
-// same slab, so a herd mixing raw and json clients still coalesces into
-// one produce. The slab is only read: other requests are writing it too.
-func writeRegion(w http.ResponseWriter, r *http.Request, outDims []int, dtype string, bound float64, data any, format string) error {
-	w.Header().Set("X-Qoz-Dims", joinInts(outDims, ","))
+// raw body (little-endian, each box row-major with its shape in boxDims,
+// one box after the other; X-Qoz-Dims lists the shapes separated by ";")
+// and so goes out in one Write with no decode/re-encode round trip; its
+// JSON renders from the same slab, so a herd mixing raw and json clients
+// still coalesces into one produce. The slab is only read: other requests
+// are writing it too.
+func writeRegion(w http.ResponseWriter, r *http.Request, boxDims [][]int, dtype string, bound float64, data any, format string) error {
+	dimsHeader := joinInts(boxDims[0], ",")
+	for _, d := range boxDims[1:] {
+		dimsHeader += ";" + joinInts(d, ",")
+	}
+	outDims := boxDims[0] // what the JSON body names: that format serves one box
+	w.Header().Set("X-Qoz-Dims", dimsHeader)
 	w.Header().Set("X-Qoz-Dtype", dtype)
 	w.Header().Set("X-Qoz-Error-Bound", strconv.FormatFloat(bound, 'g', -1, 64))
 	switch data := data.(type) {

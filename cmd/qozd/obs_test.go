@@ -45,9 +45,10 @@ func findTrace(traces []*obs.Trace, id string) *obs.Trace {
 
 // TestGatewayTraceEndToEnd is the tentpole acceptance test: one region
 // read through the gateway produces (a) a gateway trace whose fan-out
-// span has one "subread" child per planned sub-read, and (b) shard traces
-// under the same trace id carrying store stage timings — all retrievable
-// from the respective /debug/traces endpoints.
+// span has one "subread" child per shard round trip, each saying how many
+// boxes and bytes it carried, and (b) shard traces under the same trace id
+// carrying store stage timings — all retrievable from the respective
+// /debug/traces endpoints.
 func TestGatewayTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	p32, _ := buildStoreFile(t, dir)
@@ -68,7 +69,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 
 	// Gateway side: the trace exists, its root is the region route, and the
-	// fan-out recorded one subread child span per planned sub-read.
+	// fan-out recorded one subread child span per round trip.
 	// The handler ends its root span after the response is written, so the
 	// client can be back here before the trace is in the ring: wait for it.
 	var gtr *obs.Trace
@@ -102,6 +103,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 	subreads := 0
 	gets := 0
+	boxes, bodyBytes := 0, 0
 	for _, sp := range gtr.Spans {
 		switch sp.Name {
 		case "subread":
@@ -115,34 +117,58 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 			if sp.DurationMS < 0 {
 				t.Errorf("subread span never ended: %+v", sp)
 			}
+			n, _ := strconv.Atoi(sp.Attrs["boxes"])
+			b, _ := strconv.Atoi(sp.Attrs["bytes"])
+			if n < 1 || b < 4*n {
+				t.Errorf("subread span carries boxes=%q bytes=%q: %v", sp.Attrs["boxes"], sp.Attrs["bytes"], sp.Attrs)
+			}
+			// Corners name a box; a round trip of several has none to name.
+			if _, has := sp.Attrs["lo"]; has != (n == 1) {
+				t.Errorf("subread span of %d boxes, lo attr present: %v", n, has)
+			}
+			boxes += n
+			bodyBytes += b
 		case "shard.get":
 			gets++
 		}
 	}
 	if subreads != planned {
-		t.Errorf("%d subread child spans, want one per planned sub-read (%d)", subreads, planned)
+		t.Errorf("%d subread child spans, want one per round trip (%d)", subreads, planned)
 	}
-	if gets < subreads {
-		t.Errorf("%d shard.get spans, want >= %d (one per attempt)", gets, subreads)
+	if gets != subreads {
+		t.Errorf("%d shard.get spans, want %d (one per attempt, and nothing failed over)", gets, subreads)
+	}
+	// 64 bricks of the whole field, rows of one owner merged: more boxes than
+	// round trips, and the bodies add up to the response.
+	if boxes <= subreads || bodyBytes != 32*32*32*4 {
+		t.Errorf("%d boxes and %d body bytes over %d subreads, want more boxes than round trips and %d bytes", boxes, bodyBytes, subreads, 32*32*32*4)
 	}
 
-	// Shard side: each sub-request ran under the same trace id, and the
-	// shard's root span carries the store stage breakdown.
-	shardTraces := 0
-	withStages := 0
-	for _, srv := range srvs {
-		for _, tr := range srv.ins.rec.Snapshot(0, 0) {
-			if tr.ID != traceID {
-				continue
+	// Shard side: each round trip ran under the same trace id, and the
+	// shard's root span carries the store stage breakdown. A shard publishes
+	// its trace after its response is written — with one round trip per shard
+	// the gateway's answer can be here first, so wait for one trace per
+	// round trip.
+	var shardTraces, withStages int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		shardTraces, withStages = 0, 0
+		for _, srv := range srvs {
+			for _, tr := range srv.ins.rec.Snapshot(0, 0) {
+				if tr.ID != traceID {
+					continue
+				}
+				shardTraces++
+				if a := tr.Spans[0].Attrs; a["store.decodes"] != "" && a["store.fetches"] != "" && a["store.fetchMs"] != "" {
+					withStages++
+				}
 			}
-			shardTraces++
-			if a := tr.Spans[0].Attrs; a["store.decodes"] != "" && a["store.fetches"] != "" && a["store.fetchMs"] != "" {
-				withStages++
-			}
+		}
+		if shardTraces >= subreads || time.Now().After(deadline) {
+			break
 		}
 	}
 	if shardTraces < 2 {
-		t.Errorf("%d shard traces under the gateway's id, want >= 2 (both shards serve sub-reads)", shardTraces)
+		t.Errorf("%d shard traces under the gateway's id, want >= 2 (both shards serve round trips)", shardTraces)
 	}
 	if withStages != shardTraces {
 		t.Errorf("%d of %d shard traces carry store stage timings", withStages, shardTraces)

@@ -139,7 +139,7 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return answer{}, false
 		}
 		return answer{
-			lo: req.Lo, hi: req.Hi,
+			boxes: []store.Box{{Lo: req.Lo, Hi: req.Hi}},
 			// A gateway's generation gate reads the same "crc-gN" prefix off
 			// this ETag as off a region's.
 			variant: queryVariant(req, acceptsGzip(r)),

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -279,35 +278,18 @@ func allocBytesPerOp(n int, op func()) float64 {
 
 // TestClusterFanoutAllocBytes is the allocation gate of the hot hop: one
 // 32³ float32 box straddling 8 bricks, read 200 times through
-// cluster.Client.ReadRegionRaw against two in-process shards and released
-// the way the gateway releases it, allocates less than the response is
-// long — everything counted: the fan-out, net/http on both sides of the
-// shard hop, and the shards' own region reads. At the parent commit the
-// same loop measured 866 KB per 128 KiB read: the stitched slab, the
-// sub-read bodies and the shards' sample buffers (128 KiB each), plus a
-// 64 KiB conversion chunk per sub-read that escaped to the heap.
+// cluster.Client.ReadRegionRaw against two in-process shards — one round
+// trip to each — and released the way the gateway releases it, allocates
+// less than half of what the response is long — everything counted: the
+// fan-out, net/http on both sides of the shard hop, and the shards' own
+// region reads. Before the slabs were pooled (PR 20) the same loop measured
+// 866 KB per 128 KiB read; with pooled slabs and six single-box sub-reads,
+// 78 KB.
 func TestClusterFanoutAllocBytes(t *testing.T) {
 	path := buildHotStoreFile(t, t.TempDir())
 	shards, _ := startShards(t, []mount{{name: "hot", target: path}}, 2, serverOptions{CacheBytes: 64 << 20}, nil)
-	// The placement hashes shard URLs, and httptest's carry ephemeral ports:
-	// the plan for one box would be 4 sub-reads in one run and 8 in the
-	// next. Fixed names dialled to wherever the shards listen make the plan,
-	// and so the measurement, repeat.
-	addrs := map[string]string{}
-	var names []string
-	for i, s := range shards {
-		host := fmt.Sprintf("qozd-%d.test", i)
-		addrs[host+":80"] = s.Listener.Addr().String()
-		names = append(names, "http://"+host)
-	}
-	tr := &http.Transport{
-		MaxIdleConnsPerHost: 8,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			return new(net.Dialer).DialContext(ctx, network, addrs[addr])
-		},
-	}
-	defer tr.CloseIdleConnections()
-	cl := &cluster.Client{HTTP: &http.Client{Transport: tr}}
+	names, hc := namedFleet(t, shards) // the same plan, and so the same number, every run
+	cl := &cluster.Client{HTTP: hc}
 	ctx := context.Background()
 	cat, err := cl.Catalog(ctx, names)
 	if err != nil {
@@ -320,8 +302,8 @@ func TestClusterFanoutAllocBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.SubReads != 6 || !bytes.Equal(body, want) {
-			t.Fatalf("fan-out of %d sub-reads (the fixed placement gives 6), body equal to the reference: %v", stats.SubReads, bytes.Equal(body, want))
+		if stats.SubReads != 2 || !bytes.Equal(body, want) {
+			t.Fatalf("fan-out of %d round trips (one per owning shard is 2), body equal to the reference: %v", stats.SubReads, bytes.Equal(body, want))
 		}
 		(&slab[byte]{body}).Release()
 	}
@@ -333,20 +315,22 @@ func TestClusterFanoutAllocBytes(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own allocations and its pool sabotage are in the number
 	}
-	// Measured 78 KB (77.8–78.7 over five runs): 13 KB for each of the six
-	// sub-reads — net/http's request, response and header objects and the
-	// trace spans, on both sides of the hop — and nothing that grows with
-	// the box. The bound is the response size, 1.68× the measurement; one
-	// size-proportional buffer coming back (128 KiB) breaks it.
-	if perOp >= float64(len(want)) {
-		t.Errorf("%.0f heap bytes per read of a %d-byte region; a hot read must allocate less than it returns", perOp, len(want))
+	// Measured 32.8 KB (32 789 bytes in each of five runs): about 13 KB for
+	// each of the two round trips — net/http's request, response and header
+	// objects on both sides of the hop — plus the plan and the longer URLs,
+	// and nothing that grows with the box. The bound is half the response
+	// size, 2× the measurement; one size-proportional buffer coming back
+	// (the shards' 64 KiB halves, the 128 KiB body) or a third round trip's
+	// worth of per-box sub-reads breaks it.
+	if perOp >= float64(len(want))/2 {
+		t.Errorf("%.0f heap bytes per read of a %d-byte region; a hot read must allocate less than half of what it returns", perOp, len(want))
 	}
 }
 
 // TestShardRegionNoSampleAlloc is the shard half, beside
 // store.TestReadRegionIntoCachedZeroAlloc: with the bricks cached, a
-// region produce and its release allocate the slab's 24-byte header and
-// the pool's, not a sample buffer per produce.
+// region produce and its release allocate the slab's 24-byte header, the
+// pool's and the box's three dims, not a sample buffer per produce.
 func TestShardRegionNoSampleAlloc(t *testing.T) {
 	dir := t.TempDir()
 	p64, _, _ := buildStoreFile64(t, dir)
@@ -368,8 +352,9 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 		if !ok {
 			t.Fatalf("no field %s", tc.field)
 		}
+		boxes := []store.Box{{Lo: tc.lo, Hi: tc.hi}}
 		cycle := func() {
-			v, err := srv.be.region(context.Background(), f, tc.lo, tc.hi, 1)
+			v, err := srv.be.region(context.Background(), f, boxes, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +366,8 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		// Measured 48 bytes (two 24-byte headers). sync.Pool may miss
+		// Measured 72 bytes (two 24-byte headers and the box's grid dims,
+		// which the point count is taken from). sync.Pool may miss
 		// without a collection — a goroutine that changes Ps between a put
 		// and the next get cannot reach the other P's private slot — and
 		// each miss is one fresh buffer, size/200 per op here; the bound of

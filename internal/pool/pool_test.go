@@ -88,10 +88,10 @@ func TestSlicePoolRoundTrip(t *testing.T) {
 }
 
 // TestSlabBound pins what the slab pools recycle: nothing above
-// maxSlabBytes, whatever its element type, and not a slab whose capacity
+// MaxSlabBytes, whatever its element type, and not a slab whose capacity
 // merely rounds down to a bucket under the bound.
 func TestSlabBound(t *testing.T) {
-	for _, n := range []int{1, 1000, maxSlabBytes / 8, maxSlabBytes/8 + 1, maxSlabBytes + 1} {
+	for _, n := range []int{1, 1000, MaxSlabBytes / 8, MaxSlabBytes/8 + 1, MaxSlabBytes + 1} {
 		if s := Slab[float64](n); len(s) != n {
 			t.Fatalf("Slab[float64](%d): len %d", n, len(s))
 		}
@@ -99,15 +99,15 @@ func TestSlabBound(t *testing.T) {
 	// Dropped slabs never come back; held ones may (sync.Pool promises
 	// nothing), so only the negative is asserted.
 	samePlace := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
-	big := Slab[byte](maxSlabBytes + 1)
-	if cap(big) != maxSlabBytes+1 {
+	big := Slab[byte](MaxSlabBytes + 1)
+	if cap(big) != MaxSlabBytes+1 {
 		t.Errorf("a slab above the bound has cap %d, want exactly its length: it is not headed for a bucket", cap(big))
 	}
 	PutSlab(big)
-	odd := make([]byte, maxSlabBytes+maxSlabBytes/2) // would file under the 256 KiB bucket
+	odd := make([]byte, MaxSlabBytes+MaxSlabBytes/2) // would file under the 256 KiB bucket
 	PutSlab(odd)
 	for i := 0; i < 8; i++ {
-		if s := Slab[byte](maxSlabBytes); samePlace(s, big) || samePlace(s, odd) {
+		if s := Slab[byte](MaxSlabBytes); samePlace(s, big) || samePlace(s, odd) {
 			t.Fatal("a slab above the bound was recycled")
 		}
 	}

@@ -87,18 +87,19 @@ func PutFloat32s(s []float32) { float32Pool.put(s) }
 // Response slabs: the memory a served region lives in between its produce
 // and its last write (qozd's sample buffers and stitched bodies, the
 // fan-out's sub-read bodies). They have pools of their own, bounded at
-// maxSlabBytes per slab by a constant rather than a setting: a pooled slab
+// MaxSlabBytes per slab by a constant rather than a setting: a pooled slab
 // stays reachable for two collections after its last use, so recycling the
 // occasional full-field read (8 MiB and its sub-read bodies) would double
 // the collector's heap target to save one allocation, while the hot reads
 // — a brick or a few, tens to hundreds of KiB — are what arrive hundreds
-// of times a second.
-const maxSlabBytes = 256 << 10
+// of times a second. Exported so that the gateway can keep a multi-box
+// round trip's body (and so the shard's sample buffer for it) recyclable.
+const MaxSlabBytes = 256 << 10
 
 var (
-	byteSlabs    = slicePool[byte]{limit: maxSlabBytes}
-	float32Slabs = slicePool[float32]{limit: maxSlabBytes / 4}
-	float64Slabs = slicePool[float64]{limit: maxSlabBytes / 8}
+	byteSlabs    = slicePool[byte]{limit: MaxSlabBytes}
+	float32Slabs = slicePool[float32]{limit: MaxSlabBytes / 4}
+	float64Slabs = slicePool[float64]{limit: MaxSlabBytes / 8}
 )
 
 func slabPool[T byte | float32 | float64]() *slicePool[T] {
@@ -115,12 +116,12 @@ func slabPool[T byte | float32 | float64]() *slicePool[T] {
 }
 
 // Slab returns a response slab of n elements with undefined contents:
-// recycled memory up to maxSlabBytes, a plain allocation above.
+// recycled memory up to MaxSlabBytes, a plain allocation above.
 func Slab[T byte | float32 | float64](n int) []T { return slabPool[T]().get(n) }
 
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
 // from make: s must not be referenced afterwards. Slabs above
-// maxSlabBytes are left to the collector.
+// MaxSlabBytes are left to the collector.
 func PutSlab[T byte | float32 | float64](s []T) {
 	if poisonSlabs.Load() {
 		s = s[:cap(s)]

@@ -21,63 +21,151 @@ import (
 // higher ranks (which no current writer produces) use the general path.
 const maxFastDims = 8
 
+// Box is the half-open box [Lo, Hi) of field coordinates.
+type Box struct{ Lo, Hi []int }
+
 // ReadRegionInto is ReadRegionIntoT for a float32 destination.
 func (s *Store) ReadRegionInto(ctx context.Context, dst []float32, lo, hi []int) error {
 	return ReadRegionIntoT(ctx, s, dst, lo, hi)
 }
 
 // ReadRegionIntoT is ReadRegionT writing into a caller-provided buffer:
-// dst must hold exactly boxPoints(lo, hi) elements and receives the box
-// row-major with shape hi-lo. The box, the destination size and the
-// sample kind are all checked before any brick is fetched. When T is the
-// store's own sample type and every intersecting brick is cached the read
-// allocates nothing, so a hot serving loop can reuse one buffer across
-// requests; a float32 store read into float64 samples is widened through
-// a temporary float32 read.
+// the one-box, full-resolution case of ReadBoxesIntoT.
 func ReadRegionIntoT[T qoz.Float](ctx context.Context, s *Store, dst []T, lo, hi []int) error {
-	m := s.man.Load()
-	if err := checkRead[T](m, lo, hi); err != nil {
-		return err
-	}
-	if len(dst) != boxPoints(lo, hi) {
-		return fmt.Errorf("store: destination holds %d points, region has %d", len(dst), boxPoints(lo, hi))
-	}
-	return fillRegion(ctx, s, m, dst, lo, hi)
+	_, _, err := ReadBoxesIntoT(ctx, s, dst, []Box{{lo, hi}}, 1)
+	return err
 }
 
-// readRegionSlow is the general path: intersecting bricks decoded (or
-// cache-fetched) concurrently on the bounded worker pool, each copied
-// into its slot of dst.
-func readRegionSlow[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, lo, hi []int) error {
-	dims := m.hdr.dims
-	outDims := make([]int, len(dims))
-	for i := range dims {
-		outDims[i] = hi[i] - lo[i]
+// ReadBoxesIntoT reads a list of boxes into one caller-provided buffer:
+// consecutive sub-slices of dst receive each box's level-L grid (level 1:
+// the box itself, row-major with shape Hi-Lo; level L: what
+// ReadRegionLevelT returns for it), in list order. Boxes may overlap or
+// repeat. Every box, the level, the sample kind and the destination size —
+// exactly the sum of the grids — are checked before any brick is fetched,
+// and the whole list is served from one committed generation, whose
+// (manifest CRC, generation) pair is returned so that a caller which
+// validated against an earlier ManifestVersion can tell the two apart.
+// When T is the store's own sample type, a level-1 box whose bricks are
+// all cached costs no allocation, so a hot serving loop can reuse one
+// buffer across requests; the bricks of all other boxes decode on one
+// bounded worker pool across the whole list. A float32 store read into
+// float64 samples is widened through a temporary float32 read.
+func ReadBoxesIntoT[T qoz.Float](ctx context.Context, s *Store, dst []T, boxes []Box, level int) (crc uint32, gen uint64, err error) {
+	m := s.man.Load()
+	total := 0
+	for _, b := range boxes {
+		if err := checkRead[T](m, b.Lo, b.Hi); err != nil {
+			return 0, 0, err
+		}
+		n := boxPoints(b.Lo, b.Hi)
+		if level != 1 { // the level-1 count above allocates nothing
+			if _, _, n, err = levelGrid(b.Lo, b.Hi, level); err != nil {
+				return 0, 0, err
+			}
+		}
+		total += n
 	}
-	bricks := m.intersectingBricks(lo, hi)
-	return pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
-		bi := bricks[k]
-		blo, bhi := m.hdr.brickBox(bi)
-		data, err := brick[N](ctx, s, m, bi, 0)
+	if len(dst) != total {
+		return 0, 0, fmt.Errorf("store: destination holds %d points, region has %d", len(dst), total)
+	}
+	return m.fp, m.gen, fillBoxes(ctx, s, m, dst, boxes, level)
+}
+
+// fillBoxes decodes the validated boxes into consecutive sub-slices of dst
+// — the one place a region read dispatches on the store's sample kind.
+func fillBoxes[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, boxes []Box, level int) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if m.hdr.kind == kindFloat64 {
+		return fillBoxesFrom[float64](ctx, s, m, dst, boxes, level)
+	}
+	return fillBoxesFrom[float32](ctx, s, m, dst, boxes, level)
+}
+
+// fillBoxesFrom decodes the boxes from bricks of native kind N: straight
+// into dst when T is N, otherwise into a native buffer that is then
+// widened whole. Every access goes through the manifest snapshot m, so the
+// whole read is served from one committed generation.
+func fillBoxesFrom[N, T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, boxes []Box, level int) error {
+	native, same := any(dst).([]N)
+	if !same {
+		native = make([]N, len(dst))
+	}
+	if level > 1 {
+		off := 0
+		for _, b := range boxes {
+			n, err := fillRegionLevel(ctx, s, m, native[off:], b.Lo, b.Hi, level)
+			if err != nil {
+				return err
+			}
+			off += n
+		}
+	} else if err := fillBoxesFull(ctx, s, m, native, boxes); err != nil {
+		return err
+	}
+	if !same {
+		for i, x := range native {
+			dst[i] = T(x)
+		}
+	}
+	return nil
+}
+
+// brickJob is one brick of one box that the cache could not serve whole:
+// the box's corners and where its samples start in the destination.
+type brickJob struct {
+	lo, hi []int
+	off    int
+	brick  int
+}
+
+// fillBoxesFull fills the boxes at full resolution. A box whose bricks are
+// all cached is served on the calling goroutine without allocating; the
+// intersecting bricks of every other box are decoded (or cache-fetched)
+// concurrently on one bounded worker pool, each copied into its slot of
+// dst, so a cold list keeps s.workers decodes in flight however its bricks
+// are spread over the boxes.
+func fillBoxesFull[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, boxes []Box) error {
+	var jobs []brickJob
+	off := 0
+	for _, b := range boxes {
+		n := boxPoints(b.Lo, b.Hi)
+		if !serveRegionCached(ctx, s, m, dst[off:off+n], b.Lo, b.Hi) {
+			for _, bi := range m.intersectingBricks(b.Lo, b.Hi) {
+				jobs = append(jobs, brickJob{lo: b.Lo, hi: b.Hi, off: off, brick: bi})
+			}
+		}
+		off += n
+	}
+	if len(jobs) == 0 {
+		return nil
+	}
+	nd := len(m.hdr.dims)
+	return pool.RunErr(ctx, len(jobs), s.workers, func(k int) error {
+		j := jobs[k]
+		blo, bhi := m.hdr.brickBox(j.brick)
+		data, err := brick[N](ctx, s, m, j.brick, 0)
 		if err != nil {
 			return err
 		}
 		// Intersection of the brick box and the requested box, copied from
-		// brick-local coordinates into region-local coordinates. Workers
-		// write disjoint elements of dst, so no synchronization is needed.
-		ilo := make([]int, len(dims))
-		size := make([]int, len(dims))
-		srcLo := make([]int, len(dims))
-		dstLo := make([]int, len(dims))
-		bdims := make([]int, len(dims))
-		for i := range dims {
-			ilo[i] = max(lo[i], blo[i])
-			size[i] = min(hi[i], bhi[i]) - ilo[i]
-			srcLo[i] = ilo[i] - blo[i]
-			dstLo[i] = ilo[i] - lo[i]
+		// brick-local coordinates into box-local coordinates. Workers write
+		// disjoint elements of dst, so no synchronization is needed.
+		outDims := make([]int, nd)
+		size := make([]int, nd)
+		srcLo := make([]int, nd)
+		dstLo := make([]int, nd)
+		bdims := make([]int, nd)
+		for i := 0; i < nd; i++ {
+			ilo := max(j.lo[i], blo[i])
+			outDims[i] = j.hi[i] - j.lo[i]
+			size[i] = min(j.hi[i], bhi[i]) - ilo
+			srcLo[i] = ilo - blo[i]
+			dstLo[i] = ilo - j.lo[i]
 			bdims[i] = bhi[i] - blo[i]
 		}
-		copyBox(dst, outDims, dstLo, data, bdims, srcLo, size)
+		copyBox(dst[j.off:], outDims, dstLo, data, bdims, srcLo, size)
 		return nil
 	})
 }

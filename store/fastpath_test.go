@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qoz"
@@ -168,5 +169,140 @@ func TestReadRegionIntoCachedZeroAlloc(t *testing.T) {
 	st := s.Stats()
 	if st.CacheHits == 0 || st.BricksDecoded != 8 {
 		t.Fatalf("stats after cached reads: %+v", st)
+	}
+}
+
+// multiBoxes is a box list no fan-out plan would produce: out of row-major
+// order, overlapping, one box twice, one a single point — over a 24×26×28
+// field of 8³ bricks.
+func multiBoxes() []Box {
+	return []Box{
+		{Lo: []int{16, 8, 0}, Hi: []int{24, 26, 9}},
+		{Lo: []int{0, 0, 0}, Hi: []int{8, 8, 8}},
+		{Lo: []int{4, 6, 2}, Hi: []int{20, 19, 23}}, // overlaps both
+		{Lo: []int{0, 0, 0}, Hi: []int{8, 8, 8}},    // again
+		{Lo: []int{20, 24, 24}, Hi: []int{21, 25, 25}},
+	}
+}
+
+// readBoxesMatch checks ReadBoxesIntoT against the whole field read once
+// and cut up by the test: each box's level grid, in list order, bit for
+// bit — on a cold cache, on a partly warm one (one box read alone first, so
+// the list mixes the cached path with pooled decodes), fully warm, and
+// with no cache at all.
+func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, dims []int) {
+	t.Helper()
+	ctx := context.Background()
+	for _, cacheBytes := range []int64{DefaultCacheBytes, -1} {
+		s, err := Open(bytes.NewReader(content), int64(len(content)), Options{CacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := ReadFieldT[T](ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCRC, wantGen := s.ManifestVersion()
+		for _, level := range []int{1, 2, 3} {
+			var want []T
+			for _, b := range multiBoxes() {
+				size := make([]int, len(dims))
+				for i := range dims {
+					size[i] = b.Hi[i] - b.Lo[i]
+				}
+				box := make([]T, boxPoints(b.Lo, b.Hi))
+				copyBox(box, size, make([]int, len(dims)), full, dims, b.Lo, size)
+				coarse, _ := sampleRegionStride(box, b.Lo, b.Hi, 1<<(level-1))
+				want = append(want, coarse...)
+			}
+			s.cache.evictOwner(s)
+			for pass, warm := range []func(){
+				func() {},
+				func() { // partly warm: one box's bricks only
+					s.cache.evictOwner(s)
+					b := multiBoxes()[1]
+					if _, err := ReadRegionT[T](ctx, s, b.Lo, b.Hi); err != nil {
+						t.Fatal(err)
+					}
+				},
+				func() {},
+			} {
+				warm()
+				got := make([]T, len(want))
+				crc, gen, err := ReadBoxesIntoT(ctx, s, got, multiBoxes(), level)
+				if err != nil {
+					t.Fatalf("%s level %d pass %d: %v", name, level, pass, err)
+				}
+				if crc != wantCRC || gen != wantGen {
+					t.Errorf("%s: read reports version %08x-g%d, store is at %08x-g%d", name, crc, gen, wantCRC, wantGen)
+				}
+				for i := range want {
+					if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+						t.Fatalf("%s level %d pass %d (cache %d): sample %d of %d = %v, want %v",
+							name, level, pass, cacheBytes, i, len(want), got[i], want[i])
+					}
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestReadBoxesIntoMatchesSingleReads is the differential test of the
+// multi-box read, for both sample kinds and the widening read.
+func TestReadBoxesIntoMatchesSingleReads(t *testing.T) {
+	ds := datagen.NYX(24, 26, 28)
+	wo := WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}
+	c32 := writeBytes(t, ds.Data, ds.Dims, wo)
+	f64 := make([]float64, len(ds.Data))
+	for i, v := range ds.Data {
+		f64[i] = float64(v) + 1e-9*float64(i%7)
+	}
+	wo.Opts = qoz.Options{ErrorBound: 1e-3}
+	c64 := writeBytes(t, f64, ds.Dims, wo)
+	readBoxesMatch[float32, float32](t, "f32 as f32", c32, ds.Dims)
+	readBoxesMatch[float32, float64](t, "f32 as f64", c32, ds.Dims)
+	readBoxesMatch[float64, float64](t, "f64 as f64", c64, ds.Dims)
+}
+
+// TestReadBoxesIntoChecksEveryBoxFirst: one bad box, a level the last box
+// has no point on, a destination sized for fewer boxes — each is refused
+// before a brick is touched or a sample written.
+func TestReadBoxesIntoChecksEveryBoxFirst(t *testing.T) {
+	ds := datagen.NYX(24, 26, 28)
+	s, _ := buildStore(t, ds.Data, ds.Dims,
+		WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{8, 8, 8}}, Options{})
+	ctx := context.Background()
+	good := Box{Lo: []int{0, 0, 0}, Hi: []int{8, 8, 8}}
+	for _, tc := range []struct {
+		name  string
+		boxes []Box
+		level int
+		n     int
+		want  string
+	}{
+		{"outside", []Box{good, {Lo: []int{0, 0, 20}, Hi: []int{8, 8, 29}}}, 1, 512 + 576, "outside field"},
+		{"rank", []Box{good, {Lo: []int{0, 0}, Hi: []int{8, 8}}}, 1, 512 + 64, "rank"},
+		{"no level point", []Box{good, {Lo: []int{1, 1, 1}, Hi: []int{2, 2, 2}}}, 2, 64, "holds no level-2 points"},
+		{"level", []Box{good}, 0, 512, "level 0 outside"},
+		{"short destination", []Box{good, good}, 1, 512, "destination holds 512 points, region has 1024"},
+	} {
+		before := s.Stats().BricksRead
+		dst := make([]float32, tc.n)
+		for i := range dst {
+			dst[i] = -7
+		}
+		_, _, err := ReadBoxesIntoT(ctx, s, dst, tc.boxes, tc.level)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if got := s.Stats().BricksRead; got != before {
+			t.Errorf("%s: %d bricks read before the list was refused", tc.name, got-before)
+		}
+		for i, v := range dst {
+			if v != -7 {
+				t.Fatalf("%s: dst[%d] written before the list was refused", tc.name, i)
+			}
+		}
 	}
 }

@@ -67,46 +67,52 @@ func ReadRegionLevelT[T qoz.Float](ctx context.Context, s *Store, lo, hi []int, 
 	if err := checkRead[T](m, lo, hi); err != nil {
 		return nil, nil, err
 	}
-	// The one place a progressive read dispatches on the store's sample
-	// kind; the coarse result is widened whole when T is not that kind.
-	if m.hdr.kind == kindFloat64 {
-		v, dims, err := readRegionLevel[float64](ctx, s, m, lo, hi, level)
-		return convertSamples[float64, T](v), dims, err
+	_, dims, n, err := levelGrid(lo, hi, level)
+	if err != nil {
+		return nil, nil, err
 	}
-	v, dims, err := readRegionLevel[float32](ctx, s, m, lo, hi, level)
-	return convertSamples[float32, T](v), dims, err
+	out := make([]T, n)
+	if err := fillBoxes(ctx, s, m, out, []Box{{lo, hi}}, level); err != nil {
+		return nil, nil, err
+	}
+	return out, dims, nil
 }
 
-// readRegionLevel stitches the level-L coarse grids of every brick the
-// validated box intersects into one dense coarse array of native kind N.
-func readRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi []int, level int) ([]N, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dims := m.hdr.dims
+// levelGrid returns the level-L grid of the box [lo, hi): its origin in
+// global coarse coordinates (coarse coordinate c is full coordinate
+// c*2^(L-1)), its dims and its point count. A level outside
+// 1..MaxReadLevel, or a box no grid point falls in, is an error.
+func levelGrid(lo, hi []int, level int) (outLo, outDims []int, n int, err error) {
 	if level < 1 || level > MaxReadLevel {
-		return nil, nil, fmt.Errorf("store: level %d outside 1..%d", level, MaxReadLevel)
+		return nil, nil, 0, fmt.Errorf("store: level %d outside 1..%d", level, MaxReadLevel)
 	}
 	stride := 1 << (level - 1)
-	nd := len(dims)
-	// The output grid: global coarse coordinates [outLo, outLo+outDims)
-	// per dimension, where coarse coordinate c maps to full coordinate
-	// c*stride.
-	outLo := make([]int, nd)
-	outDims := make([]int, nd)
-	n := 1
-	for d := range dims {
+	outLo = make([]int, len(lo))
+	outDims = make([]int, len(lo))
+	n = 1
+	for d := range lo {
 		outLo[d] = ceilDiv(lo[d], stride)
 		outDims[d] = (hi[d]-1)/stride + 1 - outLo[d]
 		if outDims[d] <= 0 {
-			return nil, nil, fmt.Errorf("store: region [%v,%v) holds no level-%d points (stride %d)", lo, hi, level, stride)
+			return nil, nil, 0, fmt.Errorf("store: region [%v,%v) holds no level-%d points (stride %d)", lo, hi, level, stride)
 		}
 		n *= outDims[d]
 	}
-	out := make([]N, n)
+	return outLo, outDims, n, nil
+}
 
+// fillRegionLevel stitches the level-L coarse grids of every brick the
+// validated box intersects into the front of out, a dense coarse array of
+// native kind N, and returns how many points that is.
+func fillRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, out []N, lo, hi []int, level int) (int, error) {
+	outLo, outDims, n, err := levelGrid(lo, hi, level)
+	if err != nil {
+		return 0, err
+	}
+	stride := 1 << (level - 1)
+	nd := len(lo)
 	bricks := m.intersectingBricks(lo, hi)
-	err := pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
+	err = pool.RunErr(ctx, len(bricks), s.workers, func(k int) error {
 		bi := bricks[k]
 		blo, bhi := m.hdr.brickBox(bi)
 		// The brick's share of the coarse output, in global coarse
@@ -115,7 +121,7 @@ func readRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, lo
 		// being fetched.
 		cilo := make([]int, nd)
 		size := make([]int, nd)
-		for d := range dims {
+		for d := range lo {
 			cilo[d] = ceilDiv(max(lo[d], blo[d]), stride)
 			size[d] = (min(hi[d], bhi[d])-1)/stride + 1 - cilo[d]
 			if size[d] <= 0 {
@@ -128,17 +134,14 @@ func readRegionLevel[N qoz.Float](ctx context.Context, s *Store, m *manifest, lo
 		}
 		srcLo := make([]int, nd)
 		dstLo := make([]int, nd)
-		for d := range dims {
+		for d := range lo {
 			srcLo[d] = cilo[d] - ceilDiv(blo[d], stride)
 			dstLo[d] = cilo[d] - outLo[d]
 		}
 		copyBox(out, outDims, dstLo, data, bcd, srcLo, size)
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, outDims, nil
+	return n, err
 }
 
 // brickCoarse returns brick i's stride-aligned points — the points

@@ -641,45 +641,10 @@ func readRegion[T qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi 
 		return nil, err
 	}
 	out := make([]T, boxPoints(lo, hi))
-	if err := fillRegion(ctx, s, m, out, lo, hi); err != nil {
+	if err := fillBoxes(ctx, s, m, out, []Box{{lo, hi}}, 1); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// fillRegion decodes the validated box [lo, hi) into dst — the one place a
-// region read dispatches on the store's sample kind.
-func fillRegion[T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if m.hdr.kind == kindFloat64 {
-		return fillRegionFrom[float64](ctx, s, m, dst, lo, hi)
-	}
-	return fillRegionFrom[float32](ctx, s, m, dst, lo, hi)
-}
-
-// fillRegionFrom decodes the box from bricks of native kind N: straight
-// into dst when T is N (allocation-free when every brick is cached),
-// otherwise into a native buffer that is then widened whole. Every access
-// goes through the manifest snapshot m, so the whole read is served from
-// one committed generation.
-func fillRegionFrom[N, T qoz.Float](ctx context.Context, s *Store, m *manifest, dst []T, lo, hi []int) error {
-	native, same := any(dst).([]N)
-	if !same {
-		native = make([]N, len(dst))
-	}
-	if !serveRegionCached(ctx, s, m, native, lo, hi) {
-		if err := readRegionSlow(ctx, s, m, native, lo, hi); err != nil {
-			return err
-		}
-	}
-	if !same {
-		for i, x := range native {
-			dst[i] = T(x)
-		}
-	}
-	return nil
 }
 
 // intersectingBricks returns the indices of the bricks the box [lo, hi)
