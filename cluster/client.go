@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 	"qoz/obs"
 	"qoz/store"
@@ -150,7 +151,10 @@ func (c *Client) attempts() int {
 // its placement spans every shard that reports it — shards still serving
 // an older generation fail the per-sub-read generation check and are
 // failed over, never stitched. Shards that cannot be reached are skipped;
-// only a fleet with no reachable shard at all is an error.
+// only a fleet with no reachable shard at all is an error. A field whose
+// reported dims and brick shape are not a brick grid (store.Grid: equal
+// ranks within 1..8, positive brick extents) is left out of that shard's
+// listing here, once, rather than failing every request planned over it.
 func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Field, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
@@ -175,6 +179,10 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 		}
 		reachable++
 		for _, fi := range l.fields {
+			if _, err := store.Grid(fi.Dims, fi.Brick); err != nil {
+				errs = append(errs, fmt.Errorf("%s: field %q: %w", l.shard, fi.Name, err))
+				continue
+			}
 			f, ok := catalog[fi.Name]
 			if !ok || fi.Generation > f.Generation {
 				nf := &Field{
@@ -268,30 +276,25 @@ func planSubRegions(f *Field, lo, hi []int) ([]subRegion, error) {
 	if err != nil {
 		return nil, err
 	}
-	bricks, err := store.IntersectingBricksIn(f.Dims, f.Brick, lo, hi)
+	bk, err := grid.NewBricks(f.Dims, f.Brick)
 	if err != nil {
+		return nil, fmt.Errorf("cluster: field %s: %w", f.Name, err)
+	}
+	if err := grid.CheckBox("cluster: region", f.Dims, lo, hi); err != nil {
 		return nil, err
 	}
 	var subs []subRegion
-	for _, bi := range bricks {
-		blo, bhi, err := store.BrickBoxIn(f.Dims, f.Brick, bi)
-		if err != nil {
-			return nil, err
-		}
-		clo := make([]int, len(lo))
-		chi := make([]int, len(lo))
-		for i := range lo {
-			clo[i] = max(lo[i], blo[i])
-			chi[i] = min(hi[i], bhi[i])
-		}
-		owner := place.Owner(f.Name, bi)
+	last := bk.Rank - 1
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		clo, chi := it.Lo[:bk.Rank], it.Hi[:bk.Rank]
+		owner := place.Owner(f.Name, it.Index)
 		n := len(subs)
-		last := len(lo) - 1
 		if n > 0 && subs[n-1].rank[0] == owner && mergeable(subs[n-1], clo, chi, last) {
 			subs[n-1].hi[last] = chi[last]
 			continue
 		}
-		subs = append(subs, subRegion{lo: clo, hi: chi, rank: place.Rank(f.Name, bi)})
+		subs = append(subs, subRegion{lo: slices.Clone(clo), hi: slices.Clone(chi), rank: place.Rank(f.Name, it.Index)})
 	}
 	return subs, nil
 }
@@ -340,9 +343,9 @@ func (c *Client) ReadRegionRaw(ctx context.Context, f *Field, lo, hi []int) ([]b
 // sub-boxes' coarse points, and sub-boxes holding no coarse point are
 // left out of the round trip. level 1 is the full-resolution read.
 func (c *Client) ReadRegionLevelRaw(ctx context.Context, f *Field, lo, hi []int, level int) ([]byte, FanoutStats, error) {
-	if level < 1 || level > 30 {
+	if level < 1 || level > store.MaxReadLevel {
 		return nil, FanoutStats{ByShard: map[string]*ShardTraffic{}},
-			fmt.Errorf("cluster: level %d outside 1..30", level)
+			fmt.Errorf("cluster: level %d outside 1..%d", level, store.MaxReadLevel)
 	}
 	return c.readRegionRaw(ctx, f, lo, hi, level)
 }
@@ -374,35 +377,34 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 		fanSpan.Annotate("level", strconv.Itoa(level))
 	}
 	stats := FanoutStats{ByShard: make(map[string]*ShardTraffic)}
-	stride := 1 << (level - 1)
-	outLo, outDims, ok := coarseBox(lo, hi, stride)
-	if !ok {
-		return nil, stats, fmt.Errorf("cluster: region [%v,%v) has no points on the level-%d grid", lo, hi, level)
-	}
-	planned, err := planSubRegions(f, lo, hi)
+	step := 1 << (level - 1)
+	planned, err := planSubRegions(f, lo, hi) // validates the box
 	if err != nil {
 		return nil, stats, err
 	}
+	nd := len(lo)
+	og, ok := grid.LevelOf(lo, hi, step)
+	if !ok {
+		return nil, stats, fmt.Errorf("cluster: region [%v,%v) has no points on the level-%d grid", lo, hi, level)
+	}
 	elem := f.ElemSize()
-	size := boxBytes(outDims, elem)
+	size := og.N * elem
 	// Keep only sub-regions whose box holds at least one coarse point —
 	// the rest would be answered with "no points" by their shards, and the
 	// stitch owes them nothing. At level 1 every sub-region survives.
 	subs := make([]subRegion, 0, len(planned))
-	clos := make([][]int, 0, len(planned))
-	cdims := make([][]int, 0, len(planned))
-	want := make([]int, 0, len(planned)) // body bytes per sub-region
+	grids := make([]grid.LevelGrid, 0, len(planned)) // each sub-region's level grid
+	want := make([]int, 0, len(planned))             // and its body bytes
 	covered := 0
 	for _, sub := range planned {
-		cl, cd, ok := coarseBox(sub.lo, sub.hi, stride)
+		g, ok := grid.LevelOf(sub.lo, sub.hi, step)
 		if !ok {
 			continue
 		}
 		subs = append(subs, sub)
-		clos = append(clos, cl)
-		cdims = append(cdims, cd)
-		want = append(want, boxBytes(cd, elem))
-		covered += want[len(want)-1]
+		grids = append(grids, g)
+		want = append(want, g.N*elem)
+		covered += g.N * elem
 	}
 	// The output slab arrives holding some earlier response, so "every byte
 	// is written" is no longer a nicety: disjoint sub-regions (the plan's
@@ -480,14 +482,9 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 			// exactly one of them, so writers touch disjoint bytes — no
 			// synchronization. At level 1 this is the plain full-resolution
 			// scatter.
-			var fixed [maxFixedRank]int
-			dstLo := rankInts(&fixed, len(lo))
 			off := 0
 			for _, k := range trip {
-				for i := range lo {
-					dstLo[i] = clos[k][i] - outLo[i]
-				}
-				stitchBytes(out, outDims, dstLo, body[off:off+want[k]], cdims[k], elem)
+				stitch(out, &og, body[off:off+want[k]], &grids[k], nd, elem)
 				off += want[k]
 			}
 			pool.PutSlab(body)
@@ -533,28 +530,6 @@ func groupTrips(subs []subRegion, want, pending []int, a int) [][]int {
 		bytes += want[k]
 	}
 	return append(trips, pending[start:])
-}
-
-// maxFixedRank is the rank up to which the fan-out's per-sub-read
-// coordinate scratch lives in stack arrays, as store's cached read path
-// does; higher ranks (which no writer produces) allocate.
-const maxFixedRank = 8
-
-// rankInts returns n zeroed ints: a prefix of *fixed when it is long
-// enough, a fresh slice otherwise.
-func rankInts(fixed *[maxFixedRank]int, n int) []int {
-	if n <= maxFixedRank {
-		return fixed[:n]
-	}
-	return make([]int, n)
-}
-
-// boxBytes is the size of a row-major box of elem-byte points.
-func boxBytes(dims []int, elem int) int {
-	for _, d := range dims {
-		elem *= d
-	}
-	return elem
 }
 
 // generationPrefix is what a shard's ETag begins with when it answers from
@@ -677,24 +652,6 @@ func (c *Client) fetchBoxes(ctx context.Context, shard string, f *Field, subs []
 	return body, nil
 }
 
-// coarseBox maps a full-resolution box [lo, hi) to its stride-aligned
-// coarse sub-grid: clo is the coarse origin (global coordinates divided
-// by stride, rounded up), cdims counts the stride-multiples inside the
-// box per dimension. ok is false when some dimension holds none. Stride 1
-// is the identity: clo = lo, cdims = hi-lo.
-func coarseBox(lo, hi []int, stride int) (clo, cdims []int, ok bool) {
-	clo = make([]int, len(lo))
-	cdims = make([]int, len(lo))
-	for d := range lo {
-		clo[d] = (lo[d] + stride - 1) / stride
-		cdims[d] = (hi[d]-1)/stride + 1 - clo[d]
-		if cdims[d] <= 0 {
-			return nil, nil, false
-		}
-	}
-	return clo, cdims, true
-}
-
 // corner formats region coordinates as qozd's "a,b,c" query syntax.
 func corner(v []int) string {
 	var buf [64]byte
@@ -712,55 +669,15 @@ func appendCorner(b []byte, v []int) []byte {
 	return b
 }
 
-// stitchBytes copies a row-major sub-slab (shape srcDims, elem bytes per
-// point) into the row-major output (shape dstDims) at origin dstLo. The
-// innermost axis is contiguous in both layouts, so the copy proceeds in
-// whole-row byte runs.
-func stitchBytes(dst []byte, dstDims, dstLo []int, src []byte, srcDims []int, elem int) {
-	n := len(dstDims)
-	run := srcDims[n-1] * elem
-	if run == 0 {
-		return
-	}
-	// Byte strides of each axis in dst and src.
-	var fixed [3][maxFixedRank]int
-	ds, ss, idx := rankInts(&fixed[0], n), rankInts(&fixed[1], n), rankInts(&fixed[2], n)
-	acc := elem
-	for i := n - 1; i >= 0; i-- {
-		ds[i] = acc
-		acc *= dstDims[i]
-	}
-	acc = elem
-	for i := n - 1; i >= 0; i-- {
-		ss[i] = acc
-		acc *= srcDims[i]
-	}
-	do := 0
-	for i := 0; i < n; i++ {
-		do += dstLo[i] * ds[i]
-	}
-	if n == 1 {
-		copy(dst[do:do+run], src[:run])
-		return
-	}
-	so := 0
-	for {
-		copy(dst[do:do+run], src[so:so+run])
-		k := n - 2
-		for ; k >= 0; k-- {
-			idx[k]++
-			so += ss[k]
-			do += ds[k]
-			if idx[k] < srcDims[k] {
-				break
-			}
-			so -= srcDims[k] * ss[k]
-			do -= srcDims[k] * ds[k]
-			idx[k] = 0
-		}
-		if k < 0 {
-			return
-		}
+// stitch copies src — the level grid g of one sub-region, row-major, elem
+// bytes per point — to its place in dst, which holds the region's level
+// grid og the same way, in whole-row byte runs.
+func stitch(dst []byte, og *grid.LevelGrid, src []byte, g *grid.LevelGrid, nd, elem int) {
+	var origin grid.Coord
+	dstLo := grid.Sub(g.Lo[:nd], og.Lo[:nd])
+	w := grid.Walk(g.Dims[:nd], g.Dims[:nd], origin[:nd], 1, og.Dims[:nd], dstLo[:nd])
+	for w.Next() {
+		copy(dst[w.B*elem:(w.B+w.Run)*elem], src[w.A*elem:])
 	}
 }
 

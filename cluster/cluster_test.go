@@ -7,11 +7,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qoz/internal/grid"
+	"qoz/store"
 )
 
 // TestPlacementDeterministic pins the placement's core contract: the
@@ -322,6 +328,43 @@ func TestLimiterOverridesAndDefaults(t *testing.T) {
 	}
 }
 
+// TestCatalogValidatesReportedFields: a shard's /v1/fields answer is outside
+// input. A field whose dims and brick are not a brick grid — rank past the
+// box walk's fixed arrays, ranks that disagree, a non-positive brick extent,
+// nothing at all — is left out when the catalog is built, beside a good
+// field that stays; planning over it is refused, never an index panic.
+func TestCatalogValidatesReportedFields(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"fields":[
+			{"name":"good","dims":[8,8],"brick":[4,4],"dtype":"float32","generation":1},
+			{"name":"rank9","dims":[2,2,2,2,2,2,2,2,2],"brick":[1,1,1,1,1,1,1,1,1],"dtype":"float32","generation":1},
+			{"name":"mismatch","dims":[8,8,8],"brick":[4,4],"dtype":"float32","generation":1},
+			{"name":"zerobrick","dims":[8,8],"brick":[4,0],"dtype":"float32","generation":1},
+			{"name":"empty","dtype":"float32","generation":1}]}`)
+	}))
+	defer shard.Close()
+	var c Client
+	catalog, err := c.Catalog(context.Background(), []string{shard.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(catalog) != 1 || catalog["good"] == nil {
+		t.Fatalf("catalog holds %v, want only the field whose grid validates", catalog)
+	}
+	if _, err := planSubRegions(catalog["good"], []int{1, 1}, []int{7, 7}); err != nil {
+		t.Errorf("good field: %v", err)
+	}
+	// A Field assembled by hand skips the catalog; the plan still refuses it.
+	bad := &Field{Name: "rank9", Dims: make([]int, 9), Brick: make([]int, 9), Shards: []string{"a", "b"}}
+	if _, err := planSubRegions(bad, make([]int, 9), make([]int, 9)); err == nil {
+		t.Error("a rank-9 field was planned")
+	}
+	if _, _, err := c.ReadRegionLevelRaw(context.Background(), catalog["good"], []int{0, 0}, []int{8, 8}, store.MaxReadLevel+1); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprint("1..", store.MaxReadLevel)) {
+		t.Errorf("level past store.MaxReadLevel: %v", err)
+	}
+}
+
 // TestPlanSubRegionsPartition checks the plan invariant the lock-free
 // stitch depends on: sub-regions are disjoint and cover the request
 // exactly, and each sub-region's bricks all route to rank[0]'s shard.
@@ -386,6 +429,7 @@ func TestStitchBytes(t *testing.T) {
 		{[]int{9, 13}, []int{4, 5}, 8},
 		{[]int{6, 7, 8}, []int{3, 3, 3}, 4},
 		{[]int{3, 4, 5, 6}, []int{2, 2, 2, 2}, 8},
+		{[]int{2, 2, 2, 2, 2, 2, 3, 5}, []int{1, 2, 1, 2, 1, 2, 2, 3}, 4}, // grid.MaxRank
 	} {
 		n := 1
 		for _, d := range tc.dims {
@@ -408,9 +452,11 @@ func TestStitchBytes(t *testing.T) {
 				srcDims[i] = s.hi[i] - s.lo[i]
 			}
 			// Gather the sub-slab from the reference (what the shard would
-			// serve), then scatter it through stitchBytes.
+			// serve), then scatter it through stitch.
 			src := gatherBytes(want, tc.dims, s.lo, srcDims, tc.elem)
-			stitchBytes(got, tc.dims, s.lo, src, srcDims, tc.elem)
+			og, _ := grid.LevelOf(lo, tc.dims, 1)
+			g, _ := grid.LevelOf(s.lo, s.hi, 1)
+			stitch(got, &og, src, &g, len(tc.dims), tc.elem)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("dims %v elem %d: stitched bytes differ from reference", tc.dims, tc.elem)
@@ -418,7 +464,7 @@ func TestStitchBytes(t *testing.T) {
 	}
 }
 
-// gatherBytes is the test-side inverse of stitchBytes: copy the box at
+// gatherBytes is the test-side inverse of stitch: copy the box at
 // srcLo (shape boxDims) out of a row-major volume.
 func gatherBytes(src []byte, dims, srcLo, boxDims []int, elem int) []byte {
 	n := 1

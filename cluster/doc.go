@@ -9,14 +9,17 @@
 //     brick-geometry helpers) and the shard list, so a gateway and its
 //     shards agree on who owns which bricks with no coordination service.
 //   - Client: the fan-out engine. It discovers the fields a shard fleet
-//     serves, splits one region read into sub-regions along
+//     serves (admitting only those whose reported dims and brick shape
+//     form a brick grid), splits one region read into sub-regions along
 //     brick-ownership boundaries, sends each owning shard its sub-regions
 //     in one multi-box round trip with per-request context propagation,
 //     fails a round trip's sub-regions over to their next-ranked shards,
 //     verifies every response against the catalog's (manifest CRC,
 //     generation) pair so a stitched response can never mix store
 //     generations, and scatters the boxes of each body into one row-major
-//     byte buffer.
+//     byte buffer. Plan and scatter run on internal/grid's piece iterator,
+//     level grid and run walker: the arithmetic the shards' stores read
+//     with, not a copy of it.
 //   - Flight: request-layer single-flight. A thundering herd of identical
 //     region requests decodes (or fans out) once; followers share the
 //     leader's result. The leader's work is cancelled only when every

@@ -44,14 +44,6 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 		lo = make([]int, len(f.Dims))
 		hi = f.Dims
 	}
-	if len(lo) != len(f.Dims) || len(hi) != len(f.Dims) {
-		return nil, stats, fmt.Errorf("cluster: query box rank %d/%d, field rank %d", len(lo), len(hi), len(f.Dims))
-	}
-	for i := range f.Dims {
-		if lo[i] < 0 || hi[i] > f.Dims[i] || lo[i] >= hi[i] {
-			return nil, stats, fmt.Errorf("cluster: query box [%v,%v) outside field %v", lo, hi, f.Dims)
-		}
-	}
 	subs, err := planSubRegions(f, lo, hi)
 	if err != nil {
 		return nil, stats, err

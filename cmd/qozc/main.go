@@ -67,6 +67,7 @@ import (
 	"qoz"
 	"qoz/internal/container"
 	"qoz/internal/fsutil"
+	"qoz/internal/grid"
 	"qoz/internal/interp"
 	"qoz/metrics"
 	"qoz/store"
@@ -905,7 +906,8 @@ func storeLevels(s *store.Store) ([]levelReport, [][]store.LevelEntry) {
 	if !any {
 		return nil, nil
 	}
-	dims, brick := s.Dims(), s.BrickShape()
+	dims := s.Dims()
+	bk, _ := grid.NewBricks(dims, s.BrickShape()) // an open store's header passed the same checks
 	levels := make([]levelReport, 0, maxLevels)
 	for l := maxLevels; l >= 1; l-- {
 		stride := 1 << (l - 1)
@@ -913,9 +915,11 @@ func storeLevels(s *store.Store) ([]levelReport, [][]store.LevelEntry) {
 		for _, d := range qoz.CoarseDims(dims, stride) {
 			rep.GridPoints *= d
 		}
-		forEachBrickDims(dims, brick, func(bd []int) {
-			rep.NewPoints += interp.CountLevelPoints(bd, l)
-		})
+		it := bk.Pieces(make([]int, len(dims)), dims)
+		for it.Next() {
+			bd := grid.Sub(it.BHi[:], it.BLo[:])
+			rep.NewPoints += interp.CountLevelPoints(bd[:len(dims)], l)
+		}
 		for _, tab := range tables {
 			if len(tab) == 0 {
 				continue
@@ -931,36 +935,6 @@ func storeLevels(s *store.Store) ([]levelReport, [][]store.LevelEntry) {
 		levels = append(levels, rep)
 	}
 	return levels, tables
-}
-
-// forEachBrickDims visits the clipped shape of every brick in the store's
-// grid (edge bricks are smaller than the nominal brick shape).
-func forEachBrickDims(dims, brick []int, fn func(bd []int)) {
-	nd := len(dims)
-	idx := make([]int, nd)
-	bd := make([]int, nd)
-	for {
-		for d := 0; d < nd; d++ {
-			lo := idx[d] * brick[d]
-			n := brick[d]
-			if lo+n > dims[d] {
-				n = dims[d] - lo
-			}
-			bd[d] = n
-		}
-		fn(bd)
-		d := nd - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d]*brick[d] < dims[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			return
-		}
-	}
 }
 
 // infoJSON describes an archive from its headers only — unlike the human

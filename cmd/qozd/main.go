@@ -145,6 +145,7 @@ import (
 
 	"qoz"
 	"qoz/cluster"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 	"qoz/store"
 )
@@ -663,13 +664,8 @@ func parseBox(what, loParam, hiParam string, dims []int) (lo, hi []int, err erro
 			return nil, nil, fmt.Errorf("hi: %v", err)
 		}
 	}
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return nil, nil, fmt.Errorf("%s rank %d/%d, field rank %d", what, len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return nil, nil, fmt.Errorf("%s [%v,%v) outside field %v", what, lo, hi, dims)
-		}
+	if err := grid.CheckBox(what, dims, lo, hi); err != nil {
+		return nil, nil, err
 	}
 	return lo, hi, nil
 }
@@ -723,12 +719,12 @@ func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
 		outDims := make([][]int, len(boxes))
 		points := 0
 		for i, b := range boxes {
-			dims, n, ok := levelOutDims(b.Lo, b.Hi, level)
+			g, ok := grid.LevelOf(b.Lo, b.Hi, 1<<(level-1))
 			if !ok {
 				return bad(http.StatusBadRequest, "region [%v,%v) has no points on the level-%d grid", b.Lo, b.Hi, level)
 			}
-			outDims[i] = dims
-			points += n
+			outDims[i] = append([]int(nil), g.Dims[:len(b.Lo)]...)
+			points += g.N
 		}
 		if h.maxPoints > 0 && points > h.maxPoints {
 			return bad(http.StatusRequestEntityTooLarge,
@@ -766,30 +762,13 @@ func (h *handler) handleRegion(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// levelOutDims returns the response grid of a level-L read of [lo, hi):
-// per dimension, the count of multiples of stride 2^(L-1) inside the box
-// (at level 1, simply hi-lo). ok is false when some dimension holds none.
-func levelOutDims(lo, hi []int, level int) (outDims []int, points int, ok bool) {
-	stride := 1 << (level - 1)
-	outDims = make([]int, len(lo))
-	points = 1
-	for i := range lo {
-		outDims[i] = (hi[i]-1)/stride + 1 - (lo[i]+stride-1)/stride
-		if outDims[i] <= 0 {
-			return nil, 0, false
-		}
-		points *= outDims[i]
-	}
-	return outDims, points, true
-}
-
 // boxesPoints sums the points of the boxes' level grids, for boxes the
 // handler validated (each holds a point on the level).
 func boxesPoints(boxes []store.Box, level int) int {
 	points := 0
 	for _, b := range boxes {
-		_, n, _ := levelOutDims(b.Lo, b.Hi, level)
-		points += n
+		g, _ := grid.LevelOf(b.Lo, b.Hi, 1<<(level-1))
+		points += g.N
 	}
 	return points
 }

@@ -205,8 +205,8 @@ func BenchmarkReadRegionSmallROICached(b *testing.B) {
 }
 
 // BenchmarkReadRegionIntoSmallROICached is the steady-state serving shape:
-// a reused destination buffer and a warm cache. The tentpole's acceptance
-// pins this at 0 allocs/op (see TestReadRegionIntoCachedZeroAlloc).
+// a reused destination buffer and a warm cache, pinned at 0 allocs/op by
+// TestReadRegionIntoCachedZeroAlloc.
 func BenchmarkReadRegionIntoSmallROICached(b *testing.B) {
 	s := benchStore(b, DefaultCacheBytes)
 	ctx := context.Background()
@@ -220,6 +220,29 @@ func BenchmarkReadRegionIntoSmallROICached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.ReadRegionInto(ctx, dst, lo, hi); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadBoxesLevelCached is the same steady state one level down:
+// two boxes of a warm level-2 read into a reused buffer, the shape a shard
+// serves a gateway's coarse fan-out in. The fill loop copies level-prefix
+// decodes out of the cache as it does full ones: 0 allocs/op
+// (TestReadBoxesIntoCachedZeroAlloc).
+func BenchmarkReadBoxesLevelCached(b *testing.B) {
+	s := benchStore(b, DefaultCacheBytes)
+	ctx := context.Background()
+	boxes := []Box{{Lo: []int{0, 0, 0}, Hi: []int{32, 64, 64}}, {Lo: []int{40, 8, 8}, Hi: []int{104, 72, 40}}}
+	dst := make([]float32, 16*32*32+32*32*16)
+	if _, _, err := ReadBoxesIntoT(ctx, s, dst, boxes, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(dst)) * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ReadBoxesIntoT(ctx, s, dst, boxes, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

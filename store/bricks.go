@@ -8,66 +8,76 @@
 // over the same arithmetic for callers that hold an open store.
 package store
 
-import "fmt"
+import (
+	"fmt"
+
+	"qoz/internal/grid"
+)
+
+// newBricks validates a (dims, brick) partition that arrives from outside
+// the package.
+func newBricks(dims, brick []int) (grid.Bricks, error) {
+	bk, err := grid.NewBricks(dims, brick)
+	if err != nil {
+		return bk, fmt.Errorf("store: %w", err)
+	}
+	return bk, nil
+}
 
 // Grid returns the brick-grid extent per dimension for a field of the
 // given extents partitioned into bricks of the given shape:
-// ceil(dims[i]/brick[i]). It errors when the two vectors disagree in rank
-// or any brick extent is non-positive (dims[0] may be zero: a mutable
-// store created empty along the time axis has an empty grid).
+// ceil(dims[i]/brick[i]). It errors when the two vectors disagree in rank,
+// the rank is outside 1..8, or any brick extent is non-positive (dims[0]
+// may be zero: a mutable store created empty along the time axis has an
+// empty grid).
 func Grid(dims, brick []int) ([]int, error) {
-	if len(dims) == 0 || len(dims) != len(brick) {
-		return nil, fmt.Errorf("store: grid of rank-%d dims with rank-%d brick", len(dims), len(brick))
+	bk, err := newBricks(dims, brick)
+	if err != nil {
+		return nil, err
 	}
-	for i := range dims {
-		if brick[i] <= 0 || dims[i] < 0 || (dims[i] == 0 && i != 0) {
-			return nil, fmt.Errorf("store: invalid brick grid: dims %v, brick %v", dims, brick)
-		}
-	}
-	h := header{dims: dims, brick: brick}
-	return h.grid(), nil
+	return append([]int(nil), bk.Grid[:bk.Rank]...), nil
 }
 
 // NumBricksIn returns the total brick count of the (dims, brick) grid.
 func NumBricksIn(dims, brick []int) (int, error) {
-	g, err := Grid(dims, brick)
+	bk, err := newBricks(dims, brick)
 	if err != nil {
 		return 0, err
 	}
-	n := 1
-	for _, e := range g {
-		n *= e
-	}
-	return n, nil
+	return bk.Count(), nil
 }
 
 // BrickBoxIn returns the half-open box [lo, hi) of brick i — row-major
 // over the (dims, brick) grid — clipped to the field extents.
 func BrickBoxIn(dims, brick []int, i int) (lo, hi []int, err error) {
-	nb, err := NumBricksIn(dims, brick)
+	bk, err := newBricks(dims, brick)
 	if err != nil {
 		return nil, nil, err
 	}
-	if i < 0 || i >= nb {
+	if nb := bk.Count(); i < 0 || i >= nb {
 		return nil, nil, fmt.Errorf("store: brick %d outside grid of %d bricks", i, nb)
 	}
-	h := header{dims: dims, brick: brick}
-	lo, hi = h.brickBox(i)
-	return lo, hi, nil
+	blo, bhi := bk.Box(i)
+	return append([]int(nil), blo[:bk.Rank]...), append([]int(nil), bhi[:bk.Rank]...), nil
 }
 
 // IntersectingBricksIn returns the indices of the bricks the half-open
 // box [lo, hi) intersects, in row-major brick order. The box must lie
 // inside the field extents.
 func IntersectingBricksIn(dims, brick, lo, hi []int) ([]int, error) {
-	if _, err := Grid(dims, brick); err != nil {
+	bk, err := newBricks(dims, brick)
+	if err != nil {
 		return nil, err
 	}
 	if err := checkBox(dims, lo, hi); err != nil {
 		return nil, err
 	}
-	m := manifest{hdr: &header{dims: dims, brick: brick}}
-	return m.intersectingBricks(lo, hi), nil
+	var out []int
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		out = append(out, it.Index)
+	}
+	return out, nil
 }
 
 // BrickBox returns the half-open box [lo, hi) of brick i of the store's

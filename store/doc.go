@@ -16,12 +16,20 @@
 // envelope so non-finite points round-trip exactly.
 //
 // [Open], [OpenFile], and [OpenURL] return a read handle. Region reads —
-// the generic [ReadRegionT] and its float32 method [Store.ReadRegion] —
-// decode only the bricks the requested box intersects,
-// concurrently, through a byte-budgeted LRU cache of decoded bricks that
-// can be shared across stores ([Cache], Options.Cache). OpenURL serves
-// the same reads over HTTP range requests, fetching only the header, the
-// manifest, and intersecting bricks.
+// the generic [ReadRegionT] and its float32 method [Store.ReadRegion],
+// the coarse [ReadRegionLevelT], and [ReadBoxesIntoT], which the others
+// are cases of — decode only the bricks the requested boxes intersect,
+// through a byte-budgeted LRU cache of decoded bricks that can be shared
+// across stores ([Cache], Options.Cache). There is one read path for
+// every level and every cache state (read.go): each box is walked once
+// as its pieces, box ∩ brick; a piece whose brick is cached is copied out
+// at once on the calling goroutine, the rest decode concurrently on one
+// bounded worker pool. The geometry — pieces, level grids, the row-run
+// walker that queries, brick cuts and the gateway's stitch also use — is
+// internal/grid's, in fixed-size arrays, so a read the cache serves whole
+// allocates nothing. OpenURL serves the same reads over HTTP range
+// requests, fetching only the header, the manifest, and intersecting
+// bricks.
 //
 // # One format: the generation journal
 //

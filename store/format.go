@@ -16,6 +16,7 @@ import (
 
 	"qoz"
 	"qoz/internal/container"
+	"qoz/internal/grid"
 )
 
 const (
@@ -364,8 +365,9 @@ func parseLevelsBlock(buf []byte, bricks []brickEntry) {
 // and its own invariants. It cannot catch a CRC-consistent lie, but it
 // rejects every structurally impossible record before pruning trusts it.
 func plausibleStat(st *brickStat, hdr *header, i int) bool {
-	lo, hi := hdr.brickBox(i)
-	if st.Count != uint64(boxPoints(lo, hi)) || st.Finite > st.Count {
+	bk := hdr.bricks()
+	lo, hi := bk.Box(i)
+	if st.Count != uint64(boxPoints(lo[:bk.Rank], hi[:bk.Rank])) || st.Finite > st.Count {
 		return false
 	}
 	if st.Finite == 0 {
@@ -737,40 +739,18 @@ func parseManifest(buf []byte, hdr *header, minOff, maxOff int64) (gen uint64, d
 	return gen, dims, bricks, nil
 }
 
-// grid returns the brick-grid extent per dimension: ceil(dims/brick).
-func (h *header) grid() []int {
-	g := make([]int, len(h.dims))
-	for i := range g {
-		g[i] = (h.dims[i] + h.brick[i] - 1) / h.brick[i]
-	}
-	return g
+// bricks returns the header's brick partition. Every header this package
+// builds or parses has passed the checks grid.NewBricks makes, so the error
+// is dropped.
+func (h *header) bricks() grid.Bricks {
+	b, _ := grid.NewBricks(h.dims, h.brick)
+	return b
 }
 
 // numBricks returns the total brick count.
 func (h *header) numBricks() int {
-	n := 1
-	for _, g := range h.grid() {
-		n *= g
-	}
-	return n
-}
-
-// brickBox returns the half-open box [lo, hi) of brick index i (row-major
-// over the grid), clipped to the field.
-func (h *header) brickBox(i int) (lo, hi []int) {
-	g := h.grid()
-	coord := make([]int, len(g))
-	for k := len(g) - 1; k >= 0; k-- {
-		coord[k] = i % g[k]
-		i /= g[k]
-	}
-	lo = make([]int, len(g))
-	hi = make([]int, len(g))
-	for k := range g {
-		lo[k] = coord[k] * h.brick[k]
-		hi[k] = min(lo[k]+h.brick[k], h.dims[k])
-	}
-	return lo, hi
+	b := h.bricks()
+	return b.Count()
 }
 
 // clippedBrickPoints returns the point count of a full (unclipped interior)
@@ -792,56 +772,12 @@ func boxPoints(lo, hi []int) int {
 	return p
 }
 
-// strides returns row-major strides for dims.
-func strides(dims []int) []int {
-	s := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= dims[i]
-	}
-	return s
-}
-
 // copyBox copies an N-d box of the given size from src (shape srcDims,
-// box origin srcLo) into dst (shape dstDims, box origin dstLo). The last
-// dimension is contiguous in both layouts, so the copy proceeds in
-// whole-row runs.
+// box origin srcLo) into dst (shape dstDims, box origin dstLo), in whole-row
+// runs.
 func copyBox[T qoz.Float](dst []T, dstDims, dstLo []int, src []T, srcDims, srcLo []int, size []int) {
-	n := len(size)
-	run := size[n-1]
-	if run == 0 {
-		return
-	}
-	ss := strides(srcDims)
-	ds := strides(dstDims)
-	so := 0
-	do := 0
-	for k := 0; k < n; k++ {
-		so += srcLo[k] * ss[k]
-		do += dstLo[k] * ds[k]
-	}
-	if n == 1 {
-		copy(dst[do:do+run], src[so:so+run])
-		return
-	}
-	idx := make([]int, n-1)
-	for {
-		copy(dst[do:do+run], src[so:so+run])
-		k := n - 2
-		for ; k >= 0; k-- {
-			idx[k]++
-			so += ss[k]
-			do += ds[k]
-			if idx[k] < size[k] {
-				break
-			}
-			so -= size[k] * ss[k]
-			do -= size[k] * ds[k]
-			idx[k] = 0
-		}
-		if k < 0 {
-			return
-		}
+	w := grid.Walk(size, srcDims, srcLo, 1, dstDims, dstLo)
+	for w.Next() {
+		copy(dst[w.B:w.B+w.Run], src[w.A:w.A+w.Run])
 	}
 }

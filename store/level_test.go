@@ -125,6 +125,13 @@ func TestReadRegionLevelMatchesStride(t *testing.T) {
 	// The whole field, an interior box aligned to nothing, and a box that
 	// straddles bricks and ends at the field edge.
 	boxes := func(d []int) [][2][]int {
+		if len(d) == 8 { // the second holds no point past level 1, the third none past level 2
+			return [][2][]int{
+				{make([]int, 8), d},
+				{{1, 0, 1, 0, 1, 0, 1, 2}, d},
+				{{0, 0, 0, 0, 0, 0, 1, 1}, d},
+			}
+		}
 		return [][2][]int{
 			{{0, 0, 0}, d},
 			{{3, 5, 2}, {d[0] - 4, d[1] - 2, d[2] - 1}},
@@ -146,6 +153,8 @@ func TestReadRegionLevelMatchesStride(t *testing.T) {
 		st.name = "mutable-" + st.name
 		stores = append(stores, st)
 	}
+	data8, wo8 := rank8Field()
+	stores = append(stores, levelStore{"rank-8", writeBytes(t, data8, rank8Dims, wo8), rank8Dims})
 	for _, st := range stores {
 		t.Run(st.name, func(t *testing.T) {
 			s := openBytes(t, st.content)

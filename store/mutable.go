@@ -10,6 +10,7 @@ import (
 
 	"qoz"
 	"qoz/internal/fsutil"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 )
 
@@ -239,11 +240,9 @@ func appendSteps[N qoz.Float](ctx context.Context, m *Mutable, rows []N) error {
 
 	newHdr := *hdr
 	newHdr.dims = newDims
-	newGrid0 := (newDims[0] + b0 - 1) / b0
-	nbPerBand := 1
-	for _, g := range newHdr.grid()[1:] {
-		nbPerBand *= g
-	}
+	newBricks := newHdr.bricks()
+	newGrid0 := newBricks.Grid[0]
+	nbPerBand := newBricks.Count() / newGrid0
 	// Bricks below the (possibly partial, hence rewritten) last band keep
 	// their entries — location, level table, statistics — as committed.
 	bricks := make([]brickEntry, bandStart*nbPerBand, newGrid0*nbPerBand)
@@ -334,23 +333,21 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 		return fmt.Errorf("store: box %v..%v holds %d points, data has %d", lo, hi, want, len(data))
 	}
 
-	boxDims := make([]int, len(dims))
-	for i := range dims {
-		boxDims[i] = hi[i] - lo[i]
+	bk := hdr.bricks()
+	nd, boxDims := bk.Rank, grid.Sub(hi, lo)
+	var rewritten []int
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		rewritten = append(rewritten, it.Index)
 	}
-	rewritten := man.intersectingBricks(lo, hi)
 	payloads := make([][]byte, len(rewritten))
 	entries := make([]brickEntry, len(rewritten))
 	err := pool.RunErr(ctx, len(rewritten), m.workers, func(k int) error {
-		blo, bhi := hdr.brickBox(rewritten[k])
-		size := make([]int, len(dims))
-		srcLo := make([]int, len(dims))
-		for i := range dims {
-			size[i] = bhi[i] - blo[i]
-			srcLo[i] = blo[i] - lo[i]
-		}
+		// The box is brick-aligned, so each piece is its whole brick.
+		p := bk.Piece(rewritten[k], lo, hi)
+		srcLo, size := grid.Sub(p.Lo[:nd], lo), grid.Sub(p.Hi[:nd], p.Lo[:nd])
 		var err error
-		payloads[k], entries[k], err = compressBrick(ctx, m.codec, m.opts, data, boxDims, srcLo, size, rewritten[k])
+		payloads[k], entries[k], err = compressBrick(ctx, m.codec, m.opts, data, boxDims[:nd], srcLo[:nd], size[:nd], rewritten[k])
 		return err
 	})
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"qoz"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 )
 
@@ -186,13 +187,8 @@ func queryManifest(ctx context.Context, s *Store, m *manifest, req QueryRequest)
 		lo = make([]int, len(dims))
 		hi = dims
 	}
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return nil, fmt.Errorf("store: query box rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("store: query box [%v,%v) outside field %v", lo, hi, dims)
-		}
+	if err := grid.CheckBox("store: query box", dims, lo, hi); err != nil {
+		return nil, err
 	}
 	if req.MaxLocations < 0 {
 		req.MaxLocations = 0
@@ -307,13 +303,17 @@ func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest
 	}
 
 	dims := m.hdr.dims
-	bricks := m.intersectingBricks(lo, hi)
-	res := &QueryResult{Op: req.Op, BricksTotal: len(bricks)}
+	bk := m.hdr.bricks()
+	nd := bk.Rank
+	res := &QueryResult{Op: req.Op}
 	obsv := stageObserverFrom(ctx)
 	k := req.MaxLocations
 	var locs []int // global row-major linear indices of collected matches
-	var scan []int
-	for _, bi := range bricks {
+	var scan []int // brick indices: a piece is rebuilt where it is scanned
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		res.BricksTotal++
+		bi := it.Index
 		st := m.bricks[bi].stat
 		cls := pruneScan
 		if prunable(st) {
@@ -325,12 +325,11 @@ func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest
 		case pruneAllOut:
 			notePrune(s, m, res, obsv, bi)
 		case pruneAllIn:
-			ilo, ihi := boxIntersect(lo, hi, m, bi)
-			res.Count += int64(boxPoints(ilo, ihi))
+			res.Count += int64(boxPoints(it.Lo[:nd], it.Hi[:nd]))
 			if k > 0 {
 				// Every point of the intersection matches: its locations
 				// come from geometry alone, no decode needed.
-				locs = appendBoxIndices(locs, dims, ilo, ihi, k)
+				locs = appendBoxIndices(locs, dims, it.Lo[:nd], it.Hi[:nd], k)
 			}
 			notePrune(s, m, res, obsv, bi)
 		default:
@@ -341,11 +340,9 @@ func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest
 	counts := make([]int64, len(scan))
 	brickLocs := make([][]int, len(scan))
 	err := pool.RunErr(ctx, len(scan), s.workers, func(j int) error {
-		bi := scan[j]
-		ilo, ihi := boxIntersect(lo, hi, m, bi)
 		var cnt int64
 		var lcs []int
-		err := scanBrick(ctx, s, m, bi, ilo, ihi, func(g int, v float64) {
+		err := scanBrick(ctx, s, m, bk.Piece(scan[j], lo, hi), func(g int, v float64) {
 			if match(v) {
 				cnt++
 				if k > 0 && len(lcs) < k {
@@ -393,16 +390,17 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 	if req.Op == QueryMin {
 		sgn = -1
 	}
-	bricks := m.intersectingBricks(lo, hi)
-	res := &QueryResult{Op: req.Op, BricksTotal: len(bricks)}
+	bk := m.hdr.bricks()
+	res := &QueryResult{Op: req.Op}
 	obsv := stageObserverFrom(ctx)
 	type cand struct {
 		bi    int
 		bound float64 // upper bound on sgn*v over the brick's decoded values
 	}
-	cands := make([]cand, len(bricks))
-	for i, bi := range bricks {
-		st := m.bricks[bi].stat
+	var cands []cand
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		st := m.bricks[it.Index].stat
 		b := math.Inf(1) // unknown: must decode
 		if prunable(st) {
 			if sgn > 0 {
@@ -411,8 +409,9 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 				b = eb - st.Min // == sgn*(Min-eb)
 			}
 		}
-		cands[i] = cand{bi: bi, bound: b}
+		cands = append(cands, cand{bi: it.Index, bound: b})
 	}
+	res.BricksTotal = len(cands)
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].bound != cands[j].bound {
 			return cands[i].bound > cands[j].bound
@@ -434,8 +433,7 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 			}
 			break
 		}
-		ilo, ihi := boxIntersect(lo, hi, m, c.bi)
-		err := scanBrick(ctx, s, m, c.bi, ilo, ihi, func(g int, v float64) {
+		err := scanBrick(ctx, s, m, bk.Piece(c.bi, lo, hi), func(g int, v float64) {
 			if math.IsNaN(v) {
 				return
 			}
@@ -485,17 +483,20 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 		return int(f)
 	}
 
-	bricks := m.intersectingBricks(lo, hi)
-	res := &QueryResult{Op: req.Op, BricksTotal: len(bricks), Bins: make([]int64, nbins)}
+	bk := m.hdr.bricks()
+	nd := bk.Rank
+	res := &QueryResult{Op: req.Op, Bins: make([]int64, nbins)}
 	obsv := stageObserverFrom(ctx)
 	var scan []int
-	for _, bi := range bricks {
+	it := bk.Pieces(lo, hi)
+	for it.Next() {
+		res.BricksTotal++
+		bi := it.Index
 		st := m.bricks[bi].stat
 		if prunable(st) {
 			cLo, cHi := classify(st.Min-eb), classify(st.Max+eb)
 			if cLo == cHi {
-				ilo, ihi := boxIntersect(lo, hi, m, bi)
-				n := int64(boxPoints(ilo, ihi))
+				n := int64(boxPoints(it.Lo[:nd], it.Hi[:nd]))
 				switch {
 				case cLo < 0:
 					res.Below += n
@@ -513,11 +514,9 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 
 	var mu sync.Mutex
 	err := pool.RunErr(ctx, len(scan), s.workers, func(j int) error {
-		bi := scan[j]
-		ilo, ihi := boxIntersect(lo, hi, m, bi)
 		bins := make([]int64, nbins)
 		var below, above, nan int64
-		err := scanBrick(ctx, s, m, bi, ilo, ihi, func(_ int, v float64) {
+		err := scanBrick(ctx, s, m, bk.Piece(scan[j], lo, hi), func(_ int, v float64) {
 			if math.IsNaN(v) {
 				nan++
 				return
@@ -554,103 +553,47 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 	return res, nil
 }
 
-// boxIntersect clips the query box [lo, hi) to brick bi's box.
-func boxIntersect(lo, hi []int, m *manifest, bi int) (ilo, ihi []int) {
-	blo, bhi := m.hdr.brickBox(bi)
-	ilo = make([]int, len(lo))
-	ihi = make([]int, len(hi))
-	for i := range lo {
-		ilo[i] = max(lo[i], blo[i])
-		ihi[i] = min(hi[i], bhi[i])
-	}
-	return ilo, ihi
-}
-
-// scanBrick decodes brick bi (through the cache) and calls point for
-// every sample of the box [ilo, ihi) ⊂ the brick's box, in ascending
-// global row-major order, with the sample's global row-major linear
-// index. This is the one place a query dispatches on the store's sample
-// kind; float32 samples widen losslessly.
-func scanBrick(ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []int, point func(g int, v float64)) error {
+// scanBrick decodes piece p's brick (through the cache) and calls point
+// for every sample of the piece, in ascending global row-major order, with
+// the sample's global row-major linear index. This is the one place a
+// query dispatches on the store's sample kind; float32 samples widen
+// losslessly.
+func scanBrick(ctx context.Context, s *Store, m *manifest, p grid.Piece, point func(g int, v float64)) error {
 	if m.hdr.kind == kindFloat64 {
-		return scanBrickOf[float64](ctx, s, m, bi, ilo, ihi, point)
+		return scanBrickOf[float64](ctx, s, m, &p, point)
 	}
-	return scanBrickOf[float32](ctx, s, m, bi, ilo, ihi, point)
+	return scanBrickOf[float32](ctx, s, m, &p, point)
 }
 
-func scanBrickOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bi int, ilo, ihi []int, point func(g int, v float64)) error {
-	data, err := brick[N](ctx, s, m, bi, 0)
+func scanBrickOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, p *grid.Piece, point func(g int, v float64)) error {
+	data, err := brick[N](ctx, s, m, p.Index, 0)
 	if err != nil {
 		return err
 	}
-	blo, bhi := m.hdr.brickBox(bi)
-	forEachRun(m.hdr.dims, blo, bhi, ilo, ihi, func(bOff, gOff, run int) {
-		for j := 0; j < run; j++ {
-			point(gOff+j, float64(data[bOff+j]))
+	nd := len(m.hdr.dims)
+	size, bdims, inBrick := grid.Sub(p.Hi[:], p.Lo[:]), grid.Sub(p.BHi[:], p.BLo[:]), grid.Sub(p.Lo[:], p.BLo[:])
+	w := grid.Walk(size[:nd], bdims[:nd], inBrick[:nd], 1, m.hdr.dims, p.Lo[:nd])
+	for w.Next() {
+		for j := 0; j < w.Run; j++ {
+			point(w.B+j, float64(data[w.A+j]))
 		}
-	})
+	}
 	return nil
-}
-
-// forEachRun walks the box [ilo, ihi) in row-major order as contiguous
-// innermost runs, reporting each run's starting offset within the
-// enclosing brick box [blo, bhi) (row-major over the brick) and within
-// the global field of shape dims.
-func forEachRun(dims, blo, bhi, ilo, ihi []int, fn func(bOff, gOff, run int)) {
-	n := len(dims)
-	bdims := make([]int, n)
-	size := make([]int, n)
-	for i := range dims {
-		bdims[i] = bhi[i] - blo[i]
-		size[i] = ihi[i] - ilo[i]
-	}
-	bs := strides(bdims)
-	gs := strides(dims)
-	bOff, gOff := 0, 0
-	for i := range dims {
-		bOff += (ilo[i] - blo[i]) * bs[i]
-		gOff += ilo[i] * gs[i]
-	}
-	run := size[n-1]
-	if run == 0 {
-		return
-	}
-	if n == 1 {
-		fn(bOff, gOff, run)
-		return
-	}
-	idx := make([]int, n-1)
-	for {
-		fn(bOff, gOff, run)
-		k := n - 2
-		for ; k >= 0; k-- {
-			idx[k]++
-			bOff += bs[k]
-			gOff += gs[k]
-			if idx[k] < size[k] {
-				break
-			}
-			bOff -= size[k] * bs[k]
-			gOff -= size[k] * gs[k]
-			idx[k] = 0
-		}
-		if k < 0 {
-			return
-		}
-	}
 }
 
 // appendBoxIndices appends the global row-major linear indices of the
 // first `limit` points of box [ilo, ihi), ascending. Used for the
 // locations of all-in pruned bricks, whose matches are pure geometry.
 func appendBoxIndices(dst []int, dims, ilo, ihi []int, limit int) []int {
+	size := grid.Sub(ihi, ilo)
 	taken := 0
-	forEachRun(dims, ilo, ihi, ilo, ihi, func(_, gOff, run int) {
-		for j := 0; j < run && taken < limit; j++ {
-			dst = append(dst, gOff+j)
+	w := grid.Walk(size[:len(dims)], dims, ilo, 1, dims, ilo)
+	for taken < limit && w.Next() {
+		for j := 0; j < w.Run && taken < limit; j++ {
+			dst = append(dst, w.B+j)
 			taken++
 		}
-	})
+	}
 	return dst
 }
 

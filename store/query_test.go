@@ -300,11 +300,13 @@ func TestQueryDifferential(t *testing.T) {
 		dims      []int
 		brick     []int
 		nonFinite int
+		codec     string // "" selects the default, which stops at rank 4
 	}{
-		{"1d-f32", []int{97}, []int{16}, 0},
-		{"2d-f32-nonfinite", []int{23, 17}, []int{8, 8}, 9},
-		{"3d-f32", []int{12, 12, 12}, []int{8, 8, 8}, 0},
-		{"3d-f32-nonfinite", []int{16, 12, 12}, []int{4, 8, 8}, 24},
+		{"1d-f32", []int{97}, []int{16}, 0, ""},
+		{"2d-f32-nonfinite", []int{23, 17}, []int{8, 8}, 9, ""},
+		{"3d-f32", []int{12, 12, 12}, []int{8, 8, 8}, 0, ""},
+		{"3d-f32-nonfinite", []int{16, 12, 12}, []int{4, 8, 8}, 24, ""},
+		{"8d-f32-nonfinite", rank8Dims, rank8Brick, 12, "sz3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,10 +319,12 @@ func TestQueryDifferential(t *testing.T) {
 			for i, v := range qSynth(rng, n, tc.nonFinite) {
 				data[i] = float32(v)
 			}
+			wo := WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3}, Brick: tc.brick}
+			if tc.codec != "" {
+				wo.Codec = qoz.MustLookup(tc.codec)
+			}
 			var buf bytes.Buffer
-			if err := Write(ctx, &buf, data, tc.dims, WriteOptions{
-				Opts: qoz.Options{ErrorBound: 1e-3}, Brick: tc.brick,
-			}); err != nil {
+			if err := Write(ctx, &buf, data, tc.dims, wo); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})

@@ -172,6 +172,53 @@ func TestReadRegionIntoCachedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReadBoxesIntoCachedZeroAlloc widens that pin to the whole fill loop:
+// a warm multi-box read allocates nothing at any level, for either sample
+// kind — level-prefix decodes (levels 2 and 3 of these aligned bricks) are
+// copied out of the cache exactly like full ones.
+func TestReadBoxesIntoCachedZeroAlloc(t *testing.T) {
+	ds := datagen.NYX(32, 32, 32)
+	wo := WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3 * 8}, Brick: []int{16, 16, 16}}
+	s32, _ := buildStore(t, ds.Data, ds.Dims, wo, Options{})
+	f64 := make([]float64, len(ds.Data))
+	for i, v := range ds.Data {
+		f64[i] = float64(v)
+	}
+	s64, _ := buildStore64(t, f64, ds.Dims, wo)
+	boxes := []Box{{Lo: []int{4, 4, 4}, Hi: []int{28, 28, 28}}, {Lo: []int{0, 8, 16}, Hi: []int{17, 9, 32}}}
+	for level := 1; level <= 3; level++ {
+		cachedBoxesZeroAlloc[float32](t, s32, boxes, level)
+		cachedBoxesZeroAlloc[float64](t, s64, boxes, level)
+	}
+}
+
+func cachedBoxesZeroAlloc[T qoz.Float](t *testing.T, s *Store, boxes []Box, level int) {
+	t.Helper()
+	ctx := context.Background()
+	n := 0
+	for _, b := range boxes {
+		g, err := levelGrid(b.Lo, b.Hi, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += g.N
+	}
+	dst := make([]T, n)
+	read := func() {
+		if _, _, err := ReadBoxesIntoT(ctx, s, dst, boxes, level); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the cache
+	before := s.Stats()
+	if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+		t.Errorf("%s level %d: warm ReadBoxesIntoT allocates %.1f times per call; want 0", s.DType(), level, allocs)
+	}
+	if after := s.Stats(); after.BricksDecoded != before.BricksDecoded || after.CacheHits == before.CacheHits {
+		t.Errorf("%s level %d: warm reads decoded: %+v -> %+v", s.DType(), level, before, after)
+	}
+}
+
 // multiBoxes is a box list no fan-out plan would produce: out of row-major
 // order, overlapping, one box twice, one a single point — over a 24×26×28
 // field of 8³ bricks.
@@ -185,12 +232,37 @@ func multiBoxes() []Box {
 	}
 }
 
+// A field at grid.MaxRank, which the coordinate arrays of every box walk
+// are sized for. The default codec stops at rank 4, so its bricks are sz3's
+// and carry no level tables.
+var rank8Dims, rank8Brick = []int{2, 2, 2, 2, 2, 2, 3, 5}, []int{1, 2, 1, 2, 1, 2, 2, 3}
+
+func rank8Field() ([]float32, WriteOptions) {
+	data := make([]float32, 64*15)
+	for i := range data {
+		data[i] = float32(math.Sin(float64(i)/11)) + float32(i%7)
+	}
+	return data, WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3}, Brick: rank8Brick, Codec: qoz.MustLookup("sz3")}
+}
+
+// rank8Boxes is multiBoxes for the rank-8 field; every box holds a point of
+// levels 1 to 3.
+func rank8Boxes() []Box {
+	return []Box{
+		{Lo: []int{0, 0, 0, 0, 0, 0, 0, 3}, Hi: []int{2, 1, 2, 2, 1, 2, 3, 5}},
+		{Lo: []int{0, 0, 0, 0, 0, 0, 0, 0}, Hi: []int{1, 2, 1, 1, 2, 1, 2, 3}},
+		{Lo: make([]int, 8), Hi: rank8Dims},                                    // overlaps both
+		{Lo: []int{0, 0, 0, 0, 0, 0, 0, 3}, Hi: []int{2, 1, 2, 2, 1, 2, 3, 5}}, // again
+		{Lo: []int{0, 0, 0, 0, 0, 0, 0, 4}, Hi: []int{1, 1, 1, 1, 1, 1, 1, 5}},
+	}
+}
+
 // readBoxesMatch checks ReadBoxesIntoT against the whole field read once
 // and cut up by the test: each box's level grid, in list order, bit for
 // bit — on a cold cache, on a partly warm one (one box read alone first, so
-// the list mixes the cached path with pooled decodes), fully warm, and
-// with no cache at all.
-func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, dims []int) {
+// the list mixes cache hits with pooled decodes), fully warm, and with no
+// cache at all.
+func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, dims []int, boxes []Box) {
 	t.Helper()
 	ctx := context.Background()
 	for _, cacheBytes := range []int64{DefaultCacheBytes, -1} {
@@ -205,7 +277,7 @@ func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, d
 		wantCRC, wantGen := s.ManifestVersion()
 		for _, level := range []int{1, 2, 3} {
 			var want []T
-			for _, b := range multiBoxes() {
+			for _, b := range boxes {
 				size := make([]int, len(dims))
 				for i := range dims {
 					size[i] = b.Hi[i] - b.Lo[i]
@@ -220,7 +292,7 @@ func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, d
 				func() {},
 				func() { // partly warm: one box's bricks only
 					s.cache.evictOwner(s)
-					b := multiBoxes()[1]
+					b := boxes[1]
 					if _, err := ReadRegionT[T](ctx, s, b.Lo, b.Hi); err != nil {
 						t.Fatal(err)
 					}
@@ -229,7 +301,7 @@ func readBoxesMatch[N, T qoz.Float](t *testing.T, name string, content []byte, d
 			} {
 				warm()
 				got := make([]T, len(want))
-				crc, gen, err := ReadBoxesIntoT(ctx, s, got, multiBoxes(), level)
+				crc, gen, err := ReadBoxesIntoT(ctx, s, got, boxes, level)
 				if err != nil {
 					t.Fatalf("%s level %d pass %d: %v", name, level, pass, err)
 				}
@@ -260,9 +332,11 @@ func TestReadBoxesIntoMatchesSingleReads(t *testing.T) {
 	}
 	wo.Opts = qoz.Options{ErrorBound: 1e-3}
 	c64 := writeBytes(t, f64, ds.Dims, wo)
-	readBoxesMatch[float32, float32](t, "f32 as f32", c32, ds.Dims)
-	readBoxesMatch[float32, float64](t, "f32 as f64", c32, ds.Dims)
-	readBoxesMatch[float64, float64](t, "f64 as f64", c64, ds.Dims)
+	readBoxesMatch[float32, float32](t, "f32 as f32", c32, ds.Dims, multiBoxes())
+	readBoxesMatch[float32, float64](t, "f32 as f64", c32, ds.Dims, multiBoxes())
+	readBoxesMatch[float64, float64](t, "f64 as f64", c64, ds.Dims, multiBoxes())
+	data8, wo8 := rank8Field()
+	readBoxesMatch[float32, float32](t, "rank 8", writeBytes(t, data8, rank8Dims, wo8), rank8Dims, rank8Boxes())
 }
 
 // TestReadBoxesIntoChecksEveryBoxFirst: one bad box, a level the last box

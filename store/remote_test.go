@@ -164,8 +164,8 @@ func TestOpenURLRoundTrip(t *testing.T) {
 	}
 	mark(0, min(size, int64(maxHeaderLen))) // header probe
 	mark(idxOff, size)                      // manifest + footer
-	hit := local.man.Load().intersectingBricks(lo, hi)
-	if len(hit) != 8 {
+	hit, err := local.IntersectingBricks(lo, hi)
+	if err != nil || len(hit) != 8 {
 		t.Fatalf("expected the region to intersect 8 bricks, got %d", len(hit))
 	}
 	for _, b := range hit {

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"qoz"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 )
 
@@ -586,15 +587,7 @@ func checkWiden(fromBytes, toBytes int) error {
 
 // checkBox validates the half-open box [lo, hi) against the field extents.
 func checkBox(dims, lo, hi []int) error {
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return fmt.Errorf("store: region rank %d/%d, field rank %d", len(lo), len(hi), len(dims))
-	}
-	for i := range dims {
-		if lo[i] < 0 || hi[i] > dims[i] || lo[i] >= hi[i] {
-			return fmt.Errorf("store: region [%v,%v) outside field %v", lo, hi, dims)
-		}
-	}
-	return nil
+	return grid.CheckBox("store: region", dims, lo, hi)
 }
 
 // checkRead validates a read of the box [lo, hi) into samples of type T.
@@ -647,38 +640,32 @@ func readRegion[T qoz.Float](ctx context.Context, s *Store, m *manifest, lo, hi 
 	return out, nil
 }
 
-// intersectingBricks returns the indices of the bricks the box [lo, hi)
-// intersects, in brick order.
-func (m *manifest) intersectingBricks(lo, hi []int) []int {
-	g := m.hdr.grid()
-	cLo := make([]int, len(g))
-	cHi := make([]int, len(g))
-	n := 1
-	for i := range g {
-		cLo[i] = lo[i] / m.hdr.brick[i]
-		cHi[i] = (hi[i]-1)/m.hdr.brick[i] + 1
-		n *= cHi[i] - cLo[i]
+// cacheKey keys brick i's decode at level in the decoded-brick cache. The
+// key carries the payload offset, so a brick rewritten by a later
+// generation can never be served from the old generation's cached decode:
+// the new manifest's offset differs (commits only append), while unchanged
+// bricks keep their entries — and their cache hits. The epoch covers the
+// complement: when a compaction or refresh makes old offsets
+// non-authoritative, it bumps the epoch and every earlier entry goes dead
+// at once.
+func (m *manifest) cacheKey(s *Store, i, level int) cacheKey {
+	return cacheKey{owner: s, epoch: m.epoch, brick: i, off: m.bricks[i].off, level: level}
+}
+
+// cachedBrick returns brick i's decode at level when the cache holds it,
+// counted and reported as one brick read and one cache hit.
+func cachedBrick[N qoz.Float](s *Store, m *manifest, i, level int, obsv StageObserver) ([]N, bool) {
+	data, ok := s.cache.get(m.cacheKey(s, i, level))
+	if !ok {
+		return nil, false
 	}
-	out := make([]int, 0, n)
-	coord := append([]int(nil), cLo...)
-	for {
-		idx := 0
-		for i := range g {
-			idx = idx*g[i] + coord[i]
-		}
-		out = append(out, idx)
-		k := len(g) - 1
-		for ; k >= 0; k-- {
-			coord[k]++
-			if coord[k] < cHi[k] {
-				break
-			}
-			coord[k] = cLo[k]
-		}
-		if k < 0 {
-			return out
-		}
+	s.read.Add(1)
+	s.hits.Add(1)
+	d := data.([]N)
+	if obsv != nil {
+		obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
 	}
+	return d, true
 }
 
 // brick returns brick i decoded to the store's native kind N, via the
@@ -687,28 +674,15 @@ func (m *manifest) intersectingBricks(lo, hi []int) []int {
 // brick's level-L boundary and decodes it to that level's compacted coarse
 // grid, and must not exceed the brick's level-table length.
 func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int) ([]N, error) {
+	obsv := stageObserverFrom(ctx)
+	if d, ok := cachedBrick[N](s, m, i, level, obsv); ok {
+		return d, nil
+	}
 	s.read.Add(1)
 	e := &m.bricks[i]
 	span := levelSpan{bytes: e.len, crc: e.crc}
 	if level > 0 {
 		span = e.levels[len(e.levels)-level] // entry j holds level len-j
-	}
-	// The key carries the payload offset, so a brick rewritten by a later
-	// generation can never be served from the old generation's cached
-	// decode: the new manifest's offset differs (commits only append),
-	// while unchanged bricks keep their entries — and their cache hits.
-	// The epoch covers the complement: when a compaction or refresh makes
-	// old offsets non-authoritative, it bumps the epoch and every earlier
-	// entry goes dead at once.
-	key := cacheKey{owner: s, epoch: m.epoch, brick: i, off: e.off, level: level}
-	obsv := stageObserverFrom(ctx)
-	if data, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		d := data.([]N)
-		if obsv != nil {
-			obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
-		}
-		return d, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -742,11 +716,10 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int
 	if crc32.ChecksumIEEE(payload) != span.crc {
 		return nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
 	}
-	blo, bhi := m.hdr.brickBox(i)
-	want := make([]int, len(blo))
-	for k := range blo {
-		want[k] = bhi[k] - blo[k]
-	}
+	bk := m.hdr.bricks()
+	blo, bhi := bk.Box(i)
+	bdims := grid.Sub(bhi[:], blo[:])
+	want := bdims[:bk.Rank]
 	if err := checkPayload[N](m, i, payload, want); err != nil {
 		return nil, err
 	}
@@ -776,7 +749,7 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int
 		return nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
 	}
 	s.decoded.Add(1)
-	s.cache.put(key, data, int64(len(data))*int64(kindSize(m.hdr.kind)))
+	s.cache.put(m.cacheKey(s, i, level), data, int64(len(data))*int64(kindSize(m.hdr.kind)))
 	return data, nil
 }
 

@@ -27,6 +27,18 @@ func buildStore(t *testing.T, data []float32, dims []int, wo WriteOptions, so Op
 	return s, buf.Bytes()
 }
 
+// strides returns row-major strides for dims: the tests' own index oracle,
+// independent of the box walker in internal/grid.
+func strides(dims []int) []int {
+	s := make([]int, len(dims))
+	acc := 1
+	for i := len(dims) - 1; i >= 0; i-- {
+		s[i] = acc
+		acc *= dims[i]
+	}
+	return s
+}
+
 // sliceBox extracts the box [lo,hi) from a row-major field.
 func sliceBox(field []float32, dims, lo, hi []int) []float32 {
 	size := make([]int, len(dims))
@@ -463,5 +475,40 @@ func TestCorruptStore(t *testing.T) {
 	mutIdx[off] = 0x01
 	if _, err := open(mutIdx); err == nil {
 		t.Fatal("index with wrong brick count accepted")
+	}
+}
+
+// TestBrickGeometryValidates: the exported geometry helpers take dims and
+// brick shapes from outside (a gateway feeds them a shard's JSON), so a
+// partition that is not a brick grid — rank 9 included, which the box
+// walk's fixed arrays could not hold — is an error from each of them.
+func TestBrickGeometryValidates(t *testing.T) {
+	nine := []int{2, 2, 2, 2, 2, 2, 2, 2, 2}
+	for _, tc := range []struct{ dims, brick []int }{
+		{nine, nine},
+		{[]int{8, 8, 8}, []int{4, 4}},
+		{[]int{8, 8}, []int{4, 0}},
+		{[]int{8, 0}, []int{4, 4}},
+		{nil, nil},
+	} {
+		if _, err := Grid(tc.dims, tc.brick); err == nil {
+			t.Errorf("Grid(%v, %v) accepted", tc.dims, tc.brick)
+		}
+		if _, err := NumBricksIn(tc.dims, tc.brick); err == nil {
+			t.Errorf("NumBricksIn(%v, %v) accepted", tc.dims, tc.brick)
+		}
+		if _, _, err := BrickBoxIn(tc.dims, tc.brick, 0); err == nil {
+			t.Errorf("BrickBoxIn(%v, %v) accepted", tc.dims, tc.brick)
+		}
+		if _, err := IntersectingBricksIn(tc.dims, tc.brick, make([]int, len(tc.dims)), tc.dims); err == nil {
+			t.Errorf("IntersectingBricksIn(%v, %v) accepted", tc.dims, tc.brick)
+		}
+	}
+	lo, hi, err := BrickBoxIn(rank8Dims, rank8Brick, 1)
+	if err != nil || !equalInts(lo, []int{0, 0, 0, 0, 0, 0, 0, 3}) || !equalInts(hi, []int{1, 2, 1, 2, 1, 2, 2, 5}) {
+		t.Errorf("brick 1 of the rank-8 grid is [%v,%v), %v", lo, hi, err)
+	}
+	if got, err := IntersectingBricksIn([]int{10, 10}, []int{4, 4}, []int{3, 5}, []int{9, 8}); err != nil || !equalInts(got, []int{1, 4, 7}) {
+		t.Errorf("bricks under [3,5)-[9,8): %v, %v", got, err)
 	}
 }

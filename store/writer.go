@@ -10,6 +10,7 @@ import (
 
 	"qoz"
 	"qoz/internal/container"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 )
 
@@ -331,34 +332,24 @@ func brickLevelTable(p []byte) []levelSpan {
 // payloads and manifest entries (offsets still unset), in brick order. The
 // band is the full cross-product of the grid over dims[1:] — the global
 // brick order visits all of band k before band k+1, so emitting per band
-// preserves it. brickBase numbers error messages in global brick indices.
+// preserves it. brickBase is the global index of the band's first brick,
+// which is what places the band in the field.
 func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec, opts qoz.Options,
 	workers int, band []T, rows, brickBase int) ([][]byte, []brickEntry, error) {
-	bandDims := append([]int{rows}, hdr.dims[1:]...)
-	g := hdr.grid()
-	nb := 1
-	for _, x := range g[1:] {
-		nb *= x
-	}
+	bk := hdr.bricks()
+	nd, nb := bk.Rank, bk.Count()/bk.Grid[0]
+	// The band as a box of the field, and as an array of its own.
+	var lo grid.Coord
+	lo[0] = brickBase / nb * hdr.brick[0]
+	hi, bandDims := bk.Dims, bk.Dims
+	hi[0], bandDims[0] = lo[0]+rows, rows
 	payloads := make([][]byte, nb)
 	entries := make([]brickEntry, nb)
 	err := pool.RunErr(ctx, nb, workers, func(k int) error {
-		// Decompose k over g[1:] into the brick's box within the band.
-		coord := make([]int, len(g))
-		rem := k
-		for i := len(g) - 1; i >= 1; i-- {
-			coord[i] = rem % g[i]
-			rem /= g[i]
-		}
-		srcLo := make([]int, len(bandDims))
-		size := make([]int, len(bandDims))
-		size[0] = rows
-		for i := 1; i < len(bandDims); i++ {
-			srcLo[i] = coord[i] * hdr.brick[i]
-			size[i] = min(hdr.brick[i], hdr.dims[i]-srcLo[i])
-		}
+		p := bk.Piece(brickBase+k, lo[:nd], hi[:nd])
+		srcLo, size := grid.Sub(p.Lo[:nd], lo[:nd]), grid.Sub(p.Hi[:nd], p.Lo[:nd])
 		var err error
-		payloads[k], entries[k], err = compressBrick(ctx, codec, opts, band, bandDims, srcLo, size, brickBase+k)
+		payloads[k], entries[k], err = compressBrick(ctx, codec, opts, band, bandDims[:nd], srcLo[:nd], size[:nd], brickBase+k)
 		return err
 	})
 	if err != nil {
