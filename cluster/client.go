@@ -174,7 +174,7 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 	reachable := 0
 	for _, l := range lists {
 		if l.err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", l.shard, l.err))
+			errs = append(errs, l.err) // a *ShardError: it names the shard
 			continue
 		}
 		reachable++
@@ -229,39 +229,71 @@ type shardFieldJSON struct {
 
 // fetchFields GETs one shard's /v1/fields.
 func (c *Client) fetchFields(ctx context.Context, shard string) ([]shardFieldJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/v1/fields", nil)
+	var out struct {
+		Fields []shardFieldJSON `json:"fields"`
+	}
+	err := c.get(ctx, shard, shard+"/v1/fields", "", func(resp *http.Response) error {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return fmt.Errorf("listing fields: %w", err)
+		}
+		return nil
+	})
+	return out.Fields, err
+}
+
+// get is the one exchange the gateway has with a shard, whatever it asks
+// for: a GET of u carrying the fleet's bearer token and the request's
+// correlation id. A transport failure or a non-200 answer is a *ShardError
+// naming the shard (with the shard's own message); so is, when gate is
+// non-empty, an answer whose ETag does not begin with it — the generation
+// gate — and an error from read, which takes the body of a good answer.
+// Whatever read leaves unread is drained, within a bound, so the
+// connection goes back to the pool.
+func (c *Client) get(ctx context.Context, shard, u, gate string, read func(*http.Response) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, err
+		return &ShardError{Shard: shard, Err: err}
 	}
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
+	if id := requestIDFrom(ctx); id != "" {
+		req.Header.Set("X-Qoz-Request-Id", id)
+	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return nil, err
+		return &ShardError{Shard: shard, Err: err}
 	}
 	defer func() {
 		io.CopyN(io.Discard, resp.Body, 4<<10)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("listing fields: status %s", resp.Status)
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return &ShardError{Shard: shard, Status: resp.StatusCode,
+			Err: fmt.Errorf("GET %s: %s", req.URL.Path, strings.TrimSpace(string(msg)))}
 	}
-	var out struct {
-		Fields []shardFieldJSON `json:"fields"`
+	// A shard mid-refresh (or serving a different copy) fails the gate and
+	// the exchange fails over, so a stitched or merged answer is always one
+	// generation wholly.
+	if et := resp.Header.Get("ETag"); gate != "" && !strings.HasPrefix(et, gate) {
+		return &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("listing fields: %w", err)
+	if err := read(resp); err != nil {
+		return &ShardError{Shard: shard, Err: err}
 	}
-	return out.Fields, nil
+	return nil
 }
 
 // subRegion is one box of the fan-out plan: an axis-aligned run of
 // same-owner bricks intersected with the requested region, plus the
-// shard preference order its reads follow.
+// shard preference order its reads follow. A region read's sub-region
+// also knows its body bytes and which of the read's boxes it belongs to;
+// a sub-query's are zero.
 type subRegion struct {
-	lo, hi []int
-	rank   []int // indices into Field.Shards, owner first
+	lo, hi     []int
+	rank       []int // indices into Field.Shards, owner first
+	bytes, box int
 }
 
 // planSubRegions splits the box [lo, hi) along brick-ownership
@@ -313,16 +345,27 @@ func mergeable(s subRegion, clo, chi []int, last int) bool {
 	return true
 }
 
-// ReadRegionRaw reads the box [lo, hi) of f by fanning sub-regions out to
-// their owning shards and stitching the answers, returning raw
-// little-endian samples (f.ElemSize() bytes per point, row-major, shape
-// hi-lo) — byte-identical to what a single qozd holding the whole store
-// would serve. Each owning shard gets all of its sub-regions in one
-// multi-box /region round trip (see roundTripBytes); round trips run
-// concurrently, observe ctx, fail over along each brick's preference
-// order, and every response is verified against the catalog's (manifest
-// CRC, generation) pair before a byte of it is stitched — a response can
-// never mix store generations. A correlation id attached with
+// ReadRegionRaw reads the box [lo, hi) of f at full resolution: the
+// one-box, level-1 case of ReadBoxesRaw.
+func (c *Client) ReadRegionRaw(ctx context.Context, f *Field, lo, hi []int) ([]byte, FanoutStats, error) {
+	return c.ReadBoxesRaw(ctx, f, []store.Box{{Lo: lo, Hi: hi}}, 1)
+}
+
+// ReadBoxesRaw reads boxes of f on the level's grid — the points whose
+// global coordinates are all multiples of 2^(level-1); level 1 is full
+// resolution — by fanning sub-regions out to their owning shards and
+// stitching the answers. The body is raw little-endian samples
+// (f.ElemSize() bytes per point), each box's grid row-major and one box
+// after the other in list order: byte-identical to what a single qozd
+// holding the whole store answers for the same multi-box /region request.
+// Every box is planned on the full-resolution brick grid into one list of
+// sub-regions, so a shard owning parts of several boxes gets all of them in
+// one multi-box /region round trip (see roundTripBytes), whatever the box
+// count; sub-regions holding no point on the level are left out. Round
+// trips run concurrently, observe ctx, fail over along each brick's
+// preference order, and every response is verified against the catalog's
+// (manifest CRC, generation) pair before a byte of it is stitched — a
+// response can never mix store generations. A correlation id attached with
 // WithRequestID is propagated to every shard as X-Qoz-Request-Id.
 //
 // The returned body is a response slab (pool.Slab): a caller that is
@@ -330,24 +373,88 @@ func mergeable(s subRegion, clo, chi []int, last int) bool {
 // touch it again — qozd's gateway does, once the last client of a
 // single-flight has been written. A caller that does not keeps an
 // ordinary slice that the collector frees.
-func (c *Client) ReadRegionRaw(ctx context.Context, f *Field, lo, hi []int) ([]byte, FanoutStats, error) {
-	return c.readRegionRaw(ctx, f, lo, hi, 1)
-}
-
-// ReadRegionLevelRaw reads the level-L coarse grid of the box [lo, hi):
-// the points whose global coordinates are all multiples of stride
-// 2^(level-1), row-major, raw little-endian — byte-identical to a single
-// qozd answering ?level=L for the same box. Sub-regions are planned on
-// the full-resolution brick grid exactly like ReadRegionRaw, so ownership
-// routing and failover behave identically; each shard answers only its
-// sub-boxes' coarse points, and sub-boxes holding no coarse point are
-// left out of the round trip. level 1 is the full-resolution read.
-func (c *Client) ReadRegionLevelRaw(ctx context.Context, f *Field, lo, hi []int, level int) ([]byte, FanoutStats, error) {
+func (c *Client) ReadBoxesRaw(ctx context.Context, f *Field, boxes []store.Box, level int) ([]byte, FanoutStats, error) {
+	// When the caller's context carries a trace (obs.Recorder.StartTrace at
+	// the serving layer), the whole fan-out records under a "fanout" span;
+	// see fanOut for its children. Without a trace every span call is a
+	// nil-receiver no-op.
+	ctx, fanSpan := obs.StartSpan(ctx, "fanout")
+	defer fanSpan.End()
+	fanSpan.Annotate("field", f.Name)
+	stats := FanoutStats{ByShard: make(map[string]*ShardTraffic)}
 	if level < 1 || level > store.MaxReadLevel {
-		return nil, FanoutStats{ByShard: map[string]*ShardTraffic{}},
-			fmt.Errorf("cluster: level %d outside 1..%d", level, store.MaxReadLevel)
+		return nil, stats, fmt.Errorf("cluster: level %d outside 1..%d", level, store.MaxReadLevel)
 	}
-	return c.readRegionRaw(ctx, f, lo, hi, level)
+	if level > 1 {
+		fanSpan.Annotate("level", strconv.Itoa(level))
+	}
+	step, elem, nd := 1<<(level-1), f.ElemSize(), len(f.Dims)
+	slots := make([]struct {
+		g   grid.LevelGrid // the box's grid on the level
+		off int            // where its samples start in the body
+	}, len(boxes))
+	var subs []subRegion
+	size := 0
+	for i, b := range boxes {
+		planned, err := planSubRegions(f, b.Lo, b.Hi) // validates the box
+		if err != nil {
+			return nil, stats, err
+		}
+		og, ok := grid.LevelOf(b.Lo, b.Hi, step)
+		if !ok {
+			return nil, stats, fmt.Errorf("cluster: region [%v,%v) has no points on the level-%d grid", b.Lo, b.Hi, level)
+		}
+		if i == 0 {
+			subs = planned[:0] // filtered in place: the kept never overtake the read
+		}
+		// Keep only sub-regions holding a point on the level — the rest would
+		// be answered with "no points" by their shards, and the stitch owes
+		// them nothing. At level 1 every sub-region survives.
+		covered := 0
+		for _, sub := range planned {
+			if g, ok := grid.LevelOf(sub.lo, sub.hi, step); ok {
+				sub.bytes, sub.box = g.N*elem, i
+				subs = append(subs, sub)
+				covered += g.N
+			}
+		}
+		// The output slab arrives holding some earlier response, so "every
+		// byte is written" is no longer a nicety: disjoint sub-regions (the
+		// plan's construction) whose sizes add up to each box's leave no byte
+		// of it unwritten.
+		if covered != og.N {
+			return nil, stats, fmt.Errorf("cluster: fan-out plan covers %d of box %d's %d points", covered, i, og.N)
+		}
+		slots[i].g, slots[i].off = og, size
+		size += og.N * elem
+	}
+	gate := generationPrefix(f)
+	out := pool.Slab[byte](size)
+	err := fanOut(ctx, c, f, &stats, subs, roundTripBoxes,
+		func(ctx context.Context, shard string, trip []int) ([]byte, error) {
+			return c.fetchBoxes(ctx, shard, f, subs, trip, level, gate)
+		},
+		func(trip []int, body []byte) {
+			// Scatter each box of the body into its box's slot on the level's
+			// grid. Sub-regions partition their box, a point of a box's grid
+			// lies in exactly one of them, and boxes own disjoint slots, so
+			// round trips write disjoint bytes — no synchronization.
+			off := 0
+			for _, k := range trip {
+				s := &subs[k]
+				g, _ := grid.LevelOf(s.lo, s.hi, step)
+				slot := &slots[s.box]
+				stitch(out[slot.off:], &slot.g, body[off:off+s.bytes], &g, nd, elem)
+				off += s.bytes
+			}
+			pool.PutSlab(body)
+		})
+	if err != nil {
+		// fanOut has waited for every round trip, so nothing writes to out now.
+		pool.PutSlab(out)
+		return nil, stats, err
+	}
+	return out, stats, nil
 }
 
 // A round trip carries at most roundTripBytes of body and roundTripBoxes
@@ -363,63 +470,27 @@ const (
 	roundTripBoxes = 64
 )
 
-func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, level int) ([]byte, FanoutStats, error) {
-	// When the caller's context carries a trace (obs.Recorder.StartTrace at
-	// the serving layer), the whole fan-out records under a "fanout" span
-	// with one "subread" child per shard round trip and a "shard.get"
-	// grandchild for its attempt (the boxes of a failed round trip show up
-	// again under the next round's subreads). Without a trace every span
-	// call is a nil-receiver no-op.
-	ctx, fanSpan := obs.StartSpan(ctx, "fanout")
-	defer fanSpan.End()
-	fanSpan.Annotate("field", f.Name)
-	if level > 1 {
-		fanSpan.Annotate("level", strconv.Itoa(level))
-	}
-	stats := FanoutStats{ByShard: make(map[string]*ShardTraffic)}
-	step := 1 << (level - 1)
-	planned, err := planSubRegions(f, lo, hi) // validates the box
-	if err != nil {
-		return nil, stats, err
-	}
-	nd := len(lo)
-	og, ok := grid.LevelOf(lo, hi, step)
-	if !ok {
-		return nil, stats, fmt.Errorf("cluster: region [%v,%v) has no points on the level-%d grid", lo, hi, level)
-	}
-	elem := f.ElemSize()
-	size := og.N * elem
-	// Keep only sub-regions whose box holds at least one coarse point —
-	// the rest would be answered with "no points" by their shards, and the
-	// stitch owes them nothing. At level 1 every sub-region survives.
-	subs := make([]subRegion, 0, len(planned))
-	grids := make([]grid.LevelGrid, 0, len(planned)) // each sub-region's level grid
-	want := make([]int, 0, len(planned))             // and its body bytes
-	covered := 0
-	for _, sub := range planned {
-		g, ok := grid.LevelOf(sub.lo, sub.hi, step)
-		if !ok {
-			continue
-		}
-		subs = append(subs, sub)
-		grids = append(grids, g)
-		want = append(want, g.N*elem)
-		covered += g.N * elem
-	}
-	// The output slab arrives holding some earlier response, so "every byte
-	// is written" is no longer a nicety: disjoint sub-regions (the plan's
-	// construction) whose sizes add up to the slab's leave no byte of it
-	// unwritten.
-	if covered != size {
-		return nil, stats, fmt.Errorf("cluster: fan-out plan covers %d of the region's %d bytes", covered, size)
-	}
-	gate := generationPrefix(f)
-	out := pool.Slab[byte](size)
-	// Rounds: in round a every pending sub-region goes to its a-th ranked
-	// shard, all those bound for one shard in one round trip. The
-	// sub-regions of a failed round trip are pending again and regroup by
-	// their own next choice — with more than two shards one dead shard's
-	// boxes fan out to different successors.
+// fanOut is the one fan-out engine: region reads and queries both run on
+// it, so there is one failover loop, one accounting path and one span
+// vocabulary. Round a sends every pending sub-region of subs to its a-th
+// ranked shard, those bound for one shard grouped into round trips of at
+// most maxBoxes sub-regions (groupTrips). fetch runs one round trip —
+// trip names its sub-regions, in request order — and consume takes a good
+// answer on the round trip's own goroutine: round trips run concurrently,
+// so consume touches only what its trip owns. The sub-regions of a failed
+// round trip are pending again and regroup by their own next choice — with
+// more than two shards one dead shard's boxes fan out to different
+// successors. A client fault ends the fan-out at once; a sub-region left
+// with no shard ends it with ErrNoShards. Either way fanOut returns only
+// once every round trip has.
+//
+// The "fanout" span in ctx (if any) gets the first round's round-trip
+// count as "subreads" and the later rounds' as "retries"; each round trip
+// is a "subread" span with a "shard.get" child, and stats counts every
+// exchange.
+func fanOut[V any](ctx context.Context, c *Client, f *Field, stats *FanoutStats, subs []subRegion, maxBoxes int,
+	fetch func(ctx context.Context, shard string, trip []int) (V, error), consume func(trip []int, v V)) error {
+	fanSpan := obs.FromContext(ctx)
 	pending := make([]int, len(subs))
 	for k := range pending {
 		pending[k] = k
@@ -429,10 +500,9 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 	var mu sync.Mutex // guards stats during a round
 	for a := 0; len(pending) > 0; a++ {
 		if a == attempts {
-			err = fmt.Errorf("%w: %w", ErrNoShards, lastErr)
-			break
+			return fmt.Errorf("%w: %w", ErrNoShards, lastErr)
 		}
-		trips := groupTrips(subs, want, pending, a)
+		trips := groupTrips(subs, pending, a, maxBoxes)
 		if a == 0 {
 			stats.SubReads = len(trips)
 			fanSpan.Annotate("subreads", strconv.Itoa(len(trips)))
@@ -440,19 +510,21 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 			stats.Retries += len(trips)
 		}
 		failed := make([]error, len(trips))
-		err = pool.RunErr(ctx, len(trips), c.Workers, func(t int) error {
+		err := pool.RunErr(ctx, len(trips), c.Workers, func(t int) error {
 			trip := trips[t]
 			shard := f.Shards[subs[trip[0]].rank[a]]
-			total := 0
-			for _, k := range trip {
-				total += want[k]
-			}
 			sctx, span := obs.StartSpan(ctx, "subread")
 			defer span.End()
 			if span != nil {
 				span.Annotate("shard", shard)
 				span.Annotate("boxes", strconv.Itoa(len(trip)))
-				span.Annotate("bytes", strconv.Itoa(total))
+				total := 0
+				for _, k := range trip {
+					total += subs[k].bytes
+				}
+				if total > 0 { // a read's body; a sub-query has none
+					span.Annotate("bytes", strconv.Itoa(total))
+				}
 				if len(trip) == 1 {
 					span.Annotate("lo", corner(subs[trip[0]].lo))
 					span.Annotate("hi", corner(subs[trip[0]].hi))
@@ -461,37 +533,36 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 					span.Annotate("round", strconv.Itoa(a+1))
 				}
 			}
-			body, secs, err := attempt(sctx, shard, &mu, &stats, func(ctx context.Context) ([]byte, error) {
-				return c.fetchBoxes(ctx, shard, f, subs, trip, level, gate, total)
-			})
+			actx, att := obs.StartSpan(sctx, "shard.get")
+			att.Annotate("shard", shard)
+			t0 := time.Now()
+			v, err := fetch(actx, shard, trip)
+			secs := time.Since(t0).Seconds()
 			if err != nil {
+				att.Annotate("error", err.Error())
 				span.Annotate("error", err.Error())
+			}
+			att.End()
+			mu.Lock()
+			if tr := stats.shard(shard); err != nil {
+				tr.Errors++
+			} else {
+				tr.Reads++
+				tr.Seconds += secs
+			}
+			mu.Unlock()
+			if err != nil {
 				failed[t] = err
 				if clientFault(err) {
 					return fmt.Errorf("%w: %w", ErrNoShards, err)
 				}
 				return nil
 			}
-			mu.Lock()
-			tr := stats.shard(shard)
-			tr.Reads++
-			tr.Seconds += secs
-			mu.Unlock()
-			// Scatter each box of the body into the output on the coarse grid.
-			// Sub-regions partition the box, and a global coarse point lies in
-			// exactly one of them, so writers touch disjoint bytes — no
-			// synchronization. At level 1 this is the plain full-resolution
-			// scatter.
-			off := 0
-			for _, k := range trip {
-				stitch(out, &og, body[off:off+want[k]], &grids[k], nd, elem)
-				off += want[k]
-			}
-			pool.PutSlab(body)
+			consume(trip, v)
 			return nil
 		})
 		if err != nil {
-			break
+			return err
 		}
 		pending = nil
 		for t, ferr := range failed {
@@ -501,40 +572,34 @@ func (c *Client) readRegionRaw(ctx context.Context, f *Field, lo, hi []int, leve
 			}
 		}
 	}
-	if err != nil {
-		// RunErr has waited for every round trip, so nothing writes to out now.
-		pool.PutSlab(out)
-		return nil, stats, err
-	}
 	if stats.Retries > 0 {
 		fanSpan.Annotate("retries", strconv.Itoa(stats.Retries))
 	}
-	return out, stats, nil
+	return nil
 }
 
-// groupTrips cuts round a of a read into round trips: the pending
+// groupTrips cuts round a of a fan-out into round trips: the pending
 // sub-regions (indices into subs, reordered in place) grouped by the shard
 // each goes to in this round, a shard's group split wherever the next box
-// would take it past roundTripBytes of body (want is each sub-region's) or
-// roundTripBoxes boxes.
-func groupTrips(subs []subRegion, want, pending []int, a int) [][]int {
+// would take it past roundTripBytes of body or maxBoxes boxes.
+func groupTrips(subs []subRegion, pending []int, a, maxBoxes int) [][]int {
 	slices.SortStableFunc(pending, func(x, y int) int { return subs[x].rank[a] - subs[y].rank[a] })
 	var trips [][]int
 	start, bytes := 0, 0
 	for i, k := range pending {
 		if i > start && (subs[k].rank[a] != subs[pending[start]].rank[a] ||
-			bytes+want[k] > roundTripBytes || i-start == roundTripBoxes) {
+			bytes+subs[k].bytes > roundTripBytes || i-start == maxBoxes) {
 			trips = append(trips, pending[start:i:i])
 			start, bytes = i, 0
 		}
-		bytes += want[k]
+		bytes += subs[k].bytes
 	}
 	return append(trips, pending[start:])
 }
 
 // generationPrefix is what a shard's ETag begins with when it answers from
 // the store content the catalog entry describes: the (manifest CRC,
-// generation) pair. Rendered once per fan-out, compared once per attempt.
+// generation) pair. Rendered once per fan-out, compared once per exchange.
 func generationPrefix(f *Field) string {
 	return fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
 }
@@ -559,95 +624,51 @@ func clientFault(err error) bool {
 	return errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests
 }
 
-// attempt runs one exchange with one shard under a "shard.get" span: it
-// returns fetch's answer and the exchange's wall time, and charges a
-// failure to the shard in stats (which mu guards). It is the step under
-// every fan-out, region round trips and sub-queries alike.
-func attempt[V any](ctx context.Context, shard string, mu *sync.Mutex, stats *FanoutStats,
-	fetch func(ctx context.Context) (V, error)) (v V, secs float64, err error) {
-	actx, att := obs.StartSpan(ctx, "shard.get")
-	att.Annotate("shard", shard)
-	t0 := time.Now()
-	v, err = fetch(actx)
-	secs = time.Since(t0).Seconds()
-	if err != nil {
-		att.Annotate("error", err.Error())
-		mu.Lock()
-		stats.shard(shard).Errors++
-		mu.Unlock()
-	}
-	att.End()
-	return v, secs, err
-}
-
-// fetchBoxes issues one region round trip against one shard — the boxes
-// subs[k] for k in trip, one /region request naming them in that order —
-// and validates the answer: status, element type, exact body length (want
-// bytes: the boxes' grids on the level, concatenated), and the catalog's
-// (manifest CRC, generation) pair via the shard's strong ETag prefix
-// (gate). The body it returns is a response slab the caller owns; on every
-// failure the slab it took is already back in the pool.
-func (c *Client) fetchBoxes(ctx context.Context, shard string, f *Field, subs []subRegion, trip []int, level int, gate string, want int) ([]byte, error) {
+// fetchBoxes is one region round trip against one shard: the boxes
+// subs[k] for k in trip, one /region request naming them in that order,
+// through get (status, generation gate) and then checked for element type
+// and exact body length (the boxes' grids on the level, concatenated). The
+// body it returns is a response slab the caller owns; on every failure the
+// slab it took is already back in the pool.
+func (c *Client) fetchBoxes(ctx context.Context, shard string, f *Field, subs []subRegion, trip []int, level int, gate string) ([]byte, error) {
 	var ubuf [192]byte
 	u := append(ubuf[:0], shard...)
 	u = append(u, "/v1/fields/"...)
 	u = append(u, url.PathEscape(f.Name)...)
 	u = append(u, "/region"...)
+	total := 0
 	for i, k := range trip {
 		u = append(u, "?&"[min(i, 1)])
 		u = append(u, "lo="...)
 		u = appendCorner(u, subs[k].lo)
 		u = append(u, "&hi="...)
 		u = appendCorner(u, subs[k].hi)
+		total += subs[k].bytes
 	}
 	if level > 1 {
 		u = append(u, "&level="...)
 		u = strconv.AppendInt(u, int64(level), 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
+	var body []byte
+	err := c.get(ctx, shard, string(u), gate, func(resp *http.Response) error {
+		if dt := resp.Header.Get("X-Qoz-Dtype"); dt != "" && dt != f.DType {
+			return fmt.Errorf("sub-read dtype %q, want %q", dt, f.DType)
+		}
+		// Buffer, then stitch: one ReadFull into a recycled body costs less
+		// than per-row reads through net/http's body wrappers.
+		body = pool.Slab[byte](total)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return fmt.Errorf("short sub-read body: %w", err)
+		}
+		var extra [1]byte
+		if n, _ := resp.Body.Read(extra[:]); n != 0 {
+			return fmt.Errorf("sub-read body longer than its region")
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, &ShardError{Shard: shard, Err: err}
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	if id := requestIDFrom(ctx); id != "" {
-		req.Header.Set("X-Qoz-Request-Id", id)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, &ShardError{Shard: shard, Err: err}
-	}
-	defer func() {
-		io.CopyN(io.Discard, resp.Body, 4<<10)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ShardError{Shard: shard, Status: resp.StatusCode,
-			Err: fmt.Errorf("region sub-read failed: %s", strings.TrimSpace(string(msg)))}
-	}
-	// The generation gate: the shard's region ETag begins with its store's
-	// (manifest CRC, generation) pair. A shard mid-refresh (or serving a
-	// different copy) fails here and the round trip fails over, so a
-	// stitched response is always one generation wholly.
-	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, gate) {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
-	}
-	if dt := resp.Header.Get("X-Qoz-Dtype"); dt != "" && dt != f.DType {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-read dtype %q, want %q", dt, f.DType)}
-	}
-	// Buffer, then stitch: one ReadFull into a recycled body costs less than
-	// per-row reads through net/http's body wrappers.
-	body := pool.Slab[byte](want)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
 		pool.PutSlab(body)
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("short sub-read body: %w", err)}
-	}
-	var extra [1]byte
-	if n, _ := resp.Body.Read(extra[:]); n != 0 {
-		pool.PutSlab(body)
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-read body longer than its region")}
+		return nil, err
 	}
 	return body, nil
 }

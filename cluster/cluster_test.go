@@ -359,7 +359,7 @@ func TestCatalogValidatesReportedFields(t *testing.T) {
 	if _, err := planSubRegions(bad, make([]int, 9), make([]int, 9)); err == nil {
 		t.Error("a rank-9 field was planned")
 	}
-	if _, _, err := c.ReadRegionLevelRaw(context.Background(), catalog["good"], []int{0, 0}, []int{8, 8}, store.MaxReadLevel+1); err == nil ||
+	if _, _, err := c.ReadBoxesRaw(context.Background(), catalog["good"], []store.Box{{Lo: []int{0, 0}, Hi: []int{8, 8}}}, store.MaxReadLevel+1); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprint("1..", store.MaxReadLevel)) {
 		t.Errorf("level past store.MaxReadLevel: %v", err)
 	}
@@ -560,17 +560,15 @@ func TestRankTwoShards(t *testing.T) {
 // box larger than the byte cap alone, every pending box in exactly one
 // trip, and boxes bound for different shards never together.
 func TestGroupTrips(t *testing.T) {
-	mk := func(n int, shardOf func(k int) int, bytesOf func(k int) int) ([]subRegion, []int, []int) {
+	mk := func(n int, shardOf func(k int) int, bytesOf func(k int) int) ([]subRegion, []int) {
 		subs := make([]subRegion, n)
-		want := make([]int, n)
 		pending := make([]int, n)
 		for k := range subs {
 			sh := shardOf(k)
-			subs[k] = subRegion{rank: []int{sh, (sh + 1) % 3, (sh + 2) % 3}}
-			want[k] = bytesOf(k)
+			subs[k] = subRegion{rank: []int{sh, (sh + 1) % 3, (sh + 2) % 3}, bytes: bytesOf(k)}
 			pending[k] = k
 		}
-		return subs, want, pending
+		return subs, pending
 	}
 	for _, tc := range []struct {
 		name    string
@@ -589,8 +587,8 @@ func TestGroupTrips(t *testing.T) {
 		{"a thin line: 150 boxes on one shard", 150, func(int) int { return 0 }, func(int) int { return 4 }, 0, 3},
 		{"next round regroups by the next choice", 8, func(k int) int { return k % 2 }, func(int) int { return 1 << 10 }, 1, 2},
 	} {
-		subs, want, pending := mk(tc.n, tc.shardOf, tc.bytesOf)
-		trips := groupTrips(subs, want, pending, tc.round)
+		subs, pending := mk(tc.n, tc.shardOf, tc.bytesOf)
+		trips := groupTrips(subs, pending, tc.round, roundTripBoxes)
 		if len(trips) != tc.trips {
 			t.Errorf("%s: %d round trips, want %d", tc.name, len(trips), tc.trips)
 		}
@@ -599,7 +597,7 @@ func TestGroupTrips(t *testing.T) {
 			bytes := 0
 			for _, k := range trip {
 				seen[k]++
-				bytes += want[k]
+				bytes += subs[k].bytes
 				if subs[k].rank[tc.round] != subs[trip[0]].rank[tc.round] {
 					t.Errorf("%s: a trip mixes shards", tc.name)
 				}
@@ -613,5 +611,10 @@ func TestGroupTrips(t *testing.T) {
 				t.Errorf("%s: box %d is in %d trips", tc.name, k, c)
 			}
 		}
+	}
+	// Sub-queries: no body bytes, one box per round trip.
+	subs, pending := mk(8, func(k int) int { return k % 2 }, func(int) int { return 0 })
+	if trips := groupTrips(subs, pending, 0, 1); len(trips) != len(subs) {
+		t.Errorf("%d sub-queries in %d round trips, want one each", len(subs), len(trips))
 	}
 }

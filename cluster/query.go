@@ -1,40 +1,40 @@
 // Query fan-out: the gateway-side half of predicate pushdown. A pushdown
 // query over a sharded field is planned on the same brick-ownership
-// boundaries as a region read, each sub-box is answered by its owning
-// shard (which prunes locally from its statistics index), and the partial
-// results — counts, histograms, extrema, matching locations — merge into
-// one answer identical to a single qozd holding the whole store.
+// boundaries as a region read and fanned out on the same engine (fanOut),
+// each sub-box is answered by its owning shard (which prunes locally from
+// its statistics index), and the partial results — counts, histograms,
+// extrema, matching locations — are checked and merge into one answer
+// identical to a single qozd holding the whole store.
 package cluster
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 
-	"qoz/internal/pool"
 	"qoz/obs"
 	"qoz/store"
 )
 
 // Query fans one pushdown query out over the fleet and merges the
 // per-shard partial results. The request's box (nil Lo/Hi = the whole
-// field) is split along brick-ownership boundaries exactly like
-// ReadRegionRaw — same routing, failover, and per-sub-response generation
-// gate — and each shard answers its sub-box from its own statistics
-// index, so pruning happens where the bricks live and only small JSON
-// aggregates cross the network. The merged result is identical to one
-// store.Query over the whole box, except that extremum queries cannot
+// field) is split along brick-ownership boundaries exactly like a region
+// read and runs on the same engine — routing, rounds of failover,
+// accounting, spans and the per-exchange generation gate — except that a
+// round trip carries one sub-box, because /query answers one box. Each
+// shard answers its sub-box from its own statistics index, so pruning
+// happens where the bricks live and only small JSON aggregates cross the
+// network; every answer is checked against its request and sub-box
+// (checkPartial) before it is merged. The merged result is identical to
+// one store.Query over the whole box, except that extremum queries cannot
 // branch-and-bound across shards: every sub-box resolves independently,
 // and the pruning counters sum what each shard did locally.
 func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*store.QueryResult, FanoutStats, error) {
-	ctx, fanSpan := obs.StartSpan(ctx, "queryfan")
+	ctx, fanSpan := obs.StartSpan(ctx, "fanout")
 	defer fanSpan.End()
 	fanSpan.Annotate("field", f.Name)
 	fanSpan.Annotate("op", req.Op)
@@ -48,70 +48,33 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.SubReads = len(subs)
-	fanSpan.Annotate("subqueries", strconv.Itoa(len(subs)))
-	partials := make([]*store.QueryResult, len(subs))
 	gate := generationPrefix(f)
-	var mu sync.Mutex // guards stats during the fan-out
-	err = pool.RunErr(ctx, len(subs), c.Workers, func(k int) error {
-		sub := subs[k]
-		sctx, span := obs.StartSpan(ctx, "subquery")
-		defer span.End()
-		span.Annotate("lo", corner(sub.lo))
-		span.Annotate("hi", corner(sub.hi))
-		// One sub-query per sub-region, failing over along its preference
-		// order on shard faults.
-		var lastErr error
-		for a := 0; a < min(c.attempts(), len(sub.rank)); a++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			shard := f.Shards[sub.rank[a]]
-			res, secs, err := attempt(sctx, shard, &mu, &stats, func(ctx context.Context) (*store.QueryResult, error) {
-				return c.fetchQuery(ctx, shard, f, sub, req, gate)
-			})
-			mu.Lock()
-			if a > 0 {
-				stats.Retries++
-			}
-			if err == nil {
-				t := stats.shard(shard)
-				t.Reads++
-				t.Seconds += secs
-			}
-			mu.Unlock()
-			if err == nil {
-				if a > 0 {
-					span.Annotate("retries", strconv.Itoa(a))
+	partials := make([]*store.QueryResult, len(subs))
+	err = fanOut(ctx, c, f, &stats, subs, 1,
+		func(ctx context.Context, shard string, trip []int) (*store.QueryResult, error) {
+			sub := &subs[trip[0]]
+			res := new(store.QueryResult)
+			return res, c.get(ctx, shard, queryURL(shard, f, sub, req), gate, func(resp *http.Response) error {
+				if err := json.NewDecoder(resp.Body).Decode(res); err != nil {
+					return fmt.Errorf("sub-query body: %w", err)
 				}
-				span.Annotate("shard", shard)
-				partials[k] = res
-				return nil
-			}
-			lastErr = err
-			if clientFault(err) {
-				break
-			}
-		}
-		span.Annotate("error", lastErr.Error())
-		return fmt.Errorf("%w: %w", ErrNoShards, lastErr)
-	})
+				return checkPartial(req, res, sub)
+			})
+		},
+		func(trip []int, res *store.QueryResult) { partials[trip[0]] = res })
 	if err != nil {
 		return nil, stats, err
 	}
 	return mergeQueryResults(req, partials), stats, nil
 }
 
-// fetchQuery issues one sub-query against one shard and validates the
-// answer: status, and the catalog's (manifest CRC, generation) pair via
-// the shard's strong ETag prefix (gate) — the same generation gate region
-// sub-reads pass through, so a merged query never mixes generations.
-func (c *Client) fetchQuery(ctx context.Context, shard string, f *Field, sub subRegion, req store.QueryRequest, gate string) (*store.QueryResult, error) {
+// queryURL is the sub-query of req for the sub-box s on one shard.
+func queryURL(shard string, f *Field, s *subRegion, req store.QueryRequest) string {
 	g := func(v float64) string {
 		return url.QueryEscape(strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	u := fmt.Sprintf("%s/v1/fields/%s/query?op=%s&lo=%s&hi=%s",
-		shard, url.PathEscape(f.Name), url.QueryEscape(req.Op), corner(sub.lo), corner(sub.hi))
+		shard, url.PathEscape(f.Name), url.QueryEscape(req.Op), corner(s.lo), corner(s.hi))
 	switch req.Op {
 	case store.QueryGT, store.QueryLT:
 		u += "&value=" + g(req.Value)
@@ -123,37 +86,50 @@ func (c *Client) fetchQuery(ctx context.Context, shard string, f *Field, sub sub
 	if req.MaxLocations > 0 {
 		u += fmt.Sprintf("&maxloc=%d", req.MaxLocations)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, &ShardError{Shard: shard, Err: err}
+	return u
+}
+
+// checkPartial refuses a sub-query answer that cannot be the answer to req
+// over the sub-box s: another op, a histogram of another bin count (bins
+// on any other op included), more locations than asked for, or a location
+// or an extremum's argument that is not a point of s (another rank
+// included). Merged, the first two would index past the merged bins and
+// the rest would fold into a wrong answer; refused, the sub-query fails
+// over like a short region body.
+func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) error {
+	bins := 0
+	if req.Op == store.QueryHist {
+		bins = req.Bins
 	}
-	if c.Token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.Token)
+	switch {
+	case res.Op != req.Op:
+		return fmt.Errorf("sub-query answered op %q, want %q", res.Op, req.Op)
+	case len(res.Bins) != bins:
+		return fmt.Errorf("sub-query answered %d bins, want %d", len(res.Bins), bins)
+	case len(res.Locations) > req.MaxLocations:
+		return fmt.Errorf("sub-query answered %d locations, want at most %d", len(res.Locations), req.MaxLocations)
+	case res.Found && !s.holds(res.Arg):
+		return fmt.Errorf("sub-query extremum at %v, outside its box [%v,%v)", res.Arg, s.lo, s.hi)
 	}
-	if id := requestIDFrom(ctx); id != "" {
-		hreq.Header.Set("X-Qoz-Request-Id", id)
+	for _, p := range res.Locations {
+		if !s.holds(p) {
+			return fmt.Errorf("sub-query location %v outside its box [%v,%v)", p, s.lo, s.hi)
+		}
 	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, &ShardError{Shard: shard, Err: err}
+	return nil
+}
+
+// holds reports whether p is a point of the box [s.lo, s.hi).
+func (s *subRegion) holds(p []int) bool {
+	if len(p) != len(s.lo) {
+		return false
 	}
-	defer func() {
-		io.CopyN(io.Discard, resp.Body, 4<<10)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ShardError{Shard: shard, Status: resp.StatusCode,
-			Err: fmt.Errorf("sub-query failed: %s", strings.TrimSpace(string(msg)))}
+	for i, x := range p {
+		if x < s.lo[i] || x >= s.hi[i] {
+			return false
+		}
 	}
-	if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, gate) {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("%w (ETag %s, want prefix %s)", ErrStale, et, gate)}
-	}
-	var res store.QueryResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("sub-query body: %w", err)}
-	}
-	return &res, nil
+	return true
 }
 
 // mergeQueryResults folds per-shard partial answers into the fleet-wide

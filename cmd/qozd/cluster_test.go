@@ -875,6 +875,7 @@ func TestClusterRoleParity(t *testing.T) {
 		{path: "nyx/query?op=hist&low=0&high=1&bins=" + fmt.Sprint(store.MaxQueryBins+1)},
 		{path: "nyx/query?op=gt&value=1&maxloc=-1"},
 		{path: "nyx/query?op=gt&value=0&maxloc=" + fmt.Sprint(maxPoints+1)},
+		{path: "nyx/query?op=gt&value=1&lo=0,0,0&hi=4,4,4&lo=4,4,4&hi=8,8,8"},
 		{path: "nyx/query?" + query},
 		{path: "nyx/query?" + query + "&maxloc=5"},
 		{path: "nyx/query?" + query, gzip: true},

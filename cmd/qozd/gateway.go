@@ -152,41 +152,18 @@ func (g *fleet) account(stats cluster.FanoutStats) {
 	g.trafficMu.Unlock()
 }
 
-// region answers by fan-out: plan sub-regions along brick-ownership
-// boundaries, read each owning shard's share in one round trip (failing
-// over along the placement's preference order), and stitch the raw slabs
-// into one body byte-identical to a single qozd holding the whole store.
-// A list of several boxes — the form the gateway itself sends shards, which
-// no client sends a gateway on a hot path — is one fan-out per box, the
-// bodies copied one after the other into one slab.
+// region answers by one fan-out, whatever the box count: plan every box's
+// sub-regions along brick-ownership boundaries, read each owning shard's
+// share in one round trip (failing over along the placement's preference
+// order), and stitch the raw slabs into one body byte-identical to a single
+// qozd holding the whole store.
 func (g *fleet) region(ctx context.Context, s snapshot, boxes []store.Box, level int) (any, error) {
-	f := s.src.(*cluster.Field)
-	read := func(b store.Box) ([]byte, error) {
-		body, stats, err := g.client.ReadRegionLevelRaw(ctx, f, b.Lo, b.Hi, level)
-		g.account(stats)
-		if err != nil {
-			return nil, fmt.Errorf("fan-out failed: %w", err)
-		}
-		return body, nil
+	body, stats, err := g.client.ReadBoxesRaw(ctx, s.src.(*cluster.Field), boxes, level)
+	g.account(stats)
+	if err != nil {
+		return nil, fmt.Errorf("fan-out failed: %w", err)
 	}
-	if len(boxes) == 1 {
-		body, err := read(boxes[0])
-		if err != nil {
-			return nil, err
-		}
-		return &slab[byte]{body}, nil
-	}
-	out := pool.Slab[byte](boxesPoints(boxes, level) * f.ElemSize())[:0]
-	for _, b := range boxes {
-		body, err := read(b)
-		if err != nil {
-			pool.PutSlab(out)
-			return nil, err
-		}
-		out = append(out, body...)
-		pool.PutSlab(body)
-	}
-	return &slab[byte]{out}, nil
+	return &slab[byte]{body}, nil
 }
 
 // query fans sub-queries out along the same boundaries; each owning shard
@@ -210,39 +187,25 @@ func (g *fleet) failure(err error) (int, string, bool) {
 	return http.StatusBadGateway, "1", errors.Is(err, cluster.ErrStale)
 }
 
-// ready: a non-empty catalog and every configured shard answering its own
-// liveness probe. A gateway in front of an unreachable fleet stays alive
-// (healthz) but not ready, so a balancer drains it instead of feeding it
-// requests that will all 502.
+// ready: a non-empty catalog and every configured shard answering its
+// field listing — the exchange the catalog is learned from, with the
+// gateway's shard credential — within 2s. A gateway in front of an
+// unreachable fleet stays alive (healthz) but not ready, so a balancer
+// drains it instead of feeding it requests that will all 502.
 func (g *fleet) ready(ctx context.Context) (bool, map[string]any) {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	var mu sync.Mutex
+	down := make([]bool, len(g.shards))
+	pool.Run(len(g.shards), len(g.shards), func(i int) {
+		_, err := g.client.Catalog(ctx, g.shards[i:i+1])
+		down[i] = err != nil
+	})
 	var unreachable []string
-	var wg sync.WaitGroup
-	for _, shard := range g.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/healthz", nil)
-			var resp *http.Response
-			if err == nil {
-				resp, err = g.client.HTTP.Do(req)
-			}
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("status %s", resp.Status)
-				}
-			}
-			if err != nil {
-				mu.Lock()
-				unreachable = append(unreachable, shard)
-				mu.Unlock()
-			}
-		}()
+	for i, shard := range g.shards {
+		if down[i] {
+			unreachable = append(unreachable, shard)
+		}
 	}
-	wg.Wait()
 	sort.Strings(unreachable)
 	fields := len(g.fields())
 	if fields == 0 || len(unreachable) > 0 {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -398,6 +399,31 @@ func TestClusterRoundTripsPerShard(t *testing.T) {
 			}
 		}
 	}
+
+	// A gateway answers a multi-box request with one fan-out: two boxes over
+	// the same two owning shards reach them as one round trip each (box by
+	// box they were four), and the body is the two single-box bodies.
+	_, gts := startGateway(t, gatewayOptions{Shards: names, HTTP: hc})
+	boxes := []store.Box{{Lo: []int{4, 4, 4}, Hi: []int{20, 20, 20}}, {Lo: []int{1, 2, 3}, Hi: []int{31, 30, 29}}}
+	var want []byte
+	for _, b := range boxes {
+		if own := owners(t, names, cat["nyx"], b.Lo, b.Hi); len(own) != 2 {
+			t.Fatalf("nyx %v: %d owning shards under the fixed names, the fixture wants 2", b, len(own))
+		}
+		want = append(want, referenceRaw(t, paths["nyx"], b.Lo, b.Hi)...)
+	}
+	log.reset()
+	resp, body := get(t, gts.URL+"/v1/fields/nyx/region?"+boxQuery(boxes))
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("gateway, two boxes: %s, body equal to the two single-box bodies: %v", resp.Status, bytes.Equal(body, want))
+	}
+	requests := 0
+	for _, reqs := range log.reset() {
+		requests += len(reqs)
+	}
+	if requests != 2 {
+		t.Errorf("gateway, two boxes over two owning shards: %d region requests reached the shards, want 2", requests)
+	}
 }
 
 // TestClusterThreeShardFailover kills one shard of three whose boxes have
@@ -479,10 +505,36 @@ func TestClusterThreeShardFailover(t *testing.T) {
 		pool.PutSlab(body)
 	}
 
+	// Sub-queries ride the same rounds: each of shard 1's sub-queries is
+	// re-sent to its next-ranked shard, one retry apiece, and the merged
+	// answer is the single-node one.
+	req := store.QueryRequest{Op: store.QueryGT, Value: 0.5, MaxLocations: 5}
+	_, single := queryGet(t, shards[0].URL+"/v1/fields/nyx/query?op=gt&value=0.5&maxloc=5")
+	dead.Store(-1)
+	res, stats, err := cl.Query(ctx, f, req)
+	if err != nil || !reflect.DeepEqual(res, single) {
+		t.Fatalf("healthy query: %v, merged %+v, single-node %+v", err, res, single)
+	}
+	owned := stats.ByShard[names[1]].Reads // shard 1's sub-queries
+	if owned == 0 || stats.Retries != 0 {
+		t.Fatalf("healthy query: shard 1 answered %d sub-queries, %d retries", owned, stats.Retries)
+	}
+	dead.Store(1)
+	res, stats, err = cl.Query(ctx, f, req)
+	if err != nil || !reflect.DeepEqual(res, single) {
+		t.Errorf("query with shard 1 dead: %v, merged %+v, single-node %+v", err, res, single)
+	}
+	if tr := stats.ByShard[names[1]]; stats.Retries != int(owned) || tr == nil || tr.Errors != owned || tr.Reads != 0 {
+		t.Errorf("query with shard 1 dead: %d retries, shard 1 traffic %+v; want %d of each, one per sub-query it owns", stats.Retries, tr, owned)
+	}
+
 	// Nothing left to fail over to: a clean error, and the output slab back.
 	cl1 := &cluster.Client{HTTP: hc, Attempts: 1}
 	if body, stats, err := cl1.ReadRegionRaw(ctx, f, lo, hi); !errors.Is(err, cluster.ErrNoShards) || body != nil || stats.Retries != 0 {
 		t.Errorf("one attempt with shard 1 dead: (%d bytes, %d retries, %v), want ErrNoShards", len(body), stats.Retries, err)
+	}
+	if res, stats, err := cl1.Query(ctx, f, req); !errors.Is(err, cluster.ErrNoShards) || res != nil || stats.Retries != 0 {
+		t.Errorf("one attempt with shard 1 dead: query (%+v, %d retries, %v), want ErrNoShards", res, stats.Retries, err)
 	}
 }
 

@@ -48,7 +48,8 @@ func findTrace(traces []*obs.Trace, id string) *obs.Trace {
 // span has one "subread" child per shard round trip, each saying how many
 // boxes and bytes it carried, and (b) shard traces under the same trace id
 // carrying store stage timings — all retrievable from the respective
-// /debug/traces endpoints.
+// /debug/traces endpoints; and one /query records the same fanout →
+// subread → shard.get tree.
 func TestGatewayTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	p32, _ := buildStoreFile(t, dir)
@@ -172,6 +173,52 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 	if withStages != shardTraces {
 		t.Errorf("%d of %d shard traces carry store stage timings", withStages, shardTraces)
+	}
+
+	// A query fans out on the same engine, so its trace is the same tree: a
+	// fanout span naming the op, one subread per sub-query, each with its
+	// shard.get.
+	const queryID = "trace-obs-query"
+	req, _ = http.NewRequest(http.MethodGet, gts.URL+"/v1/fields/nyx/query?op=gt&value=0.5", nil)
+	req.Header.Set("X-Qoz-Request-Id", queryID)
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var qtr *obs.Trace
+	for deadline := time.Now().Add(5 * time.Second); qtr == nil && time.Now().Before(deadline); {
+		if qtr = findTrace(getTraces(t, gts.URL+"/debug/traces?n=100").Traces, queryID); qtr == nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if qtr == nil {
+		t.Fatal("gateway /debug/traces has no trace for the query")
+	}
+	names := map[string]int{}
+	byID := map[int]obs.SpanData{}
+	for _, sp := range qtr.Spans {
+		names[sp.Name]++
+		byID[sp.ID] = sp
+	}
+	for _, sp := range qtr.Spans {
+		parent := byID[sp.Parent].Name
+		switch sp.Name {
+		case "fanout":
+			if sp.Attrs["op"] != "gt" || sp.Attrs["subreads"] != strconv.Itoa(names["subread"]) {
+				t.Errorf("query fanout span attrs %v, want op=gt and subreads=%d", sp.Attrs, names["subread"])
+			}
+		case "subread":
+			if parent != "fanout" || sp.Attrs["boxes"] != "1" || sp.Attrs["lo"] == "" {
+				t.Errorf("query subread span under %q with attrs %v, want one box under fanout", parent, sp.Attrs)
+			}
+		case "shard.get":
+			if parent != "subread" {
+				t.Errorf("query shard.get span under %q, want subread", parent)
+			}
+		}
+	}
+	if names["fanout"] != 1 || names["subread"] < 2 || names["shard.get"] != names["subread"] {
+		t.Errorf("query trace spans %v, want one fanout over two or more subreads, one shard.get each", names)
 	}
 }
 

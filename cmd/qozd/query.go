@@ -41,6 +41,10 @@ func (h *handler) parseQueryRequest(w http.ResponseWriter, r *http.Request, dims
 
 	// The box is optional — a query, unlike a region read, defaults to the
 	// whole field, because the server aggregates instead of shipping points.
+	// It is one box: several lo=/hi= pairs are /region's multi-box form.
+	if len(q["lo"]) > 1 || len(q["hi"]) > 1 {
+		return bad("a query answers one box; repeated lo=/hi= pairs are the multi-box form of /region only")
+	}
 	if (q.Get("lo") == "") != (q.Get("hi") == "") {
 		return bad("query box needs both lo=a,b,... and hi=a,b,... (or neither, for the whole field)")
 	}

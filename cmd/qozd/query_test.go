@@ -3,18 +3,22 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"qoz/cluster"
 	"qoz/store"
 )
 
@@ -151,6 +155,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 		{"/v1/fields/nyx/query?op=hist&low=0&high=1", http.StatusBadRequest},
 		{"/v1/fields/nyx/query?op=hist&low=0&high=1&bins=0", http.StatusBadRequest},
 		{"/v1/fields/nyx/query?op=gt&value=1&maxloc=-1", http.StatusBadRequest},
+		{"/v1/fields/nyx/query?op=gt&value=1&lo=0,0,0&hi=4,4,4&lo=4,4,4&hi=8,8,8", http.StatusBadRequest},
 	} {
 		if resp, body := get(t, ts.URL+tc.url); resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.url, resp.StatusCode, tc.code, body)
@@ -171,6 +176,98 @@ func TestServerQueryEndpoint(t *testing.T) {
 	_, body := get(t, ts.URL+"/metrics")
 	if want := `qozd_store_bricks_pruned_total{field="nyx"}`; !strings.Contains(string(body), want) {
 		t.Errorf("/metrics missing %q", want)
+	}
+}
+
+// TestClusterMalformedQueryAnswer: a shard's sub-query answer is outside
+// input. One that cannot be the answer to its request over its sub-box —
+// another op, a bin too many, a location of another rank or outside the
+// sub-box, more locations than asked for, an extremum without its argument
+// — fails its sub-query by name and fails over like a short region body.
+// Merged, the bin would index past the merged histogram and panic the
+// gateway; the rest would merge into a wrong answer.
+func TestClusterMalformedQueryAnswer(t *testing.T) {
+	p32, _ := buildStoreFile(t, t.TempDir())
+	var mode atomic.Value // "" or one of the table's modes
+	mode.Store("")
+	shards, _ := startShards(t, []mount{{name: "nyx", target: p32}}, 2, serverOptions{CacheBytes: 32 << 20},
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				m := mode.Load().(string)
+				if i != 1 || m == "" || filepath.Base(r.URL.Path) != "query" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				r.Header.Del("Accept-Encoding") // rewrite plain JSON
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				var ans map[string]any
+				if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil {
+					t.Errorf("shard 1 answered %s: %v", rec.Body, err)
+				}
+				locs, _ := ans["locations"].([]any)
+				switch m {
+				case "op":
+					ans["op"] = store.QueryLT
+				case "bins":
+					ans["bins"] = append(ans["bins"].([]any), 0)
+				case "rank":
+					locs[0] = locs[0].([]any)[:1]
+				case "outside":
+					locs[0], _ = parseCorner(r.URL.Query().Get("hi"))
+				case "toomany":
+					ans["locations"] = append(locs, locs[0])
+				case "noarg":
+					delete(ans, "arg")
+				}
+				for k, v := range rec.Header() {
+					if k != "Content-Length" {
+						w.Header()[k] = v
+					}
+				}
+				w.WriteHeader(rec.Code)
+				json.NewEncoder(w).Encode(ans)
+			})
+		})
+	names, hc := namedFleet(t, shards)
+	ctx := context.Background()
+	cl, cl1 := &cluster.Client{HTTP: hc}, &cluster.Client{HTTP: hc, Attempts: 1}
+	cat, err := cl.Catalog(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := store.QueryRequest{Op: store.QueryGT, Value: -1e30, MaxLocations: 3} // every sub-box has 3 matches
+	for _, tc := range []struct {
+		mode, query string
+		req         store.QueryRequest
+		text        string
+	}{
+		{"op", "op=gt&value=-1e30&maxloc=3", every, `answered op "lt", want "gt"`},
+		{"bins", "op=hist&low=0&high=1&bins=4", store.QueryRequest{Op: store.QueryHist, Low: 0, High: 1, Bins: 4}, "answered 5 bins, want 4"},
+		{"rank", "op=gt&value=-1e30&maxloc=3", every, "location"},
+		{"outside", "op=gt&value=-1e30&maxloc=3", every, "outside its box"},
+		{"toomany", "op=gt&value=-1e30&maxloc=3", every, "answered 4 locations, want at most 3"},
+		{"noarg", "op=max", store.QueryRequest{Op: store.QueryMax}, "extremum at [], outside its box"},
+	} {
+		_, want := queryGet(t, shards[0].URL+"/v1/fields/nyx/query?"+tc.query)
+		mode.Store(tc.mode)
+		if res, _, err := cl1.Query(ctx, cat["nyx"], tc.req); res != nil || !errors.Is(err, cluster.ErrNoShards) || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s, one attempt: (%v, %v), want ErrNoShards naming %q", tc.mode, res, err, tc.text)
+		}
+		res, stats, err := cl.Query(ctx, cat["nyx"], tc.req)
+		mode.Store("")
+		if err != nil {
+			t.Fatalf("%s, failover: %v", tc.mode, err)
+		}
+		if tc.req.Op == store.QueryMax {
+			res.BricksTotal, res.BricksPruned, res.BricksDecoded = want.BricksTotal, want.BricksPruned, want.BricksDecoded
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("%s, failover: merged %+v, single-node %+v", tc.mode, res, want)
+		}
+		if tr := stats.ByShard[names[1]]; tr == nil || tr.Errors == 0 || tr.Reads != 0 || int64(stats.Retries) != tr.Errors {
+			t.Errorf("%s: %d retries, shard 1 traffic %+v; want every sub-query it answered failed and re-sent", tc.mode, stats.Retries, tr)
+		}
 	}
 }
 
