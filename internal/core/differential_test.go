@@ -259,3 +259,42 @@ func TestLiteralMismatchRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelSegmentStrayBytesRejected appends one byte to a level's bin
+// segment and re-encodes the container: the segment then holds bytes past
+// its bitstream, which no encoder writes, and both the level decoder and a
+// whole decompress must refuse it rather than ignore them.
+func TestLevelSegmentStrayBytesRejected(t *testing.T) {
+	nyx := datagen.NYX(24, 24, 24)
+	enc, err := Compress(nyx.Data, nyx.Dims, Options{ErrorBound: 1e-3 * metrics.ValueRange(nyx.Data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := container.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := szstream.DecodeLevelsStream(s); err != nil {
+		t.Fatalf("the untouched stream: %v", err)
+	}
+	for i, sec := range s.Sections {
+		if level, lits, ok := szstream.SectionLevel(sec.ID); !ok || lits || level != 1 {
+			continue
+		}
+		s.Sections[i].Data = append(append([]byte(nil), sec.Data...), 0)
+	}
+	bad, err := container.Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := container.Decode(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := szstream.DecodeLevelsStream(sb); err == nil {
+		t.Error("DecodeLevelsStream accepted a level segment with a stray byte")
+	}
+	if _, _, err := Decompress(bad); err == nil {
+		t.Error("Decompress accepted a level segment with a stray byte")
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFastVsReference pins the LUT decoder and its word-at-a-time
+// FuzzDecodeFastVsReference pins the table decoder and its word-at-a-time
 // bit reader to the bit-by-bit reference on arbitrary inputs: identical
 // symbols when both succeed, and an error on both sides otherwise. The
 // input is exercised both as a legacy single-segment stream (Decode) and
@@ -33,6 +33,14 @@ func FuzzDecodeFastVsReference(f *testing.F) {
 		n = n * 3 / 2
 	}
 	seed(deep)
+	// Symbol counts around the multi-symbol loop's edge, against a table
+	// peaked enough that its entries hold entrySyms symbols.
+	edge := []uint32{3, 3, 3, 4, 3, 3, 5, 3, 3}
+	edgeTab := BuildTable(edge)
+	for n := 1; n <= 2*entrySyms+1; n++ {
+		seed(edge[:n])
+		f.Add(append(edgeTab.AppendHeader(nil), edgeTab.EncodeSegment(edge[:n])...))
+	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,9 +11,10 @@
 // lengths and canonical codes in slices parallel to the sorted symbols,
 // and emits through a dense code[symbol-base] table into the
 // word-at-a-time bit writer; alphabets wider than the window take sorted
-// sparse forms. The decode side (fast.go) reads through a flat look-up
-// table fed by the word-at-a-time bit reader. The map-based encoder and
-// the bit-by-bit decoder these replaced live on as test oracles.
+// sparse forms. The decode side (fast.go) reads several symbols per load
+// of a multi-symbol table fed by the word-at-a-time bit reader. The
+// map-based encoder and the bit-by-bit decoder these replaced live on as
+// test oracles.
 package huffman
 
 import (
@@ -78,15 +79,16 @@ func appendCodeEntries(dst []byte, syms []uint32, lens []uint8) []byte {
 	return dst
 }
 
-// Decode reverses Encode. Symbols decode through a flat lookup table fed
-// by a word-at-a-time bit reader; the bit-by-bit decoder it replaced lives
-// on in reference_test.go as the oracle the differential tests and fuzzer
-// pin it against.
+// Decode reverses Encode. Symbols decode through the multi-symbol table
+// fed by a word-at-a-time bit reader; the bit-by-bit decoder it replaced
+// lives on in reference_test.go as the oracle the differential tests and
+// fuzzer pin it against.
 func Decode(buf []byte) ([]uint32, error) {
 	t, n, payload, out, err := parseStream(buf)
 	if err != nil || t == nil {
 		return out, err
 	}
+	defer t.Release()
 	out = pool.Uint32s(int(n))
 	if _, err := t.decodeInto(payload, n, out); err != nil {
 		pool.PutUint32s(out)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"qoz/internal/pool"
 )
 
 func roundTrip(t *testing.T, in []uint32) {
@@ -185,10 +187,13 @@ func BenchmarkDecodePeaked(b *testing.B) {
 	}
 	enc := Encode(in)
 	b.SetBytes(int64(len(in) * 4))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		out, err := Decode(enc)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pool.PutUint32s(out)
 	}
 }

@@ -30,9 +30,12 @@ type Table struct {
 	firstCode [maxCodeLen + 2]uint64
 	firstSym  [maxCodeLen + 2]int
 
-	// Flat fast-decode table, built lazily on first decode. Guarded by
+	// Multi-symbol decode table (fast.go) over b-bit windows, built
+	// lazily on first decode and handed back by Release. Guarded by
 	// nothing: a Table is not safe for concurrent decoding.
-	lut *lut
+	table *decodeTable
+	bits  uint
+	multi bool // some entry holds two or more symbols
 }
 
 // BuildTable constructs the canonical code over all symbols that will be
@@ -170,8 +173,8 @@ func (t *Table) EncodeSegment(symbols []uint32) []byte {
 // DecodeSegment reverses EncodeSegment, ignoring the final byte's padding
 // bits. It returns the decoded symbols and the number of segment bytes
 // consumed, so callers can verify segment framing. Symbols decode through
-// the LUT fast path (its bit-by-bit oracle is in reference_test.go). Not
-// safe for concurrent use on one Table.
+// the multi-symbol table (its bit-by-bit oracle is in reference_test.go).
+// Not safe for concurrent use on one Table.
 func (t *Table) DecodeSegment(buf []byte) ([]uint32, int, error) {
 	n, m, payload, out, err := t.parseSegment(buf)
 	if err != nil || out != nil {

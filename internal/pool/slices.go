@@ -25,6 +25,9 @@ type slicePool[T any] struct {
 	// and larger slices are dropped on put, like those past maxBucket.
 	limit   int
 	buckets [maxBucket + 1]sync.Pool
+	// boxes holds the *[]T headers get has emptied, so put can file a
+	// slice without allocating a header for it.
+	boxes sync.Pool
 }
 
 // get returns a slice of length n with undefined contents.
@@ -37,7 +40,11 @@ func (p *slicePool[T]) get(n int) []T {
 		return make([]T, n)
 	}
 	if v := p.buckets[b].Get(); v != nil {
-		return (*(v.(*[]T)))[:n]
+		box := v.(*[]T)
+		s := (*box)[:n]
+		*box = nil
+		p.boxes.Put(box)
+		return s
 	}
 	return make([]T, n, 1<<b)
 }
@@ -55,8 +62,12 @@ func (p *slicePool[T]) put(s []T) {
 	if b > maxBucket || (p.limit > 0 && c > p.limit) {
 		return
 	}
-	s = s[:0]
-	p.buckets[b].Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.buckets[b].Put(box)
 }
 
 var (

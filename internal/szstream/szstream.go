@@ -192,6 +192,7 @@ func DecodeLevelsStream(s *container.Stream) (*LevelPayload, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tbl.Release() // the table dies with this call; its storage serves the next brick
 	anchors, err := container.BytesToFloat32s(s.Section(SecAnchors))
 	if err != nil {
 		return nil, err
@@ -224,8 +225,8 @@ func DecodeLevelsStream(s *container.Stream) (*LevelPayload, error) {
 		if err != nil {
 			return nil, err
 		}
-		if used > len(sec.Data) {
-			return nil, errors.New("szstream: overlong level segment")
+		if used != len(sec.Data) {
+			return nil, errors.New("szstream: level segment has bytes past its bitstream")
 		}
 		p.Segments = append(p.Segments, LevelSegment{Level: level, Bins: bins})
 	}
