@@ -104,7 +104,7 @@ type serverOptions struct {
 	Workers      int
 	MaxInflight  int
 	MaxPoints    int
-	ReadAhead    int64         // remote coalescing window; 0 keeps the store default
+	ReadAhead    int64         // largest gap a URL mount's fetch plan bridges; <=0 fetches exact spans
 	MountTimeout time.Duration // per-mount open deadline; 0 = none
 	Guard        guardOptions  // auth tenants and rate limits
 	Ins          *instrument   // traces, histograms, request logs; nil builds a silent one

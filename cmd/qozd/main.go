@@ -161,7 +161,7 @@ func main() {
 	workers := fs.Int("workers", 0, "concurrent brick decodes per request (0 = all cores)")
 	maxInflight := fs.Int("max-inflight", 64, "concurrent region requests before 503 (<=0 = unlimited)")
 	maxPoints := fs.Int("max-points", 1<<26, "largest region served, in points (<=0 = unlimited)")
-	readAhead := fs.Int64("remote-read-ahead", 1<<20, "range-read coalescing window for URL mounts in bytes (<0 disables)")
+	readAhead := fs.Int64("remote-read-ahead", 0, "largest gap in bytes a URL mount's read bridges to merge range requests (<=0 fetches exactly the bytes it decodes)")
 	mountTimeout := fs.Duration("mount-timeout", 30*time.Second, "deadline for opening each mount (0 = none); a hung origin must not wedge startup")
 	authToken := fs.String("auth-token", "", "bearer token required on /v1/* endpoints (default: $QOZD_TOKEN; empty disables auth)")
 	fs.Var(&tenants, "tenant", "named tenant credential, as name=token[:rps[:burst]] (repeatable; adds to -auth-token's tenant \"default\")")

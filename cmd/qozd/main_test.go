@@ -243,7 +243,6 @@ func TestServerRemoteMount(t *testing.T) {
 
 	srv, err := newServer([]mount{{name: "nyx", target: origin.URL}}, serverOptions{
 		CacheBytes: 32 << 20,
-		ReadAhead:  -1, // exact ranges, so the transfer assertion below is tight
 	})
 	if err != nil {
 		t.Fatalf("newServer over URL mount: %v", err)
@@ -616,7 +615,7 @@ func TestServerLevelReadOnMutableMount(t *testing.T) {
 		http.ServeContent(w, req, "live.qozb", time.Unix(1700000000, 0), bytes.NewReader(content))
 	}))
 	defer origin.Close()
-	srv, err := newServer([]mount{{name: "live", target: origin.URL}}, serverOptions{CacheBytes: -1, ReadAhead: -1})
+	srv, err := newServer([]mount{{name: "live", target: origin.URL}}, serverOptions{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

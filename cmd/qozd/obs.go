@@ -63,7 +63,7 @@ func newInstrument(opts instrumentOptions) *instrument {
 		reqHist: obs.NewHistogramVec("qozd_request_duration_seconds",
 			"request latency by route class and status", []string{"route", "status"}, obs.DefBuckets),
 		stageHist: obs.NewHistogramVec("qozd_store_stage_seconds",
-			"per-brick store stage latency (payload fetch, decode)", []string{"stage"}, obs.DefBuckets),
+			"store stage latency (payload fetch per range, decode per brick)", []string{"stage"}, obs.DefBuckets),
 	}
 }
 

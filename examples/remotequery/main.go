@@ -79,9 +79,12 @@ func main() {
 	s, err := store.OpenURL(url, store.Options{
 		CacheBytes: 32 << 20,
 		Remote: store.RemoteOptions{
-			// Coalesce adjacent brick fetches into 4 KiB ranges — tiny so
-			// this toy archive shows partial transfer; production archives
-			// want the 1 MiB default or more.
+			// By default a read fetches exactly the payload bytes it
+			// decodes, one range request per run of touching bricks, all
+			// in flight at once. ReadAhead lets a read also bridge gaps of
+			// up to this many bytes between the bricks it wants: fewer
+			// round trips for some unwanted bytes, worth it on a slow
+			// origin read at a coarse level.
 			ReadAhead:    4 << 10,
 			MaxRetries:   3,
 			RetryBackoff: 50 * time.Millisecond,

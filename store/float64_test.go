@@ -434,9 +434,7 @@ func TestOpenURLFloat64(t *testing.T) {
 	srv := serveRanges(t, obj, &rangeLog{})
 	defer srv.Close()
 
-	// Exact ranges (no coalescing), so the transfer assertion below is
-	// tight even though the test store is tiny.
-	remote, err := OpenURL(srv.URL, Options{Remote: RemoteOptions{ReadAhead: -1}})
+	remote, err := OpenURL(srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenURL: %v", err)
 	}

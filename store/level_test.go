@@ -241,11 +241,11 @@ func TestReadRegionLevelFloat64(t *testing.T) {
 }
 
 // TestLevelReadFetchesFewerBytes asserts the acceptance criterion
-// directly: over the remote backend (coalescing disabled so transfers are
-// auditable), a coarse read range-fetches strictly fewer payload bytes
-// than a full-resolution read of the same region, and still matches it
-// bit-for-bit on the coarse grid — on a written-once store at level 3, and
-// at level 2 on a mutable store after each kind of commit.
+// directly: over the remote backend with default options, a coarse read
+// range-fetches strictly fewer payload bytes than a full-resolution read
+// of the same region, and still matches it bit-for-bit on the coarse grid
+// — on a written-once store at level 3, and at level 2 on a mutable store
+// after each kind of commit.
 func TestLevelReadFetchesFewerBytes(t *testing.T) {
 	content, dims := remoteTestStore(t)
 	t.Run("written-once", func(t *testing.T) { levelReadFetchesFewerBytes(t, content, dims, 3) })
@@ -261,7 +261,7 @@ func levelReadFetchesFewerBytes(t *testing.T, content []byte, dims []int, level 
 	open := func() *Store {
 		s, err := OpenURL(srv.URL, Options{
 			CacheBytes: -1,
-			Remote:     RemoteOptions{ReadAhead: -1, RetryBackoff: time.Millisecond},
+			Remote:     RemoteOptions{RetryBackoff: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

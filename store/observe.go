@@ -13,9 +13,10 @@ import (
 type Stage int
 
 const (
-	// StageFetch is the time spent reading a brick's compressed payload
-	// from its backing source (remote range fetch or local ReadAt). The
-	// bytes argument is the payload (compressed) size.
+	// StageFetch is the time spent reading one range of a read's fetch
+	// plan — the compressed payloads or level prefixes of the bricks whose
+	// spans it merges — from the backing source (remote range fetch or
+	// local ReadAt). The bytes argument is the range's size.
 	StageFetch Stage = iota
 	// StageDecode is the time spent decompressing a brick payload. The
 	// bytes argument is the decoded (uncompressed) size.
@@ -47,10 +48,11 @@ func (s Stage) String() string {
 	}
 }
 
-// StageObserver receives one callback per brick stage during a region
-// read. Brick work runs on concurrent workers, so the observer must be
-// safe for concurrent use, and it runs on the read hot path, so it must
-// be cheap (accumulate, don't log).
+// StageObserver receives one callback per stage during a region read:
+// per fetched range, and per brick for the other stages. Brick work runs
+// on concurrent workers, so the observer must be safe for concurrent use,
+// and it runs on the read hot path, so it must be cheap (accumulate,
+// don't log).
 type StageObserver func(stage Stage, d time.Duration, bytes int64)
 
 // stageObserverKey carries a StageObserver through a context.

@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strconv"
@@ -24,7 +25,6 @@ import (
 
 	"qoz"
 	"qoz/internal/grid"
-	"qoz/internal/pool"
 )
 
 // Query operation names (QueryRequest.Op).
@@ -337,29 +337,25 @@ func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest
 		}
 	}
 
-	counts := make([]int64, len(scan))
-	brickLocs := make([][]int, len(scan))
-	err := pool.RunErr(ctx, len(scan), s.workers, func(j int) error {
+	var mu sync.Mutex
+	err := scanBricks(ctx, s, m, scan, lo, hi, func(points iter.Seq2[int, float64]) {
 		var cnt int64
 		var lcs []int
-		err := scanBrick(ctx, s, m, bk.Piece(scan[j], lo, hi), func(g int, v float64) {
+		for g, v := range points {
 			if match(v) {
 				cnt++
 				if k > 0 && len(lcs) < k {
 					lcs = append(lcs, g)
 				}
 			}
-		})
-		counts[j] = cnt
-		brickLocs[j] = lcs
-		return err
+		}
+		mu.Lock()
+		res.Count += cnt
+		locs = append(locs, lcs...)
+		mu.Unlock()
 	})
 	if err != nil {
 		return nil, err
-	}
-	for j := range scan {
-		res.Count += counts[j]
-		locs = append(locs, brickLocs[j]...)
 	}
 	res.BricksDecoded = len(scan)
 	if k > 0 {
@@ -433,13 +429,16 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 			}
 			break
 		}
-		err := scanBrick(ctx, s, m, bk.Piece(c.bi, lo, hi), func(g int, v float64) {
-			if math.IsNaN(v) {
-				return
-			}
-			sv := sgn * v
-			if !found || sv > bestS || (sv == bestS && g < bestIdx) {
-				found, bestS, bestV, bestIdx = true, sv, v, g
+		// One brick per step: the early exit above is the point.
+		err := scanBricks(ctx, s, m, []int{c.bi}, lo, hi, func(points iter.Seq2[int, float64]) {
+			for g, v := range points {
+				if math.IsNaN(v) {
+					continue
+				}
+				sv := sgn * v
+				if !found || sv > bestS || (sv == bestS && g < bestIdx) {
+					found, bestS, bestV, bestIdx = true, sv, v, g
+				}
 			}
 		})
 		if err != nil {
@@ -513,13 +512,13 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 	}
 
 	var mu sync.Mutex
-	err := pool.RunErr(ctx, len(scan), s.workers, func(j int) error {
+	err := scanBricks(ctx, s, m, scan, lo, hi, func(points iter.Seq2[int, float64]) {
 		bins := make([]int64, nbins)
 		var below, above, nan int64
-		err := scanBrick(ctx, s, m, bk.Piece(scan[j], lo, hi), func(_ int, v float64) {
+		for _, v := range points {
 			if math.IsNaN(v) {
 				nan++
-				return
+				continue
 			}
 			switch c := classify(v); {
 			case c < 0:
@@ -529,9 +528,6 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 			default:
 				bins[c]++
 			}
-		})
-		if err != nil {
-			return err
 		}
 		mu.Lock()
 		for i, n := range bins {
@@ -541,7 +537,6 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 		res.Above += above
 		res.NaNCount += nan
 		mu.Unlock()
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -553,32 +548,40 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 	return res, nil
 }
 
-// scanBrick decodes piece p's brick (through the cache) and calls point
-// for every sample of the piece, in ascending global row-major order, with
-// the sample's global row-major linear index. This is the one place a
-// query dispatches on the store's sample kind; float32 samples widen
-// losslessly.
-func scanBrick(ctx context.Context, s *Store, m *manifest, p grid.Piece, point func(g int, v float64)) error {
+// scanBricks decodes the given bricks whole through one fetch plan and
+// hands scan, once per brick, the samples of its piece of the box [lo, hi)
+// in ascending global row-major order, each with its global row-major
+// linear index. Bricks run concurrently on the worker pool. This is the
+// one place a query dispatches on the store's sample kind; float32
+// samples widen losslessly.
+func scanBricks(ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(points iter.Seq2[int, float64])) error {
 	if m.hdr.kind == kindFloat64 {
-		return scanBrickOf[float64](ctx, s, m, &p, point)
+		return scanBricksOf[float64](ctx, s, m, bricks, lo, hi, scan)
 	}
-	return scanBrickOf[float32](ctx, s, m, &p, point)
+	return scanBricksOf[float32](ctx, s, m, bricks, lo, hi, scan)
 }
 
-func scanBrickOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, p *grid.Piece, point func(g int, v float64)) error {
-	data, err := brick[N](ctx, s, m, p.Index, 0)
-	if err != nil {
-		return err
+func scanBricksOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(points iter.Seq2[int, float64])) error {
+	bk := m.hdr.bricks()
+	nd := bk.Rank
+	refs := make([]brickRef, len(bricks))
+	for j, bi := range bricks {
+		refs[j] = brickRef{brick: bi}
 	}
-	nd := len(m.hdr.dims)
-	size, bdims, inBrick := grid.Sub(p.Hi[:], p.Lo[:]), grid.Sub(p.BHi[:], p.BLo[:]), grid.Sub(p.Lo[:], p.BLo[:])
-	w := grid.Walk(size[:nd], bdims[:nd], inBrick[:nd], 1, m.hdr.dims, p.Lo[:nd])
-	for w.Next() {
-		for j := 0; j < w.Run; j++ {
-			point(w.B+j, float64(data[w.A+j]))
-		}
-	}
-	return nil
+	return decodeBricks(ctx, s, m, refs, func(j int, data []N) {
+		p := bk.Piece(bricks[j], lo, hi)
+		size, bdims, inBrick := grid.Sub(p.Hi[:], p.Lo[:]), grid.Sub(p.BHi[:], p.BLo[:]), grid.Sub(p.Lo[:], p.BLo[:])
+		scan(func(yield func(int, float64) bool) {
+			w := grid.Walk(size[:nd], bdims[:nd], inBrick[:nd], 1, m.hdr.dims, p.Lo[:nd])
+			for w.Next() {
+				for i := 0; i < w.Run; i++ {
+					if !yield(w.B+i, float64(data[w.A+i])) {
+						return
+					}
+				}
+			}
+		})
+	})
 }
 
 // appendBoxIndices appends the global row-major linear indices of the

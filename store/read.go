@@ -14,7 +14,6 @@ import (
 
 	"qoz"
 	"qoz/internal/grid"
-	"qoz/internal/pool"
 )
 
 // Box is the half-open box [Lo, Hi) of field coordinates.
@@ -97,12 +96,12 @@ func fillBoxesFrom[N, T qoz.Float](ctx context.Context, s *Store, m *manifest, d
 	return nil
 }
 
-// pieceJob is one piece the cache could not serve: a brick, the box it is
-// a piece of, and where that box's grid starts in the destination. The
-// piece itself is rebuilt from these on the worker.
+// pieceJob is one piece the cache could not serve: the box it is a piece
+// of and where that box's grid starts in the destination. With the decode
+// it needs, the piece itself is rebuilt from these on the worker.
 type pieceJob struct {
-	brick, off int
-	box        Box
+	off int
+	box Box
 }
 
 // fillNative is the one fill loop: it writes the level grids of the
@@ -112,6 +111,7 @@ func fillNative[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 	bk := m.hdr.bricks()
 	nd, step := bk.Rank, 1<<(level-1)
 	obsv := stageObserverFrom(ctx)
+	var refs []brickRef
 	var misses []pieceJob
 	off := 0
 	for _, b := range boxes {
@@ -127,7 +127,8 @@ func fillNative[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 			if data, ok := cachedBrick[N](s, m, p.Index, src, obsv); ok {
 				copyPiece(dst[off:], &og, data, &p, &pg, nd, step, src)
 			} else {
-				misses = append(misses, pieceJob{p.Index, off, b})
+				refs = append(refs, brickRef{p.Index, src})
+				misses = append(misses, pieceJob{off, b})
 			}
 		}
 		off += og.N
@@ -135,30 +136,25 @@ func fillNative[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 	if len(misses) == 0 {
 		return nil
 	}
-	return fillMisses(ctx, s, m, dst, level, misses)
+	return fillMisses(ctx, s, m, dst, level, refs, misses)
 }
 
-// fillMisses decodes (or, when another read got there first, cache-fetches)
-// the bricks of the pieces the fill loop could not serve, concurrently on
-// one bounded worker pool, and copies each into its slot of dst; workers
-// write disjoint elements, so no synchronization is needed. It is its own
-// function because the pool's closure escapes: inside fillNative it would
-// move that loop's variables to the heap on every read, hits included.
-func fillMisses[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, level int, jobs []pieceJob) error {
+// fillMisses decodes the bricks of the pieces the fill loop could not
+// serve — job k needs decode refs[k] — through one fetch plan, so a brick
+// two pieces share is fetched and decoded once, and copies each decode
+// into every slot of dst that wants it; pieces write disjoint elements, so
+// no synchronization is needed. It is its own function because the decode
+// callback escapes: inside fillNative it would move that loop's variables
+// to the heap on every read, hits included.
+func fillMisses[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, level int, refs []brickRef, jobs []pieceJob) error {
 	bk := m.hdr.bricks()
 	nd, step := bk.Rank, 1<<(level-1)
-	return pool.RunErr(ctx, len(jobs), s.workers, func(k int) error {
-		j, b := jobs[k], jobs[k].box
-		p := bk.Piece(j.brick, b.Lo, b.Hi)
-		src := sourceLevel(m, &p, level)
-		data, err := brick[N](ctx, s, m, j.brick, src)
-		if err != nil {
-			return err
-		}
-		og, _ := grid.LevelOf(b.Lo, b.Hi, step)
+	return decodeBricks(ctx, s, m, refs, func(k int, data []N) {
+		j, ref := &jobs[k], refs[k]
+		p := bk.Piece(ref.brick, j.box.Lo, j.box.Hi)
+		og, _ := grid.LevelOf(j.box.Lo, j.box.Hi, step)
 		pg, _ := grid.LevelOf(p.Lo[:nd], p.Hi[:nd], step)
-		copyPiece(dst[j.off:], &og, data, &p, &pg, nd, step, src)
-		return nil
+		copyPiece(dst[j.off:], &og, data, &p, &pg, nd, step, ref.level)
 	})
 }
 

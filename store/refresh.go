@@ -175,11 +175,10 @@ func (s *Store) refreshRemote(ctx context.Context, man *manifest) (bool, error) 
 		// copy, a metadata touch): nothing to adopt.
 		return false, nil
 	}
-	// Validated: adopt the new version. setState clears the block cache
-	// (its blocks belong to the old validator's bytes); the epoch bump
-	// kills cached decoded bricks — identical in a well-behaved
-	// append-only object, but a swapped object that passed the gen gate is
-	// still a different byte space, so reads re-verify.
+	// Validated: adopt the new version. The epoch bump kills cached
+	// decoded bricks — identical in a well-behaved append-only object, but
+	// a swapped object that passed the gen gate is still a different byte
+	// space, so reads re-verify.
 	s.remote.setState(etag, size)
 	newMan.ra = s.remote // rebind off the refresh context
 	newMan.epoch = man.epoch + 1

@@ -25,8 +25,6 @@ import (
 const (
 	defaultRemoteRetries = 3
 	defaultRemoteBackoff = 100 * time.Millisecond
-	defaultReadAhead     = 1 << 20 // 1 MiB
-	remoteBlockCacheLen  = 8       // fetched-range blocks kept for coalescing
 )
 
 // ErrRemoteChanged reports that the object behind a store changed
@@ -48,11 +46,12 @@ type RemoteOptions struct {
 	// RetryBackoff is the initial backoff, doubled per retry; 0 selects
 	// 100ms.
 	RetryBackoff time.Duration
-	// ReadAhead coalesces adjacent small reads: each fetch is widened to at
-	// least this many bytes and cached, so consecutive bricks decoded by
-	// one region read arrive in one round trip instead of one per brick.
-	// 0 selects 1 MiB; negative disables coalescing (every ReadAt fetches
-	// exactly its range — useful for auditing transfers).
+	// ReadAhead is the largest gap, in bytes, a read's fetch plan bridges
+	// between the spans it wants, so bricks that lie near each other but do
+	// not touch arrive in one range request instead of one each. The
+	// bridged bytes are fetched and thrown away. 0 (the default) and
+	// negative values bridge nothing: a read fetches exactly the payload
+	// bytes it decodes, in one request per run of touching spans.
 	ReadAhead int64
 }
 
@@ -67,43 +66,26 @@ type RemoteStats struct {
 
 // RemoteReader is an io.ReaderAt over HTTP Range requests, suitable for
 // any server that honors Range (S3, GCS, nginx, http.ServeContent, ...).
-// It validates the object's ETag across requests, retries transient
-// failures with backoff, and optionally widens reads into cached blocks
-// so adjacent brick fetches coalesce. Safe for concurrent use.
+// Every ReadAt is one exact range request, validated against the object's
+// ETag and the answer's Content-Range and retried on transient failures
+// with backoff; which ranges to ask for is the store's fetch plan's
+// business. Safe for concurrent use.
 type RemoteReader struct {
-	url       string
-	client    *http.Client
-	retries   int
-	backoff   time.Duration
-	readAhead int64
+	url     string
+	client  *http.Client
+	retries int
+	backoff time.Duration
 
 	// stateMu guards the object's validator, which moves when Refresh
-	// picks up a new committed generation of a mutable store: reprobe
-	// swaps etag and size together and clears the block cache, so no read
-	// can pair an old validator with new bytes.
+	// picks up a new committed generation of a mutable store: setState
+	// swaps etag and size together, so no read can pair an old validator
+	// with new bytes.
 	stateMu sync.RWMutex
 	etag    string
 	size    int64
 
 	ranges atomic.Int64
 	bytes  atomic.Int64
-
-	// fetchSem (capacity 1) serializes coalescing fetches: concurrent brick
-	// decodes would otherwise each miss the block cache and pull their own
-	// overlapping read-ahead window — duplicating transfer exactly when
-	// ReadRegion parallelizes. A channel rather than a mutex, so a waiter
-	// whose request was cancelled leaves the queue instead of parking
-	// uncancellably behind a slow fetch. Exact-range reads (readAhead <= 0)
-	// never take it.
-	fetchSem chan struct{}
-
-	mu     sync.Mutex
-	blocks []remoteBlock // most recently used last
-}
-
-type remoteBlock struct {
-	off  int64
-	data []byte
 }
 
 // NewRemoteReader probes url (HEAD, falling back to a 1-byte range GET)
@@ -114,12 +96,10 @@ func NewRemoteReader(url string, ro RemoteOptions) (*RemoteReader, error) {
 
 func newRemoteReader(ctx context.Context, url string, ro RemoteOptions) (*RemoteReader, error) {
 	r := &RemoteReader{
-		url:       url,
-		client:    ro.Client,
-		retries:   ro.MaxRetries,
-		backoff:   ro.RetryBackoff,
-		readAhead: ro.ReadAhead,
-		fetchSem:  make(chan struct{}, 1),
+		url:     url,
+		client:  ro.Client,
+		retries: ro.MaxRetries,
+		backoff: ro.RetryBackoff,
 	}
 	if r.client == nil {
 		r.client = http.DefaultClient
@@ -133,12 +113,11 @@ func newRemoteReader(ctx context.Context, url string, ro RemoteOptions) (*Remote
 	if r.backoff <= 0 {
 		r.backoff = defaultRemoteBackoff
 	}
-	if r.readAhead == 0 {
-		r.readAhead = defaultReadAhead
-	}
-	if err := r.probe(ctx); err != nil {
+	etag, size, err := r.fetchMeta(ctx)
+	if err != nil {
 		return nil, err
 	}
+	r.setState(etag, size)
 	return r, nil
 }
 
@@ -156,16 +135,12 @@ func (r *RemoteReader) state() (etag string, size int64) {
 	return r.etag, r.size
 }
 
-// setState swaps the validator pair and drops the block cache: cached
-// blocks belong to the object version the old validator named.
+// setState adopts a new validator pair.
 func (r *RemoteReader) setState(etag string, size int64) {
 	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
 	r.etag = etag
 	r.size = size
-	r.stateMu.Unlock()
-	r.mu.Lock()
-	r.blocks = nil
-	r.mu.Unlock()
 }
 
 // Stats returns the traffic counters accumulated since NewRemoteReader.
@@ -180,16 +155,6 @@ func (r *RemoteReader) Stats() RemoteStats {
 func drainClose(body io.ReadCloser) {
 	io.CopyN(io.Discard, body, 4<<10)
 	body.Close()
-}
-
-// probe learns the object's size and validator.
-func (r *RemoteReader) probe(ctx context.Context) error {
-	etag, size, err := r.fetchMeta(ctx)
-	if err != nil {
-		return err
-	}
-	r.setState(etag, size)
-	return nil
 }
 
 // fetchMeta asks the origin for the object's current size and validator
@@ -227,12 +192,11 @@ func (r *RemoteReader) fetchMeta(ctx context.Context) (etag string, size int64, 
 	return resp.Header.Get("ETag"), total, nil
 }
 
-// versionReader is an io.ReaderAt over one explicit version of the
-// remote object, pinned by (etag, size) instead of the reader's adopted
-// state. Refresh inspects a candidate version through it BEFORE adopting
-// anything: exact ranges only, no block cache (the cache belongs to the
-// adopted version), every range guarded by If-Range on the candidate's
-// validator. A rejected candidate therefore leaves the reader's state —
+// versionReader is an io.ReaderAt over one version of the remote object,
+// pinned by (etag, size) and reading under one context; every range is
+// guarded by If-Range on that validator. Reads of the adopted version go
+// through at; Refresh inspects a candidate version through one BEFORE
+// adopting anything, so a rejected candidate leaves the reader's state —
 // and every in-flight read — exactly as it was.
 type versionReader struct {
 	r    *RemoteReader
@@ -241,51 +205,50 @@ type versionReader struct {
 	size int64
 }
 
+// ReadAt reads what of p the object holds at off in one range request; a
+// read cut short by the object's end returns io.EOF with the bytes it got.
 func (v versionReader) ReadAt(p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
 	if off < 0 {
 		return 0, fmt.Errorf("store: negative remote read offset %d", off)
 	}
-	if off >= v.size {
-		return 0, io.EOF
+	n := min(int64(len(p)), max(v.size-off, 0))
+	if n > 0 {
+		if err := v.r.readRange(v.ctx, p[:n], off, v.etag, v.size); err != nil {
+			return 0, err
+		}
 	}
-	n := int64(len(p))
-	short := false
-	if off+n > v.size {
-		n, short = v.size-off, true
-	}
-	buf, err := v.r.readRange(v.ctx, off, n, v.etag, v.size)
-	if err != nil {
-		return 0, err
-	}
-	copy(p, buf)
-	if short {
+	if n < int64(len(p)) {
 		return int(n), io.EOF
 	}
 	return int(n), nil
 }
 
 // do retries doOnce on header-level transient failures; the caller owns
-// the response body. Used by probe, where the body is discarded anyway
+// the response body. Used by fetchMeta, where the body is discarded anyway
 // (and no validator is pinned — probing measures whatever is there);
-// readRange runs its own loop so mid-body failures retry too.
-func (r *RemoteReader) do(ctx context.Context, method string, off, n int64) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := r.doOnce(ctx, method, off, n, "")
-		if err == nil && resp.StatusCode < 500 {
-			return resp, nil
-		}
-		if err == nil {
-			err = fmt.Errorf("store: %s: %s", r.url, resp.Status)
+// readRange retries whole attempts so mid-body failures retry too.
+func (r *RemoteReader) do(ctx context.Context, method string, off, n int64) (resp *http.Response, err error) {
+	err = r.retry(ctx, func() (bool, error) {
+		resp, err = r.doOnce(ctx, method, off, n, "")
+		if err == nil && resp.StatusCode >= 500 {
 			drainClose(resp.Body)
+			err = fmt.Errorf("store: %s: %s", r.url, resp.Status)
 		}
-		if attempt >= r.retries {
-			return nil, err
+		return true, err
+	})
+	return resp, err
+}
+
+// retry runs attempt until it succeeds, fails for good (retryable false),
+// or has used up the retry budget, backing off exponentially in between.
+func (r *RemoteReader) retry(ctx context.Context, attempt func() (retryable bool, err error)) error {
+	for i := 0; ; i++ {
+		retryable, err := attempt()
+		if err == nil || !retryable || i >= r.retries {
+			return err
 		}
-		if serr := r.sleep(ctx, attempt); serr != nil {
-			return nil, serr
+		if err := r.sleep(ctx, i); err != nil {
+			return err
 		}
 	}
 }
@@ -332,36 +295,25 @@ func (r *RemoteReader) sleep(ctx context.Context, attempt int) error {
 	}
 }
 
-// readRange fetches exactly [off, off+n) of the object version (etag,
-// size) into a fresh buffer, retrying transient failures — transport
-// errors, 5xx answers, and connections dropped mid-body — with
-// exponential backoff.
-func (r *RemoteReader) readRange(ctx context.Context, off, n int64, etag string, size int64) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		buf, retryable, err := r.tryRange(ctx, off, n, etag, size)
-		if err == nil {
-			return buf, nil
-		}
-		if !retryable || attempt >= r.retries {
-			return nil, err
-		}
-		if serr := r.sleep(ctx, attempt); serr != nil {
-			return nil, serr
-		}
-	}
+// readRange fills p with exactly [off, off+len(p)) of the object version
+// (etag, size), retrying transient failures — transport errors, 5xx
+// answers, and connections dropped mid-body — with exponential backoff.
+func (r *RemoteReader) readRange(ctx context.Context, p []byte, off int64, etag string, size int64) error {
+	return r.retry(ctx, func() (bool, error) { return r.tryRange(ctx, p, off, etag, size) })
 }
 
 // tryRange is one readRange attempt; retryable marks faults worth another
 // attempt (protocol-level rejections like a changed object are final).
-func (r *RemoteReader) tryRange(ctx context.Context, off, n int64, etag string, size int64) (_ []byte, retryable bool, _ error) {
+func (r *RemoteReader) tryRange(ctx context.Context, p []byte, off int64, etag string, size int64) (retryable bool, _ error) {
+	n := int64(len(p))
 	resp, err := r.doOnce(ctx, http.MethodGet, off, n, etag)
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	defer drainClose(resp.Body)
 	switch {
 	case resp.StatusCode >= 500:
-		return nil, true, fmt.Errorf("store: %s: %s", r.url, resp.Status)
+		return true, fmt.Errorf("store: %s: %s", r.url, resp.Status)
 	case resp.StatusCode == http.StatusPartialContent:
 	case resp.StatusCode == http.StatusOK:
 		// Either If-Range detected a changed object or the server ignored
@@ -373,119 +325,45 @@ func (r *RemoteReader) tryRange(ctx context.Context, off, n int64, etag string, 
 		// swapped; a 200 with no ETag (a proxy error page, a stripped
 		// header) is a range-support failure, not a changed object.
 		if et := resp.Header.Get("ETag"); etag != "" && et != "" && et != etag {
-			return nil, false, ErrRemoteChanged
+			return false, ErrRemoteChanged
 		}
-		return nil, false, fmt.Errorf("store: %s does not support range requests", r.url)
+		return false, fmt.Errorf("store: %s does not support range requests", r.url)
 	default:
-		return nil, false, fmt.Errorf("store: %s: %s", r.url, resp.Status)
+		return false, fmt.Errorf("store: %s: %s", r.url, resp.Status)
 	}
 	if et := resp.Header.Get("ETag"); et != "" && etag != "" && et != etag {
-		return nil, false, ErrRemoteChanged
+		return false, ErrRemoteChanged
 	}
 	if resp.StatusCode == http.StatusPartialContent {
-		start, err := contentRangeStart(resp.Header.Get("Content-Range"))
-		if err == nil && start != off {
-			return nil, false, fmt.Errorf("store: %s: server returned range at %d, requested %d", r.url, start, off)
+		// The body is only known to be the bytes asked for when the answer
+		// says so exactly; anything else is the origin's fault, and feeding
+		// it on would surface as a checksum failure of every brick the
+		// range carries.
+		want := fmt.Sprintf("bytes %d-%d/", off, off+n-1)
+		if h := resp.Header.Get("Content-Range"); !strings.HasPrefix(h, want) {
+			return false, fmt.Errorf("store: %s: 206 with Content-Range %q for bytes %d-%d", r.url, h, off, off+n-1)
 		}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
-		return nil, true, fmt.Errorf("store: %s: short range body: %w", r.url, err)
+	if _, err := io.ReadFull(resp.Body, p); err != nil {
+		return true, fmt.Errorf("store: %s: short range body: %w", r.url, err)
 	}
 	r.bytes.Add(n)
-	return buf, false, nil
+	return false, nil
 }
 
-// ReadAt implements io.ReaderAt.
+// ReadAt implements io.ReaderAt: one exact range request of the adopted
+// version.
 func (r *RemoteReader) ReadAt(p []byte, off int64) (int, error) {
-	return r.readAtCtx(context.Background(), p, off)
+	return r.at(context.Background()).ReadAt(p, off)
 }
 
-// readAtCtx is ReadAt under a caller's context, so a cancelled region
-// request aborts its in-flight range fetches too.
-func (r *RemoteReader) readAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("store: negative remote read offset %d", off)
-	}
-	// One consistent validator pair for the whole read: a Refresh adopting
-	// a new version mid-call cannot pair the old size with the new etag.
+// at returns a reader of the adopted version under ctx, so a cancelled
+// read aborts its in-flight range requests. The validator pair is taken
+// once: a Refresh adopting a new version mid-read cannot pair the old
+// size with the new etag.
+func (r *RemoteReader) at(ctx context.Context) io.ReaderAt {
 	etag, size := r.state()
-	if off >= size {
-		return 0, io.EOF // the io.ReaderAt convention at and past the end
-	}
-	n := int64(len(p))
-	short := false
-	if off+n > size {
-		n, short = size-off, true
-	}
-	done := func(err error) (int, error) {
-		if err != nil {
-			return 0, err
-		}
-		if short {
-			return int(n), io.EOF
-		}
-		return int(n), nil
-	}
-	if r.readAhead <= 0 {
-		buf, err := r.readRange(ctx, off, n, etag, size)
-		if err != nil {
-			return 0, err
-		}
-		copy(p, buf)
-		return done(nil)
-	}
-	if r.fromBlocks(p[:n], off) {
-		return done(nil)
-	}
-	// One coalescing fetch at a time; whoever raced us here may have
-	// already fetched a window covering this read, so re-check first.
-	select {
-	case r.fetchSem <- struct{}{}:
-		defer func() { <-r.fetchSem }()
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	if r.fromBlocks(p[:n], off) {
-		return done(nil)
-	}
-	fetch := max(n, min(r.readAhead, size-off))
-	buf, err := r.readRange(ctx, off, fetch, etag, size)
-	if err != nil {
-		return 0, err
-	}
-	r.addBlock(off, buf)
-	copy(p, buf[:n])
-	return done(nil)
-}
-
-// fromBlocks serves p from a single cached block when one covers it.
-func (r *RemoteReader) fromBlocks(p []byte, off int64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.blocks) - 1; i >= 0; i-- {
-		b := r.blocks[i]
-		if off >= b.off && off+int64(len(p)) <= b.off+int64(len(b.data)) {
-			copy(p, b.data[off-b.off:])
-			// Mark most recently used.
-			r.blocks = append(append(r.blocks[:i], r.blocks[i+1:]...), b)
-			return true
-		}
-	}
-	return false
-}
-
-// addBlock caches a fetched range, evicting the least recently used block.
-func (r *RemoteReader) addBlock(off int64, data []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.blocks = append(r.blocks, remoteBlock{off: off, data: data})
-	if len(r.blocks) > remoteBlockCacheLen {
-		r.blocks = r.blocks[1:]
-	}
+	return versionReader{r: r, ctx: ctx, etag: etag, size: size}
 }
 
 // contentRangeTotal parses the total length out of "bytes a-b/total".
@@ -499,16 +377,6 @@ func contentRangeTotal(h string) (int64, error) {
 		return 0, fmt.Errorf("unparseable Content-Range %q", h)
 	}
 	return total, nil
-}
-
-// contentRangeStart parses the range start out of "bytes a-b/total".
-func contentRangeStart(h string) (int64, error) {
-	h = strings.TrimPrefix(h, "bytes ")
-	before, _, ok := strings.Cut(h, "-")
-	if !ok {
-		return 0, fmt.Errorf("unparseable Content-Range %q", h)
-	}
-	return strconv.ParseInt(strings.TrimSpace(before), 10, 64)
 }
 
 // OpenURL opens a brick store served over HTTP: the manifest is fetched
@@ -531,25 +399,14 @@ func OpenURLContext(ctx context.Context, url string, opts Options) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
-	s, err := Open(readerAtCtx{rr, ctx}, rr.Size(), opts)
+	s, err := Open(rr.at(ctx), rr.Size(), opts)
 	if err != nil {
 		return nil, err
 	}
-	// Region reads route brick fetches through s.remote with their own
-	// contexts; the manifest's reader is rebound off the open-time context
-	// so any later manifest access (Refresh fallbacks) is not tied to it.
+	// The manifest's reader is rebound off the open-time context: every
+	// read reaches the origin under its own (fetchRange.fetch).
 	s.man.Load().ra = rr
 	s.remote = rr
+	s.gap = opts.Remote.ReadAhead
 	return s, nil
-}
-
-// readerAtCtx threads the open-time context into the manifest fetches
-// Open performs through the plain io.ReaderAt interface.
-type readerAtCtx struct {
-	r   *RemoteReader
-	ctx context.Context
-}
-
-func (a readerAtCtx) ReadAt(p []byte, off int64) (int, error) {
-	return a.r.readAtCtx(a.ctx, p, off)
 }

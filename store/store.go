@@ -15,7 +15,6 @@ import (
 
 	"qoz"
 	"qoz/internal/grid"
-	"qoz/internal/pool"
 )
 
 // DefaultCacheBytes is the default decoded-brick cache budget (256 MiB).
@@ -96,6 +95,7 @@ type Store struct {
 	cache   *lruCache
 	workers int
 	remote  *RemoteReader // non-nil for OpenURL stores
+	gap     int64         // largest gap a fetch plan bridges (RemoteOptions.ReadAhead)
 	mutable bool          // owned by a Mutable handle; Refresh is a no-op
 	pinned  bool          // opened at a fixed Options.Generation; Refresh never advances it
 
@@ -668,52 +668,15 @@ func cachedBrick[N qoz.Float](s *Store, m *manifest, i, level int, obsv StageObs
 	return d, true
 }
 
-// brick returns brick i decoded to the store's native kind N, via the
-// cache when enabled — the one fetch → verify → decode body. level 0 is
-// the whole brick; level L > 1 fetches only the payload prefix up to the
-// brick's level-L boundary and decodes it to that level's compacted coarse
-// grid, and must not exceed the brick's level-table length.
-func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int) ([]N, error) {
-	obsv := stageObserverFrom(ctx)
-	if d, ok := cachedBrick[N](s, m, i, level, obsv); ok {
-		return d, nil
-	}
-	s.read.Add(1)
-	e := &m.bricks[i]
-	span := levelSpan{bytes: e.len, crc: e.crc}
-	if level > 0 {
-		span = e.levels[len(e.levels)-level] // entry j holds level len-j
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The payload buffer is scratch: every decoder behind this path parses
-	// the container by copying section bytes out, so the buffer is dead
-	// once decode returns and recycles through the pool.
-	payload := pool.Bytes(int(span.bytes))
-	defer pool.PutBytes(payload)
-	var err error
-	var fetchStart time.Time
-	if obsv != nil {
-		fetchStart = time.Now()
-	}
-	if s.remote != nil {
-		// Thread the region read's context down into the range fetch, so a
-		// cancelled request aborts its network I/O rather than just the
-		// decode that would have followed it. The element kind never touches
-		// this path: remote reads move payload bytes as-is, and the kind only
-		// matters once those bytes reach the decoder below.
-		_, err = s.remote.readAtCtx(ctx, payload, e.off)
-	} else {
-		_, err = m.ra.ReadAt(payload, e.off)
-	}
-	if obsv != nil {
-		obsv(StageFetch, time.Since(fetchStart), int64(len(payload)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: brick %d: %w", i, err)
-	}
-	if crc32.ChecksumIEEE(payload) != span.crc {
+// decodeBrick is the one verify → decode body: it checks task t's payload
+// bytes against the manifest, decodes them to the store's native kind N —
+// the whole brick (level 0), or a level-L prefix to that level's
+// compacted coarse grid — and caches the result. payload is scratch: every
+// decoder behind this path parses the container by copying section bytes
+// out, so the caller may recycle it once decodeBrick returns.
+func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *brickTask, payload []byte, obsv StageObserver) ([]N, error) {
+	i, level := t.brick, t.level
+	if crc32.ChecksumIEEE(payload) != t.crc {
 		return nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
 	}
 	bk := m.hdr.bricks()
@@ -729,6 +692,7 @@ func brick[N qoz.Float](ctx context.Context, s *Store, m *manifest, i, level int
 	}
 	var data []N
 	var dims []int
+	var err error
 	stride := 1
 	if level > 0 {
 		data, dims, stride, err = qoz.DecodePayloadLevel[N](payload, level)
