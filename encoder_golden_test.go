@@ -24,7 +24,9 @@ import (
 
 	"qoz"
 	"qoz/datagen"
+	"qoz/internal/container"
 	"qoz/internal/core"
+	"qoz/internal/szstream"
 	"qoz/store"
 )
 
@@ -154,6 +156,21 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 		}
 		rows = append(rows, fmt.Sprintf("%s %08x %d", name, crc32.ChecksumIEEE(b), len(b)))
 	}
+	// decoded adds a row for what a decoder reconstructs from b: the CRC-32
+	// of the samples' little-endian bits and their count.
+	decoded := func(name string, b []byte) {
+		out, _, err := qoz.Decode[float32](ctx, b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw := container.Float32sToBytes(out)
+		rows = append(rows, fmt.Sprintf("%s %08x %d", name, crc32.ChecksumIEEE(raw), len(out)))
+	}
+	type tagged struct {
+		tag string
+		b   []byte
+	}
+	var coreStreams []tagged
 	wide := widen(f.data)
 	for _, c := range goldenConfigs() {
 		o := f.opts
@@ -183,6 +200,7 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 			DisableParamTuning: o.DisableParamTuning,
 		})
 		add(tag+"/core", b, err)
+		coreStreams = append(coreStreams, tagged{tag, b})
 
 		var s32, s64 bytes.Buffer
 		err = store.WriteT(ctx, &s32, f.data, f.dims, store.WriteOptions{Opts: o, Brick: f.brick, Workers: 1})
@@ -195,8 +213,39 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 	for _, codec := range []string{"sz3", "mgard"} {
 		b, err := qoz.Encode(ctx, qoz.MustLookup(codec), f.data, f.dims, f.opts)
 		add(f.name+"/"+codec+"/encode-f32", b, err)
+		decoded(f.name+"/"+codec+"/decode-f32", b)
+	}
+	// Each QoZ stream also decodes re-framed in the single-run layout of
+	// streams written before level segmentation.
+	for _, cs := range coreStreams {
+		decoded(cs.tag+"/core/single-run-decode", singleRun(t, cs.b))
 	}
 	return rows
+}
+
+// singleRun re-frames a level-segmented QoZ stream in the single-run
+// layout: every segment's bins and literals concatenated in stream order
+// (seed stage, then levels top..1), one Huffman code over all of them.
+func singleRun(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	s, err := container.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := szstream.DecodeLevelsStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &szstream.Payload{Anchors: p.Anchors, Config: p.Config}
+	for _, seg := range p.Segments {
+		run.Bins = append(run.Bins, seg.Bins...)
+		run.Literals = append(run.Literals, seg.Literals...)
+	}
+	out, err := szstream.Encode(s.Codec, s.Dims, s.ErrorBound, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestEncoderBytesGolden(t *testing.T) {
