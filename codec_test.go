@@ -117,6 +117,33 @@ func TestGenericRoundTripAllCodecs(t *testing.T) {
 	}
 }
 
+// TestCompressRejectsNineDims hands every registered codec, and the
+// float64 payload encoder, a 9-dimensional field: one dimension past what
+// any stream can carry. Each must return an error rather than panic in its
+// predictor.
+func TestCompressRejectsNineDims(t *testing.T) {
+	ctx := context.Background()
+	dims := []int{2, 2, 2, 2, 2, 2, 2, 2, 2}
+	data := make([]float32, 512)
+	d64 := make([]float64, 512)
+	for i := range data {
+		data[i] = float32(i % 7)
+		d64[i] = float64(i % 7)
+	}
+	opts := qoz.Options{ErrorBound: 1e-2}
+	for _, name := range qoz.Codecs() {
+		c := qoz.MustLookup(name)
+		mustNotPanic(t, name, func() {
+			if _, err := c.Compress(ctx, data, dims, opts); err == nil {
+				t.Errorf("%s: Compress accepted 9 dimensions", name)
+			}
+			if _, err := qoz.EncodePayload(ctx, c, d64, dims, opts); err == nil {
+				t.Errorf("%s: EncodePayload accepted 9 dimensions", name)
+			}
+		})
+	}
+}
+
 func TestDecodeLegacyFormats(t *testing.T) {
 	ds := datagen.NYX(16, 16, 16)
 	eb := 1e-3 * metrics.ValueRange(ds.Data)

@@ -15,6 +15,8 @@ import (
 
 	"qoz"
 	"qoz/datagen"
+	"qoz/internal/container"
+	"qoz/internal/szstream"
 	"qoz/metrics"
 )
 
@@ -388,4 +390,43 @@ func TestLyingStreamHeaderRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCodecDecode feeds arbitrary bytes to qoz.Decode: they decode or
+// return an error, and never panic. The seeds are a level-segmented QoZ
+// stream and its single-run re-framing, one stream of every baseline
+// codec, and the QoZ stream with a Huffman table header claiming 2^62
+// entries.
+func FuzzCodecDecode(f *testing.F) {
+	ds := datagen.NYX(8, 8, 8)
+	opts := qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)}
+	ctx := context.Background()
+	for _, name := range qoz.Codecs() {
+		b, err := qoz.MustLookup(name).Compress(ctx, ds.Data, ds.Dims, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		if name != qoz.DefaultCodec {
+			continue
+		}
+		f.Add(singleRun(f, b))
+		s, err := container.Decode(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, sec := range s.Sections {
+			if sec.ID == szstream.SecHuffTable {
+				s.Sections[i].Data = append(binary.AppendUvarint(nil, 1<<62), 1, 2, 3, 4)
+			}
+		}
+		huge, err := container.Encode(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(huge)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		qoz.Decode[float64](ctx, b) //nolint:errcheck
+	})
 }

@@ -226,7 +226,7 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 // singleRun re-frames a level-segmented QoZ stream in the single-run
 // layout: every segment's bins and literals concatenated in stream order
 // (seed stage, then levels top..1), one Huffman code over all of them.
-func singleRun(t *testing.T, enc []byte) []byte {
+func singleRun(t testing.TB, enc []byte) []byte {
 	t.Helper()
 	s, err := container.Decode(enc)
 	if err != nil {

@@ -66,6 +66,22 @@ func CheckDims(dims []int) (int, error) {
 	return p, nil
 }
 
+// CheckField validates a codec's input: a positive, finite error bound
+// and n samples laid out by dims, which must pass CheckDims.
+func CheckField(dims []int, n int, eb float64) error {
+	if !(eb > 0) || math.IsInf(eb, 1) {
+		return errors.New("container: error bound must be positive and finite")
+	}
+	p, err := CheckDims(dims)
+	if err != nil {
+		return err
+	}
+	if p != n {
+		return fmt.Errorf("container: dims %v hold %d points, data has %d", dims, p, n)
+	}
+	return nil
+}
+
 const (
 	magic   = "QOZG"
 	version = 1

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"qoz/datagen"
+	"qoz/internal/sampling"
 	"qoz/metrics"
 )
 
@@ -85,7 +86,7 @@ func BenchmarkAblationNoLevelSelect(b *testing.B) {
 // reports the tuner's work in its exact units next to time and memory.
 func BenchmarkCompressQoZBrick64(b *testing.B) {
 	ds := datagen.Miranda(96, 96, 96)
-	brick := centerBlock(ds.Data, ds.Dims, 64)
+	brick := sampling.CenterBlock(ds.Data, ds.Dims, 64)
 	opts := Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data), Mode: ModeCR}
 	b.SetBytes(int64(len(brick.Data) * 4))
 	b.ReportAllocs()

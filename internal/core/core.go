@@ -21,9 +21,9 @@ import (
 	"math"
 
 	"qoz/internal/container"
+	"qoz/internal/grid"
 	"qoz/internal/interp"
 	"qoz/internal/pool"
-	"qoz/internal/quant"
 	"qoz/internal/szstream"
 )
 
@@ -132,14 +132,14 @@ func (o Options) withDefaults(nd int) Options {
 	return o
 }
 
-// maxLevel returns the top interpolation level of a field of shape dims
-// under defaulted options: set by the anchor grid, or by the longest
-// dimension when there are no anchors.
-func (o Options) maxLevel(dims []int) int {
+// pyramid returns the predictor for a field of shape dims under defaulted
+// options, short of what the tuner chooses: the methods and (α, β).
+func (o Options) pyramid(dims []int) *interp.Pyramid {
+	p := &interp.Pyramid{Dims: dims, Anchor: o.AnchorStride, EB: o.ErrorBound}
 	if o.DisableAnchors {
-		return interp.MaxLevelGlobal(dims)
+		p.Anchor = 0
 	}
-	return interp.MaxLevelAnchored(o.AnchorStride)
+	return p
 }
 
 // Result carries the tuning decisions made during compression, for
@@ -168,74 +168,28 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 		return nil, err
 	}
 	o := opts.withDefaults(len(dims))
-	eb := o.ErrorBound
-
-	maxLevel := o.maxLevel(dims)
-
+	p := o.pyramid(dims)
 	tn := newTuner(data, dims, o)
-	methods := tn.selectMethods(maxLevel)
-	alpha, beta := o.Alpha, o.Beta
+	p.Methods = tn.selectMethods(p.Top())
+	p.Alpha, p.Beta = o.Alpha, o.Beta
 	if o.Mode != ModeFixed {
-		alpha, beta = tn.tuneParams()
+		p.Alpha, p.Beta = tn.tuneParams()
 	}
 
-	// Full compression pass with the chosen configuration. The symbol
-	// streams are cut at level boundaries as they are produced — the pass
-	// already emits them in level order (seed stage, then levels max..1) —
-	// so the container can store each level as its own segment and a
-	// progressive decoder can stop after any level. Both field-sized
-	// buffers are sized once from the known point counts. They are not
-	// pooled: a sync.Pool keeps up to one set per P alive across GC
-	// cycles, which on whole-field encodes raised the collector's heap
-	// target (and peak RSS by a third) for a few percent of throughput.
-	q := quant.New(eb, 0)
-	recon := make([]float32, len(data))
-	var anchors []float32
-	nBins := len(data)
-	if !o.DisableAnchors {
-		idxs := interp.AnchorIndices(dims, o.AnchorStride)
-		anchors = make([]float32, len(idxs))
-		for i, idx := range idxs {
-			anchors[i] = data[idx]
-			recon[idx] = data[idx]
-		}
-		nBins -= len(idxs)
-	}
-	q.Bins = make([]uint32, 0, nBins)
-	if o.DisableAnchors {
-		recon[0] = q.Quantize(data[0], 0)
-	}
-	// Segment boundaries are recorded as stream offsets and cut once the
-	// pass is over, when the streams can no longer move.
-	type mark struct{ bins, lits int }
-	marks := make([]mark, 0, maxLevel+2)
-	marks = append(marks, mark{}, mark{len(q.Bins), len(q.Literals)})
-	for level := maxLevel; level >= 1; level-- {
-		q.SetBound(levelBound(eb, alpha, beta, level))
-		interp.LevelPassEncode(recon, data, dims, level, methodFor(methods, level), q)
-		marks = append(marks, mark{len(q.Bins), len(q.Literals)})
-	}
-	segs := make([]szstream.LevelSegment, maxLevel+1)
-	for i := range segs {
-		from, to := marks[i], marks[i+1]
-		segs[i] = szstream.LevelSegment{
-			Level:    maxLevel + 1 - i,
-			Bins:     q.Bins[from.bins:to.bins],
-			Literals: q.Literals[from.lits:to.lits],
-		}
-	}
-
-	cfg := encodeConfig(o, alpha, beta, methods)
+	// The full pass with the chosen configuration, its symbols cut per
+	// stage so the container stores each level as its own segment and a
+	// progressive decoder can stop after any of them.
+	enc := p.Encode(data)
 	payload := &szstream.LevelPayload{
-		Anchors:  anchors,
-		Config:   cfg,
-		Segments: segs,
+		Anchors:  enc.Anchors,
+		Config:   encodeConfig(p, o.AnchorStride),
+		Segments: enc.Segments,
 	}
-	buf, err := szstream.EncodeLevels(codecID, dims, eb, payload)
+	buf, err := szstream.EncodeLevels(codecID, dims, o.ErrorBound, payload)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Bytes: buf, Alpha: alpha, Beta: beta, Methods: methods, Tuner: tn.stats}, nil
+	return &Result{Bytes: buf, Alpha: p.Alpha, Beta: p.Beta, Methods: p.Methods, Tuner: tn.stats}, nil
 }
 
 // Decompress reverses Compress. Both stream layouts decode: the
@@ -246,14 +200,11 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	return decompress(buf, interp.LevelPassDecode)
 }
 
-// levelSweep reconstructs one level of buf from deq's symbols. Production
-// passes interp.LevelPassDecode; the differential oracle (reference.go)
-// passes the closure-driven interp.LevelPass, so both decode through the
-// same validation and differ in nothing but the sweep.
-type levelSweep func(buf []float32, dims []int, level int, m interp.Method, deq *quant.Dequantizer)
-
 // decompress decodes a whole stream of either layout with the given sweep.
-func decompress(buf []byte, sweep levelSweep) ([]float32, []int, error) {
+// Production passes interp.LevelPassDecode; the differential oracle
+// (reference.go) passes the closure-driven interp.LevelPass, so both decode
+// through the same validation and differ in nothing but the sweep.
+func decompress(buf []byte, sweep interp.DecodeSweep) ([]float32, []int, error) {
 	s, err := container.Decode(buf)
 	if err != nil {
 		return nil, nil, err
@@ -261,11 +212,8 @@ func decompress(buf []byte, sweep levelSweep) ([]float32, []int, error) {
 	if s.Codec != codecID {
 		return nil, nil, container.ErrCodecMismatch
 	}
-	if szstream.IsLevelStream(s) {
-		recon, dims, _, err := decompressStream(s, 1, sweep)
-		return recon, dims, err
-	}
-	return decompressLegacy(s, sweep)
+	recon, dims, _, err := decompressStream(s, 1, sweep)
+	return recon, dims, err
 }
 
 // DecompressLevel decodes a level-segmented stream — or any byte-exact
@@ -297,90 +245,50 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 	return compactCoarse(recon, dims, stride), dims, stride, nil
 }
 
-// decompressStream reconstructs a level-segmented stream through the
-// requested level (clamped to [1, maxLevel+1]) and returns the full-size
-// reconstruction buffer — only positions on the returned stride's grid
-// are meaningful when stride > 1 — plus the dims and completed stride.
-// Each level it sweeps must consume its segment's literals exactly; levels
-// below the requested one are not looked at, so a prefix decodes as far as
-// it is sound.
-func decompressStream(s *container.Stream, level int, sweep levelSweep) ([]float32, []int, int, error) {
-	payload, err := szstream.DecodeLevelsStream(s)
+// decompressStream reconstructs a stream of either layout through the
+// requested level (clamped to [1, maxLevel+1]; a single-run stream always
+// decodes in full) and returns the full-size reconstruction buffer — only
+// positions on the returned stride's grid are meaningful when stride > 1 —
+// plus the dims and completed stride. Levels below the requested one are
+// not looked at, so a prefix decodes as far as it is sound.
+func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) ([]float32, []int, int, error) {
+	var anchors []float32
+	var cfgRaw []byte
+	var segs []interp.Segment
+	if szstream.IsLevelStream(s) {
+		payload, err := szstream.DecodeLevelsStream(s)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		anchors, cfgRaw, segs = payload.Anchors, payload.Config, payload.Segments
+	} else {
+		payload, err := szstream.PayloadFrom(s)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		anchors, cfgRaw = payload.Anchors, payload.Config
+		segs = []interp.Segment{{Bins: payload.Bins, Literals: payload.Literals}}
+		level = 1
+	}
+	p, err := decodeConfig(cfgRaw, s.Dims, s.ErrorBound)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	cfg, err := decodeConfig(payload.Config)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	dims := s.Dims
-	eb := s.ErrorBound
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-
-	maxLevel := interp.MaxLevelAnchored(cfg.anchorStride)
-	if cfg.noAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
-	if len(cfg.methods) < maxLevel {
+	top := p.Top()
+	if len(p.Methods) < top {
 		return nil, nil, 0, errors.New("qoz: config misses per-level methods")
 	}
-	effL := level
-	if effL < 1 {
-		effL = 1
+	level = max(1, min(level, top+1))
+	recon, err := p.Decode(anchors, segs, level, sweep)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("qoz: %w", err)
 	}
-	if effL > maxLevel+1 {
-		effL = maxLevel + 1
+	// The symbol buffers are dead once the sweeps finish; recycle them so
+	// steady-state brick serving reuses the same scratch.
+	for _, seg := range segs {
+		pool.PutUint32s(seg.Bins)
 	}
-
-	recon := make([]float32, n)
-	seed := payload.Segment(maxLevel + 1)
-	if seed == nil {
-		return nil, nil, 0, errors.New("qoz: missing seed segment")
-	}
-	if cfg.noAnchors {
-		if len(seed.Bins) != 1 {
-			return nil, nil, 0, errors.New("qoz: bin count does not match dims")
-		}
-		deq := quant.NewDequantizer(eb, 0, seed.Bins, seed.Literals)
-		recon[0] = deq.Next(0)
-		if err := deq.CheckLiterals(); err != nil {
-			return nil, nil, 0, fmt.Errorf("qoz: seed stage: %w", err)
-		}
-	} else {
-		idxs := interp.AnchorIndices(dims, cfg.anchorStride)
-		if len(payload.Anchors) != len(idxs) {
-			return nil, nil, 0, errors.New("qoz: anchor count mismatch")
-		}
-		if len(seed.Bins) != 0 {
-			return nil, nil, 0, errors.New("qoz: unexpected seed-stage bins")
-		}
-		for i, idx := range idxs {
-			recon[idx] = payload.Anchors[i]
-		}
-	}
-	for l := maxLevel; l >= effL; l-- {
-		seg := payload.Segment(l)
-		if seg == nil {
-			return nil, nil, 0, fmt.Errorf("qoz: stream prefix ends above level %d", l)
-		}
-		if len(seg.Bins) != interp.CountLevelPoints(dims, l) {
-			return nil, nil, 0, errors.New("qoz: bin count does not match dims")
-		}
-		deq := quant.NewDequantizer(levelBound(eb, cfg.alpha, cfg.beta, l), 0, seg.Bins, seg.Literals)
-		sweep(recon, dims, l, methodFor(cfg.methods, l), deq)
-		if err := deq.CheckLiterals(); err != nil {
-			return nil, nil, 0, fmt.Errorf("qoz: level %d: %w", l, err)
-		}
-	}
-	// The per-level symbol buffers are dead once the sweeps finish; recycle
-	// them so steady-state brick serving reuses the same scratch.
-	for i := range payload.Segments {
-		pool.PutUint32s(payload.Segments[i].Bins)
-	}
-	return recon, dims, 1 << (effL - 1), nil
+	return recon, s.Dims, 1 << (level - 1), nil
 }
 
 // compactCoarse gathers the stride-aligned points of a full-size
@@ -388,111 +296,28 @@ func decompressStream(s *container.Stream, level int, sweep levelSweep) ([]float
 // interp.CoarseDims(dims, stride).
 func compactCoarse(recon []float32, dims []int, stride int) []float32 {
 	cd := interp.CoarseDims(dims, stride)
-	nd := len(dims)
-	strides := make([]int, nd)
-	s := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
+	strides := grid.StridesOf(dims)
 	n := 1
-	for _, d := range cd {
-		n *= d
+	for d := range cd {
+		strides[d] *= stride
+		n *= cd[d]
 	}
 	out := make([]float32, n)
-	coord := make([]int, nd)
-	for i := 0; i < n; i++ {
-		idx := 0
-		for d := 0; d < nd; d++ {
-			idx += coord[d] * stride * strides[d]
-		}
-		out[i] = recon[idx]
-		d := nd - 1
-		for d >= 0 {
+	coord := make([]int, len(dims))
+	for i := range out {
+		out[i] = recon[grid.Dot(coord, strides)]
+		for d := len(dims) - 1; d >= 0; d-- {
 			coord[d]++
 			if coord[d] < cd[d] {
 				break
 			}
 			coord[d] = 0
-			d--
 		}
 	}
 	return out
 }
 
-// decompressLegacy decodes the pre-segmentation single-segment layout,
-// byte-for-byte as the original decoder did.
-func decompressLegacy(s *container.Stream, sweep levelSweep) ([]float32, []int, error) {
-	payload, err := szstream.PayloadFrom(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg, err := decodeConfig(payload.Config)
-	if err != nil {
-		return nil, nil, err
-	}
-	dims := s.Dims
-	eb := s.ErrorBound
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-
-	maxLevel := interp.MaxLevelAnchored(cfg.anchorStride)
-	if cfg.noAnchors {
-		maxLevel = interp.MaxLevelGlobal(dims)
-	}
-	if len(cfg.methods) < maxLevel {
-		return nil, nil, errors.New("qoz: config misses per-level methods")
-	}
-
-	recon := make([]float32, n)
-	deq := quant.NewDequantizer(eb, 0, payload.Bins, payload.Literals)
-	if cfg.noAnchors {
-		if len(payload.Bins) != n {
-			return nil, nil, errors.New("qoz: bin count does not match dims")
-		}
-		recon[0] = deq.Next(0)
-	} else {
-		idxs := interp.AnchorIndices(dims, cfg.anchorStride)
-		if len(payload.Anchors) != len(idxs) {
-			return nil, nil, errors.New("qoz: anchor count mismatch")
-		}
-		if len(payload.Bins) != n-len(idxs) {
-			return nil, nil, errors.New("qoz: bin count does not match dims")
-		}
-		for i, idx := range idxs {
-			recon[idx] = payload.Anchors[i]
-		}
-	}
-	for level := maxLevel; level >= 1; level-- {
-		deq.SetBound(levelBound(eb, cfg.alpha, cfg.beta, level))
-		sweep(recon, dims, level, methodFor(cfg.methods, level), deq)
-	}
-	if deq.Remaining() != 0 {
-		return nil, nil, errors.New("qoz: trailing quantization symbols")
-	}
-	if err := deq.CheckLiterals(); err != nil {
-		return nil, nil, fmt.Errorf("qoz: %w", err)
-	}
-	pool.PutUint32s(payload.Bins)
-	return recon, dims, nil
-}
-
 const codecID = 1 // container.CodecQoZ
-
-// levelBound computes e_l = e / min(α^(l-1), β) (paper Eq. 5). Level 1
-// always gets the full bound e.
-func levelBound(eb, alpha, beta float64, level int) float64 {
-	div := math.Pow(alpha, float64(level-1))
-	if div > beta {
-		div = beta
-	}
-	if div < 1 {
-		div = 1
-	}
-	return eb / div
-}
 
 // methodFor returns the interpolator for a level, reusing the highest
 // configured level for anything above (Algorithm 1's tall-grid rule).
@@ -503,22 +328,14 @@ func methodFor(methods []interp.Method, level int) interp.Method {
 	return methods[len(methods)-1]
 }
 
+// validate checks Compress's input; QoZ's predictor and tuner cover 1 to
+// 4 dimensions.
 func validate(data []float32, dims []int, eb float64) error {
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return errors.New("qoz: error bound must be positive and finite")
-	}
-	if len(dims) == 0 || len(dims) > 4 {
+	if len(dims) > 4 {
 		return errors.New("qoz: 1 to 4 dimensions supported")
 	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return errors.New("qoz: non-positive dimension")
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return errors.New("qoz: dims do not match data length")
+	if err := container.CheckField(dims, len(data), eb); err != nil {
+		return fmt.Errorf("qoz: %w", err)
 	}
 	return nil
 }
@@ -533,66 +350,69 @@ func floorPow2(v int) int {
 
 // ---- config section serialization ----
 
-type config struct {
-	alpha, beta  float64
-	anchorStride int
-	noAnchors    bool
-	methods      []interp.Method
-}
-
-func encodeConfig(o Options, alpha, beta float64, methods []interp.Method) []byte {
-	out := make([]byte, 0, 32+2*len(methods))
+// encodeConfig serializes the tuned pyramid: an anchor-free flag, α, β,
+// the anchor stride (stored even when anchors are off) and the per-level
+// methods.
+func encodeConfig(p *interp.Pyramid, anchorStride int) []byte {
+	out := make([]byte, 0, 32+2*len(p.Methods))
 	flags := byte(0)
-	if o.DisableAnchors {
+	if p.Anchor == 0 {
 		flags |= 1
 	}
 	out = append(out, flags)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(alpha))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(beta))
-	out = binary.AppendUvarint(out, uint64(o.AnchorStride))
-	out = binary.AppendUvarint(out, uint64(len(methods)))
-	for _, m := range methods {
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Alpha))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Beta))
+	out = binary.AppendUvarint(out, uint64(anchorStride))
+	out = binary.AppendUvarint(out, uint64(len(p.Methods)))
+	for _, m := range p.Methods {
 		out = append(out, byte(m.Kind), byte(m.Order))
 	}
 	return out
 }
 
-func decodeConfig(buf []byte) (*config, error) {
+// decodeConfig rebuilds the pyramid of a stream of shape dims and error
+// bound eb from its config section.
+func decodeConfig(buf []byte, dims []int, eb float64) (*interp.Pyramid, error) {
 	if len(buf) < 1+16 {
 		return nil, errors.New("qoz: truncated config")
 	}
-	c := &config{}
-	c.noAnchors = buf[0]&1 != 0
-	buf = buf[1:]
-	c.alpha = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	c.beta = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-	buf = buf[16:]
+	noAnchors := buf[0]&1 != 0
+	p := &interp.Pyramid{
+		Dims:  dims,
+		EB:    eb,
+		Alpha: math.Float64frombits(binary.LittleEndian.Uint64(buf[1:])),
+		Beta:  math.Float64frombits(binary.LittleEndian.Uint64(buf[9:])),
+	}
+	buf = buf[17:]
 	v, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, errors.New("qoz: truncated config")
 	}
-	c.anchorStride = int(v)
+	stride := int(v)
 	buf = buf[n:]
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf[n:])) < 2*cnt || cnt == 0 || cnt > 64 {
 		return nil, errors.New("qoz: malformed method list")
 	}
 	buf = buf[n:]
-	c.methods = make([]interp.Method, cnt)
-	for i := range c.methods {
-		c.methods[i] = interp.Method{
+	p.Methods = make([]interp.Method, cnt)
+	for i := range p.Methods {
+		p.Methods[i] = interp.Method{
 			Kind:  interp.Kind(buf[2*i]),
 			Order: interp.Order(buf[2*i+1]),
 		}
-		if c.methods[i].Kind > interp.Quadratic || c.methods[i].Order > interp.Decreasing {
+		if p.Methods[i].Kind > interp.Quadratic || p.Methods[i].Order > interp.Decreasing {
 			return nil, errors.New("qoz: invalid method")
 		}
 	}
-	if c.alpha < 1 || c.beta < 1 || math.IsNaN(c.alpha) || math.IsNaN(c.beta) {
+	if p.Alpha < 1 || p.Beta < 1 || math.IsNaN(p.Alpha) || math.IsNaN(p.Beta) {
 		return nil, errors.New("qoz: invalid tuning parameters")
 	}
-	if !c.noAnchors && (c.anchorStride < 2 || c.anchorStride&(c.anchorStride-1) != 0) {
-		return nil, errors.New("qoz: invalid anchor stride")
+	if !noAnchors {
+		if stride < 2 || stride&(stride-1) != 0 {
+			return nil, errors.New("qoz: invalid anchor stride")
+		}
+		p.Anchor = stride
 	}
-	return c, nil
+	return p, nil
 }

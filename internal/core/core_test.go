@@ -78,13 +78,13 @@ func TestFixedModeRoundTrip(t *testing.T) {
 func TestLevelBoundPolicy(t *testing.T) {
 	eb := 0.1
 	// e_1 must equal e regardless of parameters.
-	if got := levelBound(eb, 2, 4, 1); got != eb {
+	if got := interp.LevelBound(eb, 2, 4, 1); got != eb {
 		t.Fatalf("level-1 bound %v, want %v", got, eb)
 	}
 	// Bounds must be non-increasing with level and never exceed e.
 	prev := math.Inf(1)
 	for l := 1; l <= 8; l++ {
-		b := levelBound(eb, 1.5, 3, l)
+		b := interp.LevelBound(eb, 1.5, 3, l)
 		if b > eb {
 			t.Fatalf("level %d bound %v exceeds e", l, b)
 		}
@@ -94,7 +94,7 @@ func TestLevelBoundPolicy(t *testing.T) {
 		prev = b
 	}
 	// β caps the divisor.
-	if got := levelBound(eb, 2, 4, 10); got != eb/4 {
+	if got := interp.LevelBound(eb, 2, 4, 10); got != eb/4 {
 		t.Fatalf("capped bound %v, want %v", got, eb/4)
 	}
 }
@@ -209,24 +209,25 @@ func TestConfigRoundTrip(t *testing.T) {
 		{Kind: interp.Cubic, Order: interp.Increasing},
 		{Kind: interp.Linear, Order: interp.Decreasing},
 	}
-	buf := encodeConfig(o, 1.5, 3, methods)
-	c, err := decodeConfig(buf)
+	dims := []int{40, 50}
+	buf := encodeConfig(&interp.Pyramid{Anchor: o.AnchorStride, Methods: methods, Alpha: 1.5, Beta: 3}, o.AnchorStride)
+	c, err := decodeConfig(buf, dims, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.alpha != 1.5 || c.beta != 3 || c.anchorStride != 32 || c.noAnchors {
+	if c.Alpha != 1.5 || c.Beta != 3 || c.Anchor != 32 || c.EB != 0.5 || len(c.Dims) != 2 {
 		t.Fatalf("config = %+v", c)
 	}
-	if len(c.methods) != 2 || c.methods[1].Order != interp.Decreasing {
-		t.Fatalf("methods = %v", c.methods)
+	if len(c.Methods) != 2 || c.Methods[1].Order != interp.Decreasing {
+		t.Fatalf("methods = %v", c.Methods)
 	}
 	// Corruptions must be rejected.
-	if _, err := decodeConfig(buf[:4]); err == nil {
+	if _, err := decodeConfig(buf[:4], dims, 0.5); err == nil {
 		t.Error("truncated config accepted")
 	}
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-2] = 9 // invalid kind
-	if _, err := decodeConfig(bad); err == nil {
+	if _, err := decodeConfig(bad, dims, 0.5); err == nil {
 		t.Error("invalid method accepted")
 	}
 }

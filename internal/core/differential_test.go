@@ -109,14 +109,11 @@ func streamMaxLevel(t *testing.T, s *container.Stream) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := decodeConfig(payload.Config)
+	p, err := decodeConfig(payload.Config, s.Dims, s.ErrorBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.noAnchors {
-		return interp.MaxLevelGlobal(s.Dims)
-	}
-	return interp.MaxLevelAnchored(cfg.anchorStride)
+	return p.Top()
 }
 
 // legacyEncode re-frames a level-segmented stream's payload in the legacy
@@ -132,14 +129,11 @@ func legacyEncode(t *testing.T, enc []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := decodeConfig(payload.Config)
+	p, err := decodeConfig(payload.Config, s.Dims, s.ErrorBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxLevel := interp.MaxLevelAnchored(cfg.anchorStride)
-	if cfg.noAnchors {
-		maxLevel = interp.MaxLevelGlobal(s.Dims)
-	}
+	maxLevel := p.Top()
 	var bins []uint32
 	var lits []float32
 	for l := maxLevel + 1; l >= 1; l-- {

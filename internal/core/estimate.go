@@ -15,7 +15,7 @@ func EstimateQuality(data []float32, dims []int, opts Options) (bitsPerPoint, ps
 	scoring.Mode = ModePSNR // score trials in PSNR regardless of tuning mode
 	t := newTuner(data, dims, scoring)
 
-	t.selectMethods(o.maxLevel(dims))
+	t.selectMethods(o.pyramid(dims).Top())
 	alpha, beta := o.Alpha, o.Beta
 	if opts.Mode != ModeFixed && !opts.DisableParamTuning {
 		alpha, beta = t.tuneParams()

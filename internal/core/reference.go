@@ -3,8 +3,8 @@ package core
 // This file keeps the original scalar decode — interp.LevelPass driven by
 // a per-point dequantizer closure — as the differential-test oracle for
 // the fused hot path (interp.LevelPassDecode). Only the sweep differs: the
-// oracle runs through the same decompressStream / decompressLegacy as
-// production, and the tests in differential_test.go and the top-level
+// oracle runs through the same decompressStream and interp.Pyramid.Decode
+// as production, and the tests in differential_test.go and the top-level
 // float64 envelope tests pin both bit-identical on every layout and level.
 
 import (
@@ -12,7 +12,8 @@ import (
 	"qoz/internal/quant"
 )
 
-// closureSweep is the reference levelSweep: one closure call per point.
+// closureSweep is the reference interp.DecodeSweep: one closure call per
+// point.
 func closureSweep(buf []float32, dims []int, level int, m interp.Method, deq *quant.Dequantizer) {
 	interp.LevelPass(buf, dims, level, m, func(idx int, pred float64) float32 {
 		return deq.Next(pred)

@@ -66,8 +66,7 @@ func newTuner(data []float32, dims []int, o Options) *tuner {
 	edge := o.SampleBlock + 1
 	if o.DisableSampling {
 		// SZ3-style fallback: a single centered block of SZ3's trial size.
-		szEdge := minInt(edge, 33)
-		t.blocks = []sampling.Block{centerBlock(data, dims, szEdge)}
+		t.blocks = []sampling.Block{sampling.CenterBlock(data, dims, min(edge, 33))}
 	} else {
 		plan := sampling.PlanForDims(edge, dims, o.SampleRate)
 		t.blocks = plan.Extract(data, dims)
@@ -78,7 +77,7 @@ func newTuner(data []float32, dims []int, o Options) *tuner {
 	if o.DisableAnchors {
 		t.blockAnchor = 0
 	} else {
-		t.blockAnchor = floorPow2(minInt(o.SampleBlock, o.AnchorStride))
+		t.blockAnchor = floorPow2(min(o.SampleBlock, o.AnchorStride))
 		if t.blockAnchor < 2 {
 			t.blockAnchor = 2
 		}
@@ -141,7 +140,7 @@ func (t *tuner) blockMaxLevel(b sampling.Block) int {
 func (t *tuner) levelBounds(alpha, beta, eb float64) []float64 {
 	bounds := make([]float64, t.topLevel)
 	for i := range bounds {
-		bounds[i] = levelBound(eb, alpha, beta, i+1)
+		bounds[i] = interp.LevelBound(eb, alpha, beta, i+1)
 	}
 	return bounds
 }
@@ -495,48 +494,6 @@ func (t *tuner) score(recons [][]float32) float64 {
 	}
 }
 
-// centerBlock extracts one block of edge `edge` from the middle of the
-// field (the DisableSampling fallback).
-func centerBlock(data []float32, dims []int, edge int) sampling.Block {
-	nd := len(dims)
-	origin := make([]int, nd)
-	size := make([]int, nd)
-	n := 1
-	for d := 0; d < nd; d++ {
-		size[d] = dims[d]
-		if size[d] > edge {
-			size[d] = edge
-		}
-		origin[d] = (dims[d] - size[d]) / 2
-		n *= size[d]
-	}
-	strides := make([]int, nd)
-	s := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
-	out := make([]float32, n)
-	coord := make([]int, nd)
-	for i := 0; i < n; i++ {
-		off := 0
-		for d := 0; d < nd; d++ {
-			off += (origin[d] + coord[d]) * strides[d]
-		}
-		out[i] = data[off]
-		d := nd - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] < size[d] {
-				break
-			}
-			coord[d] = 0
-			d--
-		}
-	}
-	return sampling.Block{Origin: origin, Dims: size, Data: out}
-}
-
 // encodedBits measures the sampled bin stream through the real entropy
 // pipeline (canonical Huffman + DEFLATE), which tracks the final stream
 // size far better than a pure entropy estimate in the high-ratio regime
@@ -544,11 +501,4 @@ func centerBlock(data []float32, dims []int, edge int) sampling.Block {
 func encodedBits(bins []uint32) int {
 	enc := huffman.Encode(bins)
 	return 8 * min(len(enc), container.DeflatedLen(enc))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

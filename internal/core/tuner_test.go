@@ -7,6 +7,7 @@ import (
 
 	"qoz/datagen"
 	"qoz/internal/interp"
+	"qoz/internal/sampling"
 	"qoz/metrics"
 )
 
@@ -21,7 +22,7 @@ func mkTuner(mode Mode) (*tuner, []interp.Method) {
 	ds := datagen.CESMATM(64, 96)
 	o := Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data), Mode: mode}.withDefaults(2)
 	t := newTuner(ds.Data, ds.Dims, o)
-	methods := t.selectMethods(o.maxLevel(ds.Dims))
+	methods := t.selectMethods(o.pyramid(ds.Dims).Top())
 	return t, methods
 }
 
@@ -112,11 +113,11 @@ func TestSelectMethodsLength(t *testing.T) {
 
 func TestCenterBlockClipped(t *testing.T) {
 	data := make([]float32, 10*10)
-	b := centerBlock(data, []int{10, 10}, 64)
+	b := sampling.CenterBlock(data, []int{10, 10}, 64)
 	if b.Dims[0] != 10 || b.Dims[1] != 10 {
 		t.Fatalf("clipped center block dims %v", b.Dims)
 	}
-	b2 := centerBlock(data, []int{10, 10}, 4)
+	b2 := sampling.CenterBlock(data, []int{10, 10}, 4)
 	if b2.Dims[0] != 4 || b2.Origin[0] != 3 {
 		t.Fatalf("center block = %+v", b2)
 	}
@@ -137,13 +138,13 @@ func TestTunerMatchesExhaustiveSearch(t *testing.T) {
 		fields = fields[:1]
 	}
 	for _, ds := range fields {
-		brick := centerBlock(ds.Data, ds.Dims, 64)
+		brick := sampling.CenterBlock(ds.Data, ds.Dims, 64)
 		inputs = append(inputs,
 			input{ds.Name + "/field", ds.Data, ds.Dims},
 			input{ds.Name + "/brick", brick.Data, brick.Dims})
 	}
 	cesm := datagen.CESMATM(150, 130)
-	tile := centerBlock(cesm.Data, cesm.Dims, 64)
+	tile := sampling.CenterBlock(cesm.Data, cesm.Dims, 64)
 	inputs = append(inputs,
 		input{"cesm/field", cesm.Data, cesm.Dims},
 		input{"cesm/brick", tile.Data, tile.Dims})
@@ -169,7 +170,7 @@ func TestTunerMatchesExhaustiveSearch(t *testing.T) {
 					o := Options{ErrorBound: rel * vr, Mode: mode}
 					v.apply(&o)
 					o = o.withDefaults(len(in.dims))
-					maxLevel := o.maxLevel(in.dims)
+					maxLevel := o.pyramid(in.dims).Top()
 					wantM, wantA, wantB := referenceTune(newTuner(in.data, in.dims, o), maxLevel)
 					tn := newTuner(in.data, in.dims, o)
 					gotM := tn.selectMethods(maxLevel)
@@ -202,7 +203,7 @@ func TestTunerTrialCounts(t *testing.T) {
 		t.Fatalf("tuner stats %+v, want %+v", res.Tuner, want)
 	}
 	ref := newTuner(ds.Data, ds.Dims, opts.withDefaults(3))
-	referenceTune(ref, ref.o.maxLevel(ds.Dims))
+	referenceTune(ref, ref.o.pyramid(ds.Dims).Top())
 	if exhaustive := (TunerStats{Trials: 17, Level1Sweeps: 2*nCands + 1 + 17}); ref.stats != exhaustive {
 		t.Fatalf("exhaustive search stats %+v, want %+v", ref.stats, exhaustive)
 	}

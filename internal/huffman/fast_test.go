@@ -2,8 +2,10 @@ package huffman
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qoz/internal/pool"
@@ -252,14 +254,9 @@ func TestHostileCountsRejectedBeforeAllocation(t *testing.T) {
 
 	// Claims more symbols than the payload has bits.
 	enc := Encode([]uint32{1, 2, 3, 4, 1, 2, 3, 4})
-	_, k, rest, err := readHeaderCounts(enc)
-	if err != nil || k < 2 {
-		t.Fatalf("bad fixture: k=%d err=%v", k, err)
-	}
-	var lying []byte
-	lying = binary.AppendUvarint(lying, uint64(len(enc))*8+1) // n too large for any payload here
-	lying = binary.AppendUvarint(lying, k)
-	lying = append(lying, rest...)
+	_, m := binary.Uvarint(enc)
+	lying := binary.AppendUvarint(nil, uint64(len(enc))*8+1) // n too large for any payload here
+	lying = append(lying, enc[m:]...)
 	if _, err := Decode(lying); err == nil {
 		t.Fatal("expected error for symbol count exceeding payload bits")
 	}
@@ -356,6 +353,31 @@ func BenchmarkDecodeSegmentBrick(b *testing.B) {
 			}
 			b.ReportMetric(bitsPerSym, "bits/sym")
 		})
+	}
+}
+
+// TestHugeTableCountsRejected hands ParseTable, and the single-segment
+// Decode that parses its table through it, entry counts the header cannot
+// hold: k = 2^62 overflows the table allocation, and k = 2^28 would
+// allocate over a GiB before the entry loop runs dry. Both must be refused
+// before anything k-sized is allocated. (hostileHeaders covers headers
+// that do parse.)
+func TestHugeTableCountsRejected(t *testing.T) {
+	for _, k := range []uint64{1 << 62, 1 << 28} {
+		hdr := binary.AppendUvarint(nil, k)
+		hdr = append(hdr, 1, 2, 3, 4, 5, 6)
+		stream := append(binary.AppendUvarint(nil, 8), hdr...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, errTable := ParseTable(hdr)
+		_, errStream := Decode(stream)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(errTable, errCorrupt) || !errors.Is(errStream, errCorrupt) {
+			t.Errorf("k = %d: ParseTable says %v, Decode %v; want %v", k, errTable, errStream, errCorrupt)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("k = %d: %d bytes allocated before the header was refused", k, d)
+		}
 	}
 }
 

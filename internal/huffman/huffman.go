@@ -97,26 +97,27 @@ func Decode(buf []byte) ([]uint32, error) {
 	return out, nil
 }
 
-// parseStream splits a single-segment stream into its canonical table,
-// symbol count, and entropy payload. Trivial streams (fewer than two
-// distinct symbols carry no bitstream) are decoded directly: the returned
-// table is nil and out holds the result.
+// parseStream splits a single-segment stream — uvarint symbol count, then
+// a table header as ParseTable reads it, then the bitstream — into its
+// canonical table, symbol count, and entropy payload. Trivial streams
+// (fewer than two distinct symbols carry no bitstream) are decoded
+// directly: the returned table is nil and out holds the result.
 func parseStream(buf []byte) (t *Table, n uint64, payload []byte, out []uint32, err error) {
-	n, k, rest, err := readHeaderCounts(buf)
+	n, m := binary.Uvarint(buf)
+	if m <= 0 {
+		return nil, 0, nil, nil, errCorrupt
+	}
+	t, rest, err := ParseTable(buf[m:])
 	if err != nil {
 		return nil, 0, nil, nil, err
 	}
-	if k == 0 {
+	switch len(t.syms) {
+	case 0:
 		if n != 0 {
 			return nil, 0, nil, nil, errCorrupt
 		}
 		return nil, 0, nil, []uint32{}, nil
-	}
-	if k == 1 {
-		s, m := binary.Uvarint(rest)
-		if m <= 0 {
-			return nil, 0, nil, nil, errCorrupt
-		}
+	case 1:
 		// A constant run carries no bitstream, so n cannot be validated
 		// against a payload; still refuse counts no real field reaches
 		// rather than attempting a multi-terabyte allocation.
@@ -125,44 +126,10 @@ func parseStream(buf []byte) (t *Table, n uint64, payload []byte, out []uint32, 
 		}
 		out = pool.Uint32s(int(n))
 		for i := range out {
-			out[i] = uint32(s)
+			out[i] = t.syms[0]
 		}
 		return nil, 0, nil, out, nil
 	}
-
-	// Hostile-input hardening: every table entry costs at least two bytes
-	// (a uvarint delta and a length byte), so a count the buffer cannot
-	// possibly hold is rejected before allocating k-sized tables. Honest
-	// streams always pass; dishonest ones would have failed entry parsing
-	// anyway, just after the allocation.
-	if k > uint64(len(rest))/2 {
-		return nil, 0, nil, nil, errCorrupt
-	}
-	t = &Table{syms: make([]uint32, k), lens: make([]uint8, k)}
-	prev := uint32(0)
-	for i := 0; i < int(k); i++ {
-		d, m := binary.Uvarint(rest)
-		if m <= 0 || len(rest) < m+1 {
-			return nil, 0, nil, nil, errCorrupt
-		}
-		rest = rest[m:]
-		l := rest[0]
-		rest = rest[1:]
-		if l == 0 || l > maxCodeLen {
-			return nil, 0, nil, nil, errCorrupt
-		}
-		var s uint32
-		if i == 0 {
-			s = uint32(d)
-		} else {
-			s = uint32(int64(prev) + unzigzag(d))
-		}
-		t.syms[i] = s
-		t.lens[i] = l
-		prev = s
-	}
-	t.buildDecode()
-
 	// With at least two distinct symbols every decoded symbol consumes at
 	// least one payload bit; reject symbol counts the payload cannot hold
 	// before allocating the output (the scalar decoder would only discover
@@ -171,19 +138,6 @@ func parseStream(buf []byte) (t *Table, n uint64, payload []byte, out []uint32, 
 		return nil, 0, nil, nil, errCorrupt
 	}
 	return t, n, rest, nil, nil
-}
-
-func readHeaderCounts(buf []byte) (n, k uint64, rest []byte, err error) {
-	n, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return 0, 0, nil, errCorrupt
-	}
-	buf = buf[m:]
-	k, m = binary.Uvarint(buf)
-	if m <= 0 {
-		return 0, 0, nil, errCorrupt
-	}
-	return n, k, buf[m:], nil
 }
 
 func zigzag(v int64) uint64 {

@@ -115,6 +115,12 @@ func ParseTable(buf []byte) (*Table, []byte, error) {
 		t.lens = []uint8{0}
 		return t, buf[m:], nil
 	}
+	// Hostile-input hardening: every entry costs at least two bytes (a
+	// uvarint delta and a length byte), so a count the buffer cannot hold
+	// is rejected before allocating k-sized tables.
+	if k > uint64(len(buf))/2 {
+		return nil, nil, errCorrupt
+	}
 	t.syms = make([]uint32, k)
 	t.lens = make([]uint8, k)
 	prev := uint32(0)

@@ -170,11 +170,7 @@ func AnchorIndices(dims []int, stride int) []int {
 	var out []int
 	coord := make([]int, nd)
 	for {
-		idx := 0
-		for d := 0; d < nd; d++ {
-			idx += coord[d] * strides[d]
-		}
-		out = append(out, idx)
+		out = append(out, grid.Dot(coord, strides))
 		d := nd - 1
 		for d >= 0 {
 			coord[d] += stride

@@ -13,8 +13,9 @@ package interp
 // prediction errors (encode.go) — is the caller's kernel.
 
 // maxFlatDims bounds the dimensionality sweep walks with stack-allocated
-// coordinate state. It equals container.CheckDims's 8-dimension cap (and
-// grid.MaxDims is 4), so no stream and no codec can ask for more.
+// coordinate state. It equals container.CheckDims's 8-dimension cap, which
+// every stream header and every codec's input (container.CheckField)
+// passes, so no caller can ask for more.
 const maxFlatDims = 8
 
 // Stencil forms: predict1D's branches, named so a run can carry the one

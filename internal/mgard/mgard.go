@@ -13,12 +13,10 @@
 package mgard
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
+	"qoz/internal/container"
 	"qoz/internal/interp"
-	"qoz/internal/quant"
 	"qoz/internal/szstream"
 )
 
@@ -27,37 +25,36 @@ const codecID = 5 // container.CodecMGARD
 // anchorStride fixes the coarsest grid of the hierarchy.
 const anchorStride = 64
 
-// levelTighten is the per-level bound divisor growth: level l uses
+// levelTighten and levelCap shape the per-level bound: level l uses
 // e / min(levelTighten^(l-1), levelCap), echoing MGARD's level weights.
 const (
 	levelTighten = 1.15
 	levelCap     = 2.0
 )
 
+// pyramid is the MGARD-style predictor: an anchor grid, linear hats, and
+// bounds that tighten on coarse levels.
+func pyramid(dims []int, eb float64) *interp.Pyramid {
+	return &interp.Pyramid{
+		Dims:    dims,
+		Anchor:  anchorStride,
+		Methods: []interp.Method{{Kind: interp.Linear, Order: interp.Increasing}},
+		EB:      eb,
+		Alpha:   levelTighten,
+		Beta:    levelCap,
+	}
+}
+
 // Compress compresses data under absolute error bound eb.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	if err := validate(data, dims, eb); err != nil {
-		return nil, err
+	if err := container.CheckField(dims, len(data), eb); err != nil {
+		return nil, fmt.Errorf("mgard: %w", err)
 	}
-	maxLevel := interp.MaxLevelAnchored(anchorStride)
-	idxs := interp.AnchorIndices(dims, anchorStride)
-	anchors := make([]float32, len(idxs))
-	recon := make([]float32, len(data))
-	for i, idx := range idxs {
-		anchors[i] = data[idx]
-		recon[idx] = data[idx]
-	}
-	q := quant.New(eb, 0)
-	q.Bins = make([]uint32, 0, len(data)-len(idxs))
-	m := interp.Method{Kind: interp.Linear, Order: interp.Increasing}
-	for level := maxLevel; level >= 1; level-- {
-		q.SetBound(levelBound(eb, level))
-		interp.LevelPassEncode(recon, data, dims, level, m, q)
-	}
+	enc := pyramid(dims, eb).Encode(data)
 	payload := &szstream.Payload{
-		Bins:     q.Bins,
-		Literals: q.Literals,
-		Anchors:  anchors,
+		Bins:     enc.Run.Bins,
+		Literals: enc.Run.Literals,
+		Anchors:  enc.Anchors,
 	}
 	return szstream.Encode(codecID, dims, eb, payload)
 }
@@ -68,58 +65,10 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dims := stream.Dims
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	idxs := interp.AnchorIndices(dims, anchorStride)
-	if len(payload.Anchors) != len(idxs) {
-		return nil, nil, errors.New("mgard: anchor count mismatch")
-	}
-	if len(payload.Bins) != n-len(idxs) {
-		return nil, nil, errors.New("mgard: bin count does not match dims")
-	}
-	recon := make([]float32, n)
-	for i, idx := range idxs {
-		recon[idx] = payload.Anchors[i]
-	}
-	deq := quant.NewDequantizer(stream.ErrorBound, 0, payload.Bins, payload.Literals)
-	m := interp.Method{Kind: interp.Linear, Order: interp.Increasing}
-	for level := interp.MaxLevelAnchored(anchorStride); level >= 1; level-- {
-		deq.SetBound(levelBound(stream.ErrorBound, level))
-		interp.LevelPassDecode(recon, dims, level, m, deq)
-	}
-	if deq.Remaining() != 0 {
-		return nil, nil, errors.New("mgard: trailing quantization symbols")
-	}
-	if err := deq.CheckLiterals(); err != nil {
+	run := []interp.Segment{{Bins: payload.Bins, Literals: payload.Literals}}
+	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, run, 1, interp.LevelPassDecode)
+	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)
 	}
-	return recon, dims, nil
-}
-
-func levelBound(eb float64, level int) float64 {
-	div := math.Pow(levelTighten, float64(level-1))
-	if div > levelCap {
-		div = levelCap
-	}
-	return eb / div
-}
-
-func validate(data []float32, dims []int, eb float64) error {
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return errors.New("mgard: error bound must be positive and finite")
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return errors.New("mgard: non-positive dimension")
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return errors.New("mgard: dims do not match data length")
-	}
-	return nil
+	return recon, stream.Dims, nil
 }

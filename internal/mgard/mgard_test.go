@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qoz/datagen"
+	"qoz/internal/interp"
 	"qoz/metrics"
 )
 
@@ -31,11 +32,11 @@ func TestRoundTripRespectsBound(t *testing.T) {
 
 func TestLevelBoundNeverExceedsGlobal(t *testing.T) {
 	for l := 1; l <= 10; l++ {
-		if b := levelBound(0.5, l); b > 0.5 {
+		if b := interp.LevelBound(0.5, levelTighten, levelCap, l); b > 0.5 {
 			t.Fatalf("level %d bound %v exceeds global", l, b)
 		}
 	}
-	if levelBound(1, 1) != 1 {
+	if interp.LevelBound(1, levelTighten, levelCap, 1) != 1 {
 		t.Fatal("level 1 must use the full bound")
 	}
 }

@@ -6,6 +6,8 @@ package sampling
 
 import (
 	"math"
+
+	"qoz/internal/grid"
 )
 
 // Plan describes a uniform block sampling: blocks of edge Block starting at
@@ -112,46 +114,51 @@ func (p Plan) Origins(dims []int) [][]int {
 // blocks; regular origins are fully contained by construction).
 func (p Plan) Extract(data []float32, dims []int) []Block {
 	origins := p.Origins(dims)
-	nd := len(dims)
-	strides := make([]int, nd)
-	s := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
 	blocks := make([]Block, 0, len(origins))
 	for _, origin := range origins {
-		size := make([]int, nd)
-		n := 1
-		for d := 0; d < nd; d++ {
-			end := origin[d] + p.Block
-			if end > dims[d] {
-				end = dims[d]
-			}
-			size[d] = end - origin[d]
-			n *= size[d]
+		size := make([]int, len(dims))
+		for d, n := range dims {
+			size[d] = min(origin[d]+p.Block, n) - origin[d]
 		}
-		vals := make([]float32, n)
-		coord := make([]int, nd)
-		for i := 0; i < n; i++ {
-			off := 0
-			for d := 0; d < nd; d++ {
-				off += (origin[d] + coord[d]) * strides[d]
-			}
-			vals[i] = data[off]
-			d := nd - 1
-			for d >= 0 {
-				coord[d]++
-				if coord[d] < size[d] {
-					break
-				}
-				coord[d] = 0
-				d--
-			}
-		}
-		blocks = append(blocks, Block{Origin: origin, Dims: size, Data: vals})
+		blocks = append(blocks, cut(data, dims, origin, size))
 	}
 	return blocks
+}
+
+// CenterBlock copies the block of edge at most edge from the middle of a
+// flat row-major field: the single trial block of SZ3-style selection.
+func CenterBlock(data []float32, dims []int, edge int) Block {
+	origin := make([]int, len(dims))
+	size := make([]int, len(dims))
+	for d, n := range dims {
+		size[d] = min(n, edge)
+		origin[d] = (n - size[d]) / 2
+	}
+	return cut(data, dims, origin, size)
+}
+
+// cut copies the block of extent size at origin out of a flat row-major
+// field of shape dims.
+func cut(data []float32, dims, origin, size []int) Block {
+	strides := grid.StridesOf(dims)
+	n := 1
+	for _, s := range size {
+		n *= s
+	}
+	base := grid.Dot(origin, strides)
+	vals := make([]float32, n)
+	coord := make([]int, len(dims))
+	for i := range vals {
+		vals[i] = data[base+grid.Dot(coord, strides)]
+		for d := len(dims) - 1; d >= 0; d-- {
+			coord[d]++
+			if coord[d] < size[d] {
+				break
+			}
+			coord[d] = 0
+		}
+	}
+	return Block{Origin: origin, Dims: size, Data: vals}
 }
 
 // Block is one extracted sample block.

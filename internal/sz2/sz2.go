@@ -46,8 +46,8 @@ const (
 
 // Compress compresses data under absolute error bound eb.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	if err := validate(data, dims, eb); err != nil {
-		return nil, err
+	if err := container.CheckField(dims, len(data), eb); err != nil {
+		return nil, fmt.Errorf("sz2: %w", err)
 	}
 	nd := len(dims)
 	be := blockEdge(nd)
@@ -354,21 +354,4 @@ func forEachPoint(origin, size []int, fn func(coord []int)) {
 			return
 		}
 	}
-}
-
-func validate(data []float32, dims []int, eb float64) error {
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return errors.New("sz2: error bound must be positive and finite")
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return errors.New("sz2: non-positive dimension")
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return errors.New("sz2: dims do not match data length")
-	}
-	return nil
 }

@@ -131,9 +131,9 @@ func Test1DSignal(t *testing.T) {
 
 func TestTrialErrorPrefersCubicOnSmooth(t *testing.T) {
 	ds := datagen.Miranda(24, 32, 32)
-	linErr := TrialError(ds.Data, ds.Dims, 1e-3,
+	linErr := trialError(ds.Data, ds.Dims, 1e-3,
 		interp.Method{Kind: interp.Linear, Order: interp.Increasing})
-	cubErr := TrialError(ds.Data, ds.Dims, 1e-3,
+	cubErr := trialError(ds.Data, ds.Dims, 1e-3,
 		interp.Method{Kind: interp.Cubic, Order: interp.Increasing})
 	if cubErr >= linErr {
 		t.Fatalf("cubic trial error %g should beat linear %g on smooth field", cubErr, linErr)

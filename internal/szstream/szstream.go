@@ -13,6 +13,7 @@ import (
 
 	"qoz/internal/container"
 	"qoz/internal/huffman"
+	"qoz/internal/interp"
 )
 
 // Section ids within an SZ-family stream.
@@ -106,25 +107,17 @@ func unXorDelta(vals []float32) []float32 {
 	return vals
 }
 
-// LevelSegment is one interpolation level's share of the quantization
-// streams: its bin symbols and the literals escaped while quantizing it.
-type LevelSegment struct {
-	Level    int
-	Bins     []uint32
-	Literals []float32
-}
-
 // LevelPayload is the level-segmented counterpart of Payload: the shared
-// sections plus one segment per level, ordered from the seed stage
-// (level maxLevel+1) down to level 1 as they appear in the stream.
+// sections plus one segment per interpolation stage, ordered from the seed
+// stage (level maxLevel+1) down to level 1 as they appear in the stream.
 type LevelPayload struct {
 	Anchors  []float32
 	Config   []byte
-	Segments []LevelSegment
+	Segments []interp.Segment
 }
 
 // Segment returns the segment for one level, or nil.
-func (p *LevelPayload) Segment(level int) *LevelSegment {
+func (p *LevelPayload) Segment(level int) *interp.Segment {
 	for i := range p.Segments {
 		if p.Segments[i].Level == level {
 			return &p.Segments[i]
@@ -228,7 +221,7 @@ func DecodeLevelsStream(s *container.Stream) (*LevelPayload, error) {
 		if used != len(sec.Data) {
 			return nil, errors.New("szstream: level segment has bytes past its bitstream")
 		}
-		p.Segments = append(p.Segments, LevelSegment{Level: level, Bins: bins})
+		p.Segments = append(p.Segments, interp.Segment{Level: level, Bins: bins})
 	}
 	return p, nil
 }

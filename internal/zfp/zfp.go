@@ -21,6 +21,7 @@ package zfp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"qoz/internal/bitio"
@@ -549,22 +550,14 @@ func scatter(out []float32, strides []int, origin, size []int, nd int, block []f
 
 // ---- shared helpers ----
 
+// validate checks Compress's input; the block transform covers 1 to 3
+// dimensions.
 func validate(data []float32, dims []int, eb float64) error {
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return errors.New("zfp: error bound must be positive and finite")
-	}
-	if len(dims) == 0 || len(dims) > 3 {
+	if len(dims) > 3 {
 		return errors.New("zfp: 1 to 3 dimensions supported")
 	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return errors.New("zfp: non-positive dimension")
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return errors.New("zfp: dims do not match data length")
+	if err := container.CheckField(dims, len(data), eb); err != nil {
+		return fmt.Errorf("zfp: %w", err)
 	}
 	return nil
 }
