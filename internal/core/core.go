@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"qoz/internal/container"
-	"qoz/internal/grid"
 	"qoz/internal/interp"
 	"qoz/internal/pool"
 	"qoz/internal/szstream"
@@ -296,22 +295,33 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 // interp.CoarseDims(dims, stride).
 func compactCoarse(recon []float32, dims []int, stride int) []float32 {
 	cd := interp.CoarseDims(dims, stride)
-	strides := grid.StridesOf(dims)
+	nd := len(dims)
+	strides := make([]int, nd)
+	s := 1
+	for i := nd - 1; i >= 0; i-- {
+		strides[i] = s
+		s *= dims[i]
+	}
 	n := 1
-	for d := range cd {
-		strides[d] *= stride
-		n *= cd[d]
+	for _, d := range cd {
+		n *= d
 	}
 	out := make([]float32, n)
-	coord := make([]int, len(dims))
-	for i := range out {
-		out[i] = recon[grid.Dot(coord, strides)]
-		for d := len(dims) - 1; d >= 0; d-- {
+	coord := make([]int, nd)
+	for i := 0; i < n; i++ {
+		idx := 0
+		for d := 0; d < nd; d++ {
+			idx += coord[d] * stride * strides[d]
+		}
+		out[i] = recon[idx]
+		d := nd - 1
+		for d >= 0 {
 			coord[d]++
 			if coord[d] < cd[d] {
 				break
 			}
 			coord[d] = 0
+			d--
 		}
 	}
 	return out

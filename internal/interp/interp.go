@@ -170,7 +170,11 @@ func AnchorIndices(dims []int, stride int) []int {
 	var out []int
 	coord := make([]int, nd)
 	for {
-		out = append(out, grid.Dot(coord, strides))
+		idx := 0
+		for d := 0; d < nd; d++ {
+			idx += coord[d] * strides[d]
+		}
+		out = append(out, idx)
 		d := nd - 1
 		for d >= 0 {
 			coord[d] += stride

@@ -110,8 +110,11 @@ func (p *Pyramid) Encode(data []float32) *Encoding {
 		}
 		nBins -= len(idxs)
 	}
-	// Sized once: the stage counts are known. The streams are cut per
-	// stage when the pass is over and they can no longer move.
+	// Recon and the bins are sized once from the known counts and not
+	// pooled: a sync.Pool keeps up to one set per P alive across GC cycles,
+	// which on whole-field encodes raised the collector's heap target (and
+	// peak RSS by a third) for a few percent of throughput. The streams
+	// are cut per stage once the pass is over and they can no longer move.
 	q.Bins = make([]uint32, 0, nBins)
 	if p.Anchor == 0 {
 		e.Recon[0] = q.Quantize(data[0], 0)
