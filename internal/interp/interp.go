@@ -27,8 +27,11 @@
 // interpolators — and every codec's compression, decompression and
 // trial runs through them. Differential tests and FuzzSweepVsLevelPass
 // pin all three bit-identical to LevelPass, which nothing calls but
-// they, the reference decoder (internal/core/reference.go) and the
-// benchmark's layer timings.
+// they, the reference decoders and the benchmark's layer timings.
+//
+// The level loop around the kernels is one too: Pyramid (pyramid.go)
+// seeds and sweeps every level for QoZ, SZ3 and MGARD alike, and only
+// the tuners' trials keep loops of their own.
 package interp
 
 import (

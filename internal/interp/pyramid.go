@@ -122,8 +122,7 @@ func (p *Pyramid) Encode(data []float32) *Encoding {
 	ends := make([][2]int, 1, top+1)
 	ends[0] = [2]int{len(q.Bins), len(q.Literals)}
 	for l := top; l >= 1; l-- {
-		eb, _ := p.stage(l, top)
-		q.SetBound(eb)
+		q.SetBound(LevelBound(p.EB, p.Alpha, p.Beta, l))
 		LevelPassEncode(e.Recon, data, p.Dims, l, p.method(l), q)
 		ends = append(ends, [2]int{len(q.Bins), len(q.Literals)})
 	}
