@@ -19,6 +19,7 @@ import (
 	"qoz/internal/container"
 	"qoz/internal/core"
 	"qoz/internal/mgard"
+	"qoz/internal/pool"
 	"qoz/internal/sz2"
 	"qoz/internal/sz3"
 	"qoz/internal/zfp"
@@ -158,6 +159,7 @@ func (qozCodec) Compress(ctx context.Context, data []float32, dims []int, opts O
 	if err != nil {
 		return nil, err
 	}
+	co.Workers = pool.Workers(ctx)
 	return core.Compress(data, dims, co)
 }
 

@@ -60,6 +60,12 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	w.nAcc = rest
 }
 
+// Complete returns the bytes no later write can change: the buffer up to
+// the bits still pending in the accumulator. The caller may read them
+// while the Writer goes on writing; they are a prefix of what Bytes
+// returns.
+func (w *Writer) Complete() []byte { return w.buf }
+
 // BitLen returns the number of bits written so far.
 func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 

@@ -121,15 +121,93 @@ func (s *Stream) Section(id uint8) []byte {
 // Encode serializes a stream, DEFLATE-compressing each section when
 // profitable.
 func Encode(s *Stream) ([]byte, error) {
-	if len(s.Sections) > 255 {
-		return nil, fmt.Errorf("container: too many sections (%d)", len(s.Sections))
-	}
-	if _, err := CheckDims(s.Dims); err != nil {
+	out, err := appendHeader(s, len(s.Sections))
+	if err != nil {
 		return nil, err
 	}
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)
-	var out bytes.Buffer
+	for _, sec := range s.Sections {
+		appendSection(out, Packed{ID: sec.ID, Raw: sec.Data, Enc: d.deflate(sec.Data)})
+	}
+	return out.Bytes(), nil
+}
+
+// Packed is a section as Encode frames it: its raw bytes and their DEFLATE
+// stream, which is stored instead when it is smaller.
+type Packed struct {
+	ID       uint8
+	Raw, Enc []byte
+}
+
+// Pack deflates one section into memory of its own, so that sections can
+// be packed on several goroutines and framed together by EncodePacked.
+func Pack(sec Section) Packed {
+	var p Packer
+	p.Write(sec.Data)
+	return p.Close(sec)
+}
+
+// Packer deflates one section whose bytes arrive in pieces, while they
+// are still being produced. DEFLATE's output does not depend on how its
+// input is cut into writes (TestDeflateIgnoresWriteBoundaries pins that),
+// so the pieces pack to exactly what Pack makes of their concatenation.
+// The zero value is ready to use.
+type Packer struct {
+	d *deflater
+}
+
+// Write deflates the next piece of the section.
+func (p *Packer) Write(piece []byte) {
+	if p.d == nil {
+		p.d = deflaters.Get().(*deflater)
+		p.d.out.Reset()
+		p.d.w.Reset(&p.d.out)
+	}
+	if _, err := p.d.w.Write(piece); err != nil {
+		panic(err) // an in-memory sink cannot fail
+	}
+}
+
+// Close finishes the stream of the pieces written, whose concatenation
+// is sec.Data, and returns the section packed.
+func (p *Packer) Close(sec Section) Packed {
+	if p.d == nil {
+		p.Write(nil)
+	}
+	if err := p.d.w.Close(); err != nil {
+		panic(err)
+	}
+	enc := bytes.Clone(p.d.out.Bytes())
+	deflaters.Put(p.d)
+	p.d = nil
+	return Packed{ID: sec.ID, Raw: sec.Data, Enc: enc}
+}
+
+// EncodePacked serializes a stream with hdr's codec, dims and bound whose
+// sections are secs, already packed, in order: exactly what Encode makes
+// of their raw bytes. hdr's own Sections are ignored.
+func EncodePacked(hdr *Stream, secs []Packed) ([]byte, error) {
+	out, err := appendHeader(hdr, len(secs))
+	if err != nil {
+		return nil, err
+	}
+	for _, sec := range secs {
+		appendSection(out, sec)
+	}
+	return out.Bytes(), nil
+}
+
+// appendHeader starts the serialization of a stream with s's codec, dims
+// and bound and nsec sections: everything before the first section.
+func appendHeader(s *Stream, nsec int) (*bytes.Buffer, error) {
+	if nsec > 255 {
+		return nil, fmt.Errorf("container: too many sections (%d)", nsec)
+	}
+	if _, err := CheckDims(s.Dims); err != nil {
+		return nil, err
+	}
+	out := new(bytes.Buffer)
 	out.WriteString(magic)
 	out.WriteByte(version)
 	out.WriteByte(s.Codec)
@@ -139,22 +217,24 @@ func Encode(s *Stream) ([]byte, error) {
 		n := binary.PutUvarint(tmp[:], uint64(d))
 		out.Write(tmp[:n])
 	}
-	binary.Write(&out, binary.LittleEndian, s.ErrorBound)
-	out.WriteByte(uint8(len(s.Sections)))
-	for _, sec := range s.Sections {
-		enc := d.deflate(sec.Data)
-		stored := enc
-		if len(enc) >= len(sec.Data) {
-			stored = sec.Data
-		}
-		out.WriteByte(sec.ID)
-		n := binary.PutUvarint(tmp[:], uint64(len(sec.Data)))
-		out.Write(tmp[:n])
-		n = binary.PutUvarint(tmp[:], uint64(len(stored)))
-		out.Write(tmp[:n])
-		out.Write(stored)
+	binary.Write(out, binary.LittleEndian, s.ErrorBound)
+	out.WriteByte(uint8(nsec))
+	return out, nil
+}
+
+// appendSection frames one section, storing the smaller of its forms.
+func appendSection(out *bytes.Buffer, sec Packed) {
+	stored := sec.Enc
+	if len(stored) >= len(sec.Raw) {
+		stored = sec.Raw
 	}
-	return out.Bytes(), nil
+	var tmp [binary.MaxVarintLen64]byte
+	out.WriteByte(sec.ID)
+	n := binary.PutUvarint(tmp[:], uint64(len(sec.Raw)))
+	out.Write(tmp[:n])
+	n = binary.PutUvarint(tmp[:], uint64(len(stored)))
+	out.Write(tmp[:n])
+	out.Write(stored)
 }
 
 // PeekCodec returns the codec identifier of an encoded stream without

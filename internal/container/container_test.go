@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -304,4 +305,86 @@ func TestInflaterReuse(t *testing.T) {
 		t.Fatalf("second stream: err %v, %d bytes", err, len(out))
 	}
 	check("another stream")
+}
+
+// deflateInput is half a megabyte shaped like the sections DEFLATE sees:
+// a skewed small-alphabet stream with repeats (Huffman-coded bins), a
+// zero run, and incompressible noise that DEFLATE stores.
+func deflateInput() []byte {
+	rng := rand.New(rand.NewSource(30))
+	var buf []byte
+	for len(buf) < 300_000 {
+		if rng.Intn(8) == 0 && len(buf) > 64 {
+			at := rng.Intn(len(buf) - 32)
+			buf = append(buf, buf[at:at+4+rng.Intn(28)]...)
+			continue
+		}
+		buf = append(buf, byte(rng.ExpFloat64()*3))
+	}
+	buf = append(buf, make([]byte, 50_000)...)
+	noise := make([]byte, 120_000)
+	rng.Read(noise)
+	return append(buf, noise...)
+}
+
+// TestDeflateIgnoresWriteBoundaries pins what the concurrent entropy stage
+// relies on: compress/flate emits the same stream however its input is
+// cut into Write calls. A Huffman segment is deflated in pieces as they
+// are coded (Packer), and its section must be the bytes Encode makes of
+// it whole. If a Go release breaks this, this test fails by name before
+// the encoder goldens do.
+func TestDeflateIgnoresWriteBoundaries(t *testing.T) {
+	in := deflateInput()
+	deflate := func(cut func(rest int) int) []byte {
+		var out bytes.Buffer
+		w, err := flate.NewWriter(&out, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest := in; len(rest) > 0; {
+			n := min(cut(len(rest)), len(rest))
+			if _, err := w.Write(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	whole := deflate(func(rest int) int { return rest })
+	rng := rand.New(rand.NewSource(7))
+	cuts := map[string]func(int) int{
+		"1 B":            func(int) int { return 1 },
+		"4 KiB":          func(int) int { return 4 << 10 },
+		"random 1–70000": func(int) int { return 1 + rng.Intn(70_000) },
+	}
+	for name, cut := range cuts {
+		if got := deflate(cut); !bytes.Equal(got, whole) {
+			t.Errorf("flate fed %s pieces: %d bytes differ from the whole input's %d", name, len(got), len(whole))
+		}
+	}
+
+	// The Packer over random pieces packs what Encode stores.
+	var pk Packer
+	for rest := in; len(rest) > 0; {
+		n := min(1+rng.Intn(70_000), len(rest))
+		pk.Write(rest[:n])
+		rest = rest[n:]
+	}
+	sec := Section{ID: 9, Data: in}
+	hdr := &Stream{Codec: CodecQoZ, Dims: []int{len(in)}, ErrorBound: 1}
+	packed, err := EncodePacked(hdr, []Packed{pk.Close(sec), Pack(Section{ID: 10})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.Sections = []Section{sec, {ID: 10}}
+	want, err := Encode(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(packed, want) {
+		t.Fatal("a section packed in pieces frames differently from Encode's")
+	}
 }

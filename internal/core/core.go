@@ -87,6 +87,12 @@ type Options struct {
 	DisableSampling    bool // "S" off: center-block selection like SZ3
 	DisableLevelSelect bool // "LIS" off: one interpolator for all levels
 	DisableParamTuning bool // "PA" off: α=1, β=1 (uniform level bounds)
+
+	// Workers bounds the goroutines this one compression may run its
+	// tuner trials, level sweeps and entropy stage on, the caller's among
+	// them; 0 or 1 runs everything on the caller. No byte of the output
+	// and no tuning decision depends on it.
+	Workers int
 }
 
 // withDefaults fills unset options following the paper's configuration.
@@ -168,6 +174,7 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 	}
 	o := opts.withDefaults(len(dims))
 	p := o.pyramid(dims)
+	p.Workers = o.Workers
 	tn := newTuner(data, dims, o)
 	p.Methods = tn.selectMethods(p.Top())
 	p.Alpha, p.Beta = o.Alpha, o.Beta
@@ -184,7 +191,7 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 		Config:   encodeConfig(p, o.AnchorStride),
 		Segments: enc.Segments,
 	}
-	buf, err := szstream.EncodeLevels(codecID, dims, o.ErrorBound, payload)
+	buf, err := szstream.EncodeLevels(codecID, dims, o.ErrorBound, payload, o.Workers)
 	if err != nil {
 		return nil, err
 	}

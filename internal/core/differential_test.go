@@ -232,7 +232,7 @@ func TestLiteralMismatchRejected(t *testing.T) {
 			} else {
 				seg.Literals = append(seg.Literals, 1)
 			}
-			bad, err := szstream.EncodeLevels(codecID, s.Dims, s.ErrorBound, payload)
+			bad, err := szstream.EncodeLevels(codecID, s.Dims, s.ErrorBound, payload, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

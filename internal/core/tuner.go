@@ -7,6 +7,7 @@ import (
 	"qoz/internal/container"
 	"qoz/internal/huffman"
 	"qoz/internal/interp"
+	"qoz/internal/pool"
 	"qoz/internal/quant"
 	"qoz/internal/sampling"
 	"qoz/metrics"
@@ -17,17 +18,19 @@ import (
 // quality-metric-oriented (α, β) auto-tuning (paper §VI-C, Table I).
 //
 // Every trial compression starts from the same per-block seed and needs
-// the same scratch, so both are set up once in newTuner and reused by all
+// the same scratch, so both are set up once and reused by all
 // (interpolator, α, β) candidates: seeds holds each block's seeded
-// reconstruction, trial the buffer a trial pass runs in, bins the symbol
-// buffer of whichever trial quantizer is live.
+// reconstruction, and each worker a scratch to run its trials in. The
+// embedded scratch is the calling goroutine's; with o.Workers > 1 the
+// independent trials of a stage run concurrently, one scratch per extra
+// worker, and are compared afterwards in the serial order.
 type tuner struct {
 	dims   []int
 	o      Options
 	blocks []sampling.Block
 	seeds  [][]float32
-	trial  [][]float32
-	bins   []uint32
+	scratch
+	more []*scratch // workers 1.. ; made on first use
 	// methods is selectMethods' answer, the interpolators every (α, β)
 	// trial runs with; memo holds the trials run with them so far.
 	methods     []interp.Method
@@ -101,9 +104,40 @@ func newTuner(data []float32, dims []int, o Options) *tuner {
 			t.seeds[i][0] = r
 		}
 	}
-	t.trial = t.perBlock()
-	t.bins = make([]uint32, 0, t.totalPts)
+	t.scratch = t.newScratch()
 	return t
+}
+
+// scratch is what one worker runs trials in: trial, a buffer per block a
+// pass runs in, and bins, the symbol buffer of its live trial quantizer.
+type scratch struct {
+	trial [][]float32
+	bins  []uint32
+}
+
+func (t *tuner) newScratch() scratch {
+	return scratch{trial: t.perBlock(), bins: make([]uint32, 0, t.totalPts)}
+}
+
+// fork runs do(w, s, i) for i in 0..n-1 on up to o.Workers goroutines, w
+// numbering the running worker and s being its scratch; with one worker it
+// is a plain loop on the tuner's own. Results are do's to store by i:
+// whatever compares them runs afterwards, in i order.
+func (t *tuner) fork(n int, do func(w int, s *scratch, i int)) {
+	workers := max(1, min(t.o.Workers, n))
+	for len(t.more) < workers-1 {
+		s := t.newScratch()
+		t.more = append(t.more, &s)
+	}
+	pool.Fork(n, workers, func(w, i int) { do(w, t.worker(w), i) })
+}
+
+// worker returns worker w's scratch.
+func (t *tuner) worker(w int) *scratch {
+	if w == 0 {
+		return &t.scratch
+	}
+	return t.more[w-1]
 }
 
 // perBlock returns one zeroed buffer per block, carved from a single
@@ -119,10 +153,10 @@ func (t *tuner) perBlock() [][]float32 {
 }
 
 // quantizer returns a trial quantizer writing its symbols into the
-// tuner's shared buffer; only one is live at a time.
-func (t *tuner) quantizer(eb float64) *quant.Quantizer {
+// scratch's buffer; only one is live per scratch at a time.
+func (s *scratch) quantizer(eb float64) *quant.Quantizer {
 	q := quant.New(eb, 0)
-	q.Bins = t.bins[:0]
+	q.Bins = s.bins[:0]
 	return q
 }
 
@@ -145,13 +179,12 @@ func (t *tuner) levelBounds(alpha, beta, eb float64) []float64 {
 	return bounds
 }
 
-// trialEncode compresses every sample block from its seed into t.trial
+// trialEncode compresses every sample block from its seed into s.trial
 // under one configuration, appending to q's streams. bounds comes from
-// levelBounds.
-func (t *tuner) trialEncode(q *quant.Quantizer, bounds []float64, methods []interp.Method) {
-	t.stats.Level1Sweeps++
+// levelBounds. It sweeps level 1 once; counting that is the caller's.
+func (t *tuner) trialEncode(s *scratch, q *quant.Quantizer, bounds []float64, methods []interp.Method) {
 	for i, b := range t.blocks {
-		recon := t.trial[i]
+		recon := s.trial[i]
 		copy(recon, t.seeds[i])
 		for level := t.blockMaxLevel(b); level >= 1; level-- {
 			q.SetBound(bounds[level-1])
@@ -193,42 +226,56 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 	global := t.selectGlobalMethod(cands)
 
 	// recons is the per-block reconstruction state the levels build up.
-	// A candidate's pass runs in t.trial, and kept holds the pass that
-	// would be chosen if the level ended there, exchanged for t.trial
-	// whenever that changes — so the chosen pass becomes the next level's
-	// state without being run again. The default goes first for that:
-	// a challenger replaces it only by beating it decisively, and one
-	// that does leaves no way back to the default.
-	recons, kept := t.perBlock(), t.perBlock()
+	// A level's candidate passes run concurrently, each in its worker's
+	// trial, and the choice is then made in candidate order. The default
+	// goes first: a challenger replaces it only by beating it decisively,
+	// and the cheapest decisive challenger wins. So the choice is the
+	// default or the cheapest challenger, earliest on ties, and each
+	// worker keeps the pass that could be either — kept[w] holds it,
+	// exchanged for the worker's trial whenever it changes — so the chosen
+	// pass becomes the next level's state without being run again. The
+	// worker that ran the default knows its cost and keeps exactly what
+	// the serial loop would; the others keep their cheapest challenger.
+	recons := t.perBlock()
 	for i := range t.blocks {
 		copy(recons[i], t.seeds[i])
 	}
 	order := append([]interp.Method{global}, cands...)
+	workers := max(1, min(t.o.Workers, len(order)))
+	kept := make([][][]float32, workers)
+	for w := range kept {
+		kept[w] = t.perBlock()
+	}
+	type keeper struct {
+		n                    int     // candidate whose pass kept[w] holds; -1 for none
+		globalCost, bestCost float64 // as the serial loop tracks them
+	}
+	keepers := make([]keeper, workers)
+	costs := make([]float64, len(order))
 	L := min(t.topLevel, maxLevel)
 	methods := make([]interp.Method, maxLevel)
 	eb := t.o.ErrorBound
 	const switchMargin = 0.98 // challenger must beat the default by >2%
 	for level := L; level >= 1; level-- {
-		best := global
-		bestCost := math.Inf(1) // of the cheapest decisive challenger
-		globalCost := math.Inf(1)
-		for n, m := range order {
+		for w := range keepers {
+			keepers[w] = keeper{n: -1, globalCost: math.Inf(1), bestCost: math.Inf(1)}
+		}
+		t.fork(len(order), func(w int, s *scratch, n int) {
+			m := order[n]
+			costs[n] = math.Inf(1)
 			if n > 0 && m == global {
-				continue
+				return
 			}
-			q := t.quantizer(eb)
+			q := s.quantizer(eb)
 			for i, b := range t.blocks {
 				if level > t.blockMaxLevel(b) {
 					continue
 				}
-				copy(t.trial[i], recons[i])
-				interp.LevelPassEncode(t.trial[i], b.Data, b.Dims, level, m, q)
-			}
-			if level == 1 {
-				t.stats.Level1Sweeps++
+				copy(s.trial[i], recons[i])
+				interp.LevelPassEncode(s.trial[i], b.Data, b.Dims, level, m, q)
 			}
 			if len(q.Bins) == 0 {
-				continue
+				return
 			}
 			// Cost is the level's entropy-coded size estimate: unlike the
 			// paper's mean-L1 proxy it also prices the fat error tails a
@@ -237,15 +284,35 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 			// sample streams are small and DEFLATE measurements on tiny
 			// streams are dominated by framing noise.
 			cost := float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
+			costs[n] = cost
+			k := &keepers[w]
 			switch {
 			case n == 0:
-				globalCost = cost
-			case cost < bestCost && cost < switchMargin*globalCost:
-				best, bestCost = m, cost
+				k.globalCost = cost
+			case cost < k.bestCost && cost < switchMargin*k.globalCost:
+				k.bestCost = cost
 			default:
+				return
+			}
+			k.n = n
+			s.trial, kept[w] = kept[w], s.trial
+		})
+		best, chosen := global, 0
+		bestCost := math.Inf(1) // of the cheapest decisive challenger
+		globalCost := costs[0]
+		for n := 1; n < len(order); n++ {
+			if order[n] == global {
 				continue
 			}
-			t.trial, kept = kept, t.trial
+			if level == 1 {
+				t.stats.Level1Sweeps++
+			}
+			if costs[n] < bestCost && costs[n] < switchMargin*globalCost {
+				best, bestCost, chosen = order[n], costs[n], n
+			}
+		}
+		if level == 1 {
+			t.stats.Level1Sweeps++ // the default's pass
 		}
 		methods[level-1] = best
 		if level == 1 || math.IsInf(globalCost, 1) {
@@ -255,9 +322,10 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 		}
 		// The chosen pass becomes the per-block state, so the next (lower)
 		// level predicts from realistic reconstructions.
+		w := slices.IndexFunc(keepers, func(k keeper) bool { return k.n == chosen })
 		for i, b := range t.blocks {
 			if level <= t.blockMaxLevel(b) {
-				recons[i], kept[i] = kept[i], recons[i]
+				recons[i], kept[w][i] = kept[w][i], recons[i]
 			}
 		}
 	}
@@ -271,46 +339,51 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 
 // selectGlobalMethod picks a single interpolator for all levels by whole-
 // block trial compression (the "+S without LIS" ablation configuration).
+// The candidates' trials run concurrently; the first cheapest wins.
 func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
+	costs := make([]float64, len(cands))
+	t.fork(len(cands), func(_ int, s *scratch, i int) { costs[i] = t.globalCost(s, cands[i]) })
+	t.stats.Level1Sweeps += len(cands)
 	best := cands[0]
 	bestCost := math.Inf(1)
-	eb := t.o.ErrorBound
-	uniform := t.levelBounds(1, 1, eb)
-	for _, m := range cands {
-		q := t.quantizer(eb)
-		var cost float64
-		if t.o.DisableSampling {
-			// The "+S" ablation component bundles the improved uniform
-			// sampling *and* the bit-cost criterion; with sampling
-			// disabled we reproduce SZ3's selection: mean L1 prediction
-			// error on a single centered block.
-			var l1 float64
-			t.stats.Level1Sweeps++
-			for i, b := range t.blocks {
-				recon := t.trial[i]
-				copy(recon, t.seeds[i])
-				for level := t.blockMaxLevel(b); level >= 1; level-- {
-					l1 = interp.LevelPassEncodeL1(recon, b.Data, b.Dims, level, m, q, l1)
-				}
-			}
-			count := len(q.Bins)
-			if count == 0 {
-				continue
-			}
-			cost = l1 / float64(count)
-		} else {
-			t.trialEncode(q, uniform, []interp.Method{m})
-			if len(q.Bins) == 0 {
-				continue
-			}
-			cost = float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
-		}
+	for i, cost := range costs {
 		if cost < bestCost {
 			bestCost = cost
-			best = m
+			best = cands[i]
 		}
 	}
 	return best
+}
+
+// globalCost is one candidate's whole-block trial cost for
+// selectGlobalMethod, run in s: +Inf when the blocks code no symbol.
+func (t *tuner) globalCost(s *scratch, m interp.Method) float64 {
+	eb := t.o.ErrorBound
+	q := s.quantizer(eb)
+	if t.o.DisableSampling {
+		// The "+S" ablation component bundles the improved uniform
+		// sampling *and* the bit-cost criterion; with sampling
+		// disabled we reproduce SZ3's selection: mean L1 prediction
+		// error on a single centered block.
+		var l1 float64
+		for i, b := range t.blocks {
+			recon := s.trial[i]
+			copy(recon, t.seeds[i])
+			for level := t.blockMaxLevel(b); level >= 1; level-- {
+				l1 = interp.LevelPassEncodeL1(recon, b.Data, b.Dims, level, m, q, l1)
+			}
+		}
+		count := len(q.Bins)
+		if count == 0 {
+			return math.Inf(1)
+		}
+		return l1 / float64(count)
+	}
+	t.trialEncode(s, q, t.levelBounds(1, 1, eb), []interp.Method{m})
+	if len(q.Bins) == 0 {
+		return math.Inf(1)
+	}
+	return float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
 }
 
 // evalResult is one sampled trial-compression outcome: estimated bits per
@@ -357,7 +430,25 @@ func (t *tuner) tuneParams() (alpha, beta float64) {
 	// Candidates whose level bounds coincide share one trial (evaluate's
 	// memo), but each is still compared, in this order: Table I's
 	// comparison is not transitive, so a candidate equal to one that lost
-	// to an earlier incumbent may still beat the current one.
+	// to an earlier incumbent may still beat the current one. With
+	// workers to spare, every trial the comparisons will look up at eb is
+	// run first, concurrently; Table I's second points stay lazy.
+	if t.o.Workers > 1 {
+		var todo [][]float64
+		for _, c := range cands {
+			b := t.levelBounds(c.a, c.b, eb)
+			if _, ok := t.memoized(b); !ok && !slices.ContainsFunc(todo, func(o []float64) bool { return slices.Equal(o, b) }) {
+				todo = append(todo, b)
+			}
+		}
+		res := make([]evalResult, len(todo))
+		t.fork(len(todo), func(_ int, s *scratch, i int) { res[i] = t.measure(s, todo[i], t.methods) })
+		for i, b := range todo {
+			t.stats.Trials++
+			t.stats.Level1Sweeps++
+			t.memo = append(t.memo, memoEntry{b, res[i]})
+		}
+	}
 	bestCand := cands[0]
 	bestRes := t.evaluate(bestCand.a, bestCand.b, eb)
 	baseBits := bestRes.bitrate * float64(t.totalPts)
@@ -424,25 +515,40 @@ type memoEntry struct {
 // I's second points and EstimateQuality's closing call repeat earlier ones.
 func (t *tuner) evaluate(alpha, beta, eb float64) evalResult {
 	bounds := t.levelBounds(alpha, beta, eb)
-	for _, e := range t.memo {
-		if slices.Equal(e.bounds, bounds) {
-			return e.res
-		}
+	if res, ok := t.memoized(bounds); ok {
+		return res
 	}
 	res := t.runTrial(bounds, t.methods)
 	t.memo = append(t.memo, memoEntry{bounds, res})
 	return res
 }
 
-// runTrial is one sampled trial compression, measured.
+// memoized returns the memo's trial for a sequence of level bounds.
+func (t *tuner) memoized(bounds []float64) (evalResult, bool) {
+	for _, e := range t.memo {
+		if slices.Equal(e.bounds, bounds) {
+			return e.res, true
+		}
+	}
+	return evalResult{}, false
+}
+
+// runTrial is one sampled trial compression on the caller's scratch,
+// measured and counted.
 func (t *tuner) runTrial(bounds []float64, methods []interp.Method) evalResult {
 	t.stats.Trials++
-	q := t.quantizer(bounds[0])
-	t.trialEncode(q, bounds, methods)
+	t.stats.Level1Sweeps++
+	return t.measure(&t.scratch, bounds, methods)
+}
+
+// measure runs one sampled trial compression in s and measures it.
+func (t *tuner) measure(s *scratch, bounds []float64, methods []interp.Method) evalResult {
+	q := s.quantizer(bounds[0])
+	t.trialEncode(s, q, bounds, methods)
 	bits := encodedBits(q.Bins) + 32*(len(q.Literals)+t.nAnchors)
 	return evalResult{
 		bitrate: float64(bits) / float64(t.totalPts),
-		score:   t.score(t.trial),
+		score:   t.score(s.trial),
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"qoz/internal/bitio"
+	"qoz/internal/pool"
 )
 
 // maxFlatWindow is the widest [min, max] symbol window counted and looked
@@ -38,55 +39,46 @@ var laneBufs = sync.Pool{New: func() any { return new([]uint32) }}
 
 // countSymbols histograms the concatenation of runs.
 func countSymbols(runs ...[]uint32) histogram {
-	lo, hi := uint32(math.MaxUint32), uint32(0)
-	total := 0
-	for _, run := range runs {
-		total += len(run)
-		for _, s := range run {
-			lo = min(lo, s)
-			hi = max(hi, s)
-		}
-	}
+	lo, hi, total := symbolRange(runs)
 	if total == 0 {
 		return histogram{}
 	}
 	if window := uint64(hi-lo) + 1; window <= maxFlatWindow && total <= math.MaxUint32 {
-		// Quantization bins pile onto one symbol, and a single counter per
-		// symbol would chain every increment of that bin behind the store
-		// of the one before. Four counters per symbol, taking the input in
-		// turn and summed at the end, keep the chains apart; they sit side
-		// by side so the sum is one pass.
-		buf := laneBufs.Get().(*[]uint32)
-		if cap(*buf) < 4*int(window) {
-			*buf = make([]uint32, 4*int(window))
-		}
-		lanes := (*buf)[:4*int(window)]
-		clear(lanes)
-		for _, run := range runs {
-			for ; len(run) >= 4; run = run[4:] {
-				lanes[4*(run[0]-lo)]++
-				lanes[4*(run[1]-lo)+1]++
-				lanes[4*(run[2]-lo)+2]++
-				lanes[4*(run[3]-lo)+3]++
-			}
-			for _, s := range run {
-				lanes[4*(s-lo)]++
-			}
-		}
-		// A narrow window is mostly occupied; a wide one (escapes far below
-		// the bins) is mostly gaps, and its few symbols grow the slices.
-		k := min(int(window), 64)
-		h := histogram{syms: make([]uint32, 0, k), freq: make([]uint64, 0, k), total: total}
-		for i := 0; i < len(lanes); i += 4 {
-			l := lanes[i : i+4 : i+4]
-			if c := l[0] + l[1] + l[2] + l[3]; c != 0 {
-				h.syms = append(h.syms, lo+uint32(i/4))
-				h.freq = append(h.freq, uint64(c))
-			}
-		}
+		buf := countLanes(lo, int(window), runs)
+		h := fromLanes(lo, int(window), total, *buf, nil)
 		laneBufs.Put(buf)
 		return h
 	}
+	return sortedHistogram(runs, total)
+}
+
+// countSymbolsHalves is countSymbols with each half of the symbols
+// scanned and counted on its own goroutine and the two counts summed: the
+// same histogram in about half the time on an idle core.
+func countSymbolsHalves(runs ...[]uint32) histogram {
+	var halves [2][][]uint32
+	halves[0], halves[1] = halve(runs)
+	var lo, hi [2]uint32
+	var total [2]int
+	pool.Fork(2, 2, func(_, j int) { lo[j], hi[j], total[j] = symbolRange(halves[j]) })
+	low, high, n := min(lo[0], lo[1]), max(hi[0], hi[1]), total[0]+total[1]
+	if n == 0 {
+		return histogram{}
+	}
+	if window := uint64(high-low) + 1; window <= maxFlatWindow && n <= math.MaxUint32 {
+		var bufs [2]*[]uint32
+		pool.Fork(2, 2, func(_, j int) { bufs[j] = countLanes(low, int(window), halves[j]) })
+		h := fromLanes(low, int(window), n, *bufs[0], *bufs[1])
+		laneBufs.Put(bufs[0])
+		laneBufs.Put(bufs[1])
+		return h
+	}
+	return sortedHistogram(runs, n)
+}
+
+// sortedHistogram histograms total symbols of runs whose window is too
+// wide to count flat.
+func sortedHistogram(runs [][]uint32, total int) histogram {
 	sorted := make([]uint32, 0, total)
 	for _, run := range runs {
 		sorted = append(sorted, run...)
@@ -101,6 +93,90 @@ func countSymbols(runs ...[]uint32) histogram {
 		h.syms = append(h.syms, sorted[i])
 		h.freq = append(h.freq, uint64(j-i))
 		i = j
+	}
+	return h
+}
+
+// halve cuts the concatenation of runs into two halves of equal symbol
+// count (the first one shorter by at most one).
+func halve(runs [][]uint32) (a, b [][]uint32) {
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	left := total / 2
+	for i, run := range runs {
+		if len(run) >= left {
+			a = append(runs[:i:i], run[:left])
+			b = append([][]uint32{run[left:]}, runs[i+1:]...)
+			return a, b
+		}
+		left -= len(run)
+	}
+	return runs, nil
+}
+
+// symbolRange returns the smallest and largest symbol of runs and how many
+// there are.
+func symbolRange(runs [][]uint32) (lo, hi uint32, total int) {
+	lo = math.MaxUint32
+	for _, run := range runs {
+		total += len(run)
+		for _, s := range run {
+			lo = min(lo, s)
+			hi = max(hi, s)
+		}
+	}
+	return lo, hi, total
+}
+
+// countLanes counts runs, whose symbols lie in the window of the given
+// size from lo, into a pooled buffer of four counters per symbol.
+// Quantization bins pile onto one symbol, and a single counter per symbol
+// would chain every increment of that bin behind the store of the one
+// before. Four counters per symbol, taking the input in turn and summed at
+// the end, keep the chains apart; they sit side by side so the sum is one
+// pass.
+func countLanes(lo uint32, window int, runs [][]uint32) *[]uint32 {
+	buf := laneBufs.Get().(*[]uint32)
+	if cap(*buf) < 4*window {
+		*buf = make([]uint32, 4*window)
+	}
+	lanes := (*buf)[:4*window]
+	clear(lanes)
+	for _, run := range runs {
+		for ; len(run) >= 4; run = run[4:] {
+			lanes[4*(run[0]-lo)]++
+			lanes[4*(run[1]-lo)+1]++
+			lanes[4*(run[2]-lo)+2]++
+			lanes[4*(run[3]-lo)+3]++
+		}
+		for _, s := range run {
+			lanes[4*(s-lo)]++
+		}
+	}
+	*buf = lanes
+	return buf
+}
+
+// fromLanes sums countLanes' counters — of one buffer, or of two that
+// counted halves of the input — into a histogram.
+func fromLanes(lo uint32, window, total int, lanes, other []uint32) histogram {
+	// A narrow window is mostly occupied; a wide one (escapes far below
+	// the bins) is mostly gaps, and its few symbols grow the slices.
+	k := min(window, 64)
+	h := histogram{syms: make([]uint32, 0, k), freq: make([]uint64, 0, k), total: total}
+	for i := 0; i < len(lanes); i += 4 {
+		l := lanes[i : i+4 : i+4]
+		c := l[0] + l[1] + l[2] + l[3]
+		if other != nil {
+			o := other[i : i+4 : i+4]
+			c += o[0] + o[1] + o[2] + o[3]
+		}
+		if c != 0 {
+			h.syms = append(h.syms, lo+uint32(i/4))
+			h.freq = append(h.freq, uint64(c))
+		}
 	}
 	return h
 }

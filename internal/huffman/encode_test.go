@@ -339,3 +339,31 @@ func BenchmarkBuildTable(b *testing.B) {
 		})
 	}
 }
+
+// TestConcurrentEncodeMatchesSerial pins the two helpers a concurrent
+// entropy stage uses to what they stand in for: the histogram counted in
+// halves is countSymbols', for every shape and an empty input, and the
+// pieces EncodeSegmentPieces hands over concatenate to EncodeSegment's
+// segment, which it also returns.
+func TestConcurrentEncodeMatchesSerial(t *testing.T) {
+	shapes := histogramShapes()
+	shapes["empty"] = [][]uint32{{}, {}}
+	shapes["long"] = [][]uint32{slices.Repeat(shapes["escapes"][0], 9), shapes["peaked"][0]}
+	for name, runs := range shapes {
+		got, want := countSymbolsHalves(runs...), countSymbols(runs...)
+		if got.total != want.total || !equalU32(got.syms, want.syms) || !slices.Equal(got.freq, want.freq) {
+			t.Errorf("%s: the histogram counted in halves differs", name)
+		}
+		tbl := BuildTableWorkers(2, runs...)
+		if !bytes.Equal(tbl.AppendHeader(nil), BuildTable(runs...).AppendHeader(nil)) {
+			t.Errorf("%s: BuildTableWorkers built another table", name)
+		}
+		for i, run := range runs {
+			var cat []byte
+			seg := tbl.EncodeSegmentPieces(run, func(b []byte) { cat = append(cat, b...) })
+			if want := tbl.EncodeSegment(run); !bytes.Equal(seg, want) || !bytes.Equal(cat, want) {
+				t.Errorf("%s run %d: pieces or segment differ from EncodeSegment", name, i)
+			}
+		}
+	}
+}

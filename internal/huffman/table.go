@@ -42,7 +42,20 @@ type Table struct {
 // segment-encoded against it, given as one run or as the segments
 // themselves. Symbols absent from the build set cannot be encoded later.
 func BuildTable(segments ...[]uint32) *Table {
-	h := countSymbols(segments...)
+	return buildTable(countSymbols(segments...))
+}
+
+// BuildTableWorkers is BuildTable for a caller with workers goroutines to
+// spare: above one, the histogram is counted in halves on two of them.
+// The table is the same.
+func BuildTableWorkers(workers int, segments ...[]uint32) *Table {
+	if workers > 1 {
+		return buildTable(countSymbolsHalves(segments...))
+	}
+	return BuildTable(segments...)
+}
+
+func buildTable(h histogram) *Table {
 	t := &Table{}
 	if len(h.syms) == 0 {
 		return t
@@ -156,6 +169,22 @@ func ParseTable(buf []byte) (*Table, []byte, error) {
 // cannot be represented, and EncodeSegment panics naming it rather than
 // return a segment that silently decodes to different symbols.
 func (t *Table) EncodeSegment(symbols []uint32) []byte {
+	return t.EncodeSegmentPieces(symbols, nil)
+}
+
+// PieceSymbols is how many symbols EncodeSegmentPieces codes between two
+// pieces: at the one to two bits a quantization bin takes, a piece of
+// 8–16 KiB.
+const PieceSymbols = 1 << 16
+
+// EncodeSegmentPieces is EncodeSegment that also hands the segment's
+// bytes to piece as they complete, every PieceSymbols symbols and once
+// more at the end, so a consumer — a DEFLATE stage on another goroutine —
+// can start on them before the segment is done. The pieces, in order,
+// concatenate to the returned segment; they share its memory, and the
+// encoder writes none of a piece's bytes after handing it over. A nil
+// piece function receives nothing.
+func (t *Table) EncodeSegmentPieces(symbols []uint32, piece func([]byte)) []byte {
 	var count [binary.MaxVarintLen64]byte
 	head := count[:binary.PutUvarint(count[:], uint64(len(symbols)))]
 	if len(t.syms) < 2 {
@@ -164,7 +193,11 @@ func (t *Table) EncodeSegment(symbols []uint32) []byte {
 				panic(foreignSymbol(s))
 			}
 		}
-		return append([]byte(nil), head...)
+		out := append([]byte(nil), head...)
+		if piece != nil {
+			piece(out)
+		}
+		return out
 	}
 	// Levels differ in entropy, so the build set's mean code length only
 	// estimates this segment's size; an eighth of slack keeps most
@@ -172,8 +205,22 @@ func (t *Table) EncodeSegment(symbols []uint32) []byte {
 	est := int(float64(len(symbols)) * t.meanBits / 8)
 	w := bitio.NewWriter(len(head) + est + est/8 + 16)
 	writeBytes(w, head)
-	t.enc.emit(w, symbols)
-	return w.Bytes()
+	if piece == nil {
+		t.enc.emit(w, symbols)
+		return w.Bytes()
+	}
+	sent := 0
+	for len(symbols) > 0 {
+		n := min(len(symbols), PieceSymbols)
+		t.enc.emit(w, symbols[:n])
+		symbols = symbols[n:]
+		done := w.Complete()
+		piece(done[sent:len(done):len(done)])
+		sent = len(done)
+	}
+	out := w.Bytes()
+	piece(out[sent:])
+	return out
 }
 
 // DecodeSegment reverses EncodeSegment, ignoring the final byte's padding

@@ -25,7 +25,7 @@ import (
 func LevelPassDecode(buf []float32, dims []int, level int, m Method, deq *quant.Dequantizer) {
 	bins, lits, radius, twoEB := deq.DecodeState()
 	st := dqState{bins: bins, lits: lits, radius: radius, twoEB: twoEB}
-	sweep(dims, level, m, func(lo, hi, step, off1, form int) {
+	sweep(dims, level, m, whole(dims), func(lo, hi, step, off1, form int) {
 		st.lineAcross(buf, lo, hi, step, off1, form)
 	})
 	deq.Advance(st.bp, st.lp)

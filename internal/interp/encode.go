@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 
+	"qoz/internal/pool"
 	"qoz/internal/quant"
 )
 
@@ -47,40 +48,62 @@ func levelPassEncode(recon, data []float32, dims []int, level int, m Method, q *
 	// The level's symbol count is known up front, so the bin stream grows
 	// once and the loops store by index instead of appending.
 	count := CountLevelPoints(dims, level)
-	head := len(q.Bins)
-	q.Bins = slices.Grow(q.Bins, count)[:head+count]
-	radius, eb := q.EncodeState()
-	st := eqState{
-		data:   data,
-		bins:   q.Bins[head:],
-		lits:   q.Literals,
-		radius: radius,
-		limit:  float64(radius - 1),
-		eb:     eb,
-		twoEB:  2 * eb,
-	}
-	sweep(dims, level, m, func(lo, hi, step, off1, form int) {
-		for lo < hi {
-			n := 1 // a line's head and tail points are runs of one: no divide
-			if hi-lo > step {
-				n = min((hi-lo+step-1)/step, predChunk)
-			}
-			preds := st.preds[:n]
-			predict(recon, lo, step, off1, form, preds)
-			if sumL1 {
-				for k, pred := range preds {
-					l1 += math.Abs(pred - float64(data[lo+k*step]))
-				}
-			}
-			st.quantRun(recon, lo, step, preds)
-			lo += n * step
-		}
-	})
+	st := newEQState(q, data, count)
+	st.sumL1, st.l1 = sumL1, l1
+	sweep(dims, level, m, whole(dims), st.kernel(recon))
 	if st.bp != count {
 		panic("interp: sweep visited a different number of points than CountLevelPoints")
 	}
 	q.Literals = st.lits
-	return l1
+	return st.l1
+}
+
+// minChunkedPass is the fewest points a sub-pass must hold before
+// Pyramid.Encode splits it over workers: below it, starting goroutines
+// costs more than the sweep.
+const minChunkedPass = 1 << 15
+
+// levelPassEncodeChunked is LevelPassEncode with every sub-pass of at
+// least minPoints points cut into `chunks` ranges of whole dim-0 rows and
+// swept on up to `workers` goroutines. Each dim-0 coordinate of a sub-pass
+// holds the same number of points (subPass), so a chunk's symbols have a
+// known place in the level's window; its literals are appended to q's in
+// chunk order once the sub-pass is done. The result is bit-identical to
+// LevelPassEncode for any chunks, minPoints and workers.
+func levelPassEncodeChunked(recon, data []float32, dims []int, level int, m Method, q *quant.Quantizer, chunks, minPoints, workers int) {
+	proto := newEQState(q, data, CountLevelPoints(dims, level))
+	bins, at := proto.bins, 0
+	s := 1 << (level - 1)
+	for p := range dims {
+		start, step, perRow := subPass(dims, s, m, p)
+		rows := countRange(start, step, dims[0])
+		k := 1
+		if rows*perRow >= minPoints {
+			k = max(1, min(chunks, rows))
+		}
+		parts := make([]eqState, k)
+		pool.Fork(k, workers, func(_, j int) {
+			r0, r1 := j*rows/k, (j+1)*rows/k
+			st := &parts[j]
+			*st = proto
+			st.bins, st.lits = bins[at+r0*perRow:at+r1*perRow], nil
+			if j == 0 {
+				st.lits = q.Literals
+			}
+			sweep(dims, level, m, span{p, start + r0*step, start + r1*step}, st.kernel(recon))
+			if st.bp != len(st.bins) {
+				panic("interp: sweep visited a different number of points than subPass")
+			}
+		})
+		q.Literals = parts[0].lits
+		for _, part := range parts[1:] {
+			q.Literals = append(q.Literals, part.lits...)
+		}
+		at += rows * perRow
+	}
+	if at != len(bins) {
+		panic("interp: sub-passes hold a different number of points than CountLevelPoints")
+	}
 }
 
 // predChunk is how many predictions the kernel computes before handing
@@ -91,9 +114,9 @@ func levelPassEncode(recon, data []float32, dims []int, level int, m Method, q *
 const predChunk = 256
 
 // eqState is the fused quantizer threaded through the kernel: the original
-// values, this level's window of the bin stream with its write cursor, the
-// literal stream, the constants of quant.Quantizer.Quantize, and the
-// prediction scratch.
+// values, a window of the bin stream with its write cursor, the literal
+// stream, the constants of quant.Quantizer.Quantize, the L1 sum of a
+// trial, and the prediction scratch.
 type eqState struct {
 	data   []float32
 	bins   []uint32
@@ -103,7 +126,48 @@ type eqState struct {
 	limit  float64 // float64(radius-1): |scaled| beyond it escapes
 	eb     float64
 	twoEB  float64 // 2*eb exactly as Quantize computes it
+	sumL1  bool
+	l1     float64
 	preds  [predChunk]float64
+}
+
+// newEQState grows q's bin stream by a level of count symbols and returns
+// the kernel state writing that window.
+func newEQState(q *quant.Quantizer, data []float32, count int) eqState {
+	head := len(q.Bins)
+	q.Bins = slices.Grow(q.Bins, count)[:head+count]
+	radius, eb := q.EncodeState()
+	return eqState{
+		data:   data,
+		bins:   q.Bins[head:],
+		lits:   q.Literals,
+		radius: radius,
+		limit:  float64(radius - 1),
+		eb:     eb,
+		twoEB:  2 * eb,
+	}
+}
+
+// kernel returns the sweep callback that predicts and quantizes each run
+// of recon into st.
+func (st *eqState) kernel(recon []float32) func(lo, hi, step, off1, form int) {
+	return func(lo, hi, step, off1, form int) {
+		for lo < hi {
+			n := 1 // a line's head and tail points are runs of one: no divide
+			if hi-lo > step {
+				n = min((hi-lo+step-1)/step, predChunk)
+			}
+			preds := st.preds[:n]
+			predict(recon, lo, step, off1, form, preds)
+			if st.sumL1 {
+				for k, pred := range preds {
+					st.l1 += math.Abs(pred - float64(st.data[lo+k*step]))
+				}
+			}
+			st.quantRun(recon, lo, step, preds)
+			lo += n * step
+		}
+	}
 }
 
 // roundHalfAway returns math.Round(x) as an integer for |x| < 2^31: the

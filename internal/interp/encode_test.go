@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -311,3 +312,62 @@ func benchEncodeSweep(b *testing.B, fused bool) {
 
 func BenchmarkLevelPassClosureQuantize(b *testing.B) { benchEncodeSweep(b, false) }
 func BenchmarkLevelPassEncode(b *testing.B)          { benchEncodeSweep(b, true) }
+
+// TestChunkedSweepMatchesLevelPassEncode pins the chunked encode sweep
+// Pyramid.Encode runs on several workers to LevelPassEncode: bins,
+// literals and the reconstruction bit-identical after every level of a
+// full cascade, anchored and anchor-free, for every method, over 1- to
+// 4-dimensional shapes, with every sub-pass split (no size threshold) into
+// 1, 2 and 3 chunks and into more chunks than the sub-pass has dim-0
+// values, on one to three workers. Every dim-0 slab of the field starts
+// and ends with a 1e30, so chunks begin and end on literals.
+func TestChunkedSweepMatchesLevelPassEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	shapes := slices.Concat(encodeShapes, [][]int{{40, 9, 33}, {70, 33}, {600}})
+	for _, dims := range shapes {
+		data := encodeField(rng, dims)
+		slab := len(data) / dims[0]
+		for c := 0; c < dims[0]; c++ {
+			data[c*slab], data[c*slab+slab-1] = 1e30, 1e30
+		}
+		for _, anchor := range []int{0, 4} {
+			for _, m := range Candidates(len(dims)) {
+				for _, chunks := range []int{1, 2, 3, dims[0] + 3} {
+					ref, got := make([]float32, len(data)), make([]float32, len(data))
+					qRef, qGot := quant.New(1e-3, 0), quant.New(1e-3, 0)
+					maxL := MaxLevelGlobal(dims)
+					if anchor > 0 {
+						maxL = MaxLevelAnchored(anchor)
+						for _, idx := range AnchorIndices(dims, anchor) {
+							ref[idx], got[idx] = data[idx], data[idx]
+						}
+					} else {
+						ref[0] = qRef.Quantize(data[0], 0)
+						got[0] = qGot.Quantize(data[0], 0)
+					}
+					for level := maxL; level >= 1; level-- {
+						qRef.SetBound(1e-3 / float64(level))
+						qGot.SetBound(1e-3 / float64(level))
+						LevelPassEncode(ref, data, dims, level, m, qRef)
+						levelPassEncodeChunked(got, data, dims, level, m, qGot, chunks, 0, 1+chunks%3)
+						label := func() string {
+							return fmt.Sprintf("dims=%v anchor=%d m=%v chunks=%d level=%d", dims, anchor, m, chunks, level)
+						}
+						if !slices.Equal(qRef.Bins, qGot.Bins) {
+							t.Fatalf("%s: bin streams differ", label())
+						}
+						if i := sameBits(qRef.Literals, qGot.Literals); i >= 0 {
+							t.Fatalf("%s: literals diverge at %d (%d vs %d)", label(), i, len(qGot.Literals), len(qRef.Literals))
+						}
+						if i := sameBits(ref, got); i >= 0 {
+							t.Fatalf("%s: recon[%d] = %x, want %x", label(), i, math.Float32bits(got[i]), math.Float32bits(ref[i]))
+						}
+					}
+					if anchor == 0 && len(qRef.Literals) == 0 {
+						t.Fatalf("dims=%v: %d literals, the field exercises nothing", dims, len(qRef.Literals))
+					}
+				}
+			}
+		}
+	}
+}

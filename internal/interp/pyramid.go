@@ -30,6 +30,10 @@ type Pyramid struct {
 	// EB, Alpha and Beta give level l the bound LevelBound(EB, Alpha,
 	// Beta, l); Alpha = Beta = 1 gives every level EB.
 	EB, Alpha, Beta float64
+	// Workers bounds the goroutines Encode sweeps a level on, the caller's
+	// among them; 0 or 1 sweeps on the caller alone. It changes nothing
+	// in the encoding.
+	Workers int
 }
 
 // LevelBound computes e_l = e / min(α^(l-1), β) (paper Eq. 5). Level 1
@@ -123,7 +127,11 @@ func (p *Pyramid) Encode(data []float32) *Encoding {
 	ends[0] = [2]int{len(q.Bins), len(q.Literals)}
 	for l := top; l >= 1; l-- {
 		q.SetBound(LevelBound(p.EB, p.Alpha, p.Beta, l))
-		LevelPassEncode(e.Recon, data, p.Dims, l, p.method(l), q)
+		if p.Workers > 1 {
+			levelPassEncodeChunked(e.Recon, data, p.Dims, l, p.method(l), q, p.Workers, minChunkedPass, p.Workers)
+		} else {
+			LevelPassEncode(e.Recon, data, p.Dims, l, p.method(l), q)
+		}
 		ends = append(ends, [2]int{len(q.Bins), len(q.Literals)})
 	}
 	e.Run = Segment{Bins: q.Bins, Literals: q.Literals}

@@ -100,18 +100,60 @@ func alongRuns(runs *[4]lineRun, n, s int, kind Kind) []lineRun {
 	return out
 }
 
+// span limits a sweep to the sub-pass numbered pass (-1 visits them all)
+// and, within what it visits, to the points whose dim-0 coordinate lies in
+// [lo, hi).
+type span struct{ pass, lo, hi int }
+
+// whole is the span of a full level sweep over dims.
+func whole(dims []int) span { return span{-1, 0, dims[0]} }
+
+// subPass describes sub-pass p of the level of stride s by the dim-0
+// coordinates its points take — start, start+step, … below dims[0] —
+// each holding perRow points. The CountLevelPoints product is rows ×
+// perRow, summed over the sub-passes.
+func subPass(dims []int, s int, m Method, p int) (start, step, perRow int) {
+	d := p
+	if m.Order == Decreasing {
+		d = len(dims) - 1 - p
+	}
+	perRow = 1
+	for q := 1; q < len(dims); q++ {
+		st, sp := lattice(q, d, s, m)
+		perRow *= countRange(st, sp, dims[q])
+	}
+	start, step = lattice(0, d, s, m)
+	return start, step, perRow
+}
+
+// lattice returns the coordinates dimension q takes in the sub-pass along
+// d at stride s, start, start+step, …: the active dimension starts at s,
+// dimensions already swept at this level are dense at stride s, the rest
+// still at 2s.
+func lattice(q, d, s int, m Method) (start, step int) {
+	switch {
+	case q == d:
+		return s, 2 * s
+	case (q < d) != (m.Order == Decreasing): // swept
+		return 0, s
+	}
+	return 0, 2 * s
+}
+
 // sweep visits the points LevelPass predicts at this level, in LevelPass's
 // order, as runs: run is called with the flat indices lo, lo+step, … < hi
 // of points that all predict with the stencil form from neighbours at
 // flat offsets ±off1 and ±3·off1. Within one sub-pass every stencil reads
 // only points whose active coordinate is an even multiple of the stride
 // and the pass writes only odd multiples, so a kernel may predict a whole
-// run before committing any of it.
-func sweep(dims []int, level int, m Method, run func(lo, hi, step, off1, form int)) {
+// run before committing any of it — and the points of disjoint dim-0
+// ranges of one sub-pass may be swept concurrently (sp).
+func sweep(dims []int, level int, m Method, sp span, run func(lo, hi, step, off1, form int)) {
 	nd := len(dims)
 	if nd > maxFlatDims {
 		panic("interp: sweep over more than maxFlatDims dimensions")
 	}
+	lim0 := min(sp.hi, dims[0])
 	var strides, coord, steps [maxFlatDims]int
 	sv := 1
 	for i := nd - 1; i >= 0; i-- {
@@ -123,6 +165,9 @@ func sweep(dims []int, level int, m Method, run func(lo, hi, step, off1, form in
 	var runBuf [4]lineRun
 
 	for p := 0; p < nd; p++ {
+		if sp.pass >= 0 && p != sp.pass {
+			continue
+		}
 		d := p
 		if m.Order == Decreasing {
 			d = nd - 1 - p
@@ -130,27 +175,26 @@ func sweep(dims []int, level int, m Method, run func(lo, hi, step, off1, form in
 		if dims[d] <= s {
 			continue // no points to predict along this dimension
 		}
-		// Dimensions already swept at this level are dense at stride s,
-		// the rest still at 2s; the active one starts at s.
 		for q := 0; q < nd; q++ {
-			swept := q < d
-			if m.Order == Decreasing {
-				swept = q > d
-			}
-			steps[q] = 2 * s
-			if swept {
-				steps[q] = s
-			}
-			coord[q] = 0
+			coord[q], steps[q] = lattice(q, d, s, m)
 		}
-		coord[d] = s
+		// The span's first dim-0 coordinate on this sub-pass's lattice.
+		if sp.lo > coord[0] {
+			coord[0] += (sp.lo - coord[0] + steps[0] - 1) / steps[0] * steps[0]
+		}
+		if coord[0] >= lim0 {
+			continue
+		}
 		base := 0
-		if d != inner {
-			base = s * strides[d]
+		for q := 0; q < inner; q++ {
+			base += coord[q] * strides[q]
 		}
 		var along []lineRun
 		if d == inner {
 			along = alongRuns(&runBuf, dims[d], s, m.Kind)
+			if nd == 1 {
+				along = clipRuns(along, coord[0], lim0, steps[0])
+			}
 		}
 		for {
 			if d == inner {
@@ -164,7 +208,7 @@ func sweep(dims []int, level int, m Method, run func(lo, hi, step, off1, form in
 			for q >= 0 {
 				coord[q] += steps[q]
 				base += steps[q] * strides[q]
-				if coord[q] < dims[q] {
+				if coord[q] < dims[q] && (q > 0 || coord[0] < lim0) {
 					break
 				}
 				start := 0
@@ -180,4 +224,21 @@ func sweep(dims []int, level int, m Method, run func(lo, hi, step, off1, form in
 			}
 		}
 	}
+}
+
+// clipRuns trims the runs of a 1-D line, whose points sit at offsets
+// on a lattice of the given step, to the offsets in [lo, hi), dropping
+// runs left empty. lo is on the lattice.
+func clipRuns(runs []lineRun, lo, hi, step int) []lineRun {
+	out := runs[:0]
+	for _, r := range runs {
+		if r.lo < lo {
+			r.lo += (lo - r.lo + step - 1) / step * step
+		}
+		r.hi = min(r.hi, hi)
+		if r.lo < r.hi {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -26,9 +26,9 @@ func FuzzSweepVsLevelPass(f *testing.F) {
 		for d, n := range dims {
 			e[d] = uint16(n - 1)
 		}
-		f.Add(uint8(len(dims)-1), e[0], e[1], e[2], e[3], uint8(i), uint8(i), int8(i), stream[i%len(stream):])
+		f.Add(uint8(len(dims)-1), e[0], e[1], e[2], e[3], uint8(i), uint8(i), int8(i), uint8(i), stream[i%len(stream):])
 	}
-	f.Fuzz(func(t *testing.T, nd uint8, e0, e1, e2, e3 uint16, lvl, method uint8, ebExp int8, stream []byte) {
+	f.Fuzz(func(t *testing.T, nd uint8, e0, e1, e2, e3 uint16, lvl, method uint8, ebExp int8, chunks uint8, stream []byte) {
 		if len(stream) == 0 {
 			stream = []byte{0x55}
 		}
@@ -87,11 +87,12 @@ func FuzzSweepVsLevelPass(f *testing.F) {
 			t.Fatalf("decode dims=%v level=%d m=%v: literal accounts diverge: %s vs %s", dims, level, m, a, b)
 		}
 
-		// Encode and L1 kernels.
+		// Encode, chunked encode and L1 kernels.
 		ref = append(ref[:0], seed...)
 		fast = append(fast[:0], seed...)
 		fastL1 := append([]float32(nil), seed...)
-		qRef, qFast, qL1 := quant.New(eb, 0), quant.New(eb, 0), quant.New(eb, 0)
+		fastChunked := append([]float32(nil), seed...)
+		qRef, qFast, qL1, qChunked := quant.New(eb, 0), quant.New(eb, 0), quant.New(eb, 0), quant.New(eb, 0)
 		sumRef := float64(at(1))
 		LevelPass(ref, dims, level, m, func(idx int, pred float64) float32 {
 			sumRef += math.Abs(pred - float64(data[idx]))
@@ -99,13 +100,14 @@ func FuzzSweepVsLevelPass(f *testing.F) {
 		})
 		LevelPassEncode(fast, data, dims, level, m, qFast)
 		sumL1 := LevelPassEncodeL1(fastL1, data, dims, level, m, qL1, float64(at(1)))
+		levelPassEncodeChunked(fastChunked, data, dims, level, m, qChunked, 1+int(chunks)%17, 0, 2)
 		if math.Float64bits(sumL1) != math.Float64bits(sumRef) {
 			t.Fatalf("L1 dims=%v level=%d m=%v: sum %v, want %v", dims, level, m, sumL1, sumRef)
 		}
 		for name, got := range map[string]struct {
 			recon []float32
 			q     *quant.Quantizer
-		}{"encode": {fast, qFast}, "L1": {fastL1, qL1}} {
+		}{"encode": {fast, qFast}, "L1": {fastL1, qL1}, "chunked": {fastChunked, qChunked}} {
 			if i := sameBits(ref, got.recon); i >= 0 {
 				t.Fatalf("%s dims=%v level=%d m=%v: recon[%d] = %x, want %x", name, dims, level, m, i,
 					math.Float32bits(got.recon[i]), math.Float32bits(ref[i]))

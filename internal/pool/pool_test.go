@@ -3,8 +3,11 @@ package pool
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunVisitsEveryIndex(t *testing.T) {
@@ -121,5 +124,127 @@ func TestSlabBound(t *testing.T) {
 	PutSlab(b)
 	if f[9] != slabPoison || b[9] != slabPoison {
 		t.Errorf("released slabs hold %v and %#x, want the poison pattern", f[9], b[9])
+	}
+}
+
+// settle waits for the goroutine count to fall back to base: a worker
+// that has signalled its WaitGroup still takes a moment to exit.
+func settle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestPanicReachesCaller pins that a panic in a worker is re-raised on
+// the calling goroutine, where a recover can catch it, only after every
+// worker has returned, and with no goroutine left behind. Items 0 and 1
+// wait for each other, so they run on two goroutines at once: across the
+// rounds item 1 panics both on a spawned worker and on the caller.
+func TestPanicReachesCaller(t *testing.T) {
+	entries := map[string]func(do func(i int)){
+		"Run": func(do func(i int)) { Run(4, 2, do) },
+		"RunErr": func(do func(i int)) {
+			_ = RunErr(context.Background(), 4, 2, func(i int) error { do(i); return nil })
+		},
+		"Fork": func(do func(i int)) { Fork(4, 2, func(_, i int) { do(i) }) },
+	}
+	for name, run := range entries {
+		for round := 0; round < 20; round++ {
+			base := runtime.NumGoroutine()
+			var running atomic.Int32
+			var both sync.WaitGroup
+			both.Add(2)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				run(func(i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					if i < 2 {
+						both.Done()
+						both.Wait()
+					}
+					if i == 1 {
+						panic("boom")
+					}
+				})
+				return nil
+			}()
+			if got != "boom" {
+				t.Fatalf("%s: recovered %v, want the worker's panic", name, got)
+			}
+			if n := running.Load(); n != 0 {
+				t.Fatalf("%s: re-raised while %d items were still running", name, n)
+			}
+			settle(t, base)
+		}
+	}
+}
+
+// TestPanicStopsClaims pins that a panic stops the pool from starting
+// further items.
+func TestPanicStopsClaims(t *testing.T) {
+	var ran atomic.Int32
+	func() {
+		defer func() { _ = recover() }()
+		Fork(1000, 2, func(_, i int) {
+			ran.Add(1)
+			if i == 0 {
+				panic("boom")
+			}
+		})
+	}()
+	if n := ran.Load(); n > 500 {
+		t.Fatalf("%d items ran after the first panicked", n)
+	}
+}
+
+// TestForkWorkerIndex pins Fork's worker numbering: every index visited
+// once, w within [0, workers), and w == 0 on the calling goroutine alone
+// when one worker runs everything.
+func TestForkWorkerIndex(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		var hits [41]atomic.Int32
+		var bad atomic.Int32
+		Fork(len(hits), workers, func(w, i int) {
+			if w < 0 || w >= workers {
+				bad.Add(1)
+			}
+			hits[i].Add(1)
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("workers=%d: a worker index out of range", workers)
+		}
+		for i := range hits {
+			if hits[i].Load() != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, hits[i].Load())
+			}
+		}
+	}
+}
+
+// TestWorkerBudget pins the budget a context carries and how a pool is
+// shared.
+func TestWorkerBudget(t *testing.T) {
+	if got := Workers(context.Background()); got != 1 {
+		t.Fatalf("a bare context carries %d workers, want 1", got)
+	}
+	if got := Workers(WithWorkers(context.Background(), 0)); got != 1 {
+		t.Fatalf("a budget of 0 reads as %d, want 1", got)
+	}
+	if got := Workers(WithWorkers(context.Background(), 3)); got != 3 {
+		t.Fatalf("budget reads as %d, want 3", got)
+	}
+	for _, c := range []struct{ workers, n, want int }{{2, 1, 2}, {2, 4, 1}, {8, 3, 2}, {3, 0, 3}} {
+		if got := Share(c.workers, c.n); got != c.want {
+			t.Fatalf("Share(%d, %d) = %d, want %d", c.workers, c.n, got, c.want)
+		}
+	}
+	if got := Share(0, 1); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Share(0, 1) = %d, want GOMAXPROCS", got)
 	}
 }

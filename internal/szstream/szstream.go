@@ -14,6 +14,7 @@ import (
 	"qoz/internal/container"
 	"qoz/internal/huffman"
 	"qoz/internal/interp"
+	"qoz/internal/pool"
 )
 
 // Section ids within an SZ-family stream.
@@ -134,12 +135,21 @@ func (p *LevelPayload) Segment(level int) *interp.Segment {
 // the container remains decodable on its own. Sections are ordered
 // config, anchors, table, then segments from the seed stage down to level
 // 1 — exactly the order a progressive decoder consumes them.
-func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload) ([]byte, error) {
+//
+// workers bounds the goroutines the entropy stage runs on, the caller's
+// among them; the bytes do not depend on it. Above one, the table's
+// histogram is counted in halves, the largest segment's Huffman bits are
+// deflated as they complete, and the other sections are coded and
+// deflated alongside.
+func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers int) ([]byte, error) {
 	runs := make([][]uint32, len(p.Segments))
 	for i, seg := range p.Segments {
+		if seg.Level < 1 || seg.Level > MaxSegLevel {
+			return nil, errors.New("szstream: segment level out of range")
+		}
 		runs[i] = seg.Bins
 	}
-	tbl := huffman.BuildTable(runs...)
+	tbl := huffman.BuildTableWorkers(workers, runs...)
 	s := &container.Stream{
 		Codec:      codec,
 		Dims:       dims,
@@ -150,14 +160,10 @@ func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload) ([]byte,
 			{ID: SecHuffTable, Data: tbl.AppendHeader(nil)},
 		},
 	}
-	for _, seg := range p.Segments {
-		if seg.Level < 1 || seg.Level > MaxSegLevel {
-			return nil, errors.New("szstream: segment level out of range")
-		}
-		s.Sections = append(s.Sections, container.Section{
-			ID:   uint8(SecLevelBinsBase + seg.Level),
-			Data: tbl.EncodeSegment(seg.Bins),
-		})
+	binsAt := make([]int, len(p.Segments)) // section index of each segment's bins
+	for i, seg := range p.Segments {
+		binsAt[i] = len(s.Sections)
+		s.Sections = append(s.Sections, container.Section{ID: uint8(SecLevelBinsBase + seg.Level)})
 		if len(seg.Literals) > 0 {
 			s.Sections = append(s.Sections, container.Section{
 				ID:   uint8(SecLevelLitsBase + seg.Level),
@@ -165,7 +171,64 @@ func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload) ([]byte,
 			})
 		}
 	}
-	return container.Encode(s)
+	if workers <= 1 || len(p.Segments) == 0 {
+		for i, seg := range p.Segments {
+			s.Sections[binsAt[i]].Data = tbl.EncodeSegment(seg.Bins)
+		}
+		return container.Encode(s)
+	}
+	return encodeConcurrently(s, tbl, p.Segments, binsAt, workers)
+}
+
+// encodeConcurrently finishes EncodeLevels on several goroutines. Task 0
+// codes the largest segment, handing its bytes over in pieces as they
+// complete; task 1 deflates those pieces as they arrive, for that one
+// DEFLATE stream is the stage's longest; the remaining tasks code (the
+// other segments) and deflate (every other section) one section each.
+func encodeConcurrently(s *container.Stream, tbl *huffman.Table, segs []interp.Segment, binsAt []int, workers int) ([]byte, error) {
+	big := 0
+	for i, seg := range segs {
+		if len(seg.Bins) > len(segs[big].Bins) {
+			big = i
+		}
+	}
+	var rest []int                        // sections packed whole
+	segOf := make([]int, len(s.Sections)) // bins section → segment, else -1
+	for j := range s.Sections {
+		segOf[j] = -1
+		if j != binsAt[big] {
+			rest = append(rest, j)
+		}
+	}
+	for i, j := range binsAt {
+		segOf[j] = i
+	}
+	packed := make([]container.Packed, len(s.Sections))
+	// Sized to every piece the coder sends, so it never blocks on a
+	// deflater that has stopped.
+	pieces := make(chan []byte, len(segs[big].Bins)/huffman.PieceSymbols+2)
+	pool.Fork(2+len(rest), workers, func(_, task int) {
+		switch task {
+		case 0:
+			defer close(pieces)
+			j := binsAt[big]
+			s.Sections[j].Data = tbl.EncodeSegmentPieces(segs[big].Bins, func(b []byte) { pieces <- b })
+		case 1:
+			var pk container.Packer
+			for b := range pieces {
+				pk.Write(b)
+			}
+			j := binsAt[big] // the coder's section is complete once pieces is closed
+			packed[j] = pk.Close(s.Sections[j])
+		default:
+			j := rest[task-2]
+			if i := segOf[j]; i >= 0 {
+				s.Sections[j].Data = tbl.EncodeSegment(segs[i].Bins)
+			}
+			packed[j] = container.Pack(s.Sections[j])
+		}
+	})
+	return container.EncodePacked(s, packed)
 }
 
 // IsLevelStream reports whether a decoded container uses the

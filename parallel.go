@@ -38,6 +38,8 @@ func EncodeFields(ctx context.Context, c Codec, fields []Field, opts Options, wo
 		c = MustLookup(DefaultCodec)
 	}
 	results := make([]FieldResult, len(fields))
+	// Workers the fields leave idle go to each field's own stages.
+	fieldCtx := pool.WithWorkers(ctx, pool.Share(workers, len(fields)))
 	runPool(len(fields), workers, func(i int) {
 		f := fields[i]
 		results[i].Name = f.Name
@@ -49,7 +51,7 @@ func EncodeFields(ctx context.Context, c Codec, fields []Field, opts Options, wo
 			results[i].Err = errors.New("qoz: nil field data")
 			return
 		}
-		buf, err := c.Compress(ctx, f.Data, f.Dims, opts)
+		buf, err := c.Compress(fieldCtx, f.Data, f.Dims, opts)
 		results[i].Bytes = buf
 		results[i].Err = err
 	})

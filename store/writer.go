@@ -26,8 +26,12 @@ type WriteOptions struct {
 	// Brick is the brick shape, one extent per field dimension; nil
 	// selects DefaultBrick(dims).
 	Brick []int
-	// Workers bounds concurrent brick compressions (<=0 selects
-	// GOMAXPROCS).
+	// Workers bounds the goroutines a write runs on (<=0 selects
+	// GOMAXPROCS): its concurrent brick compressions, and within each
+	// brick that brick's own stages (the QoZ codec's tuner trials, level
+	// sweeps and entropy coding), which share what the bricks of a band
+	// leave idle — max(1, Workers/bricks) each. The bytes do not depend on
+	// it.
 	Workers int
 	// Float64 selects double-precision elements for CreateMutable, whose
 	// element type cannot come from a type parameter (the store it creates
@@ -345,11 +349,13 @@ func compressBand[T qoz.Float](ctx context.Context, hdr *header, codec qoz.Codec
 	hi[0], bandDims[0] = lo[0]+rows, rows
 	payloads := make([][]byte, nb)
 	entries := make([]brickEntry, nb)
+	// Workers the band's bricks leave idle go to each brick's own stages.
+	brickCtx := pool.WithWorkers(ctx, pool.Share(workers, nb))
 	err := pool.RunErr(ctx, nb, workers, func(k int) error {
 		p := bk.Piece(brickBase+k, lo[:nd], hi[:nd])
 		srcLo, size := grid.Sub(p.Lo[:nd], lo[:nd]), grid.Sub(p.Hi[:nd], p.Lo[:nd])
 		var err error
-		payloads[k], entries[k], err = compressBrick(ctx, codec, opts, band, bandDims[:nd], srcLo[:nd], size[:nd], brickBase+k)
+		payloads[k], entries[k], err = compressBrick(brickCtx, codec, opts, band, bandDims[:nd], srcLo[:nd], size[:nd], brickBase+k)
 		return err
 	})
 	if err != nil {

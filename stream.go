@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"qoz/internal/container"
+	"qoz/internal/pool"
 )
 
 const (
@@ -72,8 +73,11 @@ type StreamOptions struct {
 	// SlabPoints is the target number of points per slab (0 selects
 	// DefaultSlabPoints). Slabs are whole rows of the slowest dimension.
 	SlabPoints int
-	// Workers bounds concurrent slab compressions (<=0 selects
-	// GOMAXPROCS).
+	// Workers bounds the goroutines an Encode runs on (<=0 selects
+	// GOMAXPROCS): its concurrent slab compressions, and within each slab
+	// that slab's own stages (the QoZ codec's tuner trials, level sweeps
+	// and entropy coding), which share what the slabs leave idle —
+	// max(1, Workers/slabs) each. The bytes do not depend on it.
 	Workers int
 }
 
@@ -124,11 +128,13 @@ func EncodeT[T Float](ctx context.Context, e *Encoder, data []T, dims []int) err
 	}
 	rows, nslabs, rowPoints := planSlabs(dims, e.so.SlabPoints)
 	payloads := make([][]byte, nslabs)
+	// Workers the slabs leave idle go to each slab's own stages.
+	slabCtx := pool.WithWorkers(ctx, pool.Share(e.so.Workers, nslabs))
 	err = runPoolErr(ctx, nslabs, e.so.Workers, func(i int) error {
 		r0 := i * rows
 		r1 := min(r0+rows, dims[0])
 		sdims := append([]int{r1 - r0}, dims[1:]...)
-		p, err := EncodePayload(ctx, e.so.Codec, data[r0*rowPoints:r1*rowPoints], sdims, opts)
+		p, err := EncodePayload(slabCtx, e.so.Codec, data[r0*rowPoints:r1*rowPoints], sdims, opts)
 		if err != nil {
 			return fmt.Errorf("qoz: slab %d/%d: %w", i, nslabs, err)
 		}
