@@ -430,24 +430,23 @@ func (t *tuner) tuneParams() (alpha, beta float64) {
 	// Candidates whose level bounds coincide share one trial (evaluate's
 	// memo), but each is still compared, in this order: Table I's
 	// comparison is not transitive, so a candidate equal to one that lost
-	// to an earlier incumbent may still beat the current one. With
-	// workers to spare, every trial the comparisons will look up at eb is
-	// run first, concurrently; Table I's second points stay lazy.
-	if t.o.Workers > 1 {
-		var todo [][]float64
-		for _, c := range cands {
-			b := t.levelBounds(c.a, c.b, eb)
-			if _, ok := t.memoized(b); !ok && !slices.ContainsFunc(todo, func(o []float64) bool { return slices.Equal(o, b) }) {
-				todo = append(todo, b)
-			}
+	// to an earlier incumbent may still beat the current one. Every
+	// comparison looks up its candidate at eb, so those trials are run
+	// first, concurrently when workers allow; Table I's second points
+	// stay lazy.
+	var todo [][]float64
+	for _, c := range cands {
+		b := t.levelBounds(c.a, c.b, eb)
+		if _, ok := t.memoized(b); !ok && !slices.ContainsFunc(todo, func(o []float64) bool { return slices.Equal(o, b) }) {
+			todo = append(todo, b)
 		}
-		res := make([]evalResult, len(todo))
-		t.fork(len(todo), func(_ int, s *scratch, i int) { res[i] = t.measure(s, todo[i], t.methods) })
-		for i, b := range todo {
-			t.stats.Trials++
-			t.stats.Level1Sweeps++
-			t.memo = append(t.memo, memoEntry{b, res[i]})
-		}
+	}
+	res := make([]evalResult, len(todo))
+	t.fork(len(todo), func(_ int, s *scratch, i int) { res[i] = t.measure(s, todo[i], t.methods) })
+	for i, b := range todo {
+		t.stats.Trials++
+		t.stats.Level1Sweeps++
+		t.memo = append(t.memo, memoEntry{b, res[i]})
 	}
 	bestCand := cands[0]
 	bestRes := t.evaluate(bestCand.a, bestCand.b, eb)

@@ -37,43 +37,37 @@ type histogram struct {
 // round up to a whole one, held per P and zeroed again on every refill.
 var laneBufs = sync.Pool{New: func() any { return new([]uint32) }}
 
-// countSymbols histograms the concatenation of runs.
-func countSymbols(runs ...[]uint32) histogram {
-	lo, hi, total := symbolRange(runs)
+// countSymbols histograms the concatenation of runs. With parts above
+// one, that many equal shares of the symbols are scanned and counted on
+// as many goroutines and their counts summed: the same histogram in less
+// time on idle cores. One part counts on the caller.
+func countSymbols(parts int, runs ...[]uint32) histogram {
+	shares := split(runs, parts)
+	type extent struct {
+		lo, hi uint32
+		total  int
+	}
+	ext := make([]extent, len(shares))
+	pool.Fork(len(shares), len(shares), func(_, j int) {
+		ext[j].lo, ext[j].hi, ext[j].total = symbolRange(shares[j])
+	})
+	lo, hi, total := uint32(math.MaxUint32), uint32(0), 0
+	for _, e := range ext {
+		lo, hi, total = min(lo, e.lo), max(hi, e.hi), total+e.total
+	}
 	if total == 0 {
 		return histogram{}
 	}
 	if window := uint64(hi-lo) + 1; window <= maxFlatWindow && total <= math.MaxUint32 {
-		buf := countLanes(lo, int(window), runs)
-		h := fromLanes(lo, int(window), total, *buf, nil)
-		laneBufs.Put(buf)
+		bufs := make([]*[]uint32, len(shares))
+		pool.Fork(len(shares), len(shares), func(_, j int) { bufs[j] = countLanes(lo, int(window), shares[j]) })
+		h := fromLanes(lo, int(window), total, bufs)
+		for _, buf := range bufs {
+			laneBufs.Put(buf)
+		}
 		return h
 	}
 	return sortedHistogram(runs, total)
-}
-
-// countSymbolsHalves is countSymbols with each half of the symbols
-// scanned and counted on its own goroutine and the two counts summed: the
-// same histogram in about half the time on an idle core.
-func countSymbolsHalves(runs ...[]uint32) histogram {
-	var halves [2][][]uint32
-	halves[0], halves[1] = halve(runs)
-	var lo, hi [2]uint32
-	var total [2]int
-	pool.Fork(2, 2, func(_, j int) { lo[j], hi[j], total[j] = symbolRange(halves[j]) })
-	low, high, n := min(lo[0], lo[1]), max(hi[0], hi[1]), total[0]+total[1]
-	if n == 0 {
-		return histogram{}
-	}
-	if window := uint64(high-low) + 1; window <= maxFlatWindow && n <= math.MaxUint32 {
-		var bufs [2]*[]uint32
-		pool.Fork(2, 2, func(_, j int) { bufs[j] = countLanes(low, int(window), halves[j]) })
-		h := fromLanes(low, int(window), n, *bufs[0], *bufs[1])
-		laneBufs.Put(bufs[0])
-		laneBufs.Put(bufs[1])
-		return h
-	}
-	return sortedHistogram(runs, n)
 }
 
 // sortedHistogram histograms total symbols of runs whose window is too
@@ -97,23 +91,32 @@ func sortedHistogram(runs [][]uint32, total int) histogram {
 	return h
 }
 
-// halve cuts the concatenation of runs into two halves of equal symbol
-// count (the first one shorter by at most one).
-func halve(runs [][]uint32) (a, b [][]uint32) {
+// split cuts the concatenation of runs into parts shares of equal symbol
+// count, give or take one.
+func split(runs [][]uint32, parts int) [][][]uint32 {
+	if parts <= 1 {
+		return [][][]uint32{runs}
+	}
 	total := 0
 	for _, run := range runs {
 		total += len(run)
 	}
-	left := total / 2
-	for i, run := range runs {
-		if len(run) >= left {
-			a = append(runs[:i:i], run[:left])
-			b = append([][]uint32{run[left:]}, runs[i+1:]...)
-			return a, b
+	shares := make([][][]uint32, parts)
+	j, done := 0, 0 // the share being filled; symbols placed so far
+	for _, run := range runs {
+		for len(run) > 0 {
+			for j < parts-1 && done >= (j+1)*total/parts {
+				j++
+			}
+			n := len(run)
+			if j < parts-1 {
+				n = min(n, (j+1)*total/parts-done)
+			}
+			shares[j] = append(shares[j], run[:n])
+			run, done = run[n:], done+n
 		}
-		left -= len(run)
 	}
-	return runs, nil
+	return shares
 }
 
 // symbolRange returns the smallest and largest symbol of runs and how many
@@ -159,19 +162,18 @@ func countLanes(lo uint32, window int, runs [][]uint32) *[]uint32 {
 	return buf
 }
 
-// fromLanes sums countLanes' counters — of one buffer, or of two that
-// counted halves of the input — into a histogram.
-func fromLanes(lo uint32, window, total int, lanes, other []uint32) histogram {
+// fromLanes sums countLanes' counters — of one buffer, or of several that
+// counted shares of the input — into a histogram.
+func fromLanes(lo uint32, window, total int, bufs []*[]uint32) histogram {
 	// A narrow window is mostly occupied; a wide one (escapes far below
 	// the bins) is mostly gaps, and its few symbols grow the slices.
 	k := min(window, 64)
 	h := histogram{syms: make([]uint32, 0, k), freq: make([]uint64, 0, k), total: total}
-	for i := 0; i < len(lanes); i += 4 {
-		l := lanes[i : i+4 : i+4]
-		c := l[0] + l[1] + l[2] + l[3]
-		if other != nil {
-			o := other[i : i+4 : i+4]
-			c += o[0] + o[1] + o[2] + o[3]
+	for i := 0; i < 4*window; i += 4 {
+		var c uint32
+		for _, buf := range bufs {
+			l := (*buf)[i : i+4 : i+4]
+			c += l[0] + l[1] + l[2] + l[3]
 		}
 		if c != 0 {
 			h.syms = append(h.syms, lo+uint32(i/4))

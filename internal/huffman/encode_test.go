@@ -82,7 +82,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 	t.Run("sparse", func(t *testing.T) {
 		in := wideStream()
-		if h := countSymbols(in); h.syms[len(h.syms)-1]-h.syms[0] < maxFlatWindow {
+		if h := countSymbols(1, in); h.syms[len(h.syms)-1]-h.syms[0] < maxFlatWindow {
 			t.Fatal("stream is not wider than the flat window")
 		}
 		checkEncodeAgainstReference(t, in, 100, 101, 4000)
@@ -133,13 +133,13 @@ func histogramShapes() map[string][][]uint32 {
 // count it replaced, entry for entry.
 func TestCountSymbolsMatchesScalar(t *testing.T) {
 	for name, runs := range histogramShapes() {
-		got, want := countSymbols(runs...), refCountSymbols(runs...)
+		got, want := countSymbols(1, runs...), refCountSymbols(runs...)
 		if got.total != want.total || !equalU32(got.syms, want.syms) || !slices.Equal(got.freq, want.freq) {
 			t.Errorf("%s: histogram of %d symbols (%d distinct) differs from the scalar count (%d, %d distinct)",
 				name, got.total, len(got.syms), want.total, len(want.syms))
 		}
 	}
-	if h := countSymbols(histogramShapes()["sparse"]...); h.syms[len(h.syms)-1]-h.syms[0] < maxFlatWindow {
+	if h := countSymbols(1, histogramShapes()["sparse"]...); h.syms[len(h.syms)-1]-h.syms[0] < maxFlatWindow {
 		t.Fatal("the sparse shape is not wider than the flat window")
 	}
 }
@@ -293,7 +293,7 @@ func BenchmarkCountSymbolsPeaked(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				countSymbols(in)
+				countSymbols(1, in)
 			}
 		})
 	}
@@ -342,17 +342,20 @@ func BenchmarkBuildTable(b *testing.B) {
 
 // TestConcurrentEncodeMatchesSerial pins the two helpers a concurrent
 // entropy stage uses to what they stand in for: the histogram counted in
-// halves is countSymbols', for every shape and an empty input, and the
-// pieces EncodeSegmentPieces hands over concatenate to EncodeSegment's
-// segment, which it also returns.
+// 2 to 5 shares is the one counted whole, for every shape and an empty
+// input, and the pieces EncodeSegmentPieces hands over concatenate to
+// EncodeSegment's segment, which it also returns.
 func TestConcurrentEncodeMatchesSerial(t *testing.T) {
 	shapes := histogramShapes()
 	shapes["empty"] = [][]uint32{{}, {}}
 	shapes["long"] = [][]uint32{slices.Repeat(shapes["escapes"][0], 9), shapes["peaked"][0]}
 	for name, runs := range shapes {
-		got, want := countSymbolsHalves(runs...), countSymbols(runs...)
-		if got.total != want.total || !equalU32(got.syms, want.syms) || !slices.Equal(got.freq, want.freq) {
-			t.Errorf("%s: the histogram counted in halves differs", name)
+		want := countSymbols(1, runs...)
+		for parts := 2; parts <= 5; parts++ {
+			got := countSymbols(parts, runs...)
+			if got.total != want.total || !equalU32(got.syms, want.syms) || !slices.Equal(got.freq, want.freq) {
+				t.Errorf("%s: the histogram counted in %d shares differs", name, parts)
+			}
 		}
 		tbl := BuildTableWorkers(2, runs...)
 		if !bytes.Equal(tbl.AppendHeader(nil), BuildTable(runs...).AppendHeader(nil)) {

@@ -41,7 +41,7 @@ const maxTrivialRun = 1 << 40
 // Encode compresses the symbol stream. The output is independent of any
 // out-of-band state; Decode(Encode(s)) == s.
 func Encode(symbols []uint32) []byte {
-	h := countSymbols(symbols)
+	h := countSymbols(1, symbols)
 	header := make([]byte, 0, 16+3*len(h.syms))
 	header = binary.AppendUvarint(header, uint64(len(symbols)))
 	header = binary.AppendUvarint(header, uint64(len(h.syms)))
@@ -152,7 +152,7 @@ func unzigzag(u uint64) int64 {
 // would produce for the stream, excluding the header. It is used by the
 // online tuner for cheap bit-rate estimation.
 func EstimateBits(symbols []uint32) int {
-	h := countSymbols(symbols)
+	h := countSymbols(1, symbols)
 	if len(h.syms) < 2 {
 		return 0
 	}
@@ -161,7 +161,7 @@ func EstimateBits(symbols []uint32) int {
 
 // DumpLengths describes a stream's code for test diagnostics.
 func DumpLengths(symbols []uint32) string {
-	h := countSymbols(symbols)
+	h := countSymbols(1, symbols)
 	if len(h.syms) < 2 {
 		return "trivial"
 	}

@@ -42,20 +42,15 @@ type Table struct {
 // segment-encoded against it, given as one run or as the segments
 // themselves. Symbols absent from the build set cannot be encoded later.
 func BuildTable(segments ...[]uint32) *Table {
-	return buildTable(countSymbols(segments...))
+	return BuildTableWorkers(1, segments...)
 }
 
 // BuildTableWorkers is BuildTable for a caller with workers goroutines to
-// spare: above one, the histogram is counted in halves on two of them.
-// The table is the same.
+// spare: above one, the histogram is counted in halves on two of them,
+// for each further share would clear another counter buffer as wide as
+// the symbol window. The table is the same.
 func BuildTableWorkers(workers int, segments ...[]uint32) *Table {
-	if workers > 1 {
-		return buildTable(countSymbolsHalves(segments...))
-	}
-	return BuildTable(segments...)
-}
-
-func buildTable(h histogram) *Table {
+	h := countSymbols(min(workers, 2), segments...)
 	t := &Table{}
 	if len(h.syms) == 0 {
 		return t
@@ -174,7 +169,9 @@ func (t *Table) EncodeSegment(symbols []uint32) []byte {
 
 // PieceSymbols is how many symbols EncodeSegmentPieces codes between two
 // pieces: at the one to two bits a quantization bin takes, a piece of
-// 8–16 KiB.
+// 8–16 KiB. On 128³ fields at two workers 2^12 to 2^16 code and deflate
+// in the same time, and 2^18 or more leave the deflater waiting longer
+// (docs/PERFORMANCE.md, encode path §4).
 const PieceSymbols = 1 << 16
 
 // EncodeSegmentPieces is EncodeSegment that also hands the segment's

@@ -59,8 +59,10 @@ func levelPassEncode(recon, data []float32, dims []int, level int, m Method, q *
 }
 
 // minChunkedPass is the fewest points a sub-pass must hold before
-// Pyramid.Encode splits it over workers: below it, starting goroutines
-// costs more than the sweep.
+// Pyramid.Encode splits it over workers. On 128³ fields at two workers
+// 2^12 and 2^15 sweep in the same time, 2^18 is about 7 % slower and
+// never splitting 1.5× slower (docs/PERFORMANCE.md, encode path §4).
+// Smaller fields and more workers were not measured.
 const minChunkedPass = 1 << 15
 
 // levelPassEncodeChunked is LevelPassEncode with every sub-pass of at

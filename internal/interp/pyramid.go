@@ -127,11 +127,8 @@ func (p *Pyramid) Encode(data []float32) *Encoding {
 	ends[0] = [2]int{len(q.Bins), len(q.Literals)}
 	for l := top; l >= 1; l-- {
 		q.SetBound(LevelBound(p.EB, p.Alpha, p.Beta, l))
-		if p.Workers > 1 {
-			levelPassEncodeChunked(e.Recon, data, p.Dims, l, p.method(l), q, p.Workers, minChunkedPass, p.Workers)
-		} else {
-			LevelPassEncode(e.Recon, data, p.Dims, l, p.method(l), q)
-		}
+		w := max(1, p.Workers)
+		levelPassEncodeChunked(e.Recon, data, p.Dims, l, p.method(l), q, w, minChunkedPass, w)
 		ends = append(ends, [2]int{len(q.Bins), len(q.Literals)})
 	}
 	e.Run = Segment{Bins: q.Bins, Literals: q.Literals}

@@ -7,7 +7,9 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -22,7 +24,8 @@ func Run(n, workers int, do func(i int)) {
 // goroutine running the item (0 is the caller), so do can keep scratch per
 // worker rather than per item. Items are claimed in increasing order. A
 // panic in do stops further claims; once every worker has returned it is
-// re-raised on the caller with the first panic's value.
+// re-raised on the caller as a *Panic carrying the first panic's value and
+// the stack it was raised on.
 func Fork(n, workers int, do func(w, i int)) {
 	fork(nil, n, workers, func(w, i int) error {
 		do(w, i)
@@ -74,15 +77,17 @@ func fork(ctx context.Context, n, workers int, do func(w, i int) error) error {
 		stop     atomic.Bool // set by the first failure: claim nothing more
 		mu       sync.Mutex
 		firstErr error
-		panicked bool
-		panicVal any
+		first    *Panic
 	)
 	work := func(w int) {
 		defer func() {
 			if v := recover(); v != nil {
 				mu.Lock()
-				if !panicked {
-					panicked, panicVal = true, v
+				if first == nil {
+					first, _ = v.(*Panic) // raised by a fork nested in do
+					if first == nil {
+						first = &Panic{Value: v, Stack: debug.Stack()}
+					}
 				}
 				mu.Unlock()
 				stop.Store(true)
@@ -113,13 +118,34 @@ func fork(ctx context.Context, n, workers int, do func(w, i int) error) error {
 	}
 	work(0)
 	wg.Wait()
-	if panicked {
-		panic(panicVal)
+	if first != nil {
+		panic(first)
 	}
 	if firstErr != nil {
 		return firstErr
 	}
 	return cancelled()
+}
+
+// Panic is what Fork, Run and RunErr re-raise on the caller when do
+// panics on one of their goroutines: the value do panicked with and the
+// stack of the goroutine that raised it, which the re-raise would
+// otherwise lose. With one worker do runs on the caller, and its panic
+// propagates as it is.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+// Error reports the value and the stack it was raised on.
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v\n\npanicked on a pool worker:\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns the value when it is an error.
+func (p *Panic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 type budgetKey struct{}

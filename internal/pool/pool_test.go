@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,8 +175,12 @@ func TestPanicReachesCaller(t *testing.T) {
 				})
 				return nil
 			}()
-			if got != "boom" {
+			p, ok := got.(*Panic)
+			if !ok || p.Value != "boom" {
 				t.Fatalf("%s: recovered %v, want the worker's panic", name, got)
+			}
+			if !strings.Contains(string(p.Stack), "pool.TestPanicReachesCaller") {
+				t.Fatalf("%s: the re-raised panic lost the stack it was raised on:\n%s", name, p.Stack)
 			}
 			if n := running.Load(); n != 0 {
 				t.Fatalf("%s: re-raised while %d items were still running", name, n)
@@ -184,6 +189,32 @@ func TestPanicReachesCaller(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedPanicKeepsItsStack pins that a panic passing through a fork
+// nested in another reaches the caller once wrapped, with the stack of
+// the goroutine that raised it.
+func TestNestedPanicKeepsItsStack(t *testing.T) {
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Fork(2, 2, func(_, i int) {
+			Fork(2, 2, func(_, j int) {
+				if i == 1 && j == 1 {
+					raiseBoom()
+				}
+			})
+		})
+		return nil
+	}()
+	p, ok := got.(*Panic)
+	if !ok || p.Value != "boom" {
+		t.Fatalf("recovered %#v, want the inner panic's value wrapped once", got)
+	}
+	if !strings.Contains(string(p.Stack), "pool.raiseBoom") {
+		t.Fatalf("the re-raised panic lost the stack it was raised on:\n%s", p.Stack)
+	}
+}
+
+func raiseBoom() { panic("boom") }
 
 // TestPanicStopsClaims pins that a panic stops the pool from starting
 // further items.

@@ -142,6 +142,9 @@ func (p *LevelPayload) Segment(level int) *interp.Segment {
 // deflated as they complete, and the other sections are coded and
 // deflated alongside.
 func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers int) ([]byte, error) {
+	if len(p.Segments) == 0 {
+		return nil, errors.New("szstream: a level payload needs a segment")
+	}
 	runs := make([][]uint32, len(p.Segments))
 	for i, seg := range p.Segments {
 		if seg.Level < 1 || seg.Level > MaxSegLevel {
@@ -171,21 +174,16 @@ func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers 
 			})
 		}
 	}
-	if workers <= 1 || len(p.Segments) == 0 {
-		for i, seg := range p.Segments {
-			s.Sections[binsAt[i]].Data = tbl.EncodeSegment(seg.Bins)
-		}
-		return container.Encode(s)
-	}
-	return encodeConcurrently(s, tbl, p.Segments, binsAt, workers)
+	return encodeSections(s, tbl, p.Segments, binsAt, workers)
 }
 
-// encodeConcurrently finishes EncodeLevels on several goroutines. Task 0
-// codes the largest segment, handing its bytes over in pieces as they
+// encodeSections finishes EncodeLevels on up to workers goroutines. Task
+// 0 codes the largest segment, handing its bytes over in pieces as they
 // complete; task 1 deflates those pieces as they arrive, for that one
 // DEFLATE stream is the stage's longest; the remaining tasks code (the
 // other segments) and deflate (every other section) one section each.
-func encodeConcurrently(s *container.Stream, tbl *huffman.Table, segs []interp.Segment, binsAt []int, workers int) ([]byte, error) {
+// With one worker the tasks run in turn on the caller.
+func encodeSections(s *container.Stream, tbl *huffman.Table, segs []interp.Segment, binsAt []int, workers int) ([]byte, error) {
 	big := 0
 	for i, seg := range segs {
 		if len(seg.Bins) > len(segs[big].Bins) {
