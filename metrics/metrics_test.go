@@ -248,6 +248,43 @@ func TestSSIMBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestSSIMBitsPinned pins SSIM bit for bit on seeded fields whose windows
+// are full and ragged, 1-D to 3-D: a rewrite of the window walk must keep
+// the summation order. Shape {65}'s last window holds one point and is
+// skipped; {1, 40, 3}'s windows are all clipped on two axes.
+func TestSSIMBitsPinned(t *testing.T) {
+	cases := []struct {
+		dims []int
+		bits uint64
+	}{
+		{[]int{65}, 0x3fef3654c6cc173a},
+		{[]int{100}, 0x3fefc498730106f4},
+		{[]int{33, 17}, 0x3fef6edb6b2fe23d},
+		{[]int{6, 6, 6}, 0x3fefc36efe94ec3f},
+		{[]int{13, 7, 20}, 0x3fef3e45e11e1078},
+		{[]int{1, 40, 3}, 0x3fefaf703491c208},
+	}
+	for i, c := range cases {
+		n := 1
+		for _, d := range c.dims {
+			n *= d
+		}
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		orig, recon := make([]float32, n), make([]float32, n)
+		for j := range orig {
+			orig[j] = float32(math.Sin(float64(j)/9) + 0.2*rng.NormFloat64())
+			recon[j] = orig[j] + float32(0.05*rng.NormFloat64())
+		}
+		got, err := SSIM(orig, recon, c.dims)
+		if err != nil {
+			t.Fatalf("dims %v: %v", c.dims, err)
+		}
+		if b := math.Float64bits(got); b != c.bits {
+			t.Errorf("dims %v: SSIM = %v (bits %#x), want bits %#x", c.dims, got, b, c.bits)
+		}
+	}
+}
+
 // Property: PSNR decreases (or stays equal) as uniform noise amplitude grows.
 func TestPSNRMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
