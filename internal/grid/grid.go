@@ -1,237 +1,12 @@
-// Package grid provides the N-dimensional array substrate shared by all
-// compressors in this repository. A Grid owns a flat []float32 payload in
-// row-major (C) order together with its dimensions; predictions and error
-// analysis are carried out in float64 by the callers.
+// Package grid is the box geometry of row-major N-d arrays held as bare
+// slices: row-major strides and offsets (StridesOf, Dot), a field cut into
+// tiles (EachTile) or bricks (Bricks, Pieces), a box's step-aligned level
+// grid (LevelOf), and the one box walk (Walk) that steps a box through two
+// arrays a run at a time. Codecs, stores and the gateway share it; none of
+// it owns data.
 package grid
 
-import (
-	"errors"
-	"fmt"
-)
-
-// MaxDims is the largest dimensionality supported by the compression
-// pipelines (the paper evaluates 2D and 3D data; 1D works as well).
-const MaxDims = 4
-
-// Grid is a dense N-dimensional array of float32 values in row-major order.
-// The last dimension varies fastest, matching the layout of the scientific
-// datasets used in the paper (and of SDRBench binary dumps).
-type Grid struct {
-	dims    []int
-	strides []int
-	data    []float32
-}
-
-// New allocates a zero-filled grid with the given dimensions.
-func New(dims ...int) (*Grid, error) {
-	n, strides, err := checkDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	g := &Grid{
-		dims:    append([]int(nil), dims...),
-		strides: strides,
-		data:    make([]float32, n),
-	}
-	return g, nil
-}
-
-// MustNew is New but panics on invalid dimensions. It is intended for
-// tests and generators with statically known shapes.
-func MustNew(dims ...int) *Grid {
-	g, err := New(dims...)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// FromSlice wraps an existing flat payload without copying. The slice
-// length must equal the product of dims.
-func FromSlice(data []float32, dims ...int) (*Grid, error) {
-	n, strides, err := checkDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != n {
-		return nil, fmt.Errorf("grid: payload length %d does not match dims %v (want %d)", len(data), dims, n)
-	}
-	return &Grid{
-		dims:    append([]int(nil), dims...),
-		strides: strides,
-		data:    data,
-	}, nil
-}
-
-func checkDims(dims []int) (n int, strides []int, err error) {
-	if len(dims) == 0 {
-		return 0, nil, errors.New("grid: no dimensions")
-	}
-	if len(dims) > MaxDims {
-		return 0, nil, fmt.Errorf("grid: %d dimensions exceeds maximum %d", len(dims), MaxDims)
-	}
-	n = 1
-	for _, d := range dims {
-		if d <= 0 {
-			return 0, nil, fmt.Errorf("grid: non-positive dimension in %v", dims)
-		}
-		if n > (1<<31)/d {
-			return 0, nil, fmt.Errorf("grid: dims %v overflow supported size", dims)
-		}
-		n *= d
-	}
-	strides = make([]int, len(dims))
-	s := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
-	return n, strides, nil
-}
-
-// NumDims reports the dimensionality of the grid.
-func (g *Grid) NumDims() int { return len(g.dims) }
-
-// Dims returns the grid dimensions. The returned slice must not be modified.
-func (g *Grid) Dims() []int { return g.dims }
-
-// Dim returns the extent of dimension d.
-func (g *Grid) Dim(d int) int { return g.dims[d] }
-
-// Strides returns the row-major strides (elements, not bytes). The returned
-// slice must not be modified.
-func (g *Grid) Strides() []int { return g.strides }
-
-// Len returns the total number of elements.
-func (g *Grid) Len() int { return len(g.data) }
-
-// Data exposes the flat payload. Mutating it mutates the grid.
-func (g *Grid) Data() []float32 { return g.data }
-
-// Index converts a multi-index to a flat offset. It performs no bounds
-// checking beyond what the slice access in the caller will do.
-func (g *Grid) Index(coord ...int) int {
-	off := 0
-	for i, c := range coord {
-		off += c * g.strides[i]
-	}
-	return off
-}
-
-// At returns the value at the given multi-index.
-func (g *Grid) At(coord ...int) float32 { return g.data[g.Index(coord...)] }
-
-// Set stores v at the given multi-index.
-func (g *Grid) Set(v float32, coord ...int) { g.data[g.Index(coord...)] = v }
-
-// Clone returns a deep copy of the grid.
-func (g *Grid) Clone() *Grid {
-	dup := &Grid{
-		dims:    append([]int(nil), g.dims...),
-		strides: append([]int(nil), g.strides...),
-		data:    make([]float32, len(g.data)),
-	}
-	copy(dup.data, g.data)
-	return dup
-}
-
-// SameShape reports whether g and h have identical dimensions.
-func (g *Grid) SameShape(h *Grid) bool {
-	if len(g.dims) != len(h.dims) {
-		return false
-	}
-	for i := range g.dims {
-		if g.dims[i] != h.dims[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ValueRange returns the minimum and maximum values of the grid.
-// A single-valued (constant) grid returns min == max.
-func (g *Grid) ValueRange() (lo, hi float32) {
-	lo, hi = g.data[0], g.data[0]
-	for _, v := range g.data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// SubGrid copies the block with inclusive origin and the given size into a
-// fresh grid. The block is clipped against the grid boundary, so the
-// returned grid may be smaller than size along trailing edges.
-func (g *Grid) SubGrid(origin, size []int) *Grid {
-	nd := len(g.dims)
-	actual := make([]int, nd)
-	for d := 0; d < nd; d++ {
-		end := origin[d] + size[d]
-		if end > g.dims[d] {
-			end = g.dims[d]
-		}
-		actual[d] = end - origin[d]
-		if actual[d] <= 0 {
-			actual[d] = 1 // degenerate; caller asked for an edge block
-		}
-	}
-	sub := MustNew(actual...)
-	coord := make([]int, nd)
-	srcCoord := make([]int, nd)
-	for i := 0; i < sub.Len(); i++ {
-		for d := 0; d < nd; d++ {
-			srcCoord[d] = origin[d] + coord[d]
-		}
-		sub.data[i] = g.data[g.Index(srcCoord...)]
-		incCoord(coord, actual)
-	}
-	return sub
-}
-
-// incCoord advances a row-major multi-index by one position.
-func incCoord(coord, dims []int) {
-	for d := len(dims) - 1; d >= 0; d-- {
-		coord[d]++
-		if coord[d] < dims[d] {
-			return
-		}
-		coord[d] = 0
-	}
-}
-
-// EachBlock invokes fn for every non-overlapping block of the given size
-// covering the grid (edge blocks are clipped). fn receives the block origin.
-func (g *Grid) EachBlock(size []int, fn func(origin []int)) {
-	nd := len(g.dims)
-	origin := make([]int, nd)
-	for {
-		fn(append([]int(nil), origin...))
-		d := nd - 1
-		for d >= 0 {
-			origin[d] += size[d]
-			if origin[d] < g.dims[d] {
-				break
-			}
-			origin[d] = 0
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
-// String implements fmt.Stringer with a compact shape description.
-func (g *Grid) String() string {
-	return fmt.Sprintf("grid%v", g.dims)
-}
-
-// StridesOf returns the row-major strides for dims without constructing a
-// Grid. Shared by the codecs that operate on bare slices.
+// StridesOf returns the row-major strides for dims.
 func StridesOf(dims []int) []int {
 	strides := make([]int, len(dims))
 	s := 1
@@ -252,9 +27,9 @@ func Dot(coord, strides []int) int {
 }
 
 // EachTile invokes fn for every non-overlapping tile of edge length `edge`
-// covering dims, passing the tile's origin and clipped size. It is the
-// slice-level counterpart of (*Grid).EachBlock used by the block-based
-// codecs (SZ2's 6^3 prediction blocks, ZFP's 4^d transform blocks).
+// covering dims, in row-major order of their origins, passing the tile's
+// origin and clipped size. The block-based codecs tile with it (SZ2's 6^3
+// prediction blocks, ZFP's 4^d transform blocks).
 func EachTile(dims []int, edge int, fn func(origin, size []int)) {
 	nd := len(dims)
 	origin := make([]int, nd)
