@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"qoz/internal/container"
+	"qoz/internal/grid"
 	"qoz/internal/interp"
 	"qoz/internal/pool"
 	"qoz/internal/szstream"
@@ -301,34 +302,14 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 // reconstruction buffer into a dense row-major array over
 // interp.CoarseDims(dims, stride).
 func compactCoarse(recon []float32, dims []int, stride int) []float32 {
-	cd := interp.CoarseDims(dims, stride)
-	nd := len(dims)
-	strides := make([]int, nd)
-	s := 1
-	for i := nd - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
-	n := 1
-	for _, d := range cd {
-		n *= d
-	}
-	out := make([]float32, n)
-	coord := make([]int, nd)
-	for i := 0; i < n; i++ {
-		idx := 0
-		for d := 0; d < nd; d++ {
-			idx += coord[d] * stride * strides[d]
-		}
-		out[i] = recon[idx]
-		d := nd - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] < cd[d] {
-				break
-			}
-			coord[d] = 0
-			d--
+	var origin grid.Coord
+	zero := origin[:len(dims)]
+	g, _ := grid.LevelOf(zero, dims, stride)
+	out := make([]float32, g.N)
+	w := grid.Walk(g.Dims[:len(dims)], dims, zero, stride, g.Dims[:len(dims)], zero)
+	for w.Next() {
+		for j := range w.Run {
+			out[w.B+j] = recon[w.A+j*stride]
 		}
 	}
 	return out

@@ -86,15 +86,18 @@ func Fig4(w io.Writer, cfg Config, renderDir string) ([]Fig4Result, error) {
 // of total squared error held by the top 1% of tiles.
 func clusterScore(errField []float32, dims []int) float64 {
 	const edge = 8
-	strides := grid.StridesOf(dims)
+	var zero grid.Coord
 	var energies []float64
 	var total float64
 	grid.EachTile(dims, edge, func(origin, size []int) {
 		var e float64
-		forEachPointIn(origin, size, func(coord []int) {
-			v := float64(errField[grid.Dot(coord, strides)])
-			e += v * v
-		})
+		w := grid.Walk(size, dims, origin, 1, size, zero[:len(size)])
+		for w.Next() {
+			for _, x := range errField[w.A : w.A+w.Run] {
+				v := float64(x)
+				e += v * v
+			}
+		}
 		energies = append(energies, e)
 		total += e
 	})
@@ -119,27 +122,6 @@ func sortDesc(v []float64) {
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && v[j] > v[j-1]; j-- {
 			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func forEachPointIn(origin, size []int, fn func(coord []int)) {
-	nd := len(origin)
-	coord := make([]int, nd)
-	copy(coord, origin)
-	for {
-		fn(coord)
-		d := nd - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] < origin[d]+size[d] {
-				break
-			}
-			coord[d] = origin[d]
-			d--
-		}
-		if d < 0 {
-			return
 		}
 	}
 }

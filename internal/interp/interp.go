@@ -168,29 +168,17 @@ func MaxLevelAnchored(anchorStride int) int {
 // coordinates multiples of stride), in row-major order. The same order is
 // used when serializing and restoring anchors.
 func AnchorIndices(dims []int, stride int) []int {
-	nd := len(dims)
-	strides := grid.StridesOf(dims)
-	var out []int
-	coord := make([]int, nd)
-	for {
-		idx := 0
-		for d := 0; d < nd; d++ {
-			idx += coord[d] * strides[d]
-		}
-		out = append(out, idx)
-		d := nd - 1
-		for d >= 0 {
-			coord[d] += stride
-			if coord[d] < dims[d] {
-				break
-			}
-			coord[d] = 0
-			d--
-		}
-		if d < 0 {
-			return out
+	var origin grid.Coord
+	zero := origin[:len(dims)]
+	g, _ := grid.LevelOf(zero, dims, stride)
+	out := make([]int, 0, g.N)
+	w := grid.Walk(g.Dims[:len(dims)], dims, zero, stride, g.Dims[:len(dims)], zero)
+	for w.Next() {
+		for j := range w.Run {
+			out = append(out, w.A+j*stride)
 		}
 	}
+	return out
 }
 
 // LevelPass runs the prediction sweep for one level over buf (the

@@ -140,23 +140,15 @@ func CenterBlock(data []float32, dims []int, edge int) Block {
 // cut copies the block of extent size at origin out of a flat row-major
 // field of shape dims.
 func cut(data []float32, dims, origin, size []int) Block {
-	strides := grid.StridesOf(dims)
 	n := 1
 	for _, s := range size {
 		n *= s
 	}
-	base := grid.Dot(origin, strides)
 	vals := make([]float32, n)
-	coord := make([]int, len(dims))
-	for i := range vals {
-		vals[i] = data[base+grid.Dot(coord, strides)]
-		for d := len(dims) - 1; d >= 0; d-- {
-			coord[d]++
-			if coord[d] < size[d] {
-				break
-			}
-			coord[d] = 0
-		}
+	var zero grid.Coord
+	w := grid.Walk(size, dims, origin, 1, size, zero[:len(size)])
+	for w.Next() {
+		copy(vals[w.B:w.B+w.Run], data[w.A:])
 	}
 	return Block{Origin: origin, Dims: size, Data: vals}
 }

@@ -3,6 +3,8 @@ package metrics
 import (
 	"errors"
 	"math"
+
+	"qoz/internal/grid"
 )
 
 // SSIM constants follow Wang et al. 2004 with K1=0.01, K2=0.03 applied to
@@ -47,94 +49,53 @@ func SSIM(orig, recon []float32, dims []int) (float64, error) {
 	c1 := (ssimK1 * vr) * (ssimK1 * vr)
 	c2 := (ssimK2 * vr) * (ssimK2 * vr)
 
-	var win []int
+	var edge int // windows are cubes
 	switch len(dims) {
 	case 1:
-		win = []int{ssimWindow2D * ssimWindow2D}
+		edge = ssimWindow2D * ssimWindow2D
 	case 2:
-		win = []int{ssimWindow2D, ssimWindow2D}
+		edge = ssimWindow2D
 	case 3:
-		win = []int{ssimWindow3D, ssimWindow3D, ssimWindow3D}
+		edge = ssimWindow3D
 	default:
 		return 0, errors.New("metrics: SSIM supports 1-3 dimensions")
 	}
 
-	strides := make([]int, len(dims))
-	s := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= dims[i]
-	}
-
 	var total float64
 	var count int
-	origin := make([]int, len(dims))
-	for {
-		m := windowSSIM(orig, recon, dims, strides, origin, win, c1, c2)
-		if !math.IsNaN(m) {
+	grid.EachTile(dims, edge, func(origin, size []int) {
+		if m := windowSSIM(orig, recon, dims, origin, size, c1, c2); !math.IsNaN(m) {
 			total += m
 			count++
 		}
-		// Advance the window origin.
-		d := len(dims) - 1
-		for d >= 0 {
-			origin[d] += win[d]
-			if origin[d] < dims[d] {
-				break
-			}
-			origin[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
+	})
 	if count == 0 {
 		return 0, errors.New("metrics: no SSIM windows")
 	}
 	return total / float64(count), nil
 }
 
-// windowSSIM computes the SSIM index for one clipped window.
-func windowSSIM(a, b []float32, dims, strides, origin, win []int, c1, c2 float64) float64 {
-	nd := len(dims)
-	size := make([]int, nd)
+// windowSSIM computes the SSIM index for the window of the given (clipped)
+// size at origin, summing its points in row-major order.
+func windowSSIM(a, b []float32, dims, origin, size []int, c1, c2 float64) float64 {
 	cnt := 1
-	for d := 0; d < nd; d++ {
-		end := origin[d] + win[d]
-		if end > dims[d] {
-			end = dims[d]
-		}
-		size[d] = end - origin[d]
-		cnt *= size[d]
+	for _, s := range size {
+		cnt *= s
 	}
 	if cnt < 4 {
 		return math.NaN() // too small to carry structure
 	}
 	var sa, sb, saa, sbb, sab float64
-	coord := make([]int, nd)
-	for {
-		off := 0
-		for d := 0; d < nd; d++ {
-			off += (origin[d] + coord[d]) * strides[d]
-		}
-		x, y := float64(a[off]), float64(b[off])
-		sa += x
-		sb += y
-		saa += x * x
-		sbb += y * y
-		sab += x * y
-		d := nd - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] < size[d] {
-				break
-			}
-			coord[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
+	var zero grid.Coord
+	w := grid.Walk(size, dims, origin, 1, size, zero[:len(size)])
+	for w.Next() {
+		for off := w.A; off < w.A+w.Run; off++ {
+			x, y := float64(a[off]), float64(b[off])
+			sa += x
+			sb += y
+			saa += x * x
+			sbb += y * y
+			sab += x * y
 		}
 	}
 	fn := float64(cnt)
