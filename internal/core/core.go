@@ -77,7 +77,8 @@ type Options struct {
 	// AnchorStride is the anchor-grid spacing (power of two). Default: 64
 	// for 2D data, 32 for 3D.
 	AnchorStride int
-	// SampleBlock is the sampling block edge. Default: 64 for 2D, 16 for 3D.
+	// SampleBlock is the sampling block edge. Default (0 or negative): 64
+	// for 2D, 16 for 3D.
 	SampleBlock int
 	// SampleRate is the fraction of points sampled for online tuning.
 	// Default: 1% for 2D, 0.5% for 3D.
@@ -109,7 +110,7 @@ func (o Options) withDefaults(nd int) Options {
 	if o.AnchorStride < 4 {
 		o.AnchorStride = 4
 	}
-	if o.SampleBlock == 0 {
+	if o.SampleBlock <= 0 {
 		if nd >= 3 {
 			o.SampleBlock = 16
 		} else {

@@ -1,6 +1,7 @@
 package qoz
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -55,6 +56,24 @@ func TestRelBoundOnConstantField(t *testing.T) {
 		if v != 2.5 {
 			t.Fatalf("constant field value %v", v)
 		}
+	}
+}
+
+// A negative SampleBlock selects the default, as 0 does, instead of
+// panicking in the sample planner.
+func TestNegativeSampleBlockIsDefault(t *testing.T) {
+	ds := datagen.NYX(32, 32, 32)
+	ctx := context.Background()
+	want, err := Encode(ctx, nil, ds.Data, ds.Dims, Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Encode(ctx, nil, ds.Data, ds.Dims, Options{ErrorBound: 1e-3, SampleBlock: -5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SampleBlock -5: %d bytes differ from SampleBlock 0's %d", len(got), len(want))
 	}
 }
 
