@@ -1,225 +1,58 @@
 package grid
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-func TestNewRejectsBadDims(t *testing.T) {
-	cases := [][]int{
-		{},
-		{0},
-		{-1, 4},
-		{4, 0, 4},
-		{1, 2, 3, 4, 5},
-	}
-	for _, dims := range cases {
-		if _, err := New(dims...); err == nil {
-			t.Errorf("New(%v): expected error, got nil", dims)
-		}
-	}
-}
-
-func TestNewShapes(t *testing.T) {
-	g := MustNew(3, 4, 5)
-	if g.Len() != 60 {
-		t.Fatalf("Len = %d, want 60", g.Len())
-	}
-	if g.NumDims() != 3 {
-		t.Fatalf("NumDims = %d, want 3", g.NumDims())
-	}
-	wantStrides := []int{20, 5, 1}
-	for i, s := range g.Strides() {
-		if s != wantStrides[i] {
-			t.Fatalf("strides = %v, want %v", g.Strides(), wantStrides)
-		}
-	}
-}
-
-func TestFromSliceLengthMismatch(t *testing.T) {
-	if _, err := FromSlice(make([]float32, 7), 2, 4); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	g, err := FromSlice(make([]float32, 8), 2, 4)
-	if err != nil {
-		t.Fatalf("FromSlice: %v", err)
-	}
-	if g.Dim(0) != 2 || g.Dim(1) != 4 {
-		t.Fatalf("dims = %v", g.Dims())
-	}
-}
-
-func TestIndexRoundTrip(t *testing.T) {
-	g := MustNew(4, 5, 6)
-	want := 0
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			for k := 0; k < 6; k++ {
-				if got := g.Index(i, j, k); got != want {
-					t.Fatalf("Index(%d,%d,%d) = %d, want %d", i, j, k, got, want)
+// TestEachTileCoversFieldOnce checks, on 1-D to 3-D fields whose last tile
+// is ragged, that the tiles cover every point exactly once, that each
+// tile's size is its edge clipped to the field, and that origins come in
+// row-major order.
+func TestEachTileCoversFieldOnce(t *testing.T) {
+	for _, c := range []struct {
+		dims []int
+		edge int
+	}{
+		{[]int{10}, 4},
+		{[]int{5, 7}, 3},
+		{[]int{7, 6, 5}, 4},
+		{[]int{1, 9, 2}, 3},
+	} {
+		strides := StridesOf(c.dims)
+		covered := make([]int, strides[0]*c.dims[0])
+		prev, tiles := -1, 0
+		EachTile(c.dims, c.edge, func(origin, size []int) {
+			tiles++
+			if at := Dot(origin, strides); at <= prev {
+				t.Fatalf("dims %v: tile at %v (offset %d) after offset %d", c.dims, origin, at, prev)
+			} else {
+				prev = at
+			}
+			n := 1
+			for d := range size {
+				if origin[d]%c.edge != 0 || size[d] != min(c.edge, c.dims[d]-origin[d]) {
+					t.Fatalf("dims %v edge %d: tile at %v of size %v", c.dims, c.edge, origin, size)
 				}
-				want++
+				n *= size[d]
+			}
+			coord := make([]int, len(size))
+			for i := range n {
+				for d, rem := len(size)-1, i; d >= 0; d-- {
+					coord[d] = origin[d] + rem%size[d]
+					rem /= size[d]
+				}
+				covered[Dot(coord, strides)]++
+			}
+		})
+		want := 1
+		for _, n := range c.dims {
+			want *= (n + c.edge - 1) / c.edge
+		}
+		if tiles != want {
+			t.Errorf("dims %v edge %d: %d tiles, want %d", c.dims, c.edge, tiles, want)
+		}
+		for i, k := range covered {
+			if k != 1 {
+				t.Fatalf("dims %v edge %d: point %d covered %d times", c.dims, c.edge, i, k)
 			}
 		}
-	}
-}
-
-func TestAtSet(t *testing.T) {
-	g := MustNew(2, 3)
-	g.Set(42, 1, 2)
-	if got := g.At(1, 2); got != 42 {
-		t.Fatalf("At(1,2) = %v, want 42", got)
-	}
-	if got := g.Data()[5]; got != 42 {
-		t.Fatalf("flat[5] = %v, want 42", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := MustNew(2, 2)
-	g.Set(1, 0, 0)
-	dup := g.Clone()
-	dup.Set(9, 0, 0)
-	if g.At(0, 0) != 1 {
-		t.Fatal("Clone aliased the payload")
-	}
-	if !g.SameShape(dup) {
-		t.Fatal("Clone changed shape")
-	}
-}
-
-func TestSameShape(t *testing.T) {
-	a := MustNew(2, 3)
-	b := MustNew(2, 3)
-	c := MustNew(3, 2)
-	d := MustNew(6)
-	if !a.SameShape(b) {
-		t.Error("a and b should match")
-	}
-	if a.SameShape(c) || a.SameShape(d) {
-		t.Error("mismatched shapes reported equal")
-	}
-}
-
-func TestValueRange(t *testing.T) {
-	g := MustNew(2, 2)
-	copy(g.Data(), []float32{3, -1, 7, 2})
-	lo, hi := g.ValueRange()
-	if lo != -1 || hi != 7 {
-		t.Fatalf("ValueRange = (%v,%v), want (-1,7)", lo, hi)
-	}
-}
-
-func TestValueRangeConstant(t *testing.T) {
-	g := MustNew(5)
-	for i := range g.Data() {
-		g.Data()[i] = 4.5
-	}
-	lo, hi := g.ValueRange()
-	if lo != 4.5 || hi != 4.5 {
-		t.Fatalf("ValueRange = (%v,%v), want (4.5,4.5)", lo, hi)
-	}
-}
-
-func TestSubGridInterior(t *testing.T) {
-	g := MustNew(4, 4)
-	for i := range g.Data() {
-		g.Data()[i] = float32(i)
-	}
-	sub := g.SubGrid([]int{1, 1}, []int{2, 2})
-	want := []float32{5, 6, 9, 10}
-	for i, v := range sub.Data() {
-		if v != want[i] {
-			t.Fatalf("sub data = %v, want %v", sub.Data(), want)
-		}
-	}
-}
-
-func TestSubGridClipped(t *testing.T) {
-	g := MustNew(4, 4)
-	sub := g.SubGrid([]int{3, 2}, []int{3, 3})
-	if sub.Dim(0) != 1 || sub.Dim(1) != 2 {
-		t.Fatalf("clipped dims = %v, want [1 2]", sub.Dims())
-	}
-}
-
-func TestEachBlockCoversGridOnce(t *testing.T) {
-	g := MustNew(5, 7)
-	seen := make(map[[2]int]bool)
-	g.EachBlock([]int{2, 3}, func(origin []int) {
-		key := [2]int{origin[0], origin[1]}
-		if seen[key] {
-			t.Fatalf("block %v visited twice", origin)
-		}
-		seen[key] = true
-	})
-	// ceil(5/2) * ceil(7/3) = 3*3 = 9 blocks.
-	if len(seen) != 9 {
-		t.Fatalf("visited %d blocks, want 9", len(seen))
-	}
-}
-
-func TestEachBlock1D(t *testing.T) {
-	g := MustNew(10)
-	var origins []int
-	g.EachBlock([]int{4}, func(origin []int) {
-		origins = append(origins, origin[0])
-	})
-	want := []int{0, 4, 8}
-	if len(origins) != len(want) {
-		t.Fatalf("origins = %v, want %v", origins, want)
-	}
-	for i := range want {
-		if origins[i] != want[i] {
-			t.Fatalf("origins = %v, want %v", origins, want)
-		}
-	}
-}
-
-// Property: SubGrid values always equal the source values at the shifted
-// coordinates, for random shapes and origins.
-func TestSubGridProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nd := 1 + r.Intn(3)
-		dims := make([]int, nd)
-		for i := range dims {
-			dims[i] = 1 + r.Intn(6)
-		}
-		g := MustNew(dims...)
-		for i := range g.Data() {
-			g.Data()[i] = rng.Float32()
-		}
-		origin := make([]int, nd)
-		size := make([]int, nd)
-		for i := range dims {
-			origin[i] = r.Intn(dims[i])
-			size[i] = 1 + r.Intn(4)
-		}
-		sub := g.SubGrid(origin, size)
-		coord := make([]int, nd)
-		src := make([]int, nd)
-		for i := 0; i < sub.Len(); i++ {
-			for d := 0; d < nd; d++ {
-				src[d] = origin[d] + coord[d]
-			}
-			if sub.Data()[i] != g.At(src...) {
-				return false
-			}
-			incCoord(coord, sub.Dims())
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStringer(t *testing.T) {
-	g := MustNew(2, 3)
-	if got := g.String(); got != "grid[2 3]" {
-		t.Fatalf("String = %q", got)
 	}
 }
