@@ -534,24 +534,3 @@ func BytesToFloat32s(buf []byte) ([]float32, error) {
 	}
 	return out, nil
 }
-
-// Uint32sToBytes serializes a uint32 slice little-endian.
-func Uint32sToBytes(vals []uint32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// BytesToUint32s reverses Uint32sToBytes.
-func BytesToUint32s(buf []byte) ([]uint32, error) {
-	if len(buf)%4 != 0 {
-		return nil, ErrCorrupt
-	}
-	out := make([]uint32, len(buf)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return out, nil
-}

@@ -97,22 +97,6 @@ func TestFloat32Bytes(t *testing.T) {
 	}
 }
 
-func TestUint32Bytes(t *testing.T) {
-	in := []uint32{0, 1, math.MaxUint32, 0xDEADBEEF}
-	out, err := BytesToUint32s(Uint32sToBytes(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("index %d: %v != %v", i, in[i], out[i])
-		}
-	}
-	if _, err := BytesToUint32s(make([]byte, 6)); err == nil {
-		t.Fatal("misaligned buffer accepted")
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -20,8 +20,6 @@ package huffman
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"slices"
 
 	"qoz/internal/bitio"
 	"qoz/internal/pool"
@@ -157,13 +155,4 @@ func EstimateBits(symbols []uint32) int {
 		return 0
 	}
 	return payloadBits(h.freq, codeLengths(h.freq))
-}
-
-// DumpLengths describes a stream's code for test diagnostics.
-func DumpLengths(symbols []uint32) string {
-	h := countSymbols(1, symbols)
-	if len(h.syms) < 2 {
-		return "trivial"
-	}
-	return fmt.Sprintf("%d distinct, max len %d", len(h.syms), slices.Max(codeLengths(h.freq)))
 }

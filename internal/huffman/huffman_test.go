@@ -157,15 +157,6 @@ func TestZigZag(t *testing.T) {
 	}
 }
 
-func TestDumpLengths(t *testing.T) {
-	if s := DumpLengths([]uint32{1}); s != "trivial" {
-		t.Fatalf("DumpLengths single = %q", s)
-	}
-	if s := DumpLengths([]uint32{1, 2, 3}); s == "trivial" {
-		t.Fatal("DumpLengths should describe non-trivial streams")
-	}
-}
-
 func BenchmarkEncodePeaked(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := make([]uint32, 1<<16)

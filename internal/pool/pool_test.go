@@ -85,7 +85,6 @@ func TestSlicePoolRoundTrip(t *testing.T) {
 		t.Fatalf("bucketed slice too small: cap %d", cap(got))
 	}
 	PutBytes(Bytes(512))
-	PutFloat32s(Float32s(512))
 	if Bytes(0) != nil || Uint32s(-1) != nil {
 		t.Fatal("zero-length get should be nil")
 	}

@@ -71,9 +71,8 @@ func (p *slicePool[T]) put(s []T) {
 }
 
 var (
-	bytePool    slicePool[byte]
-	uint32Pool  slicePool[uint32]
-	float32Pool slicePool[float32]
+	bytePool   slicePool[byte]
+	uint32Pool slicePool[uint32]
 )
 
 // Bytes returns a byte slice of length n with undefined contents.
@@ -88,12 +87,6 @@ func Uint32s(n int) []uint32 { return uint32Pool.get(n) }
 
 // PutUint32s recycles a slice obtained from Uint32s.
 func PutUint32s(s []uint32) { uint32Pool.put(s) }
-
-// Float32s returns a float32 slice of length n with undefined contents.
-func Float32s(n int) []float32 { return float32Pool.get(n) }
-
-// PutFloat32s recycles a slice obtained from Float32s.
-func PutFloat32s(s []float32) { float32Pool.put(s) }
 
 // Response slabs: the memory a served region lives in between its produce
 // and its last write (qozd's sample buffers and stitched bodies, the

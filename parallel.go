@@ -40,7 +40,7 @@ func EncodeFields(ctx context.Context, c Codec, fields []Field, opts Options, wo
 	results := make([]FieldResult, len(fields))
 	// Workers the fields leave idle go to each field's own stages.
 	fieldCtx := pool.WithWorkers(ctx, pool.Share(workers, len(fields)))
-	runPool(len(fields), workers, func(i int) {
+	pool.Run(len(fields), workers, func(i int) {
 		f := fields[i]
 		results[i].Name = f.Name
 		if err := ctx.Err(); err != nil {
@@ -67,7 +67,7 @@ func DecodeFields(ctx context.Context, names []string, bufs [][]byte, workers in
 		ctx = context.Background()
 	}
 	results := make([]FieldResult, len(bufs))
-	runPool(len(bufs), workers, func(i int) {
+	pool.Run(len(bufs), workers, func(i int) {
 		if i < len(names) {
 			results[i].Name = names[i]
 		}
@@ -77,18 +77,4 @@ func DecodeFields(ctx context.Context, names []string, bufs [][]byte, workers in
 		results[i].Err = err
 	})
 	return results
-}
-
-// runPool runs do(0..n-1) on a bounded worker pool, collecting nothing;
-// per-item outcomes are the callback's business.
-func runPool(n, workers int, do func(i int)) {
-	pool.Run(n, workers, do)
-}
-
-// runPoolErr runs do(0..n-1) on a bounded worker pool, stopping early on
-// the first error or context cancellation and returning that error. It is
-// the engine behind the streaming slab Encoder/Decoder and is shared, via
-// qoz/internal/pool, with the brick store's concurrent region reads.
-func runPoolErr(ctx context.Context, n, workers int, do func(i int) error) error {
-	return pool.RunErr(ctx, n, workers, do)
 }

@@ -130,7 +130,7 @@ func EncodeT[T Float](ctx context.Context, e *Encoder, data []T, dims []int) err
 	payloads := make([][]byte, nslabs)
 	// Workers the slabs leave idle go to each slab's own stages.
 	slabCtx := pool.WithWorkers(ctx, pool.Share(e.so.Workers, nslabs))
-	err = runPoolErr(ctx, nslabs, e.so.Workers, func(i int) error {
+	err = pool.RunErr(ctx, nslabs, e.so.Workers, func(i int) error {
 		r0 := i * rows
 		r1 := min(r0+rows, dims[0])
 		sdims := append([]int{r1 - r0}, dims[1:]...)
@@ -336,7 +336,7 @@ func DecodeT[T Float](ctx context.Context, d *Decoder) ([]T, []int, error) {
 	// header declares is only trusted once the payloads actually decode
 	// to it, so a hostile header cannot force a giant allocation.
 	slabs := make([][]T, hdr.NumSlabs)
-	err = runPoolErr(ctx, hdr.NumSlabs, d.Workers, func(i int) error {
+	err = pool.RunErr(ctx, hdr.NumSlabs, d.Workers, func(i int) error {
 		var err error
 		slabs[i], _, err = decodeSlab[T](ctx, hdr, i, payloads[i])
 		payloads[i] = nil
