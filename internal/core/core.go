@@ -303,11 +303,11 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 // reconstruction buffer into a dense row-major array over
 // interp.CoarseDims(dims, stride).
 func compactCoarse(recon []float32, dims []int, stride int) []float32 {
-	var origin grid.Coord
-	zero := origin[:len(dims)]
-	g, _ := grid.LevelOf(zero, dims, stride)
+	nd := len(dims)
+	var zero grid.Coord
+	g, _ := grid.LevelOf(zero[:nd], dims, stride)
 	out := make([]float32, g.N)
-	w := grid.Walk(g.Dims[:len(dims)], dims, zero, stride, g.Dims[:len(dims)], zero)
+	w := grid.Walk(g.Dims[:nd], dims, zero[:nd], stride, g.Dims[:nd], zero[:nd])
 	for w.Next() {
 		for j := range w.Run {
 			out[w.B+j] = recon[w.A+j*stride]

@@ -168,11 +168,11 @@ func MaxLevelAnchored(anchorStride int) int {
 // coordinates multiples of stride), in row-major order. The same order is
 // used when serializing and restoring anchors.
 func AnchorIndices(dims []int, stride int) []int {
-	var origin grid.Coord
-	zero := origin[:len(dims)]
-	g, _ := grid.LevelOf(zero, dims, stride)
+	nd := len(dims)
+	var zero grid.Coord
+	g, _ := grid.LevelOf(zero[:nd], dims, stride)
 	out := make([]int, 0, g.N)
-	w := grid.Walk(g.Dims[:len(dims)], dims, zero, stride, g.Dims[:len(dims)], zero)
+	w := grid.Walk(g.Dims[:nd], dims, zero[:nd], stride, g.Dims[:nd], zero[:nd])
 	for w.Next() {
 		for j := range w.Run {
 			out = append(out, w.A+j*stride)
