@@ -82,6 +82,10 @@ func fork(ctx context.Context, n, workers int, do func(w, i int) error) error {
 	work := func(w int) {
 		defer func() {
 			if v := recover(); v != nil {
+				// Stop the other workers' claims before taking the stack:
+				// debug.Stack is slow enough for them to run hundreds of
+				// cheap items meanwhile.
+				stop.Store(true)
 				mu.Lock()
 				if first == nil {
 					first, _ = v.(*Panic) // raised by a fork nested in do
@@ -90,7 +94,6 @@ func fork(ctx context.Context, n, workers int, do func(w, i int) error) error {
 					}
 				}
 				mu.Unlock()
-				stop.Store(true)
 			}
 		}()
 		for !stop.Load() {
