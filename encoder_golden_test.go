@@ -179,6 +179,7 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 
 		b, err := qoz.Encode(ctx, nil, f.data, f.dims, o)
 		add(tag+"/encode-f32", b, err)
+		decoded(tag+"/encode-f32/decode", b)
 		if f.big && !c.core {
 			continue
 		}
