@@ -19,6 +19,8 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -269,22 +271,138 @@ func TestEncoderBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var got []string
 	for _, f := range goldenFields() {
-		// Each field's rows are the table's next len(rows) lines.
 		t.Run(f.name, func(t *testing.T) {
-			rows := encoderGoldenRows(t, f)
-			if len(rows) > len(want) {
-				t.Fatalf("encoder produced %d rows, the table has %d left", len(rows), len(want))
-			}
-			for i, row := range rows {
-				if row != want[i] {
-					t.Errorf("encoded bytes changed:\n  got  %s\n  want %s", row, want[i])
-				}
-			}
-			want = want[len(rows):]
+			got = append(got, encoderGoldenRows(t, f)...)
 		})
 	}
-	if len(want) != 0 {
-		t.Fatalf("%d rows of the golden table were not produced, starting at %q", len(want), want[0])
+	if len(got) != len(want) {
+		t.Fatalf("encoder produced %d rows, the table has %d", len(got), len(want))
+	}
+	if summary := goldenSummary(got, want); summary != "" {
+		t.Error(summary)
+	}
+	for i, row := range got {
+		if row != want[i] {
+			t.Errorf("encoded bytes changed:\n  got  %s\n  want %s", row, want[i])
+		}
+	}
+}
+
+// goldenSummary condenses the rows that differ between got and want, two
+// tables in the same row order, into what an intended move is reviewed
+// by: the rows moved per field and row kind, how the encoder-bytes rows'
+// sizes moved, and whether any decoded-sample row moved. No decoded row
+// moving means an entropy-only change; one moving means a decision
+// changed. It returns "" when the tables agree.
+func goldenSummary(got, want []string) string {
+	configs := map[string]bool{}
+	for _, c := range goldenConfigs() {
+		configs[c.name] = true
+	}
+	var fields []string
+	kinds := map[string]map[string]int{} // field → row kind → rows moved
+	moved, grew, shrank, decodedMoved := 0, 0, 0, 0
+	oldBytes, newBytes := 0, 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range got {
+		if got[i] == want[i] {
+			continue
+		}
+		moved++
+		name, size := goldenRow(got[i])
+		_, was := goldenRow(want[i])
+		parts := strings.SplitN(name, "/", 3)
+		field, kind := parts[0], strings.Join(parts[1:], "/")
+		if len(parts) == 3 && configs[parts[1]] {
+			kind = parts[2] // the config is not a kind of row
+		}
+		if kinds[field] == nil {
+			fields = append(fields, field)
+			kinds[field] = map[string]int{}
+		}
+		kinds[field][kind]++
+		if strings.HasSuffix(kind, "decode") || strings.HasSuffix(kind, "decode-f32") {
+			decodedMoved++ // its size is a sample count
+			continue
+		}
+		switch {
+		case size > was:
+			grew++
+		case size < was:
+			shrank++
+		}
+		oldBytes += was
+		newBytes += size
+		pct := 100 * float64(size-was) / float64(was)
+		lo, hi = min(lo, pct), max(hi, pct)
+	}
+	if moved == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d of %d golden rows moved\n", moved, len(got))
+	for _, field := range fields {
+		var ks []string
+		for k, n := range kinds[field] {
+			ks = append(ks, fmt.Sprintf("%s %d", k, n))
+		}
+		slices.Sort(ks)
+		fmt.Fprintf(&b, "  %s: %s\n", field, strings.Join(ks, ", "))
+	}
+	if enc := moved - decodedMoved; enc > 0 {
+		fmt.Fprintf(&b, "encoder-bytes rows: %d grew, %d shrank, %d same size; net %+d B (%+.2f %%); per row %+.2f %% … %+.2f %%\n",
+			grew, shrank, enc-grew-shrank, newBytes-oldBytes,
+			100*float64(newBytes-oldBytes)/float64(max(oldBytes, 1)), lo, hi)
+	}
+	if decodedMoved == 0 {
+		b.WriteString("decoded-sample rows: none moved (an entropy-only change)")
+	} else {
+		fmt.Fprintf(&b, "decoded-sample rows: %d moved (a decision changed)", decodedMoved)
+	}
+	return b.String()
+}
+
+// goldenRow splits a table row into its name and its last field, the
+// stream's length in bytes or the decoded sample count.
+func goldenRow(row string) (name string, size int) {
+	f := strings.Fields(row)
+	if len(f) != 3 {
+		return row, 0
+	}
+	size, _ = strconv.Atoi(f[2])
+	return f[0], size
+}
+
+func TestGoldenSummary(t *testing.T) {
+	want := []string{
+		"nyx96/cr/encode-f32 00000001 1000",
+		"nyx96/cr/encode-f32/decode 00000002 512",
+		"nyx96/psnr/core 00000003 2000",
+		"nyx96/sz3/encode-f32 00000004 400",
+		"line5000/cr/encode-f32 00000005 80",
+	}
+	got := slices.Clone(want)
+	if s := goldenSummary(got, want); s != "" {
+		t.Fatalf("equal tables summarised as %q", s)
+	}
+	got[0] = "nyx96/cr/encode-f32 0000000a 1010"
+	got[2] = "nyx96/psnr/core 0000000b 1990"
+	got[3] = "nyx96/sz3/encode-f32 0000000c 400"
+	s := goldenSummary(got, want)
+	for _, line := range []string{
+		"3 of 5 golden rows moved",
+		"  nyx96: core 1, encode-f32 1, sz3/encode-f32 1",
+		"encoder-bytes rows: 1 grew, 1 shrank, 1 same size; net +0 B (+0.00 %); per row -0.50 % … +1.00 %",
+		"decoded-sample rows: none moved (an entropy-only change)",
+	} {
+		if !strings.Contains(s, line) {
+			t.Errorf("summary lacks %q:\n%s", line, s)
+		}
+	}
+	got[1] = "nyx96/cr/encode-f32/decode 0000000d 512"
+	if s := goldenSummary(got, want); !strings.Contains(s, "decoded-sample rows: 1 moved (a decision changed)") {
+		t.Errorf("a moved decoded row is not reported:\n%s", s)
 	}
 }
