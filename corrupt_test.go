@@ -355,6 +355,46 @@ func TestMangledLevelSegmentsNeverPanic(t *testing.T) {
 	}
 }
 
+// TestStrayBytesAfterDeflateRejected re-frames a QoZ stream with two
+// bytes after one section's DEFLATE stream, counted in its encLen: the
+// decoder must reject the stream rather than stop at the final block.
+func TestStrayBytesAfterDeflateRejected(t *testing.T) {
+	ctx := context.Background()
+	ds := datagen.NYX(32, 32, 32)
+	b, err := qoz.MustLookup(qoz.DefaultCodec).Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := container.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := make([]container.Packed, len(s.Sections))
+	big := 0
+	for i, sec := range s.Sections {
+		packed[i] = container.Pack(sec)
+		if len(sec.Data) > len(s.Sections[big].Data) {
+			big = i
+		}
+	}
+	if clean, err := container.EncodePacked(s, packed); err != nil {
+		t.Fatal(err)
+	} else if _, _, err := qoz.Decode[float32](ctx, clean); err != nil {
+		t.Fatalf("re-framed stream: %v", err)
+	}
+	if len(packed[big].Enc)+2 >= len(packed[big].Raw) {
+		t.Fatal("the largest section is stored raw")
+	}
+	packed[big].Enc = append(packed[big].Enc, 0xAB, 0xCD)
+	bad, err := container.EncodePacked(s, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := qoz.Decode[float32](ctx, bad); err == nil {
+		t.Fatal("bytes after a section's final DEFLATE block accepted")
+	}
+}
+
 // TestLyingStreamHeaderRejected crafts slab-stream headers whose declared
 // geometry is inconsistent or absurd.
 func TestLyingStreamHeaderRejected(t *testing.T) {

@@ -506,6 +506,9 @@ func (in *inflater) inflate(buf []byte, sizeHint int) ([]byte, error) {
 			return nil, errors.New("container: section inflates past its declared size")
 		}
 		if err == io.EOF {
+			if in.src.Len() != 0 {
+				return nil, errors.New("container: bytes after the section's final DEFLATE block")
+			}
 			return out, nil
 		}
 		if err != nil {

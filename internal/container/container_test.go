@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -242,6 +243,28 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode accepted dims %v that CheckDims rejects", s.Dims)
 		}
 	})
+}
+
+// TestDecodeRejectsBytesAfterFinalBlock frames a section whose encLen
+// counts two bytes past the end of its DEFLATE stream: the section is
+// corrupt, not the stream's raw bytes.
+func TestDecodeRejectsBytesAfterFinalBlock(t *testing.T) {
+	raw := bytes.Repeat([]byte("stray bytes "), 500)
+	hdr := &Stream{Codec: CodecQoZ, Dims: []int{len(raw)}, ErrorBound: 1}
+	sec := Pack(Section{ID: 1, Data: raw})
+	if buf, err := EncodePacked(hdr, []Packed{sec}); err != nil {
+		t.Fatal(err)
+	} else if s, err := Decode(buf); err != nil || !bytes.Equal(s.Section(1), raw) {
+		t.Fatalf("clean section: err %v", err)
+	}
+	sec.Enc = append(sec.Enc, 0xAB, 0xCD)
+	buf, err := EncodePacked(hdr, []Packed{sec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("stray bytes after the final block: err %v, want ErrCorrupt", err)
+	}
 }
 
 // TestInflaterReuse drives one pooled reader through every way a section
