@@ -10,7 +10,12 @@
 //
 // Each section: id u8 | rawLen uvarint | encLen uvarint | encBytes.
 // Sections are individually DEFLATE-compressed when that helps, signalled
-// by encLen < rawLen; otherwise bytes are stored raw.
+// by encLen < rawLen; otherwise bytes are stored raw. A compressed
+// section's encBytes is one raw RFC 1951 stream, with no zlib wrapper,
+// that a reader inflates whole and that ends exactly at its final block.
+// A writer may build that stream from byte-aligned pieces joined at sync
+// flushes: Pack deflates a section in chunks of ChunkBytes raw bytes,
+// while Encode and DeflatedLen deflate each section as one piece.
 package container
 
 import (
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -140,53 +146,150 @@ type Packed struct {
 	Raw, Enc []byte
 }
 
-// Pack deflates one section into memory of its own, so that sections can
-// be packed on several goroutines and framed together by EncodePacked.
+// ChunkBytes is the raw length Pack cuts a section into: every chunk but
+// the last holds exactly this many bytes, whatever the worker budget.
+// Each chunk is deflated by a compressor of its own, not primed with the
+// previous chunk's bytes; every chunk but the last ends at a sync flush,
+// so the chunks join into one ordinary DEFLATE stream (docs/FORMAT.md
+// §3). A section of at most ChunkBytes is one chunk and packs exactly as
+// Encode packs it. docs/PERFORMANCE.md (encode path §4) gives the sweep
+// that chose the size.
+const ChunkBytes = 64 << 10
+
+// Pack deflates one section into memory of its own, chunk by chunk, so
+// that sections can be packed on several goroutines and framed together
+// by EncodePacked.
 func Pack(sec Section) Packed {
-	var p Packer
-	p.Write(sec.Data)
-	return p.Close(sec)
+	var c Chunker
+	c.Write(sec.Data)
+	c.Close()
+	c.Deflate()
+	return c.Packed(sec)
 }
 
-// Packer deflates one section whose bytes arrive in pieces, while they
-// are still being produced. DEFLATE's output does not depend on how its
-// input is cut into writes (TestDeflateIgnoresWriteBoundaries pins that),
-// so the pieces pack to exactly what Pack makes of their concatenation.
-// The zero value is ready to use.
-type Packer struct {
-	d *deflater
+// Chunker packs one section whose bytes arrive in pieces, while they are
+// still being produced, deflating its chunks on every goroutine that
+// calls Deflate. One goroutine writes the pieces in order and then
+// closes the Chunker; Write never blocks, so that goroutine may call
+// Deflate too once it is done. Chunk boundaries are fixed offsets of the
+// section and DEFLATE's output does not depend on how its input is cut
+// into writes (TestDeflateIgnoresWriteBoundaries pins both), so the
+// section packs to what Pack makes of it whole, however it is cut into
+// pieces and however many goroutines deflate it. The zero value is
+// ready to use.
+type Chunker struct {
+	mu     sync.Mutex
+	more   sync.Cond // broadcast when a piece arrives or the writer closes
+	pieces [][]byte  // the section so far, in order
+	ends   []int     // ends[i] is the section offset just past pieces[i]
+	closed bool
+	next   int      // the next chunk to claim
+	enc    [][]byte // each chunk's DEFLATE bytes
 }
 
-// Write deflates the next piece of the section.
-func (p *Packer) Write(piece []byte) {
-	if p.d == nil {
-		p.d = deflaters.Get().(*deflater)
-		p.d.out.Reset()
-		p.d.w.Reset(&p.d.out)
+// Write appends the next piece of the section. Its bytes must not change
+// after it is handed over.
+func (c *Chunker) Write(piece []byte) {
+	c.mu.Lock()
+	c.pieces = append(c.pieces, piece)
+	c.ends = append(c.ends, c.size()+len(piece))
+	c.mu.Unlock()
+	c.more.Broadcast()
+}
+
+// Close marks the section complete.
+func (c *Chunker) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.more.Broadcast()
+}
+
+// size is the number of section bytes written so far; c.mu is held.
+func (c *Chunker) size() int {
+	if len(c.ends) == 0 {
+		return 0
 	}
-	if _, err := p.d.w.Write(piece); err != nil {
-		panic(err) // an in-memory sink cannot fail
+	return c.ends[len(c.ends)-1]
+}
+
+// Deflate claims chunks and deflates them until none is left to claim,
+// feeding each chunk's compressor the chunk's bytes as they arrive. It
+// returns once the Chunker is closed and every chunk has been claimed.
+func (c *Chunker) Deflate() {
+	for c.deflateNext() {
 	}
 }
 
-// Close finishes the stream of the pieces written, whose concatenation
-// is sec.Data, and returns the section packed.
-func (p *Packer) Close(sec Section) Packed {
-	if p.d == nil {
-		p.Write(nil)
+// deflateNext claims the next chunk and deflates it, reporting false
+// when the section has no chunk left to claim.
+func (c *Chunker) deflateNext() bool {
+	c.mu.Lock()
+	c.more.L = &c.mu
+	k := c.next
+	c.next++
+	c.mu.Unlock()
+	lo, hi := k*ChunkBytes, (k+1)*ChunkBytes
+	var d *deflater
+	for at := lo; ; {
+		c.mu.Lock()
+		for !c.closed && c.size() <= at {
+			c.more.Wait()
+		}
+		pieces, ends, closed, size := c.pieces, c.ends, c.closed, c.size()
+		c.mu.Unlock()
+		if k > 0 && size <= lo {
+			return false // closed, and every byte is in an earlier chunk
+		}
+		if d == nil {
+			d = deflaters.Get().(*deflater)
+			d.out.Reset()
+			d.w.Reset(&d.out)
+		}
+		for i := sort.SearchInts(ends, at+1); at < min(size, hi); i++ {
+			from, to := ends[i]-len(pieces[i]), min(ends[i], hi)
+			if _, err := d.w.Write(pieces[i][at-from : to-from]); err != nil {
+				panic(err) // an in-memory sink cannot fail
+			}
+			at = to
+		}
+		if size <= hi && !closed {
+			continue // the chunk may have bytes still to come
+		}
+		// A byte past hi means a chunk follows: end this one at a sync
+		// flush. Only the section's last chunk closes the stream.
+		end := d.w.Flush
+		if size <= hi {
+			end = d.w.Close
+		}
+		if err := end(); err != nil {
+			panic(err)
+		}
+		enc := bytes.Clone(d.out.Bytes())
+		deflaters.Put(d)
+		c.mu.Lock()
+		c.enc = append(c.enc, make([][]byte, max(0, k+1-len(c.enc)))...)
+		c.enc[k] = enc
+		c.mu.Unlock()
+		return true
 	}
-	if err := p.d.w.Close(); err != nil {
-		panic(err)
+}
+
+// Packed returns the section packed, once every Deflate call has
+// returned. sec.Data must be the concatenation of the pieces written.
+func (c *Chunker) Packed(sec Section) Packed {
+	enc := c.enc[0]
+	if len(c.enc) > 1 {
+		enc = bytes.Join(c.enc, nil)
 	}
-	enc := bytes.Clone(p.d.out.Bytes())
-	deflaters.Put(p.d)
-	p.d = nil
 	return Packed{ID: sec.ID, Raw: sec.Data, Enc: enc}
 }
 
 // EncodePacked serializes a stream with hdr's codec, dims and bound whose
-// sections are secs, already packed, in order: exactly what Encode makes
-// of their raw bytes. hdr's own Sections are ignored.
+// sections are secs, already packed, in order. It is what Encode makes
+// of their raw bytes when no section is longer than ChunkBytes; a longer
+// one holds the chunked DEFLATE stream Pack makes of it. hdr's own
+// Sections are ignored.
 func EncodePacked(hdr *Stream, secs []Packed) ([]byte, error) {
 	out, err := appendHeader(hdr, len(secs))
 	if err != nil {
@@ -458,8 +561,11 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// DeflatedLen returns the size buf takes once DEFLATE-compressed the way
-// Encode compresses a section. The tuner prices trial streams with it.
+// DeflatedLen returns the size buf takes once DEFLATE-compressed as one
+// whole stream, the way Encode compresses a section. The tuner prices
+// trial streams with it. It does not chunk a long buf as Pack does: the
+// price stays that of one stream, so no tuning decision depends on
+// ChunkBytes.
 func DeflatedLen(buf []byte) int {
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)

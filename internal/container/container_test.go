@@ -5,8 +5,10 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -335,11 +337,12 @@ func deflateInput() []byte {
 }
 
 // TestDeflateIgnoresWriteBoundaries pins what the concurrent entropy stage
-// relies on: compress/flate emits the same stream however its input is
-// cut into Write calls. A Huffman segment is deflated in pieces as they
-// are coded (Packer), and its section must be the bytes Encode makes of
-// it whole. If a Go release breaks this, this test fails by name before
-// the encoder goldens do.
+// relies on. compress/flate emits the same stream however its input is
+// cut into Write calls, and so a Chunker, which deflates each chunk's
+// bytes as the pieces covering it arrive, packs a section to exactly
+// Pack's bytes however the section is cut into pieces and however many
+// goroutines deflate it. If a Go release breaks this, this test fails by
+// name before the encoder goldens do.
 func TestDeflateIgnoresWriteBoundaries(t *testing.T) {
 	in := deflateInput()
 	deflate := func(cut func(rest int) int) []byte {
@@ -366,6 +369,7 @@ func TestDeflateIgnoresWriteBoundaries(t *testing.T) {
 		"1 B":            func(int) int { return 1 },
 		"4 KiB":          func(int) int { return 4 << 10 },
 		"random 1–70000": func(int) int { return 1 + rng.Intn(70_000) },
+		"random 0–9000":  func(int) int { return rng.Intn(9000) },
 	}
 	for name, cut := range cuts {
 		if got := deflate(cut); !bytes.Equal(got, whole) {
@@ -373,25 +377,93 @@ func TestDeflateIgnoresWriteBoundaries(t *testing.T) {
 		}
 	}
 
-	// The Packer over random pieces packs what Encode stores.
-	var pk Packer
-	for rest := in; len(rest) > 0; {
-		n := min(1+rng.Intn(70_000), len(rest))
-		pk.Write(rest[:n])
-		rest = rest[n:]
-	}
 	sec := Section{ID: 9, Data: in}
-	hdr := &Stream{Codec: CodecQoZ, Dims: []int{len(in)}, ErrorBound: 1}
-	packed, err := EncodePacked(hdr, []Packed{pk.Close(sec), Pack(Section{ID: 10})})
-	if err != nil {
-		t.Fatal(err)
+	want := Pack(sec)
+	if len(in) <= 3*ChunkBytes {
+		t.Fatalf("the input spans only %d chunks", len(in)/ChunkBytes+1)
 	}
-	hdr.Sections = []Section{sec, {ID: 10}}
-	want, err := Encode(hdr)
-	if err != nil {
-		t.Fatal(err)
+	for name, cut := range cuts {
+		for _, deflaters := range []int{1, 3} {
+			var c Chunker
+			var wg sync.WaitGroup
+			for range deflaters {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.Deflate()
+				}()
+			}
+			for rest := in; len(rest) > 0; {
+				n := min(cut(len(rest)), len(rest))
+				c.Write(rest[:n])
+				rest = rest[n:]
+			}
+			c.Close()
+			wg.Wait()
+			if got := c.Packed(sec); !bytes.Equal(got.Enc, want.Enc) {
+				t.Errorf("chunker fed %s pieces on %d goroutines: %d bytes differ from Pack's %d", name, deflaters, len(got.Enc), len(want.Enc))
+			}
+		}
 	}
-	if !bytes.Equal(packed, want) {
-		t.Fatal("a section packed in pieces frames differently from Encode's")
+}
+
+// chunkLengths are the section lengths the chunked form is checked at:
+// the empty section, every length around one chunk, several whole
+// chunks, and random lengths up to five chunks.
+func chunkLengths() []int {
+	ns := []int{0, 1, ChunkBytes - 1, ChunkBytes, ChunkBytes + 1, 2 * ChunkBytes, 3 * ChunkBytes, 3*ChunkBytes + 1}
+	rng := rand.New(rand.NewSource(33))
+	for range 6 {
+		ns = append(ns, rng.Intn(5*ChunkBytes))
+	}
+	return ns
+}
+
+// TestPackRoundTrip packs sections of every chunkLengths length: each
+// Enc is one DEFLATE stream that compress/flate inflates whole to the
+// raw bytes with nothing left over, and the framed section decodes to
+// them through Decode.
+func TestPackRoundTrip(t *testing.T) {
+	in := deflateInput()
+	for _, n := range chunkLengths() {
+		raw := in[:n]
+		p := Pack(Section{ID: 3, Data: raw})
+		src := bytes.NewReader(p.Enc)
+		got, err := io.ReadAll(flate.NewReader(src))
+		if err != nil || !bytes.Equal(got, raw) || src.Len() != 0 {
+			t.Fatalf("%d bytes: flate inflates %d bytes, err %v, %d left over", n, len(got), err, src.Len())
+		}
+		if n >= ChunkBytes && len(p.Enc) >= n {
+			t.Fatalf("%d bytes: deflated to %d, so the framed section is stored raw", n, len(p.Enc))
+		}
+		hdr := &Stream{Codec: CodecQoZ, Dims: []int{max(n, 1)}, ErrorBound: 1}
+		buf, err := EncodePacked(hdr, []Packed{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(buf)
+		if err != nil || !bytes.Equal(s.Section(3), raw) {
+			t.Fatalf("%d bytes: Decode err %v", n, err)
+		}
+	}
+}
+
+// TestPackSmallSectionIsOneStream requires a section of at most
+// ChunkBytes to pack to exactly one whole compress/flate stream, as
+// Encode stores it, and a longer one to differ from it.
+func TestPackSmallSectionIsOneStream(t *testing.T) {
+	in := deflateInput()
+	for _, n := range chunkLengths() {
+		var whole bytes.Buffer
+		w, err := flate.NewWriter(&whole, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(in[:n])
+		w.Close()
+		chunked := Pack(Section{Data: in[:n]}).Enc
+		if same := bytes.Equal(chunked, whole.Bytes()); same != (n <= ChunkBytes) {
+			t.Errorf("%d bytes: Pack matches one whole stream: %v", n, same)
+		}
 	}
 }

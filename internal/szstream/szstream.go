@@ -137,10 +137,11 @@ func (p *LevelPayload) Segment(level int) *interp.Segment {
 // 1 — exactly the order a progressive decoder consumes them.
 //
 // workers bounds the goroutines the entropy stage runs on, the caller's
-// among them; the bytes do not depend on it. Above one, the table's
-// histogram is counted in halves, the largest segment's Huffman bits are
-// deflated as they complete, and the other sections are coded and
-// deflated alongside.
+// among them (0 or 1 runs it on the caller); the bytes do not depend on
+// it. Above one, the table's histogram is counted in halves, the largest
+// segment's Huffman bits are deflated in chunks as they complete, any
+// free worker deflating the next chunk, and the other sections are coded
+// and deflated alongside.
 func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers int) ([]byte, error) {
 	if len(p.Segments) == 0 {
 		return nil, errors.New("szstream: a level payload needs a segment")
@@ -178,12 +179,14 @@ func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers 
 }
 
 // encodeSections finishes EncodeLevels on up to workers goroutines. Task
-// 0 codes the largest segment, handing its bytes over in pieces as they
-// complete; task 1 deflates those pieces as they arrive, for that one
-// DEFLATE stream is the stage's longest; the remaining tasks code (the
-// other segments) and deflate (every other section) one section each.
-// With one worker the tasks run in turn on the caller.
+// 0 codes the largest segment, handing its bytes to a container.Chunker
+// in pieces as they complete; the next workers tasks deflate its chunks,
+// each claiming the next chunk and deflating its pieces as they arrive,
+// for that segment's DEFLATE is the stage's longest; the remaining tasks
+// code (the other segments) and deflate (every other section) one
+// section each. With one worker the tasks run in turn on the caller.
 func encodeSections(s *container.Stream, tbl *huffman.Table, segs []interp.Segment, binsAt []int, workers int) ([]byte, error) {
+	workers = max(1, workers)
 	big := 0
 	for i, seg := range segs {
 		if len(seg.Bins) > len(segs[big].Bins) {
@@ -202,30 +205,25 @@ func encodeSections(s *container.Stream, tbl *huffman.Table, segs []interp.Segme
 		segOf[j] = i
 	}
 	packed := make([]container.Packed, len(s.Sections))
-	// Sized to every piece the coder sends, so it never blocks on a
-	// deflater that has stopped.
-	pieces := make(chan []byte, len(segs[big].Bins)/huffman.PieceSymbols+2)
-	pool.Fork(2+len(rest), workers, func(_, task int) {
-		switch task {
-		case 0:
-			defer close(pieces)
+	var chunks container.Chunker
+	pool.Fork(1+workers+len(rest), workers, func(_, task int) {
+		switch {
+		case task == 0:
+			defer chunks.Close()
 			j := binsAt[big]
-			s.Sections[j].Data = tbl.EncodeSegmentPieces(segs[big].Bins, func(b []byte) { pieces <- b })
-		case 1:
-			var pk container.Packer
-			for b := range pieces {
-				pk.Write(b)
-			}
-			j := binsAt[big] // the coder's section is complete once pieces is closed
-			packed[j] = pk.Close(s.Sections[j])
+			s.Sections[j].Data = tbl.EncodeSegmentPieces(segs[big].Bins, chunks.Write)
+		case task <= workers:
+			chunks.Deflate()
 		default:
-			j := rest[task-2]
+			j := rest[task-1-workers]
 			if i := segOf[j]; i >= 0 {
 				s.Sections[j].Data = tbl.EncodeSegment(segs[i].Bins)
 			}
 			packed[j] = container.Pack(s.Sections[j])
 		}
 	})
+	j := binsAt[big]
+	packed[j] = chunks.Packed(s.Sections[j])
 	return container.EncodePacked(s, packed)
 }
 

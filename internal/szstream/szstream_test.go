@@ -1,10 +1,14 @@
 package szstream
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"qoz/internal/container"
+	"qoz/internal/interp"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -111,5 +115,60 @@ func TestEmptyPayload(t *testing.T) {
 func TestDecodeGarbage(t *testing.T) {
 	if _, _, err := Decode([]byte("nope"), container.CodecQoZ); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestEncodeLevelsIgnoresWorkerBudget encodes a synthetic payload whose
+// largest segment's Huffman bytes span several DEFLATE chunks: the
+// stream must be the same at every budget and decode to the payload.
+func TestEncodeLevelsIgnoresWorkerBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	bins := func(n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = 32768 + uint32(rng.ExpFloat64()*6) - 3
+		}
+		return out
+	}
+	p := &LevelPayload{
+		Anchors: []float32{1, 2.5, -3},
+		Config:  []byte{7, 8, 9},
+		Segments: []interp.Segment{
+			{Level: 3, Bins: bins(100)},
+			{Level: 2, Bins: bins(60_000), Literals: []float32{4, 5}},
+			{Level: 1, Bins: bins(500_000), Literals: []float32{6}},
+		},
+	}
+	want, err := EncodeLevels(container.CodecQoZ, []int{560_100}, 0.5, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := container.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range s.Sections {
+		if sec.ID == SecLevelBinsBase+1 && len(sec.Data) < 3*container.ChunkBytes {
+			t.Fatalf("level 1 holds %d bytes, under three chunks", len(sec.Data))
+		}
+	}
+	got, err := DecodeLevelsStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range p.Segments {
+		g := got.Segments[i]
+		if g.Level != seg.Level || !slices.Equal(g.Bins, seg.Bins) || !slices.Equal(g.Literals, seg.Literals) {
+			t.Fatalf("segment %d (level %d) decodes differently", i, seg.Level)
+		}
+	}
+	for _, workers := range []int{0, 2, 3, 8} {
+		b, err := EncodeLevels(container.CodecQoZ, []int{560_100}, 0.5, p, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, want) {
+			t.Errorf("%d workers: %d bytes differ from one worker's %d", workers, len(b), len(want))
+		}
 	}
 }
