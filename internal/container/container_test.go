@@ -222,20 +222,33 @@ func TestCheckDims(t *testing.T) {
 }
 
 // FuzzDecode feeds mangled containers through Decode: errors are fine,
-// panics and runaway allocations are not.
+// panics and runaway allocations are not. The seeds include a section
+// Pack deflated in three chunks and one with bytes after its final
+// DEFLATE block.
 func FuzzDecode(f *testing.F) {
-	valid, err := Encode(&Stream{
+	hdr := &Stream{
 		Codec:      CodecQoZ,
 		Dims:       []int{8, 8},
 		ErrorBound: 1e-3,
 		Sections:   []Section{{ID: 1, Data: bytes.Repeat([]byte("ab"), 300)}},
-	})
+	}
+	valid, err := Encode(hdr)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("QOZG"))
+	chunked := Pack(Section{ID: 1, Data: deflateInput()[:2*ChunkBytes+100]})
+	stray := Pack(hdr.Sections[0])
+	stray.Enc = append(stray.Enc, 0xAB, 0xCD)
+	for _, sec := range []Packed{chunked, stray} {
+		b, err := EncodePacked(hdr, []Packed{sec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
