@@ -13,6 +13,7 @@ package qoz_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/crc32"
@@ -168,6 +169,34 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 		raw := container.Float32sToBytes(out)
 		rows = append(rows, fmt.Sprintf("%s %08x %d", name, crc32.ChecksumIEEE(raw), len(out)))
 	}
+	// storeDecoded is decoded for a brick store: the whole field read back
+	// in the store's own kind, float64 samples as their 8-byte bits.
+	storeDecoded := func(name string, b []byte) {
+		s, err := store.Open(bytes.NewReader(b), int64(len(b)), store.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer s.Close()
+		var raw []byte
+		n := 0
+		if s.Float64() {
+			out, err := store.ReadFieldT[float64](ctx, s)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, v := range out {
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+			}
+			n = len(out)
+		} else {
+			out, err := s.ReadField(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			raw, n = container.Float32sToBytes(out), len(out)
+		}
+		rows = append(rows, fmt.Sprintf("%s %08x %d", name, crc32.ChecksumIEEE(raw), n))
+	}
 	type tagged struct {
 		tag string
 		b   []byte
@@ -208,8 +237,10 @@ func encoderGoldenRows(t *testing.T, f goldenField) []string {
 		var s32, s64 bytes.Buffer
 		err = store.WriteT(ctx, &s32, f.data, f.dims, store.WriteOptions{Opts: o, Brick: f.brick, Workers: 1})
 		add(tag+"/store-f32", s32.Bytes(), err)
+		storeDecoded(tag+"/store-f32/decode", s32.Bytes())
 		err = store.WriteT(ctx, &s64, wide, f.dims, store.WriteOptions{Opts: o, Brick: f.brick, Workers: 1})
 		add(tag+"/store-f64", s64.Bytes(), err)
+		storeDecoded(tag+"/store-f64/decode", s64.Bytes())
 	}
 	// The interpolation baselines share the sweep and the entropy stage
 	// with QoZ; one row each keeps them pinned too.

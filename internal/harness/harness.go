@@ -5,7 +5,7 @@
 // (ablation), Fig. 13 (parameter tuning), Table IV (speeds), and Fig. 14
 // (parallel I/O). Each experiment prints a paper-style table and returns
 // its data for programmatic checks; cmd/benchsuite is the printer, and
-// testdata/rate_distortion_golden.txt pins Table III and Fig. 8.
+// testdata/rate_distortion_golden.txt pins Table III and Figs. 8–10.
 package harness
 
 import (
