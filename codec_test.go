@@ -3,11 +3,13 @@ package qoz_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"qoz"
 	"qoz/baselines"
 	"qoz/datagen"
+	"qoz/internal/container"
 	"qoz/metrics"
 )
 
@@ -82,11 +84,28 @@ func TestGenericRoundTripAllCodecs(t *testing.T) {
 		c := qoz.MustLookup(name)
 		opts := qoz.Options{ErrorBound: eb}
 
+		// The codec's own bare container.
+		bare, err := c.Compress(ctx, ds.Data, ds.Dims, opts)
+		if err != nil {
+			t.Fatalf("%s: Compress: %v", name, err)
+		}
+		recon, dims, err := c.Decompress(ctx, bare)
+		if err != nil {
+			t.Fatalf("%s: Decompress: %v", name, err)
+		}
+		if len(dims) != 3 || len(recon) != ds.Len() {
+			t.Fatalf("%s: bare shape %v, %d points", name, dims, len(recon))
+		}
+		if maxErr, _ := metrics.MaxAbsError(ds.Data, recon); maxErr > eb*(1+1e-12) {
+			t.Fatalf("%s: bare bound violated: %g > %g", name, maxErr, eb)
+		}
+
+		// The self-describing slab stream.
 		buf, err := qoz.Encode(ctx, c, ds.Data, ds.Dims, opts)
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", name, err)
 		}
-		recon, dims, err := qoz.Decode[float32](ctx, buf)
+		recon, dims, err = qoz.Decode[float32](ctx, buf)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", name, err)
 		}
@@ -240,5 +259,69 @@ func TestCanceledContext(t *testing.T) {
 	}
 	if _, _, err := qoz.Decode[float32](ctx, buf); err == nil {
 		t.Error("Decode with canceled context succeeded")
+	}
+}
+
+func TestCrossCodecStreamsRejected(t *testing.T) {
+	ctx := context.Background()
+	ds := datagen.CESMATM(48, 64)
+	eb := 1e-3 * metrics.ValueRange(ds.Data)
+	bufSZ3, err := qoz.MustLookup("sz3").Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sz2", "zfp"} {
+		if _, _, err := qoz.MustLookup(name).Decompress(ctx, bufSZ3); err == nil {
+			t.Errorf("%s accepted an sz3 stream", name)
+		}
+	}
+}
+
+// TestLiteralCountMismatchRejected: the prediction codecs keep escaped
+// values in a literals section (id 2 in all three framings) beside a bin
+// stream that says where they go, and the container has no checksum. A
+// stream with one literal dropped or one added used to decode — to wrong
+// samples, or with the surplus ignored — and must be refused.
+func TestLiteralCountMismatchRejected(t *testing.T) {
+	const secLiterals = 2
+	ctx := context.Background()
+	ds := datagen.NYX(24, 24, 24)
+	data := append([]float32(nil), ds.Data...)
+	for i := 5; i < len(data); i += 97 {
+		data[i] = 1e30 // far outside the quantizer's radius: escapes
+	}
+	eb := 1e-3 * metrics.ValueRange(ds.Data)
+	for _, name := range []string{"sz2", "sz3", "mgard"} {
+		c := qoz.MustLookup(name)
+		buf, err := c.Compress(ctx, data, ds.Dims, qoz.Options{ErrorBound: eb})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for change, mutate := range map[string]func([]byte) []byte{
+			"dropped": func(lits []byte) []byte { return lits[:len(lits)-4] },
+			"added":   func(lits []byte) []byte { return append(lits, 0, 0, 128, 63) },
+		} {
+			s, err := container.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for i := range s.Sections {
+				if s.Sections[i].ID == secLiterals && len(s.Sections[i].Data) >= 4 {
+					s.Sections[i].Data = mutate(s.Sections[i].Data)
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%s: stream holds no literals; the case lost its footing", name)
+			}
+			bad, err := container.Encode(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Decompress(ctx, bad); err == nil || !strings.Contains(err.Error(), "literal") {
+				t.Fatalf("%s, one literal %s: decoded with error %v", name, change, err)
+			}
+		}
 	}
 }
