@@ -29,19 +29,21 @@ func MSE(a, b []float32) (float64, error) {
 	return sum / float64(len(a)), nil
 }
 
-// ValueRange returns max(a)-min(a); zero for constant data.
+// ValueRange returns max(a)-min(a) over the samples that are not NaN;
+// zero for constant data and for data with no such sample.
 func ValueRange(a []float32) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	lo, hi := a[0], a[0]
-	for _, v := range a[1:] {
+	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
+	for _, v := range a {
+		// A NaN compares false both ways, so it never moves lo or hi.
 		if v < lo {
 			lo = v
 		}
 		if v > hi {
 			hi = v
 		}
+	}
+	if lo > hi {
+		return 0
 	}
 	return float64(hi) - float64(lo)
 }
@@ -80,14 +82,24 @@ func NRMSE(orig, recon []float32) (float64, error) {
 }
 
 // MaxAbsError returns the L-infinity error, the quantity every
-// error-bounded compressor must keep at or below the user's bound.
+// error-bounded compressor must keep at or below the user's bound. A
+// non-finite sample counts as exact only where the other side holds the
+// same value (NaN for NaN, the same infinity); any other pair with a
+// non-finite side is an error of +Inf.
 func MaxAbsError(orig, recon []float32) (float64, error) {
 	if len(orig) != len(recon) {
 		return 0, ErrShapeMismatch
 	}
 	var m float64
 	for i := range orig {
-		d := math.Abs(float64(orig[i]) - float64(recon[i]))
+		a, b := float64(orig[i]), float64(recon[i])
+		d := math.Abs(a - b)
+		if math.IsNaN(d) { // NaN on a side, or the same infinity on both
+			if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
+				continue
+			}
+			return math.Inf(1), nil
+		}
 		if d > m {
 			m = d
 		}

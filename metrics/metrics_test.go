@@ -39,6 +39,31 @@ func TestValueRange(t *testing.T) {
 	}
 }
 
+// TestValueRangeSkipsNaN: a NaN is skipped wherever it sits, the first
+// sample included; infinities count as they always did.
+func TestValueRangeSkipsNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		in   []float32
+		want float64
+	}{
+		{[]float32{nan, 1, 3}, 2},
+		{[]float32{1, nan, 3}, 2},
+		{[]float32{1, 3, nan}, 2},
+		{[]float32{nan, nan}, 0},
+		{[]float32{nan, -inf, 3}, math.Inf(1)},
+		{[]float32{1, inf}, math.Inf(1)},
+	} {
+		if got := ValueRange(c.in); got != c.want {
+			t.Errorf("ValueRange(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	if got := ValueRange([]float32{inf, inf}); !math.IsNaN(got) {
+		t.Errorf("ValueRange of one infinity = %v, want NaN as before", got)
+	}
+}
+
 func TestPSNRKnownValue(t *testing.T) {
 	// range 1, rmse 0.01 -> 40 dB.
 	n := 1000
@@ -80,6 +105,30 @@ func TestMaxAbsError(t *testing.T) {
 	got, _ := MaxAbsError(a, b)
 	if got != 1.5 {
 		t.Fatalf("MaxAbsError = %v, want 1.5", got)
+	}
+}
+
+// TestMaxAbsErrorNonFinite: a decoder that emits NaN or an infinity where
+// the original was a number (or the other way round) breaks every bound;
+// a non-finite sample reproduced exactly costs nothing.
+func TestMaxAbsErrorNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		orig, recon []float32
+		want        float64
+	}{
+		{[]float32{1, 2}, []float32{1, nan}, math.Inf(1)},
+		{[]float32{1, nan}, []float32{1, 2}, math.Inf(1)},
+		{[]float32{1, 2}, []float32{1, inf}, math.Inf(1)},
+		{[]float32{inf, 2}, []float32{-inf, 2}, math.Inf(1)},
+		{[]float32{inf, 2}, []float32{nan, 2}, math.Inf(1)},
+		{[]float32{nan, 2}, []float32{nan, 2.5}, 0.5},
+		{[]float32{inf, -inf, 2}, []float32{inf, -inf, 2.25}, 0.25},
+	} {
+		if got, _ := MaxAbsError(c.orig, c.recon); got != c.want {
+			t.Errorf("MaxAbsError(%v, %v) = %v, want %v", c.orig, c.recon, got, c.want)
+		}
 	}
 }
 
