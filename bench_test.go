@@ -18,73 +18,74 @@ import (
 	"testing"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 )
 
 // ---- per-codec throughput micro-benchmarks ----
 
-func benchCompress(b *testing.B, c baselines.Codec, ds datagen.Dataset) {
-	eb := 1e-3 * metrics.ValueRange(ds.Data)
+// benchCompress times the registry codec name at ε = 1e-3 under opts.
+func benchCompress(b *testing.B, name string, opts qoz.Options, ds datagen.Dataset) {
+	ctx, c := context.Background(), qoz.MustLookup(name)
+	opts.ErrorBound = 1e-3 * metrics.ValueRange(ds.Data)
 	b.SetBytes(int64(ds.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(ds.Data, ds.Dims, eb); err != nil {
+		if _, err := c.Compress(ctx, ds.Data, ds.Dims, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchDecompress(b *testing.B, c baselines.Codec, ds datagen.Dataset) {
-	eb := 1e-3 * metrics.ValueRange(ds.Data)
-	buf, err := c.Compress(ds.Data, ds.Dims, eb)
+func benchDecompress(b *testing.B, name string, ds datagen.Dataset) {
+	ctx, c := context.Background(), qoz.MustLookup(name)
+	buf, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(ds.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decompress(buf); err != nil {
+		if _, _, err := c.Decompress(ctx, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkCompressQoZNYX(b *testing.B) {
-	benchCompress(b, baselines.QoZ(qoz.TuneCR), datagen.NYX(64, 64, 64))
+	benchCompress(b, "qoz", qoz.Options{}, datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkCompressSZ3NYX(b *testing.B) {
-	benchCompress(b, baselines.SZ3(), datagen.NYX(64, 64, 64))
+	benchCompress(b, "sz3", qoz.Options{}, datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkCompressSZ2NYX(b *testing.B) {
-	benchCompress(b, baselines.SZ2(), datagen.NYX(64, 64, 64))
+	benchCompress(b, "sz2", qoz.Options{}, datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkCompressZFPNYX(b *testing.B) {
-	benchCompress(b, baselines.ZFP(), datagen.NYX(64, 64, 64))
+	benchCompress(b, "zfp", qoz.Options{}, datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkCompressMGARDNYX(b *testing.B) {
-	benchCompress(b, baselines.MGARD(), datagen.NYX(64, 64, 64))
+	benchCompress(b, "mgard", qoz.Options{}, datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkDecompressQoZNYX(b *testing.B) {
-	benchDecompress(b, baselines.QoZ(qoz.TuneCR), datagen.NYX(64, 64, 64))
+	benchDecompress(b, "qoz", datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkDecompressSZ3NYX(b *testing.B) {
-	benchDecompress(b, baselines.SZ3(), datagen.NYX(64, 64, 64))
+	benchDecompress(b, "sz3", datagen.NYX(64, 64, 64))
 }
 
 func BenchmarkCompressQoZCESM2D(b *testing.B) {
-	benchCompress(b, baselines.QoZ(qoz.TuneCR), datagen.CESMATM(256, 512))
+	benchCompress(b, "qoz", qoz.Options{}, datagen.CESMATM(256, 512))
 }
 
 func BenchmarkCompressQoZPSNRMode(b *testing.B) {
-	benchCompress(b, baselines.QoZ(qoz.TunePSNR), datagen.Miranda(48, 64, 64))
+	benchCompress(b, "qoz", qoz.Options{Metric: qoz.TunePSNR}, datagen.Miranda(48, 64, 64))
 }
 
 // ---- streaming slab encode: worker scaling on a >=64 MB field ----

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/internal/container"
 	"qoz/metrics"
@@ -188,7 +187,7 @@ func TestDecodeLegacyFormats(t *testing.T) {
 	}
 
 	// A baseline's bare container routes through the registry by id.
-	sz3buf, err := baselines.SZ3().Compress(ds.Data, ds.Dims, eb)
+	sz3buf, err := qoz.MustLookup("sz3").Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}

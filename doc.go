@@ -47,8 +47,9 @@
 // random-access archives where any region of interest decodes by
 // touching only the bricks it intersects, served locally or over HTTP
 // range requests, including mutable stores that grow by whole time
-// steps (store.OpenMutable, store.Mutable.AppendSteps). The other
-// companions provide the paper's comparison baselines (qoz/baselines),
-// quality metrics (qoz/metrics), synthetic scientific datasets
-// (qoz/datagen), and the parallel-I/O model (qoz/parallelio).
+// steps (store.OpenMutable, store.Mutable.AppendSteps). The paper's
+// comparison baselines are registry codecs like QoZ itself ("sz2", "sz3",
+// "zfp", "mgard"). The other companions provide quality metrics
+// (qoz/metrics), synthetic scientific datasets (qoz/datagen), and the
+// parallel-I/O model (qoz/parallelio).
 package qoz

@@ -4,23 +4,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 )
 
 func main() {
+	ctx := context.Background()
 	ds := datagen.NYX()
 	fmt.Printf("dataset: %s — rate-distortion sweep\n\n", ds)
-	codecs := []baselines.Codec{
-		baselines.QoZ(qoz.TunePSNR),
-		baselines.SZ3(),
-		baselines.ZFP(),
-	}
+	// QoZ tunes for PSNR; the baselines have no tuning and ignore Metric.
+	codecs := []qoz.Codec{qoz.MustLookup("qoz"), qoz.MustLookup("sz3"), qoz.MustLookup("zfp")}
 	vr := metrics.ValueRange(ds.Data)
 	fmt.Printf("%-10s", "ε")
 	for _, c := range codecs {
@@ -30,11 +28,11 @@ func main() {
 	for _, rel := range []float64{1e-2, 3e-3, 1e-3, 3e-4, 1e-4} {
 		fmt.Printf("%-10.0e", rel)
 		for _, c := range codecs {
-			buf, err := c.Compress(ds.Data, ds.Dims, rel*vr)
+			buf, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: rel * vr, Metric: qoz.TunePSNR})
 			if err != nil {
 				log.Fatal(err)
 			}
-			recon, _, err := c.Decompress(buf)
+			recon, _, err := c.Decompress(ctx, buf)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,11 +5,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 	"qoz/parallelio"
@@ -17,15 +17,12 @@ import (
 
 func main() {
 	ds := datagen.Hurricane()
-	eb := 1e-3 * metrics.ValueRange(ds.Data)
+	opts := qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)}
 	fmt.Printf("profiling codecs on %s (ε=1e-3)...\n\n", ds)
 
 	profiles := []parallelio.CodecProfile{parallelio.RawProfile()}
-	for _, c := range []baselines.Codec{
-		baselines.SZ2(), baselines.SZ3(), baselines.ZFP(),
-		baselines.MGARD(), baselines.QoZ(qoz.TuneCR),
-	} {
-		p, err := parallelio.Profile(c, ds.Data, ds.Dims, eb)
+	for _, name := range qoz.Codecs() {
+		p, err := parallelio.ProfileCodec(context.Background(), qoz.MustLookup(name), ds.Data, ds.Dims, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 package qoz_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 )
@@ -17,16 +17,18 @@ func TestMatrixAllCodecsAllDatasets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep skipped in -short mode")
 	}
+	ctx := context.Background()
 	for _, ds := range datagen.AllSmall() {
 		vr := metrics.ValueRange(ds.Data)
 		for _, rel := range []float64{1e-2, 1e-3, 1e-4} {
 			eb := rel * vr
-			for _, c := range baselines.All(qoz.TuneCR) {
-				buf, err := c.Compress(ds.Data, ds.Dims, eb)
+			for _, name := range qoz.Codecs() {
+				c := qoz.MustLookup(name)
+				buf, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 				if err != nil {
 					t.Fatalf("%s/%s/ε=%g: %v", c.Name(), ds.Name, rel, err)
 				}
-				recon, dims, err := c.Decompress(buf)
+				recon, dims, err := c.Decompress(ctx, buf)
 				if err != nil {
 					t.Fatalf("%s/%s/ε=%g: decompress: %v", c.Name(), ds.Name, rel, err)
 				}
@@ -46,6 +48,7 @@ func TestMatrixAllCodecsAllDatasets(t *testing.T) {
 // compression bit-exactly (escaped as literals / raw blocks) while finite
 // points still respect the bound.
 func TestNonFiniteValues(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	dims := []int{24, 24, 24}
 	n := 24 * 24 * 24
@@ -69,12 +72,13 @@ func TestNonFiniteValues(t *testing.T) {
 		special[idx] = v
 	}
 	eb := 1e-3
-	for _, c := range baselines.All(qoz.TuneCR) {
-		buf, err := c.Compress(data, dims, eb)
+	for _, name := range qoz.Codecs() {
+		c := qoz.MustLookup(name)
+		buf, err := c.Compress(ctx, data, dims, qoz.Options{ErrorBound: eb})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		recon, _, err := c.Decompress(buf)
+		recon, _, err := c.Decompress(ctx, buf)
 		if err != nil {
 			t.Fatalf("%s: decompress: %v", c.Name(), err)
 		}
@@ -103,11 +107,13 @@ func TestNonFiniteValues(t *testing.T) {
 // TestCorruptStreamsDoNotPanic flips bytes throughout compressed streams;
 // decoders must either return an error or garbage — never panic.
 func TestCorruptStreamsDoNotPanic(t *testing.T) {
+	ctx := context.Background()
 	ds := datagen.NYX(16, 16, 16)
 	eb := 1e-3 * metrics.ValueRange(ds.Data)
 	rng := rand.New(rand.NewSource(12))
-	for _, c := range baselines.All(qoz.TuneCR) {
-		buf, err := c.Compress(ds.Data, ds.Dims, eb)
+	for _, name := range qoz.Codecs() {
+		c := qoz.MustLookup(name)
+		buf, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -123,7 +129,7 @@ func TestCorruptStreamsDoNotPanic(t *testing.T) {
 						t.Fatalf("%s: panic on corrupt stream: %v", c.Name(), r)
 					}
 				}()
-				c.Decompress(dup) //nolint:errcheck // error or garbage both fine
+				c.Decompress(ctx, dup) //nolint:errcheck // error or garbage both fine
 			}()
 		}
 		// Truncations at every eighth byte.
@@ -134,7 +140,7 @@ func TestCorruptStreamsDoNotPanic(t *testing.T) {
 						t.Fatalf("%s: panic on truncated stream at %d: %v", c.Name(), cut, r)
 					}
 				}()
-				c.Decompress(buf[:cut]) //nolint:errcheck
+				c.Decompress(ctx, buf[:cut]) //nolint:errcheck
 			}()
 		}
 	}
@@ -144,14 +150,16 @@ func TestCorruptStreamsDoNotPanic(t *testing.T) {
 // over the same input produce identical bytes (required for reproducible
 // archives).
 func TestDeterministicStreams(t *testing.T) {
+	ctx := context.Background()
 	ds := datagen.Miranda(24, 32, 32)
 	eb := 1e-3 * metrics.ValueRange(ds.Data)
-	for _, c := range baselines.All(qoz.TuneCR) {
-		a, err := c.Compress(ds.Data, ds.Dims, eb)
+	for _, name := range qoz.Codecs() {
+		c := qoz.MustLookup(name)
+		a, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		b, err := c.Compress(ds.Data, ds.Dims, eb)
+		b, err := c.Compress(ctx, ds.Data, ds.Dims, qoz.Options{ErrorBound: eb})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}

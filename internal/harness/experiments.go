@@ -1,15 +1,14 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
-	"qoz/internal/core"
 	"qoz/metrics"
 	"qoz/parallelio"
 )
@@ -38,10 +37,9 @@ func Fig7(w io.Writer, cfg Config) ([]Fig7Result, error) {
 			sets = append(sets, ds)
 		}
 	}
-	qz := baselines.QoZ(qoz.TuneCR)
 	for _, ds := range sets {
 		for _, rel := range []float64{1e-3, 1e-4} {
-			r, err := RunCodec(qz, ds, rel)
+			r, err := RunCodec(qozCR, ds, rel)
 			if err != nil {
 				return nil, err
 			}
@@ -91,10 +89,10 @@ type Table3Cell struct {
 // under ε ∈ cfg.RelBounds, with QoZ in max-CR mode.
 func Table3(w io.Writer, cfg Config) ([]Table3Cell, error) {
 	section(w, "Table III — compression ratio at the same error bound")
-	cs := codecs(qoz.TuneCR)
+	cs := lineup(qozCR)
 	fmt.Fprintf(w, "%-12s %-7s", "dataset", "ε")
 	for _, c := range cs {
-		fmt.Fprintf(w, " %10s", c.Name())
+		fmt.Fprintf(w, " %10s", c.Name)
 	}
 	fmt.Fprintf(w, " %9s\n", "improve%")
 	var out []Table3Cell
@@ -107,22 +105,22 @@ func Table3(w io.Writer, cfg Config) ([]Table3Cell, error) {
 					return nil, err
 				}
 				if r.MaxErr > r.AbsBound*(1+1e-12) {
-					return nil, fmt.Errorf("%s violated bound on %s", c.Name(), ds.Name)
+					return nil, fmt.Errorf("%s violated bound on %s", c.Name, ds.Name)
 				}
-				cell.CR[c.Name()] = r.CR
+				cell.CR[c.Name] = r.CR
 			}
-			qozCR := cell.CR["QoZ"]
+			qozRatio := cell.CR["QoZ"]
 			bestOther := 0.0
 			for name, cr := range cell.CR {
 				if name != "QoZ" && cr > bestOther {
 					bestOther = cr
 				}
 			}
-			cell.ImprovePct = (qozCR/bestOther - 1) * 100
+			cell.ImprovePct = (qozRatio/bestOther - 1) * 100
 			out = append(out, cell)
 			fmt.Fprintf(w, "%-12s %-7.0e", ds.Name, rel)
 			for _, c := range cs {
-				fmt.Fprintf(w, " %10.1f", cell.CR[c.Name()])
+				fmt.Fprintf(w, " %10.1f", cell.CR[c.Name])
 			}
 			fmt.Fprintf(w, " %8.1f%%\n", cell.ImprovePct)
 		}
@@ -147,23 +145,22 @@ type RDCurves struct {
 	Curves  map[string][]RDPoint
 }
 
-// rateDistortion sweeps all codecs over cfg.Sweep for every dataset with
-// QoZ in the given tuning mode.
-func rateDistortion(w io.Writer, cfg Config, metric qoz.Tuning, label string,
-	pick func(RDPoint) float64) ([]RDCurves, error) {
-	cs := codecs(metric)
+// rateDistortion sweeps the line-up cs over cfg.Sweep for every dataset,
+// printing each point as bit-rate and cell(point) in a name column of the
+// given width.
+func rateDistortion(w io.Writer, cfg Config, cs []Compressor, label string, width int,
+	cell func(RDPoint) string) ([]RDCurves, error) {
 	var out []RDCurves
 	for _, ds := range cfg.Datasets() {
 		rc := RDCurves{Dataset: ds.Name, Curves: map[string][]RDPoint{}}
-		fmt.Fprintf(w, "\n[%s] %s\n", ds.Name, label)
-		fmt.Fprintf(w, "%-10s", "codec")
+		fmt.Fprintf(w, "\n[%s]%s\n%-*s", ds.Name, label, width, "codec")
 		for _, rel := range cfg.Sweep {
 			fmt.Fprintf(w, "  (ε=%.0e)", rel)
 		}
 		fmt.Fprintln(w)
 		for _, c := range cs {
 			var pts []RDPoint
-			fmt.Fprintf(w, "%-10s", c.Name())
+			fmt.Fprintf(w, "%-*s", width, c.Name)
 			for _, rel := range cfg.Sweep {
 				r, err := RunCodec(c, ds, rel)
 				if err != nil {
@@ -171,10 +168,10 @@ func rateDistortion(w io.Writer, cfg Config, metric qoz.Tuning, label string,
 				}
 				p := RDPoint{RelBound: rel, BitRate: r.BitRate, PSNR: r.PSNR, SSIM: r.SSIM, AC: r.AC}
 				pts = append(pts, p)
-				fmt.Fprintf(w, "  %5.2fbpp/%-6.4g", p.BitRate, pick(p))
+				fmt.Fprintf(w, "  %5.2fbpp/%s", p.BitRate, cell(p))
 			}
 			fmt.Fprintln(w)
-			rc.Curves[c.Name()] = pts
+			rc.Curves[c.Name] = pts
 		}
 		out = append(out, rc)
 	}
@@ -184,52 +181,23 @@ func rateDistortion(w io.Writer, cfg Config, metric qoz.Tuning, label string,
 // Fig8 reproduces the rate–PSNR evaluation with QoZ in PSNR-preferred mode.
 func Fig8(w io.Writer, cfg Config) ([]RDCurves, error) {
 	section(w, "Fig. 8 — rate–PSNR (bit-rate bpp / PSNR dB)")
-	return rateDistortion(w, cfg, qoz.TunePSNR, "rate-PSNR",
-		func(p RDPoint) float64 { return p.PSNR })
+	return rateDistortion(w, cfg, lineup(qozPSNR), " rate-PSNR", 10,
+		func(p RDPoint) string { return fmt.Sprintf("%-6.4g", p.PSNR) })
 }
 
 // Fig9 reproduces the rate–SSIM evaluation with QoZ in SSIM-preferred mode.
 func Fig9(w io.Writer, cfg Config) ([]RDCurves, error) {
 	section(w, "Fig. 9 — rate–SSIM (bit-rate bpp / SSIM)")
-	return rateDistortion(w, cfg, qoz.TuneSSIM, "rate-SSIM",
-		func(p RDPoint) float64 { return p.SSIM })
+	return rateDistortion(w, cfg, lineup(qozSSIM), " rate-SSIM", 10,
+		func(p RDPoint) string { return fmt.Sprintf("%-6.4g", p.SSIM) })
 }
 
 // Fig10 reproduces the rate–autocorrelation evaluation: SZ3 vs QoZ in
 // PSNR-preferred mode vs QoZ in AC-preferred mode.
 func Fig10(w io.Writer, cfg Config) ([]RDCurves, error) {
 	section(w, "Fig. 10 — rate–AC(lag-1 of errors): SZ3 vs QoZ(psnr) vs QoZ(ac)")
-	cs := []baselines.Codec{
-		baselines.SZ3(),
-		baselines.QoZ(qoz.TunePSNR),
-		baselines.QoZ(qoz.TuneAC),
-	}
-	var out []RDCurves
-	for _, ds := range cfg.Datasets() {
-		rc := RDCurves{Dataset: ds.Name, Curves: map[string][]RDPoint{}}
-		fmt.Fprintf(w, "\n[%s]\n%-12s", ds.Name, "codec")
-		for _, rel := range cfg.Sweep {
-			fmt.Fprintf(w, "  (ε=%.0e)", rel)
-		}
-		fmt.Fprintln(w)
-		for _, c := range cs {
-			var pts []RDPoint
-			fmt.Fprintf(w, "%-12s", c.Name())
-			for _, rel := range cfg.Sweep {
-				r, err := RunCodec(c, ds, rel)
-				if err != nil {
-					return nil, err
-				}
-				p := RDPoint{RelBound: rel, BitRate: r.BitRate, PSNR: r.PSNR, SSIM: r.SSIM, AC: r.AC}
-				pts = append(pts, p)
-				fmt.Fprintf(w, "  %5.2fbpp/%+-6.3f", p.BitRate, p.AC)
-			}
-			fmt.Fprintln(w)
-			rc.Curves[c.Name()] = pts
-		}
-		out = append(out, rc)
-	}
-	return out, nil
+	return rateDistortion(w, cfg, []Compressor{sz3, qozPSNR, qozAC}, "", 12,
+		func(p RDPoint) string { return fmt.Sprintf("%+-6.3f", p.AC) })
 }
 
 // ---- Fig. 11: visual quality at the same compression ratio ----
@@ -254,13 +222,13 @@ func Fig11(w io.Writer, cfg Config, targetCR float64) ([]Fig11Result, error) {
 		}
 	}
 	var out []Fig11Result
-	for _, c := range codecs(qoz.TunePSNR) {
+	for _, c := range lineup(qozPSNR) {
 		r, err := MatchCR(c, ds, targetCR)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig11Result{Codec: c.Name(), CR: r.CR, PSNR: r.PSNR})
-		fmt.Fprintf(w, "%-10s CR=%6.1f  PSNR=%6.2f dB\n", c.Name(), r.CR, r.PSNR)
+		out = append(out, Fig11Result{Codec: c.Name, CR: r.CR, PSNR: r.PSNR})
+		fmt.Fprintf(w, "%-10s CR=%6.1f  PSNR=%6.2f dB\n", c.Name, r.CR, r.PSNR)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PSNR > out[j].PSNR })
 	fmt.Fprintf(w, "best visual quality: %s\n", out[0].Codec)
@@ -268,27 +236,6 @@ func Fig11(w io.Writer, cfg Config, targetCR float64) ([]Fig11Result, error) {
 }
 
 // ---- Fig. 12: ablation study ----
-
-// AblationVariant names one configuration of the component stack.
-type AblationVariant struct {
-	Name string
-	Opts core.Options
-}
-
-// AblationVariants returns the paper's five configurations: SZ3-like,
-// +anchor points, +sampling, +level-wise interpolator selection, full QoZ.
-func AblationVariants(eb float64) []AblationVariant {
-	return []AblationVariant{
-		{"SZ3", core.Options{ErrorBound: eb, DisableAnchors: true, DisableSampling: true,
-			DisableLevelSelect: true, DisableParamTuning: true}},
-		{"SZ3+AP", core.Options{ErrorBound: eb, DisableSampling: true,
-			DisableLevelSelect: true, DisableParamTuning: true}},
-		{"SZ3+AP+S", core.Options{ErrorBound: eb, DisableLevelSelect: true,
-			DisableParamTuning: true}},
-		{"SZ3+AP+S+LIS", core.Options{ErrorBound: eb, DisableParamTuning: true}},
-		{"QoZ", core.Options{ErrorBound: eb, Mode: core.ModePSNR}},
-	}
-}
 
 // Fig12Point is one (variant, bound) outcome.
 type Fig12Point struct {
@@ -300,39 +247,26 @@ type Fig12Point struct {
 
 // Fig12 reproduces the component ablation (CESM-ATM and Miranda): adding
 // AP, S, LIS, and PA one by one should keep improving rate-distortion.
+// The variants are the paper's five configurations: SZ3-like, +anchor
+// points, +sampling, +level-wise interpolator selection, full QoZ.
 func Fig12(w io.Writer, cfg Config) (map[string][]Fig12Point, error) {
 	section(w, "Fig. 12 — ablation: SZ3 → +AP → +S → +LIS → QoZ (rate/PSNR)")
-	out := map[string][]Fig12Point{}
-	for _, ds := range cfg.Datasets() {
-		if ds.Name != "CESM-ATM" && ds.Name != "Miranda" {
-			continue
-		}
-		fmt.Fprintf(w, "\n[%s]\n", ds.Name)
-		vr := metrics.ValueRange(ds.Data)
-		for _, rel := range cfg.Sweep {
-			eb := rel * vr
-			for _, v := range AblationVariants(eb) {
-				buf, err := core.Compress(ds.Data, ds.Dims, v.Opts)
-				if err != nil {
-					return nil, err
-				}
-				recon, _, err := core.Decompress(buf)
-				if err != nil {
-					return nil, err
-				}
-				psnr, _ := metrics.PSNR(ds.Data, recon)
-				p := Fig12Point{
-					Variant:  v.Name,
-					RelBound: rel,
-					BitRate:  metrics.BitRate(len(buf), ds.Len()),
-					PSNR:     psnr,
-				}
-				out[ds.Name] = append(out[ds.Name], p)
-				fmt.Fprintf(w, "ε=%.0e %-14s %6.3f bpp  %6.2f dB\n", rel, v.Name, p.BitRate, p.PSNR)
-			}
-		}
+	q := qozCR.Codec
+	variants := []Compressor{
+		{"SZ3", q, qoz.Options{DisableAnchors: true, DisableSampling: true,
+			DisableLevelSelect: true, DisableParamTuning: true}},
+		{"SZ3+AP", q, qoz.Options{DisableSampling: true, DisableLevelSelect: true,
+			DisableParamTuning: true}},
+		{"SZ3+AP+S", q, qoz.Options{DisableLevelSelect: true, DisableParamTuning: true}},
+		{"SZ3+AP+S+LIS", q, qoz.Options{DisableParamTuning: true}},
+		{"QoZ", q, qozPSNR.Opts},
 	}
-	return out, nil
+	out := map[string][]Fig12Point{}
+	err := sweepVariants(w, cfg, [2]string{"CESM-ATM", "Miranda"}, variants, func(ds string, r Run) {
+		out[ds] = append(out[ds], Fig12Point{r.Codec, r.RelBound, r.BitRate, r.PSNR})
+		fmt.Fprintf(w, "ε=%.0e %-14s %6.3f bpp  %6.2f dB\n", r.RelBound, r.Codec, r.BitRate, r.PSNR)
+	})
+	return out, err
 }
 
 // ---- Fig. 13: impact of (α, β) and auto-tuning ----
@@ -350,54 +284,41 @@ type Fig13Point struct {
 // setting changes with bit-rate while auto-tuning tracks the envelope.
 func Fig13(w io.Writer, cfg Config) (map[string][]Fig13Point, error) {
 	section(w, "Fig. 13 — fixed (α,β) vs auto-tuning (rate/PSNR)")
-	settings := []struct {
-		name string
-		a, b float64
-		auto bool
-	}{
-		{"a=1_b=1", 1, 1, false},
-		{"a=1.5_b=3", 1.5, 3, false},
-		{"a=2_b=4", 2, 4, false},
-		{"autotuning", 0, 0, true},
+	q := qozCR.Codec
+	settings := []Compressor{
+		{"a=1_b=1", q, qoz.Options{Metric: qoz.TuneFixed, Alpha: 1, Beta: 1}},
+		{"a=1.5_b=3", q, qoz.Options{Metric: qoz.TuneFixed, Alpha: 1.5, Beta: 3}},
+		{"a=2_b=4", q, qoz.Options{Metric: qoz.TuneFixed, Alpha: 2, Beta: 4}},
+		{"autotuning", q, qozPSNR.Opts},
 	}
 	out := map[string][]Fig13Point{}
+	err := sweepVariants(w, cfg, [2]string{"CESM-ATM", "NYX"}, settings, func(ds string, r Run) {
+		out[ds] = append(out[ds], Fig13Point{r.Codec, r.RelBound, r.BitRate, r.PSNR})
+		fmt.Fprintf(w, "ε=%.0e %-12s %6.3f bpp  %6.2f dB\n", r.RelBound, r.Codec, r.BitRate, r.PSNR)
+	})
+	return out, err
+}
+
+// sweepVariants runs every variant at every cfg.Sweep bound on the two
+// named datasets, handing each run to record in order.
+func sweepVariants(w io.Writer, cfg Config, sets [2]string, variants []Compressor,
+	record func(dataset string, r Run)) error {
 	for _, ds := range cfg.Datasets() {
-		if ds.Name != "CESM-ATM" && ds.Name != "NYX" {
+		if ds.Name != sets[0] && ds.Name != sets[1] {
 			continue
 		}
 		fmt.Fprintf(w, "\n[%s]\n", ds.Name)
-		vr := metrics.ValueRange(ds.Data)
 		for _, rel := range cfg.Sweep {
-			eb := rel * vr
-			for _, s := range settings {
-				opts := core.Options{ErrorBound: eb}
-				if s.auto {
-					opts.Mode = core.ModePSNR
-				} else {
-					opts.Mode = core.ModeFixed
-					opts.Alpha, opts.Beta = s.a, s.b
-				}
-				buf, err := core.Compress(ds.Data, ds.Dims, opts)
+			for _, v := range variants {
+				r, err := RunCodec(v, ds, rel)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				recon, _, err := core.Decompress(buf)
-				if err != nil {
-					return nil, err
-				}
-				psnr, _ := metrics.PSNR(ds.Data, recon)
-				p := Fig13Point{
-					Setting:  s.name,
-					RelBound: rel,
-					BitRate:  metrics.BitRate(len(buf), ds.Len()),
-					PSNR:     psnr,
-				}
-				out[ds.Name] = append(out[ds.Name], p)
-				fmt.Fprintf(w, "ε=%.0e %-12s %6.3f bpp  %6.2f dB\n", rel, s.name, p.BitRate, p.PSNR)
+				record(ds.Name, r)
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ---- Table IV: sequential speeds ----
@@ -413,7 +334,7 @@ type Table4Row struct {
 // with QoZ in PSNR-preferred mode.
 func Table4(w io.Writer, cfg Config) ([]Table4Row, error) {
 	section(w, "Table IV — compression/decompression speed (MB/s), ε=1e-3")
-	cs := codecs(qoz.TunePSNR)
+	cs := lineup(qozPSNR)
 	var out []Table4Row
 	for _, ds := range cfg.Datasets() {
 		row := Table4Row{
@@ -427,23 +348,23 @@ func Table4(w io.Writer, cfg Config) ([]Table4Row, error) {
 				return nil, err
 			}
 			mb := float64(ds.Len()*4) / 1e6
-			row.CompMBps[c.Name()] = mb / r.CompSecs
-			row.DecompMBps[c.Name()] = mb / r.DecompSecs
+			row.CompMBps[c.Name] = mb / r.CompSecs
+			row.DecompMBps[c.Name] = mb / r.DecompSecs
 		}
 		out = append(out, row)
 	}
 	for _, phase := range []string{"compress", "decompress"} {
 		fmt.Fprintf(w, "\n%-12s", phase)
 		for _, c := range cs {
-			fmt.Fprintf(w, " %10s", c.Name())
+			fmt.Fprintf(w, " %10s", c.Name)
 		}
 		fmt.Fprintln(w)
 		for _, row := range out {
 			fmt.Fprintf(w, "%-12s", row.Dataset)
 			for _, c := range cs {
-				v := row.CompMBps[c.Name()]
+				v := row.CompMBps[c.Name]
 				if phase == "decompress" {
-					v = row.DecompMBps[c.Name()]
+					v = row.DecompMBps[c.Name]
 				}
 				fmt.Fprintf(w, " %10.0f", v)
 			}
@@ -481,11 +402,12 @@ func Fig14(w io.Writer, cfg Config) ([]Fig14Point, error) {
 	coreCounts := []int{1024, 2048, 4096, 8192}
 	var out []Fig14Point
 	profiles := []parallelio.CodecProfile{parallelio.RawProfile()}
-	for _, c := range codecs(qoz.TuneCR) {
-		p, err := parallelio.Profile(c, ds.Data, ds.Dims, eb)
+	for _, c := range lineup(qozCR) {
+		p, err := parallelio.ProfileCodec(context.Background(), c.Codec, ds.Data, ds.Dims, c.at(eb))
 		if err != nil {
 			return nil, err
 		}
+		p.Name = c.Name
 		profiles = append(profiles, p)
 	}
 	fmt.Fprintf(w, "%-10s %6s %10s %10s %9s %7s\n",

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"qoz"
 )
 
 // Fig11Render writes PGM images of the SCALE-LETKF middle slice for the
@@ -26,12 +24,12 @@ func Fig11Render(dir string, cfg Config, targetCR float64) ([]string, error) {
 			return nil, err
 		}
 		written = append(written, path)
-		for _, c := range codecs(qoz.TunePSNR) {
+		for _, c := range lineup(qozPSNR) {
 			r, err := MatchCR(c, ds, targetCR)
 			if err != nil {
 				return nil, err
 			}
-			name := sanitize(c.Name())
+			name := sanitize(c.Name)
 			path := filepath.Join(dir, fmt.Sprintf("%s_cr%.0f_psnr%.1f.pgm", name, r.CR, r.PSNR))
 			if err := writePGM(path, r.Recon, ds.Dims, lo, hi); err != nil {
 				return nil, err

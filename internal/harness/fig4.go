@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/internal/grid"
 	"qoz/metrics"
@@ -40,9 +38,8 @@ func Fig4(w io.Writer, cfg Config, renderDir string) ([]Fig4Result, error) {
 			ds = d
 		}
 	}
-	cs := []baselines.Codec{baselines.SZ2(), baselines.SZ3(), baselines.QoZ(qoz.TuneCR)}
 	var out []Fig4Result
-	for _, c := range cs {
+	for _, c := range []Compressor{sz2, sz3, qozCR} {
 		r, err := RunCodec(c, ds, 1e-2)
 		if err != nil {
 			return nil, err
@@ -52,7 +49,7 @@ func Fig4(w io.Writer, cfg Config, renderDir string) ([]Fig4Result, error) {
 			errField[i] = ds.Data[i] - r.Recon[i]
 		}
 		res := Fig4Result{
-			Codec:        c.Name(),
+			Codec:        c.Name,
 			ErrAC:        r.AC,
 			ClusterScore: clusterScore(errField, ds.Dims),
 		}
@@ -63,7 +60,7 @@ func Fig4(w io.Writer, cfg Config, renderDir string) ([]Fig4Result, error) {
 			if err := os.MkdirAll(renderDir, 0o755); err != nil {
 				return nil, err
 			}
-			path := filepath.Join(renderDir, "fig4_err_"+sanitize(c.Name())+".pgm")
+			path := filepath.Join(renderDir, "fig4_err_"+sanitize(c.Name)+".pgm")
 			f, err := os.Create(path)
 			if err != nil {
 				return nil, err

@@ -20,8 +20,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"qoz"
 )
 
 const rdGoldenPath = "testdata/rate_distortion_golden.txt"
@@ -33,11 +31,10 @@ func rateDistortionRows(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crCodecs := codecs(qoz.TuneCR)
 	for _, cell := range cells {
-		for _, c := range crCodecs {
+		for _, c := range lineup(qozCR) {
 			rows = append(rows, fmt.Sprintf("table3 %-11s ε=%.0e %-9s cr=%.4f",
-				cell.Dataset, cell.RelBound, c.Name(), cell.CR[c.Name()]))
+				cell.Dataset, cell.RelBound, c.Name, cell.CR[c.Name]))
 		}
 	}
 	// Each figure's rows follow its own line-up, named as the paper names

@@ -9,16 +9,48 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 )
+
+// Compressor is one entry of an experiment's line-up: the name the
+// paper's tables print, the registry codec, and the options it runs with
+// (each run sets the bound).
+type Compressor struct {
+	Name  string
+	Codec qoz.Codec
+	Opts  qoz.Options
+}
+
+// The paper's compressors, QoZ once per tuning mode.
+var (
+	sz2     = Compressor{"SZ2.1", qoz.MustLookup("sz2"), qoz.Options{}}
+	sz3     = Compressor{"SZ3", qoz.MustLookup("sz3"), qoz.Options{}}
+	zfp     = Compressor{"ZFP", qoz.MustLookup("zfp"), qoz.Options{}}
+	mgard   = Compressor{"MGARD+", qoz.MustLookup("mgard"), qoz.Options{}}
+	qozCR   = Compressor{"QoZ", qoz.MustLookup("qoz"), qoz.Options{Metric: qoz.TuneCR}}
+	qozPSNR = Compressor{"QoZ(psnr)", qoz.MustLookup("qoz"), qoz.Options{Metric: qoz.TunePSNR}}
+	qozSSIM = Compressor{"QoZ(ssim)", qoz.MustLookup("qoz"), qoz.Options{Metric: qoz.TuneSSIM}}
+	qozAC   = Compressor{"QoZ(ac)", qoz.MustLookup("qoz"), qoz.Options{Metric: qoz.TuneAC}}
+)
+
+// lineup returns the paper's five compressors in table order, with q as
+// QoZ.
+func lineup(q Compressor) []Compressor { return []Compressor{sz2, sz3, zfp, mgard, q} }
+
+// at returns c's options under the absolute error bound eb.
+func (c Compressor) at(eb float64) qoz.Options {
+	o := c.Opts
+	o.ErrorBound = eb
+	return o
+}
 
 // Config controls dataset sizes and sweep points.
 type Config struct {
@@ -77,12 +109,13 @@ type Run struct {
 
 // RunCodec compresses and decompresses ds with c at the given relative
 // bound and gathers all quality metrics.
-func RunCodec(c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
+func RunCodec(c Compressor, ds datagen.Dataset, rel float64) (Run, error) {
+	ctx := context.Background()
 	eb := rel * metrics.ValueRange(ds.Data)
 	start := time.Now()
-	buf, err := c.Compress(ds.Data, ds.Dims, eb)
+	buf, err := c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(eb))
 	if err != nil {
-		return Run{}, fmt.Errorf("%s on %s: %w", c.Name(), ds.Name, err)
+		return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
 	}
 	compSecs := time.Since(start).Seconds()
 	// Decompression is deterministic and — on the small profile — often
@@ -93,9 +126,9 @@ func RunCodec(c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
 	decompSecs := math.Inf(1)
 	for i := 0; i < 3; i++ {
 		start = time.Now()
-		recon, _, err = c.Decompress(buf)
+		recon, _, err = c.Codec.Decompress(ctx, buf)
 		if err != nil {
-			return Run{}, fmt.Errorf("%s on %s: decompress: %w", c.Name(), ds.Name, err)
+			return Run{}, fmt.Errorf("%s on %s: decompress: %w", c.Name, ds.Name, err)
 		}
 		if d := time.Since(start).Seconds(); d < decompSecs {
 			decompSecs = d
@@ -103,7 +136,7 @@ func RunCodec(c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
 	}
 
 	r := Run{
-		Codec:      c.Name(),
+		Codec:      c.Name,
 		Dataset:    ds.Name,
 		RelBound:   rel,
 		AbsBound:   eb,
@@ -124,7 +157,7 @@ func RunCodec(c baselines.Codec, ds datagen.Dataset, rel float64) (Run, error) {
 // MatchCR searches for the relative error bound at which codec c reaches
 // (approximately) the target compression ratio on ds, via bisection on
 // log10(rel). Used by the Fig. 11 same-CR comparison.
-func MatchCR(c baselines.Codec, ds datagen.Dataset, targetCR float64) (Run, error) {
+func MatchCR(c Compressor, ds datagen.Dataset, targetCR float64) (Run, error) {
 	lo, hi := -6.0, -0.5 // log10 of relative bound
 	var best Run
 	bestGap := -1.0
@@ -164,6 +197,3 @@ func section(w io.Writer, title string) {
 	}
 	fmt.Fprintln(w)
 }
-
-// codecs returns the five compressors with QoZ in the given mode.
-func codecs(metric qoz.Tuning) []baselines.Codec { return baselines.All(metric) }

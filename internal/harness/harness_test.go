@@ -7,13 +7,12 @@ import (
 	"strings"
 	"testing"
 
-	"qoz/baselines"
 	"qoz/datagen"
 )
 
 func TestRunCodecCollectsMetrics(t *testing.T) {
 	ds := datagen.NYX(24, 24, 24)
-	r, err := RunCodec(baselines.SZ3(), ds, 1e-3)
+	r, err := RunCodec(sz3, ds, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestRunCodecCollectsMetrics(t *testing.T) {
 
 func TestMatchCRApproachesTarget(t *testing.T) {
 	ds := datagen.CESMATM(96, 160)
-	r, err := MatchCR(baselines.SZ3(), ds, 30)
+	r, err := MatchCR(sz3, ds, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // filesystem bandwidth aggregates only until it saturates at the machine's
 // peak — which is exactly the regime where higher compression ratios win.
 // Codec speed and ratio profiles are measured on real (scaled) data via
-// Profile, then extrapolated by Simulate.
+// ProfileCodec, then extrapolated by Simulate.
 package parallelio
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/metrics"
 )
 
@@ -86,8 +85,8 @@ func Simulate(m Machine, p CodecProfile, cores int, bytesPerCore float64) (Resul
 	compressSecs := bytesPerCore / (p.CompressMBps * mb)
 	decompressSecs := bytesPerCore / (p.DecompressMBps * mb)
 
-	writeBW := minf(float64(cores)*m.PerCoreWriteMBps*mb, m.PeakWriteGBps*gb)
-	readBW := minf(float64(cores)*m.PerCoreReadMBps*mb, m.PeakReadGBps*gb)
+	writeBW := min(float64(cores)*m.PerCoreWriteMBps*mb, m.PeakWriteGBps*gb)
+	readBW := min(float64(cores)*m.PerCoreReadMBps*mb, m.PeakReadGBps*gb)
 	writeSecs := stored / writeBW
 	readSecs := stored / readBW
 
@@ -148,43 +147,4 @@ func ProfileCodec(ctx context.Context, c qoz.Codec, data []float32, dims []int, 
 		DecompressMBps: origBytes / 1e6 / decSecs,
 		Ratio:          metrics.CompressionRatio(len(data), len(buf)),
 	}, nil
-}
-
-// Profile measures a display-named baseline codec at the given absolute
-// bound; it is ProfileCodec over an adapter that keeps the paper's display
-// names for the harness tables.
-func Profile(c baselines.Codec, data []float32, dims []int, eb float64) (CodecProfile, error) {
-	return ProfileCodec(context.Background(), legacyCodec{c}, data, dims, qoz.Options{ErrorBound: eb})
-}
-
-// legacyCodec lifts the display-named baselines.Codec surface into the
-// unified qoz.Codec contract.
-type legacyCodec struct{ c baselines.Codec }
-
-func (l legacyCodec) Name() string { return l.c.Name() }
-func (l legacyCodec) ID() uint8    { return 0 }
-
-func (l legacyCodec) Compress(ctx context.Context, data []float32, dims []int, opts qoz.Options) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eb := opts.ErrorBound
-	if opts.RelBound > 0 {
-		eb = opts.RelBound * metrics.ValueRange(data)
-	}
-	return l.c.Compress(data, dims, eb)
-}
-
-func (l legacyCodec) Decompress(ctx context.Context, buf []byte) ([]float32, []int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return l.c.Decompress(buf)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,10 @@
 package parallelio
 
 import (
+	"context"
 	"testing"
 
 	"qoz"
-	"qoz/baselines"
 	"qoz/datagen"
 	"qoz/metrics"
 )
@@ -71,8 +71,8 @@ func TestSimulateValidation(t *testing.T) {
 
 func TestProfileMeasuresRealCodec(t *testing.T) {
 	ds := datagen.Hurricane(12, 64, 64)
-	eb := 1e-3 * metrics.ValueRange(ds.Data)
-	p, err := Profile(baselines.SZ3(), ds.Data, ds.Dims, eb)
+	opts := qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)}
+	p, err := ProfileCodec(context.Background(), qoz.MustLookup("sz3"), ds.Data, ds.Dims, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestProfileMeasuresRealCodec(t *testing.T) {
 	if p.CompressMBps <= 0 || p.DecompressMBps <= 0 {
 		t.Fatalf("measured speeds %+v", p)
 	}
-	if p.Name != "SZ3" {
+	if p.Name != "sz3" {
 		t.Fatalf("name %q", p.Name)
 	}
-	if _, err := Profile(baselines.QoZ(qoz.TuneCR), ds.Data, ds.Dims, eb); err != nil {
+	if _, err := ProfileCodec(context.Background(), qoz.MustLookup("qoz"), ds.Data, ds.Dims, opts); err != nil {
 		t.Fatal(err)
 	}
 }
