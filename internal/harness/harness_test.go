@@ -2,13 +2,70 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"qoz"
 	"qoz/datagen"
+	"qoz/metrics"
 )
+
+// paperCompressors is every entry the experiments run: the five-codec
+// line-up with QoZ once per tuning mode.
+var paperCompressors = []Compressor{sz2, sz3, zfp, mgard, qozCR, qozPSNR, qozSSIM, qozAC}
+
+// TestAllCodecsRoundTrip: each compressor the experiments run decodes its
+// own stream to the input's shape, within the bound it was given.
+func TestAllCodecsRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	ds := datagen.NYX(24, 24, 24)
+	eb := 1e-3 * metrics.ValueRange(ds.Data)
+	for _, c := range paperCompressors {
+		buf, err := c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(eb))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		recon, dims, err := c.Codec.Decompress(ctx, buf)
+		if err != nil {
+			t.Fatalf("%s: Decompress: %v", c.Name, err)
+		}
+		if len(dims) != 3 || dims[0] != 24 || dims[1] != 24 || dims[2] != 24 {
+			t.Fatalf("%s: dims %v", c.Name, dims)
+		}
+		maxErr, _ := metrics.MaxAbsError(ds.Data, recon)
+		if maxErr > eb*(1+1e-12) {
+			t.Fatalf("%s: bound violated: %g > %g", c.Name, maxErr, eb)
+		}
+	}
+}
+
+// TestNames pins the names the tables print, the registry codec behind
+// each and the tuning mode each QoZ entry runs in.
+func TestNames(t *testing.T) {
+	want := []struct {
+		name, codec string
+		metric      qoz.Tuning
+	}{
+		{"SZ2.1", "sz2", 0}, {"SZ3", "sz3", 0}, {"ZFP", "zfp", 0}, {"MGARD+", "mgard", 0},
+		{"QoZ", "qoz", qoz.TuneCR}, {"QoZ(psnr)", "qoz", qoz.TunePSNR},
+		{"QoZ(ssim)", "qoz", qoz.TuneSSIM}, {"QoZ(ac)", "qoz", qoz.TuneAC},
+	}
+	for i, c := range paperCompressors {
+		w := want[i]
+		if c.Name != w.name || c.Codec.Name() != w.codec || c.Opts.Metric != w.metric {
+			t.Fatalf("compressor %d = %q on %q metric %v, want %q on %q metric %v",
+				i, c.Name, c.Codec.Name(), c.Opts.Metric, w.name, w.codec, w.metric)
+		}
+	}
+	for i, c := range lineup(qozCR) {
+		if c.Name != want[i].name {
+			t.Fatalf("line-up entry %d is %q, want %q", i, c.Name, want[i].name)
+		}
+	}
+}
 
 func TestRunCodecCollectsMetrics(t *testing.T) {
 	ds := datagen.NYX(24, 24, 24)
