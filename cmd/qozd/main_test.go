@@ -186,6 +186,7 @@ func TestServerEndpoints(t *testing.T) {
 		"qozd_requests_total",
 		`qozd_store_bricks_decoded_total{field="nyx"}`,
 		"qozd_cache_bytes",
+		"qozd_cache_evicted_bytes_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

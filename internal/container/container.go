@@ -577,9 +577,12 @@ func DeflatedLen(buf []byte) int {
 // inflater is the reusable INFLATE stage: a flate reader carries a 32 KiB
 // window and its decode tables, and a stream holds one section per level
 // per brick. Reset makes a used reader, failed or not, read as a new one.
+// The read block lives here too, so a section's inflate allocates only
+// its output.
 type inflater struct {
-	r   io.Reader // a flate reader; also a flate.Resetter
-	src bytes.Reader
+	r     io.Reader // a flate reader; also a flate.Resetter
+	src   bytes.Reader
+	block [8192]byte
 }
 
 var inflaters = sync.Pool{New: func() any {
@@ -604,10 +607,9 @@ func (in *inflater) inflate(buf []byte, sizeHint int) ([]byte, error) {
 	// let append grow with the bytes that actually decompress; refuse
 	// output past the declared size instead of buffering it.
 	out := make([]byte, 0, min(sizeHint, 1<<20))
-	var block [8192]byte
 	for {
-		n, err := in.r.Read(block[:])
-		out = append(out, block[:n]...)
+		n, err := in.r.Read(in.block[:])
+		out = append(out, in.block[:n]...)
 		if len(out) > sizeHint {
 			return nil, errors.New("container: section inflates past its declared size")
 		}

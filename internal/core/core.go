@@ -301,12 +301,14 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 
 // compactCoarse gathers the stride-aligned points of a full-size
 // reconstruction buffer into a dense row-major array over
-// interp.CoarseDims(dims, stride).
+// interp.CoarseDims(dims, stride), a pool.Slab, and hands recon back to
+// the pool.
 func compactCoarse(recon []float32, dims []int, stride int) []float32 {
+	defer pool.PutSlab(recon)
 	nd := len(dims)
 	var zero grid.Coord
 	g, _ := grid.LevelOf(zero[:nd], dims, stride)
-	out := make([]float32, g.N)
+	out := pool.Slab[float32](g.N)
 	w := grid.Walk(g.Dims[:nd], dims, zero[:nd], stride, g.Dims[:nd], zero[:nd])
 	for w.Next() {
 		for j := range w.Run {

@@ -331,7 +331,7 @@ type Table4Row struct {
 }
 
 // Table4 reproduces the compression/decompression speed table at ε=1e-3
-// with QoZ in PSNR-preferred mode.
+// with QoZ in PSNR-preferred mode; each speed is the best of three runs.
 func Table4(w io.Writer, cfg Config) ([]Table4Row, error) {
 	section(w, "Table IV — compression/decompression speed (MB/s), ε=1e-3")
 	cs := lineup(qozPSNR)
@@ -343,7 +343,7 @@ func Table4(w io.Writer, cfg Config) ([]Table4Row, error) {
 			DecompMBps: map[string]float64{},
 		}
 		for _, c := range cs {
-			r, err := RunCodec(c, ds, 1e-3)
+			r, err := runCodec(c, ds, 1e-3, 3)
 			if err != nil {
 				return nil, err
 			}

@@ -108,31 +108,36 @@ type Run struct {
 }
 
 // RunCodec compresses and decompresses ds with c at the given relative
-// bound and gathers all quality metrics.
+// bound, once each, and gathers all quality metrics.
 func RunCodec(c Compressor, ds datagen.Dataset, rel float64) (Run, error) {
+	return runCodec(c, ds, rel, 1)
+}
+
+// runCodec is RunCodec timing the best of reps compressions and reps
+// decompressions. Both are deterministic and — on the small profile —
+// often sub-millisecond, where a single timing is mostly scheduler jitter;
+// the minimum of a deterministic computation is the measurement least
+// polluted by interference.
+func runCodec(c Compressor, ds datagen.Dataset, rel float64, reps int) (Run, error) {
 	ctx := context.Background()
 	eb := rel * metrics.ValueRange(ds.Data)
-	start := time.Now()
-	buf, err := c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(eb))
-	if err != nil {
-		return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
-	}
-	compSecs := time.Since(start).Seconds()
-	// Decompression is deterministic and — on the small profile — often
-	// sub-millisecond, where a single timing is mostly scheduler jitter.
-	// Take the best of three runs: the minimum of a deterministic
-	// computation is the measurement least polluted by interference.
+	var buf []byte
 	var recon []float32
-	decompSecs := math.Inf(1)
-	for i := 0; i < 3; i++ {
-		start = time.Now()
-		recon, _, err = c.Codec.Decompress(ctx, buf)
-		if err != nil {
+	var err error
+	compSecs, decompSecs := math.Inf(1), math.Inf(1)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		if buf, err = c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(eb)); err != nil {
+			return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
+		}
+		compSecs = min(compSecs, time.Since(start).Seconds())
+	}
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		if recon, _, err = c.Codec.Decompress(ctx, buf); err != nil {
 			return Run{}, fmt.Errorf("%s on %s: decompress: %w", c.Name, ds.Name, err)
 		}
-		if d := time.Since(start).Seconds(); d < decompSecs {
-			decompSecs = d
-		}
+		decompSecs = min(decompSecs, time.Since(start).Seconds())
 	}
 
 	r := Run{
@@ -156,30 +161,32 @@ func RunCodec(c Compressor, ds datagen.Dataset, rel float64) (Run, error) {
 
 // MatchCR searches for the relative error bound at which codec c reaches
 // (approximately) the target compression ratio on ds, via bisection on
-// log10(rel). Used by the Fig. 11 same-CR comparison.
+// log10(rel), and runs c in full at the bound that came closest. Used by
+// the Fig. 11 same-CR comparison. A probe only compresses: the ratio
+// needs nothing but the compressed length.
 func MatchCR(c Compressor, ds datagen.Dataset, targetCR float64) (Run, error) {
+	ctx := context.Background()
+	vr := metrics.ValueRange(ds.Data)
 	lo, hi := -6.0, -0.5 // log10 of relative bound
-	var best Run
-	bestGap := -1.0
+	bestRel, bestGap := 0.0, -1.0
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
 		rel := math.Pow(10, mid)
-		r, err := RunCodec(c, ds, rel)
+		buf, err := c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(rel*vr))
 		if err != nil {
-			return Run{}, err
+			return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
 		}
-		gap := abs(r.CR - targetCR)
-		if bestGap < 0 || gap < bestGap {
-			bestGap = gap
-			best = r
+		cr := metrics.CompressionRatio(ds.Len(), len(buf))
+		if gap := abs(cr - targetCR); bestGap < 0 || gap < bestGap {
+			bestRel, bestGap = rel, gap
 		}
-		if r.CR > targetCR {
+		if cr > targetCR {
 			hi = mid // too much compression: tighten the bound
 		} else {
 			lo = mid
 		}
 	}
-	return best, nil
+	return RunCodec(c, ds, bestRel)
 }
 
 func abs(v float64) float64 {

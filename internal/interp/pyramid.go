@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"qoz/internal/pool"
 	"qoz/internal/quant"
 )
 
@@ -153,6 +154,9 @@ type DecodeSweep func(buf []float32, dims []int, level int, m Method, deq *quant
 // stage, none below stop looked at — or the single-run layout, one Level-0
 // segment whose total count is checked before the first stage and whose
 // trailing symbols and literals after the last; a run decodes in full.
+// The reconstruction is a cleared pool.Slab, drawn once the symbol counts
+// are known to fit the dims: a caller done with it may hand it back with
+// pool.PutSlab, and a failed decode hands it back itself.
 func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep DecodeSweep) ([]float32, error) {
 	n := 1
 	for _, d := range p.Dims {
@@ -172,10 +176,21 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep Deco
 		}
 		stop = 1
 	}
-	recon := make([]float32, n)
+	recon := pool.Slab[float32](n)
+	clear(recon)
 	for i, idx := range idxs {
 		recon[idx] = anchors[i]
 	}
+	if err := p.sweepLevels(recon, segs, stop, run, sweep); err != nil {
+		pool.PutSlab(recon)
+		return nil, err
+	}
+	return recon, nil
+}
+
+// sweepLevels runs Decode's stages from the seed down to level stop over
+// recon, which holds the anchors.
+func (p *Pyramid) sweepLevels(recon []float32, segs []Segment, stop int, run bool, sweep DecodeSweep) error {
 	top := p.Top()
 	var deq quant.Dequantizer
 	for l := top + 1; l >= stop; l-- {
@@ -184,10 +199,10 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep Deco
 		case !run:
 			seg := find(segs, l)
 			if seg == nil {
-				return nil, fmt.Errorf("stream ends above level %d", l)
+				return fmt.Errorf("stream ends above level %d", l)
 			}
 			if len(seg.Bins) != count {
-				return nil, errors.New("bin count does not match dims")
+				return errors.New("bin count does not match dims")
 			}
 			deq = *quant.NewDequantizer(eb, 0, seg.Bins, seg.Literals)
 		case l > top:
@@ -202,19 +217,19 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep Deco
 		}
 		if !run {
 			if err := deq.CheckLiterals(); err != nil {
-				return nil, fmt.Errorf("level %d: %w", l, err)
+				return fmt.Errorf("level %d: %w", l, err)
 			}
 		}
 	}
 	if run {
 		if deq.Remaining() != 0 {
-			return nil, errors.New("trailing quantization symbols")
+			return errors.New("trailing quantization symbols")
 		}
 		if err := deq.CheckLiterals(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return recon, nil
+	return nil
 }
 
 // find returns the segment of a level, or nil.

@@ -125,6 +125,20 @@ func TestSlabBound(t *testing.T) {
 	if f[9] != slabPoison || b[9] != slabPoison {
 		t.Errorf("released slabs hold %v and %#x, want the poison pattern", f[9], b[9])
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a slab released twice went back to the pool unremarked")
+			}
+		}()
+		PutSlab(f)
+	}()
+	// Handed out again, the slab may be released once more.
+	for i := 0; i < 64; i++ {
+		g := Slab[float64](1000)
+		PutSlab(g)
+		PutSlab(Slab[float64](1000))
+	}
 }
 
 // settle waits for the goroutine count to fall back to base: a worker

@@ -121,14 +121,21 @@ func slabPool[T byte | float32 | float64]() *slicePool[T] {
 
 // Slab returns a response slab of n elements with undefined contents:
 // recycled memory up to MaxSlabBytes, a plain allocation above.
-func Slab[T byte | float32 | float64](n int) []T { return slabPool[T]().get(n) }
+func Slab[T byte | float32 | float64](n int) []T {
+	s := slabPool[T]().get(n)
+	if poisonSlabs.Load() && cap(s) > 0 {
+		released.take(&s[:1][0])
+	}
+	return s
+}
 
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
 // from make: s must not be referenced afterwards. Slabs above
 // MaxSlabBytes are left to the collector.
 func PutSlab[T byte | float32 | float64](s []T) {
-	if poisonSlabs.Load() {
+	if poisonSlabs.Load() && cap(s) > 0 {
 		s = s[:cap(s)]
+		released.give(&s[0])
 		for i := range s {
 			s[i] = slabPoison
 		}
@@ -145,5 +152,49 @@ var poisonSlabs atomic.Bool
 // PoisonSlabs is a hook for tests of the release protocol: while on,
 // PutSlab overwrites every slab it is given, recycled or not, so a reader
 // that kept a reference past the release serves the pattern instead of
-// plausible samples.
-func PoisonSlabs(on bool) { poisonSlabs.Store(on) }
+// plausible samples, and it panics on a slab released twice — given back
+// again before Slab handed it out anew.
+func PoisonSlabs(on bool) {
+	poisonSlabs.Store(on)
+	if !on {
+		released.reset()
+	}
+}
+
+// released is the set of slabs PutSlab took while poisoning, keyed by
+// their first element, that Slab has not handed out since.
+var released releasedSlabs
+
+// releasedSlabs tracks released slabs for PoisonSlabs. Holding a key
+// keeps a slab the pools dropped alive, so its address cannot come back
+// as a fresh allocation and look released.
+type releasedSlabs struct {
+	mu    sync.Mutex
+	slabs map[any]struct{}
+}
+
+// give records a release, panicking on a slab already released.
+func (r *releasedSlabs) give(first any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.slabs[first]; ok {
+		panic("pool: slab released twice")
+	}
+	if r.slabs == nil {
+		r.slabs = map[any]struct{}{}
+	}
+	r.slabs[first] = struct{}{}
+}
+
+// take records a slab handed out again.
+func (r *releasedSlabs) take(first any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.slabs, first)
+}
+
+func (r *releasedSlabs) reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.slabs = nil
+}

@@ -11,6 +11,7 @@ import (
 	"qoz/internal/container"
 	"qoz/internal/core"
 	"qoz/internal/interp"
+	"qoz/internal/pool"
 )
 
 // Payloads. A payload is one codec unit of one sample kind — one slab of a
@@ -274,11 +275,18 @@ func decodePayload[T Float](buf []byte, decodeInner func([]byte) ([]float32, []i
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if len(env.escIdx) == 0 {
+	if elemSize[T]() == 4 {
 		return convertSamples[float32, T](heads), dims, stride, nil
 	}
-	out := convertSamples[float32, float64](heads)
+	// Widen into a slab and hand the heads back: a brick decode then draws
+	// both buffers from the pool and returns the narrow one at once.
+	out := pool.Slab[float64](len(heads))
+	for i, x := range heads {
+		out[i] = float64(x)
+	}
+	pool.PutSlab(heads)
 	if err := env.overlay(out, dims, stride); err != nil {
+		pool.PutSlab(out)
 		return nil, nil, 0, err
 	}
 	return convertSamples[float64, T](out), dims, stride, nil

@@ -17,15 +17,20 @@ import (
 // the entry must be marked most recently used — otherwise the freshest
 // brick sits at the LRU end and is evicted next.
 func TestCachePutRefreshesRecency(t *testing.T) {
-	data := make([]float32, 100)
 	sz := int64(4 * 100)
 	c := newLRUCache(2 * sz) // room for exactly two entries
 	k := func(i int) cacheKey { return cacheKey{brick: i} }
+	// An entry owns its slice, so every put hands over a slice of its own.
+	put := func(i int) {
+		if ent := c.put(k(i), make([]float32, 100), sz); ent != nil {
+			ent.release()
+		}
+	}
 
-	c.put(k(1), data, sz)
-	c.put(k(2), data, sz)
-	c.put(k(1), data, sz) // duplicate put: brick 1 was just touched again
-	c.put(k(3), data, sz) // over budget: must evict brick 2, the true LRU
+	put(1)
+	put(2)
+	put(1) // duplicate put: brick 1 was just touched again
+	put(3) // over budget: must evict brick 2, the true LRU
 
 	if _, ok := c.get(k(1)); !ok {
 		t.Fatal("duplicate put did not refresh recency: brick 1 was evicted as LRU")
@@ -36,6 +41,9 @@ func TestCachePutRefreshesRecency(t *testing.T) {
 	if _, ok := c.get(k(3)); !ok {
 		t.Fatal("brick 3 missing after put")
 	}
+	if c.evictedBytes() != sz {
+		t.Fatalf("evicted bytes = %d, want the one brick evicted (%d)", c.evictedBytes(), sz)
+	}
 }
 
 // TestSharedCacheAcrossStores verifies that one Cache can back several
@@ -43,6 +51,7 @@ func TestCachePutRefreshesRecency(t *testing.T) {
 // back even though both populate the same LRU under the same brick
 // indices.
 func TestSharedCacheAcrossStores(t *testing.T) {
+	poisonSlabs(t) // closing s1 hands its bricks back while s2 keeps reading
 	shared := NewCache(64 << 20)
 	ctx := context.Background()
 

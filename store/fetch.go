@@ -149,25 +149,28 @@ func planFetch(m *manifest, refs []brickRef, gap int64) ([]brickTask, []fetchRan
 // another on the worker that decoded it. A task takes its brick from the
 // cache when another read has just put it there, and otherwise from its
 // span of its range, which the range's first task to need it fetches. The
-// last of a range's tasks returns the range's buffer.
+// last of a range's tasks returns the range's buffer. use must not keep
+// data: the task releases its hold on the decode once use returns, and the
+// decode may go back to the slab pool then.
 func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs []brickRef, use func(j int, data []N)) error {
 	tasks, ranges := planFetch(m, refs, s.gap)
 	obsv := stageObserverFrom(ctx)
 	err := pool.RunErr(ctx, len(tasks), s.workers, func(k int) error {
 		t, r := &tasks[k], &ranges[tasks[k].rng]
 		defer r.release()
-		data, ok := cachedBrick[N](s, m, t.brick, t.level, obsv)
-		if !ok {
+		data, ent := cachedBrick[N](s, m, t.brick, t.level, obsv)
+		if ent == nil {
 			s.read.Add(1)
 			buf, err := r.fetch(ctx, m.ra, obsv)
 			if err != nil {
 				return fmt.Errorf("store: brick %d: %w", t.brick, err)
 			}
 			at := t.span.off - r.off
-			if data, err = decodeBrick[N](ctx, s, m, t, buf[at:at+t.span.n], obsv); err != nil {
+			if data, ent, err = decodeBrick[N](ctx, s, m, t, buf[at:at+t.span.n], obsv); err != nil {
 				return err
 			}
 		}
+		defer releaseBrick(data, ent)
 		for _, j := range t.jobs {
 			use(j, data)
 		}

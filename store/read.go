@@ -124,8 +124,9 @@ func fillNative[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 				continue
 			}
 			src := sourceLevel(m, &p, level)
-			if data, ok := cachedBrick[N](s, m, p.Index, src, obsv); ok {
+			if data, ent := cachedBrick[N](s, m, p.Index, src, obsv); ent != nil {
 				copyPiece(dst[off:], &og, data, &p, &pg, nd, step, src)
+				ent.release()
 			} else {
 				refs = append(refs, brickRef{p.Index, src})
 				misses = append(misses, pieceJob{off, b})

@@ -653,38 +653,53 @@ func (m *manifest) cacheKey(s *Store, i, level int) cacheKey {
 }
 
 // cachedBrick returns brick i's decode at level when the cache holds it,
-// counted and reported as one brick read and one cache hit.
-func cachedBrick[N qoz.Float](s *Store, m *manifest, i, level int, obsv StageObserver) ([]N, bool) {
-	data, ok := s.cache.get(m.cacheKey(s, i, level))
+// counted and reported as one brick read and one cache hit, with the cache
+// entry the caller holds a reference to: the samples stay valid until
+// releaseBrick. A miss returns a nil entry.
+func cachedBrick[N qoz.Float](s *Store, m *manifest, i, level int, obsv StageObserver) ([]N, *cacheEntry) {
+	ent, ok := s.cache.get(m.cacheKey(s, i, level))
 	if !ok {
-		return nil, false
+		return nil, nil
 	}
 	s.read.Add(1)
 	s.hits.Add(1)
-	d := data.([]N)
+	d := ent.data.([]N)
 	if obsv != nil {
 		obsv(StageCacheHit, 0, int64(len(d))*int64(kindSize(m.hdr.kind)))
 	}
-	return d, true
+	return d, ent
+}
+
+// releaseBrick ends a reader's hold on a decoded brick: its reference to
+// the cache entry, or — when the cache did not take the decode (ent nil)
+// — the decode itself, which goes back to the slab pool.
+func releaseBrick[N qoz.Float](data []N, ent *cacheEntry) {
+	if ent != nil {
+		ent.release()
+		return
+	}
+	putSamples(data)
 }
 
 // decodeBrick is the one verify → decode body: it checks task t's payload
 // bytes against the manifest, decodes them to the store's native kind N —
 // the whole brick (level 0), or a level-L prefix to that level's
-// compacted coarse grid — and caches the result. payload is scratch: every
+// compacted coarse grid — and offers the result to the cache. The caller
+// reads the samples until it passes them and the returned entry (nil when
+// the cache did not take them) to releaseBrick. payload is scratch: every
 // decoder behind this path parses the container by copying section bytes
 // out, so the caller may recycle it once decodeBrick returns.
-func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *brickTask, payload []byte, obsv StageObserver) ([]N, error) {
+func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *brickTask, payload []byte, obsv StageObserver) ([]N, *cacheEntry, error) {
 	i, level := t.brick, t.level
 	if crc32.ChecksumIEEE(payload) != t.crc {
-		return nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
+		return nil, nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
 	}
 	bk := m.hdr.bricks()
 	blo, bhi := bk.Box(i)
 	bdims := grid.Sub(bhi[:], blo[:])
 	want := bdims[:bk.Rank]
 	if err := checkPayload[N](m, i, payload, want); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var decodeStart time.Time
 	if obsv != nil {
@@ -703,18 +718,19 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: brick %d: %w", i, err)
+		return nil, nil, fmt.Errorf("store: brick %d: %w", i, err)
 	}
 	points := 1 // of the stride-aligned grid over the brick
 	for _, d := range want {
 		points *= (d-1)/stride + 1
 	}
 	if stride != 1<<max(level-1, 0) || !equalInts(dims, want) || len(data) != points {
-		return nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
+		releaseBrick(data, nil)
+		return nil, nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
 	}
 	s.decoded.Add(1)
-	s.cache.put(m.cacheKey(s, i, level), data, int64(len(data))*int64(kindSize(m.hdr.kind)))
-	return data, nil
+	ent := s.cache.put(m.cacheKey(s, i, level), data, int64(len(data))*int64(kindSize(m.hdr.kind)))
+	return data, ent, nil
 }
 
 // checkPayload validates brick i's payload framing against the manifest

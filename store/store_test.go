@@ -151,6 +151,7 @@ func TestDecodeCounter(t *testing.T) {
 }
 
 func TestCacheServesBitIdenticalAndEvicts(t *testing.T) {
+	poisonSlabs(t) // an evicted brick is recycled: no read may still see it
 	ctx := context.Background()
 	ds := datagen.NYX(32, 32, 32)
 	brickBytes := int64(16*16*16) * 4
