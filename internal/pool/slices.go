@@ -32,21 +32,28 @@ type slicePool[T any] struct {
 
 // get returns a slice of length n with undefined contents.
 func (p *slicePool[T]) get(n int) []T {
+	s, _ := p.take(n)
+	return s
+}
+
+// take is get, also reporting whether the slice was recycled: a slice
+// that was not is a fresh allocation, all zero.
+func (p *slicePool[T]) take(n int) (s []T, recycled bool) {
 	if n <= 0 {
-		return nil
+		return nil, false
 	}
 	b := bits.Len(uint(n - 1)) // smallest b with 1<<b >= n
 	if b > maxBucket || (p.limit > 0 && n > p.limit) {
-		return make([]T, n)
+		return make([]T, n), false
 	}
 	if v := p.buckets[b].Get(); v != nil {
 		box := v.(*[]T)
 		s := (*box)[:n]
 		*box = nil
 		p.boxes.Put(box)
-		return s
+		return s, true
 	}
-	return make([]T, n, 1<<b)
+	return make([]T, n, 1<<b), false
 }
 
 // put files s for reuse. Safe to call with nil or tiny slices; the slice
@@ -88,9 +95,10 @@ func Uint32s(n int) []uint32 { return uint32Pool.get(n) }
 // PutUint32s recycles a slice obtained from Uint32s.
 func PutUint32s(s []uint32) { uint32Pool.put(s) }
 
-// Response slabs: the memory a served region lives in between its produce
-// and its last write (qozd's sample buffers and stitched bodies, the
-// fan-out's sub-read bodies). They have pools of their own, bounded at
+// Slabs: the memory a served region lives in between its produce and its
+// last write (qozd's sample buffers and stitched bodies, the fan-out's
+// sub-read bodies), and a decoded brick between its decode and its last
+// reader's release. They have pools of their own, bounded at
 // MaxSlabBytes per slab by a constant rather than a setting: a pooled slab
 // stays reachable for two collections after its last use, so recycling the
 // occasional full-field read (8 MiB and its sub-read bodies) would double
@@ -119,14 +127,29 @@ func slabPool[T byte | float32 | float64]() *slicePool[T] {
 	return p.(*slicePool[T])
 }
 
-// Slab returns a response slab of n elements with undefined contents:
+// Slab returns a slab of n elements with undefined contents:
 // recycled memory up to MaxSlabBytes, a plain allocation above.
 func Slab[T byte | float32 | float64](n int) []T {
-	s := slabPool[T]().get(n)
+	s, _ := slab[T](n)
+	return s
+}
+
+// ZeroSlab is Slab with every element zero. Only a recycled slab is
+// cleared; a fresh allocation already is zero.
+func ZeroSlab[T byte | float32 | float64](n int) []T {
+	s, recycled := slab[T](n)
+	if recycled {
+		clear(s)
+	}
+	return s
+}
+
+func slab[T byte | float32 | float64](n int) ([]T, bool) {
+	s, recycled := slabPool[T]().take(n)
 	if poisonSlabs.Load() && cap(s) > 0 {
 		released.take(&s[:1][0])
 	}
-	return s
+	return s, recycled
 }
 
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
