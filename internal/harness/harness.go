@@ -119,22 +119,22 @@ func RunCodec(c Compressor, ds datagen.Dataset, rel float64) (Run, error) {
 // the minimum of a deterministic computation is the measurement least
 // polluted by interference.
 func runCodec(c Compressor, ds datagen.Dataset, rel float64, reps int) (Run, error) {
-	ctx := context.Background()
 	eb := rel * metrics.ValueRange(ds.Data)
 	var buf []byte
+	var cr float64
 	var recon []float32
 	var err error
 	compSecs, decompSecs := math.Inf(1), math.Inf(1)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if buf, err = c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(eb)); err != nil {
-			return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
+		if buf, cr, err = compressAt(c, ds, eb); err != nil {
+			return Run{}, err
 		}
 		compSecs = min(compSecs, time.Since(start).Seconds())
 	}
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if recon, _, err = c.Codec.Decompress(ctx, buf); err != nil {
+		if recon, _, err = c.Codec.Decompress(context.Background(), buf); err != nil {
 			return Run{}, fmt.Errorf("%s on %s: decompress: %w", c.Name, ds.Name, err)
 		}
 		decompSecs = min(decompSecs, time.Since(start).Seconds())
@@ -146,7 +146,7 @@ func runCodec(c Compressor, ds datagen.Dataset, rel float64, reps int) (Run, err
 		RelBound:   rel,
 		AbsBound:   eb,
 		Bytes:      len(buf),
-		CR:         metrics.CompressionRatio(ds.Len(), len(buf)),
+		CR:         cr,
 		BitRate:    metrics.BitRate(len(buf), ds.Len()),
 		CompSecs:   compSecs,
 		DecompSecs: decompSecs,
@@ -165,18 +165,16 @@ func runCodec(c Compressor, ds datagen.Dataset, rel float64, reps int) (Run, err
 // the Fig. 11 same-CR comparison. A probe only compresses: the ratio
 // needs nothing but the compressed length.
 func MatchCR(c Compressor, ds datagen.Dataset, targetCR float64) (Run, error) {
-	ctx := context.Background()
 	vr := metrics.ValueRange(ds.Data)
 	lo, hi := -6.0, -0.5 // log10 of relative bound
 	bestRel, bestGap := 0.0, -1.0
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
 		rel := math.Pow(10, mid)
-		buf, err := c.Codec.Compress(ctx, ds.Data, ds.Dims, c.at(rel*vr))
+		_, cr, err := compressAt(c, ds, rel*vr)
 		if err != nil {
-			return Run{}, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
+			return Run{}, err
 		}
-		cr := metrics.CompressionRatio(ds.Len(), len(buf))
 		if gap := abs(cr - targetCR); bestGap < 0 || gap < bestGap {
 			bestRel, bestGap = rel, gap
 		}
@@ -187,6 +185,16 @@ func MatchCR(c Compressor, ds datagen.Dataset, targetCR float64) (Run, error) {
 		}
 	}
 	return RunCodec(c, ds, bestRel)
+}
+
+// compressAt compresses ds with c at the absolute error bound eb and
+// returns the stream with its compression ratio.
+func compressAt(c Compressor, ds datagen.Dataset, eb float64) ([]byte, float64, error) {
+	buf, err := c.Codec.Compress(context.Background(), ds.Data, ds.Dims, c.at(eb))
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s on %s: %w", c.Name, ds.Name, err)
+	}
+	return buf, metrics.CompressionRatio(ds.Len(), len(buf)), nil
 }
 
 func abs(v float64) float64 {

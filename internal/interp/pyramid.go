@@ -154,8 +154,8 @@ type DecodeSweep func(buf []float32, dims []int, level int, m Method, deq *quant
 // stage, none below stop looked at — or the single-run layout, one Level-0
 // segment whose total count is checked before the first stage and whose
 // trailing symbols and literals after the last; a run decodes in full.
-// The reconstruction is a pool.ZeroSlab, drawn once the symbol counts are
-// known to fit the dims: a caller done with it may hand it back with
+// The reconstruction is a cleared pool.Slab, drawn once the symbol counts
+// are known to fit the dims: a caller done with it may hand it back with
 // pool.PutSlab, and a failed decode hands it back itself.
 func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep DecodeSweep) ([]float32, error) {
 	n := 1
@@ -176,7 +176,8 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep Deco
 		}
 		stop = 1
 	}
-	recon := pool.ZeroSlab[float32](n)
+	recon := pool.Slab[float32](n)
+	clear(recon)
 	for i, idx := range idxs {
 		recon[idx] = anchors[i]
 	}

@@ -141,25 +141,6 @@ func TestSlabBound(t *testing.T) {
 	}
 }
 
-// TestZeroSlab checks that a zeroed slab is all zero whether it is
-// recycled or fresh, above the bound too.
-func TestZeroSlab(t *testing.T) {
-	for _, n := range []int{1000, MaxSlabBytes/4 + 1} {
-		for i := 0; i < 8; i++ {
-			s := ZeroSlab[float32](n)
-			for j, v := range s {
-				if v != 0 {
-					t.Fatalf("ZeroSlab(%d) holds %v at %d", n, v, j)
-				}
-			}
-			for j := range s {
-				s[j] = 7
-			}
-			PutSlab(s) // the next draw may recycle it
-		}
-	}
-}
-
 // settle waits for the goroutine count to fall back to base: a worker
 // that has signalled its WaitGroup still takes a moment to exit.
 func settle(t *testing.T, base int) {

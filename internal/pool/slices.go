@@ -32,28 +32,21 @@ type slicePool[T any] struct {
 
 // get returns a slice of length n with undefined contents.
 func (p *slicePool[T]) get(n int) []T {
-	s, _ := p.take(n)
-	return s
-}
-
-// take is get, also reporting whether the slice was recycled: a slice
-// that was not is a fresh allocation, all zero.
-func (p *slicePool[T]) take(n int) (s []T, recycled bool) {
 	if n <= 0 {
-		return nil, false
+		return nil
 	}
 	b := bits.Len(uint(n - 1)) // smallest b with 1<<b >= n
 	if b > maxBucket || (p.limit > 0 && n > p.limit) {
-		return make([]T, n), false
+		return make([]T, n)
 	}
 	if v := p.buckets[b].Get(); v != nil {
 		box := v.(*[]T)
 		s := (*box)[:n]
 		*box = nil
 		p.boxes.Put(box)
-		return s, true
+		return s
 	}
-	return make([]T, n, 1<<b), false
+	return make([]T, n, 1<<b)
 }
 
 // put files s for reuse. Safe to call with nil or tiny slices; the slice
@@ -130,26 +123,11 @@ func slabPool[T byte | float32 | float64]() *slicePool[T] {
 // Slab returns a slab of n elements with undefined contents:
 // recycled memory up to MaxSlabBytes, a plain allocation above.
 func Slab[T byte | float32 | float64](n int) []T {
-	s, _ := slab[T](n)
-	return s
-}
-
-// ZeroSlab is Slab with every element zero. Only a recycled slab is
-// cleared; a fresh allocation already is zero.
-func ZeroSlab[T byte | float32 | float64](n int) []T {
-	s, recycled := slab[T](n)
-	if recycled {
-		clear(s)
-	}
-	return s
-}
-
-func slab[T byte | float32 | float64](n int) ([]T, bool) {
-	s, recycled := slabPool[T]().take(n)
+	s := slabPool[T]().get(n)
 	if poisonSlabs.Load() && cap(s) > 0 {
 		released.take(&s[:1][0])
 	}
-	return s, recycled
+	return s
 }
 
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
