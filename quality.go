@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 
 	"qoz/internal/core"
 	"qoz/metrics"
@@ -28,12 +29,16 @@ func CompressTargetPSNRContext(ctx context.Context, data []float32, dims []int, 
 		return nil, Stats{}, errors.New("qoz: target PSNR must be positive and finite")
 	}
 	codec := MustLookup(DefaultCodec)
-	vr := metrics.ValueRange(data)
+	// Non-finite samples round-trip exactly, so quality is measured over
+	// the finite ones: their range, and the estimate probes a copy in which
+	// every sample is finite.
+	vr := finiteRange(data)
 	if vr == 0 {
 		// Constant field: any bound is lossless in range terms.
 		opts.ErrorBound, opts.RelBound = 1e-12, 0
 		return CompressStats(data, dims, opts)
 	}
+	finite := finiteSamples(data)
 
 	// PSNR decreases monotonically with the bound: bisect log10(ε).
 	lo, hi := -8.0, -0.3
@@ -49,7 +54,7 @@ func CompressTargetPSNRContext(ctx context.Context, data []float32, dims []int, 
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		_, psnr, err := core.EstimateQuality(data, dims, co)
+		_, psnr, err := core.EstimateQuality(finite, dims, co)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -78,10 +83,10 @@ func CompressTargetPSNRContext(ctx context.Context, data []float32, dims []int, 
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		psnr, err := metrics.PSNR(data, recon)
-		if err != nil {
-			return nil, Stats{}, err
+		if len(recon) != len(data) {
+			return nil, Stats{}, metrics.ErrShapeMismatch
 		}
+		psnr := finitePSNR(data, recon, vr)
 		lastBuf, lastStats = buf, st
 		if psnr >= targetDB {
 			break
@@ -92,4 +97,47 @@ func CompressTargetPSNRContext(ctx context.Context, data []float32, dims []int, 
 		eb *= math.Pow(10, -gap/20) * 0.9
 	}
 	return lastBuf, lastStats, nil
+}
+
+// finiteSamples returns data with each non-finite sample replaced by the
+// first finite one (0 when there is none), or data itself when every
+// sample is finite.
+func finiteSamples(data []float32) []float32 {
+	if !slices.ContainsFunc(data, nonFinite) {
+		return data
+	}
+	var fill float32
+	if i := slices.IndexFunc(data, func(v float32) bool { return !nonFinite(v) }); i >= 0 {
+		fill = data[i]
+	}
+	out := slices.Clone(data)
+	for i, v := range out {
+		if nonFinite(v) {
+			out[i] = fill
+		}
+	}
+	return out
+}
+
+// finitePSNR is metrics.PSNR over the points whose original sample is
+// finite, against their value range vr: the non-finite ones round-trip
+// exactly and would only turn the error sum into NaN.
+func finitePSNR(orig, recon []float32, vr float64) float64 {
+	var se float64
+	n := 0
+	for i, v := range orig {
+		if !nonFinite(v) {
+			d := float64(v) - float64(recon[i])
+			se += d * d
+			n++
+		}
+	}
+	if se == 0 {
+		return math.Inf(1)
+	}
+	return 20 * math.Log10(vr/math.Sqrt(se/float64(n)))
+}
+
+func nonFinite(v float32) bool {
+	return math.IsNaN(float64(v)) || math.IsInf(float64(v), 0)
 }

@@ -3,6 +3,7 @@ package qoz_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"qoz"
@@ -60,5 +61,44 @@ func TestCompressTargetPSNRRejectsBadTargets(t *testing.T) {
 		if _, _, err := qoz.CompressTargetPSNRContext(context.Background(), ds.Data, ds.Dims, bad, qoz.Options{}); err == nil {
 			t.Errorf("target %v accepted", bad)
 		}
+	}
+}
+
+// TestCompressTargetPSNRNonFinite: non-finite samples round-trip exactly,
+// so a field holding a NaN and an infinity reaches the target over its
+// finite points, as the same field without them does.
+func TestCompressTargetPSNRNonFinite(t *testing.T) {
+	const n, target = 32, 60.0
+	dims := []int{n, n, n}
+	data := make([]float32, n*n*n)
+	for i := range data {
+		z, y, x := i/(n*n), i/n%n, i%n
+		data[i] = float32(math.Sin(float64(z)/5) * math.Cos(float64(y)/7) * math.Sin(float64(x)/3))
+	}
+	nan, inf := 1000, 20000
+	data[nan], data[inf] = float32(math.NaN()), float32(math.Inf(1))
+	buf, _, err := qoz.CompressTargetPSNRContext(context.Background(), data, dims, target, qoz.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, _, err := qoz.MustLookup(qoz.DefaultCodec).Decompress(context.Background(), buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(float64(recon[nan])) || !math.IsInf(float64(recon[inf]), 1) {
+		t.Fatalf("non-finite samples came back as %v and %v", recon[nan], recon[inf])
+	}
+	var orig, got []float32
+	for i, v := range data {
+		if i != nan && i != inf {
+			orig, got = append(orig, v), append(got, recon[i])
+		}
+	}
+	psnr, err := metrics.PSNR(orig, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if psnr < target-0.5 {
+		t.Fatalf("finite points reach %.2f dB, want at least %v", psnr, target)
 	}
 }

@@ -54,9 +54,9 @@
 // Old generations remain readable (Options.Generation) until
 // [Mutable.Compact] rewrites the store down to its latest generation and
 // reclaims their space. Readers follow a growing store with
-// [Store.Refresh], which atomically adopts newly committed generations —
-// locally or over HTTP, where the origin's validator guards against the
-// object being swapped for a different store (ErrRemoteChanged).
+// [Store.Refresh], which atomically adopts a later generation of the same
+// store — from the open file, the file its path now names, or a URL — and
+// refuses anything else (ErrRemoteChanged).
 //
 // The index layouts earlier versions of this package wrote (v1, v2, v4,
 // v5) stay readable through one loading shim; nothing writes them. The

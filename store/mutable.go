@@ -31,10 +31,9 @@ import (
 // — see OpenMutable for the single-writer contract.
 type Mutable struct {
 	*Store
-	f    *os.File
 	opts qoz.Options // per-brick compression options (bound from the header)
 
-	mu  sync.Mutex // serializes mutations
+	mu  sync.Mutex // serializes mutations; the embedded Store's file moves only under it
 	end int64      // committed file end = next append offset
 }
 
@@ -152,17 +151,11 @@ func newMutable(f *os.File, path string, opts Options, copts qoz.Options) (*Muta
 	if err != nil {
 		return nil, err
 	}
-	s.closer = f
 	s.file = f
 	s.path = path
 	s.mutable = true
 	copts.ErrorBound, copts.RelBound = s.man.Load().hdr.bound, 0
-	return &Mutable{
-		Store: s,
-		f:     f,
-		opts:  copts,
-		end:   end,
-	}, nil
+	return &Mutable{Store: s, opts: copts, end: end}, nil
 }
 
 // AppendSteps is AppendStepsT for float32 rows.
@@ -275,7 +268,7 @@ func appendSteps[N qoz.Float](ctx context.Context, m *Mutable, rows []N) error {
 // landed in its entry, and returns the next free offset.
 func (m *Mutable) place(payloads [][]byte, entries []brickEntry, cur int64) (int64, error) {
 	for k, p := range payloads {
-		if _, err := m.f.WriteAt(p, cur); err != nil {
+		if _, err := m.file.WriteAt(p, cur); err != nil {
 			return 0, err
 		}
 		entries[k].off = cur
@@ -373,22 +366,22 @@ func rewriteBricks[N qoz.Float](ctx context.Context, m *Mutable, lo, hi []int, d
 func (m *Mutable) commit(newHdr *header, bricks []brickEntry, end int64) error {
 	old := m.man.Load()
 	man, foot, next := sealGeneration(newHdr, old.gen+1, old.footOff, bricks, end)
-	if _, err := m.f.WriteAt(man, end); err != nil {
+	if _, err := m.file.WriteAt(man, end); err != nil {
 		return err
 	}
 	// First barrier: payloads and manifest must be durable before the
 	// footer can declare them committed — otherwise a crash could persist
 	// the footer but not the bytes it vouches for.
-	if err := m.f.Sync(); err != nil {
+	if err := m.file.Sync(); err != nil {
 		return err
 	}
-	if _, err := m.f.WriteAt(foot, next.footOff); err != nil {
+	if _, err := m.file.WriteAt(foot, next.footOff); err != nil {
 		return err
 	}
-	if err := m.f.Sync(); err != nil {
+	if err := m.file.Sync(); err != nil {
 		return err
 	}
-	next.ra, next.epoch = m.f, old.epoch
+	next.ra, next.epoch = m.file, old.epoch
 	m.man.Store(next)
 	m.end = next.footOff + int64(genFooterSize)
 	return nil
@@ -466,21 +459,16 @@ func (m *Mutable) Compact(ctx context.Context) error {
 	// failed directory sync is reported after it.
 	syncErr := fsutil.SyncDir(m.path)
 
-	// The old file handle stays open (readers may be mid-region on the old
-	// generation) and is retired for Close to release; the snapshot swap
-	// moves new reads to the compacted file. The epoch bump kills every
-	// cached brick wholesale: the new file's offsets are a fresh space
-	// that could collide with stale entries from the old one.
-	old := m.f
-	m.f = tmp
-	m.refreshMu.Lock()
-	m.retired = append(m.retired, old)
-	m.closer = tmp
-	m.file = tmp
-	m.refreshMu.Unlock()
+	// The swap is Refresh's: the old handle is retired (readers may be
+	// mid-region on the old generation) and new reads move to the
+	// compacted file. The epoch bump kills every cached brick wholesale:
+	// the new file's offsets are a fresh space that could collide with
+	// stale entries from the old one.
 	next.ra, next.epoch = tmp, man.epoch+1
-	m.man.Store(next)
 	m.end = next.footOff + int64(genFooterSize)
+	m.refreshMu.Lock()
+	m.adopt(next, tmp, m.end)
+	m.refreshMu.Unlock()
 	m.cache.evictOwner(m.Store)
 	return syncErr
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -14,26 +15,33 @@ import (
 // one. Every store this package writes is examined — a written-once file
 // is a journal at generation 1 that may grow later.
 //
-//   - A legacy index store (v1/v2/v4/v5), or a store opened over a plain
-//     io.ReaderAt, which has no authority to re-measure, never advances:
-//     Refresh returns (false, nil). Neither does a store pinned to a
-//     historical generation with Options.Generation — the pin is the
-//     point.
-//   - A file-backed store picks up appended generations in place, and
-//     follows a compaction (the path now names a different file) by
-//     re-opening it; the superseded handle stays open for in-flight reads
-//     until Close. A path re-written from scratch (a second qozc put) is
-//     not a later generation of the same store: Refresh reports
-//     ErrRemoteChanged and the mount must be re-opened.
-//   - A URL-backed store re-probes the origin's validator. A changed
-//     object is adopted only if it is the same store advanced to a later
-//     generation — same codec, kind, bricking, bound, and fixed extents —
-//     otherwise Refresh returns ErrRemoteChanged and the mount must be
-//     re-opened. In-flight reads racing the validator swap fail with
-//     ErrRemoteChanged rather than mixing object versions.
+// A legacy index store (v1/v2/v4/v5), a store opened over a plain
+// io.ReaderAt (which has no authority to re-measure) and a store pinned
+// to a historical generation with Options.Generation never advance:
+// Refresh returns (false, nil). Otherwise the candidate is the open file
+// re-measured, the file the path now names (after a Compact, which
+// renames a rewritten store over the old one, or a second qozc put), or
+// the URL's object under its new validator, and one rule decides:
 //
-// Refresh on the Store inside a Mutable is a no-op: its own commits
-// advance the manifest directly.
+//   - The candidate must be the same store: same codec, kind, bricking,
+//     bound and fixed extents.
+//   - Its latest generation must be later than the served one. The same
+//     generation with the same manifest fingerprint is nothing new (a
+//     writer mid-append, a touched validator, a byte-identical copy).
+//     Anything else — a different store, a regressed or rewritten
+//     generation, such as a path re-put from scratch — is
+//     ErrRemoteChanged, the served generation stays, and the mount must
+//     be re-opened.
+//   - Decoded bricks stay cached only when the candidate is the open file
+//     and still commits the served generation, unchanged, where it was:
+//     an ordinary append. Any other adoption starts a new cache epoch, so
+//     no decode of the old bytes is ever served for the new ones.
+//
+// A superseded file handle stays open for in-flight reads until Close.
+// In-flight reads of a URL racing the validator swap fail with
+// ErrRemoteChanged rather than mixing object versions. Refresh on the
+// Store inside a Mutable is a no-op: its own commits advance the manifest
+// directly.
 func (s *Store) Refresh(ctx context.Context) (advanced bool, _ error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -44,147 +52,105 @@ func (s *Store) Refresh(ctx context.Context) (advanced bool, _ error) {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	man := s.man.Load()
-	if man.gen == 0 {
+	if man.gen == 0 || (s.remote == nil && s.file == nil) {
 		return false, nil
+	}
+	ra, size, f, err := s.candidate(ctx)
+	if ra == nil || err != nil {
+		return false, err
+	}
+	next, err := nextManifest(ra, size, man, s.path)
+	if next == nil {
+		if f != nil {
+			f.Close()
+		}
+		return false, err
 	}
 	if s.remote != nil {
-		return s.refreshRemote(ctx, man)
+		s.remote.setState(ra.(versionReader).etag, size)
+		next.ra = s.remote // rebind off the refresh context
 	}
-	if s.file == nil {
-		return false, nil
-	}
-	return s.refreshFile(man)
-}
-
-// refreshFile picks up new generations from a local file: appended ones
-// through the already-open handle, a compacted replacement by re-opening
-// the path.
-func (s *Store) refreshFile(man *manifest) (bool, error) {
-	fst, err := s.file.Stat()
-	if err != nil {
-		return false, err
-	}
-	if pst, err := os.Stat(s.path); err == nil && !os.SameFile(fst, pst) {
-		return s.refreshReopen(man)
-	}
-	size := fst.Size()
-	if size <= s.size {
-		return false, nil
-	}
-	hdr, headerLen, err := readHeaderAt(s.file, size)
-	if err != nil {
-		return false, err
-	}
-	newMan, err := loadGenManifest(s.file, size, hdr, headerLen, 0)
-	if err != nil {
-		return false, err
-	}
-	switch {
-	case newMan.gen < man.gen:
-		// An append-only file cannot regress; the object was tampered with.
-		return false, ErrRemoteChanged
-	case newMan.gen == man.gen:
-		// Growth without a commit: a writer mid-append. Leave s.size so the
-		// next Refresh re-examines the (by then longer) tail.
-		return false, nil
-	}
-	newMan.epoch = man.epoch // same file: committed offsets stay authoritative
-	s.size = size
-	s.man.Store(newMan)
+	s.adopt(next, f, size)
 	return true, nil
 }
 
-// refreshReopen re-opens the store's path after the file behind it was
-// replaced (a Compact in another process renames the rewritten store over
-// the old one). The replacement must be the same store at a strictly
-// later generation; Compact guarantees that by numbering the compacted
-// file past the generations it swallowed.
-func (s *Store) refreshReopen(man *manifest) (bool, error) {
-	f, err := os.Open(s.path)
+// candidate picks the bytes Refresh examines: the URL's object under its
+// new validator, the file the path now names, or the open file
+// re-measured. A nil reader means the backing object shows no change. A
+// non-nil f is a newly opened file the caller owns until it adopts it.
+func (s *Store) candidate(ctx context.Context) (ra io.ReaderAt, size int64, f *os.File, err error) {
+	if s.remote != nil {
+		etag, size, err := s.remote.fetchMeta(ctx)
+		if curEtag, curSize := s.remote.state(); err != nil || etag == curEtag && size == curSize {
+			return nil, 0, nil, err
+		}
+		return versionReader{r: s.remote, ctx: ctx, etag: etag, size: size}, size, nil, nil
+	}
+	st, err := s.file.Stat()
 	if err != nil {
-		return false, err
+		return nil, 0, nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return false, err
+	if pst, err := os.Stat(s.path); err == nil && !os.SameFile(st, pst) {
+		if f, err = os.Open(s.path); err != nil {
+			return nil, 0, nil, err
+		}
+		if st, err = f.Stat(); err != nil {
+			f.Close()
+			return nil, 0, nil, err
+		}
+		return f, st.Size(), f, nil
 	}
-	size := st.Size()
-	hdr, headerLen, err := readHeaderAt(f, size)
-	if err != nil {
-		f.Close()
-		return false, err
+	if st.Size() == s.size {
+		return nil, 0, nil, nil
 	}
-	if !sameStoreIdentity(hdr, man.hdr) {
-		f.Close()
-		return false, fmt.Errorf("%w: %s was replaced by a different store", ErrRemoteChanged, s.path)
-	}
-	newMan, err := loadGenManifest(f, size, hdr, headerLen, 0)
-	if err != nil {
-		f.Close()
-		return false, err
-	}
-	if newMan.gen <= man.gen {
-		f.Close()
-		return false, fmt.Errorf("%w: %s regressed to generation %d (had %d)", ErrRemoteChanged, s.path, newMan.gen, man.gen)
-	}
-	// A different file is a fresh offset space: bump the epoch so no cache
-	// entry from the old file can collide, and retire the old handle for
-	// readers still mid-region on it.
-	newMan.epoch = man.epoch + 1
-	s.retired = append(s.retired, s.file)
-	s.file = f
-	s.closer = f
-	s.size = size
-	s.man.Store(newMan)
-	return true, nil
+	return s.file, st.Size(), nil, nil
 }
 
-// refreshRemote re-probes the origin and adopts a later generation of the
-// same store, or reports ErrRemoteChanged. The candidate version is
-// inspected through a validator-pinned reader and fully validated BEFORE
-// any state is adopted: a rejected candidate leaves the reader's
-// validator — and with it every in-flight and future read of the current
-// generation — untouched.
-func (s *Store) refreshRemote(ctx context.Context, man *manifest) (bool, error) {
-	etag, size, err := s.remote.fetchMeta(ctx)
-	if err != nil {
-		return false, err
-	}
-	if curEtag, curSize := s.remote.state(); etag == curEtag && size == curSize {
-		return false, nil
-	}
-	ra := versionReader{r: s.remote, ctx: ctx, etag: etag, size: size}
+// nextManifest applies Refresh's rule to the candidate bytes ra (size
+// long, named name in errors) against the served manifest man. It returns
+// the manifest to adopt, its cache epoch set, or nil when the candidate
+// commits nothing new or is refused.
+func nextManifest(ra io.ReaderAt, size int64, man *manifest, name string) (*manifest, error) {
 	hdr, headerLen, err := readHeaderAt(ra, size)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if !sameStoreIdentity(hdr, man.hdr) {
-		return false, fmt.Errorf("%w: %s now serves a different store", ErrRemoteChanged, s.remote.url)
+		return nil, fmt.Errorf("%w: %s now holds a different store", ErrRemoteChanged, name)
 	}
-	newMan, err := loadGenManifest(ra, size, hdr, headerLen, 0)
-	if err != nil {
-		return false, err
-	}
+	next, err := loadGenManifest(ra, size, hdr, headerLen, 0)
 	switch {
-	case newMan.gen < man.gen,
-		newMan.gen == man.gen && newMan.fp != man.fp:
-		return false, fmt.Errorf("%w: %s regressed to generation %d (had %d)", ErrRemoteChanged, s.remote.url, newMan.gen, man.gen)
-	case newMan.gen == man.gen:
-		// The validator moved but the committed content did not (a bucket
-		// copy, a metadata touch): nothing to adopt.
-		return false, nil
+	case err != nil:
+		return nil, err
+	case next.gen == man.gen && next.fp == man.fp:
+		return nil, nil
+	case next.gen <= man.gen:
+		return nil, fmt.Errorf("%w: %s regressed to generation %d (had %d)", ErrRemoteChanged, name, next.gen, man.gen)
 	}
-	// Validated: adopt the new version. The epoch bump kills cached
-	// decoded bricks — identical in a well-behaved append-only object, but
-	// a swapped object that passed the gen gate is still a different byte
-	// space, so reads re-verify.
-	s.remote.setState(etag, size)
-	newMan.ra = s.remote // rebind off the refresh context
-	newMan.epoch = man.epoch + 1
+	// Cached decodes are keyed by payload offset within an epoch. They stay
+	// authoritative only if the bytes under those offsets are the ones they
+	// were decoded from: the same open file, still committing the served
+	// manifest at its footer.
+	next.epoch = man.epoch + 1
+	if ra == man.ra {
+		if old, err := loadManifestAt(ra, size, hdr, headerLen, man.footOff); err == nil && old.gen == man.gen && old.fp == man.fp {
+			next.epoch = man.epoch
+		}
+	}
+	return next, nil
+}
+
+// adopt swaps in next as the served manifest over a backing object size
+// bytes long. A non-nil f replaces the backing file; the superseded
+// handle is retired, open for reads still mid-region on it, until Close.
+// The caller holds refreshMu.
+func (s *Store) adopt(next *manifest, f *os.File, size int64) {
+	if f != nil {
+		s.retired = append(s.retired, s.file)
+		s.file = f
+	}
 	s.size = size
-	s.man.Store(newMan)
-	return true, nil
+	s.man.Store(next)
 }
 
 // sameStoreIdentity reports whether two headers describe the same store:

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"qoz"
@@ -300,5 +303,272 @@ func TestRefreshWrittenOnceStore(t *testing.T) {
 	}
 	if s.Generation() != 2 {
 		t.Fatalf("a refused replacement moved the served generation to %d", s.Generation())
+	}
+}
+
+// copyStore writes the bytes of the store at src to path, as cp does:
+// an existing file is overwritten in place, so every open handle on it
+// sees the new bytes.
+func copyStore(t *testing.T, path, src string) {
+	t.Helper()
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefreshInPlaceOverwrite: a file overwritten in place by another
+// store of the same shape at a later generation is adopted under a new
+// cache epoch: the next read serves what a fresh open reads, not the old
+// store's cached decodes.
+func TestRefreshInPlaceOverwrite(t *testing.T) {
+	const ny, nx = 16, 16
+	ctx := context.Background()
+	m, path := newTestMutable(t, 1, ny, nx)
+	if err := m.AppendSteps(ctx, stepPlane(0, ny, nx)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.ReadField(ctx); err != nil { // cache every brick
+		t.Fatal(err)
+	}
+
+	// The other store's first step lands at the same offsets: only the
+	// cache epoch tells its bricks from the cached ones.
+	om, other := newTestMutable(t, 1, ny, nx)
+	for s := 0; s < 2; s++ {
+		if err := om.AppendSteps(ctx, stepPlane(5+s, ny, nx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyStore(t, path, other)
+	if adv, err := r.Refresh(ctx); err != nil || !adv {
+		t.Fatalf("Refresh after an in-place overwrite: advanced=%v err=%v", adv, err)
+	}
+	fresh, err := OpenFile(path, Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.ReadField(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadField(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("refreshed read has %d points, a fresh open %d", len(got), len(want))
+	}
+	differ := 0
+	for i := range got {
+		if got[i] != want[i] {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d points differ from a fresh open", differ, len(got))
+	}
+}
+
+// TestRefreshInPlaceDifferentStore: a float64 store overwritten in place
+// over a float32 one is a different store: Refresh refuses it with
+// ErrRemoteChanged, keeps the served generation, and later reads return
+// that generation or an error, never a panic.
+func TestRefreshInPlaceDifferentStore(t *testing.T) {
+	const ny, nx = 16, 16
+	ctx := context.Background()
+	m, path := newTestMutable(t, 2, ny, nx)
+	if err := m.AppendSteps(ctx, stepPlane(0, ny, nx)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	before, err := r.ReadField(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := r.Generation()
+
+	other := filepath.Join(t.TempDir(), "wide.qozb")
+	om, err := CreateMutable(other, []int{0, ny, nx}, WriteOptions{
+		Opts: qoz.Options{ErrorBound: testBound}, Brick: []int{2, 8, 8}, Float64: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 3; s++ {
+		if err := AppendStepsT(ctx, om, convertSamples[float32, float64](stepPlane(s, ny, nx))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	om.Close()
+	copyStore(t, path, other)
+	if _, err := r.Refresh(ctx); !errors.Is(err, ErrRemoteChanged) {
+		t.Fatalf("Refresh onto a float64 store: %v, want ErrRemoteChanged", err)
+	}
+	if r.Generation() != gen || r.Float64() {
+		t.Fatalf("a refused store moved the served generation to %d (float64 %v)", r.Generation(), r.Float64())
+	}
+	if got, err := r.ReadField(ctx); err == nil {
+		mustNear(t, got, before, 0, "read after a refused overwrite")
+	}
+}
+
+// TestRefreshByteIdenticalCopy: a path replaced by a byte-identical copy
+// of the served store (same generation, same manifest) is nothing new,
+// not a regression.
+func TestRefreshByteIdenticalCopy(t *testing.T) {
+	ctx := context.Background()
+	m, path := newTestMutable(t, 2, 8, 8)
+	if err := m.AppendSteps(ctx, stepPlane(0, 8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	gen := r.Generation()
+	copyPath := path + ".copy"
+	copyStore(t, copyPath, path)
+	if err := os.Rename(copyPath, path); err != nil {
+		t.Fatal(err)
+	}
+	if adv, err := r.Refresh(ctx); err != nil || adv || r.Generation() != gen {
+		t.Fatalf("Refresh over a byte-identical copy: advanced=%v err=%v generation %d (had %d)", adv, err, r.Generation(), gen)
+	}
+}
+
+// TestRefreshAppendKeepsCache: an ordinary append keeps the cache epoch,
+// so the bricks it did not touch are served from the cache after Refresh.
+func TestRefreshAppendKeepsCache(t *testing.T) {
+	const ny, nx = 16, 16
+	ctx := context.Background()
+	m, path := newTestMutable(t, 2, ny, nx)
+	if err := m.AppendSteps(ctx, append(stepPlane(0, ny, nx), stepPlane(1, ny, nx)...)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lo, hi := []int{0, 0, 0}, []int{2, ny, nx}
+	first, err := r.ReadRegion(ctx, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendSteps(ctx, append(stepPlane(2, ny, nx), stepPlane(3, ny, nx)...)); err != nil {
+		t.Fatal(err)
+	}
+	if adv, err := r.Refresh(ctx); err != nil || !adv {
+		t.Fatalf("Refresh after an append: advanced=%v err=%v", adv, err)
+	}
+	hits := r.Stats().CacheHits
+	again, err := r.ReadRegion(ctx, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().CacheHits - hits; got != 4 {
+		t.Fatalf("re-read of the untouched band after Refresh: %d cache hits, want 4", got)
+	}
+	mustNear(t, again, first, 0, "cached re-read")
+}
+
+// TestRefreshRacingReads: region reads racing Refresh over an in-place
+// append, and over a Compact by another handle, with slab poisoning on:
+// every read serves the committed samples — no poisoned slab, no decode of
+// other bytes — and none reaches a closed file.
+func TestRefreshRacingReads(t *testing.T) {
+	const ny, nx, steps = 16, 16, 4
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+			ctx := context.Background()
+			m, path := newTestMutable(t, 2, ny, nx)
+			for s := 0; s < steps; s++ {
+				if err := m.AppendSteps(ctx, stepPlane(s, ny, nx)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := m.ReadField(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisonSlabs(t)
+			// A budget of three bricks: concurrent reads evict each other.
+			r, err := OpenFile(path, Options{CacheBytes: 3 * 2 * 8 * 8 * 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						lo := []int{rng.Intn(steps), rng.Intn(ny), rng.Intn(nx)}
+						hi := []int{lo[0] + 1 + rng.Intn(steps-lo[0]), lo[1] + 1 + rng.Intn(ny-lo[1]), lo[2] + 1 + rng.Intn(nx-lo[2])}
+						got, err := r.ReadRegion(ctx, lo, hi)
+						if err != nil {
+							t.Errorf("read %v..%v: %v", lo, hi, err)
+							return
+						}
+						k := 0
+						for s := lo[0]; s < hi[0]; s++ {
+							for y := lo[1]; y < hi[1]; y++ {
+								for x := lo[2]; x < hi[2]; x++ {
+									if w := want[(s*ny+y)*nx+x]; got[k] != w {
+										t.Errorf("read %v..%v: point (%d,%d,%d) = %v, want %v", lo, hi, s, y, x, got[k], w)
+										return
+									}
+									k++
+								}
+							}
+						}
+					}
+				}(int64(g))
+			}
+			stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+			defer stop()
+
+			for round := 0; round < 6; round++ {
+				// Whole bands: the committed bricks the readers see never change.
+				if err := m.AppendSteps(ctx, append(stepPlane(steps+2*round, ny, nx), stepPlane(steps+2*round+1, ny, nx)...)); err != nil {
+					t.Fatal(err)
+				}
+				if compact {
+					if err := m.Compact(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if adv, err := r.Refresh(ctx); err != nil || !adv {
+					t.Fatalf("round %d: Refresh: advanced=%v err=%v", round, adv, err)
+				}
+			}
+			stop()
+			if r.Generation() != m.Generation() {
+				t.Fatalf("reader at generation %d, writer at %d", r.Generation(), m.Generation())
+			}
+		})
 	}
 }

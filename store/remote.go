@@ -31,8 +31,9 @@ const (
 // incompatibly: mid-read, the server's validator no longer matches, so
 // ranges fetched before and after would mix two versions of the store;
 // under Refresh, the backing object's committed generation regressed or
-// its identity (codec, element kind, bricking, bound, fixed extents)
-// moved — either way the store must be re-opened, not patched up.
+// was rewritten, or its identity (codec, element kind, bricking, bound,
+// fixed extents) moved — either way the store must be re-opened, not
+// patched up.
 var ErrRemoteChanged = errors.New("store: backing object changed incompatibly")
 
 // RemoteOptions configures the HTTP range-read backend.
@@ -407,6 +408,7 @@ func OpenURLContext(ctx context.Context, url string, opts Options) (*Store, erro
 	// read reaches the origin under its own (fetchRange.fetch).
 	s.man.Load().ra = rr
 	s.remote = rr
+	s.path = url
 	s.gap = opts.Remote.ReadAhead
 	return s, nil
 }

@@ -87,10 +87,9 @@ type manifest struct {
 // concurrent use.
 type Store struct {
 	man     atomic.Pointer[manifest]
-	closer  io.Closer
-	file    *os.File // backing file when opened by path (enables Refresh)
-	path    string   // backing path when opened by path
-	size    int64    // byte length of the committed file as last loaded
+	file    *os.File // backing file when opened by path (enables Refresh); closed by Close
+	path    string   // backing path, or URL for OpenURL stores
+	size    int64    // byte length of the backing object as last adopted
 	codec   qoz.Codec
 	cache   *lruCache
 	workers int
@@ -99,8 +98,8 @@ type Store struct {
 	mutable bool          // owned by a Mutable handle; Refresh is a no-op
 	pinned  bool          // opened at a fixed Options.Generation; Refresh never advances it
 
-	refreshMu sync.Mutex  // serializes Refresh and protects retired/size
-	retired   []io.Closer // superseded file handles kept open for in-flight reads
+	refreshMu sync.Mutex // serializes Refresh and guards file/retired/size against Close
+	retired   []*os.File // superseded file handles kept open for in-flight reads
 
 	decoded atomic.Int64
 	read    atomic.Int64
@@ -427,7 +426,6 @@ func OpenFile(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	s.closer = f
 	s.file = f
 	s.path = path
 	return s, nil
@@ -465,17 +463,14 @@ func manifestReadErr(err error) error {
 func (s *Store) Close() error {
 	s.cache.evictOwner(s)
 	s.refreshMu.Lock()
-	retired := s.retired
-	closer := s.closer
-	s.retired = nil
-	s.closer = nil
-	s.file = nil
+	retired, f := s.retired, s.file
+	s.retired, s.file = nil, nil
 	s.refreshMu.Unlock()
-	for _, c := range retired {
-		c.Close()
+	for _, r := range retired {
+		r.Close()
 	}
-	if closer != nil {
-		return closer.Close()
+	if f != nil {
+		return f.Close()
 	}
 	return nil
 }
