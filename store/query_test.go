@@ -12,10 +12,16 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -434,5 +440,126 @@ func TestQueryDifferentialRemote(t *testing.T) {
 	defer s.Close()
 	if pruned := qRunDiff(t, "remote", s, rng, 40); pruned == 0 {
 		t.Fatal("remote store pruned nothing: statistics index unavailable over HTTP")
+	}
+}
+
+var updateQueryGolden = flag.Bool("update-query-golden", false,
+	"rewrite testdata/query_golden.txt from the current Store.Query")
+
+// qGoldenField is the deterministic input of TestQueryGolden: qSynth's
+// banded field without the random draws, with NaN, +Inf and -Inf planted
+// in three bricks so some bricks are never prunable.
+func qGoldenField(n int) []float64 {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i)/9)*0.4 + 3*math.Floor(8*float64(i)/float64(n))
+	}
+	vals[5], vals[n/3], vals[n/2+7] = math.NaN(), math.Inf(1), math.Inf(-1)
+	vals[n-1] = math.NaN()
+	return vals
+}
+
+// TestQueryGolden pins every Store.Query answer on a fixed float32 and
+// float64 store — every op, the whole field and two boxes, no and five
+// locations — as the result's JSON, pruning counters included, so a
+// change to the scan can alter neither an answer nor which bricks it
+// decodes. Regenerate with -update-query-golden only when a pruning
+// decision is meant to change.
+func TestQueryGolden(t *testing.T) {
+	ctx := context.Background()
+	dims := []int{16, 12, 12}
+	field := qGoldenField(16 * 12 * 12)
+	var out bytes.Buffer
+	for _, kind := range []string{"f32", "f64"} {
+		wo := WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3}, Brick: []int{4, 8, 8}}
+		var buf bytes.Buffer
+		var err error
+		if kind == "f32" {
+			data := make([]float32, len(field))
+			for i, v := range field {
+				data[i] = float32(v)
+			}
+			err = Write(ctx, &buf, data, dims, wo)
+		} else {
+			err = WriteT(ctx, &buf, field, dims, wo)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{CacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := s.BrickStats(1)
+		if !ok {
+			t.Fatal("brick 1 carries no statistics")
+		}
+		eb := s.bound()
+		ops := []QueryRequest{
+			{Op: QueryGT, Value: 10},
+			{Op: QueryGT, Value: st.Max + eb},
+			{Op: QueryGT, Value: st.Min - eb},
+			{Op: QueryLT, Value: 4.5},
+			{Op: QueryLT, Value: st.Min - eb},
+			{Op: QueryLT, Value: st.Max + eb},
+			{Op: QueryRange, Low: 2.8, High: 9.1},
+			{Op: QueryRange, Low: st.Min - eb, High: st.Max + eb},
+			{Op: QueryMin},
+			{Op: QueryMax},
+			{Op: QueryHist, Low: 0, High: 24, Bins: 6},
+			{Op: QueryHist, Low: 1.3, High: 7.7, Bins: 5},
+			{Op: QueryHist, Low: st.Min - eb, High: st.Max + eb, Bins: 1},
+		}
+		boxes := []struct {
+			name   string
+			lo, hi []int
+		}{
+			{"whole", nil, nil},
+			{"a", []int{1, 2, 3}, []int{15, 11, 10}},
+			{"b", []int{4, 0, 0}, []int{12, 12, 8}},
+		}
+		for _, op := range ops {
+			for _, b := range boxes {
+				for _, k := range []int{0, 5} {
+					req := op
+					req.Lo, req.Hi, req.MaxLocations = b.lo, b.hi, k
+					res, err := s.Query(ctx, req)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", kind, req, err)
+					}
+					js, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&out, "%s %s value=%g low=%g high=%g bins=%d box=%s maxloc=%d\t%s\n",
+						kind, req.Op, req.Value, req.Low, req.High, req.Bins, b.name, k, js)
+				}
+			}
+		}
+		s.Close()
+	}
+	path := filepath.Join("testdata", "query_golden.txt")
+	if *updateQueryGolden {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("query golden missing (record it with -update-query-golden): %v", err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("query golden line %d:\ngot  %s\nwant %s", i+1, g, w)
+		}
 	}
 }
