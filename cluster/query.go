@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 
 	"qoz/obs"
@@ -28,17 +27,23 @@ import (
 // round trip carries one sub-box, because /query answers one box. Each
 // shard answers its sub-box from its own statistics index, so pruning
 // happens where the bricks live and only small JSON aggregates cross the
-// network; every answer is checked against its request and sub-box
-// (checkPartial) before it is merged. The merged result is identical to
-// one store.Query over the whole box, except that extremum queries cannot
-// branch-and-bound across shards: every sub-box resolves independently,
-// and the pruning counters sum what each shard did locally.
+// network. The request is normalised by store.CheckQuery, as Store.Query
+// does; every answer is checked against it and its sub-box (checkPartial)
+// before store.MergeQueryResults, the fold Store.Query runs over bricks,
+// merges it. The merged result is identical to one store.Query over the
+// whole box, except that extremum queries cannot branch-and-bound across
+// shards: every sub-box resolves independently, and the pruning counters
+// sum what each shard did locally.
 func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*store.QueryResult, FanoutStats, error) {
 	ctx, fanSpan := obs.StartSpan(ctx, "fanout")
 	defer fanSpan.End()
 	fanSpan.Annotate("field", f.Name)
 	fanSpan.Annotate("op", req.Op)
 	stats := FanoutStats{ByShard: make(map[string]*ShardTraffic)}
+	req, err := store.CheckQuery(req)
+	if err != nil {
+		return nil, stats, err
+	}
 	lo, hi := req.Lo, req.Hi
 	if lo == nil && hi == nil {
 		lo = make([]int, len(f.Dims))
@@ -65,41 +70,44 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 	if err != nil {
 		return nil, stats, err
 	}
-	return mergeQueryResults(req, partials), stats, nil
+	return store.MergeQueryResults(req, partials), stats, nil
 }
 
-// queryURL is the sub-query of req for the sub-box s on one shard.
+// queryURL is the sub-query of req for the sub-box s on one shard. Every
+// parameter is spelled out: the shard's store.CheckQuery keeps the ones
+// req's op takes.
 func queryURL(shard string, f *Field, s *subRegion, req store.QueryRequest) string {
 	g := func(v float64) string {
 		return url.QueryEscape(strconv.FormatFloat(v, 'g', -1, 64))
 	}
-	u := fmt.Sprintf("%s/v1/fields/%s/query?op=%s&lo=%s&hi=%s",
-		shard, url.PathEscape(f.Name), url.QueryEscape(req.Op), corner(s.lo), corner(s.hi))
-	switch req.Op {
-	case store.QueryGT, store.QueryLT:
-		u += "&value=" + g(req.Value)
-	case store.QueryRange:
-		u += "&low=" + g(req.Low) + "&high=" + g(req.High)
-	case store.QueryHist:
-		u += fmt.Sprintf("&low=%s&high=%s&bins=%d", g(req.Low), g(req.High), req.Bins)
-	}
-	if req.MaxLocations > 0 {
-		u += fmt.Sprintf("&maxloc=%d", req.MaxLocations)
-	}
-	return u
+	return fmt.Sprintf("%s/v1/fields/%s/query?op=%s&lo=%s&hi=%s&value=%s&low=%s&high=%s&bins=%d&maxloc=%d",
+		shard, url.PathEscape(f.Name), url.QueryEscape(req.Op), corner(s.lo), corner(s.hi),
+		g(req.Value), g(req.Low), g(req.High), req.Bins, req.MaxLocations)
 }
 
 // checkPartial refuses a sub-query answer that cannot be the answer to req
 // over the sub-box s: another op, a histogram of another bin count (bins
-// on any other op included), more locations than asked for, or a location
-// or an extremum's argument that is not a point of s (another rank
-// included). Merged, the first two would index past the merged bins and
-// the rest would fold into a wrong answer; refused, the sub-query fails
-// over like a short region body.
+// on any other op included), more locations than asked for, a location or
+// an extremum's argument that is not a point of s (another rank included),
+// a negative tally, a threshold count above the sub-box's points, or a
+// histogram that does not classify every point of the sub-box exactly
+// once. Merged, the first two would index past the merged bins and the
+// rest would fold into a wrong answer; refused, the sub-query fails over
+// like a short region body.
 func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) error {
 	bins := 0
 	if req.Op == store.QueryHist {
 		bins = req.Bins
+	}
+	points := int64(1)
+	for i := range s.lo {
+		points *= int64(s.hi[i] - s.lo[i])
+	}
+	binned := int64(0)
+	negative := min(res.Count, res.Below, res.Above, res.NaNCount) < 0
+	for _, n := range res.Bins {
+		binned += n
+		negative = negative || n < 0
 	}
 	switch {
 	case res.Op != req.Op:
@@ -110,6 +118,15 @@ func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) 
 		return fmt.Errorf("sub-query answered %d locations, want at most %d", len(res.Locations), req.MaxLocations)
 	case res.Found && !s.holds(res.Arg):
 		return fmt.Errorf("sub-query extremum at %v, outside its box [%v,%v)", res.Arg, s.lo, s.hi)
+	case negative:
+		return fmt.Errorf("sub-query answered a negative tally")
+	case res.Count > points:
+		return fmt.Errorf("sub-query counted %d matches in a %d-point box", res.Count, points)
+	case bins > 0 && res.Count != binned:
+		return fmt.Errorf("sub-query histogram counted %d binned points, its bins sum to %d", res.Count, binned)
+	case bins > 0 && res.Count+res.Below+res.Above+res.NaNCount != points:
+		return fmt.Errorf("sub-query histogram classified %d points of a %d-point box",
+			res.Count+res.Below+res.Above+res.NaNCount, points)
 	}
 	for _, p := range res.Locations {
 		if !s.holds(p) {
@@ -130,70 +147,4 @@ func (s *subRegion) holds(p []int) bool {
 		}
 	}
 	return true
-}
-
-// mergeQueryResults folds per-shard partial answers into the fleet-wide
-// result. Sub-boxes partition the query box, so counts, histogram bins,
-// and the below/above/NaN tallies sum; the extremum is the best partial
-// value, ties resolved to the row-major-smallest (lexicographically
-// smallest) coordinates, matching single-node tie-breaking; and each
-// partial's locations are its row-major-first matches within its own
-// sub-box, so the global first-k are within their union — sort
-// lexicographically and cut, exactly like the store merges per-brick
-// matches.
-func mergeQueryResults(req store.QueryRequest, partials []*store.QueryResult) *store.QueryResult {
-	out := &store.QueryResult{Op: req.Op}
-	if req.Op == store.QueryHist {
-		out.Bins = make([]int64, req.Bins)
-	}
-	for _, p := range partials {
-		out.Count += p.Count
-		out.Below += p.Below
-		out.Above += p.Above
-		out.NaNCount += p.NaNCount
-		out.BricksTotal += p.BricksTotal
-		out.BricksPruned += p.BricksPruned
-		out.BricksDecoded += p.BricksDecoded
-		for i := range p.Bins {
-			out.Bins[i] += p.Bins[i]
-		}
-		out.Locations = append(out.Locations, p.Locations...)
-		if p.Found && (!out.Found || betterExtremum(req.Op, p, out)) {
-			out.Found, out.Value, out.Arg = true, p.Value, p.Arg
-		}
-	}
-	if req.MaxLocations > 0 && len(out.Locations) > 0 {
-		sort.Slice(out.Locations, func(i, j int) bool {
-			return lexLess(out.Locations[i], out.Locations[j])
-		})
-		if len(out.Locations) > req.MaxLocations {
-			out.Locations = out.Locations[:req.MaxLocations]
-		}
-		out.Truncated = out.Count > int64(len(out.Locations))
-	}
-	return out
-}
-
-// betterExtremum reports whether partial p beats the current best for the
-// given extremum op: strictly better value, or an equal value at a
-// row-major-smaller position.
-func betterExtremum(op string, p, best *store.QueryResult) bool {
-	if p.Value != best.Value {
-		if op == store.QueryMin {
-			return p.Value < best.Value
-		}
-		return p.Value > best.Value
-	}
-	return lexLess(p.Arg, best.Arg)
-}
-
-// lexLess orders coordinates lexicographically, which for same-rank
-// coordinates in one field is exactly row-major order.
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -599,27 +599,19 @@ func queryCmd(args []string) error {
 	maxloc := fs.Int("maxloc", 0, "also list the first K matching coordinates (gt/lt/range)")
 	asJSON := fs.Bool("json", false, "emit the raw query result as JSON")
 	fs.Parse(args)
-	if *in == "" || *op == "" {
+	if *in == "" {
 		return fmt.Errorf("query requires -in and -op")
 	}
-	req := store.QueryRequest{Op: *op, Bins: *bins, MaxLocations: *maxloc}
-	switch *op {
-	case store.QueryGT, store.QueryLT:
-		if math.IsNaN(*value) {
-			return fmt.Errorf("-op %s requires -value", *op)
-		}
-		req.Value = *value
-	case store.QueryRange, store.QueryHist:
-		if math.IsNaN(*low) || math.IsNaN(*high) {
-			return fmt.Errorf("-op %s requires -low and -high", *op)
-		}
-		req.Low, req.High = *low, *high
-	}
+	var err error
+	req := store.QueryRequest{Op: *op, Value: *value, Low: *low, High: *high, Bins: *bins, MaxLocations: *maxloc}
 	if *boxArg != "" {
-		var err error
 		if req.Lo, req.Hi, err = parseBox(*boxArg); err != nil {
 			return err
 		}
+	}
+	// A missing or malformed parameter fails before the store is touched.
+	if req, err = store.CheckQuery(req); err != nil {
+		return err
 	}
 	s, err := store.OpenFile(*in, store.Options{})
 	if err != nil {
@@ -688,33 +680,54 @@ func parseBox(s string) (lo, hi []int, err error) {
 	return lo, hi, nil
 }
 
-// storeInfo prints a brick store's manifest without decoding any brick.
+// storeInfo prints a brick store's manifest without decoding any brick,
+// from the report info -json prints.
 func storeInfo(path string) error {
-	s, err := store.OpenFile(path, store.Options{})
+	rep, err := storeReport(path)
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
+	elem := 4
+	if rep.Float64 {
+		elem = 8
 	}
-	points := 1
-	for _, d := range s.Dims() {
-		points *= d
-	}
-	elem := storeSampleBytes(s)
 	fmt.Printf("format: brick store\ncodec: %s\ndtype: %s\ndims: %v\nbrick: %v\nbricks: %d\nerror bound: %.6g\ncompressed: %d bytes\nCR: %.1f\n",
-		s.Codec().Name(), s.DType(), s.Dims(), s.BrickShape(), s.NumBricks(), s.ErrorBound(),
-		st.Size(), float64(points*elem)/float64(st.Size()))
-	if gen := s.Generation(); gen > 0 {
-		fmt.Printf("mutable: generation %d\n", gen)
+		rep.Codec, rep.DType, rep.Dims, rep.Brick, rep.Bricks, rep.ErrorBound,
+		rep.CompressedBytes, float64(rep.Points*elem)/float64(rep.CompressedBytes))
+	if rep.Generation > 0 {
+		fmt.Printf("mutable: generation %d\n", rep.Generation)
 	}
-	if agg := storeStats(s); agg != nil {
+	if agg := rep.Stats; agg != nil {
 		fmt.Printf("stats: min %.6g  max %.6g  (%d of %d bricks indexed)\n",
-			agg.Min, agg.Max, agg.Bricks, s.NumBricks())
+			agg.Min, agg.Max, agg.Bricks, rep.Bricks)
 	}
 	return nil
+}
+
+// storeReport describes a brick store from its manifest alone: the one
+// report both info renderers print.
+func storeReport(path string) (infoReport, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return infoReport{}, err
+	}
+	s, err := store.OpenFile(path, store.Options{})
+	if err != nil {
+		return infoReport{}, err
+	}
+	defer s.Close()
+	rep := infoReport{
+		Format: "store", Codec: s.Codec().Name(), Float64: s.Float64(), DType: s.DType(),
+		Dims: s.Dims(), Points: 1, Brick: s.BrickShape(), Bricks: s.NumBricks(),
+		ErrorBound: s.ErrorBound(), CompressedBytes: st.Size(),
+		Generation: s.Generation(), Mutable: s.Generation() > 0, FormatVersion: s.FormatVersion(),
+		Stats: storeStats(s),
+	}
+	rep.Levels, rep.BrickLevels = storeLevels(s)
+	for _, d := range rep.Dims {
+		rep.Points *= d
+	}
+	return rep, nil
 }
 
 // statsReport is the field-wide aggregate of a store's per-brick
@@ -956,26 +969,8 @@ func infoJSON(path string, w io.Writer) error {
 	f.Close()
 	switch {
 	case store.IsStore(head[:n]):
-		s, err := store.OpenFile(path, store.Options{})
-		if err != nil {
+		if rep, err = storeReport(path); err != nil {
 			return err
-		}
-		defer s.Close()
-		rep.Format = "store"
-		rep.Codec = s.Codec().Name()
-		rep.Float64 = s.Float64()
-		rep.Dims = s.Dims()
-		rep.Brick = s.BrickShape()
-		rep.Bricks = s.NumBricks()
-		rep.ErrorBound = s.ErrorBound()
-		rep.Generation = s.Generation()
-		rep.Mutable = rep.Generation > 0
-		rep.FormatVersion = s.FormatVersion()
-		rep.Levels, rep.BrickLevels = storeLevels(s)
-		rep.Stats = storeStats(s)
-		rep.Points = 1
-		for _, d := range rep.Dims {
-			rep.Points *= d
 		}
 	case qoz.IsStream(head[:n]):
 		f, err := os.Open(path)

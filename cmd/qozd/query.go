@@ -8,37 +8,29 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
 	"qoz/store"
 )
 
-// parseQueryRequest reads and validates the query parameters of one
-// /query request against the field's dims, answering the 400 itself on a
-// bad value. The returned request always carries a concrete box: lo/hi
+// parseQueryRequest reads the query parameters of one /query request,
+// answering the 400 itself on a bad value. Every parameter is parsed the
+// same way whatever the op — a missing number is NaN, a missing count 0 —
+// and store.CheckQuery keeps the ones the op takes or names what is
+// wrong. The returned request always carries a concrete box: lo/hi
 // default to the whole field.
 func (h *handler) parseQueryRequest(w http.ResponseWriter, r *http.Request, dims []int) (store.QueryRequest, bool) {
 	q := r.URL.Query()
-	var req store.QueryRequest
 	bad := func(format string, args ...any) (store.QueryRequest, bool) {
 		h.httpError(w, r, http.StatusBadRequest, format, args...)
 		return store.QueryRequest{}, false
 	}
-
-	req.Op = q.Get("op")
-	switch req.Op {
-	case store.QueryGT, store.QueryLT, store.QueryRange, store.QueryMin, store.QueryMax, store.QueryHist:
-	case "":
-		return bad("query needs op=gt|lt|range|min|max|hist")
-	default:
-		return bad("unknown query op %q (want gt, lt, range, min, max, or hist)", req.Op)
-	}
-
 	// The box is optional — a query, unlike a region read, defaults to the
 	// whole field, because the server aggregates instead of shipping points.
 	// It is one box: several lo=/hi= pairs are /region's multi-box form.
@@ -48,75 +40,42 @@ func (h *handler) parseQueryRequest(w http.ResponseWriter, r *http.Request, dims
 	if (q.Get("lo") == "") != (q.Get("hi") == "") {
 		return bad("query box needs both lo=a,b,... and hi=a,b,... (or neither, for the whole field)")
 	}
+	var errs []error
+	num := func(name string) float64 {
+		v, err := strconv.ParseFloat(cmp.Or(q.Get(name), "NaN"), 64)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s must be a number, got %q", name, q.Get(name)))
+		}
+		return v
+	}
+	count := func(name string) int {
+		n, err := strconv.Atoi(cmp.Or(q.Get(name), "0"))
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s must be an integer, got %q", name, q.Get(name)))
+		}
+		return n
+	}
+	req := store.QueryRequest{Op: q.Get("op"), Value: num("value"), Low: num("low"), High: num("high"),
+		Bins: count("bins"), MaxLocations: count("maxloc")}
 	var err error
-	if req.Lo, req.Hi, err = parseBox("query box", q.Get("lo"), q.Get("hi"), dims); err != nil {
+	req.Lo, req.Hi, err = parseBox("query box", q.Get("lo"), q.Get("hi"), dims)
+	if err = errors.Join(append(errs, err)...); err == nil {
+		req, err = store.CheckQuery(req)
+	}
+	if err != nil {
 		return bad("%v", err)
-	}
-
-	finite := func(name string) (float64, error) {
-		s := q.Get(name)
-		if s == "" {
-			return 0, fmt.Errorf("op %q needs %s=", req.Op, name)
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s must be a finite number, got %q", name, s)
-		}
-		return v, nil
-	}
-	switch req.Op {
-	case store.QueryGT, store.QueryLT:
-		if req.Value, err = finite("value"); err != nil {
-			return bad("%v", err)
-		}
-	case store.QueryRange, store.QueryHist:
-		if req.Low, err = finite("low"); err != nil {
-			return bad("%v", err)
-		}
-		if req.High, err = finite("high"); err != nil {
-			return bad("%v", err)
-		}
-		if req.Low >= req.High {
-			return bad("query needs low < high, got [%g, %g)", req.Low, req.High)
-		}
-	}
-	if req.Op == store.QueryHist {
-		b := q.Get("bins")
-		n, err := strconv.Atoi(b)
-		if b == "" || err != nil || n < 1 || n > store.MaxQueryBins {
-			return bad("hist needs bins in 1..%d, got %q", store.MaxQueryBins, b)
-		}
-		req.Bins = n
-	}
-	if ml := q.Get("maxloc"); ml != "" {
-		n, err := strconv.Atoi(ml)
-		if err != nil || n < 0 {
-			return bad("maxloc must be a non-negative integer, got %q", ml)
-		}
-		req.MaxLocations = n
 	}
 	return req, true
 }
 
 // queryVariant names a query's representation for the ETag and the
-// single-flight key: the operation and every parameter that changes the
-// answer, in canonical shortest-round-trip formatting, plus the gzip
-// content coding. The box is not part of it — regionETag already embeds
-// the box alongside the variant.
+// single-flight key: the operation and every parameter of the request
+// store.CheckQuery normalised, in canonical shortest-round-trip
+// formatting, plus the gzip content coding. The box is not part of it —
+// regionETag already embeds the box alongside the variant.
 func queryVariant(req store.QueryRequest, gz bool) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	v := "q" + req.Op
-	switch req.Op {
-	case store.QueryGT, store.QueryLT:
-		v += ":" + g(req.Value)
-	case store.QueryRange:
-		v += ":" + g(req.Low) + ":" + g(req.High)
-	case store.QueryHist:
-		v += ":" + g(req.Low) + ":" + g(req.High) + ":" + strconv.Itoa(req.Bins)
-	}
-	if req.MaxLocations > 0 {
-		v += ":k" + strconv.Itoa(req.MaxLocations)
-	}
+	v := fmt.Sprintf("q%s:%s:%s:%s:%d:k%d", req.Op, g(req.Value), g(req.Low), g(req.High), req.Bins, req.MaxLocations)
 	if gz {
 		v += "+gzip"
 	}

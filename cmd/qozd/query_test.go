@@ -182,8 +182,10 @@ func TestServerQueryEndpoint(t *testing.T) {
 // TestClusterMalformedQueryAnswer: a shard's sub-query answer is outside
 // input. One that cannot be the answer to its request over its sub-box —
 // another op, a bin too many, a location of another rank or outside the
-// sub-box, more locations than asked for, an extremum without its argument
-// — fails its sub-query by name and fails over like a short region body.
+// sub-box, more locations than asked for, an extremum without its
+// argument, a negative count, more matches than points, a histogram whose
+// count is not its bins' sum or whose tallies miss or double a point —
+// fails its sub-query by name and fails over like a short region body.
 // Merged, the bin would index past the merged histogram and panic the
 // gateway; the rest would merge into a wrong answer.
 func TestClusterMalformedQueryAnswer(t *testing.T) {
@@ -219,6 +221,13 @@ func TestClusterMalformedQueryAnswer(t *testing.T) {
 					ans["locations"] = append(locs, locs[0])
 				case "noarg":
 					delete(ans, "arg")
+				case "negcount":
+					ans["count"] = -ans["count"].(float64)
+				case "bigcount", "histcount":
+					ans["count"] = ans["count"].(float64) + 1
+				case "histsum":
+					below, _ := ans["below"].(float64)
+					ans["below"] = below + 1
 				}
 				for k, v := range rec.Header() {
 					if k != "Content-Length" {
@@ -237,17 +246,22 @@ func TestClusterMalformedQueryAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	every := store.QueryRequest{Op: store.QueryGT, Value: -1e30, MaxLocations: 3} // every sub-box has 3 matches
+	hist4 := store.QueryRequest{Op: store.QueryHist, Low: 0, High: 1, Bins: 4}
 	for _, tc := range []struct {
 		mode, query string
 		req         store.QueryRequest
 		text        string
 	}{
 		{"op", "op=gt&value=-1e30&maxloc=3", every, `answered op "lt", want "gt"`},
-		{"bins", "op=hist&low=0&high=1&bins=4", store.QueryRequest{Op: store.QueryHist, Low: 0, High: 1, Bins: 4}, "answered 5 bins, want 4"},
+		{"bins", "op=hist&low=0&high=1&bins=4", hist4, "answered 5 bins, want 4"},
 		{"rank", "op=gt&value=-1e30&maxloc=3", every, "location"},
 		{"outside", "op=gt&value=-1e30&maxloc=3", every, "outside its box"},
 		{"toomany", "op=gt&value=-1e30&maxloc=3", every, "answered 4 locations, want at most 3"},
 		{"noarg", "op=max", store.QueryRequest{Op: store.QueryMax}, "extremum at [], outside its box"},
+		{"negcount", "op=gt&value=-1e30&maxloc=3", every, "negative tally"},
+		{"bigcount", "op=gt&value=-1e30&maxloc=3", every, "matches in a"},
+		{"histcount", "op=hist&low=0&high=1&bins=4", hist4, "its bins sum to"},
+		{"histsum", "op=hist&low=0&high=1&bins=4", hist4, "histogram classified"},
 	} {
 		_, want := queryGet(t, shards[0].URL+"/v1/fields/nyx/query?"+tc.query)
 		mode.Store(tc.mode)

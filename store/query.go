@@ -14,6 +14,7 @@ package store
 // test in query_test.go.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 
 	"qoz"
 	"qoz/internal/grid"
@@ -162,6 +162,47 @@ func (r *QueryResult) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// CheckQuery is the one statement of which parameters each op takes:
+// Value for gt and lt; Low < High for range and hist; Bins for hist;
+// MaxLocations (non-negative) for the thresholds. It returns req with its
+// box and only its op's parameters kept, the others zeroed, or an error
+// naming the parameter that is missing or invalid — a missing value
+// arrives as NaN. The box is checked against the field by Query.
+func CheckQuery(req QueryRequest) (QueryRequest, error) {
+	out := QueryRequest{Lo: req.Lo, Hi: req.Hi, Op: req.Op}
+	if req.MaxLocations < 0 {
+		return out, fmt.Errorf("store: query maxloc must be non-negative, got %d", req.MaxLocations)
+	}
+	finite := func(name string, v float64) error {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("store: query op %q needs a finite %s, got %g", req.Op, name, v)
+		}
+		return nil
+	}
+	switch req.Op {
+	case QueryGT, QueryLT:
+		out.Value, out.MaxLocations = req.Value, req.MaxLocations
+		return out, finite("value", req.Value)
+	case QueryRange, QueryHist:
+		out.Low, out.High = req.Low, req.High
+		if err := cmp.Or(finite("low", req.Low), finite("high", req.High)); err != nil {
+			return out, err
+		}
+		if req.Low >= req.High {
+			return out, fmt.Errorf("store: query needs low < high, got [%g, %g)", req.Low, req.High)
+		}
+		if req.Op == QueryRange {
+			out.MaxLocations = req.MaxLocations
+		} else if out.Bins = req.Bins; req.Bins < 1 || req.Bins > MaxQueryBins {
+			return out, fmt.Errorf("store: histogram needs 1..%d bins, got %d", MaxQueryBins, req.Bins)
+		}
+		return out, nil
+	case QueryMin, QueryMax:
+		return out, nil
+	}
+	return out, fmt.Errorf("store: unknown query op %q (want gt, lt, range, min, max, or hist)", req.Op)
+}
+
 // Query answers a pushdown query over the current generation, decoding
 // only the bricks the statistics index cannot resolve. Thresholds and
 // results are float64 regardless of the store's element type (float32
@@ -169,60 +210,29 @@ func (r *QueryResult) UnmarshalJSON(b []byte) error {
 // are exact: identical to evaluating the predicate over a full
 // decode of the box. A store without statistics (a legacy v1/v2/v4 file,
 // a journal from before the extension, a corrupt statistics block) is
-// handled by decoding every intersecting brick.
+// handled by decoding every intersecting brick. The whole query is served
+// from one manifest snapshot: a commit landing mid-query is never mixed
+// in.
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	return queryManifest(ctx, s, s.man.Load(), req)
-}
-
-// queryManifest validates the request against one manifest snapshot and
-// dispatches by operation. The whole query is served from that snapshot:
-// a commit landing mid-query is never mixed in.
-func queryManifest(ctx context.Context, s *Store, m *manifest, req QueryRequest) (*QueryResult, error) {
+	req, err := CheckQuery(req)
+	if err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	dims := m.hdr.dims
+	m := s.man.Load()
 	lo, hi := req.Lo, req.Hi
 	if lo == nil && hi == nil {
-		lo = make([]int, len(dims))
-		hi = dims
+		lo, hi = make([]int, len(m.hdr.dims)), m.hdr.dims
 	}
-	if err := grid.CheckBox("store: query box", dims, lo, hi); err != nil {
+	if err := grid.CheckBox("store: query box", m.hdr.dims, lo, hi); err != nil {
 		return nil, err
 	}
-	if req.MaxLocations < 0 {
-		req.MaxLocations = 0
-	}
-	switch req.Op {
-	case QueryGT, QueryLT:
-		if math.IsNaN(req.Value) || math.IsInf(req.Value, 0) {
-			return nil, fmt.Errorf("store: query op %q needs a finite value", req.Op)
-		}
-		return queryThreshold(ctx, s, m, req, lo, hi)
-	case QueryRange:
-		if err := checkQueryRange(req.Low, req.High); err != nil {
-			return nil, err
-		}
-		return queryThreshold(ctx, s, m, req, lo, hi)
-	case QueryMin, QueryMax:
+	if req.Op == QueryMin || req.Op == QueryMax {
 		return queryExtremum(ctx, s, m, req, lo, hi)
-	case QueryHist:
-		if err := checkQueryRange(req.Low, req.High); err != nil {
-			return nil, err
-		}
-		if req.Bins < 1 || req.Bins > MaxQueryBins {
-			return nil, fmt.Errorf("store: histogram needs 1..%d bins, got %d", MaxQueryBins, req.Bins)
-		}
-		return queryHist(ctx, s, m, req, lo, hi)
 	}
-	return nil, fmt.Errorf("store: unknown query op %q", req.Op)
-}
-
-func checkQueryRange(low, high float64) error {
-	if math.IsNaN(low) || math.IsInf(low, 0) || math.IsNaN(high) || math.IsInf(high, 0) || low >= high {
-		return fmt.Errorf("store: query needs finite low < high, got [%g, %g)", low, high)
-	}
-	return nil
+	return queryCount(ctx, s, m, req, lo, hi)
 }
 
 // prunable reports whether a record can support any pruning decision at
@@ -233,151 +243,147 @@ func prunable(st brickStat) bool {
 	return st.valid && !st.HasNaN && !st.HasPosInf && !st.HasNegInf && st.Finite == st.Count
 }
 
-// notePrune records one brick resolved without decoding: the result and
-// store counters, and the stage observer (bytes = the payload size NOT
-// read).
-func notePrune(s *Store, m *manifest, res *QueryResult, obsv StageObserver, bi int) {
-	res.BricksPruned++
+// notePrune records one brick resolved without decoding: the store
+// counter, and the stage observer (bytes = the payload size NOT read).
+func notePrune(s *Store, m *manifest, obsv StageObserver, bi int) {
 	s.pruned.Add(1)
 	if obsv != nil {
 		obsv(StageStatPrune, 0, m.bricks[bi].len)
 	}
 }
 
-// pruneClass is a threshold query's per-brick disposition.
-type pruneClass int
+// counter is a count query's classifier: classify maps a non-NaN value to
+// a class in 0..classes-1, nondecreasing in v, and match is the class a
+// threshold counts and locates (-1 for a histogram, which reports every
+// class: below, the bins, above).
+type counter struct {
+	classes, match int
+	classify       func(v float64) int
+}
 
-const (
-	pruneScan   pruneClass = iota // stats inconclusive: decode the brick
-	pruneAllOut                   // no point can match
-	pruneAllIn                    // every point matches
-)
-
-// queryThreshold evaluates gt/lt/range: per brick, the statistics decide
-// all-out (skip), all-in (count geometrically), or scan (decode). Scanned
-// bricks run concurrently on the worker pool; matching locations are
-// collected per brick (each brick's points visit in ascending global
-// row-major order) and merged by a final sort, so the returned Locations
-// are exactly the row-major-first matches regardless of decode order.
-func queryThreshold(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo, hi []int) (*QueryResult, error) {
-	eb := m.hdr.bound
-	var match func(float64) bool
-	var decide func(bLo, bHi float64) pruneClass
+func newCounter(req QueryRequest) counter {
+	x, l, h := req.Value, req.Low, req.High
 	switch req.Op {
-	case QueryGT:
-		x := req.Value
-		match = func(v float64) bool { return v > x }
-		decide = func(bLo, bHi float64) pruneClass {
-			switch {
-			case bLo > x:
-				return pruneAllIn
-			case bHi <= x:
-				return pruneAllOut
-			}
-			return pruneScan
-		}
-	case QueryLT:
-		x := req.Value
-		match = func(v float64) bool { return v < x }
-		decide = func(bLo, bHi float64) pruneClass {
-			switch {
-			case bHi < x:
-				return pruneAllIn
-			case bLo >= x:
-				return pruneAllOut
-			}
-			return pruneScan
-		}
-	default: // QueryRange
-		l, h := req.Low, req.High
-		match = func(v float64) bool { return v >= l && v < h }
-		decide = func(bLo, bHi float64) pruneClass {
-			switch {
-			case bLo >= l && bHi < h:
-				return pruneAllIn
-			case bHi < l || bLo >= h:
-				return pruneAllOut
-			}
-			return pruneScan
-		}
+	case QueryGT: // no match, match
+		return counter{2, 1, func(v float64) int { return b2i(v > x) }}
+	case QueryLT: // match, no match
+		return counter{2, 0, func(v float64) int { return b2i(v >= x) }}
+	case QueryRange: // below, in, above
+		return counter{3, 1, func(v float64) int { return b2i(v >= l) + b2i(v >= h) }}
 	}
+	nbins := req.Bins
+	width := (h - l) / float64(nbins)
+	return counter{nbins + 2, -1, func(v float64) int {
+		if v < l {
+			return 0
+		}
+		if v >= h {
+			return nbins + 1
+		}
+		f := (v - l) / width
+		if math.IsNaN(f) || f >= float64(nbins) {
+			// Degenerate width (High-Low underflows against nbins) or edge
+			// rounding: clamp into the top bin, consistently for every path.
+			return nbins
+		}
+		return 1 + int(f)
+	}}
+}
 
-	dims := m.hdr.dims
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// result is the partial answer of one tally: per-class counts, NaN
+// samples, and the match class's first locations as ascending global
+// row-major indices.
+func (c counter) result(req QueryRequest, dims []int, cls []int64, nan int64, locs []int) *QueryResult {
+	res := &QueryResult{Op: req.Op}
+	if c.match >= 0 {
+		res.Count = cls[c.match]
+		for _, g := range locs {
+			res.Locations = append(res.Locations, coordsOf(g, dims))
+		}
+		return res
+	}
+	res.Below, res.Bins, res.Above, res.NaNCount = cls[0], cls[1:c.classes-1], cls[c.classes-1], nan
+	for _, n := range res.Bins {
+		res.Count += n
+	}
+	return res
+}
+
+// queryCount is the one pruned count scan behind gt, lt, range, and hist.
+// The classifier is monotone, and decoded values lie within eb of the
+// originals the statistics summarize, so an all-finite brick whose whole
+// decoded interval [Min-eb, Max+eb] classifies to one class is counted
+// from geometry (its match-class locations too); every other brick is
+// decoded, concurrently on the worker pool, with the same classifier — a
+// pruned and a scanned brick can never disagree on an edge. The pruned
+// tally and each decoded brick's partial fold through MergeQueryResults.
+func queryCount(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo, hi []int) (*QueryResult, error) {
+	eb, dims, k := m.hdr.bound, m.hdr.dims, req.MaxLocations
 	bk := m.hdr.bricks()
 	nd := bk.Rank
-	res := &QueryResult{Op: req.Op}
+	c := newCounter(req)
 	obsv := stageObserverFrom(ctx)
-	k := req.MaxLocations
-	var locs []int // global row-major linear indices of collected matches
-	var scan []int // brick indices: a piece is rebuilt where it is scanned
+	cls := make([]int64, c.classes) // the pruned bricks' tally
+	var locs, scan []int            // a piece is rebuilt where it is scanned
+	pruned := 0
 	it := bk.Pieces(lo, hi)
 	for it.Next() {
-		res.BricksTotal++
 		bi := it.Index
-		st := m.bricks[bi].stat
-		cls := pruneScan
-		if prunable(st) {
-			// Decoded values lie in [Min-eb, Max+eb]: the brick is decided
-			// only when that whole interval clears the predicate.
-			cls = decide(st.Min-eb, st.Max+eb)
-		}
-		switch cls {
-		case pruneAllOut:
-			notePrune(s, m, res, obsv, bi)
-		case pruneAllIn:
-			res.Count += int64(boxPoints(it.Lo[:nd], it.Hi[:nd]))
-			if k > 0 {
-				// Every point of the intersection matches: its locations
-				// come from geometry alone, no decode needed.
-				locs = appendBoxIndices(locs, dims, it.Lo[:nd], it.Hi[:nd], k)
-			}
-			notePrune(s, m, res, obsv, bi)
-		default:
-			scan = append(scan, bi)
-		}
-	}
-
-	var mu sync.Mutex
-	err := scanBricks(ctx, s, m, scan, lo, hi, func(points iter.Seq2[int, float64]) {
-		var cnt int64
-		var lcs []int
-		for g, v := range points {
-			if match(v) {
-				cnt++
-				if k > 0 && len(lcs) < k {
-					lcs = append(lcs, g)
+		if st := m.bricks[bi].stat; prunable(st) {
+			if cl := c.classify(st.Min - eb); cl == c.classify(st.Max+eb) {
+				cls[cl] += int64(boxPoints(it.Lo[:nd], it.Hi[:nd]))
+				if cl == c.match {
+					// Each brick's first k: the merge sorts and cuts.
+					locs = appendBoxIndices(locs, dims, it.Lo[:nd], it.Hi[:nd], k)
 				}
+				pruned++
+				notePrune(s, m, obsv, bi)
+				continue
 			}
 		}
-		mu.Lock()
-		res.Count += cnt
-		locs = append(locs, lcs...)
-		mu.Unlock()
+		scan = append(scan, bi)
+	}
+	partials := make([]*QueryResult, 1+len(scan))
+	partials[0] = c.result(req, dims, cls, 0, locs)
+	partials[0].BricksPruned = pruned
+	err := scanBricks(ctx, s, m, scan, lo, hi, func(j int, points iter.Seq2[int, float64]) {
+		cls := make([]int64, c.classes)
+		var nan int64
+		var locs []int
+		for g, v := range points {
+			if math.IsNaN(v) {
+				nan++
+				continue
+			}
+			cl := c.classify(v)
+			cls[cl]++
+			if cl == c.match && len(locs) < k {
+				locs = append(locs, g)
+			}
+		}
+		partials[1+j] = c.result(req, dims, cls, nan, locs)
+		partials[1+j].BricksDecoded = 1
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.BricksDecoded = len(scan)
-	if k > 0 {
-		// Each brick contributed its first-k matches in ascending global
-		// order, so the global first-k are within the union: sort and cut.
-		sort.Ints(locs)
-		if len(locs) > k {
-			locs = locs[:k]
-		}
-		res.Locations = make([][]int, len(locs))
-		for i, g := range locs {
-			res.Locations[i] = coordsOf(g, dims)
-		}
-		res.Truncated = res.Count > int64(len(locs))
-	}
+	res := MergeQueryResults(req, partials)
+	res.BricksTotal = res.BricksPruned + res.BricksDecoded
 	return res, nil
 }
 
 // queryExtremum evaluates min/max by branch and bound: bricks sort by the
 // best value their statistics allow (max+eb for a max query), and decode
 // in that order until the next bound cannot beat — or tie, which matters
-// for the row-major-first Arg — the best value found. Bricks with any
+// for the row-major-first Arg — the best value found. Each decoded brick's
+// best folds into the answer through MergeQueryResults. Bricks with any
 // non-finite flag or no statistics bound at +Inf and decode first. NaN
 // samples are never candidates; ±Inf are.
 func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo, hi []int) (*QueryResult, error) {
@@ -387,7 +393,6 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 		sgn = -1
 	}
 	bk := m.hdr.bricks()
-	res := &QueryResult{Op: req.Op}
 	obsv := stageObserverFrom(ctx)
 	type cand struct {
 		bi    int
@@ -399,15 +404,10 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 		st := m.bricks[it.Index].stat
 		b := math.Inf(1) // unknown: must decode
 		if prunable(st) {
-			if sgn > 0 {
-				b = st.Max + eb
-			} else {
-				b = eb - st.Min // == sgn*(Min-eb)
-			}
+			b = max(sgn*(st.Min-eb), sgn*(st.Max+eb))
 		}
 		cands = append(cands, cand{bi: it.Index, bound: b})
 	}
-	res.BricksTotal = len(cands)
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].bound != cands[j].bound {
 			return cands[i].bound > cands[j].bound
@@ -415,137 +415,106 @@ func queryExtremum(ctx context.Context, s *Store, m *manifest, req QueryRequest,
 		return cands[i].bi < cands[j].bi
 	})
 
-	found := false
-	var bestS, bestV float64 // bestS = sgn*bestV
-	bestIdx := -1
+	res := &QueryResult{Op: req.Op, BricksTotal: len(cands)}
 	for i, c := range cands {
-		if found && c.bound < bestS {
-			// No remaining brick can reach bestS (bounds are sorted), and a
-			// strictly smaller bound cannot even tie, so the row-major-first
-			// Arg is settled too. Equal bounds keep decoding: a tie at a
-			// smaller row-major position must win.
+		if res.Found && c.bound < sgn*res.Value {
+			// No remaining brick can reach the best (bounds are sorted), and
+			// a strictly smaller bound cannot even tie, so the
+			// row-major-first Arg is settled too. Equal bounds keep
+			// decoding: a tie at a smaller row-major position must win.
 			for _, rest := range cands[i:] {
-				notePrune(s, m, res, obsv, rest.bi)
+				notePrune(s, m, obsv, rest.bi)
 			}
+			res.BricksPruned += len(cands) - i
 			break
 		}
-		// One brick per step: the early exit above is the point.
-		err := scanBricks(ctx, s, m, []int{c.bi}, lo, hi, func(points iter.Seq2[int, float64]) {
+		// One brick per step: the early exit above is the point. A brick's
+		// points visit in ascending row-major order, so its first best
+		// sample is its row-major-first one.
+		p := &QueryResult{Op: req.Op, BricksDecoded: 1}
+		best := 0
+		err := scanBricks(ctx, s, m, []int{c.bi}, lo, hi, func(_ int, points iter.Seq2[int, float64]) {
 			for g, v := range points {
-				if math.IsNaN(v) {
-					continue
-				}
-				sv := sgn * v
-				if !found || sv > bestS || (sv == bestS && g < bestIdx) {
-					found, bestS, bestV, bestIdx = true, sv, v, g
+				if !math.IsNaN(v) && (!p.Found || sgn*v > sgn*p.Value) {
+					p.Found, p.Value, best = true, v, g
 				}
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.BricksDecoded++
-	}
-	if found {
-		res.Found = true
-		res.Value = bestV
-		res.Arg = coordsOf(bestIdx, m.hdr.dims)
+		if p.Found {
+			p.Arg = coordsOf(best, m.hdr.dims)
+		}
+		res = MergeQueryResults(req, []*QueryResult{res, p})
 	}
 	return res, nil
 }
 
-// queryHist evaluates a histogram. The per-value binning function is
-// monotone in v, so an all-finite brick whose whole decoded interval
-// [Min-eb, Max+eb] classifies to one bin (or wholly below/above the
-// range) is counted geometrically; every other brick is decoded with the
-// same function the pruned path's endpoints went through — pruned and
-// scanned bricks can never disagree on a bin edge.
-func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo, hi []int) (*QueryResult, error) {
-	eb := m.hdr.bound
-	l, h, nbins := req.Low, req.High, req.Bins
-	width := (h - l) / float64(nbins)
-	// classify maps a non-NaN value to -1 (below), 0..nbins-1 (bin), or
-	// nbins (at or above High). Monotone nondecreasing in v.
-	classify := func(v float64) int {
-		if v < l {
-			return -1
-		}
-		if v >= h {
-			return nbins
-		}
-		f := (v - l) / width
-		if math.IsNaN(f) || f >= float64(nbins) {
-			// Degenerate width (High-Low underflows against nbins) or edge
-			// rounding: clamp into the top bin, consistently for every path.
-			return nbins - 1
-		}
-		return int(f)
+// MergeQueryResults folds partial answers to req over disjoint parts of
+// its box into the answer over their union: it merges a store's per-brick
+// partials and a gateway's per-shard ones alike. Counts, histogram bins,
+// the below/above/NaN tallies and the brick counters sum; the extremum is
+// the best partial value, ties resolved to the row-major-smallest
+// (lexicographically smallest) coordinates; and each partial's locations
+// are its row-major-first matches within its own part, so the first
+// MaxLocations of the union are within their union — sort
+// lexicographically and cut. Partials must hold req's bin count.
+func MergeQueryResults(req QueryRequest, partials []*QueryResult) *QueryResult {
+	out := &QueryResult{Op: req.Op}
+	if req.Op == QueryHist {
+		out.Bins = make([]int64, req.Bins)
 	}
+	for _, p := range partials {
+		out.Count += p.Count
+		out.Below += p.Below
+		out.Above += p.Above
+		out.NaNCount += p.NaNCount
+		out.BricksTotal += p.BricksTotal
+		out.BricksPruned += p.BricksPruned
+		out.BricksDecoded += p.BricksDecoded
+		for i := range p.Bins {
+			out.Bins[i] += p.Bins[i]
+		}
+		out.Locations = append(out.Locations, p.Locations...)
+		if p.Found && (!out.Found || betterExtremum(req.Op, p, out)) {
+			out.Found, out.Value, out.Arg = true, p.Value, p.Arg
+		}
+	}
+	if req.MaxLocations > 0 && len(out.Locations) > 0 {
+		sort.Slice(out.Locations, func(i, j int) bool {
+			return lexLess(out.Locations[i], out.Locations[j])
+		})
+		if len(out.Locations) > req.MaxLocations {
+			out.Locations = out.Locations[:req.MaxLocations]
+		}
+		out.Truncated = out.Count > int64(len(out.Locations))
+	}
+	return out
+}
 
-	bk := m.hdr.bricks()
-	nd := bk.Rank
-	res := &QueryResult{Op: req.Op, Bins: make([]int64, nbins)}
-	obsv := stageObserverFrom(ctx)
-	var scan []int
-	it := bk.Pieces(lo, hi)
-	for it.Next() {
-		res.BricksTotal++
-		bi := it.Index
-		st := m.bricks[bi].stat
-		if prunable(st) {
-			cLo, cHi := classify(st.Min-eb), classify(st.Max+eb)
-			if cLo == cHi {
-				n := int64(boxPoints(it.Lo[:nd], it.Hi[:nd]))
-				switch {
-				case cLo < 0:
-					res.Below += n
-				case cLo >= nbins:
-					res.Above += n
-				default:
-					res.Bins[cLo] += n
-				}
-				notePrune(s, m, res, obsv, bi)
-				continue
-			}
+// betterExtremum reports whether partial p beats the current best for the
+// given extremum op: strictly better value, or an equal value at a
+// row-major-smaller position.
+func betterExtremum(op string, p, best *QueryResult) bool {
+	if p.Value != best.Value {
+		if op == QueryMin {
+			return p.Value < best.Value
 		}
-		scan = append(scan, bi)
+		return p.Value > best.Value
 	}
+	return lexLess(p.Arg, best.Arg)
+}
 
-	var mu sync.Mutex
-	err := scanBricks(ctx, s, m, scan, lo, hi, func(points iter.Seq2[int, float64]) {
-		bins := make([]int64, nbins)
-		var below, above, nan int64
-		for _, v := range points {
-			if math.IsNaN(v) {
-				nan++
-				continue
-			}
-			switch c := classify(v); {
-			case c < 0:
-				below++
-			case c >= nbins:
-				above++
-			default:
-				bins[c]++
-			}
+// lexLess orders coordinates lexicographically, which for same-rank
+// coordinates in one field is exactly row-major order.
+func lexLess(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
 		}
-		mu.Lock()
-		for i, n := range bins {
-			res.Bins[i] += n
-		}
-		res.Below += below
-		res.Above += above
-		res.NaNCount += nan
-		mu.Unlock()
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.BricksDecoded = len(scan)
-	for _, n := range res.Bins {
-		res.Count += n
-	}
-	return res, nil
+	return false
 }
 
 // scanBricks decodes the given bricks whole through one fetch plan and
@@ -554,14 +523,14 @@ func queryHist(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo,
 // linear index. Bricks run concurrently on the worker pool. This is the
 // one place a query dispatches on the store's sample kind; float32
 // samples widen losslessly.
-func scanBricks(ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(points iter.Seq2[int, float64])) error {
+func scanBricks(ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(j int, points iter.Seq2[int, float64])) error {
 	if m.hdr.kind == kindFloat64 {
 		return scanBricksOf[float64](ctx, s, m, bricks, lo, hi, scan)
 	}
 	return scanBricksOf[float32](ctx, s, m, bricks, lo, hi, scan)
 }
 
-func scanBricksOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(points iter.Seq2[int, float64])) error {
+func scanBricksOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, bricks, lo, hi []int, scan func(j int, points iter.Seq2[int, float64])) error {
 	bk := m.hdr.bricks()
 	nd := bk.Rank
 	refs := make([]brickRef, len(bricks))
@@ -571,7 +540,7 @@ func scanBricksOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, brick
 	return decodeBricks(ctx, s, m, refs, func(j int, data []N) {
 		p := bk.Piece(bricks[j], lo, hi)
 		size, bdims, inBrick := grid.Sub(p.Hi[:], p.Lo[:]), grid.Sub(p.BHi[:], p.BLo[:]), grid.Sub(p.Lo[:], p.BLo[:])
-		scan(func(yield func(int, float64) bool) {
+		scan(j, func(yield func(int, float64) bool) {
 			w := grid.Walk(size[:nd], bdims[:nd], inBrick[:nd], 1, m.hdr.dims, p.Lo[:nd])
 			for w.Next() {
 				for i := 0; i < w.Run; i++ {

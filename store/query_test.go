@@ -563,3 +563,105 @@ func TestQueryGolden(t *testing.T) {
 		}
 	}
 }
+
+// qFuzzStore is one store of FuzzQuery's table with its decoded field,
+// the oracle's input.
+type qFuzzStore struct {
+	s    *Store
+	vals []float64
+	dims []int
+}
+
+// qFuzzStores builds TestQueryDifferential's stores: its write-once cases
+// (ranks 1 to 8, NaN and ±Inf injected) and its float64 one.
+func qFuzzStores(f *testing.F) []qFuzzStore {
+	ctx := context.Background()
+	cases := []struct {
+		dims, brick []int
+		nonFinite   int
+		codec       string
+		f64         bool
+	}{
+		{[]int{97}, []int{16}, 0, "", false},
+		{[]int{23, 17}, []int{8, 8}, 9, "", false},
+		{[]int{12, 12, 12}, []int{8, 8, 8}, 0, "", false},
+		{[]int{16, 12, 12}, []int{4, 8, 8}, 24, "", false},
+		{rank8Dims, rank8Brick, 12, "sz3", false},
+		{[]int{16, 12, 12}, []int{8, 8, 8}, 30, "", true},
+	}
+	var out []qFuzzStore
+	for i, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(i)))
+		n := 1
+		for _, d := range tc.dims {
+			n *= d
+		}
+		field := qSynth(rng, n, tc.nonFinite)
+		wo := WriteOptions{Opts: qoz.Options{ErrorBound: 1e-3}, Brick: tc.brick}
+		if tc.codec != "" {
+			wo.Codec = qoz.MustLookup(tc.codec)
+		}
+		var buf bytes.Buffer
+		var err error
+		if tc.f64 {
+			err = WriteT(ctx, &buf, field, tc.dims, wo)
+		} else {
+			data := make([]float32, n)
+			for j, v := range field {
+				data[j] = float32(v)
+			}
+			err = Write(ctx, &buf, data, tc.dims, wo)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { s.Close() })
+		vals, err := ReadFieldT[float64](ctx, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, qFuzzStore{s: s, vals: vals, dims: tc.dims})
+	}
+	return out
+}
+
+// FuzzQuery holds Store.Query to the brute-force oracle of
+// TestQueryDifferential over a random op, box, value, range and bin
+// count on every store of that test. Requests CheckQuery refuses must
+// fail in Query too. Seeds put thresholds on the error-bound edges
+// of brick statistics, where the pruning comparisons are written.
+func FuzzQuery(f *testing.F) {
+	stores := qFuzzStores(f)
+	ops := []string{QueryGT, QueryLT, QueryRange, QueryMin, QueryMax, QueryHist}
+	for i, fx := range stores {
+		st, _ := fx.s.BrickStats(0)
+		eb := fx.s.bound()
+		for j := range ops {
+			f.Add(uint8(i), uint8(j), int64(i+j), st.Max+eb, st.Min-eb, st.Max+eb, uint8(1+j), uint8(j))
+			f.Add(uint8(i), uint8(j), int64(-i-j), 9.5, 2.0, 14.0, uint8(7), uint8(0))
+		}
+	}
+	f.Fuzz(func(t *testing.T, store, op uint8, box int64, value, low, high float64, bins, maxloc uint8) {
+		fx := stores[int(store)%len(stores)]
+		req := QueryRequest{Op: ops[int(op)%len(ops)], Value: value, Low: low, High: high, Bins: int(bins), MaxLocations: int(maxloc)}
+		req.Lo, req.Hi = qRandBox(rand.New(rand.NewSource(box)), fx.dims)
+		got, err := fx.s.Query(context.Background(), req)
+		norm, cerr := CheckQuery(req)
+		if cerr != nil {
+			if err == nil {
+				t.Fatalf("Query answered %+v, which CheckQuery refuses: %v", req, cerr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		// The oracle reads the request as CheckQuery keeps it: locations
+		// only for thresholds.
+		qDiff(t, fmt.Sprintf("%+v", req), got, qOracle(fx.vals, fx.dims, norm))
+	})
+}

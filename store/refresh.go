@@ -27,15 +27,20 @@ import (
 //     bound and fixed extents.
 //   - Its latest generation must be later than the served one. The same
 //     generation with the same manifest fingerprint is nothing new (a
-//     writer mid-append, a touched validator, a byte-identical copy).
-//     Anything else — a different store, a regressed or rewritten
-//     generation, such as a path re-put from scratch — is
+//     writer mid-append, a touched validator, a byte-identical copy):
+//     Refresh reports no advance, but when the candidate is another object
+//     — a new file at the path, the URL under a new validator — the store
+//     rebinds to it, so the next poll compares against it instead of
+//     opening it again. Anything else — a different store, a regressed or
+//     rewritten generation, such as a path re-put from scratch — is
 //     ErrRemoteChanged, the served generation stays, and the mount must
 //     be re-opened.
-//   - Decoded bricks stay cached only when the candidate is the open file
-//     and still commits the served generation, unchanged, where it was:
-//     an ordinary append. Any other adoption starts a new cache epoch, so
-//     no decode of the old bytes is ever served for the new ones.
+//   - Decoded bricks stay cached only when the bytes under their offsets
+//     are the ones they were decoded from: an ordinary append (the open
+//     file still commits the served generation, unchanged, where it was),
+//     or a rebind (equal fingerprints cover every brick's offset, length
+//     and CRC). Any other adoption starts a new cache epoch, so no decode
+//     of the old bytes is ever served for the new ones.
 //
 // A superseded file handle stays open for in-flight reads until Close.
 // In-flight reads of a URL racing the validator swap fail with
@@ -71,7 +76,7 @@ func (s *Store) Refresh(ctx context.Context) (advanced bool, _ error) {
 		next.ra = s.remote // rebind off the refresh context
 	}
 	s.adopt(next, f, size)
-	return true, nil
+	return next.gen != man.gen, nil
 }
 
 // candidate picks the bytes Refresh examines: the URL's object under its
@@ -123,7 +128,11 @@ func nextManifest(ra io.ReaderAt, size int64, man *manifest, name string) (*mani
 	case err != nil:
 		return nil, err
 	case next.gen == man.gen && next.fp == man.fp:
-		return nil, nil
+		if ra == man.ra {
+			return nil, nil
+		}
+		next.epoch = man.epoch // a rebind: the same bricks where they were
+		return next, nil
 	case next.gen <= man.gen:
 		return nil, fmt.Errorf("%w: %s regressed to generation %d (had %d)", ErrRemoteChanged, name, next.gen, man.gen)
 	}

@@ -135,6 +135,15 @@ func TestRefreshRemote(t *testing.T) {
 	if adv, err := s.Refresh(ctx); err != nil || adv {
 		t.Fatalf("Refresh with unchanged validator: advanced=%v err=%v", adv, err)
 	}
+	// A touched validator over the same bytes is no advance, but reads
+	// follow the new validator from then on.
+	obj.Set(load(), `"g2-touched"`)
+	if adv, err := s.Refresh(ctx); err != nil || adv || s.Generation() != 2 {
+		t.Fatalf("Refresh with a touched validator: advanced=%v err=%v generation %d", adv, err, s.Generation())
+	}
+	if _, err := s.ReadRegion(ctx, []int{0, 0, 0}, []int{1, ny, nx}); err != nil {
+		t.Fatalf("read after a touched validator: %v", err)
+	}
 
 	if err := m.AppendSteps(ctx, stepPlane(1, ny, nx)); err != nil {
 		t.Fatal(err)
@@ -427,7 +436,8 @@ func TestRefreshInPlaceDifferentStore(t *testing.T) {
 
 // TestRefreshByteIdenticalCopy: a path replaced by a byte-identical copy
 // of the served store (same generation, same manifest) is nothing new,
-// not a regression.
+// not a regression — and the store rebinds to the copy, so the next poll
+// opens nothing and the unlinked original is retired.
 func TestRefreshByteIdenticalCopy(t *testing.T) {
 	ctx := context.Background()
 	m, path := newTestMutable(t, 2, 8, 8)
@@ -447,6 +457,22 @@ func TestRefreshByteIdenticalCopy(t *testing.T) {
 	}
 	if adv, err := r.Refresh(ctx); err != nil || adv || r.Generation() != gen {
 		t.Fatalf("Refresh over a byte-identical copy: advanced=%v err=%v generation %d (had %d)", adv, err, r.Generation(), gen)
+	}
+	st, err := r.file.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pst, err := os.Stat(path); err != nil || !os.SameFile(st, pst) {
+		t.Fatalf("after Refresh the store still reads the replaced file (stat err %v)", err)
+	}
+	if ra, _, f, err := r.candidate(ctx); ra != nil || f != nil || err != nil {
+		t.Fatalf("a second poll examines the path again: candidate (%v, %v, %v)", ra, f, err)
+	}
+	if adv, err := r.Refresh(ctx); err != nil || adv || len(r.retired) != 1 {
+		t.Fatalf("second Refresh: advanced=%v err=%v, %d retired handles (want 1)", adv, err, len(r.retired))
+	}
+	if _, err := r.ReadRegion(ctx, []int{0, 0, 0}, r.Dims()); err != nil {
+		t.Fatalf("read after the rebind: %v", err)
 	}
 }
 
