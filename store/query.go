@@ -179,28 +179,30 @@ func CheckQuery(req QueryRequest) (QueryRequest, error) {
 		}
 		return nil
 	}
+	span := func() error {
+		if err := cmp.Or(finite("low", req.Low), finite("high", req.High)); err != nil || req.Low < req.High {
+			return err
+		}
+		return fmt.Errorf("store: query needs low < high, got [%g, %g)", req.Low, req.High)
+	}
+	var err error
 	switch req.Op {
 	case QueryGT, QueryLT:
 		out.Value, out.MaxLocations = req.Value, req.MaxLocations
-		return out, finite("value", req.Value)
-	case QueryRange, QueryHist:
-		out.Low, out.High = req.Low, req.High
-		if err := cmp.Or(finite("low", req.Low), finite("high", req.High)); err != nil {
-			return out, err
+		err = finite("value", req.Value)
+	case QueryRange:
+		out.Low, out.High, out.MaxLocations = req.Low, req.High, req.MaxLocations
+		err = span()
+	case QueryHist:
+		out.Low, out.High, out.Bins = req.Low, req.High, req.Bins
+		if err = span(); err == nil && (req.Bins < 1 || req.Bins > MaxQueryBins) {
+			err = fmt.Errorf("store: histogram needs 1..%d bins, got %d", MaxQueryBins, req.Bins)
 		}
-		if req.Low >= req.High {
-			return out, fmt.Errorf("store: query needs low < high, got [%g, %g)", req.Low, req.High)
-		}
-		if req.Op == QueryRange {
-			out.MaxLocations = req.MaxLocations
-		} else if out.Bins = req.Bins; req.Bins < 1 || req.Bins > MaxQueryBins {
-			return out, fmt.Errorf("store: histogram needs 1..%d bins, got %d", MaxQueryBins, req.Bins)
-		}
-		return out, nil
 	case QueryMin, QueryMax:
-		return out, nil
+	default:
+		err = fmt.Errorf("store: unknown query op %q (want gt, lt, range, min, max, or hist)", req.Op)
 	}
-	return out, fmt.Errorf("store: unknown query op %q (want gt, lt, range, min, max, or hist)", req.Op)
+	return out, err
 }
 
 // Query answers a pushdown query over the current generation, decoding
