@@ -89,9 +89,9 @@ func queryURL(shard string, f *Field, s *subRegion, req store.QueryRequest) stri
 // over the sub-box s: another op, a histogram of another bin count (bins
 // on any other op included), more locations than asked for, a location or
 // an extremum's argument that is not a point of s (another rank included),
-// a negative tally, a threshold count above the sub-box's points, or a
-// histogram that does not classify every point of the sub-box exactly
-// once. Merged, the first two would index past the merged bins and the
+// a tally (count, below, above, NaN or bin) below zero or above the
+// sub-box's points, or a histogram that does not classify every point of
+// the sub-box exactly once. Merged, the first two would index past the merged bins and the
 // rest would fold into a wrong answer; refused, the sub-query fails over
 // like a short region body.
 func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) error {
@@ -103,11 +103,16 @@ func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) 
 	for i := range s.lo {
 		points *= int64(s.hi[i] - s.lo[i])
 	}
-	binned := int64(0)
-	negative := min(res.Count, res.Below, res.Above, res.NaNCount) < 0
-	for _, n := range res.Bins {
-		binned += n
-		negative = negative || n < 0
+	// Every tally lies in [0, points], which also keeps the sums below
+	// from wrapping.
+	binned, tally := int64(0), int64(0)
+	for i, n := range append([]int64{res.Count, res.Below, res.Above, res.NaNCount}, res.Bins...) {
+		if n < 0 || n > points {
+			tally = n
+		}
+		if i >= 4 {
+			binned += n
+		}
 	}
 	switch {
 	case res.Op != req.Op:
@@ -118,10 +123,8 @@ func checkPartial(req store.QueryRequest, res *store.QueryResult, s *subRegion) 
 		return fmt.Errorf("sub-query answered %d locations, want at most %d", len(res.Locations), req.MaxLocations)
 	case res.Found && !s.holds(res.Arg):
 		return fmt.Errorf("sub-query extremum at %v, outside its box [%v,%v)", res.Arg, s.lo, s.hi)
-	case negative:
-		return fmt.Errorf("sub-query answered a negative tally")
-	case res.Count > points:
-		return fmt.Errorf("sub-query counted %d matches in a %d-point box", res.Count, points)
+	case tally != 0:
+		return fmt.Errorf("sub-query answered a tally of %d for a %d-point box", tally, points)
 	case bins > 0 && res.Count != binned:
 		return fmt.Errorf("sub-query histogram counted %d binned points, its bins sum to %d", res.Count, binned)
 	case bins > 0 && res.Count+res.Below+res.Above+res.NaNCount != points:

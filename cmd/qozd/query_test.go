@@ -253,13 +253,13 @@ func TestClusterMalformedQueryAnswer(t *testing.T) {
 		text        string
 	}{
 		{"op", "op=gt&value=-1e30&maxloc=3", every, `answered op "lt", want "gt"`},
-		{"bins", "op=hist&low=0&high=1&bins=4", hist4, "answered 5 bins, want 4"},
+		{"bins", "op=hist&low=0&high=1&bins=4", store.QueryRequest{Op: store.QueryHist, Low: 0, High: 1, Bins: 4}, "answered 5 bins, want 4"},
 		{"rank", "op=gt&value=-1e30&maxloc=3", every, "location"},
 		{"outside", "op=gt&value=-1e30&maxloc=3", every, "outside its box"},
 		{"toomany", "op=gt&value=-1e30&maxloc=3", every, "answered 4 locations, want at most 3"},
 		{"noarg", "op=max", store.QueryRequest{Op: store.QueryMax}, "extremum at [], outside its box"},
-		{"negcount", "op=gt&value=-1e30&maxloc=3", every, "negative tally"},
-		{"bigcount", "op=gt&value=-1e30&maxloc=3", every, "matches in a"},
+		{"negcount", "op=gt&value=-1e30&maxloc=3", every, "a tally of -"},
+		{"bigcount", "op=gt&value=-1e30&maxloc=3", every, "a tally of"},
 		{"histcount", "op=hist&low=0&high=1&bins=4", hist4, "its bins sum to"},
 		{"histsum", "op=hist&low=0&high=1&bins=4", hist4, "histogram classified"},
 	} {
