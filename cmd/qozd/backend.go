@@ -385,6 +385,7 @@ func (l *local) families() []family {
 		scalar("qozd_requests_rejected_total", "region requests shed at -max-inflight capacity", "counter", l.rejected.Load()),
 		scalar("qozd_cache_bytes", "decoded bytes held by the shared brick cache", "gauge", l.cache.Bytes()),
 		scalar("qozd_cache_evicted_bytes_total", "decoded bytes the shared brick cache evicted to stay within its budget", "counter", l.cache.EvictedBytes()),
+		scalar("qozd_cache_rejected_bytes_total", "decoded bytes the shared brick cache refused to admit over entries read as often", "counter", l.cache.RejectedBytes()),
 		labelled("qozd_store_generation", "committed generation served per field (0 = legacy index store)", "gauge", "field", names,
 			func(name string) any { return l.fields[name].store.Generation() }),
 	}

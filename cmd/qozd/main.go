@@ -50,9 +50,10 @@
 // store's (manifest CRC, generation) pair, the region (several boxes: their
 // count and a hash of the list), dtype, and encoding; If-None-Match
 // answers 304 without decoding a brick. All mounted stores share one
-// decoded-brick LRU cache, so the process's decoded memory is bounded by
+// decoded-brick cache, so the process's decoded memory is bounded by
 // -cache-bytes no matter how many fields are mounted or how requests
-// interleave. Each request observes its client's disconnect through the
+// interleave; a decode that does not fit is admitted only if it has been
+// read more often than every least-recently-used entry it would evict. Each request observes its client's disconnect through the
 // request context, and -max-inflight bounds concurrent region decodes
 // (excess requests get 503).
 //

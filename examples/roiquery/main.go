@@ -1,7 +1,7 @@
 // ROI query walkthrough: build a brick store from a large field, then
 // serve small region-of-interest reads out of it — decoding only the
 // bricks each region touches, with repeated overlapping reads hitting the
-// decoded-brick LRU cache. This is the access pattern of post-hoc analysis
+// decoded-brick cache. This is the access pattern of post-hoc analysis
 // over a compressed simulation archive: nobody reloads a multi-terabyte
 // snapshot to look at one halo.
 package main
@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("max abs error in ROI: %.4g (bound %.4g) — bound respected: %v\n",
 		worst, s.ErrorBound(), worst <= s.ErrorBound())
 
-	// 4. Read an overlapping ROI: shared bricks come from the LRU cache.
+	// 4. Read an overlapping ROI: shared bricks come from the cache.
 	t0 = time.Now()
 	if _, err := s.ReadRegion(ctx, []int{16, 16, 16}, []int{40, 40, 40}); err != nil {
 		log.Fatal(err)

@@ -8,14 +8,16 @@ import (
 	"qoz/internal/pool"
 )
 
-// Cache is a byte-budgeted LRU cache of decoded bricks that can be shared
+// Cache is a byte-budgeted cache of decoded bricks that can be shared
 // across Stores — e.g. one process-wide cache behind every field a server
 // mounts — so decoded-brick memory is bounded globally rather than per
 // store. Entries are accounted at their actual decoded size (4 bytes per
 // float32 point, 8 per float64 point), so float32 and float64 stores share
 // one byte budget honestly. Pass it via Options.Cache; when absent each
-// store gets a private cache sized by Options.CacheBytes. Safe for
-// concurrent use.
+// store gets a private cache sized by Options.CacheBytes. A decoded brick
+// that does not fit is admitted only when it has been read more often
+// than every least-recently-used entry it would evict; eviction among
+// admitted entries is least-recently-used. Safe for concurrent use.
 type Cache struct {
 	lru *lruCache
 }
@@ -45,13 +47,24 @@ func (c *Cache) EvictedBytes() int64 {
 	return c.lru.evictedBytes()
 }
 
+// RejectedBytes returns the decoded bytes the cache has refused to admit
+// since it was made: decodes read no more often than the entries they
+// would have evicted, which their readers kept and handed back instead.
+func (c *Cache) RejectedBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.lru.rejectedBytes()
+}
+
 // cacheKey identifies a decoded brick within a (possibly shared) cache:
 // the owning store disambiguates brick indices when one cache serves
 // several stores, and the payload offset makes the key generation-aware —
 // a brick rewritten by a later generation of a mutable store lands at a
 // fresh offset (commits only append), so its stale decode can never be
 // served again, while unchanged bricks keep hitting. Entries orphaned by
-// a rewrite age out through ordinary LRU eviction. level distinguishes
+// a rewrite age out: their read counts halve every sample period, and
+// recency order carries them to the eviction end. level distinguishes
 // progressive decodes: 0 is the full brick; a non-zero level is the
 // compacted coarse grid a level-prefix decode materialized, which holds
 // different (and fewer) points than the full decode under the same brick.
@@ -63,13 +76,25 @@ type cacheKey struct {
 	level int
 }
 
-// lruCache is a byte-budgeted LRU cache of decoded bricks. Repeated
-// overlapping region reads hit the cache instead of re-running the codec;
-// eviction is least-recently-used once the decoded bytes exceed the
-// budget. Values are stored untyped ([]float32 or []float64, matching the
-// owning store's element kind) with their byte size carried alongside, so
-// one budget accounts mixed-precision stores accurately. Safe for
-// concurrent use.
+// lruCache is a byte-budgeted cache of decoded bricks with frequency-based
+// admission (TinyLFU: Einziger, Friedman and Manes, ACM TOS 2017).
+// Repeated overlapping region reads hit the cache instead of re-running
+// the codec. Admitted entries are evicted least-recently-used once the
+// decoded bytes exceed the budget, but a decode that does not fit is
+// admitted only when it has been read more often than every entry it would
+// evict — ties refuse — so a one-off decode (a scan, a corner brick of a
+// box) cannot push out the bricks most reads share. Values are stored
+// untyped ([]float32 or []float64, matching the owning store's element
+// kind) with their byte size carried alongside, so one budget accounts
+// mixed-precision stores accurately. Safe for concurrent use.
+//
+// Each brick read counts once in freq: a hit in get, or the decode offered
+// to put (a miss is looked up twice, by the fill loop and by the decode
+// task, so get does not count it). Every freqPeriod × (entries+1) counted
+// reads every count halves and the zeros drop, so old popularity fades;
+// counts also halve whenever the table would hold more than
+// freqTableFactor × (entries+1) keys, which bounds its memory by the
+// entry count however many distinct bricks pass through.
 //
 // An entry owns its slice and counts references to it: the cache holds
 // one while the entry is listed, and every reader that got the entry from
@@ -78,13 +103,25 @@ type cacheKey struct {
 // so the next decode draws it instead of allocating, and no slice goes
 // back while a reader still copies out of it.
 type lruCache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	evicted int64      // bytes dropped to make room, over the cache's life
-	order   *list.List // front = most recently used; values are *cacheEntry
-	byKey   map[cacheKey]*list.Element
+	mu       sync.Mutex
+	budget   int64
+	bytes    int64
+	evicted  int64      // bytes dropped to make room, over the cache's life
+	rejected int64      // bytes admission refused, over the cache's life
+	order    *list.List // front = most recently used; values are *cacheEntry
+	byKey    map[cacheKey]*list.Element
+	freq     map[cacheKey]uint32 // reads per brick, halved every sample period
+	reads    int                 // counted reads since the last halving
 }
+
+const (
+	// freqPeriod is the sample period per entry: counts halve once every
+	// freqPeriod × (entries+1) counted reads.
+	freqPeriod = 64
+	// freqTableFactor bounds the frequency table: after every cache
+	// operation it holds at most freqTableFactor × (entries+1) keys.
+	freqTableFactor = 16
+)
 
 type cacheEntry struct {
 	key   cacheKey
@@ -118,11 +155,11 @@ func newLRUCache(budget int64) *lruCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &lruCache{budget: budget, order: list.New(), byKey: map[cacheKey]*list.Element{}}
+	return &lruCache{budget: budget, order: list.New(), byKey: map[cacheKey]*list.Element{}, freq: map[cacheKey]uint32{}}
 }
 
-// get returns the cached brick with a reference the caller releases, and
-// marks it most recently used.
+// get returns the cached brick with a reference the caller releases,
+// counts the read, and marks it most recently used.
 func (c *lruCache) get(key cacheKey) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
@@ -133,29 +170,37 @@ func (c *lruCache) get(key cacheKey) (*cacheEntry, bool) {
 	if !ok {
 		return nil, false
 	}
+	c.count(key)
+	c.age()
 	c.order.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
 	ent.refs.Add(1)
 	return ent, true
 }
 
-// put inserts a decoded brick of the given byte size, evicting
-// least-recently-used entries until the budget holds, and returns the new
-// entry with a reference for the caller, which gives up ownership of data.
-// It returns nil when it does not take data — caching is off, the brick is
-// larger than the whole budget, or the key is already cached — and the
-// caller keeps it.
+// put counts a read of key and offers its decoded brick of the given byte
+// size. It returns the new entry with a reference for the caller, which
+// gives up ownership of data, evicting least-recently-used entries until
+// the budget holds. It returns nil when it does not take data — caching is
+// off, the brick is larger than the whole budget, the key is already
+// cached, or admission refuses it — and the caller keeps it.
 func (c *lruCache) put(key cacheKey, data any, bytes int64) *cacheEntry {
 	if c == nil || bytes > c.budget {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.age()
+	f := c.count(key)
 	if el, ok := c.byKey[key]; ok {
 		// A concurrent read already cached this brick. It is still the most
 		// recently touched entry, so refresh its recency; leaving it in place
 		// would let the freshest brick sit at the LRU end and be evicted next.
 		c.order.MoveToFront(el)
+		return nil
+	}
+	if !c.admit(f, c.bytes+bytes-c.budget) {
+		c.rejected += bytes
 		return nil
 	}
 	ent := &cacheEntry{key: key, data: data, bytes: bytes}
@@ -166,6 +211,56 @@ func (c *lruCache) put(key cacheKey, data any, bytes int64) *cacheEntry {
 		c.evicted += c.drop(c.order.Back())
 	}
 	return ent
+}
+
+// admit reports whether a candidate read f times may evict the
+// least-recently-used entries that free need bytes: only if each was read
+// fewer times. The walk ends within the list, since a brick put accepts is
+// no larger than the budget. The caller holds c.mu.
+func (c *lruCache) admit(f uint32, need int64) bool {
+	for el := c.order.Back(); need > 0; el = el.Prev() {
+		ent := el.Value.(*cacheEntry)
+		if c.freq[ent.key] >= f {
+			return false
+		}
+		need -= ent.bytes
+	}
+	return true
+}
+
+// count records one read of key and returns its count. The caller holds
+// c.mu.
+func (c *lruCache) count(key cacheKey) uint32 {
+	f := c.freq[key] + 1
+	c.freq[key] = f
+	c.reads++
+	return f
+}
+
+// age halves the counts once the sample period has passed, and as often as
+// it takes to keep the table within freqTableFactor × (entries+1) keys.
+// The caller holds c.mu.
+func (c *lruCache) age() {
+	n := len(c.byKey) + 1
+	if c.reads >= freqPeriod*n {
+		c.halve()
+	}
+	for len(c.freq) > freqTableFactor*n {
+		c.halve()
+	}
+}
+
+// halve halves every count, dropping those that reach zero. The caller
+// holds c.mu.
+func (c *lruCache) halve() {
+	for k, f := range c.freq {
+		if f >>= 1; f == 0 {
+			delete(c.freq, k)
+		} else {
+			c.freq[k] = f
+		}
+	}
+	c.reads = 0
 }
 
 // drop unlists an entry and releases the cache's reference to it,
@@ -179,10 +274,11 @@ func (c *lruCache) drop(el *list.Element) int64 {
 	return ent.bytes
 }
 
-// evictOwner drops every entry owned by one store. A closed store's
-// bricks are unreachable (no future get carries its pointer), so leaving
-// them in a shared cache would pin dead decoded data — and the dead Store
-// itself — against the budget until churn happens to push them out.
+// evictOwner drops every entry owned by one store, and its read counts. A
+// closed store's bricks are unreachable (no future get carries its
+// pointer), so leaving them in a shared cache would pin dead decoded data —
+// and the dead Store itself, which a count's key also holds — against the
+// budget until churn happens to push them out.
 func (c *lruCache) evictOwner(owner *Store) {
 	if c == nil {
 		return
@@ -196,6 +292,12 @@ func (c *lruCache) evictOwner(owner *Store) {
 		}
 		el = next
 	}
+	for k := range c.freq {
+		if k.owner == owner {
+			delete(c.freq, k)
+		}
+	}
+	c.age()
 }
 
 // cachedBytes returns the decoded bytes currently held.
@@ -216,4 +318,14 @@ func (c *lruCache) evictedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evicted
+}
+
+// rejectedBytes returns the bytes admission has refused.
+func (c *lruCache) rejectedBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rejected
 }

@@ -19,8 +19,14 @@
 // the generic [ReadRegionT] and its float32 method [Store.ReadRegion],
 // the coarse [ReadRegionLevelT], and [ReadBoxesIntoT], which the others
 // are cases of — decode only the bricks the requested boxes intersect,
-// through a byte-budgeted LRU cache of decoded bricks that can be shared
-// across stores ([Cache], Options.Cache). There is one read path for
+// through a byte-budgeted cache of decoded bricks that can be shared
+// across stores ([Cache], Options.Cache). A decode that does not fit is
+// admitted only when it has been read more often than every
+// least-recently-used entry it would evict, so one-off decodes (a scan,
+// the corner bricks of a box) do not push out the bricks most reads
+// share; eviction among admitted entries is least-recently-used. All
+// reads — region, multi-box, level and query — share that one cache.
+// There is one read path for
 // every level and every cache state (read.go): each box is walked once
 // as its pieces, box ∩ brick; a piece whose brick is cached is copied out
 // at once on the calling goroutine, the rest decode concurrently on one

@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"qoz"
 	"qoz/internal/grid"
@@ -324,8 +326,10 @@ func (c counter) result(req QueryRequest, dims []int, cls []int64, nan int64, lo
 // decoded interval [Min-eb, Max+eb] classifies to one class is counted
 // from geometry (its match-class locations too); every other brick is
 // decoded, concurrently on the worker pool, with the same classifier — a
-// pruned and a scanned brick can never disagree on an edge. The pruned
-// tally and each decoded brick's partial fold through MergeQueryResults.
+// pruned and a scanned brick can never disagree on an edge. Decoded bricks
+// fold into per-worker tallies, so a fine histogram costs workers × bins,
+// not decoded bricks × bins; the pruned tally and each worker's fold
+// through MergeQueryResults.
 func queryCount(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo, hi []int) (*QueryResult, error) {
 	eb, dims, k := m.hdr.bound, m.hdr.dims, req.MaxLocations
 	bk := m.hdr.bricks()
@@ -352,33 +356,65 @@ func queryCount(ctx context.Context, s *Store, m *manifest, req QueryRequest, lo
 		}
 		scan = append(scan, bi)
 	}
-	partials := make([]*QueryResult, 1+len(scan))
-	partials[0] = c.result(req, dims, cls, 0, locs)
+	partials := []*QueryResult{c.result(req, dims, cls, 0, locs)}
 	partials[0].BricksPruned = pruned
-	err := scanBricks(ctx, s, m, scan, lo, hi, func(j int, points iter.Seq2[int, float64]) {
-		cls := make([]int64, c.classes)
-		var nan int64
-		var locs []int
+	// A brick takes a free tally, or makes one when every tally is in use,
+	// and hands it back: no more tallies exist than bricks scan at once.
+	var mu sync.Mutex
+	var free, all []*tally
+	err := scanBricks(ctx, s, m, scan, lo, hi, func(_ int, points iter.Seq2[int, float64]) {
+		mu.Lock()
+		var t *tally
+		if n := len(free); n > 0 {
+			t, free = free[n-1], free[:n-1]
+		} else {
+			t = &tally{cls: make([]int64, c.classes)}
+			all = append(all, t)
+		}
+		mu.Unlock()
+		first := len(t.locs)
 		for g, v := range points {
 			if math.IsNaN(v) {
-				nan++
+				t.nan++
 				continue
 			}
 			cl := c.classify(v)
-			cls[cl]++
-			if cl == c.match && len(locs) < k {
-				locs = append(locs, g)
+			t.cls[cl]++
+			if cl == c.match && len(t.locs)-first < k {
+				t.locs = append(t.locs, g)
 			}
 		}
-		partials[1+j] = c.result(req, dims, cls, nan, locs)
-		partials[1+j].BricksDecoded = 1
+		if len(t.locs) > k {
+			// The first k of its bricks' matches, as each brick's are.
+			slices.Sort(t.locs)
+			t.locs = t.locs[:k]
+		}
+		t.bricks++
+		mu.Lock()
+		free = append(free, t)
+		mu.Unlock()
 	})
 	if err != nil {
 		return nil, err
 	}
+	for _, t := range all {
+		p := c.result(req, dims, t.cls, t.nan, t.locs)
+		p.BricksDecoded = t.bricks
+		partials = append(partials, p)
+	}
 	res := MergeQueryResults(req, partials)
 	res.BricksTotal = res.BricksPruned + res.BricksDecoded
 	return res, nil
+}
+
+// tally is a running count over the decoded bricks of a count scan: per
+// class, NaN samples, and the match class's first locations as global
+// row-major indices (at most MaxLocations, unordered; the merge sorts).
+type tally struct {
+	cls    []int64
+	nan    int64
+	locs   []int
+	bricks int
 }
 
 // queryExtremum evaluates min/max by branch and bound: bricks sort by the

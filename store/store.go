@@ -22,7 +22,7 @@ const DefaultCacheBytes = 256 << 20
 
 // Options configures an opened Store.
 type Options struct {
-	// CacheBytes is the decoded-brick LRU cache budget in bytes: 0 selects
+	// CacheBytes is the decoded-brick cache budget in bytes: 0 selects
 	// DefaultCacheBytes, negative disables caching. Ignored when Cache is
 	// set.
 	CacheBytes int64
@@ -614,7 +614,7 @@ func (s *Store) ReadRegion(ctx context.Context, lo, hi []int) ([]float32, error)
 // ReadRegionT decodes the half-open box [lo, hi) of the field as samples
 // of type T, touching only the bricks the box intersects. Bricks are
 // decoded concurrently on a bounded worker pool, observe ctx, and pass
-// through the decoded-brick LRU cache; the result is row-major with shape
+// through the decoded-brick cache; the result is row-major with shape
 // hi-lo. Escaped double-precision points are restored exactly. The read
 // serves one committed generation wholly: a commit landing mid-read is
 // picked up by the next call, never mixed in. (Go methods cannot be
