@@ -21,6 +21,7 @@ import (
 	"qoz/cluster"
 	"qoz/datagen"
 	"qoz/internal/pool"
+	"qoz/obs"
 	"qoz/store"
 )
 
@@ -324,6 +325,55 @@ func TestClusterFanoutAllocBytes(t *testing.T) {
 	// worth of per-box sub-reads breaks it.
 	if perOp >= float64(len(want))/2 {
 		t.Errorf("%.0f heap bytes per read of a %d-byte region; a hot read must allocate less than half of what it returns", perOp, len(want))
+	}
+}
+
+// TestTracePublishAllocBytes is the allocation gate of trace publication:
+// ending a request's root span seals the live trace and hands it to the
+// recorder as it is. Each trace here is a real fan-out read's — the
+// fanout span and one subread span per shard, with their attributes, plus
+// the root's own — and publishing it allocates nothing; the deep copy it
+// replaced allocated every span and attribute map of the trace again.
+func TestTracePublishAllocBytes(t *testing.T) {
+	path := buildHotStoreFile(t, t.TempDir())
+	shards, _ := startShards(t, []mount{{name: "hot", target: path}}, 2, serverOptions{CacheBytes: 64 << 20}, nil)
+	names, hc := namedFleet(t, shards)
+	cl := &cluster.Client{HTTP: hc}
+	ctx := context.Background()
+	cat, err := cl.Catalog(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	roots := make([]*obs.Span, 100)
+	for i := range roots {
+		tctx, root := rec.StartTrace(ctx, fmt.Sprintf("req-%d", i), "GET region")
+		body, _, err := cl.ReadRegionRaw(tctx, cat["hot"], []int{16, 16, 16}, []int{48, 48, 48})
+		if err != nil {
+			t.Fatal(err)
+		}
+		(&slab[byte]{body}).Release()
+		root.Annotate("route", "region")
+		root.Annotate("status", "200")
+		roots[i] = root
+	}
+	next := 0
+	perOp := allocBytesPerOp(len(roots), func() {
+		roots[next].End()
+		next++
+	})
+	tr := roots[0].TraceData()
+	if tr == nil || len(tr.Spans) < 4 || rec.Total() != uint64(len(roots)) {
+		t.Fatalf("published %d traces; the first one %+v, want a root, a fanout and two subreads", rec.Total(), tr)
+	}
+	t.Logf("%.0f heap bytes allocated per published %d-span trace", perOp, len(tr.Spans))
+	if raceEnabled {
+		return
+	}
+	// Measured 0. The deep copy it replaced measured 2464 bytes per
+	// trace: the span slice and an attribute map per span.
+	if perOp >= 64 {
+		t.Errorf("%.0f heap bytes per root span End; publishing must hand over the live trace, not a copy", perOp)
 	}
 }
 

@@ -395,6 +395,50 @@ func TestStrayBytesAfterDeflateRejected(t *testing.T) {
 	}
 }
 
+// TestBinsSectionStrayBytesRejected appends two bytes to the Huffman
+// bins section of every single-segment codec (sz2, sz3, mgard, and the
+// single-run QoZ layout) and re-frames the container: a bins section is
+// exactly its count, table and bitstream, so the decoder must refuse it.
+func TestBinsSectionStrayBytesRejected(t *testing.T) {
+	ctx := context.Background()
+	ds := datagen.NYX(16, 16, 16)
+	opts := qoz.Options{ErrorBound: 1e-3 * metrics.ValueRange(ds.Data)}
+	streams := map[string][]byte{}
+	for _, name := range []string{"sz2", "sz3", "mgard", qoz.DefaultCodec} {
+		b, err := qoz.MustLookup(name).Compress(ctx, ds.Data, ds.Dims, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == qoz.DefaultCodec {
+			name, b = name+"/single-run", singleRun(t, b)
+		}
+		streams[name] = b
+	}
+	for name, b := range streams {
+		s, err := container.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for i, sec := range s.Sections {
+			if sec.ID == szstream.SecBins {
+				s.Sections[i].Data = append(append([]byte(nil), sec.Data...), 0xab, 0xcd)
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no bins section", name)
+		}
+		bad, err := container.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := qoz.Decode[float32](ctx, bad); err == nil {
+			t.Errorf("%s: a bins section with two stray bytes decoded", name)
+		}
+	}
+}
+
 // TestLyingStreamHeaderRejected crafts slab-stream headers whose declared
 // geometry is inconsistent or absurd.
 func TestLyingStreamHeaderRejected(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"qoz/datagen"
 	"qoz/internal/container"
 	"qoz/internal/core"
+	"qoz/internal/interp"
 	"qoz/internal/szstream"
 	"qoz/store"
 )
@@ -266,16 +267,16 @@ func singleRun(t testing.TB, enc []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := szstream.DecodeLevelsStream(s)
+	p, err := szstream.DecodeStream(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &szstream.Payload{Anchors: p.Anchors, Config: p.Config}
+	var run interp.Segment
 	for _, seg := range p.Segments {
 		run.Bins = append(run.Bins, seg.Bins...)
 		run.Literals = append(run.Literals, seg.Literals...)
 	}
-	out, err := szstream.Encode(s.Codec, s.Dims, s.ErrorBound, run)
+	out, err := szstream.Encode(s.Codec, s.Dims, s.ErrorBound, &szstream.Payload{Anchors: p.Anchors, Config: p.Config, Segments: []interp.Segment{run}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,12 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// AppendWriter returns a Writer whose bits follow the bytes of buf,
+// written into its spare capacity first.
+func AppendWriter(buf []byte) *Writer {
+	return &Writer{buf: buf}
+}
+
 // WriteBit appends a single bit (the low bit of b).
 func (w *Writer) WriteBit(b uint) { w.WriteBits(uint64(b), 1) }
 

@@ -188,7 +188,7 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 	// stage so the container stores each level as its own segment and a
 	// progressive decoder can stop after any of them.
 	enc := p.Encode(data)
-	payload := &szstream.LevelPayload{
+	payload := &szstream.Payload{
 		Anchors:  enc.Anchors,
 		Config:   encodeConfig(p, o.AnchorStride),
 		Segments: enc.Segments,
@@ -254,31 +254,17 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 }
 
 // decompressStream reconstructs a stream of either layout through the
-// requested level (clamped to [1, maxLevel+1]; a single-run stream always
-// decodes in full) and returns the full-size reconstruction buffer — only
+// requested level (clamped to [1, maxLevel+1]; a single-run stream, which
+// DecompressLevel refuses, is only asked for level 1) and returns the full-size reconstruction buffer — only
 // positions on the returned stride's grid are meaningful when stride > 1 —
 // plus the dims and completed stride. Levels below the requested one are
 // not looked at, so a prefix decodes as far as it is sound.
 func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) ([]float32, []int, int, error) {
-	var anchors []float32
-	var cfgRaw []byte
-	var segs []interp.Segment
-	if szstream.IsLevelStream(s) {
-		payload, err := szstream.DecodeLevelsStream(s)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		anchors, cfgRaw, segs = payload.Anchors, payload.Config, payload.Segments
-	} else {
-		payload, err := szstream.PayloadFrom(s)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		anchors, cfgRaw = payload.Anchors, payload.Config
-		segs = []interp.Segment{{Bins: payload.Bins, Literals: payload.Literals}}
-		level = 1
+	payload, err := szstream.DecodeStream(s)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	p, err := decodeConfig(cfgRaw, s.Dims, s.ErrorBound)
+	p, err := decodeConfig(payload.Config, s.Dims, s.ErrorBound)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -287,13 +273,13 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 		return nil, nil, 0, errors.New("qoz: config misses per-level methods")
 	}
 	level = max(1, min(level, top+1))
-	recon, err := p.Decode(anchors, segs, level, sweep)
+	recon, err := p.Decode(payload.Anchors, payload.Segments, level, sweep)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("qoz: %w", err)
 	}
 	// The symbol buffers are dead once the sweeps finish; recycle them so
 	// steady-state brick serving reuses the same scratch.
-	for _, seg := range segs {
+	for _, seg := range payload.Segments {
 		pool.PutUint32s(seg.Bins)
 	}
 	return recon, s.Dims, 1 << (level - 1), nil

@@ -105,7 +105,7 @@ func TestDecompressMatchesReference(t *testing.T) {
 // config section.
 func streamMaxLevel(t *testing.T, s *container.Stream) int {
 	t.Helper()
-	payload, err := szstream.DecodeLevelsStream(s)
+	payload, err := szstream.DecodeStream(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func legacyEncode(t *testing.T, enc []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := szstream.DecodeLevelsStream(s)
+	payload, err := szstream.DecodeStream(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,7 @@ func legacyEncode(t *testing.T, enc []byte) []byte {
 		t.Fatal(err)
 	}
 	maxLevel := p.Top()
-	var bins []uint32
-	var lits []float32
+	var run interp.Segment
 	for l := maxLevel + 1; l >= 1; l-- {
 		seg := payload.Segment(l)
 		if seg == nil {
@@ -144,16 +143,15 @@ func legacyEncode(t *testing.T, enc []byte) []byte {
 			}
 			continue
 		}
-		bins = append(bins, seg.Bins...)
-		lits = append(lits, seg.Literals...)
+		run.Bins = append(run.Bins, seg.Bins...)
+		run.Literals = append(run.Literals, seg.Literals...)
 	}
 	// Re-order: seed first, then descending levels — Segment lookup above
 	// already walks maxLevel+1 down to 1, matching emission order.
 	out, err := szstream.Encode(codecID, s.Dims, s.ErrorBound, &szstream.Payload{
-		Bins:     bins,
-		Literals: lits,
 		Anchors:  payload.Anchors,
 		Config:   payload.Config,
+		Segments: []interp.Segment{run},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,7 @@ func legacyEncode(t *testing.T, enc []byte) []byte {
 
 // TestLegacyDecompressMatchesReference re-frames each case in the legacy
 // single-segment layout and pins the fused legacy decoder against the
-// closure oracle.
+// closure oracle; DecompressLevel must refuse it.
 func TestLegacyDecompressMatchesReference(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		enc, err := Compress(tc.data, tc.dims, tc.opts)
@@ -188,6 +186,11 @@ func TestLegacyDecompressMatchesReference(t *testing.T) {
 			t.Fatalf("%s: Decompress: %v", tc.name, err)
 		}
 		sameBits(t, tc.name+"-legacy-vs-stream", fast, streamFast)
+
+		// A single run holds no level boundaries to stop at.
+		if _, _, _, err := DecompressLevel(legacy, 1); err == nil || !strings.Contains(err.Error(), "stream predates level segmentation") {
+			t.Fatalf("%s: DecompressLevel of the legacy layout: %v", tc.name, err)
+		}
 	}
 }
 
@@ -219,7 +222,7 @@ func TestLiteralMismatchRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload, err := szstream.DecodeLevelsStream(s)
+			payload, err := szstream.DecodeStream(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +271,7 @@ func TestLevelSegmentStrayBytesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := szstream.DecodeLevelsStream(s); err != nil {
+	if _, err := szstream.DecodeStream(s); err != nil {
 		t.Fatalf("the untouched stream: %v", err)
 	}
 	for i, sec := range s.Sections {
@@ -285,8 +288,8 @@ func TestLevelSegmentStrayBytesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := szstream.DecodeLevelsStream(sb); err == nil {
-		t.Error("DecodeLevelsStream accepted a level segment with a stray byte")
+	if _, err := szstream.DecodeStream(sb); err == nil {
+		t.Error("DecodeStream accepted a level segment with a stray byte")
 	}
 	if _, _, err := Decompress(bad); err == nil {
 		t.Error("Decompress accepted a level segment with a stray byte")

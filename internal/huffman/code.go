@@ -360,13 +360,6 @@ func foreignSymbol(s uint32) string {
 	return fmt.Sprintf("huffman: symbol %d is not in the table's build set", s)
 }
 
-// writeBytes appends whole bytes to a writer that is still byte-aligned.
-func writeBytes(w *bitio.Writer, b []byte) {
-	for _, c := range b {
-		w.WriteBits(uint64(c), 8)
-	}
-}
-
 // payloadBits sums frequency x code length over a histogram.
 func payloadBits(freq []uint64, lens []uint8) int {
 	bits := 0

@@ -45,9 +45,9 @@ func checkEncodeAgainstReference(t *testing.T, in []uint32, cuts ...int) {
 			if !bytes.Equal(g, w) {
 				t.Fatalf("segment %d: %d bytes, reference %d (first difference at %d)", i, len(g), len(w), firstDiff(g, w))
 			}
-			dec, used, err := tab.DecodeSegment(g)
-			if err != nil || used != len(g) || !equalU32(dec, seg) {
-				t.Fatalf("segment %d does not decode back (err %v, used %d of %d)", i, err, used, len(g))
+			dec, err := tab.DecodeSegment(g)
+			if err != nil || !equalU32(dec, seg) {
+				t.Fatalf("segment %d does not decode back (err %v)", i, err)
 			}
 		}
 	}

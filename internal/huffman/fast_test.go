@@ -137,13 +137,10 @@ func TestDecodeSegmentMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: ParseTable: %v", name, err)
 			}
-			fast, fastUsed, fastErr := t1.DecodeSegment(seg)
-			ref, refUsed, refErr := t2.decodeSegmentReference(seg)
+			fast, fastErr := t1.DecodeSegment(seg)
+			ref, refErr := t2.decodeSegmentReference(seg)
 			if fastErr != nil || refErr != nil {
 				t.Fatalf("%s part %d: errors fast=%v ref=%v", name, p, fastErr, refErr)
-			}
-			if fastUsed != refUsed {
-				t.Fatalf("%s part %d: used %d vs %d", name, p, fastUsed, refUsed)
 			}
 			if len(fast) != len(ref) {
 				t.Fatalf("%s part %d: length mismatch", name, p)
@@ -220,16 +217,16 @@ func TestHostileTableDifferential(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: ParseTable: %v %v", name, err1, err2)
 			}
-			fast, fastUsed, fastErr := t1.DecodeSegment(seg)
-			ref, refUsed, refErr := t2.decodeSegmentReference(seg)
+			fast, fastErr := t1.DecodeSegment(seg)
+			ref, refErr := t2.decodeSegmentReference(seg)
 			if (fastErr == nil) != (refErr == nil) {
 				t.Fatalf("%s trial %d: error mismatch fast=%v ref=%v", name, trial, fastErr, refErr)
 			}
 			if fastErr != nil {
 				continue
 			}
-			if fastUsed != refUsed || len(fast) != len(ref) {
-				t.Fatalf("%s trial %d: used/len mismatch", name, trial)
+			if len(fast) != len(ref) {
+				t.Fatalf("%s trial %d: length mismatch", name, trial)
 			}
 			for i := range fast {
 				if fast[i] != ref[i] {
@@ -265,7 +262,7 @@ func TestHostileCountsRejectedBeforeAllocation(t *testing.T) {
 	tab := BuildTable([]uint32{1, 2, 3, 4})
 	seg := binary.AppendUvarint(nil, 1<<50)
 	seg = append(seg, 0xFF, 0xFF)
-	if _, _, err := tab.DecodeSegment(seg); err == nil {
+	if _, err := tab.DecodeSegment(seg); err == nil {
 		t.Fatal("expected error for absurd segment count")
 	}
 }
@@ -287,7 +284,7 @@ func BenchmarkDecodeSegmentPeaked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := dec.DecodeSegment(seg)
+		out, err := dec.DecodeSegment(seg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +339,7 @@ func BenchmarkDecodeSegmentBrick(b *testing.B) {
 				if cold {
 					dec, _, _ = ParseTable(hdr)
 				}
-				out, _, err := dec.DecodeSegment(seg)
+				out, err := dec.DecodeSegment(seg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,7 +457,7 @@ func TestDecodeSegmentWarmTableZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func() {
-		out, _, err := dec.DecodeSegment(seg)
+		out, err := dec.DecodeSegment(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +470,7 @@ func TestDecodeSegmentWarmTableZeroAlloc(t *testing.T) {
 }
 
 // segmentDifferential decodes seg through freshly parsed tables on both
-// paths and requires the same symbols and bytes used, or an error on both.
+// paths and requires the same symbols, or an error on both.
 func segmentDifferential(t *testing.T, name string, hdr, seg []byte) {
 	t.Helper()
 	t1, _, err1 := ParseTable(hdr)
@@ -481,13 +478,13 @@ func segmentDifferential(t *testing.T, name string, hdr, seg []byte) {
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%s: ParseTable: %v %v", name, err1, err2)
 	}
-	fast, fastUsed, fastErr := t1.DecodeSegment(seg)
-	ref, refUsed, refErr := t2.decodeSegmentReference(seg)
+	fast, fastErr := t1.DecodeSegment(seg)
+	ref, refErr := t2.decodeSegmentReference(seg)
 	if (fastErr == nil) != (refErr == nil) {
 		t.Fatalf("%s: error mismatch fast=%v ref=%v", name, fastErr, refErr)
 	}
-	if fastErr == nil && (fastUsed != refUsed || !equalU32(fast, ref)) {
-		t.Fatalf("%s: fast decodes %v (%d bytes), ref %v (%d bytes)", name, fast, fastUsed, ref, refUsed)
+	if fastErr == nil && !equalU32(fast, ref) {
+		t.Fatalf("%s: fast decodes %v, ref %v", name, fast, ref)
 	}
 }
 

@@ -76,18 +76,13 @@ func FuzzDecodeFastVsReference(f *testing.F) {
 		if n, m := binary.Uvarint(rest1); m > 0 && n > 1<<20 {
 			return
 		}
-		segFast, usedFast, fastErr := t1.DecodeSegment(rest1)
-		segRef, usedRef, refErr := t2.decodeSegmentReference(rest2)
+		segFast, fastErr := t1.DecodeSegment(rest1)
+		segRef, refErr := t2.decodeSegmentReference(rest2)
 		if (fastErr == nil) != (refErr == nil) {
 			t.Fatalf("DecodeSegment error mismatch: fast=%v ref=%v", fastErr, refErr)
 		}
-		if fastErr == nil {
-			if usedFast != usedRef {
-				t.Fatalf("DecodeSegment used mismatch: %d vs %d", usedFast, usedRef)
-			}
-			if !equalU32(segFast, segRef) {
-				t.Fatalf("DecodeSegment output mismatch: fast=%v ref=%v", segFast, segRef)
-			}
+		if fastErr == nil && !equalU32(segFast, segRef) {
+			t.Fatalf("DecodeSegment output mismatch: fast=%v ref=%v", segFast, segRef)
 		}
 	})
 }

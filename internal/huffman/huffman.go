@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"qoz/internal/bitio"
 	"qoz/internal/pool"
 )
 
@@ -36,27 +35,18 @@ var errCorrupt = errors.New("huffman: corrupt stream")
 // runs, whose headers carry no payload to validate the count against.
 const maxTrivialRun = 1 << 40
 
-// Encode compresses the symbol stream. The output is independent of any
-// out-of-band state; Decode(Encode(s)) == s.
+// Encode compresses the symbol stream as a single segment: the uvarint
+// symbol count, the table header (BuildTable(symbols).AppendHeader), then
+// the bitstream EncodeSegment writes after its count. The output is
+// independent of any out-of-band state; Decode(Encode(s)) == s.
 func Encode(symbols []uint32) []byte {
-	h := countSymbols(1, symbols)
-	header := make([]byte, 0, 16+3*len(h.syms))
-	header = binary.AppendUvarint(header, uint64(len(symbols)))
-	header = binary.AppendUvarint(header, uint64(len(h.syms)))
-	if len(h.syms) == 0 {
-		return header
-	}
-	if len(h.syms) == 1 {
-		// Single distinct symbol: no bitstream is needed.
-		return binary.AppendUvarint(header, uint64(h.syms[0]))
-	}
-	c := buildCode(h)
-	header = appendCodeEntries(header, c.syms, c.lens)
-
-	w := bitio.NewWriter(len(header) + (c.bits+7)/8)
-	writeBytes(w, header)
-	c.enc.emit(w, symbols)
-	return w.Bytes()
+	var t Table
+	bits := t.build(countSymbols(1, symbols))
+	// The header is sized as three bytes an entry (a wider one grows it);
+	// the bitstream's size is exact.
+	buf := make([]byte, 0, 16+3*len(t.syms)+(bits+7)/8)
+	buf = t.AppendHeader(binary.AppendUvarint(buf, uint64(len(symbols))))
+	return t.appendBits(buf, symbols, nil)
 }
 
 // appendCodeEntries serializes a canonical code's (symbol, length) pairs:
@@ -77,65 +67,78 @@ func appendCodeEntries(dst []byte, syms []uint32, lens []uint8) []byte {
 	return dst
 }
 
-// Decode reverses Encode. Symbols decode through the multi-symbol table
-// fed by a word-at-a-time bit reader; the bit-by-bit decoder it replaced
-// lives on in reference_test.go as the oracle the differential tests and
-// fuzzer pin it against.
+// Decode reverses Encode: the count, the table (ParseTable), then the
+// bitstream through the framing DecodeSegment uses. Symbols decode
+// through the multi-symbol table fed by a word-at-a-time bit reader; the
+// bit-by-bit decoder it replaced lives on in reference_test.go as the
+// oracle the differential tests and fuzzer pin it against.
 func Decode(buf []byte) ([]uint32, error) {
-	t, n, payload, out, err := parseStream(buf)
-	if err != nil || t == nil {
-		return out, err
+	return decodeStream(buf, (*Table).decodeInto)
+}
+
+// decodeStream reads a single-segment stream with the given bitstream
+// decoder.
+func decodeStream(buf []byte, decode decodeFunc) ([]uint32, error) {
+	n, m := binary.Uvarint(buf)
+	if m <= 0 {
+		return nil, errCorrupt
+	}
+	t, bits, err := ParseTable(buf[m:])
+	if err != nil {
+		return nil, err
 	}
 	defer t.Release()
-	out = pool.Uint32s(int(n))
-	if _, err := t.decodeInto(payload, n, out); err != nil {
+	return t.decodeBits(n, bits, decode)
+}
+
+// decodeFunc decodes n symbols from a bitstream into out[:n] and returns
+// the number of bits it read: decodeInto, or in the tests its bit-by-bit
+// oracle.
+type decodeFunc func(t *Table, bits []byte, n uint64, out []uint32) (int, error)
+
+// decodeBits is the framing a stream and a segment share once their count
+// n is read and their table t is known: bits must be exactly the
+// bitstream of n symbols, zero-padded to a whole byte (the padding bits'
+// values are not checked). A run of no symbols, or of a table with fewer
+// than two, has no bitstream. Anything else — bytes past the bitstream
+// included — is errCorrupt.
+func (t *Table) decodeBits(n uint64, bits []byte, decode decodeFunc) ([]uint32, error) {
+	if n == 0 || len(t.syms) < 2 {
+		switch {
+		case len(bits) != 0:
+			return nil, errCorrupt
+		case n == 0:
+			return []uint32{}, nil
+		case len(t.syms) == 0:
+			return nil, errCorrupt
+		case n > maxTrivialRun:
+			// A constant run carries no bitstream, so n cannot be
+			// validated against one; still refuse counts no real field
+			// reaches rather than attempt a multi-terabyte allocation.
+			return nil, errCorrupt
+		}
+		out := pool.Uint32s(int(n))
+		for i := range out {
+			out[i] = t.syms[0]
+		}
+		return out, nil
+	}
+	// With two or more distinct symbols every decoded symbol consumes at
+	// least one bit, so a count the bitstream cannot hold is rejected
+	// before the output allocation.
+	if n > uint64(len(bits))*8 {
+		return nil, errCorrupt
+	}
+	out := pool.Uint32s(int(n))
+	used, err := decode(t, bits, n, out)
+	if err == nil && (used+7)/8 != len(bits) {
+		err = errCorrupt
+	}
+	if err != nil {
 		pool.PutUint32s(out)
 		return nil, err
 	}
 	return out, nil
-}
-
-// parseStream splits a single-segment stream — uvarint symbol count, then
-// a table header as ParseTable reads it, then the bitstream — into its
-// canonical table, symbol count, and entropy payload. Trivial streams
-// (fewer than two distinct symbols carry no bitstream) are decoded
-// directly: the returned table is nil and out holds the result.
-func parseStream(buf []byte) (t *Table, n uint64, payload []byte, out []uint32, err error) {
-	n, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, 0, nil, nil, errCorrupt
-	}
-	t, rest, err := ParseTable(buf[m:])
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	switch len(t.syms) {
-	case 0:
-		if n != 0 {
-			return nil, 0, nil, nil, errCorrupt
-		}
-		return nil, 0, nil, []uint32{}, nil
-	case 1:
-		// A constant run carries no bitstream, so n cannot be validated
-		// against a payload; still refuse counts no real field reaches
-		// rather than attempting a multi-terabyte allocation.
-		if n > maxTrivialRun {
-			return nil, 0, nil, nil, errCorrupt
-		}
-		out = pool.Uint32s(int(n))
-		for i := range out {
-			out[i] = t.syms[0]
-		}
-		return nil, 0, nil, out, nil
-	}
-	// With at least two distinct symbols every decoded symbol consumes at
-	// least one payload bit; reject symbol counts the payload cannot hold
-	// before allocating the output (the scalar decoder would only discover
-	// this at EOF, after the allocation).
-	if n > uint64(len(rest))*8 {
-		return nil, 0, nil, nil, errCorrupt
-	}
-	return t, n, rest, nil, nil
 }
 
 func zigzag(v int64) uint64 {

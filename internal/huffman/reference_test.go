@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"qoz/internal/bitio"
-	"qoz/internal/pool"
 )
 
 // Encode compresses the symbol stream. The output is independent of any
@@ -338,35 +337,17 @@ func refCountSymbols(runs ...[]uint32) histogram {
 	return h
 }
 
-// decodeReference is the original scalar decode path, kept as the
-// differential-test oracle for Decode's LUT fast path.
+// decodeReference is Decode with the original scalar bitstream decoder,
+// kept as the differential-test oracle for Decode's LUT fast path: the
+// framing around the bitstream is the one both share.
 func decodeReference(buf []byte) ([]uint32, error) {
-	t, n, payload, out, err := parseStream(buf)
-	if err != nil || t == nil {
-		return out, err
-	}
-	out = pool.Uint32s(int(n))
-	if _, err := t.decodeIntoReference(payload, n, out); err != nil {
-		pool.PutUint32s(out)
-		return nil, err
-	}
-	return out, nil
+	return decodeStream(buf, (*Table).decodeIntoReference)
 }
 
-// decodeSegmentReference is the original scalar segment decoder, kept as
-// the differential-test oracle for DecodeSegment's fast path.
-func (t *Table) decodeSegmentReference(buf []byte) ([]uint32, int, error) {
-	n, m, payload, out, err := t.parseSegment(buf)
-	if err != nil || out != nil {
-		return out, m, err
-	}
-	out = pool.Uint32s(int(n))
-	bits, err := t.decodeIntoReference(payload, n, out)
-	if err != nil {
-		pool.PutUint32s(out)
-		return nil, 0, err
-	}
-	return out, m + (bits+7)/8, nil
+// decodeSegmentReference is DecodeSegment with the original scalar
+// bitstream decoder, the oracle for DecodeSegment's fast path.
+func (t *Table) decodeSegmentReference(buf []byte) ([]uint32, error) {
+	return t.decodeSegment(buf, (*Table).decodeIntoReference)
 }
 
 // decodeIntoReference is the original bit-by-bit decoder, retained as the

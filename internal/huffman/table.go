@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"qoz/internal/bitio"
-	"qoz/internal/pool"
 )
 
 // Table is a canonical Huffman code shared across several independently
@@ -13,8 +12,8 @@ import (
 // encodes each interpolation level as its own byte-aligned segment, so a
 // decoder holding only a prefix of the stream can stop after any level
 // boundary without losing the global code's efficiency. Encode/Decode
-// remain the single-segment form; a Table factors the code out of the
-// segment framing.
+// are the one-segment case: the same table header and segment, with the
+// header between the segment's count and its bitstream.
 type Table struct {
 	syms []uint32 // canonical (length, symbol) order
 	lens []uint8  // lens[i] is the code length of syms[i]
@@ -25,7 +24,8 @@ type Table struct {
 	enc      encoder
 	meanBits float64
 
-	// Canonical decode tables, mirroring Decode's inline construction.
+	// Canonical decode tables: per code length, how many codes, the first
+	// code and the canonical index of its symbol.
 	count     [maxCodeLen + 1]int
 	firstCode [maxCodeLen + 2]uint64
 	firstSym  [maxCodeLen + 2]int
@@ -50,22 +50,28 @@ func BuildTable(segments ...[]uint32) *Table {
 // for each further share would clear another counter buffer as wide as
 // the symbol window. The table is the same.
 func BuildTableWorkers(workers int, segments ...[]uint32) *Table {
-	h := countSymbols(min(workers, 2), segments...)
 	t := &Table{}
-	if len(h.syms) == 0 {
-		return t
-	}
-	if len(h.syms) == 1 {
+	t.build(countSymbols(min(workers, 2), segments...))
+	return t
+}
+
+// build fills t with the canonical code of h and returns the size in bits
+// of the bitstream the code gives h's symbols.
+func (t *Table) build(h histogram) int {
+	switch len(h.syms) {
+	case 0:
+		return 0
+	case 1:
 		t.syms = h.syms
 		t.lens = []uint8{0} // no bits per symbol
-		return t
+		return 0
 	}
 	c := buildCode(h)
 	t.syms, t.lens = c.syms, c.lens
 	t.enc = c.enc
 	t.meanBits = float64(c.bits) / float64(h.total)
 	t.buildDecode()
-	return t
+	return c.bits
 }
 
 // buildDecode fills the canonical decode tables from syms/lens (which must
@@ -88,9 +94,10 @@ func (t *Table) buildDecode() {
 // Distinct returns the number of distinct symbols the table covers.
 func (t *Table) Distinct() int { return len(t.syms) }
 
-// AppendHeader serializes the table: uvarint k, then (for k >= 2) the same
-// zig-zag-delta symbol/length entries the single-segment header uses, so
-// the table costs exactly what Encode's header does minus the stream count.
+// AppendHeader serializes the table: uvarint k, then for k = 1 the
+// uvarint symbol, for k >= 2 per symbol in canonical order its
+// zig-zag-delta id and length byte. A single-segment stream (Encode)
+// carries the same header after its count.
 func (t *Table) AppendHeader(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t.syms)))
 	if len(t.syms) == 0 {
@@ -182,26 +189,31 @@ const PieceSymbols = 1 << 16
 // encoder writes none of a piece's bytes after handing it over. A nil
 // piece function receives nothing.
 func (t *Table) EncodeSegmentPieces(symbols []uint32, piece func([]byte)) []byte {
-	var count [binary.MaxVarintLen64]byte
-	head := count[:binary.PutUvarint(count[:], uint64(len(symbols)))]
+	// Levels differ in entropy, so the build set's mean code length only
+	// estimates this segment's size; an eighth of slack keeps most
+	// segments to a single allocation.
+	est := int(float64(len(symbols)) * t.meanBits / 8)
+	buf := make([]byte, 0, binary.MaxVarintLen64+est+est/8+16)
+	return t.appendBits(binary.AppendUvarint(buf, uint64(len(symbols))), symbols, piece)
+}
+
+// appendBits appends to buf the MSB-first bitstream of symbols coded
+// against t, zero-padded to a whole byte (nothing for tables of fewer
+// than two symbols), handing pieces as EncodeSegmentPieces describes; the
+// first piece starts at buf's first byte.
+func (t *Table) appendBits(buf []byte, symbols []uint32, piece func([]byte)) []byte {
 	if len(t.syms) < 2 {
 		for _, s := range symbols {
 			if len(t.syms) == 0 || s != t.syms[0] {
 				panic(foreignSymbol(s))
 			}
 		}
-		out := append([]byte(nil), head...)
 		if piece != nil {
-			piece(out)
+			piece(buf)
 		}
-		return out
+		return buf
 	}
-	// Levels differ in entropy, so the build set's mean code length only
-	// estimates this segment's size; an eighth of slack keeps most
-	// segments to a single allocation.
-	est := int(float64(len(symbols)) * t.meanBits / 8)
-	w := bitio.NewWriter(len(head) + est + est/8 + 16)
-	writeBytes(w, head)
+	w := bitio.AppendWriter(buf)
 	if piece == nil {
 		t.enc.emit(w, symbols)
 		return w.Bytes()
@@ -220,54 +232,20 @@ func (t *Table) EncodeSegmentPieces(symbols []uint32, piece func([]byte)) []byte
 	return out
 }
 
-// DecodeSegment reverses EncodeSegment, ignoring the final byte's padding
-// bits. It returns the decoded symbols and the number of segment bytes
-// consumed, so callers can verify segment framing. Symbols decode through
-// the multi-symbol table (its bit-by-bit oracle is in reference_test.go).
-// Not safe for concurrent use on one Table.
-func (t *Table) DecodeSegment(buf []byte) ([]uint32, int, error) {
-	n, m, payload, out, err := t.parseSegment(buf)
-	if err != nil || out != nil {
-		return out, m, err
-	}
-	out = pool.Uint32s(int(n))
-	bits, err := t.decodeInto(payload, n, out)
-	if err != nil {
-		pool.PutUint32s(out)
-		return nil, 0, err
-	}
-	return out, m + (bits+7)/8, nil
+// DecodeSegment reverses EncodeSegment: the uvarint count, then exactly
+// the bitstream of that many symbols, ignoring the final byte's padding
+// bits; bytes past the bitstream make the segment corrupt. Symbols decode
+// through the multi-symbol table (its bit-by-bit oracle is in
+// reference_test.go). Not safe for concurrent use on one Table.
+func (t *Table) DecodeSegment(buf []byte) ([]uint32, error) {
+	return t.decodeSegment(buf, (*Table).decodeInto)
 }
 
-// parseSegment reads the segment's symbol count and locates its payload.
-// Trivial segments (empty, or single-symbol tables with no bitstream) are
-// decoded directly: out is non-nil and m is the consumed byte count.
-func (t *Table) parseSegment(buf []byte) (n uint64, m int, payload []byte, out []uint32, err error) {
-	n, m = binary.Uvarint(buf)
+// decodeSegment reads a segment with the given bitstream decoder.
+func (t *Table) decodeSegment(buf []byte, decode decodeFunc) ([]uint32, error) {
+	n, m := binary.Uvarint(buf)
 	if m <= 0 {
-		return 0, 0, nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
-	if n == 0 {
-		return 0, m, nil, []uint32{}, nil
-	}
-	if len(t.syms) == 0 {
-		return 0, 0, nil, nil, errCorrupt
-	}
-	if len(t.syms) == 1 {
-		if n > maxTrivialRun {
-			return 0, 0, nil, nil, errCorrupt
-		}
-		out = pool.Uint32s(int(n))
-		for i := range out {
-			out[i] = t.syms[0]
-		}
-		return 0, m, nil, out, nil
-	}
-	// Hostile-input hardening: with two or more distinct symbols every
-	// decoded symbol consumes at least one bit, so a count the remaining
-	// bytes cannot hold is rejected before the output allocation.
-	if n > uint64(len(buf)-m)*8 {
-		return 0, 0, nil, nil, errCorrupt
-	}
-	return n, m, buf[m:], nil, nil
+	return t.decodeBits(n, buf[m:], decode)
 }

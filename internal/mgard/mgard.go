@@ -51,11 +51,7 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 		return nil, fmt.Errorf("mgard: %w", err)
 	}
 	enc := pyramid(dims, eb).Encode(data)
-	payload := &szstream.Payload{
-		Bins:     enc.Run.Bins,
-		Literals: enc.Run.Literals,
-		Anchors:  enc.Anchors,
-	}
+	payload := &szstream.Payload{Anchors: enc.Anchors, Segments: []interp.Segment{enc.Run}}
 	return szstream.Encode(codecID, dims, eb, payload)
 }
 
@@ -65,8 +61,7 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	run := []interp.Segment{{Bins: payload.Bins, Literals: payload.Literals}}
-	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, run, 1, interp.LevelPassDecode)
+	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, payload.Segments, 1, interp.LevelPassDecode)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)
 	}

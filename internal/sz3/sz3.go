@@ -41,9 +41,8 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 	method := selectMethod(data, dims, eb)
 	enc := pyramid(dims, eb, method).Encode(data)
 	payload := &szstream.Payload{
-		Bins:     enc.Run.Bins,
-		Literals: enc.Run.Literals,
 		Config:   []byte{byte(method.Kind), byte(method.Order)},
+		Segments: []interp.Segment{enc.Run},
 	}
 	return szstream.Encode(codecID, dims, eb, payload)
 }
@@ -62,8 +61,7 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 		Kind:  interp.Kind(payload.Config[0]),
 		Order: interp.Order(payload.Config[1]),
 	}
-	run := []interp.Segment{{Bins: payload.Bins, Literals: payload.Literals}}
-	recon, err := pyramid(stream.Dims, stream.ErrorBound, method).Decode(nil, run, 1, interp.LevelPassDecode)
+	recon, err := pyramid(stream.Dims, stream.ErrorBound, method).Decode(nil, payload.Segments, 1, interp.LevelPassDecode)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz3: %w", err)
 	}

@@ -53,28 +53,37 @@ func SectionLevel(id uint8) (level int, lits bool, ok bool) {
 	return 0, false, false
 }
 
-// Payload is the pre-entropy-coding content of an SZ-family stream.
+// Payload is the pre-entropy-coding content of an SZ-family stream: the
+// shared sections and the quantization symbols. In the level-segmented
+// layout (EncodeLevels) Segments holds one segment per interpolation
+// stage, ordered from the seed stage (level maxLevel+1) down to level 1
+// as they appear in the stream; in the single-segment layout (Encode) it
+// holds one run of Level 0, every stage's symbols in stream order, which
+// interp.Pyramid.Decode takes whole.
 type Payload struct {
-	Bins     []uint32
-	Literals []float32
 	Anchors  []float32
 	Config   []byte
+	Segments []interp.Segment
 }
 
-// Encode wraps the payload in a container. Anchor values are XOR-delta
-// transformed before serialization: anchors sample a smooth coarse grid,
-// so consecutive float32 bit patterns share their high bytes and the
-// container's DEFLATE stage compresses the residue well — this keeps the
-// paper's "nearly negligible" anchor overhead true even at very high
-// compression ratios.
+// Encode wraps a single-segment payload, one run of Level 0, in a
+// container. Anchor values are XOR-delta transformed before
+// serialization: anchors sample a smooth coarse grid, so consecutive
+// float32 bit patterns share their high bytes and the container's DEFLATE
+// stage compresses the residue well — this keeps the paper's "nearly
+// negligible" anchor overhead true even at very high compression ratios.
 func Encode(codec uint8, dims []int, eb float64, p *Payload) ([]byte, error) {
+	if len(p.Segments) != 1 || p.Segments[0].Level != 0 {
+		return nil, errors.New("szstream: a single-segment payload needs one run of level 0")
+	}
+	run := p.Segments[0]
 	s := &container.Stream{
 		Codec:      codec,
 		Dims:       dims,
 		ErrorBound: eb,
 		Sections: []container.Section{
-			{ID: SecBins, Data: huffman.Encode(p.Bins)},
-			{ID: SecLiterals, Data: container.Float32sToBytes(p.Literals)},
+			{ID: SecBins, Data: huffman.Encode(run.Bins)},
+			{ID: SecLiterals, Data: container.Float32sToBytes(run.Literals)},
 			{ID: SecAnchors, Data: container.Float32sToBytes(xorDelta(p.Anchors))},
 			{ID: SecConfig, Data: p.Config},
 		},
@@ -108,25 +117,6 @@ func unXorDelta(vals []float32) []float32 {
 	return vals
 }
 
-// LevelPayload is the level-segmented counterpart of Payload: the shared
-// sections plus one segment per interpolation stage, ordered from the seed
-// stage (level maxLevel+1) down to level 1 as they appear in the stream.
-type LevelPayload struct {
-	Anchors  []float32
-	Config   []byte
-	Segments []interp.Segment
-}
-
-// Segment returns the segment for one level, or nil.
-func (p *LevelPayload) Segment(level int) *interp.Segment {
-	for i := range p.Segments {
-		if p.Segments[i].Level == level {
-			return &p.Segments[i]
-		}
-	}
-	return nil
-}
-
 // EncodeLevels wraps a level-segmented payload in a container. One
 // canonical Huffman table is built over the bins of every segment and
 // stored once (SecHuffTable); each segment's bins then become an
@@ -142,7 +132,7 @@ func (p *LevelPayload) Segment(level int) *interp.Segment {
 // segment's Huffman bits are deflated in chunks as they complete, any
 // free worker deflating the next chunk, and the other sections are coded
 // and deflated alongside.
-func EncodeLevels(codec uint8, dims []int, eb float64, p *LevelPayload, workers int) ([]byte, error) {
+func EncodeLevels(codec uint8, dims []int, eb float64, p *Payload, workers int) ([]byte, error) {
 	if len(p.Segments) == 0 {
 		return nil, errors.New("szstream: a level payload needs a segment")
 	}
@@ -231,28 +221,50 @@ func encodeSections(s *container.Stream, tbl *huffman.Table, segs []interp.Segme
 // level-segmented layout.
 func IsLevelStream(s *container.Stream) bool { return s.Section(SecHuffTable) != nil }
 
-// DecodeLevelsStream recovers a level-segmented payload from a decoded
-// container — possibly a prefix (container.DecodePrefix), in which case
-// only the segments present are returned. Segment order follows stream
-// order; callers validate level coverage against their config.
-func DecodeLevelsStream(s *container.Stream) (*LevelPayload, error) {
-	tblRaw := s.Section(SecHuffTable)
-	if tblRaw == nil {
-		return nil, errors.New("szstream: missing huffman table section")
-	}
-	tbl, _, err := huffman.ParseTable(tblRaw)
-	if err != nil {
-		return nil, err
-	}
-	defer tbl.Release() // the table dies with this call; its storage serves the next brick
+// DecodeStream recovers the payload of a decoded container of either
+// layout, which the SecHuffTable section picks. A level-segmented
+// container may be a prefix (container.DecodePrefix), in which case only
+// the segments present are returned, in stream order; callers validate
+// level coverage against their config. A single-segment container yields
+// its bins and literals as one run of Level 0.
+func DecodeStream(s *container.Stream) (*Payload, error) {
 	anchors, err := container.BytesToFloat32s(s.Section(SecAnchors))
 	if err != nil {
 		return nil, err
 	}
-	p := &LevelPayload{
-		Anchors: unXorDelta(anchors),
-		Config:  s.Section(SecConfig),
+	p := &Payload{Anchors: unXorDelta(anchors), Config: s.Section(SecConfig)}
+	if IsLevelStream(s) {
+		err = p.readLevels(s)
+	} else {
+		err = p.readRun(s)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Segment returns the segment for one level, or nil.
+func (p *Payload) Segment(level int) *interp.Segment {
+	for i := range p.Segments {
+		if p.Segments[i].Level == level {
+			return &p.Segments[i]
+		}
+	}
+	return nil
+}
+
+// readLevels decodes the level sections of a level-segmented container
+// against its shared table.
+func (p *Payload) readLevels(s *container.Stream) error {
+	tbl, rest, err := huffman.ParseTable(s.Section(SecHuffTable))
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return errors.New("szstream: bytes after the huffman table")
+	}
+	defer tbl.Release() // the table dies with this call; its storage serves the next brick
 	for _, sec := range s.Sections {
 		level, lits, ok := SectionLevel(sec.ID)
 		if !ok {
@@ -261,28 +273,42 @@ func DecodeLevelsStream(s *container.Stream) (*LevelPayload, error) {
 		if lits {
 			seg := p.Segment(level)
 			if seg == nil {
-				return nil, errors.New("szstream: literal segment without bins segment")
+				return errors.New("szstream: literal segment without bins segment")
 			}
-			vals, err := container.BytesToFloat32s(sec.Data)
-			if err != nil {
-				return nil, err
+			if seg.Literals, err = container.BytesToFloat32s(sec.Data); err != nil {
+				return err
 			}
-			seg.Literals = vals
 			continue
 		}
 		if p.Segment(level) != nil {
-			return nil, errors.New("szstream: duplicate level segment")
+			return errors.New("szstream: duplicate level segment")
 		}
-		bins, used, err := tbl.DecodeSegment(sec.Data)
+		bins, err := tbl.DecodeSegment(sec.Data)
 		if err != nil {
-			return nil, err
-		}
-		if used != len(sec.Data) {
-			return nil, errors.New("szstream: level segment has bytes past its bitstream")
+			return err
 		}
 		p.Segments = append(p.Segments, interp.Segment{Level: level, Bins: bins})
 	}
-	return p, nil
+	return nil
+}
+
+// readRun decodes the bins and literals of a single-segment container as
+// one run.
+func (p *Payload) readRun(s *container.Stream) error {
+	binsRaw := s.Section(SecBins)
+	if binsRaw == nil {
+		return errors.New("szstream: missing bins section")
+	}
+	bins, err := huffman.Decode(binsRaw)
+	if err != nil {
+		return err
+	}
+	lits, err := container.BytesToFloat32s(s.Section(SecLiterals))
+	if err != nil {
+		return err
+	}
+	p.Segments = []interp.Segment{{Bins: bins, Literals: lits}}
+	return nil
 }
 
 // Decode parses a container and recovers the payload, verifying the codec id.
@@ -294,36 +320,9 @@ func Decode(buf []byte, wantCodec uint8) (*container.Stream, *Payload, error) {
 	if s.Codec != wantCodec {
 		return nil, nil, container.ErrCodecMismatch
 	}
-	p, err := PayloadFrom(s)
+	p, err := DecodeStream(s)
 	if err != nil {
 		return nil, nil, err
 	}
 	return s, p, nil
-}
-
-// PayloadFrom recovers the legacy single-segment payload from an
-// already-decoded container.
-func PayloadFrom(s *container.Stream) (*Payload, error) {
-	binsRaw := s.Section(SecBins)
-	if binsRaw == nil {
-		return nil, errors.New("szstream: missing bins section")
-	}
-	bins, err := huffman.Decode(binsRaw)
-	if err != nil {
-		return nil, err
-	}
-	lits, err := container.BytesToFloat32s(s.Section(SecLiterals))
-	if err != nil {
-		return nil, err
-	}
-	anchors, err := container.BytesToFloat32s(s.Section(SecAnchors))
-	if err != nil {
-		return nil, err
-	}
-	return &Payload{
-		Bins:     bins,
-		Literals: lits,
-		Anchors:  unXorDelta(anchors),
-		Config:   s.Section(SecConfig),
-	}, nil
 }

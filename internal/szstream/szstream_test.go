@@ -13,10 +13,12 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	p := &Payload{
-		Bins:     []uint32{5, 5, 5, 9, 0, 32768, 70000},
-		Literals: []float32{1.5, float32(math.Inf(-1))},
-		Anchors:  []float32{0, -3.25, 7},
-		Config:   []byte{1, 2, 3},
+		Anchors: []float32{0, -3.25, 7},
+		Config:  []byte{1, 2, 3},
+		Segments: []interp.Segment{{
+			Bins:     []uint32{5, 5, 5, 9, 0, 32768, 70000},
+			Literals: []float32{1.5, float32(math.Inf(-1))},
+		}},
 	}
 	buf, err := Encode(container.CodecQoZ, []int{4, 5}, 0.25, p)
 	if err != nil {
@@ -29,21 +31,20 @@ func TestRoundTrip(t *testing.T) {
 	if s.ErrorBound != 0.25 || len(s.Dims) != 2 {
 		t.Fatalf("header %+v", s)
 	}
-	if len(got.Bins) != len(p.Bins) {
-		t.Fatalf("bins %v", got.Bins)
+	if len(got.Segments) != 1 || got.Segments[0].Level != 0 {
+		t.Fatalf("segments %+v, want one run of level 0", got.Segments)
 	}
-	for i := range p.Bins {
-		if got.Bins[i] != p.Bins[i] {
-			t.Fatalf("bin %d: %d != %d", i, got.Bins[i], p.Bins[i])
-		}
+	run := got.Segments[0]
+	if !slices.Equal(run.Bins, p.Segments[0].Bins) {
+		t.Fatalf("bins %v, want %v", run.Bins, p.Segments[0].Bins)
 	}
 	for i := range p.Anchors {
 		if got.Anchors[i] != p.Anchors[i] {
 			t.Fatalf("anchor %d mismatch", i)
 		}
 	}
-	if got.Literals[0] != 1.5 || !math.IsInf(float64(got.Literals[1]), -1) {
-		t.Fatalf("literals %v", got.Literals)
+	if len(run.Literals) != 2 || run.Literals[0] != 1.5 || !math.IsInf(float64(run.Literals[1]), -1) {
+		t.Fatalf("literals %v", run.Literals)
 	}
 	if string(got.Config) != string(p.Config) {
 		t.Fatalf("config %v", got.Config)
@@ -73,13 +74,13 @@ func TestXorDeltaCompressesSmoothAnchors(t *testing.T) {
 	for i := range smooth {
 		smooth[i] = 100 + float32(i)*0.001
 	}
-	withDelta, err := Encode(container.CodecQoZ, []int{1}, 1, &Payload{Anchors: smooth})
+	withDelta, err := Encode(container.CodecQoZ, []int{1}, 1, &Payload{Anchors: smooth, Segments: []interp.Segment{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the same values stored without the transform (as raw
 	// literals, which Encode does not delta-code).
-	without, err := Encode(container.CodecQoZ, []int{1}, 1, &Payload{Literals: smooth})
+	without, err := Encode(container.CodecQoZ, []int{1}, 1, &Payload{Segments: []interp.Segment{{Literals: smooth}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestXorDeltaCompressesSmoothAnchors(t *testing.T) {
 }
 
 func TestCodecMismatch(t *testing.T) {
-	buf, err := Encode(container.CodecSZ3, []int{4}, 0.1, &Payload{Bins: []uint32{1}})
+	buf, err := Encode(container.CodecSZ3, []int{4}, 0.1, &Payload{Segments: []interp.Segment{{Bins: []uint32{1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCodecMismatch(t *testing.T) {
 }
 
 func TestEmptyPayload(t *testing.T) {
-	buf, err := Encode(container.CodecMGARD, []int{1}, 1, &Payload{})
+	buf, err := Encode(container.CodecMGARD, []int{1}, 1, &Payload{Segments: []interp.Segment{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,23 @@ func TestEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Bins) != 0 || len(p.Literals) != 0 || len(p.Anchors) != 0 {
+	if len(p.Segments) != 1 || len(p.Segments[0].Bins) != 0 || len(p.Segments[0].Literals) != 0 || len(p.Anchors) != 0 {
 		t.Fatalf("payload %+v", p)
+	}
+}
+
+// TestEncodeNeedsOneRun: the single-segment layout holds one run, so a
+// payload without one, or with level segments, is refused rather than
+// written with some of its symbols left out.
+func TestEncodeNeedsOneRun(t *testing.T) {
+	for name, segs := range map[string][]interp.Segment{
+		"none":  nil,
+		"level": {{Level: 1, Bins: []uint32{1}}},
+		"two":   {{}, {}},
+	} {
+		if _, err := Encode(container.CodecSZ3, []int{1}, 1, &Payload{Segments: segs}); err == nil {
+			t.Errorf("%s: Encode accepted %d segments", name, len(segs))
+		}
 	}
 }
 
@@ -130,7 +146,7 @@ func TestEncodeLevelsIgnoresWorkerBudget(t *testing.T) {
 		}
 		return out
 	}
-	p := &LevelPayload{
+	p := &Payload{
 		Anchors: []float32{1, 2.5, -3},
 		Config:  []byte{7, 8, 9},
 		Segments: []interp.Segment{
@@ -152,7 +168,7 @@ func TestEncodeLevelsIgnoresWorkerBudget(t *testing.T) {
 			t.Fatalf("level 1 holds %d bytes, under three chunks", len(sec.Data))
 		}
 	}
-	got, err := DecodeLevelsStream(s)
+	got, err := DecodeStream(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +186,31 @@ func TestEncodeLevelsIgnoresWorkerBudget(t *testing.T) {
 		if !bytes.Equal(b, want) {
 			t.Errorf("%d workers: %d bytes differ from one worker's %d", workers, len(b), len(want))
 		}
+	}
+}
+
+// TestTableSectionStrayBytesRejected: the table section of a
+// level-segmented stream is exactly the table header, as a segment is
+// exactly its count and bitstream.
+func TestTableSectionStrayBytesRejected(t *testing.T) {
+	p := &Payload{Segments: []interp.Segment{{Level: 2, Bins: []uint32{1}}, {Level: 1, Bins: []uint32{1, 2, 2, 3}}}}
+	buf, err := EncodeLevels(container.CodecQoZ, []int{5}, 1, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := container.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeStream(s); err != nil {
+		t.Fatalf("the untouched stream: %v", err)
+	}
+	for i, sec := range s.Sections {
+		if sec.ID == SecHuffTable {
+			s.Sections[i].Data = append(append([]byte(nil), sec.Data...), 0)
+		}
+	}
+	if _, err := DecodeStream(s); err == nil {
+		t.Error("DecodeStream accepted a table section with a stray byte")
 	}
 }

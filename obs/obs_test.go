@@ -151,14 +151,58 @@ func TestTraceSpans(t *testing.T) {
 	if tr.DurationMS != tr.Spans[0].DurationMS {
 		t.Errorf("trace duration %v != root span %v", tr.DurationMS, tr.Spans[0].DurationMS)
 	}
-	// The published snapshot survives JSON marshalling (the /debug/traces shape).
+	// The published trace survives JSON marshalling (the /debug/traces shape).
 	if _, err := json.Marshal(traces); err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	// The snapshot is immutable: annotating after publish must not show up.
+	// The published trace is sealed: annotating after publish must not show up.
 	grand.Annotate("late", "x")
 	if _, ok := rec.Snapshot(10, 0)[0].Spans[2].Attrs["late"]; ok {
-		t.Error("late annotation mutated the published snapshot")
+		t.Error("late annotation mutated the published trace")
+	}
+}
+
+// TestSealedTraceIgnoresStragglers: once the root span ends, the
+// published trace is the live one, sealed. A child still running — ending,
+// annotating, opening spans of its own, on other goroutines while the
+// trace is marshalled — changes nothing in it, and -race sees no write
+// to what the recorder hands out.
+func TestSealedTraceIgnoresStragglers(t *testing.T) {
+	rec := NewRecorder(4)
+	ctx, root := rec.StartTrace(context.Background(), "req-1", "GET region")
+	cctx, child := StartSpan(ctx, "fanout")
+	root.End()
+	tr := root.TraceData()
+	if tr == nil || rec.Snapshot(1, 0)[0] != tr {
+		t.Fatal("the trace the root span published is not the recorder's")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, sp := StartSpan(cctx, "late"); sp != nil {
+					t.Error("StartSpan under a sealed trace returned a span")
+					return
+				}
+				child.Annotate("late", "x")
+				child.End()
+				root.End()
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := json.Marshal(rec.Snapshot(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if len(tr.Spans) != 2 || tr.Spans[1].DurationMS != -1 || tr.Spans[1].Attrs != nil {
+		t.Errorf("a sealed trace changed: %+v", tr.Spans)
+	}
+	if rec.Total() != 1 {
+		t.Errorf("%d traces published, want 1", rec.Total())
 	}
 }
 

@@ -107,14 +107,16 @@ func (r *Recorder) Snapshot(limit int, min time.Duration) []*Trace {
 
 // liveTrace is a trace being built: spans still opening, ending, and
 // annotating concurrently (a gateway fan-out opens spans from many
-// goroutines). All access to data goes through mu.
+// goroutines). All access to data goes through mu until the root span
+// ends: that seals the trace and hands data itself to the recorder, and
+// from then on nothing writes it, so readers need no lock.
 type liveTrace struct {
 	rec   *Recorder
 	start time.Time // monotonic anchor for span offsets
 
-	mu        sync.Mutex
-	data      *Trace
-	published *Trace // deep snapshot handed to the recorder at root End
+	mu     sync.Mutex
+	data   *Trace
+	sealed bool // the root span has ended and data is published
 }
 
 // Span is a live span handle. All methods are safe on a nil receiver —
@@ -147,8 +149,9 @@ func (r *Recorder) StartTrace(ctx context.Context, id, name string) (context.Con
 }
 
 // StartSpan begins a child of the context's current span and returns a
-// context carrying the child. Without a trace in ctx it returns (ctx, nil):
-// instrumented code needs no trace-or-not branches.
+// context carrying the child. Without a trace in ctx, or once its root
+// span has ended, it returns (ctx, nil): instrumented code needs no
+// trace-or-not branches.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent, _ := ctx.Value(spanKey{}).(*Span)
 	if parent == nil {
@@ -157,6 +160,10 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	lt := parent.lt
 	now := time.Now()
 	lt.mu.Lock()
+	if lt.sealed {
+		lt.mu.Unlock()
+		return ctx, nil
+	}
 	id := len(lt.data.Spans) + 1
 	lt.data.Spans = append(lt.data.Spans, SpanData{
 		ID:         id,
@@ -176,77 +183,68 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// Annotate attaches a key/value attribute to the span.
+// Annotate attaches a key/value attribute to the span; after the root
+// span has ended it does nothing.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
 	s.lt.mu.Lock()
+	defer s.lt.mu.Unlock()
+	if s.lt.sealed {
+		return
+	}
 	sd := &s.lt.data.Spans[s.idx]
 	if sd.Attrs == nil {
 		sd.Attrs = make(map[string]string, 4)
 	}
 	sd.Attrs[key] = value
-	s.lt.mu.Unlock()
 }
 
 // End records the span's duration (first End wins) and returns it. Ending
-// the root span publishes a snapshot of the whole trace to the recorder;
-// a child span that somehow ends later mutates only the live copy, never
-// the published one.
+// the root span seals the trace and publishes it to the recorder; a span
+// that ends after that records nothing.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	lt := s.lt
-	var pub *Trace
 	lt.mu.Lock()
+	if lt.sealed {
+		lt.mu.Unlock()
+		return d
+	}
 	sd := &lt.data.Spans[s.idx]
 	if sd.DurationMS < 0 {
 		sd.DurationMS = durMS(d)
 	}
-	if s.idx == 0 && lt.published == nil {
-		lt.data.DurationMS = lt.data.Spans[0].DurationMS
-		pub = snapshotTraceLocked(lt.data)
-		lt.published = pub
+	root := s.idx == 0
+	if root {
+		lt.data.DurationMS = sd.DurationMS
+		lt.sealed = true
 	}
 	lt.mu.Unlock()
-	if pub != nil {
-		lt.rec.publish(pub)
+	if root {
+		lt.rec.publish(lt.data)
 	}
 	return d
 }
 
-// TraceData returns the immutable snapshot published when the root span
-// ended, or nil before that (or on a nil span). Serving layers use it to
-// promote a slow request's full span breakdown into a log line.
+// TraceData returns the trace published when the root span ended, which
+// nothing changes any more, or nil before that (or on a nil span).
+// Serving layers use it to promote a slow request's full span breakdown
+// into a log line.
 func (s *Span) TraceData() *Trace {
 	if s == nil {
 		return nil
 	}
 	s.lt.mu.Lock()
 	defer s.lt.mu.Unlock()
-	return s.lt.published
-}
-
-// snapshotTraceLocked deep-copies a trace (spans and attribute maps) so
-// the published copy can be marshalled concurrently with any stragglers
-// still annotating the live one. Caller holds lt.mu.
-func snapshotTraceLocked(t *Trace) *Trace {
-	out := *t
-	out.Spans = make([]SpanData, len(t.Spans))
-	for i, sd := range t.Spans {
-		out.Spans[i] = sd
-		if sd.Attrs != nil {
-			m := make(map[string]string, len(sd.Attrs))
-			for k, v := range sd.Attrs {
-				m[k] = v
-			}
-			out.Spans[i].Attrs = m
-		}
+	if !s.lt.sealed {
+		return nil
 	}
-	return &out
+	return s.lt.data
 }
 
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
