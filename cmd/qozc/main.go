@@ -680,13 +680,9 @@ func parseBox(s string) (lo, hi []int, err error) {
 	return lo, hi, nil
 }
 
-// storeInfo prints a brick store's manifest without decoding any brick,
-// from the report info -json prints.
-func storeInfo(path string) error {
-	rep, err := storeReport(path)
-	if err != nil {
-		return err
-	}
+// printStoreInfo prints a brick store's report, read from its manifest
+// without decoding any brick.
+func printStoreInfo(rep infoReport) {
 	elem := 4
 	if rep.Float64 {
 		elem = 8
@@ -701,11 +697,9 @@ func storeInfo(path string) error {
 		fmt.Printf("stats: min %.6g  max %.6g  (%d of %d bricks indexed)\n",
 			agg.Min, agg.Max, agg.Bricks, rep.Bricks)
 	}
-	return nil
 }
 
-// storeReport describes a brick store from its manifest alone: the one
-// report both info renderers print.
+// storeReport describes a brick store from its manifest alone.
 func storeReport(path string) (infoReport, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -794,44 +788,32 @@ func infoCmd(args []string) error {
 	if *asJSON {
 		return infoJSON(*in, os.Stdout)
 	}
-	// A brick store is described from its manifest alone; sniff the magic
-	// before loading what may be a huge archive into memory.
-	var head [8]byte
-	f, err := os.Open(*in)
+	rep, err := readInfoReport(*in)
 	if err != nil {
 		return err
 	}
-	n, _ := io.ReadFull(f, head[:])
-	f.Close()
-	if store.IsStore(head[:n]) {
-		return storeInfo(*in)
+	switch rep.Format {
+	case "store":
+		printStoreInfo(rep)
+		return nil
+	case "stream":
+		fmt.Printf("format: slab stream\ncodec: %s\nslabs: %d × %d rows\n",
+			rep.Codec, rep.Slabs, rep.SlabRows)
+	default:
+		fmt.Printf("format: legacy container\n")
 	}
+	// A store is described from its manifest alone; the other formats
+	// are decoded for their value range.
 	buf, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	f64 := isFloat64Payload(buf)
-	if qoz.IsStream(buf) {
-		hdr, err := qoz.NewDecoder(bytes.NewReader(buf)).Header()
-		if err != nil {
-			return err
-		}
-		name := hdr.CodecName
-		if name == "" {
-			name = fmt.Sprintf("unknown(id %d)", hdr.CodecID)
-		}
-		fmt.Printf("format: slab stream\ncodec: %s\nslabs: %d × %d rows\n",
-			name, hdr.NumSlabs, hdr.SlabRows)
-	} else {
-		fmt.Printf("format: legacy container\n")
-	}
-	data, dims, err := qoz.Decode[float64](ctx, buf)
+	data, dims, err := qoz.Decode[float64](context.Background(), buf)
 	if err != nil {
 		return err
 	}
 	elemBytes := 4
-	if f64 {
+	if rep.Float64 {
 		elemBytes = 8
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -851,8 +833,9 @@ func infoCmd(args []string) error {
 	return nil
 }
 
-// infoReport is the -json layout of info: everything a serving layer
-// needs to mount or describe an archive, read from headers alone.
+// infoReport describes an archive from headers alone: everything a
+// serving layer needs to mount or describe it. It is the -json layout of
+// info, and what the human report prints from.
 type infoReport struct {
 	Format          string  `json:"format"` // store, stream, envelope, or container
 	Codec           string  `json:"codec,omitempty"`
@@ -950,37 +933,49 @@ func storeLevels(s *store.Store) ([]levelReport, [][]store.LevelEntry) {
 	return levels, tables
 }
 
-// infoJSON describes an archive from its headers only — unlike the human
-// info report it never decodes a payload, so it is safe to run against
+// infoJSON writes an archive's report as JSON. Unlike the human info
+// report it never decodes a payload, so it is safe to run against
 // multi-terabyte archives (and is what a deployment script feeds qozd).
 func infoJSON(path string, w io.Writer) error {
-	st, err := os.Stat(path)
+	rep, err := readInfoReport(path)
 	if err != nil {
 		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
+
+// readInfoReport sniffs an archive's format and reads its report from
+// headers alone.
+func readInfoReport(path string) (infoReport, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return infoReport{}, err
 	}
 	rep := infoReport{CompressedBytes: st.Size()}
 
 	var head [8]byte
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return infoReport{}, err
 	}
 	n, _ := io.ReadFull(f, head[:])
 	f.Close()
 	switch {
 	case store.IsStore(head[:n]):
 		if rep, err = storeReport(path); err != nil {
-			return err
+			return infoReport{}, err
 		}
 	case qoz.IsStream(head[:n]):
 		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return infoReport{}, err
 		}
 		defer f.Close()
 		hdr, err := qoz.NewDecoder(f).Header()
 		if err != nil {
-			return err
+			return infoReport{}, err
 		}
 		rep.Format = "stream"
 		rep.Codec = hdr.CodecName
@@ -999,13 +994,13 @@ func infoJSON(path string, w io.Writer) error {
 		// multi-terabyte file through memory.
 		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return infoReport{}, err
 		}
 		buf := make([]byte, min(st.Size(), 4096))
 		_, err = io.ReadFull(f, buf)
 		f.Close()
 		if err != nil {
-			return err
+			return infoReport{}, err
 		}
 		if qoz.IsFloat64Stream(buf) {
 			rep.Format = "envelope"
@@ -1013,7 +1008,7 @@ func infoJSON(path string, w io.Writer) error {
 		} else {
 			id, dims, err := container.PeekHeader(buf)
 			if err != nil {
-				return fmt.Errorf("%s: unrecognized format: %w", path, err)
+				return infoReport{}, fmt.Errorf("%s: unrecognized format: %w", path, err)
 			}
 			rep.Format = "container"
 			rep.Dims = dims
@@ -1032,9 +1027,7 @@ func infoJSON(path string, w io.Writer) error {
 	if rep.Float64 {
 		rep.DType = "float64"
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return rep, nil
 }
 
 func parseDims(s string) ([]int, error) {

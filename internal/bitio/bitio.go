@@ -72,9 +72,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 // returns.
 func (w *Writer) Complete() []byte { return w.buf }
 
-// BitLen returns the number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
-
 // Bytes flushes any partial byte (zero-padded) and returns the buffer.
 // The Writer must not be used after calling Bytes.
 func (w *Writer) Bytes() []byte {
@@ -113,29 +110,6 @@ func (r *Reader) ReadBit() (uint, error) {
 		r.pos++
 	}
 	return b, nil
-}
-
-// ReadBits returns the next n bits as the low bits of a uint64,
-// most significant first. n must be at most 64; larger counts return
-// ErrBitCount rather than silently truncating the high bits.
-func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if n > 64 {
-		return 0, ErrBitCount
-	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
-	}
-	return v, nil
-}
-
-// BitsRemaining reports how many unread bits remain.
-func (r *Reader) BitsRemaining() int {
-	return (len(r.buf)-r.pos)*8 - int(r.bit)
 }
 
 // FastReader consumes bits MSB-first from a byte slice a 64-bit word at a

@@ -293,3 +293,29 @@ func BenchmarkWriteBits(b *testing.B) {
 		}
 	}
 }
+
+// BitLen returns the number of bits written so far.
+func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
+
+// ReadBits returns the next n bits as the low bits of a uint64,
+// most significant first. n must be at most 64; larger counts return
+// ErrBitCount rather than silently truncating the high bits.
+func (r *Reader) ReadBits(n uint) (uint64, error) {
+	if n > 64 {
+		return 0, ErrBitCount
+	}
+	var v uint64
+	for i := uint(0); i < n; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+// BitsRemaining reports how many unread bits remain.
+func (r *Reader) BitsRemaining() int {
+	return (len(r.buf)-r.pos)*8 - int(r.bit)
+}

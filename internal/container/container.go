@@ -398,7 +398,8 @@ func peekHeader(buf []byte) (codec uint8, dims []int, rest []byte, err error) {
 	return codec, dims, buf, nil
 }
 
-// Decode parses a container produced by Encode.
+// Decode parses a container produced by Encode. A container ends exactly
+// after its last declared section: trailing bytes are ErrCorrupt.
 func Decode(buf []byte) (*Stream, error) {
 	return decode(buf, false)
 }
@@ -408,7 +409,8 @@ func Decode(buf []byte) (*Stream, error) {
 // hold fewer sections than its header declares. Progressive readers use
 // this to decode only the leading sections of a level-segmented stream
 // after range-fetching a level-offset prefix. A prefix cut mid-section is
-// rejected as corrupt.
+// rejected as corrupt, and so is one holding every declared section and
+// then more bytes.
 func DecodePrefix(buf []byte) (*Stream, error) {
 	return decode(buf, true)
 }
@@ -468,6 +470,9 @@ func decode(buf []byte, prefix bool) (*Stream, error) {
 		}
 		s.Sections = append(s.Sections, Section{ID: id, Data: data})
 	}
+	if len(buf) != 0 {
+		return nil, ErrCorrupt
+	}
 	return s, nil
 }
 
@@ -482,7 +487,8 @@ type SectionSpan struct {
 
 // ScanSections walks an encoded container's section framing and returns
 // one span per section, in stream order. Section payloads are not
-// inflated or copied.
+// inflated or copied. Like Decode, it rejects bytes after the last
+// declared section.
 func ScanSections(buf []byte) ([]SectionSpan, error) {
 	_, _, rest, err := peekHeader(buf)
 	if err != nil {
@@ -514,6 +520,9 @@ func ScanSections(buf []byte) ([]SectionSpan, error) {
 		rest = rest[encLen:]
 		pos += 1 + n + m + int(encLen)
 		spans = append(spans, SectionSpan{ID: id, End: pos})
+	}
+	if len(rest) != 0 {
+		return nil, ErrCorrupt
 	}
 	return spans, nil
 }

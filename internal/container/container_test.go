@@ -249,7 +249,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	f.Add(append(valid, 0xAB, 0xCD))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, scanErr := ScanSections(data)
 		s, err := Decode(data)
 		if err != nil {
 			return
@@ -257,7 +259,61 @@ func FuzzDecode(f *testing.F) {
 		if _, err := CheckDims(s.Dims); err != nil {
 			t.Fatalf("Decode accepted dims %v that CheckDims rejects", s.Dims)
 		}
+		// ScanSections reads the same framing without inflating, so it
+		// accepts every buffer Decode accepts, span for section.
+		if scanErr != nil {
+			t.Fatalf("Decode accepted a buffer ScanSections rejects: %v", scanErr)
+		}
+		if len(spans) != len(s.Sections) {
+			t.Fatalf("%d spans for %d sections", len(spans), len(s.Sections))
+		}
+		for i, sp := range spans {
+			if sp.ID != s.Sections[i].ID {
+				t.Fatalf("span %d has id %d, section %d", i, sp.ID, s.Sections[i].ID)
+			}
+		}
+		if len(spans) > 0 && spans[len(spans)-1].End != len(data) {
+			t.Fatalf("accepted buffer of %d bytes ends its last section at %d", len(data), spans[len(spans)-1].End)
+		}
 	})
+}
+
+// TestTrailingBytesRejected appends two bytes to a valid container: it
+// ends exactly after its last declared section, so Decode, DecodePrefix
+// and ScanSections all refuse it, while a prefix ending on any section
+// boundary still decodes.
+func TestTrailingBytesRejected(t *testing.T) {
+	valid, err := Encode(&Stream{
+		Codec:      CodecQoZ,
+		Dims:       []int{8, 8},
+		ErrorBound: 1e-3,
+		Sections: []Section{
+			{ID: 1, Data: bytes.Repeat([]byte("ab"), 300)},
+			{ID: 2, Data: []byte{1, 2, 3}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := ScanSections(valid)
+	if err != nil || len(spans) != 2 || spans[1].End != len(valid) {
+		t.Fatalf("ScanSections(valid) = %v, %v", spans, err)
+	}
+	for _, sp := range spans {
+		if s, err := DecodePrefix(valid[:sp.End]); err != nil || s.Sections[len(s.Sections)-1].ID != sp.ID {
+			t.Fatalf("prefix ending after section %d: err %v", sp.ID, err)
+		}
+	}
+	stray := append(valid, 0xAB, 0xCD)
+	if _, err := Decode(stray); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode: err %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodePrefix(stray); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodePrefix: err %v, want ErrCorrupt", err)
+	}
+	if _, err := ScanSections(stray); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ScanSections: err %v, want ErrCorrupt", err)
+	}
 }
 
 // TestDecodeRejectsBytesAfterFinalBlock frames a section whose encLen

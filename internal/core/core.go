@@ -280,7 +280,7 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 	// The symbol buffers are dead once the sweeps finish; recycle them so
 	// steady-state brick serving reuses the same scratch.
 	for _, seg := range payload.Segments {
-		pool.PutUint32s(seg.Bins)
+		pool.PutSlab(seg.Bins)
 	}
 	return recon, s.Dims, 1 << (level - 1), nil
 }

@@ -119,17 +119,17 @@ func (t *tuner) newScratch() scratch {
 	return scratch{trial: t.perBlock(), bins: make([]uint32, 0, t.totalPts)}
 }
 
-// fork runs do(w, s, i) for i in 0..n-1 on up to o.Workers goroutines, w
-// numbering the running worker and s being its scratch; with one worker it
-// is a plain loop on the tuner's own. Results are do's to store by i:
+// fork runs do(s, i) for i in 0..n-1 on up to o.Workers goroutines, s
+// being the running worker's scratch; with one worker it is a plain loop on
+// the tuner's own. Results are do's to store by i:
 // whatever compares them runs afterwards, in i order.
-func (t *tuner) fork(n int, do func(w int, s *scratch, i int)) {
+func (t *tuner) fork(n int, do func(s *scratch, i int)) {
 	workers := max(1, min(t.o.Workers, n))
 	for len(t.more) < workers-1 {
 		s := t.newScratch()
 		t.more = append(t.more, &s)
 	}
-	pool.Fork(n, workers, func(w, i int) { do(w, t.worker(w), i) })
+	pool.Fork(n, workers, func(w, i int) { do(t.worker(w), i) })
 }
 
 // worker returns worker w's scratch.
@@ -197,7 +197,7 @@ func (t *tuner) trialEncode(s *scratch, q *quant.Quantizer, bounds []float64, me
 // selection by trial compression over the sampled blocks, comparing mean
 // absolute (L1) prediction errors. It returns one method per level
 // 1..maxLevel (levels above the sampled top level reuse its choice), and
-// keeps them as the methods evaluate runs with.
+// stores them as the methods evaluate runs with.
 func (t *tuner) selectMethods(maxLevel int) []interp.Method {
 	t.methods = t.chooseMethods(maxLevel)
 	t.memo = t.memo[:0]
@@ -227,40 +227,22 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 
 	// recons is the per-block reconstruction state the levels build up.
 	// A level's candidate passes run concurrently, each in its worker's
-	// trial, and the choice is then made in candidate order. The default
-	// goes first: a challenger replaces it only by beating it decisively,
-	// and the cheapest decisive challenger wins. So the choice is the
-	// default or the cheapest challenger, earliest on ties, and each
-	// worker keeps the pass that could be either — kept[w] holds it,
-	// exchanged for the worker's trial whenever it changes — so the chosen
-	// pass becomes the next level's state without being run again. The
-	// worker that ran the default knows its cost and keeps exactly what
-	// the serial loop would; the others keep their cheapest challenger.
+	// trial, and only record their cost; the choice is then made in
+	// candidate order. The default goes first: a challenger replaces it
+	// only by beating it decisively, and the cheapest decisive challenger
+	// wins, earliest on ties.
 	recons := t.perBlock()
 	for i := range t.blocks {
 		copy(recons[i], t.seeds[i])
 	}
 	order := append([]interp.Method{global}, cands...)
-	workers := max(1, min(t.o.Workers, len(order)))
-	kept := make([][][]float32, workers)
-	for w := range kept {
-		kept[w] = t.perBlock()
-	}
-	type keeper struct {
-		n                    int     // candidate whose pass kept[w] holds; -1 for none
-		globalCost, bestCost float64 // as the serial loop tracks them
-	}
-	keepers := make([]keeper, workers)
 	costs := make([]float64, len(order))
 	L := min(t.topLevel, maxLevel)
 	methods := make([]interp.Method, maxLevel)
 	eb := t.o.ErrorBound
 	const switchMargin = 0.98 // challenger must beat the default by >2%
 	for level := L; level >= 1; level-- {
-		for w := range keepers {
-			keepers[w] = keeper{n: -1, globalCost: math.Inf(1), bestCost: math.Inf(1)}
-		}
-		t.fork(len(order), func(w int, s *scratch, n int) {
+		t.fork(len(order), func(s *scratch, n int) {
 			m := order[n]
 			costs[n] = math.Inf(1)
 			if n > 0 && m == global {
@@ -283,23 +265,10 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 			// entropy estimate (no DEFLATE) is used here because per-level
 			// sample streams are small and DEFLATE measurements on tiny
 			// streams are dominated by framing noise.
-			cost := float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
-			costs[n] = cost
-			k := &keepers[w]
-			switch {
-			case n == 0:
-				k.globalCost = cost
-			case cost < k.bestCost && cost < switchMargin*k.globalCost:
-				k.bestCost = cost
-			default:
-				return
-			}
-			k.n = n
-			s.trial, kept[w] = kept[w], s.trial
+			costs[n] = float64(huffman.EstimateBits(q.Bins) + 32*len(q.Literals))
 		})
-		best, chosen := global, 0
+		best := global
 		bestCost := math.Inf(1) // of the cheapest decisive challenger
-		globalCost := costs[0]
 		for n := 1; n < len(order); n++ {
 			if order[n] == global {
 				continue
@@ -307,25 +276,22 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 			if level == 1 {
 				t.stats.Level1Sweeps++
 			}
-			if costs[n] < bestCost && costs[n] < switchMargin*globalCost {
-				best, bestCost, chosen = order[n], costs[n], n
+			if costs[n] < bestCost && costs[n] < switchMargin*costs[0] {
+				best, bestCost = order[n], costs[n]
 			}
 		}
+		methods[level-1] = best
 		if level == 1 {
 			t.stats.Level1Sweeps++ // the default's pass
+			continue               // nothing predicts from the finest level
 		}
-		methods[level-1] = best
-		if level == 1 || math.IsInf(globalCost, 1) {
-			// Nothing predicts from the finest level, and a level with no
-			// points to code kept no pass: the state stands.
-			continue
-		}
-		// The chosen pass becomes the per-block state, so the next (lower)
-		// level predicts from realistic reconstructions.
-		w := slices.IndexFunc(keepers, func(k keeper) bool { return k.n == chosen })
+		// The chosen interpolator is swept once more into the per-block
+		// state, so the next (lower) level predicts from realistic
+		// reconstructions.
+		q := t.scratch.quantizer(eb)
 		for i, b := range t.blocks {
 			if level <= t.blockMaxLevel(b) {
-				recons[i], kept[w][i] = kept[w][i], recons[i]
+				interp.LevelPassEncode(recons[i], b.Data, b.Dims, level, best, q)
 			}
 		}
 	}
@@ -342,7 +308,7 @@ func (t *tuner) chooseMethods(maxLevel int) []interp.Method {
 // The candidates' trials run concurrently; the first cheapest wins.
 func (t *tuner) selectGlobalMethod(cands []interp.Method) interp.Method {
 	costs := make([]float64, len(cands))
-	t.fork(len(cands), func(_ int, s *scratch, i int) { costs[i] = t.globalCost(s, cands[i]) })
+	t.fork(len(cands), func(s *scratch, i int) { costs[i] = t.globalCost(s, cands[i]) })
 	t.stats.Level1Sweeps += len(cands)
 	best := cands[0]
 	bestCost := math.Inf(1)
@@ -442,7 +408,7 @@ func (t *tuner) tuneParams() (alpha, beta float64) {
 		}
 	}
 	res := make([]evalResult, len(todo))
-	t.fork(len(todo), func(_ int, s *scratch, i int) { res[i] = t.measure(s, todo[i], t.methods) })
+	t.fork(len(todo), func(s *scratch, i int) { res[i] = t.measure(s, todo[i], t.methods) })
 	for i, b := range todo {
 		t.stats.Trials++
 		t.stats.Level1Sweeps++

@@ -13,22 +13,6 @@ import (
 // ErrNotPowerOfTwo reports an unsupported transform length.
 var ErrNotPowerOfTwo = errors.New("fft: length is not a power of two")
 
-// Forward computes the in-place forward DFT of x (no normalization).
-func Forward(x []complex128) error { return transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x, scaled by 1/N so that
-// Inverse(Forward(x)) == x.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
 func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 {
@@ -66,11 +50,8 @@ func transform(x []complex128, inverse bool) error {
 	return nil
 }
 
-// Forward3D computes the separable 3D FFT of a nz*ny*nx row-major cube.
-// All extents must be powers of two.
-func Forward3D(x []complex128, nz, ny, nx int) error { return transform3D(x, nz, ny, nx, false) }
-
-// Inverse3D inverts Forward3D (with full 1/N normalization).
+// Inverse3D computes the separable inverse 3D DFT of a nz*ny*nx row-major
+// cube, with full 1/N normalization. All extents must be powers of two.
 func Inverse3D(x []complex128, nz, ny, nx int) error { return transform3D(x, nz, ny, nx, true) }
 
 func transform3D(x []complex128, nz, ny, nx int, inverse bool) error {

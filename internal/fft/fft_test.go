@@ -140,3 +140,23 @@ func Test3DDimsMismatch(t *testing.T) {
 		t.Fatalf("non-power-of-two dim accepted: %v", err)
 	}
 }
+
+// Forward computes the in-place forward DFT of x (no normalization).
+func Forward(x []complex128) error { return transform(x, false) }
+
+// Inverse computes the in-place inverse DFT of x, scaled by 1/N so that
+// Inverse(Forward(x)) == x.
+func Inverse(x []complex128) error {
+	if err := transform(x, true); err != nil {
+		return err
+	}
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] /= n
+	}
+	return nil
+}
+
+// Forward3D computes the separable 3D FFT of a nz*ny*nx row-major cube.
+// All extents must be powers of two.
+func Forward3D(x []complex128, nz, ny, nx int) error { return transform3D(x, nz, ny, nx, false) }

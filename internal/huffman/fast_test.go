@@ -288,7 +288,7 @@ func BenchmarkDecodeSegmentPeaked(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool.PutUint32s(out)
+		pool.PutSlab(out)
 	}
 }
 
@@ -343,7 +343,7 @@ func BenchmarkDecodeSegmentBrick(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pool.PutUint32s(out)
+				pool.PutSlab(out)
 				if cold {
 					dec.Release()
 				}
@@ -461,7 +461,7 @@ func TestDecodeSegmentWarmTableZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.PutUint32s(out)
+		pool.PutSlab(out)
 	}
 	decode()
 	if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
@@ -506,3 +506,6 @@ func loopEdgeSegments(t *testing.T) {
 		}
 	}
 }
+
+// Distinct returns the number of distinct symbols the table covers.
+func (t *Table) Distinct() int { return len(t.syms) }

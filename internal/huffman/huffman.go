@@ -117,7 +117,7 @@ func (t *Table) decodeBits(n uint64, bits []byte, decode decodeFunc) ([]uint32, 
 			// reaches rather than attempt a multi-terabyte allocation.
 			return nil, errCorrupt
 		}
-		out := pool.Uint32s(int(n))
+		out := pool.Slab[uint32](int(n))
 		for i := range out {
 			out[i] = t.syms[0]
 		}
@@ -129,13 +129,13 @@ func (t *Table) decodeBits(n uint64, bits []byte, decode decodeFunc) ([]uint32, 
 	if n > uint64(len(bits))*8 {
 		return nil, errCorrupt
 	}
-	out := pool.Uint32s(int(n))
+	out := pool.Slab[uint32](int(n))
 	used, err := decode(t, bits, n, out)
 	if err == nil && (used+7)/8 != len(bits) {
 		err = errCorrupt
 	}
 	if err != nil {
-		pool.PutUint32s(out)
+		pool.PutSlab(out)
 		return nil, err
 	}
 	return out, nil

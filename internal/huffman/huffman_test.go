@@ -185,6 +185,6 @@ func BenchmarkDecodePeaked(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool.PutUint32s(out)
+		pool.PutSlab(out)
 	}
 }

@@ -355,6 +355,7 @@ func (t *Table) decodeSegmentReference(buf []byte) ([]uint32, error) {
 // changing the fast path to match.
 func (t *Table) decodeIntoReference(payload []byte, n uint64, out []uint32) (int, error) {
 	r := bitio.NewReader(payload)
+	used := 0
 	for i := uint64(0); i < n; i++ {
 		var c uint64
 		l := 0
@@ -363,6 +364,7 @@ func (t *Table) decodeIntoReference(payload []byte, n uint64, out []uint32) (int
 			if err != nil {
 				return 0, errCorrupt
 			}
+			used++
 			c = c<<1 | uint64(b)
 			l++
 			if l > maxCodeLen {
@@ -374,5 +376,5 @@ func (t *Table) decodeIntoReference(payload []byte, n uint64, out []uint32) (int
 			}
 		}
 	}
-	return len(payload)*8 - r.BitsRemaining(), nil
+	return used, nil
 }

@@ -91,9 +91,6 @@ func (t *Table) buildDecode() {
 	}
 }
 
-// Distinct returns the number of distinct symbols the table covers.
-func (t *Table) Distinct() int { return len(t.syms) }
-
 // AppendHeader serializes the table: uvarint k, then for k = 1 the
 // uvarint symbol, for k >= 2 per symbol in canonical order its
 // zig-zag-delta id and length byte. A single-segment stream (Encode)

@@ -59,33 +59,33 @@ func TestRunErrHonorsCancellation(t *testing.T) {
 
 func TestSlicePoolRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 8, 9, 1000, 1 << 20} {
-		s := Uint32s(n)
+		s := Slab[uint32](n)
 		if len(s) != n {
-			t.Fatalf("Uint32s(%d): len %d", n, len(s))
+			t.Fatalf("Slab[uint32](%d): len %d", n, len(s))
 		}
 		if cap(s) < n {
-			t.Fatalf("Uint32s(%d): cap %d < n", n, cap(s))
+			t.Fatalf("Slab[uint32](%d): cap %d < n", n, cap(s))
 		}
 		for i := range s {
 			s[i] = uint32(i)
 		}
-		PutUint32s(s)
-		r := Uint32s(n)
+		PutSlab(s)
+		r := Slab[uint32](n)
 		if len(r) != n || cap(r) < n {
-			t.Fatalf("reuse Uint32s(%d): len %d cap %d", n, len(r), cap(r))
+			t.Fatalf("reuse Slab[uint32](%d): len %d cap %d", n, len(r), cap(r))
 		}
-		PutUint32s(r)
+		PutSlab(r)
 	}
 	// A slice put with a non-power-of-two capacity must only be served to
 	// requests its capacity can hold.
 	odd := make([]uint32, 0, 100) // filed under bucket 6 (64)
-	PutUint32s(odd)
-	got := Uint32s(64)
+	PutSlab(odd)
+	got := Slab[uint32](64)
 	if cap(got) < 64 {
 		t.Fatalf("bucketed slice too small: cap %d", cap(got))
 	}
-	PutBytes(Bytes(512))
-	if Bytes(0) != nil || Uint32s(-1) != nil {
+	PutSlab(Slab[byte](512))
+	if Slab[byte](0) != nil || Slab[uint32](-1) != nil {
 		t.Fatal("zero-length get should be nil")
 	}
 }
@@ -120,10 +120,12 @@ func TestSlabBound(t *testing.T) {
 	defer PoisonSlabs(false)
 	f := Slab[float32](10)
 	b := Slab[byte](10)
+	u := Slab[uint32](10)
 	PutSlab(f)
 	PutSlab(b)
-	if f[9] != slabPoison || b[9] != slabPoison {
-		t.Errorf("released slabs hold %v and %#x, want the poison pattern", f[9], b[9])
+	PutSlab(u)
+	if f[9] != slabPoison || b[9] != slabPoison || u[9] != slabPoison {
+		t.Errorf("released slabs hold %v, %#x and %d, want the poison pattern", f[9], b[9], u[9])
 	}
 	func() {
 		defer func() {

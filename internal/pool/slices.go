@@ -1,7 +1,7 @@
 package pool
 
 // Capacity-bucketed slice free lists for decode-path scratch. Hot decode
-// loops (Huffman symbol output, brick payload staging) allocate large
+// loops (Huffman symbol runs, fetched brick ranges) allocate large
 // short-lived slices at a steady rate; recycling them through per-size
 // sync.Pools makes steady-state serving allocation-free. Slices are
 // bucketed by power-of-two capacity: Get draws from the smallest bucket
@@ -15,16 +15,12 @@ import (
 	"sync/atomic"
 )
 
-// maxBucket caps pooled capacities at 1<<maxBucket elements; anything
-// larger is allocated directly and dropped on Put.
-const maxBucket = 26
-
 type slicePool[T any] struct {
-	// limit, when positive, is the largest length and capacity (in
-	// elements) the pool recycles; longer requests are plain allocations
-	// and larger slices are dropped on put, like those past maxBucket.
+	// limit is the largest length and capacity (in elements) the pool
+	// recycles, at most MaxSlabBytes; longer requests are plain
+	// allocations and larger slices are dropped on put.
 	limit   int
-	buckets [maxBucket + 1]sync.Pool
+	buckets [slabBits + 1]sync.Pool
 	// boxes holds the *[]T headers get has emptied, so put can file a
 	// slice without allocating a header for it.
 	boxes sync.Pool
@@ -35,10 +31,10 @@ func (p *slicePool[T]) get(n int) []T {
 	if n <= 0 {
 		return nil
 	}
-	b := bits.Len(uint(n - 1)) // smallest b with 1<<b >= n
-	if b > maxBucket || (p.limit > 0 && n > p.limit) {
+	if n > p.limit {
 		return make([]T, n)
 	}
+	b := bits.Len(uint(n - 1)) // smallest b with 1<<b >= n
 	if v := p.buckets[b].Get(); v != nil {
 		box := v.(*[]T)
 		s := (*box)[:n]
@@ -53,15 +49,12 @@ func (p *slicePool[T]) get(n int) []T {
 // must not be referenced by the caller afterwards.
 func (p *slicePool[T]) put(s []T) {
 	c := cap(s)
-	if c == 0 {
+	if c == 0 || c > p.limit {
 		return
 	}
 	// File under the largest bucket the capacity fully serves, so every
 	// get from that bucket fits within cap.
 	b := bits.Len(uint(c)) - 1
-	if b > maxBucket || (p.limit > 0 && c > p.limit) {
-		return
-	}
 	box, _ := p.boxes.Get().(*[]T)
 	if box == nil {
 		box = new([]T)
@@ -69,24 +62,6 @@ func (p *slicePool[T]) put(s []T) {
 	*box = s[:0]
 	p.buckets[b].Put(box)
 }
-
-var (
-	bytePool   slicePool[byte]
-	uint32Pool slicePool[uint32]
-)
-
-// Bytes returns a byte slice of length n with undefined contents.
-func Bytes(n int) []byte { return bytePool.get(n) }
-
-// PutBytes recycles a slice obtained from Bytes (or any slice the caller
-// no longer references).
-func PutBytes(s []byte) { bytePool.put(s) }
-
-// Uint32s returns a uint32 slice of length n with undefined contents.
-func Uint32s(n int) []uint32 { return uint32Pool.get(n) }
-
-// PutUint32s recycles a slice obtained from Uint32s.
-func PutUint32s(s []uint32) { uint32Pool.put(s) }
 
 // Slabs: the memory a served region lives in between its produce and its
 // last write (qozd's sample buffers and stitched bodies, the fan-out's
@@ -99,19 +74,27 @@ func PutUint32s(s []uint32) { uint32Pool.put(s) }
 // — a brick or a few, tens to hundreds of KiB — are what arrive hundreds
 // of times a second. Exported so that the gateway can keep a multi-box
 // round trip's body (and so the shard's sample buffer for it) recyclable.
-const MaxSlabBytes = 256 << 10
+// Fetched brick ranges are capped at the same size, and a symbol run of up
+// to 64 Ki symbols (a 32³ brick's largest) fits; longer runs, as whole
+// fields and 64³ bricks decode, are left to the collector.
+const MaxSlabBytes = 1 << slabBits
+
+const slabBits = 18
 
 var (
 	byteSlabs    = slicePool[byte]{limit: MaxSlabBytes}
+	uint32Slabs  = slicePool[uint32]{limit: MaxSlabBytes / 4}
 	float32Slabs = slicePool[float32]{limit: MaxSlabBytes / 4}
 	float64Slabs = slicePool[float64]{limit: MaxSlabBytes / 8}
 )
 
-func slabPool[T byte | float32 | float64]() *slicePool[T] {
+func slabPool[T byte | uint32 | float32 | float64]() *slicePool[T] {
 	var p any
 	switch any(T(0)).(type) {
 	case byte:
 		p = &byteSlabs
+	case uint32:
+		p = &uint32Slabs
 	case float32:
 		p = &float32Slabs
 	default:
@@ -122,7 +105,7 @@ func slabPool[T byte | float32 | float64]() *slicePool[T] {
 
 // Slab returns a slab of n elements with undefined contents:
 // recycled memory up to MaxSlabBytes, a plain allocation above.
-func Slab[T byte | float32 | float64](n int) []T {
+func Slab[T byte | uint32 | float32 | float64](n int) []T {
 	s := slabPool[T]().get(n)
 	if poisonSlabs.Load() && cap(s) > 0 {
 		released.take(&s[:1][0])
@@ -133,7 +116,7 @@ func Slab[T byte | float32 | float64](n int) []T {
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
 // from make: s must not be referenced afterwards. Slabs above
 // MaxSlabBytes are left to the collector.
-func PutSlab[T byte | float32 | float64](s []T) {
+func PutSlab[T byte | uint32 | float32 | float64](s []T) {
 	if poisonSlabs.Load() && cap(s) > 0 {
 		s = s[:cap(s)]
 		released.give(&s[0])

@@ -52,11 +52,6 @@ func PlanForDims(block int, dims []int, rate float64) Plan {
 	return p
 }
 
-// Rate reports the fraction of points the plan samples in nd dimensions.
-func (p Plan) Rate(nd int) float64 {
-	return math.Pow(float64(p.Block)/float64(p.Stride), float64(nd))
-}
-
 // along returns how many sample blocks the plan places along a dimension
 // of n points. A dimension shorter than one block still gets one (clipped)
 // block, so that tiny inputs produce a sample.

@@ -145,3 +145,8 @@ func TestCountMatchesOrigins(t *testing.T) {
 		}
 	}
 }
+
+// Rate reports the fraction of points the plan samples in nd dimensions.
+func (p Plan) Rate(nd int) float64 {
+	return math.Pow(float64(p.Block)/float64(p.Stride), float64(nd))
+}

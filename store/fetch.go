@@ -179,7 +179,7 @@ func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs 
 	// Tasks the pool skipped after a failure never released their range.
 	for i := range ranges {
 		if r := &ranges[i]; r.left.Load() > 0 && r.buf != nil {
-			pool.PutBytes(r.buf)
+			pool.PutSlab(r.buf)
 		}
 	}
 	return err
@@ -188,7 +188,7 @@ func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs 
 // release marks one of the range's tasks done; the last returns the buffer.
 func (r *fetchRange) release() {
 	if r.left.Add(-1) == 0 && r.buf != nil {
-		pool.PutBytes(r.buf)
+		pool.PutSlab(r.buf)
 	}
 }
 
@@ -211,13 +211,13 @@ func (r *fetchRange) fetch(ctx context.Context, ra io.ReaderAt, obsv StageObserv
 		if obsv != nil {
 			start = time.Now()
 		}
-		buf := pool.Bytes(int(r.n))
+		buf := pool.Slab[byte](int(r.n))
 		_, err := ra.ReadAt(buf, r.off)
 		if obsv != nil {
 			obsv(StageFetch, time.Since(start), r.n)
 		}
 		if err != nil {
-			pool.PutBytes(buf)
+			pool.PutSlab(buf)
 			r.err = err
 			return
 		}
