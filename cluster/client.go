@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -26,18 +27,18 @@ import (
 // (the placement domain); ManifestCRC and Generation pin the exact store
 // content every sub-read must come from.
 type Field struct {
-	Name        string
-	Dims        []int
-	Brick       []int
-	DType       string // "float32" or "float64"
-	Codec       string
-	ErrorBound  float64
-	ManifestCRC uint32
-	Generation  uint64
+	Name        string  `json:"name"`
+	Dims        []int   `json:"dims"`
+	Brick       []int   `json:"brick"`
+	DType       string  `json:"dtype"` // "float32" or "float64"
+	Codec       string  `json:"codec"`
+	ErrorBound  float64 `json:"errorBound"`
+	ManifestCRC uint32  `json:"manifestCRC"`
+	Generation  uint64  `json:"generation"`
 	// Shards are the base URLs of the shards that report this field. The
 	// placement spans exactly these, so fields mounted on a subset of the
-	// fleet still route correctly.
-	Shards []string
+	// fleet still route correctly. A shard's listing never sets them.
+	Shards []string `json:"-"`
 	// place is the placement over Shards, built once by Catalog; a Field
 	// assembled by hand has none and plans build one per call.
 	place *Placement
@@ -57,15 +58,6 @@ func (f *Field) ElemSize() int {
 		return 8
 	}
 	return 4
-}
-
-// Points returns the field's total point count.
-func (f *Field) Points() int {
-	n := 1
-	for _, d := range f.Dims {
-		n *= d
-	}
-	return n
 }
 
 // ErrStale reports that a shard answered a sub-read from a different
@@ -152,16 +144,18 @@ func (c *Client) attempts() int {
 // an older generation fail the per-sub-read generation check and are
 // failed over, never stitched. Shards that cannot be reached are skipped;
 // only a fleet with no reachable shard at all is an error. A field whose
-// reported dims and brick shape are not a brick grid (store.Grid: equal
-// ranks within 1..8, positive brick extents) is left out of that shard's
-// listing here, once, rather than failing every request planned over it.
+// report is unusable — dims and brick shape that are not a brick grid
+// (store.Grid: equal ranks within 1..8, positive brick extents), a dtype
+// other than float32 or float64, or an error bound that is not positive
+// and finite — is left out of that shard's listing here, once, rather
+// than failing or mis-sizing every request planned over it.
 func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Field, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
 	type shardList struct {
 		shard  string
-		fields []shardFieldJSON
+		fields []Field
 		err    error
 	}
 	lists := make([]shardList, len(shards))
@@ -179,27 +173,17 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 		}
 		reachable++
 		for _, fi := range l.fields {
-			if _, err := store.Grid(fi.Dims, fi.Brick); err != nil {
+			if err := fi.check(); err != nil {
 				errs = append(errs, fmt.Errorf("%s: field %q: %w", l.shard, fi.Name, err))
 				continue
 			}
 			f, ok := catalog[fi.Name]
 			if !ok || fi.Generation > f.Generation {
-				nf := &Field{
-					Name:        fi.Name,
-					Dims:        fi.Dims,
-					Brick:       fi.Brick,
-					DType:       fi.DType,
-					Codec:       fi.Codec,
-					ErrorBound:  fi.ErrorBound,
-					ManifestCRC: fi.ManifestCRC,
-					Generation:  fi.Generation,
-				}
 				if ok {
-					nf.Shards = f.Shards
+					fi.Shards = f.Shards
 				}
-				catalog[fi.Name] = nf
-				f = nf
+				f = &fi
+				catalog[fi.Name] = f
 			}
 			f.Shards = append(f.Shards, l.shard)
 		}
@@ -214,23 +198,23 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 	return catalog, nil
 }
 
-// shardFieldJSON is the subset of qozd's field manifest JSON the catalog
-// needs.
-type shardFieldJSON struct {
-	Name        string  `json:"name"`
-	Dims        []int   `json:"dims"`
-	Brick       []int   `json:"brick"`
-	DType       string  `json:"dtype"`
-	Codec       string  `json:"codec"`
-	ErrorBound  float64 `json:"errorBound"`
-	ManifestCRC uint32  `json:"manifestCRC"`
-	Generation  uint64  `json:"generation"`
+// check reports why a shard's report of f cannot be planned over, or nil.
+func (f *Field) check() error {
+	if f.DType != "float32" && f.DType != "float64" {
+		return fmt.Errorf("unsupported dtype %q", f.DType)
+	}
+	if !(f.ErrorBound > 0 && f.ErrorBound <= math.MaxFloat64) {
+		return fmt.Errorf("error bound %v is not positive and finite", f.ErrorBound)
+	}
+	_, err := store.Grid(f.Dims, f.Brick)
+	return err
 }
 
-// fetchFields GETs one shard's /v1/fields.
-func (c *Client) fetchFields(ctx context.Context, shard string) ([]shardFieldJSON, error) {
+// fetchFields GETs one shard's /v1/fields, the subset of qozd's field
+// manifest JSON that Field names.
+func (c *Client) fetchFields(ctx context.Context, shard string) ([]Field, error) {
 	var out struct {
-		Fields []shardFieldJSON `json:"fields"`
+		Fields []Field `json:"fields"`
 	}
 	err := c.get(ctx, shard, shard+"/v1/fields", "", func(resp *http.Response) error {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -428,7 +412,7 @@ func (c *Client) ReadBoxesRaw(ctx context.Context, f *Field, boxes []store.Box, 
 		slots[i].g, slots[i].off = og, size
 		size += og.N * elem
 	}
-	gate := generationPrefix(f)
+	gate := GenerationPrefix(f.ManifestCRC, f.Generation)
 	out := pool.Slab[byte](size)
 	err := fanOut(ctx, c, f, &stats, subs, roundTripBoxes,
 		func(ctx context.Context, shard string, trip []int) ([]byte, error) {
@@ -597,11 +581,13 @@ func groupTrips(subs []subRegion, pending []int, a, maxBoxes int) [][]int {
 	return append(trips, pending[start:])
 }
 
-// generationPrefix is what a shard's ETag begins with when it answers from
-// the store content the catalog entry describes: the (manifest CRC,
-// generation) pair. Rendered once per fan-out, compared once per exchange.
-func generationPrefix(f *Field) string {
-	return fmt.Sprintf(`"%08x-g%d-`, f.ManifestCRC, f.Generation)
+// GenerationPrefix is what a region or query ETag begins with: the store
+// content it was served from, as the (manifest CRC, generation) pair. A
+// shard mints its ETags on it, and the gateway gates every exchange on the
+// prefix of its catalog entry — rendered once per fan-out, compared once
+// per exchange.
+func GenerationPrefix(crc uint32, gen uint64) string {
+	return fmt.Sprintf(`"%08x-g%d-`, crc, gen)
 }
 
 // shard returns the named shard's slice of the accounting, adding it on

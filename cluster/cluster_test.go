@@ -332,15 +332,22 @@ func TestLimiterOverridesAndDefaults(t *testing.T) {
 // input. A field whose dims and brick are not a brick grid — rank past the
 // box walk's fixed arrays, ranks that disagree, a non-positive brick extent,
 // nothing at all — is left out when the catalog is built, beside a good
-// field that stays; planning over it is refused, never an index panic.
+// field that stays; planning over it is refused, never an index panic. So
+// is a field whose dtype is not float32 or float64 (the element size of
+// every stitched body) or whose bound is not positive, and a null entry.
 func TestCatalogValidatesReportedFields(t *testing.T) {
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"fields":[
-			{"name":"good","dims":[8,8],"brick":[4,4],"dtype":"float32","generation":1},
-			{"name":"rank9","dims":[2,2,2,2,2,2,2,2,2],"brick":[1,1,1,1,1,1,1,1,1],"dtype":"float32","generation":1},
-			{"name":"mismatch","dims":[8,8,8],"brick":[4,4],"dtype":"float32","generation":1},
-			{"name":"zerobrick","dims":[8,8],"brick":[4,0],"dtype":"float32","generation":1},
-			{"name":"empty","dtype":"float32","generation":1}]}`)
+			{"name":"good","dims":[8,8],"brick":[4,4],"dtype":"float32","errorBound":0.001,"generation":1},
+			{"name":"rank9","dims":[2,2,2,2,2,2,2,2,2],"brick":[1,1,1,1,1,1,1,1,1],"dtype":"float32","errorBound":0.001,"generation":1},
+			{"name":"mismatch","dims":[8,8,8],"brick":[4,4],"dtype":"float32","errorBound":0.001,"generation":1},
+			{"name":"zerobrick","dims":[8,8],"brick":[4,0],"dtype":"float32","errorBound":0.001,"generation":1},
+			{"name":"empty","dtype":"float32","errorBound":0.001,"generation":1},
+			{"name":"half","dims":[8,8],"brick":[4,4],"dtype":"float16","errorBound":0.001,"generation":1},
+			{"name":"nodtype","dims":[8,8],"brick":[4,4],"errorBound":0.001,"generation":1},
+			{"name":"zerobound","dims":[8,8],"brick":[4,4],"dtype":"float64","errorBound":0,"generation":1},
+			{"name":"negbound","dims":[8,8],"brick":[4,4],"dtype":"float64","errorBound":-1,"generation":1},
+			null]}`)
 	}))
 	defer shard.Close()
 	var c Client
@@ -349,7 +356,7 @@ func TestCatalogValidatesReportedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(catalog) != 1 || catalog["good"] == nil {
-		t.Fatalf("catalog holds %v, want only the field whose grid validates", catalog)
+		t.Fatalf("catalog holds %v, want only the field whose grid, dtype and bound validate", catalog)
 	}
 	if _, err := planSubRegions(catalog["good"], []int{1, 1}, []int{7, 7}); err != nil {
 		t.Errorf("good field: %v", err)

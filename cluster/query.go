@@ -53,7 +53,7 @@ func (c *Client) Query(ctx context.Context, f *Field, req store.QueryRequest) (*
 	if err != nil {
 		return nil, stats, err
 	}
-	gate := generationPrefix(f)
+	gate := GenerationPrefix(f.ManifestCRC, f.Generation)
 	partials := make([]*store.QueryResult, len(subs))
 	err = fanOut(ctx, c, f, &stats, subs, 1,
 		func(ctx context.Context, shard string, trip []int) (*store.QueryResult, error) {

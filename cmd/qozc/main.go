@@ -52,7 +52,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -239,19 +238,6 @@ func compressRaw[T qoz.Float](in, dst string, dims []int, so qoz.StreamOptions) 
 	return nil
 }
 
-// isFloat64Payload reports whether buf reconstructs to double precision —
-// either the legacy float64 envelope or a float64 slab stream.
-func isFloat64Payload(buf []byte) bool {
-	if qoz.IsFloat64Stream(buf) {
-		return true
-	}
-	if qoz.IsStream(buf) {
-		hdr, err := qoz.NewDecoder(bytes.NewReader(buf)).Header()
-		return err == nil && hdr.Float64
-	}
-	return false
-}
-
 func decompressCmd(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	in := fs.String("in", "", "input .qoz file (required)")
@@ -260,11 +246,15 @@ func decompressCmd(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("decompress requires -in")
 	}
+	rep, err := readInfoReport(*in)
+	if err != nil {
+		return err
+	}
 	buf, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	if isFloat64Payload(buf) {
+	if rep.Float64 {
 		return decompressTo[float64](buf, *in, *out)
 	}
 	return decompressTo[float32](buf, *in, *out)

@@ -797,7 +797,7 @@ func regionETag(crc uint32, gen uint64, dtype string, boxes []store.Box, variant
 	if len(boxes) > 1 {
 		id = boxListID(boxes)
 	}
-	return fmt.Sprintf(`"%08x-g%d-%s-%s-%s"`, crc, gen, id, dtype, variant)
+	return cluster.GenerationPrefix(crc, gen) + id + "-" + dtype + "-" + variant + `"`
 }
 
 // boxListID names a list of several boxes inside a validator or a flight

@@ -416,64 +416,75 @@ func DecodePrefix(buf []byte) (*Stream, error) {
 }
 
 func decode(buf []byte, prefix bool) (*Stream, error) {
-	codec, dims, buf, err := peekHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{Codec: codec, Dims: dims}
-	if len(buf) < 9 {
-		return nil, ErrCorrupt
-	}
-	s.ErrorBound = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	nsec := int(buf[0])
-	buf = buf[1:]
-	for i := 0; i < nsec; i++ {
-		if prefix && len(buf) == 0 {
-			return s, nil
-		}
-		if len(buf) < 1 {
-			return nil, ErrCorrupt
-		}
-		id := buf[0]
-		buf = buf[1:]
-		rawLen, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		buf = buf[n:]
-		encLen, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf[n:])) < encLen {
-			return nil, ErrCorrupt
-		}
-		buf = buf[n:]
-		enc := buf[:encLen]
-		buf = buf[encLen:]
+	s := &Stream{}
+	var err error
+	s.Codec, s.Dims, s.ErrorBound, err = walkSections(buf, prefix, func(id uint8, rawLen uint64, stored []byte, _ int) error {
 		var data []byte
-		if encLen < rawLen {
+		if uint64(len(stored)) < rawLen {
 			// DEFLATE expands at most ~1032:1, so a declared raw length far
 			// beyond that bound is hostile; reject it before inflate sizes
 			// anything from it.
-			if rawLen > 1032*encLen+64 {
-				return nil, ErrCorrupt
+			if rawLen > 1032*uint64(len(stored))+64 {
+				return ErrCorrupt
 			}
 			var err error
-			data, err = inflate(enc, int(rawLen))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			if data, err = inflate(stored, int(rawLen)); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 		} else {
-			data = append([]byte(nil), enc...)
+			data = append([]byte(nil), stored...)
 		}
 		if uint64(len(data)) != rawLen {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		s.Sections = append(s.Sections, Section{ID: id, Data: data})
-	}
-	if len(buf) != 0 {
-		return nil, ErrCorrupt
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// walkSections is the one reader of a container's framing: it parses the
+// header and error bound, then calls visit with each section's id,
+// declared raw length, stored bytes and the absolute offset just past it.
+// With prefix set the buffer may stop at any section boundary; otherwise
+// it must end exactly after the last declared section.
+func walkSections(buf []byte, prefix bool, visit func(id uint8, rawLen uint64, stored []byte, end int) error) (codec uint8, dims []int, eb float64, err error) {
+	codec, dims, rest, err := peekHeader(buf)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if len(rest) < 9 {
+		return 0, nil, 0, ErrCorrupt
+	}
+	eb = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+	nsec := int(rest[8])
+	rest = rest[9:]
+	for i := 0; i < nsec && !(prefix && len(rest) == 0); i++ {
+		if len(rest) < 1 {
+			return 0, nil, 0, ErrCorrupt
+		}
+		rawLen, n := binary.Uvarint(rest[1:])
+		if n <= 0 {
+			return 0, nil, 0, ErrCorrupt
+		}
+		storedLen, m := binary.Uvarint(rest[1+n:])
+		head := 1 + n + m
+		if m <= 0 || uint64(len(rest)-head) < storedLen {
+			return 0, nil, 0, ErrCorrupt
+		}
+		id, stored := rest[0], rest[head:head+int(storedLen)]
+		rest = rest[head+int(storedLen):]
+		if err := visit(id, rawLen, stored, len(buf)-len(rest)); err != nil {
+			return 0, nil, 0, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, nil, 0, ErrCorrupt
+	}
+	return codec, dims, eb, nil
 }
 
 // SectionSpan locates one section within an encoded container: its id and
@@ -490,39 +501,13 @@ type SectionSpan struct {
 // inflated or copied. Like Decode, it rejects bytes after the last
 // declared section.
 func ScanSections(buf []byte) ([]SectionSpan, error) {
-	_, _, rest, err := peekHeader(buf)
+	var spans []SectionSpan
+	_, _, _, err := walkSections(buf, false, func(id uint8, _ uint64, _ []byte, end int) error {
+		spans = append(spans, SectionSpan{ID: id, End: end})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(rest) < 9 {
-		return nil, ErrCorrupt
-	}
-	nsec := int(rest[8])
-	rest = rest[9:]
-	pos := len(buf) - len(rest)
-	spans := make([]SectionSpan, 0, nsec)
-	for i := 0; i < nsec; i++ {
-		if len(rest) < 1 {
-			return nil, ErrCorrupt
-		}
-		id := rest[0]
-		rest = rest[1:]
-		_, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		rest = rest[n:]
-		encLen, m := binary.Uvarint(rest)
-		if m <= 0 || uint64(len(rest[m:])) < encLen {
-			return nil, ErrCorrupt
-		}
-		rest = rest[m:]
-		rest = rest[encLen:]
-		pos += 1 + n + m + int(encLen)
-		spans = append(spans, SectionSpan{ID: id, End: pos})
-	}
-	if len(rest) != 0 {
-		return nil, ErrCorrupt
 	}
 	return spans, nil
 }

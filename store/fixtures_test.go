@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qoz"
@@ -235,7 +236,7 @@ func writeVsAppend[T qoz.Float](t *testing.T, rows int) {
 	if err := AppendStepsT(context.Background(), m, data); err != nil {
 		t.Fatal(err)
 	}
-	if !equalInts(m.Dims(), written.Dims()) || m.FormatVersion() != written.FormatVersion() {
+	if !slices.Equal(m.Dims(), written.Dims()) || m.FormatVersion() != written.FormatVersion() {
 		t.Fatalf("appended store: dims %v version %d; written: dims %v version %d",
 			m.Dims(), m.FormatVersion(), written.Dims(), written.FormatVersion())
 	}

@@ -331,27 +331,13 @@ func parseLevelsBlock(buf []byte, bricks []brickEntry) {
 	body = body[n:]
 	tables := make([][]levelSpan, len(bricks))
 	for i := range bricks {
-		nlv, n := binary.Uvarint(body)
-		if n <= 0 || nlv > maxLevelEntries {
+		var ok bool
+		if tables[i], body, ok = readLevelTable(body, 1, bricks[i].len); !ok {
 			return
 		}
-		body = body[n:]
-		if nlv == 0 {
-			continue
+		if t := tables[i]; len(t) > 0 {
+			t[len(t)-1] = levelSpan{bytes: bricks[i].len, crc: bricks[i].crc}
 		}
-		spans := make([]levelSpan, nlv)
-		prev := int64(0)
-		for j := range spans[:nlv-1] {
-			b, n := binary.Uvarint(body)
-			if n <= 0 || len(body) < n+4 || int64(b) <= prev || int64(b) >= bricks[i].len {
-				return
-			}
-			spans[j] = levelSpan{bytes: int64(b), crc: binary.LittleEndian.Uint32(body[n:])}
-			body = body[n+4:]
-			prev = int64(b)
-		}
-		spans[nlv-1] = levelSpan{bytes: bricks[i].len, crc: bricks[i].crc}
-		tables[i] = spans
 	}
 	if len(body) != 0 {
 		return
@@ -359,6 +345,36 @@ func parseLevelsBlock(buf []byte, bricks []brickEntry) {
 	for i := range bricks {
 		bricks[i].levels = tables[i]
 	}
+}
+
+// readLevelTable is the one reader of a brick's level table, in a
+// journal's level block and a legacy v4/v5 index entry alike: a uvarint
+// span count of at most maxLevelEntries, then the spans — a uvarint prefix
+// length and that prefix's CRC32 each — whose lengths must increase
+// strictly and stay below limit, or a corrupt table could send a coarse
+// read to decode garbage that passes its own checksum. The last implied
+// spans are not stored; the table leaves them zero for the caller to fill.
+func readLevelTable(buf []byte, implied int, limit int64) (spans []levelSpan, rest []byte, ok bool) {
+	nlv, n := binary.Uvarint(buf)
+	if n <= 0 || nlv > maxLevelEntries {
+		return nil, nil, false
+	}
+	buf = buf[n:]
+	if nlv == 0 {
+		return nil, buf, true
+	}
+	spans = make([]levelSpan, nlv)
+	prev := int64(0)
+	for j := range spans[:int(nlv)-implied] {
+		b, n := binary.Uvarint(buf)
+		if n <= 0 || len(buf) < n+4 || int64(b) <= prev || int64(b) >= limit {
+			return nil, nil, false
+		}
+		spans[j] = levelSpan{bytes: int64(b), crc: binary.LittleEndian.Uint32(buf[n:])}
+		buf = buf[n+4:]
+		prev = int64(b)
+	}
+	return spans, buf, true
 }
 
 // plausibleStat cross-checks one valid record against the brick geometry

@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -643,7 +644,7 @@ func TestFormatSpecV4(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantDims := sampleRegionStride(got, lo, h.dims, 2)
-	if !equalInts(cd, wantDims) {
+	if !slices.Equal(cd, wantDims) {
 		t.Fatalf("level-2 dims %v, want %v", cd, wantDims)
 	}
 	for i := range want {
@@ -1095,7 +1096,7 @@ func TestFormatSpecV3Levels(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantDims := sampleRegionStride(got, lo, dims, 2)
-	if !equalInts(cd, wantDims) {
+	if !slices.Equal(cd, wantDims) {
 		t.Fatalf("level-2 dims %v, want %v", cd, wantDims)
 	}
 	for i := range want {

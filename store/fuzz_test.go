@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -495,6 +496,66 @@ func TestCorruptLevelsDegrade(t *testing.T) {
 						t.Fatalf("level %d point %d = %v, want %v", level, i, got[i], want[level-1][i])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestCorruptLegacyLevelsRejected drives the other caller of the level
+// table reader: a v4 index entry's table. Legacy entries stay strictly
+// validated, so where the journal block above is dropped whole, a
+// non-increasing span, a span past the payload, or a last span other than
+// the entry's own (length, CRC) fails Open with ErrCorrupt.
+func TestCorruptLegacyLevelsRejected(t *testing.T) {
+	buf, err := os.ReadFile("testdata/v4_f32.qozb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := openBytes(t, buf)
+	idxOff := int(binary.LittleEndian.Uint64(buf[len(buf)-footerSize:]))
+	// reindex rewrites the v4 index (docs/FORMAT.md §1.5) over the pristine
+	// entries after doctor has had its way with a copy of them.
+	reindex := func(doctor func(bricks []brickEntry)) []byte {
+		bricks := append([]brickEntry(nil), pristine.man.Load().bricks...)
+		for i := range bricks {
+			bricks[i].levels = append([]levelSpan(nil), bricks[i].levels...)
+		}
+		doctor(bricks)
+		out := binary.AppendUvarint(append([]byte(nil), buf[:idxOff]...), uint64(len(bricks)))
+		for _, e := range bricks {
+			out = binary.AppendUvarint(out, uint64(e.len))
+			out = binary.LittleEndian.AppendUint32(out, e.crc)
+			out = binary.AppendUvarint(out, uint64(len(e.levels)))
+			for _, sp := range e.levels {
+				out = binary.AppendUvarint(out, uint64(sp.bytes))
+				out = binary.LittleEndian.AppendUint32(out, sp.crc)
+			}
+		}
+		return append(out, buf[len(buf)-footerSize:]...)
+	}
+	if !bytes.Equal(reindex(func([]brickEntry) {}), buf) {
+		t.Fatal("the pristine entries do not re-serialize to the fixture; the cases below would test nothing")
+	}
+	if len(pristine.BrickLevels(1)) < 2 {
+		t.Fatalf("fixture brick 1 records no multi-level table (%v); the test would be vacuous", pristine.BrickLevels(1))
+	}
+	for _, tc := range []struct {
+		name   string
+		doctor func(b []brickEntry)
+	}{
+		{"non-increasing-span", func(b []brickEntry) { b[1].levels[1].bytes = b[1].levels[0].bytes }},
+		{"span-past-payload", func(b []brickEntry) { t := b[1].levels; t[len(t)-1].bytes = b[1].len + 1 }},
+		{"last-span-crc", func(b []brickEntry) { t := b[1].levels; t[len(t)-1].crc ^= 1 }},
+		{"too-many-levels", func(b []brickEntry) { b[0].levels = make([]levelSpan, maxLevelEntries+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := reindex(tc.doctor)
+			s, err := Open(bytes.NewReader(mut), int64(len(mut)), Options{})
+			if err == nil {
+				s.Close()
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want ErrCorrupt", err)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -180,7 +181,7 @@ func TestReadRegionLevelMatchesStride(t *testing.T) {
 					if err != nil {
 						t.Fatalf("box %v level %d: %v", box, level, err)
 					}
-					if !equalInts(gotDims, wantDims) {
+					if !slices.Equal(gotDims, wantDims) {
 						t.Fatalf("box %v level %d: dims %v, want %v", box, level, gotDims, wantDims)
 					}
 					for i := range want {
@@ -229,7 +230,7 @@ func TestReadRegionLevelFloat64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("level %d: %v", level, err)
 		}
-		if !equalInts(gotDims, wantDims) {
+		if !slices.Equal(gotDims, wantDims) {
 			t.Fatalf("level %d: dims %v, want %v", level, gotDims, wantDims)
 		}
 		for i := range want {
@@ -293,7 +294,7 @@ func levelReadFetchesFewerBytes(t *testing.T, content []byte, dims []int, level 
 		t.Fatalf("level-%d read fetched %d bytes, level-1 read %d — progressive read saved nothing", level, coarseBytes, fullBytes)
 	}
 	want, wantDims := sampleRegionStride(full, lo, dims, 1<<(level-1))
-	if !equalInts(cd, wantDims) {
+	if !slices.Equal(cd, wantDims) {
 		t.Fatalf("coarse dims %v, want %v", cd, wantDims)
 	}
 	for i := range want {

@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,14 +148,14 @@ func qDiff(t *testing.T, label string, got, want *QueryResult) {
 		t.Fatalf("%s: extremum %v (bits %016x), oracle %v (bits %016x)",
 			label, got.Value, math.Float64bits(got.Value), want.Value, math.Float64bits(want.Value))
 	}
-	if !equalInts(got.Arg, want.Arg) {
+	if !slices.Equal(got.Arg, want.Arg) {
 		t.Fatalf("%s: extremum at %v, oracle at %v", label, got.Arg, want.Arg)
 	}
 	if len(got.Locations) != len(want.Locations) {
 		t.Fatalf("%s: %d locations, oracle %d", label, len(got.Locations), len(want.Locations))
 	}
 	for i := range got.Locations {
-		if !equalInts(got.Locations[i], want.Locations[i]) {
+		if !slices.Equal(got.Locations[i], want.Locations[i]) {
 			t.Fatalf("%s: location %d = %v, oracle %v", label, i, got.Locations[i], want.Locations[i])
 		}
 	}

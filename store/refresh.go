@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // Refresh re-checks the store's backing object for newer committed
@@ -169,8 +170,8 @@ func (s *Store) adopt(next *manifest, f *os.File, size int64) {
 func sameStoreIdentity(a, b *header) bool {
 	if a.version != formatVersion || b.version != formatVersion ||
 		a.codecID != b.codecID || a.kind != b.kind || a.bound != b.bound ||
-		len(a.dims) != len(b.dims) || !equalInts(a.brick, b.brick) {
+		len(a.dims) != len(b.dims) || !slices.Equal(a.brick, b.brick) {
 		return false
 	}
-	return equalInts(a.dims[1:], b.dims[1:])
+	return slices.Equal(a.dims[1:], b.dims[1:])
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,36 +238,13 @@ func loadIndexManifest(ra io.ReaderAt, size int64, hdr *header, headerLen int) (
 		if !v4 {
 			continue
 		}
-		nlv, n := binary.Uvarint(idx)
-		if n <= 0 || nlv > maxLevelEntries {
+		// A legacy table stores its last span too, which must be the
+		// brick's full payload with its full-payload CRC.
+		var ok bool
+		e.levels, idx, ok = readLevelTable(idx, 0, e.len+1)
+		if !ok || len(e.levels) > 0 && e.levels[len(e.levels)-1] != (levelSpan{bytes: e.len, crc: e.crc}) {
 			return nil, ErrCorrupt
 		}
-		idx = idx[n:]
-		if nlv == 0 {
-			continue
-		}
-		// Level spans must increase strictly and end exactly at the brick's
-		// full payload with its full-payload CRC, or a corrupt table could
-		// send a coarse read to decode garbage that passes its own checksum.
-		spans := make([]levelSpan, nlv)
-		prev := int64(0)
-		for j := range spans {
-			b, n := binary.Uvarint(idx)
-			if n <= 0 || int64(b) <= prev || int64(b) > int64(l) {
-				return nil, ErrCorrupt
-			}
-			idx = idx[n:]
-			if len(idx) < 4 {
-				return nil, ErrCorrupt
-			}
-			spans[j] = levelSpan{bytes: int64(b), crc: binary.LittleEndian.Uint32(idx)}
-			idx = idx[4:]
-			prev = int64(b)
-		}
-		if spans[nlv-1].bytes != e.len || spans[nlv-1].crc != e.crc {
-			return nil, ErrCorrupt
-		}
-		e.levels = spans
 	}
 	if v5 {
 		// Whatever follows the entries is the statistics block. It is
@@ -719,7 +697,7 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 	for _, d := range want {
 		points *= (d-1)/stride + 1
 	}
-	if stride != 1<<max(level-1, 0) || !equalInts(dims, want) || len(data) != points {
+	if stride != 1<<max(level-1, 0) || !slices.Equal(dims, want) || len(data) != points {
 		releaseBrick(data, nil)
 		return nil, nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
 	}
@@ -733,7 +711,7 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 // codec, and the declared shape.
 func checkPayload[N qoz.Float](m *manifest, i int, payload []byte, want []int) error {
 	f64, id, dims, err := qoz.PeekPayload(payload)
-	if err != nil || f64 != (elemBytes[N]() == 8) || id != m.hdr.codecID || !equalInts(dims, want) {
+	if err != nil || f64 != (elemBytes[N]() == 8) || id != m.hdr.codecID || !slices.Equal(dims, want) {
 		return fmt.Errorf("store: brick %d: payload shape mismatch: %w", i, ErrCorrupt)
 	}
 	return nil
@@ -756,16 +734,4 @@ func convertSamples[F, T qoz.Float](v []F) []T {
 		out[i] = T(x)
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

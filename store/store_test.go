@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qoz"
@@ -506,10 +507,10 @@ func TestBrickGeometryValidates(t *testing.T) {
 		}
 	}
 	lo, hi, err := BrickBoxIn(rank8Dims, rank8Brick, 1)
-	if err != nil || !equalInts(lo, []int{0, 0, 0, 0, 0, 0, 0, 3}) || !equalInts(hi, []int{1, 2, 1, 2, 1, 2, 2, 5}) {
+	if err != nil || !slices.Equal(lo, []int{0, 0, 0, 0, 0, 0, 0, 3}) || !slices.Equal(hi, []int{1, 2, 1, 2, 1, 2, 2, 5}) {
 		t.Errorf("brick 1 of the rank-8 grid is [%v,%v), %v", lo, hi, err)
 	}
-	if got, err := IntersectingBricksIn([]int{10, 10}, []int{4, 4}, []int{3, 5}, []int{9, 8}); err != nil || !equalInts(got, []int{1, 4, 7}) {
+	if got, err := IntersectingBricksIn([]int{10, 10}, []int{4, 4}, []int{3, 5}, []int{9, 8}); err != nil || !slices.Equal(got, []int{1, 4, 7}) {
 		t.Errorf("bricks under [3,5)-[9,8): %v, %v", got, err)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"qoz/internal/container"
 	"qoz/internal/pool"
@@ -434,14 +435,14 @@ func decodeSlab[T Float](ctx context.Context, hdr *StreamHeader, i int, p []byte
 	if err != nil {
 		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
 	}
-	if f64 != hdr.Float64 || id != hdr.CodecID || !equalDims(pdims, sdims) {
+	if f64 != hdr.Float64 || id != hdr.CodecID || !slices.Equal(pdims, sdims) {
 		return nil, nil, ErrCorruptStream
 	}
 	data, dims, err := DecodePayload[T](ctx, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("qoz: slab %d: %w", i, err)
 	}
-	if !equalDims(dims, sdims) || len(data) != hi-lo {
+	if !slices.Equal(dims, sdims) || len(data) != hi-lo {
 		return nil, nil, ErrCorruptStream
 	}
 	return data, sdims, nil
@@ -473,16 +474,4 @@ func slabRange(hdr *StreamHeader, i int) (lo, hi int, sdims []int) {
 	r1 := min(r0+hdr.SlabRows, hdr.Dims[0])
 	sdims = append([]int{r1 - r0}, hdr.Dims[1:]...)
 	return r0 * rowPoints, r1 * rowPoints, sdims
-}
-
-func equalDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
