@@ -148,10 +148,19 @@ func (c *Client) attempts() int {
 // (store.Grid: equal ranks within 1..8, positive brick extents), a dtype
 // other than float32 or float64, or an error bound that is not positive
 // and finite — is left out of that shard's listing here, once, rather
-// than failing or mis-sizing every request planned over it.
+// than failing or mis-sizing every request planned over it; CatalogReport
+// says which were.
 func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Field, error) {
+	catalog, _, err := c.CatalogReport(ctx, shards)
+	return catalog, err
+}
+
+// CatalogReport is Catalog that also returns the field reports it left
+// out: one error per report, naming the shard, the field and why, in shard
+// order. A dropped report is not a failure: the catalog serves the rest.
+func (c *Client) CatalogReport(ctx context.Context, shards []string) (catalog map[string]*Field, dropped []error, err error) {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("cluster: no shards configured")
+		return nil, nil, fmt.Errorf("cluster: no shards configured")
 	}
 	type shardList struct {
 		shard  string
@@ -163,7 +172,7 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 		lists[i].shard = shards[i]
 		lists[i].fields, lists[i].err = c.fetchFields(ctx, shards[i])
 	})
-	catalog := make(map[string]*Field)
+	catalog = make(map[string]*Field)
 	var errs []error
 	reachable := 0
 	for _, l := range lists {
@@ -174,7 +183,7 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 		reachable++
 		for _, fi := range l.fields {
 			if err := fi.check(); err != nil {
-				errs = append(errs, fmt.Errorf("%s: field %q: %w", l.shard, fi.Name, err))
+				dropped = append(dropped, fmt.Errorf("%s: field %q: %w", l.shard, fi.Name, err))
 				continue
 			}
 			f, ok := catalog[fi.Name]
@@ -189,13 +198,13 @@ func (c *Client) Catalog(ctx context.Context, shards []string) (map[string]*Fiel
 		}
 	}
 	if reachable == 0 {
-		return nil, fmt.Errorf("cluster: no shard reachable: %w", errors.Join(errs...))
+		return nil, nil, fmt.Errorf("cluster: no shard reachable: %w", errors.Join(errs...))
 	}
 	for _, f := range catalog {
 		// On a shard list no placement accepts, plans report the error.
 		f.place, _ = NewPlacement(f.Shards)
 	}
-	return catalog, nil
+	return catalog, dropped, nil
 }
 
 // check reports why a shard's report of f cannot be planned over, or nil.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,12 +352,21 @@ func TestCatalogValidatesReportedFields(t *testing.T) {
 	}))
 	defer shard.Close()
 	var c Client
-	catalog, err := c.Catalog(context.Background(), []string{shard.URL})
+	catalog, dropped, err := c.CatalogReport(context.Background(), []string{shard.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(catalog) != 1 || catalog["good"] == nil {
 		t.Fatalf("catalog holds %v, want only the field whose grid, dtype and bound validate", catalog)
+	}
+	// Every report left out comes back, naming its shard and field.
+	if len(dropped) != 9 {
+		t.Fatalf("%d reports dropped, want the 9 unusable ones: %v", len(dropped), dropped)
+	}
+	for i, name := range []string{"rank9", "mismatch", "zerobrick", "empty", "half", "nodtype", "zerobound", "negbound", ""} {
+		if msg := dropped[i].Error(); !strings.HasPrefix(msg, shard.URL+": field "+strconv.Quote(name)+": ") {
+			t.Errorf("dropped report %d reads %q; want it to name the shard and field %q", i, msg, name)
+		}
 	}
 	if _, err := planSubRegions(catalog["good"], []int{1, 1}, []int{7, 7}); err != nil {
 		t.Errorf("good field: %v", err)

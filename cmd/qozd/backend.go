@@ -366,6 +366,7 @@ var storeCounters = []struct {
 	value      func(store.Stats) int64
 }{
 	{"qozd_store_bricks_decoded_total", "brick decompressions (cache misses)", func(st store.Stats) int64 { return st.BricksDecoded }},
+	{"qozd_store_bricks_clipped_total", "brick decompressions that reconstructed only the part a read needed (the cache would not keep them)", func(st store.Stats) int64 { return st.BricksClipped }},
 	{"qozd_store_bricks_pruned_total", "query bricks resolved from the statistics index without decoding", func(st store.Stats) int64 { return st.BricksPruned }},
 	{"qozd_store_bricks_read_total", "bricks served to region reads", func(st store.Stats) int64 { return st.BricksRead }},
 	{"qozd_store_cache_hits_total", "bricks served from the decoded-brick cache", func(st store.Stats) int64 { return st.CacheHits }},

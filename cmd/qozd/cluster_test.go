@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"regexp"
 	"strings"
@@ -944,5 +946,113 @@ func TestClusterRoleParity(t *testing.T) {
 		if !reflect.DeepEqual(gm, sm) {
 			t.Errorf("%s: gateway manifest %v, shard manifest %v", field, gm, sm)
 		}
+	}
+}
+
+// syncBuffer is a log destination tests read while servers write to it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestGatewayReportsDroppedFields: a shard that lists a field the catalog
+// cannot plan over (here a float16 one, beside its good field) costs that
+// field alone, and says so. The gateway serves the good field, answers 404
+// for the dropped one, logs one line naming the shard and the field each
+// time the set of dropped reports changes — not on every refresh — and
+// exports the count as qozd_gateway_fields_dropped. A refresh that drops a
+// report still succeeds, so the stale-generation retry, which retries only
+// after a successful refresh, still retries.
+func TestGatewayReportsDroppedFields(t *testing.T) {
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+
+	path, _ := buildStoreFile(t, t.TempDir())
+	var listBad atomic.Bool
+	listBad.Store(true)
+	shards, _ := startShards(t, []mount{{name: "nyx", target: path}}, 1, serverOptions{},
+		func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/fields" || !listBad.Load() {
+					h.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				r.Header.Del("Accept-Encoding") // a plain body to edit
+				h.ServeHTTP(rec, r)
+				var list map[string][]map[string]any
+				if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+					t.Errorf("shard listing: %v", err)
+				}
+				list["fields"] = append(list["fields"], map[string]any{
+					"name": "half", "dims": []int{8, 8}, "brick": []int{4, 4},
+					"dtype": "float16", "errorBound": 0.001, "generation": 1,
+				})
+				json.NewEncoder(w).Encode(list) //nolint:errcheck
+			})
+		})
+	gw, gts := startGateway(t, gatewayOptions{Shards: shardURLs(shards)})
+	dropLine := fmt.Sprintf("catalog: dropped unusable field report %s: field %q: unsupported dtype %q", shards[0].URL, "half", "float16")
+	gauge := func() string {
+		t.Helper()
+		_, body := get(t, gts.URL+"/metrics")
+		m := regexp.MustCompile(`(?m)^qozd_gateway_fields_dropped (\S+)$`).FindSubmatch(body)
+		if m == nil {
+			t.Fatal("/metrics has no qozd_gateway_fields_dropped sample")
+		}
+		return string(m[1])
+	}
+
+	if n := strings.Count(logs.String(), dropLine); n != 1 {
+		t.Fatalf("startup logged the dropped field %d times, want once; log:\n%s", n, logs.String())
+	}
+	if g := gauge(); g != "1" {
+		t.Fatalf("qozd_gateway_fields_dropped = %s, want 1", g)
+	}
+	for range 2 {
+		if err := gw.refresh(context.Background()); err != nil {
+			t.Fatalf("a refresh that drops a field report failed: %v", err)
+		}
+	}
+	if n := strings.Count(logs.String(), dropLine); n != 1 {
+		t.Fatalf("refreshes over an unchanged set logged the dropped field again (%d lines)", n)
+	}
+	if gw.refreshErrs.Load() != 0 {
+		t.Fatalf("a dropped field report counted as %d refresh errors", gw.refreshErrs.Load())
+	}
+	if resp, _ := get(t, gts.URL+"/v1/fields/nyx/region?lo=0,0,0&hi=8,8,8"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("good field beside a dropped one: %s", resp.Status)
+	}
+	if resp, _ := get(t, gts.URL+"/v1/fields/half"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("dropped field: %s, want 404", resp.Status)
+	}
+
+	// The set changes twice: emptied, then the report is back.
+	listBad.Store(false)
+	if err := gw.refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != "0" || !strings.Contains(logs.String(), "catalog: no field report dropped") {
+		t.Fatalf("after the shard fixed its listing: gauge %s; log:\n%s", g, logs.String())
+	}
+	listBad.Store(true)
+	if err := gw.refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(logs.String(), dropLine); n != 2 || gauge() != "1" {
+		t.Fatalf("a report dropped again was logged %d times in all, want 2; log:\n%s", n, logs.String())
 	}
 }

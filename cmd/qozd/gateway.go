@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +53,10 @@ type fleet struct {
 
 	trafficMu sync.Mutex
 	traffic   map[string]*cluster.ShardTraffic // lifetime per-shard totals
+
+	droppedMu  sync.Mutex
+	droppedSet string       // the last refresh's dropped reports, sorted and joined
+	dropped    atomic.Int64 // how many there were
 }
 
 // newGateway builds the fan-out engine and learns the initial catalog
@@ -91,14 +97,43 @@ func (g *fleet) fields() map[string]*cluster.Field { return *g.catalog.Load() }
 
 // refresh re-learns the fleet's fields. A failed refresh keeps the
 // previous catalog serving — a gateway would rather serve a slightly old
-// generation (failing over stale shards per sub-read) than nothing.
+// generation (failing over stale shards per sub-read) than nothing. A
+// field report the catalog left out as unusable is not a failure: the
+// rest of the catalog serves, and noteDropped says which were left out.
 func (g *fleet) refresh(ctx context.Context) []error {
-	cat, err := g.client.Catalog(ctx, g.shards)
+	cat, dropped, err := g.client.CatalogReport(ctx, g.shards)
 	if err != nil {
 		return []error{fmt.Errorf("catalog: %w", err)}
 	}
 	g.catalog.Store(&cat)
+	g.noteDropped(dropped)
 	return nil
+}
+
+// noteDropped records the field reports a refresh left out: their count
+// for qozd_gateway_fields_dropped, and, whenever the set differs from the
+// previous refresh's, one log line per report — so a field that answers
+// 404 here although a shard lists it says why once, not on every poll.
+func (g *fleet) noteDropped(dropped []error) {
+	msgs := make([]string, len(dropped))
+	for i, err := range dropped {
+		msgs[i] = err.Error()
+	}
+	sort.Strings(msgs)
+	set := strings.Join(msgs, "\n")
+	g.droppedMu.Lock()
+	defer g.droppedMu.Unlock()
+	g.dropped.Store(int64(len(msgs)))
+	if set == g.droppedSet {
+		return
+	}
+	g.droppedSet = set
+	for _, msg := range msgs {
+		log.Printf("catalog: dropped unusable field report %s", msg)
+	}
+	if len(msgs) == 0 {
+		log.Printf("catalog: no field report dropped")
+	}
 }
 
 func (g *fleet) list() []snapshot {
@@ -230,6 +265,7 @@ func (g *fleet) families() []family {
 		scalar("qozd_gateway_subreads_total", "shard round trips planned across all fan-outs (one per owning shard of a region read, one per sub-region of a query)", "counter", g.subReads.Load()),
 		scalar("qozd_gateway_retries_total", "failover round trips to shards other than the owner", "counter", g.retries.Load()),
 		scalar("qozd_gateway_fields", "fields in the shard catalog", "gauge", len(g.fields())),
+		scalar("qozd_gateway_fields_dropped", "shard field reports the last catalog refresh left out as unusable (bad grid, dtype or bound), one per shard and field", "gauge", g.dropped.Load()),
 		labelled("qozd_gateway_shard_reads_total", "successful round trips by shard", "counter", "shard", shards,
 			func(s string) any { return snap[s].Reads }),
 		labelled("qozd_gateway_shard_errors_total", "failed round trips by shard", "counter", "shard", shards,

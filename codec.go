@@ -133,9 +133,9 @@ func codecNamesLocked() []string {
 func init() {
 	for _, c := range []Codec{
 		qozCodec{},
-		ebCodec{"sz2", container.CodecSZ2, sz2.Compress, sz2.Decompress},
+		ebCodec{"sz2", container.CodecSZ2, sz2.Compress, inFull(sz2.Decompress)},
 		ebCodec{"sz3", container.CodecSZ3, sz3.Compress, sz3.Decompress},
-		ebCodec{"zfp", container.CodecZFP, zfp.Compress, zfp.Decompress},
+		ebCodec{"zfp", container.CodecZFP, zfp.Compress, inFull(zfp.Decompress)},
 		ebCodec{"mgard", container.CodecMGARD, mgard.Compress, mgard.Decompress},
 	} {
 		if err := Register(c); err != nil {
@@ -163,11 +163,29 @@ func (qozCodec) Compress(ctx context.Context, data []float32, dims []int, opts O
 	return core.Compress(data, dims, co)
 }
 
-func (qozCodec) Decompress(ctx context.Context, buf []byte) ([]float32, []int, error) {
+func (c qozCodec) Decompress(ctx context.Context, buf []byte) ([]float32, []int, error) {
+	return c.decompressBox(ctx, buf, nil)
+}
+
+func (qozCodec) decompressBox(ctx context.Context, buf []byte, box []Range) ([]float32, []int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return core.Decompress(buf)
+	return core.Decompress(buf, box...)
+}
+
+// boxDecompressor is a registry codec that can decode part of a field: a
+// non-nil box (one Range per dimension) is the only part the caller reads.
+// A codec that predicts through the interpolation pyramid reconstructs
+// just what the box needs; the others decode in full.
+type boxDecompressor interface {
+	decompressBox(ctx context.Context, buf []byte, box []Range) ([]float32, []int, error)
+}
+
+// inFull adapts a decoder with no partial decode to ebCodec.dec: the box
+// is ignored and the whole field decoded.
+func inFull(dec func([]byte) ([]float32, []int, error)) func([]byte, ...Range) ([]float32, []int, error) {
+	return func(buf []byte, _ ...Range) ([]float32, []int, error) { return dec(buf) }
 }
 
 // ebCodec adapts a baseline compressor whose only knob is the absolute
@@ -176,7 +194,7 @@ type ebCodec struct {
 	name string
 	id   uint8
 	comp func([]float32, []int, float64) ([]byte, error)
-	dec  func([]byte) ([]float32, []int, error)
+	dec  func([]byte, ...Range) ([]float32, []int, error)
 }
 
 func (c ebCodec) Name() string { return c.name }
@@ -194,10 +212,14 @@ func (c ebCodec) Compress(ctx context.Context, data []float32, dims []int, opts 
 }
 
 func (c ebCodec) Decompress(ctx context.Context, buf []byte) ([]float32, []int, error) {
+	return c.decompressBox(ctx, buf, nil)
+}
+
+func (c ebCodec) decompressBox(ctx context.Context, buf []byte, box []Range) ([]float32, []int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return c.dec(buf)
+	return c.dec(buf, box...)
 }
 
 // Encode compresses a row-major float32 or float64 field with c (nil
@@ -232,8 +254,8 @@ func Decode[T Float](ctx context.Context, buf []byte) ([]T, []int, error) {
 }
 
 // decodeContainer routes a bare container stream to the registered codec
-// named in its header.
-func decodeContainer(ctx context.Context, buf []byte) ([]float32, []int, error) {
+// named in its header, with the box for a codec that takes one.
+func decodeContainer(ctx context.Context, buf []byte, box []Range) ([]float32, []int, error) {
 	id, err := container.PeekCodec(buf)
 	if err != nil {
 		return nil, nil, err
@@ -241,6 +263,9 @@ func decodeContainer(ctx context.Context, buf []byte) ([]float32, []int, error) 
 	c, err := LookupID(id)
 	if err != nil {
 		return nil, nil, err
+	}
+	if bc, ok := c.(boxDecompressor); ok && box != nil {
+		return bc.decompressBox(ctx, buf, box)
 	}
 	return c.Decompress(ctx, buf)
 }

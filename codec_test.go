@@ -2,7 +2,10 @@ package qoz_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -321,6 +324,103 @@ func TestLiteralCountMismatchRejected(t *testing.T) {
 			if _, _, err := c.Decompress(ctx, bad); err == nil || !strings.Contains(err.Error(), "literal") {
 				t.Fatalf("%s, one literal %s: decoded with error %v", name, change, err)
 			}
+		}
+	}
+}
+
+// TestDecodePayloadBox is the clipped decode's oracle at the public entry:
+// for every registered codec, float32 and float64 payloads (the latter
+// with points stored as exact escapes), 1- to 4-dimensional fields with
+// NaNs, infinities and outliers, and random boxes, DecodePayload with a
+// box returns the field's shape with the whole decode's values inside the
+// box, bit for bit. Codecs without an interpolation pyramid (sz2, zfp)
+// decode in full. A box outside the field or of the wrong rank is an error
+// on the pyramid codecs.
+func TestDecodePayloadBox(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(43))
+	for _, dims := range [][]int{{300}, {37, 29}, {19, 17, 23}, {7, 9, 8, 11}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		wide := make([]float64, n)
+		for i := range wide {
+			wide[i] = math.Sin(float64(i)/13) + 0.01*rng.NormFloat64()
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), 1e30, 1e12 + 0.5} {
+			wide[rng.Intn(n)] = v
+		}
+		narrow := make([]float32, n)
+		for i, v := range wide {
+			narrow[i] = float32(v)
+		}
+		for _, name := range qoz.Codecs() {
+			if name == "zfp" && len(dims) > 3 {
+				continue // zfp codes 1 to 3 dimensions
+			}
+			c := qoz.MustLookup(name)
+			opts := qoz.Options{ErrorBound: 1e-3}
+			p32, err := qoz.EncodePayload(ctx, c, narrow, dims, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, dims, err)
+			}
+			p64, err := qoz.EncodePayload(ctx, c, wide, dims, opts)
+			if err != nil {
+				t.Fatalf("%s %v float64: %v", name, dims, err)
+			}
+			for trial := 0; trial < 4; trial++ {
+				box := make([]qoz.Range, len(dims))
+				for q, ext := range dims {
+					lo := rng.Intn(ext)
+					box[q] = qoz.Range{Lo: lo, Hi: lo + 1 + rng.Intn(ext-lo)}
+				}
+				label := fmt.Sprintf("%s %v box %v", name, dims, box)
+				boxMatches[float32](t, label, p32, dims, box)
+				boxMatches[float64](t, label+" float64", p64, dims, box)
+			}
+			if name == "sz2" || name == "zfp" {
+				continue
+			}
+			past, rank := make([]qoz.Range, len(dims)), make([]qoz.Range, len(dims)+1)
+			for q := range rank {
+				rank[q] = qoz.Range{Lo: 0, Hi: 1}
+			}
+			copy(past, rank)
+			past[0].Hi = dims[0] + 1
+			for _, bad := range [][]qoz.Range{past, rank} {
+				if _, _, err := qoz.DecodePayload[float32](ctx, p32, bad...); err == nil {
+					t.Errorf("%s %v: box %v accepted", name, dims, bad)
+				}
+			}
+		}
+	}
+}
+
+// boxMatches decodes payload whole and clipped to box as samples of type
+// T and compares the two inside the box.
+func boxMatches[T qoz.Float](t *testing.T, label string, payload []byte, dims []int, box []qoz.Range) {
+	t.Helper()
+	whole, _, err := qoz.DecodePayload[T](context.Background(), payload)
+	if err != nil {
+		t.Fatalf("%s: whole: %v", label, err)
+	}
+	got, gdims, err := qoz.DecodePayload[T](context.Background(), payload, box...)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !slices.Equal(gdims, dims) || len(got) != len(whole) {
+		t.Fatalf("%s: clipped decode has dims %v and %d points, want %v and %d", label, gdims, len(got), dims, len(whole))
+	}
+	for i := range got {
+		in, r := true, i
+		for q := len(dims) - 1; q >= 0; q-- {
+			c := r % dims[q]
+			r /= dims[q]
+			in = in && c >= box[q].Lo && c < box[q].Hi
+		}
+		if in && math.Float64bits(float64(got[i])) != math.Float64bits(float64(whole[i])) {
+			t.Fatalf("%s: point %d = %v, whole decode %v", label, i, got[i], whole[i])
 		}
 	}
 }

@@ -203,16 +203,18 @@ func CompressDetailed(data []float32, dims []int, opts Options) (*Result, error)
 // Decompress reverses Compress. Both stream layouts decode: the
 // level-segmented layout the encoder now produces, and the legacy
 // single-segment layout of older streams, bit-identically to the original
-// decoder.
-func Decompress(buf []byte) ([]float32, []int, error) {
-	return decompress(buf, interp.LevelPassDecode)
+// decoder. A non-nil box (one range per dimension) is the only part the
+// caller reads: it comes out exact and the rest is left unset
+// (interp.Pyramid.Decode).
+func Decompress(buf []byte, box ...interp.Range) ([]float32, []int, error) {
+	return decompress(buf, box, interp.LevelPassDecodeClip)
 }
 
-// decompress decodes a whole stream of either layout with the given sweep.
-// Production passes interp.LevelPassDecode; the differential oracle
+// decompress decodes a stream of either layout with the given sweep.
+// Production passes interp.LevelPassDecodeClip; the differential oracle
 // (reference.go) passes the closure-driven interp.LevelPass, so both decode
 // through the same validation and differ in nothing but the sweep.
-func decompress(buf []byte, sweep interp.DecodeSweep) ([]float32, []int, error) {
+func decompress(buf []byte, box []interp.Range, sweep interp.DecodeSweep) ([]float32, []int, error) {
 	s, err := container.Decode(buf)
 	if err != nil {
 		return nil, nil, err
@@ -220,7 +222,7 @@ func decompress(buf []byte, sweep interp.DecodeSweep) ([]float32, []int, error) 
 	if s.Codec != codecID {
 		return nil, nil, container.ErrCodecMismatch
 	}
-	recon, dims, _, err := decompressStream(s, 1, sweep)
+	recon, dims, _, err := decompressStream(s, 1, box, sweep)
 	return recon, dims, err
 }
 
@@ -243,7 +245,7 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 	if !szstream.IsLevelStream(s) {
 		return nil, nil, 0, errors.New("qoz: stream predates level segmentation")
 	}
-	recon, dims, stride, err := decompressStream(s, level, interp.LevelPassDecode)
+	recon, dims, stride, err := decompressStream(s, level, nil, interp.LevelPassDecodeClip)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -258,8 +260,9 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 // DecompressLevel refuses, is only asked for level 1) and returns the full-size reconstruction buffer — only
 // positions on the returned stride's grid are meaningful when stride > 1 —
 // plus the dims and completed stride. Levels below the requested one are
-// not looked at, so a prefix decodes as far as it is sound.
-func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) ([]float32, []int, int, error) {
+// not looked at, so a prefix decodes as far as it is sound. A non-nil box
+// limits what comes out exact (interp.Pyramid.Decode).
+func decompressStream(s *container.Stream, level int, box []interp.Range, sweep interp.DecodeSweep) ([]float32, []int, int, error) {
 	payload, err := szstream.DecodeStream(s)
 	if err != nil {
 		return nil, nil, 0, err
@@ -273,7 +276,7 @@ func decompressStream(s *container.Stream, level int, sweep interp.DecodeSweep) 
 		return nil, nil, 0, errors.New("qoz: config misses per-level methods")
 	}
 	level = max(1, min(level, top+1))
-	recon, err := p.Decode(payload.Anchors, payload.Segments, level, sweep)
+	recon, err := p.Decode(payload.Anchors, payload.Segments, level, box, sweep)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("qoz: %w", err)
 	}

@@ -85,8 +85,8 @@ func TestDecompressMatchesReference(t *testing.T) {
 		}
 		maxLevel := streamMaxLevel(t, s)
 		for level := 1; level <= maxLevel+1; level++ {
-			fastL, _, fstride, ferr := decompressStream(s, level, interp.LevelPassDecode)
-			refL, _, rstride, rerr := decompressStream(s, level, closureSweep)
+			fastL, _, fstride, ferr := decompressStream(s, level, nil, interp.LevelPassDecodeClip)
+			refL, _, rstride, rerr := decompressStream(s, level, nil, closureSweep)
 			if (ferr == nil) != (rerr == nil) {
 				t.Fatalf("%s level %d: error mismatch %v vs %v", tc.name, level, ferr, rerr)
 			}

@@ -23,9 +23,26 @@ import (
 //
 // while consuming the same number of bin symbols and literals.
 func LevelPassDecode(buf []float32, dims []int, level int, m Method, deq *quant.Dequantizer) {
+	LevelPassDecodeClip(buf, dims, level, m, nil, deq)
+}
+
+// LevelPassDecodeClip is LevelPassDecode limited to clip (sweep's
+// per-sub-pass ranges; nil is the whole level), the DecodeSweep production
+// decodes run: it reconstructs the points inside clip bit-identically to
+// the full sweep and steps over the symbols of the others, counting their
+// escapes against the literal stream, so deq ends where the full sweep
+// leaves it.
+func LevelPassDecodeClip(buf []float32, dims []int, level int, m Method, clip []Range, deq *quant.Dequantizer) {
 	bins, lits, radius, twoEB := deq.DecodeState()
 	st := dqState{bins: bins, lits: lits, radius: radius, twoEB: twoEB}
-	sweep(dims, level, m, whole(dims), func(lo, hi, step, off1, form int) {
+	if clip == nil {
+		var all [maxFlatDims * maxFlatDims]Range
+		clip = whole(dims, all[:])
+	}
+	sweep(dims, level, m, clip, func(skip, lo, hi, step, off1, form int) {
+		if skip > 0 {
+			st.skip(skip)
+		}
 		st.lineAcross(buf, lo, hi, step, off1, form)
 	})
 	deq.Advance(st.bp, st.lp)
@@ -57,6 +74,19 @@ func (st *dqState) next(pred float64) float32 {
 		return st.lits[st.lp-1]
 	}
 	return float32(pred + st.twoEB*float64(int32(sym)-st.radius))
+}
+
+// skip steps over the symbols of n points the sweep does not
+// reconstruct, counting their escapes as next would.
+func (st *dqState) skip(n int) {
+	lp := st.lp
+	for _, sym := range st.bins[st.bp : st.bp+n] {
+		if sym == quant.LiteralSymbol {
+			lp++
+		}
+	}
+	st.bp += n
+	st.lp = lp
 }
 
 // lineAcross reconstructs one run: the points lo, lo+step, … < hi, each

@@ -50,7 +50,8 @@ func levelPassEncode(recon, data []float32, dims []int, level int, m Method, q *
 	count := CountLevelPoints(dims, level)
 	st := newEQState(q, data, count)
 	st.sumL1, st.l1 = sumL1, l1
-	sweep(dims, level, m, whole(dims), st.kernel(recon))
+	var all [maxFlatDims * maxFlatDims]Range
+	sweep(dims, level, m, whole(dims, all[:]), st.kernel(recon))
 	if st.bp != count {
 		panic("interp: sweep visited a different number of points than CountLevelPoints")
 	}
@@ -92,7 +93,15 @@ func levelPassEncodeChunked(recon, data []float32, dims []int, level int, m Meth
 			if j == 0 {
 				st.lits = q.Literals
 			}
-			sweep(dims, level, m, span{p, start + r0*step, start + r1*step}, st.kernel(recon))
+			// The chunk is sub-pass p's points in its rows: the whole
+			// sub-pass but for dim 0, and nothing of the others.
+			var all [maxFlatDims * maxFlatDims]Range
+			clip := whole(dims, all[:])
+			for pp := range dims {
+				clip[pp*len(dims)] = Range{}
+			}
+			clip[p*len(dims)] = Range{start + r0*step, start + r1*step}
+			sweep(dims, level, m, clip, st.kernel(recon))
 			if st.bp != len(st.bins) {
 				panic("interp: sweep visited a different number of points than subPass")
 			}
@@ -151,9 +160,11 @@ func newEQState(q *quant.Quantizer, data []float32, count int) eqState {
 }
 
 // kernel returns the sweep callback that predicts and quantizes each run
-// of recon into st.
-func (st *eqState) kernel(recon []float32) func(lo, hi, step, off1, form int) {
-	return func(lo, hi, step, off1, form int) {
+// of recon into st. An encode clips at most dim 0 of one sub-pass, so its
+// points are consecutive in the level's order and the skips around them
+// are not its symbols.
+func (st *eqState) kernel(recon []float32) func(skip, lo, hi, step, off1, form int) {
+	return func(_, lo, hi, step, off1, form int) {
 		for lo < hi {
 			n := 1 // a line's head and tail points are runs of one: no divide
 			if hi-lo > step {

@@ -21,16 +21,19 @@
 // LevelPass is the reference: an odometer that hands every point's
 // prediction to a commit closure. sweep (sweep.go) is the production
 // walker: the same points in the same order, handed to a kernel as runs
-// that share one stencil form. Three kernels ride it — LevelPassDecode
-// (decode.go) dequantizes a run, LevelPassEncode (encode.go) quantizes
-// it, LevelPassEncodeL1 also sums the prediction errors that rank
-// interpolators — and every codec's compression, decompression and
-// trial runs through them. Differential tests and FuzzSweepVsLevelPass
+// that share one stencil form, limited per sub-pass to a clip of
+// coordinate ranges. Three kernels ride it — LevelPassDecode (decode.go)
+// dequantizes a run (LevelPassDecodeClip also steps over the symbols of
+// clipped-out points), LevelPassEncode (encode.go) quantizes it,
+// LevelPassEncodeL1 also sums the prediction errors that rank
+// interpolators — and every codec's compression, decompression and trial
+// runs through them. Differential tests and FuzzSweepVsLevelPass
 // pin all three bit-identical to LevelPass, which nothing calls but
 // they, the reference decoders and the benchmark's layer timings.
 //
 // The level loop around the kernels is one too: Pyramid (pyramid.go)
-// seeds and sweeps every level for QoZ, SZ3 and MGARD alike, and only
+// seeds and sweeps every level for QoZ, SZ3 and MGARD alike — whole, or
+// through the cone of clips that leaves a requested box exact — and only
 // the tuners' trials keep loops of their own.
 package interp
 

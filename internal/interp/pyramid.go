@@ -143,8 +143,11 @@ func (p *Pyramid) Encode(data []float32) *Encoding {
 }
 
 // DecodeSweep reconstructs one level of buf from deq's symbols:
-// LevelPassDecode, or the reference decoders' closure-driven LevelPass.
-type DecodeSweep func(buf []float32, dims []int, level int, m Method, deq *quant.Dequantizer)
+// LevelPassDecode, or the reference decoders' closure-driven LevelPass. A
+// non-nil clip names the points each sub-pass must reconstruct (sweep's
+// layout); a sweep may reconstruct more, but must consume every symbol of
+// the level either way.
+type DecodeSweep func(buf []float32, dims []int, level int, m Method, clip []Range, deq *quant.Dequantizer)
 
 // Decode reconstructs the field from its anchors (ignored with the origin
 // as seed) and symbols through sweep, down to level stop in [1, Top()+1]:
@@ -154,13 +157,20 @@ type DecodeSweep func(buf []float32, dims []int, level int, m Method, deq *quant
 // stage, none below stop looked at — or the single-run layout, one Level-0
 // segment whose total count is checked before the first stage and whose
 // trailing symbols and literals after the last; a run decodes in full.
-// The reconstruction is a cleared pool.Slab, drawn once the symbol counts
-// are known to fit the dims: a caller done with it may hand it back with
-// pool.PutSlab, and a failed decode hands it back itself.
-func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep DecodeSweep) ([]float32, error) {
+// A non-nil box, one range per dimension, asks for those points only: each
+// sub-pass predicts just the points later passes read on the way to the
+// box (cone), the others keep whatever the buffer holds, and every symbol
+// is still consumed and checked. The reconstruction is a cleared
+// pool.Slab, drawn once the symbol counts are known to fit the dims: a
+// caller done with it may hand it back with pool.PutSlab, and a failed
+// decode hands it back itself.
+func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, box []Range, sweep DecodeSweep) ([]float32, error) {
 	n := 1
 	for _, d := range p.Dims {
 		n *= d
+	}
+	if box != nil && !inside(box, p.Dims) {
+		return nil, errors.New("decode box outside the field")
 	}
 	var idxs []int
 	if p.Anchor > 0 {
@@ -181,17 +191,64 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, sweep Deco
 	for i, idx := range idxs {
 		recon[idx] = anchors[i]
 	}
-	if err := p.sweepLevels(recon, segs, stop, run, sweep); err != nil {
+	if err := p.sweepLevels(recon, segs, stop, run, p.cone(box, stop), sweep); err != nil {
 		pool.PutSlab(recon)
 		return nil, err
 	}
 	return recon, nil
 }
 
+// inside reports whether box is a non-empty box of one range per
+// dimension within dims.
+func inside(box []Range, dims []int) bool {
+	if len(box) != len(dims) {
+		return false
+	}
+	for q, r := range box {
+		if r.Lo < 0 || r.Lo >= r.Hi || r.Hi > dims[q] {
+			return false
+		}
+	}
+	return true
+}
+
+// cone returns the clip of every sub-pass of levels stop..Top() (sweep's
+// layout, len(Dims)² ranges per level, level l's from (l-1)·len(Dims)²)
+// that leaves box exact after level stop, or nil for no box. It starts
+// from box and walks the passes backwards, from level stop's last to the
+// top level's first: a pass must predict the box the passes after it
+// read, and reads its inputs up to 3s along its own axis (the cubic
+// stencil's reach at stride s), so the box before it is that box widened
+// by 3s along the axis and clamped to the field.
+func (p *Pyramid) cone(box []Range, stop int) []Range {
+	if box == nil {
+		return nil
+	}
+	nd, top := len(p.Dims), p.Top()
+	out := make([]Range, top*nd*nd)
+	var cur [maxFlatDims]Range
+	copy(cur[:], box)
+	for l := stop; l <= top; l++ {
+		s := 1 << (l - 1)
+		m := p.method(l)
+		for pass := nd - 1; pass >= 0; pass-- {
+			copy(out[((l-1)*nd+pass)*nd:], cur[:nd])
+			d := pass
+			if m.Order == Decreasing {
+				d = nd - 1 - pass
+			}
+			cur[d] = Range{max(0, cur[d].Lo-3*s), min(p.Dims[d], cur[d].Hi+3*s)}
+		}
+	}
+	return out
+}
+
 // sweepLevels runs Decode's stages from the seed down to level stop over
-// recon, which holds the anchors.
-func (p *Pyramid) sweepLevels(recon []float32, segs []Segment, stop int, run bool, sweep DecodeSweep) error {
+// recon, which holds the anchors, each level clipped to its share of cone
+// (nil: whole levels).
+func (p *Pyramid) sweepLevels(recon []float32, segs []Segment, stop int, run bool, cone []Range, sweep DecodeSweep) error {
 	top := p.Top()
+	nd := len(p.Dims)
 	var deq quant.Dequantizer
 	for l := top + 1; l >= stop; l-- {
 		eb, count := p.stage(l, top)
@@ -211,7 +268,11 @@ func (p *Pyramid) sweepLevels(recon []float32, segs []Segment, stop int, run boo
 			deq.SetBound(eb)
 		}
 		if l <= top {
-			sweep(recon, p.Dims, l, p.method(l), &deq)
+			var clip []Range
+			if cone != nil {
+				clip = cone[(l-1)*nd*nd : l*nd*nd]
+			}
+			sweep(recon, p.Dims, l, p.method(l), clip, &deq)
 		} else if count > 0 {
 			recon[0] = deq.Next(0)
 		}

@@ -100,13 +100,21 @@ func alongRuns(runs *[4]lineRun, n, s int, kind Kind) []lineRun {
 	return out
 }
 
-// span limits a sweep to the sub-pass numbered pass (-1 visits them all)
-// and, within what it visits, to the points whose dim-0 coordinate lies in
-// [lo, hi).
-type span struct{ pass, lo, hi int }
+// Range is the half-open range [Lo, Hi) of coordinates along one
+// dimension.
+type Range struct{ Lo, Hi int }
 
-// whole is the span of a full level sweep over dims.
-func whole(dims []int) span { return span{-1, 0, dims[0]} }
+// whole fills clip with the ranges of a full level sweep over dims: every
+// sub-pass predicts every point of its lattice. clip must hold
+// len(dims)² ranges.
+func whole(dims []int, clip []Range) []Range {
+	nd := len(dims)
+	clip = clip[:nd*nd]
+	for i := range clip {
+		clip[i] = Range{0, dims[i%nd]}
+	}
+	return clip
+}
 
 // subPass describes sub-pass p of the level of stride s by the dim-0
 // coordinates its points take — start, start+step, … below dims[0] —
@@ -147,14 +155,27 @@ func lattice(q, d, s int, m Method) (start, step int) {
 // only points whose active coordinate is an even multiple of the stride
 // and the pass writes only odd multiples, so a kernel may predict a whole
 // run before committing any of it — and the points of disjoint dim-0
-// ranges of one sub-pass may be swept concurrently (sp).
-func sweep(dims []int, level int, m Method, sp span, run func(lo, hi, step, off1, form int)) {
+// ranges of one sub-pass may be swept concurrently.
+//
+// clip, len(dims)² ranges, limits what is visited: sub-pass p predicts
+// only its points whose coordinate along each dimension q lies in
+// clip[p·nd+q]. The level's other points are skipped, and each run
+// carries skip, the number of skipped points LevelPass would have visited
+// since the previous run; a final run with lo = hi carries what is left
+// after the last point visited. A decode advances its symbol cursor by
+// skip, so the symbols of the visited points stay where the full sweep
+// reads them; an encode that clips only dim 0 of one sub-pass sees no
+// skip between two of its runs and may ignore it.
+func sweep(dims []int, level int, m Method, clip []Range, run func(skip, lo, hi, step, off1, form int)) {
 	nd := len(dims)
 	if nd > maxFlatDims {
 		panic("interp: sweep over more than maxFlatDims dimensions")
 	}
-	lim0 := min(sp.hi, dims[0])
-	var strides, coord, steps [maxFlatDims]int
+	// Per dimension: flat stride, odometer coordinate and step, the first
+	// clipped coordinate and the bound below which clipped coordinates lie,
+	// and the lattice's ordinal step (points per unit of the coordinate's
+	// lattice index).
+	var strides, coord, steps, first, limit, plane [maxFlatDims]int
 	sv := 1
 	for i := nd - 1; i >= 0; i-- {
 		strides[i] = sv
@@ -163,66 +184,80 @@ func sweep(dims []int, level int, m Method, sp span, run func(lo, hi, step, off1
 	s := 1 << (level - 1)
 	inner := nd - 1
 	var runBuf [4]lineRun
+	pending := 0 // skipped points not yet handed to run
 
 	for p := 0; p < nd; p++ {
-		if sp.pass >= 0 && p != sp.pass {
-			continue
-		}
 		d := p
 		if m.Order == Decreasing {
 			d = nd - 1 - p
 		}
-		if dims[d] <= s {
-			continue // no points to predict along this dimension
+		// The lattice of the sub-pass, its clipped sub-box in lattice
+		// indices [a, b) per dimension, and the ordinal of the sub-box's
+		// first point: LevelPass visits the lattice in row-major order.
+		total, empty, ord := 1, false, 0
+		var a, b [maxFlatDims]int
+		for q := nd - 1; q >= 0; q-- {
+			start, step := lattice(q, d, s, m)
+			n := countRange(start, step, dims[q])
+			r := clip[p*nd+q]
+			a[q] = countRange(start, step, max(r.Lo, 0))
+			b[q] = countRange(start, step, min(r.Hi, dims[q]))
+			first[q], limit[q], steps[q] = start+a[q]*step, min(r.Hi, dims[q]), step
+			plane[q] = total
+			total *= n
+			empty = empty || a[q] >= b[q]
 		}
-		for q := 0; q < nd; q++ {
-			coord[q], steps[q] = lattice(q, d, s, m)
-		}
-		// The span's first dim-0 coordinate on this sub-pass's lattice.
-		if sp.lo > coord[0] {
-			coord[0] += (sp.lo - coord[0] + steps[0] - 1) / steps[0] * steps[0]
-		}
-		if coord[0] >= lim0 {
+		if empty {
+			pending += total
 			continue
 		}
 		base := 0
-		for q := 0; q < inner; q++ {
-			base += coord[q] * strides[q]
+		for q := 0; q < nd; q++ {
+			coord[q] = first[q]
+			if q < inner {
+				base += coord[q] * strides[q]
+				ord += a[q] * plane[q]
+			}
 		}
 		var along []lineRun
 		if d == inner {
-			along = alongRuns(&runBuf, dims[d], s, m.Kind)
-			if nd == 1 {
-				along = clipRuns(along, coord[0], lim0, steps[0])
-			}
+			along = clipRuns(alongRuns(&runBuf, dims[d], s, m.Kind), first[inner], limit[inner], steps[inner])
 		}
+		done := 0 // the sub-pass's points visited or skipped so far
 		for {
+			skip := pending + ord + a[inner] - done
+			pending = 0
 			if d == inner {
 				for _, r := range along {
-					run(base+r.lo, base+r.hi, 2*s, s, r.form)
+					run(skip, base+r.lo, base+r.hi, 2*s, s, r.form)
+					skip = 0
 				}
 			} else {
-				run(base, base+dims[inner], steps[inner], s*strides[d], stencilForm(coord[d], dims[d], s, m.Kind))
+				run(skip, base+first[inner], base+limit[inner], steps[inner], s*strides[d], stencilForm(coord[d], dims[d], s, m.Kind))
 			}
+			done = ord + b[inner]
 			q := inner - 1
 			for q >= 0 {
 				coord[q] += steps[q]
 				base += steps[q] * strides[q]
-				if coord[q] < dims[q] && (q > 0 || coord[0] < lim0) {
+				ord += plane[q]
+				if coord[q] < limit[q] {
 					break
 				}
-				start := 0
-				if q == d {
-					start = s
-				}
-				base -= (coord[q] - start) * strides[q]
-				coord[q] = start
+				back := (coord[q] - first[q]) / steps[q]
+				base -= back * steps[q] * strides[q]
+				ord -= back * plane[q]
+				coord[q] = first[q]
 				q--
 			}
 			if q < 0 {
 				break
 			}
 		}
+		pending += total - done
+	}
+	if pending > 0 {
+		run(pending, 0, 0, 1, 0, formCopy)
 	}
 }
 

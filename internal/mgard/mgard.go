@@ -55,13 +55,15 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 	return szstream.Encode(codecID, dims, eb, payload)
 }
 
-// Decompress reverses Compress.
-func Decompress(buf []byte) ([]float32, []int, error) {
+// Decompress reverses Compress. A non-nil box (one range per dimension) is
+// the only part the caller reads: it comes out exact and the rest is left
+// unset (interp.Pyramid.Decode).
+func Decompress(buf []byte, box ...interp.Range) ([]float32, []int, error) {
 	stream, payload, err := szstream.Decode(buf, codecID)
 	if err != nil {
 		return nil, nil, err
 	}
-	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, payload.Segments, 1, interp.LevelPassDecode)
+	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, payload.Segments, 1, box, interp.LevelPassDecodeClip)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)
 	}

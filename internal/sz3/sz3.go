@@ -48,8 +48,10 @@ func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 }
 
 // Decompress reverses Compress, returning the reconstructed field and its
-// dimensions.
-func Decompress(buf []byte) ([]float32, []int, error) {
+// dimensions. A non-nil box (one range per dimension) is the only part the
+// caller reads: it comes out exact and the rest is left unset
+// (interp.Pyramid.Decode).
+func Decompress(buf []byte, box ...interp.Range) ([]float32, []int, error) {
 	stream, payload, err := szstream.Decode(buf, codecID)
 	if err != nil {
 		return nil, nil, err
@@ -61,7 +63,7 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 		Kind:  interp.Kind(payload.Config[0]),
 		Order: interp.Order(payload.Config[1]),
 	}
-	recon, err := pyramid(stream.Dims, stream.ErrorBound, method).Decode(nil, payload.Segments, 1, interp.LevelPassDecode)
+	recon, err := pyramid(stream.Dims, stream.ErrorBound, method).Decode(nil, payload.Segments, 1, box, interp.LevelPassDecodeClip)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz3: %w", err)
 	}

@@ -228,15 +228,24 @@ func EncodePayload[T Float](ctx context.Context, c Codec, data []T, dims []int, 
 	return out, nil
 }
 
+// Range is the half-open range [Lo, Hi) of coordinates along one
+// dimension. A decode box is one Range per dimension.
+type Range = interp.Range
+
 // DecodePayload reverses EncodePayload for a payload of either kind,
 // routing the container to the registered codec named in its header and
-// restoring escaped double-precision points exactly.
-func DecodePayload[T Float](ctx context.Context, buf []byte) ([]T, []int, error) {
+// restoring escaped double-precision points exactly. A box, one Range per
+// dimension inside the field, asks for its points only: the result still
+// has the field's shape and its box holds a whole decode's values, bit for
+// bit, while the points outside it are unspecified. A codec that predicts
+// through the interpolation pyramid (qoz, sz3, mgard) then reconstructs
+// just the points the box depends on; the others decode in full.
+func DecodePayload[T Float](ctx context.Context, buf []byte, box ...Range) ([]T, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	v, dims, _, err := decodePayload[T](buf, func(inner []byte) ([]float32, []int, int, error) {
-		heads, dims, err := decodeContainer(ctx, inner)
+		heads, dims, err := decodeContainer(ctx, inner, box)
 		return heads, dims, 1, err
 	})
 	return v, dims, err

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,6 +188,36 @@ func BenchmarkReadRegionSmallROICold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.ReadRegion(ctx, []int{0, 0, 0}, []int{32, 64, 64}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadRegionUnalignedCold reads boxes of a serving scan's shape
+// with the cache off: edge 1.5 bricks at offset brick·k + 1 + U[0,
+// brick/2) per axis, so each box straddles one brick boundary per axis,
+// touches 8 bricks and needs part of each — the reads a clipped decode
+// serves. BenchmarkReadRegionSmallROICold's box is brick-aligned and
+// decodes its bricks whole.
+func BenchmarkReadRegionUnalignedCold(b *testing.B) {
+	s := benchStore(b, -1)
+	ctx := context.Background()
+	const brick, edge = 32, 256
+	rng := rand.New(rand.NewSource(1))
+	boxes := make([][2][]int, 64)
+	for i := range boxes {
+		lo, hi := make([]int, 3), make([]int, 3)
+		for a := range lo {
+			lo[a] = brick*rng.Intn(edge/brick-1) + 1 + rng.Intn(brick/2)
+			hi[a] = lo[a] + brick + brick/2
+		}
+		boxes[i] = [2][]int{lo, hi}
+	}
+	b.SetBytes(48 * 48 * 48 * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bx := boxes[i%len(boxes)]
+		if _, err := s.ReadRegion(ctx, bx[0], bx[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

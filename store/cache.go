@@ -89,8 +89,8 @@ type cacheKey struct {
 // mixed-precision stores accurately. Safe for concurrent use.
 //
 // Each brick read counts once in freq: a hit in get, or the decode offered
-// to put (a miss is looked up twice, by the fill loop and by the decode
-// task, so get does not count it). Every freqPeriod × (entries+1) counted
+// to offer before it runs (a miss is looked up twice, by the fill loop and
+// by the decode task, so get does not count it). Every freqPeriod × (entries+1) counted
 // reads every count halves and the zeros drop, so old popularity fades;
 // counts also halve whenever the table would hold more than
 // freqTableFactor × (entries+1) keys, which bounds its memory by the
@@ -178,12 +178,36 @@ func (c *lruCache) get(key cacheKey) (*cacheEntry, bool) {
 	return ent, true
 }
 
-// put counts a read of key and offers its decoded brick of the given byte
-// size. It returns the new entry with a reference for the caller, which
-// gives up ownership of data, evicting least-recently-used entries until
-// the budget holds. It returns nil when it does not take data — caching is
-// off, the brick is larger than the whole budget, the key is already
-// cached, or admission refuses it — and the caller keeps it.
+// offer counts a read of key and returns admission's verdict on a decode
+// of it of the given byte size, made before the caller decodes: true when
+// put would take the decode now. A refusal is final for this decode and
+// is counted in rejectedBytes; it also covers caching off, a brick larger
+// than the whole budget, and a key already cached (which is refreshed as
+// the most recently touched entry). Counting here, once per decode
+// offered, is what put did when it was the only call; an admitted decode
+// is counted once, by offer, and its put re-checks admission without
+// counting.
+func (c *lruCache) offer(key cacheKey, bytes int64) bool {
+	if c == nil || bytes > c.budget {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.count(key)
+	if c.refuse(key, f, bytes) {
+		c.age()
+		return false
+	}
+	return true // put ages the counts once it has inserted
+}
+
+// put offers the decoded brick of key, of the given byte size, that offer
+// admitted. It returns the new entry with a reference for the caller,
+// which gives up ownership of data, evicting least-recently-used entries
+// until the budget holds. It returns nil when it does not take data —
+// admission, re-checked since other reads may have touched the cache
+// while the caller decoded, refuses it or the key was cached meanwhile —
+// and the caller keeps it.
 func (c *lruCache) put(key cacheKey, data any, bytes int64) *cacheEntry {
 	if c == nil || bytes > c.budget {
 		return nil
@@ -191,16 +215,7 @@ func (c *lruCache) put(key cacheKey, data any, bytes int64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.age()
-	f := c.count(key)
-	if el, ok := c.byKey[key]; ok {
-		// A concurrent read already cached this brick. It is still the most
-		// recently touched entry, so refresh its recency; leaving it in place
-		// would let the freshest brick sit at the LRU end and be evicted next.
-		c.order.MoveToFront(el)
-		return nil
-	}
-	if !c.admit(f, c.bytes+bytes-c.budget) {
-		c.rejected += bytes
+	if c.refuse(key, c.freq[key], bytes) {
 		return nil
 	}
 	ent := &cacheEntry{key: key, data: data, bytes: bytes}
@@ -211,6 +226,24 @@ func (c *lruCache) put(key cacheKey, data any, bytes int64) *cacheEntry {
 		c.evicted += c.drop(c.order.Back())
 	}
 	return ent
+}
+
+// refuse reports whether the cache turns away a decode of key read f
+// times: the key is already cached — a concurrent read put it there; it
+// is still the most recently touched entry, so its recency is refreshed,
+// since leaving it in place would let the freshest brick sit at the LRU
+// end and be evicted next — or admission refuses it, which is counted in
+// rejected. The caller holds c.mu.
+func (c *lruCache) refuse(key cacheKey, f uint32, bytes int64) bool {
+	if el, ok := c.byKey[key]; ok {
+		c.order.MoveToFront(el)
+		return true
+	}
+	if !c.admit(f, c.bytes+bytes-c.budget) {
+		c.rejected += bytes
+		return true
+	}
+	return false
 }
 
 // admit reports whether a candidate read f times may evict the

@@ -14,6 +14,15 @@ import (
 	"qoz/internal/pool"
 )
 
+// offerPut is one decode offered to the cache the way decodeBrick offers
+// it: admission's verdict first, then, when it admits, the insert.
+func offerPut(c *lruCache, key cacheKey, data any, bytes int64) *cacheEntry {
+	if !c.offer(key, bytes) {
+		return nil
+	}
+	return c.put(key, data, bytes)
+}
+
 // TestCachePutRefreshesRecency is the regression test for the duplicate-put
 // bug: when a concurrent reader re-decodes a brick that is already cached,
 // the entry must be marked most recently used — otherwise the freshest
@@ -26,7 +35,7 @@ func TestCachePutRefreshesRecency(t *testing.T) {
 	k := func(i int) cacheKey { return cacheKey{brick: i} }
 	// An entry owns its slice, so every put hands over a slice of its own.
 	put := func(i int) {
-		if ent := c.put(k(i), make([]float32, 100), sz); ent != nil {
+		if ent := offerPut(c, k(i), make([]float32, 100), sz); ent != nil {
 			ent.release()
 		}
 	}
@@ -227,7 +236,7 @@ func TestCacheAdmitsByFrequency(t *testing.T) {
 	const sz = 4 * 100
 	k := func(i int) cacheKey { return cacheKey{brick: i} }
 	put := func(c *lruCache, i int, n int64) bool {
-		ent := c.put(k(i), make([]float32, n/4), n)
+		ent := offerPut(c, k(i), make([]float32, n/4), n)
 		if ent != nil {
 			ent.release()
 		}
@@ -360,7 +369,7 @@ func TestCacheFreqTableBound(t *testing.T) {
 		}
 		if ent, ok := c.get(key); ok {
 			ent.release()
-		} else if ent := c.put(key, make([]float32, sz/4), sz); ent != nil {
+		} else if ent := offerPut(c, key, make([]float32, sz/4), sz); ent != nil {
 			ent.release()
 		}
 		check(i)
@@ -542,7 +551,7 @@ func FuzzCacheProtocol(f *testing.F) {
 				}
 				slabs = append(slabs, sl)
 				_, dup := listed[key]
-				if sl.ent = c.put(key, sl.data, bytes); sl.ent == nil {
+				if sl.ent = offerPut(c, key, sl.data, bytes); sl.ent == nil {
 					if !all(sl.data, sl.mark) {
 						t.Fatalf("step %d: a refused put did not leave brick %v with the caller", i, key)
 					}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"qoz"
+	"qoz/internal/grid"
 	"qoz/internal/pool"
 )
 
@@ -144,16 +145,21 @@ func planFetch(m *manifest, refs []brickRef, gap int64) ([]brickTask, []fetchRan
 }
 
 // decodeBricks decodes the bricks refs name, each distinct (brick, level)
-// once, on the read's worker pool, and calls use(j, data) for every ref j
-// with its brick's decode; refs sharing a decode are served one after
-// another on the worker that decoded it. A task takes its brick from the
-// cache when another read has just put it there, and otherwise from its
-// span of its range, which the range's first task to need it fetches. The
-// last of a range's tasks returns the range's buffer. use must not keep
-// data: the task releases its hold on the decode once use returns, and the
-// decode may go back to the slab pool then.
-func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs []brickRef, use func(j int, data []N)) error {
+// once, on the read's worker pool, and calls use(j, p, data) for every ref
+// j with its piece p — its brick's share of the field box boxOf(j) — and
+// its brick's decode; refs sharing a decode are served one after another
+// on the worker that decoded it. A task takes its brick from the cache
+// when another read has just put it there, and otherwise from its span of
+// its range, which the range's first task to need it fetches. A full
+// decode of a brick (level 0) that the cache will not keep reconstructs
+// only the bounding box of the task's pieces (decodeBrick), so use must
+// read data inside its piece alone. The last of a range's tasks returns
+// the range's buffer. use must not keep data: the task releases its hold
+// on the decode once use returns, and the decode may go back to the slab
+// pool then.
+func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs []brickRef, boxOf func(j int) (lo, hi []int), use func(j int, p *grid.Piece, data []N)) error {
 	tasks, ranges := planFetch(m, refs, s.gap)
+	bk := m.hdr.bricks()
 	obsv := stageObserverFrom(ctx)
 	err := pool.RunErr(ctx, len(tasks), s.workers, func(k int) error {
 		t, r := &tasks[k], &ranges[tasks[k].rng]
@@ -166,13 +172,15 @@ func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs 
 				return fmt.Errorf("store: brick %d: %w", t.brick, err)
 			}
 			at := t.span.off - r.off
-			if data, ent, err = decodeBrick[N](ctx, s, m, t, buf[at:at+t.span.n], obsv); err != nil {
+			if data, ent, err = decodeBrick[N](ctx, s, m, t, t.need(&bk, boxOf), buf[at:at+t.span.n], obsv); err != nil {
 				return err
 			}
 		}
 		defer releaseBrick(data, ent)
 		for _, j := range t.jobs {
-			use(j, data)
+			lo, hi := boxOf(j)
+			p := bk.Piece(t.brick, lo, hi)
+			use(j, &p, data)
 		}
 		return nil
 	})
@@ -183,6 +191,36 @@ func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs 
 		}
 	}
 	return err
+}
+
+// need returns the part of the task's brick its jobs read: the bounding
+// box of their pieces, in brick coordinates, one range per dimension — or
+// nil when that is the whole brick, or the task decodes a level prefix,
+// whose coarse grid is small and decodes whole.
+func (t *brickTask) need(bk *grid.Bricks, boxOf func(j int) (lo, hi []int)) []qoz.Range {
+	if t.level > 0 {
+		return nil
+	}
+	var lo, hi, blo, bhi grid.Coord
+	for k, j := range t.jobs {
+		jlo, jhi := boxOf(j)
+		p := bk.Piece(t.brick, jlo, jhi)
+		if k == 0 {
+			lo, hi, blo, bhi = p.Lo, p.Hi, p.BLo, p.BHi
+			continue
+		}
+		for d := range bk.Rank {
+			lo[d], hi[d] = min(lo[d], p.Lo[d]), max(hi[d], p.Hi[d])
+		}
+	}
+	if lo == blo && hi == bhi {
+		return nil
+	}
+	box := make([]qoz.Range, bk.Rank)
+	for d := range box {
+		box[d] = qoz.Range{Lo: lo[d] - blo[d], Hi: hi[d] - blo[d]}
+	}
+	return box
 }
 
 // release marks one of the range's tasks done; the last returns the buffer.

@@ -150,12 +150,12 @@ func fillNative[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 func fillMisses[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N, level int, refs []brickRef, jobs []pieceJob) error {
 	bk := m.hdr.bricks()
 	nd, step := bk.Rank, 1<<(level-1)
-	return decodeBricks(ctx, s, m, refs, func(k int, data []N) {
-		j, ref := &jobs[k], refs[k]
-		p := bk.Piece(ref.brick, j.box.Lo, j.box.Hi)
+	boxOf := func(k int) (lo, hi []int) { return jobs[k].box.Lo, jobs[k].box.Hi }
+	return decodeBricks(ctx, s, m, refs, boxOf, func(k int, p *grid.Piece, data []N) {
+		j := &jobs[k]
 		og, _ := grid.LevelOf(j.box.Lo, j.box.Hi, step)
 		pg, _ := grid.LevelOf(p.Lo[:nd], p.Hi[:nd], step)
-		copyPiece(dst[j.off:], &og, data, &p, &pg, nd, step, ref.level)
+		copyPiece(dst[j.off:], &og, data, p, &pg, nd, step, refs[k].level)
 	})
 }
 

@@ -328,6 +328,87 @@ func TestReleaseQueryScans(t *testing.T) {
 	})
 }
 
+// TestReleaseClippedNeverCached reads parts of bricks through a one-brick
+// cache, so decodes are admitted and refused in turn, and checks every
+// read against the uncached reference. A decode the cache admits must be
+// whole even when its read wants part of the brick; one it refuses is
+// clipped to the part and handed back by its reader, never listed — so
+// the reads of other parts that follow, hits on the same brick, serve
+// whole-decode values.
+func TestReleaseClippedNeverCached(t *testing.T) {
+	s, ref, _ := releaseStore32(t, Options{CacheBytes: brickBytes, Workers: 1}) // room for one brick
+	poisonSlabs(t)
+	ctx := context.Background()
+	read := func(lo, hi []int) {
+		t.Helper()
+		got, err := s.ReadRegion(ctx, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ReadRegion(ctx, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("box %v-%v: served values no whole decode holds (stats %+v)", lo, hi, s.Stats())
+		}
+	}
+	// Brick 0 into the empty cache: admitted, so decoded whole although
+	// the read wants a corner; the rest of the brick is then a hit.
+	read([]int{1, 1, 1}, []int{5, 5, 5})
+	read([]int{5, 0, 0}, []int{8, 8, 8})
+	if st := s.Stats(); st.BricksDecoded != 1 || st.BricksClipped != 0 || st.CacheHits != 1 {
+		t.Fatalf("an admitted decode was clipped, or not cached: %+v", st)
+	}
+	// A corner of brick 1 (z offset 8), read less often than brick 0:
+	// refused, so clipped.
+	read([]int{1, 1, 9}, []int{5, 5, 13})
+	if st := s.Stats(); st.BricksDecoded != 2 || st.BricksClipped != 1 {
+		t.Fatalf("a refused partial decode was not clipped: %+v", st)
+	}
+	// Brick 1 whole: refused once more (read as often as brick 0), then
+	// admitted; another part of it is a hit on that whole decode.
+	read([]int{0, 0, 8}, []int{8, 8, 16})
+	read([]int{0, 0, 8}, []int{8, 8, 16})
+	read([]int{5, 0, 8}, []int{8, 8, 16})
+	if st := s.Stats(); st.BricksDecoded != 4 || st.BricksClipped != 1 || st.CacheHits != 2 {
+		t.Fatalf("brick 1 was not admitted whole after its third read: %+v", st)
+	}
+}
+
+// TestClippedReplayKeepsCacheCounts replays 600 random boxes one at a
+// time on one worker through a cache of six bricks. Clipping changes what
+// a refused decode reconstructs, never what the cache sees: the reads,
+// hits, decodes and admission's refused and evicted bytes equal those of
+// the code before clipping (the figures below, measured on it).
+func TestClippedReplayKeepsCacheCounts(t *testing.T) {
+	s, _, _ := releaseStore32(t, Options{CacheBytes: 6 * brickBytes, Workers: 1})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(43))
+	for range 600 {
+		lo, hi := randomBox(rng, 1)
+		if _, err := s.ReadRegion(ctx, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	got := [5]int64{st.BricksRead, st.CacheHits, st.BricksDecoded, s.cache.rejectedBytes(), s.cache.evictedBytes()}
+	want := [5]int64{replayReads, replayHits, replayDecoded, replayRejected, replayEvicted}
+	if got != want {
+		t.Fatalf("reads, hits, decodes, rejected and evicted bytes = %v, want %v", got, want)
+	}
+	if st.BricksClipped == 0 || st.BricksClipped >= st.BricksDecoded {
+		t.Fatalf("%d of %d decodes clipped: the replay does not exercise both kinds", st.BricksClipped, st.BricksDecoded)
+	}
+}
+
+// replayReads … replayEvicted are TestClippedReplayKeepsCacheCounts's
+// figures.
+const (
+	replayReads, replayHits, replayDecoded = 2875, 427, 2448
+	replayRejected, replayEvicted          = 4835328, 165888
+)
+
 // TestReleaseCorruptPayload flips bytes of one brick's payload (with its
 // checksum fixed up, so the codec sees them) and reads it: whether a flip
 // fails the decode or changes its values, every read after it of the
@@ -405,6 +486,45 @@ func TestColdBrickDecodeAllocations(t *testing.T) {
 	}
 	if st := s.Stats(); st.BricksDecoded != runs+3 {
 		t.Fatalf("reads were not cold: %+v", st)
+	}
+}
+
+// TestClippedColdBrickDecodeAllocations is TestColdBrickDecodeAllocations
+// for a read of part of the brick, whose decode is clipped: the per-pass
+// clip and the box add a few hundred bytes, under the same bound.
+func TestClippedColdBrickDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what it is given")
+	}
+	ds := datagen.NYX(32, 32, 32)
+	s, _ := buildStore(t, ds.Data, ds.Dims,
+		WriteOptions{Opts: qoz.Options{RelBound: 1e-3}, Brick: []int{32, 32, 32}},
+		Options{CacheBytes: -1}) // every read decodes
+	ctx := context.Background()
+	lo, hi := []int{5, 9, 3}, []int{21, 30, 19}
+	dst := make([]float32, boxPoints(lo, hi))
+	read := func() {
+		if err := s.ReadRegionInto(ctx, dst, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		read() // warm the pools
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRead > coldBrickAllocBound {
+		t.Fatalf("a clipped cold read of a 32³ brick allocates %d bytes; want at most %d", perRead, coldBrickAllocBound)
+	}
+	if st := s.Stats(); st.BricksDecoded != runs+3 || st.BricksClipped != runs+3 {
+		t.Fatalf("reads were not clipped cold decodes: %+v", st)
 	}
 }
 

@@ -50,6 +50,11 @@ type Options struct {
 type Stats struct {
 	// BricksDecoded counts actual codec decompressions (cache misses).
 	BricksDecoded int64
+	// BricksClipped counts the decodes among BricksDecoded that
+	// reconstructed only the part of their brick a read needed: the
+	// decodes the cache would not keep, for reads that did not cover their
+	// brick whole.
+	BricksClipped int64
 	// BricksRead counts bricks served to region reads, hits and misses.
 	BricksRead int64
 	// CacheHits counts bricks served from the decoded-brick cache.
@@ -103,6 +108,7 @@ type Store struct {
 	retired   []*os.File // superseded file handles kept open for in-flight reads
 
 	decoded atomic.Int64
+	clipped atomic.Int64
 	read    atomic.Int64
 	hits    atomic.Int64
 	pruned  atomic.Int64
@@ -526,6 +532,7 @@ func (s *Store) BrickStats(i int) (BrickStat, bool) {
 func (s *Store) Stats() Stats {
 	st := Stats{
 		BricksDecoded: s.decoded.Load(),
+		BricksClipped: s.clipped.Load(),
 		BricksRead:    s.read.Load(),
 		CacheHits:     s.hits.Load(),
 		BricksPruned:  s.pruned.Load(),
@@ -657,12 +664,17 @@ func releaseBrick[N qoz.Float](data []N, ent *cacheEntry) {
 // decodeBrick is the one verify → decode body: it checks task t's payload
 // bytes against the manifest, decodes them to the store's native kind N —
 // the whole brick (level 0), or a level-L prefix to that level's
-// compacted coarse grid — and offers the result to the cache. The caller
-// reads the samples until it passes them and the returned entry (nil when
-// the cache did not take them) to releaseBrick. payload is scratch: every
-// decoder behind this path parses the container by copying section bytes
-// out, so the caller may recycle it once decodeBrick returns.
-func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *brickTask, payload []byte, obsv StageObserver) ([]N, *cacheEntry, error) {
+// compacted coarse grid — and hands a full decode to the cache when the
+// cache admits it. Admission's verdict comes before the decode: a decode
+// the cache will not keep, when the read needs only box of the brick
+// (brick coordinates; nil for all of it), reconstructs just that box and
+// the points it depends on, is counted in BricksClipped, and never enters
+// the cache. The caller reads the samples — inside box, when it clipped —
+// until it passes them and the returned entry (nil when the cache did not
+// take them) to releaseBrick. payload is scratch: every decoder behind
+// this path parses the container by copying section bytes out, so the
+// caller may recycle it once decodeBrick returns.
+func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *brickTask, box []qoz.Range, payload []byte, obsv StageObserver) ([]N, *cacheEntry, error) {
 	i, level := t.brick, t.level
 	if crc32.ChecksumIEEE(payload) != t.crc {
 		return nil, nil, fmt.Errorf("store: brick %d: checksum mismatch: %w", i, ErrCorrupt)
@@ -674,6 +686,16 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 	if err := checkPayload[N](m, i, payload, want); err != nil {
 		return nil, nil, err
 	}
+	stride := 1 << max(level-1, 0)
+	points := 1 // of the stride-aligned grid over the brick
+	for _, d := range want {
+		points *= (d-1)/stride + 1
+	}
+	key, bytes := m.cacheKey(s, i, level), int64(points)*int64(kindSize(m.hdr.kind))
+	admitted := s.cache.offer(key, bytes)
+	if admitted {
+		box = nil
+	}
 	var decodeStart time.Time
 	if obsv != nil {
 		decodeStart = time.Now()
@@ -681,11 +703,11 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 	var data []N
 	var dims []int
 	var err error
-	stride := 1
+	got := 1
 	if level > 0 {
-		data, dims, stride, err = qoz.DecodePayloadLevel[N](payload, level)
+		data, dims, got, err = qoz.DecodePayloadLevel[N](payload, level)
 	} else {
-		data, dims, err = qoz.DecodePayload[N](ctx, payload)
+		data, dims, err = qoz.DecodePayload[N](ctx, payload, box...)
 	}
 	if obsv != nil {
 		obsv(StageDecode, time.Since(decodeStart), int64(len(data))*int64(kindSize(m.hdr.kind)))
@@ -693,17 +715,18 @@ func decodeBrick[N qoz.Float](ctx context.Context, s *Store, m *manifest, t *bri
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: brick %d: %w", i, err)
 	}
-	points := 1 // of the stride-aligned grid over the brick
-	for _, d := range want {
-		points *= (d-1)/stride + 1
-	}
-	if stride != 1<<max(level-1, 0) || !slices.Equal(dims, want) || len(data) != points {
+	if got != stride || !slices.Equal(dims, want) || len(data) != points {
 		releaseBrick(data, nil)
 		return nil, nil, fmt.Errorf("store: brick %d: decoded shape mismatch: %w", i, ErrCorrupt)
 	}
 	s.decoded.Add(1)
-	ent := s.cache.put(m.cacheKey(s, i, level), data, int64(len(data))*int64(kindSize(m.hdr.kind)))
-	return data, ent, nil
+	if box != nil {
+		s.clipped.Add(1)
+	}
+	if !admitted {
+		return data, nil, nil
+	}
+	return data, s.cache.put(key, data, bytes), nil
 }
 
 // checkPayload validates brick i's payload framing against the manifest
