@@ -453,13 +453,15 @@ func (c *Client) ReadBoxesRaw(ctx context.Context, f *Field, boxes []store.Box, 
 // A round trip carries at most roundTripBytes of body and roundTripBoxes
 // boxes; a shard's share of a read above either goes in several round
 // trips, and a single larger box travels alone. Constants, not settings,
-// and measured: the byte bound is the slab pools' recycling bound, so both
-// the body here and the sample buffer the shard fills for it come out of a
-// pool (uncapped, reading an 8 MiB field whole made each shard produce one
-// 4 MiB unpooled buffer and gateway_hot's peak RSS rose 12.9 %); the box
-// bound keeps the URL short when a thin region crosses many bricks.
+// and measured: at 256 KiB the body here and the sample buffer the shard
+// fills for it come out of a pool (uncapped, reading an 8 MiB field whole
+// made each shard produce one 4 MiB unpooled buffer and gateway_hot's peak
+// RSS rose 12.9 %). The byte bound is its own, as store's maxFetchRange
+// is, rather than the slab pools' recycling bound: raising that one to
+// pool a region answer must not lengthen the round trips. The box bound
+// keeps the URL short when a thin region crosses many bricks.
 const (
-	roundTripBytes = pool.MaxSlabBytes
+	roundTripBytes = 256 << 10
 	roundTripBoxes = 64
 )
 

@@ -143,6 +143,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"qoz"
 	"qoz/cluster"
@@ -897,13 +898,11 @@ func leSamples[T qoz.Float](b []byte, elem int) []T {
 
 // writeSamples streams decoded samples. Raw is little-endian samples at
 // the field's element width, never content-coded — those bytes are
-// freshly decoded output and barely compress; json marshals by hand
-// because encoding/json refuses the NaN/±Inf the escape envelope
+// freshly decoded output and barely compress (see writeRaw); json marshals
+// by hand because encoding/json refuses the NaN/±Inf the escape envelope
 // deliberately preserves — non-finite points become null — and is
-// gzip-wrapped when the client negotiated it (see jsonBody). Both paths
-// stream in bounded chunks instead of materializing a second copy of the
-// region as bytes; the raw path's chunk is recycled and no larger than the
-// body, which for a sub-read is most of the time one Write.
+// gzip-wrapped when the client negotiated it (see jsonBody), streaming in
+// bounded chunks instead of materializing a second copy of the region.
 func writeSamples[T qoz.Float](w http.ResponseWriter, r *http.Request, outDims []int, dtype string, data []T, format string) error {
 	elem := 4
 	if dtype == "float64" {
@@ -946,15 +945,36 @@ func writeSamples[T qoz.Float](w http.ResponseWriter, r *http.Request, outDims [
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(elem*len(data)))
+	return writeRaw(w, data, hostLittleEndian)
+}
+
+// hostLittleEndian says whether this host keeps a sample's bytes in the
+// wire's order, so that a slab of samples already is its raw body.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// writeRaw writes samples as a raw body: little-endian, at their own
+// width. With native (the host's order is the wire's) the slab's own
+// memory goes out in one Write, as a gateway writes its stitched byte
+// slab; otherwise each sample is converted through a recycled chunk no
+// larger than min(64 KiB, body).
+func writeRaw[T qoz.Float](w io.Writer, data []T, native bool) error {
+	if len(data) == 0 {
+		return nil
+	}
+	elem := int(unsafe.Sizeof(data[0]))
+	if native {
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), elem*len(data)))
+		return err
+	}
 	chunk := pool.Slab[byte](min(64<<10, elem*len(data)))
 	defer pool.PutSlab(chunk)
 	for off := 0; off < len(data); {
 		n := min(len(chunk)/elem, len(data)-off)
-		for i := 0; i < n; i++ {
+		for i, v := range data[off : off+n] {
 			if elem == 8 {
-				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(float64(data[off+i])))
+				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(float64(v)))
 			} else {
-				binary.LittleEndian.PutUint32(chunk[4*i:], math.Float32bits(float32(data[off+i])))
+				binary.LittleEndian.PutUint32(chunk[4*i:], math.Float32bits(float32(v)))
 			}
 		}
 		if _, err := w.Write(chunk[:elem*n]); err != nil {
@@ -975,8 +995,8 @@ func (h *handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // families is the table of metric families both roles render: process-wide
 // request accounting, single-flight activity, per-tenant 429s, what the
-// process asked of the allocator and the collector, and request latency by
-// {route, status}.
+// process asked of the allocator and the collector (and which slabs the
+// pools could not recycle), and request latency by {route, status}.
 func (h *handler) families() []family {
 	work, refreshes := h.be.nouns()
 	flights := h.flight.Stats()
@@ -998,6 +1018,7 @@ func (h *handler) families() []family {
 			func(tenant string) any { return limited[tenant] }),
 		scalar("qozd_go_heap_alloc_bytes_total", "heap bytes allocated by this process since it started", "counter", runtimeSamples[0].Value.Uint64()),
 		scalar("qozd_go_gc_cycles_total", "garbage collection cycles completed since the process started", "counter", runtimeSamples[1].Value.Uint64()),
+		scalar("qozd_slab_unpooled_bytes_total", "bytes of response and decode slabs allocated outside the slab pools, being above their recycling bound", "counter", pool.UnpooledSlabBytes()),
 		{hist: h.ins.reqHist},
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -63,6 +64,10 @@ func referenceRaw(t *testing.T, path string, lo, hi []int) []byte {
 // the gateway). A response written from a slab after its release — by a
 // coalesced waiter slower than the rest, by a failover that kept the failed
 // attempt's buffer — carries the pattern and differs from the reference.
+// serve_scan's 48³ answers (432 KiB in float32, 864 KiB in float64) are
+// recycled slabs too, on a shard and at the gateway, so they get herds of
+// their own: through the gateway, and at a shard whose produce waits on its
+// store's origin so that its herd coalesces for certain.
 func TestClusterNoUseAfterRelease(t *testing.T) {
 	pool.PoisonSlabs(true)
 	t.Cleanup(func() { pool.PoisonSlabs(false) })
@@ -70,8 +75,9 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 	dir := t.TempDir()
 	p32, _ := buildStoreFile(t, dir)
 	p64, _, _ := buildStoreFile64(t, dir)
-	paths := map[string]string{"nyx": p32, "wave": p64}
-	mounts := []mount{{name: "nyx", target: p32}, {name: "wave", target: p64}}
+	pHot, pHot64 := buildHotStoreFile(t, dir), buildHotStoreFile64(t, dir)
+	paths := map[string]string{"nyx": p32, "wave": p64, "hot": pHot, "hot64": pHot64}
+	mounts := []mount{{name: "nyx", target: p32}, {name: "wave", target: p64}, {name: "hot", target: pHot}, {name: "hot64", target: pHot64}}
 
 	// Shard region requests wait at the gate while one is set (so a herd
 	// coalesces behind its leader for certain), and shard 1 cuts region
@@ -93,6 +99,29 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 			})
 		})
 	gw, gts := startGateway(t, gatewayOptions{Shards: shardURLs(shards)})
+
+	// The direct shard mounts the hot stores by URL with its cache off, so
+	// every produce fetches ranges from the origin, which holds range
+	// requests while originGate is set: a herd at this shard piles up behind
+	// one produce inside its single-flight.
+	var originGate atomic.Pointer[chan struct{}]
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		content, err := os.ReadFile(filepath.Join(dir, filepath.Base(r.URL.Path)))
+		if err != nil {
+			http.NotFound(w, r)
+			return
+		}
+		if g := originGate.Load(); g != nil && r.Header.Get("Range") != "" {
+			<-*g
+		}
+		w.Header().Set("ETag", `"v1"`)
+		http.ServeContent(w, r, "", time.Unix(1700000000, 0), bytes.NewReader(content))
+	}))
+	t.Cleanup(origin.Close)
+	directTS, direct := startShards(t, []mount{
+		{name: "hot", target: origin.URL + "/" + filepath.Base(pHot)},
+		{name: "hot64", target: origin.URL + "/" + filepath.Base(pHot64)},
+	}, 1, serverOptions{}, nil)
 
 	type read struct {
 		field  string
@@ -120,6 +149,43 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 		}
 	}
 
+	// Gated herds: herd identical requests for hot pile up behind one
+	// produce at base while gate holds its work, with one request for each
+	// of others beside them; once flight has counted them all, the gate
+	// opens and everything is written — and released — at once.
+	const herd = 16
+	gatedHerd := func(gate *atomic.Pointer[chan struct{}], flight *cluster.Flight, base string, hot read, others []read) {
+		g := make(chan struct{})
+		gate.Store(&g)
+		before := flight.Stats()
+		var wg sync.WaitGroup
+		for i := 0; i < herd+len(others); i++ {
+			rd := hot
+			if i >= herd {
+				rd = others[i-herd]
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check(base, rd)
+			}()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := flight.Stats()
+			if st.Coalesced-before.Coalesced == herd-1 && st.Leads-before.Leads == int64(1+len(others)) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: herd never coalesced: %+v after %+v", base, st, before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		gate.Store(nil)
+		close(g)
+		wg.Wait()
+	}
+
 	// Boxes of one size (16³ float32 over 8³ bricks: 27 bricks each, every
 	// sub-read body and every slab from the same pool buckets), so whatever
 	// one request releases the next one draws.
@@ -142,39 +208,9 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 	}
 
 	// (a) Herds. Gated rounds first: 16 identical requests pile up behind
-	// one fan-out while other boxes fan out beside them, then everything is
-	// written — and released — at once.
-	const herd = 16
+	// one fan-out while other boxes fan out beside them.
 	for round := 0; round < 3; round++ {
-		g := make(chan struct{})
-		gate.Store(&g)
-		before := gw.flight.Stats()
-		var wg sync.WaitGroup
-		for i := 0; i < herd+len(others); i++ {
-			rd := hot
-			if i >= herd {
-				rd = others[i-herd]
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				check(gts.URL, rd)
-			}()
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st := gw.flight.Stats()
-			if st.Coalesced-before.Coalesced == herd-1 && st.Leads-before.Leads == int64(1+len(others)) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: herd never coalesced: %+v after %+v", round, st, before)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		gate.Store(nil)
-		close(g)
-		wg.Wait()
+		gatedHerd(&gate, &gw.flight, gts.URL, hot, others)
 	}
 	// Then free-running: clients that mostly ask for the hot box, at the
 	// gateway and at a shard, coalescing and recycling however they fall.
@@ -195,6 +231,48 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 					check(base, wave)
 				default:
 					check(base, hot)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// (d) serve_scan's 48³ boxes over 32³ bricks, every one of them a slab
+	// from the same two pool buckets: sequential, then gated herds through
+	// the gateway and at the direct shard, then free-running on all three
+	// servers.
+	scan := mk("hot", []int{8, 8, 8}, []int{56, 56, 56})
+	var scanOthers []read
+	for k := 0; k < 4; k++ {
+		lo := []int{k, 2 * k, 16 - k}
+		scanOthers = append(scanOthers, mk("hot", lo, []int{lo[0] + 48, lo[1] + 48, lo[2] + 48}))
+	}
+	scan64 := mk("hot64", []int{8, 8, 8}, []int{56, 56, 56})
+	scanOthers = append(scanOthers, scan64, mk("hot64", []int{16, 0, 3}, []int{64, 48, 51}))
+	for pass := 0; pass < 2; pass++ {
+		for _, base := range []string{gts.URL, shards[1].URL, directTS[0].URL} {
+			check(base, scan)
+			check(base, scan64)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		gatedHerd(&gate, &gw.flight, gts.URL, scan, scanOthers)
+		gatedHerd(&originGate, &direct[0].flight, directTS[0].URL, scan, scanOthers)
+	}
+	gatedHerd(&originGate, &direct[0].flight, directTS[0].URL, scan64, scanOthers[:4])
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base := []string{gts.URL, shards[c%2].URL, directTS[0].URL}[c%3]
+			for i := 0; i < 6; i++ {
+				switch {
+				case (i+c)%3 == 0:
+					check(base, scanOthers[(i+c)%len(scanOthers)])
+				case (i+c)%4 == 0:
+					check(base, scan64)
+				default:
+					check(base, scan)
 				}
 			}
 		}()
@@ -249,13 +327,37 @@ var hotStore = sync.OnceValues(func() ([]byte, error) {
 	return buf.Bytes(), err
 })
 
+// hotStore64 is the same field and brick grid in float64: a 48³ box of it
+// is an 864 KiB answer.
+var hotStore64 = sync.OnceValues(func() ([]byte, error) {
+	ds := datagen.NYX(64, 64, 64)
+	data := make([]float64, len(ds.Data))
+	for i, v := range ds.Data {
+		data[i] = float64(v)
+	}
+	var buf bytes.Buffer
+	err := store.WriteT(context.Background(), &buf, data, ds.Dims, store.WriteOptions{
+		Opts:  qoz.Options{RelBound: 1e-3},
+		Brick: []int{32, 32, 32},
+	})
+	return buf.Bytes(), err
+})
+
 func buildHotStoreFile(t *testing.T, dir string) string {
+	return writeStoreFile(t, dir, "hot.qozb", hotStore)
+}
+
+func buildHotStoreFile64(t *testing.T, dir string) string {
+	return writeStoreFile(t, dir, "hot64.qozb", hotStore64)
+}
+
+func writeStoreFile(t *testing.T, dir, name string, encode func() ([]byte, error)) string {
 	t.Helper()
-	encoded, err := hotStore()
+	encoded, err := encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "hot.qozb")
+	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, encoded, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +482,18 @@ func TestTracePublishAllocBytes(t *testing.T) {
 // TestShardRegionNoSampleAlloc is the shard half, beside
 // store.TestReadRegionIntoCachedZeroAlloc: with the bricks cached, a
 // region produce and its release allocate the slab's 24-byte header, the
-// pool's and the box's three dims, not a sample buffer per produce.
+// pool's and the box's three dims, not a sample buffer per produce — also
+// for serve_scan's 48³ box, whose 432 KiB (float32) and 864 KiB (float64)
+// answers were plain allocations while the slab bound was 256 KiB
+// (442 397 bytes per float32 produce).
 func TestShardRegionNoSampleAlloc(t *testing.T) {
 	dir := t.TempDir()
 	p64, _, _ := buildStoreFile64(t, dir)
-	srv, err := newServer([]mount{{name: "hot", target: buildHotStoreFile(t, dir)}, {name: "wave", target: p64}},
-		serverOptions{CacheBytes: 64 << 20})
+	srv, err := newServer([]mount{
+		{name: "hot", target: buildHotStoreFile(t, dir)},
+		{name: "hot64", target: buildHotStoreFile64(t, dir)},
+		{name: "wave", target: p64},
+	}, serverOptions{CacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +505,8 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 	}{
 		{"hot", []int{16, 16, 16}, []int{48, 48, 48}, 32 * 32 * 32 * 4},
 		{"wave", []int{1, 1, 1}, []int{15, 15, 15}, 14 * 14 * 14 * 8},
+		{"hot", []int{8, 8, 8}, []int{56, 56, 56}, 48 * 48 * 48 * 4},
+		{"hot64", []int{8, 8, 8}, []int{56, 56, 56}, 48 * 48 * 48 * 8},
 	} {
 		f, ok := srv.be.resolve(tc.field)
 		if !ok {
@@ -416,8 +526,8 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		// Measured 72 bytes (two 24-byte headers and the box's grid dims,
-		// which the point count is taken from). sync.Pool may miss
+		// Measured 24 to 29 bytes, on every box here: the slab's 24-byte
+		// header, and no sample buffer. sync.Pool may miss
 		// without a collection — a goroutine that changes Ps between a put
 		// and the next get cannot reach the other P's private slot — and
 		// each miss is one fresh buffer, size/200 per op here; the bound of
@@ -426,5 +536,66 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 		if perOp > float64(tc.size)/8 {
 			t.Errorf("%s: %.0f heap bytes per cached region produce + release; want no sample buffer (%d bytes)", tc.field, perOp, tc.size)
 		}
+	}
+}
+
+// TestShardRegionRequestAllocBytes is the allocation gate of a whole shard
+// request at serve_scan's shape: 200 warmed GETs of the 48³ box [8,56)³ of
+// the hot store, through newServer behind httptest, with every allocation
+// of the process counted — net/http on both sides, the handler, the flight,
+// the produce and the write. Each must allocate less than an eighth of its
+// 432 KiB body, and none of its slabs may come from outside the pools
+// (qozd_slab_unpooled_bytes_total does not move). While the slab bound was
+// 256 KiB and the raw body was converted sample by sample through a chunk,
+// the same loop measured 453 483 bytes per request.
+func TestShardRegionRequestAllocBytes(t *testing.T) {
+	path := buildHotStoreFile(t, t.TempDir())
+	srv, err := newServer([]mount{{name: "hot", target: path}}, serverOptions{CacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	lo, hi := []int{8, 8, 8}, []int{56, 56, 56}
+	want := referenceRaw(t, path, lo, hi)
+	url := fmt.Sprintf("%s/v1/fields/hot/region?lo=%s&hi=%s", ts.URL, joinInts(lo, ","), joinInts(hi, ","))
+	// The body lands in one buffer grown once, read to EOF so that the
+	// connection is reused: the client's side adds nothing per request that
+	// grows with the box.
+	var body bytes.Buffer
+	body.Grow(len(want) + bytes.MinRead)
+	read := func() {
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Reset()
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body.Bytes(), want) {
+			t.Fatalf("GET %s: status %d, read error %v, body equal to the reference: %v", url, resp.StatusCode, err, bytes.Equal(body.Bytes(), want))
+		}
+	}
+	for i := 0; i < 20; i++ { // decode into the cache, warm the connection and the pools
+		read()
+	}
+	unpooled := pool.UnpooledSlabBytes()
+	perOp := allocBytesPerOp(200, read)
+	t.Logf("%.0f heap bytes allocated per %d-byte request", perOp, len(want))
+	if d := pool.UnpooledSlabBytes() - unpooled; d != 0 {
+		t.Errorf("%d slab bytes allocated above the pools' bound over 200 requests; a 48³ answer must be a pooled slab", d)
+	}
+	if raceEnabled {
+		return
+	}
+	// Measured 11.0 KB: net/http's request, response and header objects on
+	// both sides, the handler's parse, key and ETag, and nothing that grows
+	// with the box. The bound is an eighth of the body, as for the
+	// produce alone: a sample buffer per request, or a conversion of the
+	// body into a second one, breaks it.
+	if perOp >= float64(len(want))/8 {
+		t.Errorf("%.0f heap bytes per request for a %d-byte region; a cached region request must allocate less than an eighth of what it returns", perOp, len(want))
 	}
 }

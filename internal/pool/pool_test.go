@@ -102,12 +102,21 @@ func TestSlabBound(t *testing.T) {
 	// Dropped slabs never come back; held ones may (sync.Pool promises
 	// nothing), so only the negative is asserted.
 	samePlace := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+	unpooled := UnpooledSlabBytes()
 	big := Slab[byte](MaxSlabBytes + 1)
 	if cap(big) != MaxSlabBytes+1 {
 		t.Errorf("a slab above the bound has cap %d, want exactly its length: it is not headed for a bucket", cap(big))
 	}
+	Slab[float64](MaxSlabBytes / 8) // at the bound: pooled, not counted
+	if got := UnpooledSlabBytes() - unpooled; got != MaxSlabBytes+1 {
+		t.Errorf("UnpooledSlabBytes moved by %d, want the %d bytes of the one slab above the bound", got, MaxSlabBytes+1)
+	}
+	Slab[float64](MaxSlabBytes/8 + 1)
+	if got := UnpooledSlabBytes() - unpooled; got != 2*MaxSlabBytes+9 {
+		t.Errorf("UnpooledSlabBytes moved by %d, want %d: a float64 slab counts 8 bytes a sample", got, 2*MaxSlabBytes+9)
+	}
 	PutSlab(big)
-	odd := make([]byte, MaxSlabBytes+MaxSlabBytes/2) // would file under the 256 KiB bucket
+	odd := make([]byte, MaxSlabBytes+MaxSlabBytes/2) // would file under the MaxSlabBytes bucket
 	PutSlab(odd)
 	for i := 0; i < 8; i++ {
 		if s := Slab[byte](MaxSlabBytes); samePlace(s, big) || samePlace(s, odd) {

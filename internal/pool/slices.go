@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 type slicePool[T any] struct {
@@ -71,15 +72,13 @@ func (p *slicePool[T]) put(s []T) {
 // stays reachable for two collections after its last use, so recycling the
 // occasional full-field read (8 MiB and its sub-read bodies) would double
 // the collector's heap target to save one allocation, while the hot reads
-// — a brick or a few, tens to hundreds of KiB — are what arrive hundreds
-// of times a second. Exported so that the gateway can keep a multi-box
-// round trip's body (and so the shard's sample buffer for it) recyclable.
-// Fetched brick ranges are capped at the same size, and a symbol run of up
-// to 64 Ki symbols (a 32³ brick's largest) fits; longer runs, as whole
-// fields and 64³ bricks decode, are left to the collector.
+// — a brick or a few, up to a 48³ box's 864 KiB in float64 — are what
+// arrive hundreds of times a second. A 64³ brick (1 MiB in float32) fits,
+// and so does a symbol run of up to 256 Ki symbols; longer runs, as whole
+// fields decode, are left to the collector.
 const MaxSlabBytes = 1 << slabBits
 
-const slabBits = 18
+const slabBits = 20
 
 var (
 	byteSlabs    = slicePool[byte]{limit: MaxSlabBytes}
@@ -104,9 +103,14 @@ func slabPool[T byte | uint32 | float32 | float64]() *slicePool[T] {
 }
 
 // Slab returns a slab of n elements with undefined contents:
-// recycled memory up to MaxSlabBytes, a plain allocation above.
+// recycled memory up to MaxSlabBytes, a plain allocation above, counted in
+// UnpooledSlabBytes.
 func Slab[T byte | uint32 | float32 | float64](n int) []T {
-	s := slabPool[T]().get(n)
+	p := slabPool[T]()
+	if n > p.limit {
+		unpooledBytes.Add(uint64(n) * uint64(unsafe.Sizeof(T(0))))
+	}
+	s := p.get(n)
 	if poisonSlabs.Load() && cap(s) > 0 {
 		released.take(&s[:1][0])
 	}
@@ -126,6 +130,13 @@ func PutSlab[T byte | uint32 | float32 | float64](s []T) {
 	}
 	slabPool[T]().put(s)
 }
+
+var unpooledBytes atomic.Uint64
+
+// UnpooledSlabBytes is the bytes Slab has handed out as plain allocations,
+// above MaxSlabBytes, since the process started: what the pools could not
+// recycle.
+func UnpooledSlabBytes() uint64 { return unpooledBytes.Load() }
 
 // slabPoison is 0xA5 as a byte and 165 as a sample: neither is a value
 // the test fields hold.
