@@ -64,9 +64,9 @@ func referenceRaw(t *testing.T, path string, lo, hi []int) []byte {
 // the gateway). A response written from a slab after its release — by a
 // coalesced waiter slower than the rest, by a failover that kept the failed
 // attempt's buffer — carries the pattern and differs from the reference.
-// serve_scan's 48³ answers (432 KiB in float32, 864 KiB in float64) are
-// recycled slabs too, on a shard and at the gateway, so they get herds of
-// their own: through the gateway, and at a shard whose produce waits on its
+// serve_scan's 48³ answers (432 KiB in float32) and 40³ float64 ones
+// (500 KiB), the largest boxes under the 512 KiB slab bound, are recycled
+// slabs too, on a shard and at the gateway, so they get herds of their own: through the gateway, and at a shard whose produce waits on its
 // store's origin so that its herd coalesces for certain.
 func TestClusterNoUseAfterRelease(t *testing.T) {
 	pool.PoisonSlabs(true)
@@ -237,8 +237,8 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 	}
 	wg.Wait()
 
-	// (d) serve_scan's 48³ boxes over 32³ bricks, every one of them a slab
-	// from the same two pool buckets: sequential, then gated herds through
+	// (d) serve_scan's 48³ boxes over 32³ bricks, and 40³ float64 ones,
+	// every one of them a slab from the pools' largest bucket: sequential, then gated herds through
 	// the gateway and at the direct shard, then free-running on all three
 	// servers.
 	scan := mk("hot", []int{8, 8, 8}, []int{56, 56, 56})
@@ -247,8 +247,8 @@ func TestClusterNoUseAfterRelease(t *testing.T) {
 		lo := []int{k, 2 * k, 16 - k}
 		scanOthers = append(scanOthers, mk("hot", lo, []int{lo[0] + 48, lo[1] + 48, lo[2] + 48}))
 	}
-	scan64 := mk("hot64", []int{8, 8, 8}, []int{56, 56, 56})
-	scanOthers = append(scanOthers, scan64, mk("hot64", []int{16, 0, 3}, []int{64, 48, 51}))
+	scan64 := mk("hot64", []int{12, 12, 12}, []int{52, 52, 52})
+	scanOthers = append(scanOthers, scan64, mk("hot64", []int{16, 0, 3}, []int{56, 40, 43}))
 	for pass := 0; pass < 2; pass++ {
 		for _, base := range []string{gts.URL, shards[1].URL, directTS[0].URL} {
 			check(base, scan)
@@ -327,8 +327,8 @@ var hotStore = sync.OnceValues(func() ([]byte, error) {
 	return buf.Bytes(), err
 })
 
-// hotStore64 is the same field and brick grid in float64: a 48³ box of it
-// is an 864 KiB answer.
+// hotStore64 is the same field and brick grid in float64: a 40³ box of it
+// is a 500 KiB answer, the largest cube under the slab bound.
 var hotStore64 = sync.OnceValues(func() ([]byte, error) {
 	ds := datagen.NYX(64, 64, 64)
 	data := make([]float64, len(ds.Data))
@@ -483,8 +483,8 @@ func TestTracePublishAllocBytes(t *testing.T) {
 // store.TestReadRegionIntoCachedZeroAlloc: with the bricks cached, a
 // region produce and its release allocate the slab's 24-byte header, the
 // pool's and the box's three dims, not a sample buffer per produce — also
-// for serve_scan's 48³ box, whose 432 KiB (float32) and 864 KiB (float64)
-// answers were plain allocations while the slab bound was 256 KiB
+// for serve_scan's 48³ box (432 KiB in float32) and a 40³ float64 box
+// (500 KiB), which were plain allocations while the slab bound was 256 KiB
 // (442 397 bytes per float32 produce).
 func TestShardRegionNoSampleAlloc(t *testing.T) {
 	dir := t.TempDir()
@@ -506,7 +506,7 @@ func TestShardRegionNoSampleAlloc(t *testing.T) {
 		{"hot", []int{16, 16, 16}, []int{48, 48, 48}, 32 * 32 * 32 * 4},
 		{"wave", []int{1, 1, 1}, []int{15, 15, 15}, 14 * 14 * 14 * 8},
 		{"hot", []int{8, 8, 8}, []int{56, 56, 56}, 48 * 48 * 48 * 4},
-		{"hot64", []int{8, 8, 8}, []int{56, 56, 56}, 48 * 48 * 48 * 8},
+		{"hot64", []int{12, 12, 12}, []int{52, 52, 52}, 40 * 40 * 40 * 8},
 	} {
 		f, ok := srv.be.resolve(tc.field)
 		if !ok {

@@ -91,10 +91,10 @@ func TestSlicePoolRoundTrip(t *testing.T) {
 }
 
 // TestSlabBound pins what the slab pools recycle: nothing above
-// MaxSlabBytes, whatever its element type, and not a slab whose capacity
+// maxSlabBytes, whatever its element type, and not a slab whose capacity
 // merely rounds down to a bucket under the bound.
 func TestSlabBound(t *testing.T) {
-	for _, n := range []int{1, 1000, MaxSlabBytes / 8, MaxSlabBytes/8 + 1, MaxSlabBytes + 1} {
+	for _, n := range []int{1, 1000, maxSlabBytes / 8, maxSlabBytes/8 + 1, maxSlabBytes + 1} {
 		if s := Slab[float64](n); len(s) != n {
 			t.Fatalf("Slab[float64](%d): len %d", n, len(s))
 		}
@@ -103,23 +103,23 @@ func TestSlabBound(t *testing.T) {
 	// nothing), so only the negative is asserted.
 	samePlace := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
 	unpooled := UnpooledSlabBytes()
-	big := Slab[byte](MaxSlabBytes + 1)
-	if cap(big) != MaxSlabBytes+1 {
+	big := Slab[byte](maxSlabBytes + 1)
+	if cap(big) != maxSlabBytes+1 {
 		t.Errorf("a slab above the bound has cap %d, want exactly its length: it is not headed for a bucket", cap(big))
 	}
-	Slab[float64](MaxSlabBytes / 8) // at the bound: pooled, not counted
-	if got := UnpooledSlabBytes() - unpooled; got != MaxSlabBytes+1 {
-		t.Errorf("UnpooledSlabBytes moved by %d, want the %d bytes of the one slab above the bound", got, MaxSlabBytes+1)
+	Slab[float64](maxSlabBytes / 8) // at the bound: pooled, not counted
+	if got := UnpooledSlabBytes() - unpooled; got != maxSlabBytes+1 {
+		t.Errorf("UnpooledSlabBytes moved by %d, want the %d bytes of the one slab above the bound", got, maxSlabBytes+1)
 	}
-	Slab[float64](MaxSlabBytes/8 + 1)
-	if got := UnpooledSlabBytes() - unpooled; got != 2*MaxSlabBytes+9 {
-		t.Errorf("UnpooledSlabBytes moved by %d, want %d: a float64 slab counts 8 bytes a sample", got, 2*MaxSlabBytes+9)
+	Slab[float64](maxSlabBytes/8 + 1)
+	if got := UnpooledSlabBytes() - unpooled; got != 2*maxSlabBytes+9 {
+		t.Errorf("UnpooledSlabBytes moved by %d, want %d: a float64 slab counts 8 bytes a sample", got, 2*maxSlabBytes+9)
 	}
 	PutSlab(big)
-	odd := make([]byte, MaxSlabBytes+MaxSlabBytes/2) // would file under the MaxSlabBytes bucket
+	odd := make([]byte, maxSlabBytes+maxSlabBytes/2) // would file under the bucket at the bound
 	PutSlab(odd)
 	for i := 0; i < 8; i++ {
-		if s := Slab[byte](MaxSlabBytes); samePlace(s, big) || samePlace(s, odd) {
+		if s := Slab[byte](maxSlabBytes); samePlace(s, big) || samePlace(s, odd) {
 			t.Fatal("a slab above the bound was recycled")
 		}
 	}

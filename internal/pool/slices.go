@@ -18,7 +18,7 @@ import (
 
 type slicePool[T any] struct {
 	// limit is the largest length and capacity (in elements) the pool
-	// recycles, at most MaxSlabBytes; longer requests are plain
+	// recycles, at most maxSlabBytes; longer requests are plain
 	// allocations and larger slices are dropped on put.
 	limit   int
 	buckets [slabBits + 1]sync.Pool
@@ -68,23 +68,24 @@ func (p *slicePool[T]) put(s []T) {
 // last write (qozd's sample buffers and stitched bodies, the fan-out's
 // sub-read bodies), and a decoded brick between its decode and its last
 // reader's release. They have pools of their own, bounded at
-// MaxSlabBytes per slab by a constant rather than a setting: a pooled slab
+// maxSlabBytes per slab by a constant rather than a setting: a pooled slab
 // stays reachable for two collections after its last use, so recycling the
 // occasional full-field read (8 MiB and its sub-read bodies) would double
 // the collector's heap target to save one allocation, while the hot reads
-// — a brick or a few, up to a 48³ box's 864 KiB in float64 — are what
-// arrive hundreds of times a second. A 64³ brick (1 MiB in float32) fits,
-// and so does a symbol run of up to 256 Ki symbols; longer runs, as whole
-// fields decode, are left to the collector.
-const MaxSlabBytes = 1 << slabBits
+// — a brick or a few, up to serve_scan's 48³ box, 432 KiB in float32 —
+// are what arrive hundreds of times a second. A symbol run of up to
+// 128 Ki symbols fits; a 64³ brick (1 MiB in float32), a float64 48³ box
+// (864 KiB) and longer runs, as whole fields decode, are left to the
+// collector.
+const maxSlabBytes = 1 << slabBits
 
-const slabBits = 20
+const slabBits = 19
 
 var (
-	byteSlabs    = slicePool[byte]{limit: MaxSlabBytes}
-	uint32Slabs  = slicePool[uint32]{limit: MaxSlabBytes / 4}
-	float32Slabs = slicePool[float32]{limit: MaxSlabBytes / 4}
-	float64Slabs = slicePool[float64]{limit: MaxSlabBytes / 8}
+	byteSlabs    = slicePool[byte]{limit: maxSlabBytes}
+	uint32Slabs  = slicePool[uint32]{limit: maxSlabBytes / 4}
+	float32Slabs = slicePool[float32]{limit: maxSlabBytes / 4}
+	float64Slabs = slicePool[float64]{limit: maxSlabBytes / 8}
 )
 
 func slabPool[T byte | uint32 | float32 | float64]() *slicePool[T] {
@@ -103,7 +104,7 @@ func slabPool[T byte | uint32 | float32 | float64]() *slicePool[T] {
 }
 
 // Slab returns a slab of n elements with undefined contents:
-// recycled memory up to MaxSlabBytes, a plain allocation above, counted in
+// recycled memory up to maxSlabBytes, a plain allocation above, counted in
 // UnpooledSlabBytes.
 func Slab[T byte | uint32 | float32 | float64](n int) []T {
 	p := slabPool[T]()
@@ -119,7 +120,7 @@ func Slab[T byte | uint32 | float32 | float64](n int) []T {
 
 // PutSlab ends the caller's ownership of s, whether it came from Slab or
 // from make: s must not be referenced afterwards. Slabs above
-// MaxSlabBytes are left to the collector.
+// maxSlabBytes are left to the collector.
 func PutSlab[T byte | uint32 | float32 | float64](s []T) {
 	if poisonSlabs.Load() && cap(s) > 0 {
 		s = s[:cap(s)]
@@ -134,7 +135,7 @@ func PutSlab[T byte | uint32 | float32 | float64](s []T) {
 var unpooledBytes atomic.Uint64
 
 // UnpooledSlabBytes is the bytes Slab has handed out as plain allocations,
-// above MaxSlabBytes, since the process started: what the pools could not
+// above maxSlabBytes, since the process started: what the pools could not
 // recycle.
 func UnpooledSlabBytes() uint64 { return unpooledBytes.Load() }
 
