@@ -598,7 +598,17 @@ func groupTrips(subs []subRegion, pending []int, a, maxBoxes int) [][]int {
 // prefix of its catalog entry — rendered once per fan-out, compared once
 // per exchange.
 func GenerationPrefix(crc uint32, gen uint64) string {
-	return fmt.Sprintf(`"%08x-g%d-`, crc, gen)
+	return string(AppendGenerationPrefix(nil, crc, gen))
+}
+
+// AppendGenerationPrefix appends GenerationPrefix(crc, gen) to dst: a
+// quote, the CRC as eight hex digits, "-g", the generation and a dash.
+func AppendGenerationPrefix(dst []byte, crc uint32, gen uint64) []byte {
+	dst = append(dst, '"')
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[crc>>uint(shift)&15])
+	}
+	return append(strconv.AppendUint(append(dst, "-g"...), gen, 10), '-')
 }
 
 // shard returns the named shard's slice of the accounting, adding it on

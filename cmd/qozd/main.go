@@ -603,11 +603,7 @@ func (h *handler) serveConditional(w http.ResponseWriter, r *http.Request, valid
 		// that survives any individual client's disconnect and is cancelled
 		// only when the last waiter is gone; it carries the correlation id, so
 		// a backend that makes further hops presents the same one.
-		boxKey := fmt.Sprintf("%v|%v", a.boxes[0].Lo, a.boxes[0].Hi)
-		if len(a.boxes) > 1 {
-			boxKey = boxListID(a.boxes)
-		}
-		key := fmt.Sprintf("%s|%08x-%d|%s|%s", f.name, f.crc, f.gen, boxKey, a.work)
+		key := flightKey(f.name, f.crc, f.gen, a.boxes, a.work)
 		ctx := cluster.WithRequestID(r.Context(), r.Header.Get(requestIDHeader))
 		// The produced value is shared with every coalesced request and may
 		// own pooled memory: done says this request will not touch it again,
@@ -783,7 +779,7 @@ func regionVariant(format string, gz bool, level int) string {
 		format += "+gzip"
 	}
 	if level > 1 {
-		format += fmt.Sprintf("+l%d", level)
+		format += "+l" + strconv.Itoa(level)
 	}
 	return format
 }
@@ -792,25 +788,79 @@ func regionVariant(format string, gz bool, level int) string {
 // manifest fingerprint and generation (content identity, read as one
 // consistent pair), the boxes, the element type, and the encoding variant
 // (including gzip and the progressive level). Any of these changing
-// changes the bytes, and nothing else does.
+// changes the bytes, and nothing else does. It and flightKey are built by
+// appending, not by fmt, which a hot request paid for in CPU; their
+// strings are the ones fmt made (TestRequestNamesMatchFmt).
 func regionETag(crc uint32, gen uint64, dtype string, boxes []store.Box, variant string) string {
-	id := joinInts(boxes[0].Lo, "x") + "-" + joinInts(boxes[0].Hi, "x")
+	var buf [128]byte
+	b := cluster.AppendGenerationPrefix(buf[:0], crc, gen)
 	if len(boxes) > 1 {
-		id = boxListID(boxes)
+		b = appendBoxListID(b, boxes)
+	} else {
+		b = appendJoined(b, boxes[0].Lo, 'x')
+		b = append(b, '-')
+		b = appendJoined(b, boxes[0].Hi, 'x')
 	}
-	return cluster.GenerationPrefix(crc, gen) + id + "-" + dtype + "-" + variant + `"`
+	b = append(append(append(append(b, '-'), dtype...), '-'), variant...)
+	return string(append(b, '"'))
 }
 
-// boxListID names a list of several boxes inside a validator or a flight
-// key: their count and a 64-bit FNV-1a hash of the ordered list, so the
-// name stays bounded however many boxes a request carries. The order is
-// part of it because it is part of the body.
-func boxListID(boxes []store.Box) string {
-	h := fnv.New64a()
-	for _, b := range boxes {
-		fmt.Fprintf(h, "%v%v", b.Lo, b.Hi)
+// flightKey names a produce in the single flight: concurrent identical
+// requests — same field, box, work, and generation — share one.
+func flightKey(name string, crc uint32, gen uint64, boxes []store.Box, work string) string {
+	var buf [128]byte
+	b := append(append(buf[:0], name...), '|')
+	b = append(strconv.AppendUint(append(appendHex(b, uint64(crc), 8), '-'), gen, 10), '|')
+	if len(boxes) > 1 {
+		b = appendBoxListID(b, boxes)
+	} else {
+		b = appendInts(b, boxes[0].Lo)
+		b = append(b, '|')
+		b = appendInts(b, boxes[0].Hi)
 	}
-	return fmt.Sprintf("n%d-%016x", len(boxes), h.Sum64())
+	return string(append(append(b, '|'), work...))
+}
+
+// appendBoxListID appends to dst the name of a list of several boxes
+// inside a validator or a flight key: "n<count>-" and a 64-bit FNV-1a
+// hash, as 16 hex digits, of every box's corners rendered "[lo][hi]", so
+// the name stays bounded however many boxes a request carries. The order
+// is part of it because it is part of the body.
+func appendBoxListID(dst []byte, boxes []store.Box) []byte {
+	var buf [256]byte
+	corners := buf[:0]
+	for _, b := range boxes {
+		corners = appendInts(appendInts(corners, b.Lo), b.Hi)
+	}
+	h := fnv.New64a()
+	h.Write(corners)
+	dst = append(strconv.AppendInt(append(dst, 'n'), int64(len(boxes)), 10), '-')
+	return appendHex(dst, h.Sum64(), 16)
+}
+
+// appendInts appends v as fmt's %v renders an []int: "[1 2 3]".
+func appendInts(dst []byte, v []int) []byte {
+	return append(appendJoined(append(dst, '['), v, ' '), ']')
+}
+
+// appendJoined appends v as "a<sep>b<sep>c".
+func appendJoined(dst []byte, v []int, sep byte) []byte {
+	for i, n := range v {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return dst
+}
+
+// appendHex appends v as width lowercase hex digits, zero-padded as fmt's
+// %0<width>x pads it; v must fit in width digits.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[v>>uint(shift)&15])
+	}
+	return dst
 }
 
 // joinInts renders coordinates or dims as "a<sep>b<sep>c".

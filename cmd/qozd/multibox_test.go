@@ -117,7 +117,7 @@ func TestRegionMultiBox(t *testing.T) {
 			t.Errorf("?%s: status %d, ETag %s — the same as ?%s carries", other, r2.StatusCode, r2.Header.Get("ETag"), boxQuery(boxes))
 		}
 	}
-	if boxListID(boxes) == boxListID(swapped) {
+	if string(appendBoxListID(nil, boxes)) == string(appendBoxListID(nil, swapped)) {
 		t.Error("a box list and its reordering share an id: they would share a flight, and their bodies differ")
 	}
 	r304, body := getHeaders(t, url, map[string]string{"If-None-Match": etag})

@@ -28,6 +28,9 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
+
+	"qoz/internal/pool"
 )
 
 // Codec identifiers embedded in the stream header.
@@ -112,6 +115,20 @@ type Stream struct {
 	Dims       []int
 	ErrorBound float64
 	Sections   []Section
+
+	// slab holds every section's bytes, when Decode or DecodePrefix made
+	// the stream: a pool.Slab that Release hands back.
+	slab []byte
+}
+
+// Release hands back the memory Decode or DecodePrefix decoded the
+// sections into, for the next stream to decode into: no section's Data
+// may be read after it, nor anything viewing it (Float32sView). A second
+// Release, or one of a stream built by hand, does nothing. A stream never
+// released is left to the collector.
+func (s *Stream) Release() {
+	pool.PutSlab(s.slab)
+	s.slab = nil
 }
 
 // Section returns the payload of the first section with the given id, or nil.
@@ -399,7 +416,10 @@ func peekHeader(buf []byte) (codec uint8, dims []int, rest []byte, err error) {
 }
 
 // Decode parses a container produced by Encode. A container ends exactly
-// after its last declared section: trailing bytes are ErrCorrupt.
+// after its last declared section: trailing bytes are ErrCorrupt. Every
+// section is read into one slab of the stream's own, the stored ones
+// copied and the compressed ones inflated in memory (inflate.go); the
+// caller may hand it back with Release once done with the sections.
 func Decode(buf []byte) (*Stream, error) {
 	return decode(buf, false)
 }
@@ -416,35 +436,45 @@ func DecodePrefix(buf []byte) (*Stream, error) {
 }
 
 func decode(buf []byte, prefix bool) (*Stream, error) {
-	s := &Stream{}
-	var err error
-	s.Codec, s.Dims, s.ErrorBound, err = walkSections(buf, prefix, func(id uint8, rawLen uint64, stored []byte, _ int) error {
-		var data []byte
-		if uint64(len(stored)) < rawLen {
-			// DEFLATE expands at most ~1032:1, so a declared raw length far
-			// beyond that bound is hostile; reject it before inflate sizes
-			// anything from it.
-			if rawLen > 1032*uint64(len(stored))+64 {
-				return ErrCorrupt
-			}
-			var err error
-			if data, err = inflate(stored, int(rawLen)); err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		} else {
-			data = append([]byte(nil), stored...)
-		}
-		if uint64(len(data)) != rawLen {
+	// The first walk checks the framing and each declared raw length, and
+	// sizes the one slab every section inflates into; the second fills it.
+	total, nsec := 0, 0
+	_, _, _, err := walkSections(buf, prefix, func(_ uint8, rawLen uint64, stored []byte, _ int) error {
+		if uint64(len(stored)) < rawLen && !checkDeclared(rawLen, len(stored)) ||
+			uint64(len(stored)) > rawLen {
 			return ErrCorrupt
 		}
-		s.Sections = append(s.Sections, Section{ID: id, Data: data})
+		total += sectionSpan(int(rawLen))
+		nsec++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	s := &Stream{Sections: make([]Section, 0, nsec), slab: pool.Slab[byte](total)}
+	at := 0
+	s.Codec, s.Dims, s.ErrorBound, err = walkSections(buf, prefix, func(id uint8, rawLen uint64, stored []byte, _ int) error {
+		data := s.slab[at : at+int(rawLen) : at+int(rawLen)]
+		at += sectionSpan(len(data))
+		if len(stored) == len(data) {
+			copy(data, stored)
+		} else if err := inflateSection(data, stored); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		s.Sections = append(s.Sections, Section{ID: id, Data: data})
+		return nil
+	})
+	if err != nil {
+		s.Release()
+		return nil, err
+	}
 	return s, nil
 }
+
+// sectionSpan is the room a section of n raw bytes takes in a stream's
+// slab: n rounded up to 8 bytes, so every section starts aligned for
+// Float32sView.
+func sectionSpan(n int) int { return (n + 7) &^ 7 }
 
 // walkSections is the one reader of a container's framing: it parses the
 // header and error bound, then calls visit with each section's id,
@@ -568,57 +598,6 @@ func DeflatedLen(buf []byte) int {
 	return int(n)
 }
 
-// inflater is the reusable INFLATE stage: a flate reader carries a 32 KiB
-// window and its decode tables, and a stream holds one section per level
-// per brick. Reset makes a used reader, failed or not, read as a new one.
-// The read block lives here too, so a section's inflate allocates only
-// its output.
-type inflater struct {
-	r     io.Reader // a flate reader; also a flate.Resetter
-	src   bytes.Reader
-	block [8192]byte
-}
-
-var inflaters = sync.Pool{New: func() any {
-	in := &inflater{}
-	in.r = flate.NewReader(&in.src)
-	return in
-}}
-
-func inflate(buf []byte, sizeHint int) ([]byte, error) {
-	in := inflaters.Get().(*inflater)
-	defer inflaters.Put(in)
-	return in.inflate(buf, sizeHint)
-}
-
-func (in *inflater) inflate(buf []byte, sizeHint int) ([]byte, error) {
-	in.src.Reset(buf)
-	defer in.src.Reset(nil) // a pooled reader must not keep the stream alive
-	if err := in.r.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, err
-	}
-	// The hint comes from the stream, so cap the up-front allocation and
-	// let append grow with the bytes that actually decompress; refuse
-	// output past the declared size instead of buffering it.
-	out := make([]byte, 0, min(sizeHint, 1<<20))
-	for {
-		n, err := in.r.Read(in.block[:])
-		out = append(out, in.block[:n]...)
-		if len(out) > sizeHint {
-			return nil, errors.New("container: section inflates past its declared size")
-		}
-		if err == io.EOF {
-			if in.src.Len() != 0 {
-				return nil, errors.New("container: bytes after the section's final DEFLATE block")
-			}
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
 // Float32sToBytes serializes a float32 slice little-endian.
 func Float32sToBytes(vals []float32) []byte {
 	out := make([]byte, 4*len(vals))
@@ -626,6 +605,24 @@ func Float32sToBytes(vals []float32) []byte {
 		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
 	}
 	return out
+}
+
+// hostLittleEndian says whether this host keeps a float32's bytes in the
+// order Float32sToBytes writes them.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// Float32sView is BytesToFloat32s without the copy where it can be: on a
+// little-endian host, for a buf aligned for float32 — as every section of
+// a decoded Stream is — the values share buf's memory, and live no longer
+// than it does. Elsewhere they are a copy.
+func Float32sView(buf []byte) ([]float32, error) {
+	if len(buf)%4 != 0 {
+		return nil, ErrCorrupt
+	}
+	if len(buf) == 0 || !hostLittleEndian || uintptr(unsafe.Pointer(&buf[0]))%4 != 0 {
+		return BytesToFloat32s(buf)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&buf[0])), len(buf)/4), nil
 }
 
 // BytesToFloat32s reverses Float32sToBytes.

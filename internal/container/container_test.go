@@ -359,27 +359,31 @@ func TestInflaterReuse(t *testing.T) {
 	}
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
+	inflate := func(src []byte, size int) ([]byte, error) {
+		out := make([]byte, size)
+		return out, in.inflate(out, src)
+	}
 	check := func(after string) {
 		t.Helper()
-		out, err := in.inflate(enc, len(good))
+		out, err := inflate(enc, len(good))
 		if err != nil || !bytes.Equal(out, good) {
 			t.Fatalf("good section after %s: err %v, %d bytes", after, err, len(out))
 		}
 	}
 	check("nothing")
-	if out, err := in.inflate(corrupt, len(good)); err == nil && bytes.Equal(out, good) {
+	if out, err := inflate(corrupt, len(good)); err == nil && bytes.Equal(out, good) {
 		t.Fatal("corrupt section inflated to the original")
 	}
 	check("a corrupt section")
-	if _, err := in.inflate(enc[:len(enc)/2], len(good)); err == nil {
+	if _, err := inflate(enc[:len(enc)/2], len(good)); err == nil {
 		t.Fatal("truncated section inflated without error")
 	}
 	check("a truncated section")
-	if _, err := in.inflate(enc, len(good)-1); err == nil {
+	if _, err := inflate(enc, len(good)-1); err == nil {
 		t.Fatal("section inflated past its declared size")
 	}
 	check("an oversized section")
-	if out, err := in.inflate(other, 45000); err != nil || len(out) != 45000 {
+	if out, err := inflate(other, 45000); err != nil || len(out) != 45000 {
 		t.Fatalf("second stream: err %v, %d bytes", err, len(out))
 	}
 	check("another stream")

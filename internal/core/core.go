@@ -220,6 +220,7 @@ func decompress(buf []byte, box []interp.Range, sweep interp.DecodeSweep) ([]flo
 		return nil, nil, err
 	}
 	if s.Codec != codecID {
+		s.Release()
 		return nil, nil, container.ErrCodecMismatch
 	}
 	recon, dims, _, err := decompressStream(s, 1, box, sweep)
@@ -240,9 +241,11 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 		return nil, nil, 0, err
 	}
 	if s.Codec != codecID {
+		s.Release()
 		return nil, nil, 0, container.ErrCodecMismatch
 	}
 	if !szstream.IsLevelStream(s) {
+		s.Release()
 		return nil, nil, 0, errors.New("qoz: stream predates level segmentation")
 	}
 	recon, dims, stride, err := decompressStream(s, level, nil, interp.LevelPassDecodeClip)
@@ -261,8 +264,10 @@ func DecompressLevel(buf []byte, level int) (coarse []float32, dims []int, strid
 // positions on the returned stride's grid are meaningful when stride > 1 —
 // plus the dims and completed stride. Levels below the requested one are
 // not looked at, so a prefix decodes as far as it is sound. A non-nil box
-// limits what comes out exact (interp.Pyramid.Decode).
+// limits what comes out exact (interp.Pyramid.Decode). It releases s: the
+// payload's config and literals view its sections until the sweep is done.
 func decompressStream(s *container.Stream, level int, box []interp.Range, sweep interp.DecodeSweep) ([]float32, []int, int, error) {
+	defer s.Release()
 	payload, err := szstream.DecodeStream(s)
 	if err != nil {
 		return nil, nil, 0, err

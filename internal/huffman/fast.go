@@ -158,9 +158,23 @@ func fits(end, room uint64) uint64 {
 	return 0
 }
 
-// Release returns the table's decode storage for the next table to build
-// into. The table stays usable: a later decode builds it again.
+// Release returns the table's storage for the next table to use. A table
+// BuildTable made hands back its decode table and stays usable: a later
+// decode builds it again. A table ParseTable made is handed back whole and
+// must not be used after; releasing it again does nothing.
 func (t *Table) Release() {
+	t.releaseDecodeTable()
+	if t.parsed {
+		t.parsed = false
+		if cap(t.syms) <= maxPooledSyms {
+			parsedTables.Put(t)
+		}
+	}
+}
+
+// releaseDecodeTable hands back the decode table's storage; a later decode
+// builds it again.
+func (t *Table) releaseDecodeTable() {
 	if t.table != nil {
 		decodeTables.Put(t.table)
 		t.table = nil

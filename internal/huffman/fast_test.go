@@ -441,7 +441,7 @@ func TestDecodeTableMatchesCanonicalScan(t *testing.T) {
 					}
 				}
 			}
-			tab.Release()
+			tab.releaseDecodeTable()
 		}
 	}
 }

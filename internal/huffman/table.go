@@ -2,6 +2,8 @@ package huffman
 
 import (
 	"encoding/binary"
+	"slices"
+	"sync"
 
 	"qoz/internal/bitio"
 )
@@ -36,6 +38,25 @@ type Table struct {
 	table *decodeTable
 	bits  uint
 	multi bool // some entry holds two or more symbols
+
+	parsed bool // drawn from parsedTables by ParseTable, not yet released
+}
+
+// parsedTables recycles the tables ParseTable parses into, syms and lens
+// storage and all: every brick decode parses a table of its own, and the
+// previous brick's is released by then.
+var parsedTables = sync.Pool{New: func() any { return new(Table) }}
+
+// maxPooledSyms bounds the symbol storage a released table keeps: a
+// hostile or unusually wide header's is left to the collector.
+const maxPooledSyms = 1 << 16
+
+// parsedTable returns a cleared table from parsedTables, keeping the
+// storage of its symbols and lengths.
+func parsedTable() *Table {
+	t := parsedTables.Get().(*Table)
+	*t = Table{syms: t.syms[:0], lens: t.lens[:0], parsed: true}
+	return t
 }
 
 // BuildTable constructs the canonical code over all symbols that will be
@@ -107,24 +128,26 @@ func (t *Table) AppendHeader(dst []byte) []byte {
 }
 
 // ParseTable reverses AppendHeader, returning the table and the bytes that
-// follow the header.
+// follow the header. The table is parsed into recycled storage: the
+// caller hands it back with Release once its last decode is done, and
+// must not use it after.
 func ParseTable(buf []byte) (*Table, []byte, error) {
 	k, m := binary.Uvarint(buf)
 	if m <= 0 {
 		return nil, nil, errCorrupt
 	}
 	buf = buf[m:]
-	t := &Table{}
 	if k == 0 {
-		return t, buf, nil
+		return parsedTable(), buf, nil
 	}
 	if k == 1 {
 		s, m := binary.Uvarint(buf)
 		if m <= 0 {
 			return nil, nil, errCorrupt
 		}
-		t.syms = []uint32{uint32(s)}
-		t.lens = []uint8{0}
+		t := parsedTable()
+		t.syms = append(t.syms, uint32(s))
+		t.lens = append(t.lens, 0)
 		return t, buf[m:], nil
 	}
 	// Hostile-input hardening: every entry costs at least two bytes (a
@@ -133,18 +156,21 @@ func ParseTable(buf []byte) (*Table, []byte, error) {
 	if k > uint64(len(buf))/2 {
 		return nil, nil, errCorrupt
 	}
-	t.syms = make([]uint32, k)
-	t.lens = make([]uint8, k)
+	t := parsedTable()
+	t.syms = slices.Grow(t.syms, int(k))[:k]
+	t.lens = slices.Grow(t.lens, int(k))[:k]
 	prev := uint32(0)
 	for i := 0; i < int(k); i++ {
 		d, m := binary.Uvarint(buf)
 		if m <= 0 || len(buf) < m+1 {
+			t.Release()
 			return nil, nil, errCorrupt
 		}
 		buf = buf[m:]
 		l := buf[0]
 		buf = buf[1:]
 		if l == 0 || l > maxCodeLen {
+			t.Release()
 			return nil, nil, errCorrupt
 		}
 		var s uint32

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"qoz/internal/pool"
 	"qoz/internal/quant"
@@ -191,7 +192,10 @@ func (p *Pyramid) Decode(anchors []float32, segs []Segment, stop int, box []Rang
 	for i, idx := range idxs {
 		recon[idx] = anchors[i]
 	}
-	if err := p.sweepLevels(recon, segs, stop, run, p.cone(box, stop), sweep); err != nil {
+	cone := p.cone(box, stop)
+	err := p.sweepLevels(recon, segs, stop, run, cone, sweep)
+	releaseCone(cone)
+	if err != nil {
 		pool.PutSlab(recon)
 		return nil, err
 	}
@@ -220,12 +224,20 @@ func inside(box []Range, dims []int) bool {
 // read, and reads its inputs up to 3s along its own axis (the cubic
 // stencil's reach at stride s), so the box before it is that box widened
 // by 3s along the axis and clamped to the field.
+//
+// The clips are built in a recycled fixed-size array when they fit, as a
+// store's bricks' do; releaseCone hands it back.
 func (p *Pyramid) cone(box []Range, stop int) []Range {
 	if box == nil {
 		return nil
 	}
 	nd, top := len(p.Dims), p.Top()
-	out := make([]Range, top*nd*nd)
+	var out []Range
+	if n := top * nd * nd; n <= maxConeRanges {
+		out = cones.Get().(*[maxConeRanges]Range)[:n]
+	} else {
+		out = make([]Range, n)
+	}
 	var cur [maxFlatDims]Range
 	copy(cur[:], box)
 	for l := stop; l <= top; l++ {
@@ -241,6 +253,24 @@ func (p *Pyramid) cone(box []Range, stop int) []Range {
 		}
 	}
 	return out
+}
+
+// maxConeRanges is how many clips a recycled cone array holds: sixteen
+// levels of a 4-D pyramid. A store's bricks fit; a 32³ brick anchored at
+// stride 32 has five levels of nine.
+const maxConeRanges = 16 * 4 * 4
+
+// cones recycles cone arrays. The sweep is called through a function
+// value, which the compiler cannot see into, so clips it is handed must be
+// heap memory: without the pool, every clipped decode allocated its cone.
+var cones = sync.Pool{New: func() any { return new([maxConeRanges]Range) }}
+
+// releaseCone hands back a cone drawn from cones; others are left to the
+// collector.
+func releaseCone(cone []Range) {
+	if cap(cone) == maxConeRanges {
+		cones.Put((*[maxConeRanges]Range)(cone[:maxConeRanges]))
+	}
 }
 
 // sweepLevels runs Decode's stages from the seed down to level stop over

@@ -63,6 +63,7 @@ func Decompress(buf []byte, box ...interp.Range) ([]float32, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer stream.Release() // the payload views the sections until the sweep is done
 	recon, err := pyramid(stream.Dims, stream.ErrorBound).Decode(payload.Anchors, payload.Segments, 1, box, interp.LevelPassDecodeClip)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)

@@ -95,6 +95,7 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer s.Release() // everything returned is copied out of the sections
 	if s.Codec != codecID {
 		return nil, nil, container.ErrCodecMismatch
 	}

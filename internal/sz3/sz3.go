@@ -56,6 +56,7 @@ func Decompress(buf []byte, box ...interp.Range) ([]float32, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer stream.Release() // the payload views the sections until the sweep is done
 	if len(payload.Config) != 2 {
 		return nil, nil, errors.New("sz3: malformed config section")
 	}

@@ -227,6 +227,10 @@ func IsLevelStream(s *container.Stream) bool { return s.Section(SecHuffTable) !=
 // the segments present are returned, in stream order; callers validate
 // level coverage against their config. A single-segment container yields
 // its bins and literals as one run of Level 0.
+//
+// The payload's Config, and a level-segmented container's literals
+// (container.Float32sView), share the container's section memory: the
+// caller releases s only once it is done with them.
 func DecodeStream(s *container.Stream) (*Payload, error) {
 	anchors, err := container.BytesToFloat32s(s.Section(SecAnchors))
 	if err != nil {
@@ -265,6 +269,13 @@ func (p *Payload) readLevels(s *container.Stream) error {
 		return errors.New("szstream: bytes after the huffman table")
 	}
 	defer tbl.Release() // the table dies with this call; its storage serves the next brick
+	segs := 0
+	for _, sec := range s.Sections {
+		if _, lits, ok := SectionLevel(sec.ID); ok && !lits {
+			segs++
+		}
+	}
+	p.Segments = make([]interp.Segment, 0, segs)
 	for _, sec := range s.Sections {
 		level, lits, ok := SectionLevel(sec.ID)
 		if !ok {
@@ -275,7 +286,7 @@ func (p *Payload) readLevels(s *container.Stream) error {
 			if seg == nil {
 				return errors.New("szstream: literal segment without bins segment")
 			}
-			if seg.Literals, err = container.BytesToFloat32s(sec.Data); err != nil {
+			if seg.Literals, err = container.Float32sView(sec.Data); err != nil {
 				return err
 			}
 			continue

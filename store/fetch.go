@@ -156,8 +156,9 @@ func planFetch(m *manifest, refs []brickRef, gap int64) ([]brickTask, []fetchRan
 // read data inside its piece alone. The last of a range's tasks returns
 // the range's buffer. use must not keep data: the task releases its hold
 // on the decode once use returns, and the decode may go back to the slab
-// pool then.
-func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs []brickRef, boxOf func(j int) (lo, hi []int), use func(j int, p *grid.Piece, data []N)) error {
+// pool then. The piece is passed by value: a pointer handed to a function
+// value would move every piece to the heap.
+func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs []brickRef, boxOf func(j int) (lo, hi []int), use func(j int, p grid.Piece, data []N)) error {
 	tasks, ranges := planFetch(m, refs, s.gap)
 	bk := m.hdr.bricks()
 	obsv := stageObserverFrom(ctx)
@@ -179,8 +180,7 @@ func decodeBricks[N qoz.Float](ctx context.Context, s *Store, m *manifest, refs 
 		defer releaseBrick(data, ent)
 		for _, j := range t.jobs {
 			lo, hi := boxOf(j)
-			p := bk.Piece(t.brick, lo, hi)
-			use(j, &p, data)
+			use(j, bk.Piece(t.brick, lo, hi), data)
 		}
 		return nil
 	})

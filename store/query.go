@@ -576,7 +576,7 @@ func scanBricksOf[N qoz.Float](ctx context.Context, s *Store, m *manifest, brick
 		refs[j] = brickRef{brick: bi}
 	}
 	boxOf := func(int) ([]int, []int) { return lo, hi }
-	return decodeBricks(ctx, s, m, refs, boxOf, func(j int, p *grid.Piece, data []N) {
+	return decodeBricks(ctx, s, m, refs, boxOf, func(j int, p grid.Piece, data []N) {
 		size, bdims, inBrick := grid.Sub(p.Hi[:], p.Lo[:]), grid.Sub(p.BHi[:], p.BLo[:]), grid.Sub(p.Lo[:], p.BLo[:])
 		scan(j, func(yield func(int, float64) bool) {
 			w := grid.Walk(size[:nd], bdims[:nd], inBrick[:nd], 1, m.hdr.dims, p.Lo[:nd])

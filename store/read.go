@@ -151,11 +151,11 @@ func fillMisses[N qoz.Float](ctx context.Context, s *Store, m *manifest, dst []N
 	bk := m.hdr.bricks()
 	nd, step := bk.Rank, 1<<(level-1)
 	boxOf := func(k int) (lo, hi []int) { return jobs[k].box.Lo, jobs[k].box.Hi }
-	return decodeBricks(ctx, s, m, refs, boxOf, func(k int, p *grid.Piece, data []N) {
+	return decodeBricks(ctx, s, m, refs, boxOf, func(k int, p grid.Piece, data []N) {
 		j := &jobs[k]
 		og, _ := grid.LevelOf(j.box.Lo, j.box.Hi, step)
 		pg, _ := grid.LevelOf(p.Lo[:nd], p.Hi[:nd], step)
-		copyPiece(dst[j.off:], &og, data, p, &pg, nd, step, refs[k].level)
+		copyPiece(dst[j.off:], &og, data, &p, &pg, nd, step, refs[k].level)
 	})
 }
 
